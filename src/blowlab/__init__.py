@@ -24,12 +24,12 @@ from .evolution import (
     RescaledFlow,
     convergence_pipeline,
     dissipation_check,
+    dissipation_rates,
     energy,
     exact_energy_kappa,
     fit_blowup_time,
     rescale_to_similarity,
     solve_physical,
-    step_rescaled,
 )
 from .exponents import (
     CriticalExponents,
@@ -77,13 +77,13 @@ __all__ = [
     "TensorGrid", "UsageError", "accepts_bounded_positive",
     "admissible_m_interval", "assemble", "build_basis", "compute_H",
     "convergence_pipeline", "critical_exponents", "dissipation_check",
-    "energy", "exact_energy_kappa", "extended_profile", "fd_eigenvalues_1d",
-    "first_eigenvalue_rayleigh", "fit_blowup_time", "gaussian_moment_1d",
-    "gaussian_radial_moment", "kappa", "kappa_identity_residual",
-    "linearized_apply", "m_condition", "ou_apply", "profile_field",
-    "profile_residual", "radial_grid", "rescale_to_similarity",
+    "dissipation_rates", "energy", "exact_energy_kappa", "extended_profile",
+    "fd_eigenvalues_1d", "first_eigenvalue_rayleigh", "fit_blowup_time",
+    "gaussian_moment_1d", "gaussian_radial_moment", "kappa",
+    "kappa_identity_residual", "linearized_apply", "m_condition", "ou_apply",
+    "profile_field", "profile_residual", "radial_grid", "rescale_to_similarity",
     "scan_profiles", "shoot", "sign_change_check", "solve_physical",
-    "spectrum", "stability_classify", "step_rescaled", "tensor_grid",
+    "spectrum", "stability_classify", "tensor_grid",
     "verify_ibp", "verify_log_test_inequality", "verify_poincare",
     "verify_prop35_inequality", "weighted_inner",
 ]

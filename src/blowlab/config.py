@@ -200,20 +200,6 @@ def load_config_file(path) -> dict[str, str]:
     return parse_config_text(p.read_text())
 
 
-def parse_config(path=None, kind: str | None = None,
-                 overrides: dict | None = None) -> tuple[str, dict]:
-    """Resolve (kind, config) from a file and/or overrides. When kind is not
-    given it must appear in the file as 'kind = <subcommand>'."""
-    file_values = load_config_file(path) if path is not None else {}
-    if kind is None:
-        kind = file_values.get("kind")
-        if kind is None:
-            raise ConfigurationError(
-                "config must name its kind ('kind = <subcommand>') when no "
-                "kind is given")
-    return kind, resolve_config(kind, file_values, overrides)
-
-
 def config_text(kind: str, cfg: dict) -> str:
     """Canonical serialization: kind first, then sorted keys, repr values."""
     lines = [f"kind = {kind}"]

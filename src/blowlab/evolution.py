@@ -22,6 +22,13 @@ The weighted energy with rho = (4 pi)^(-n/2) exp(-|y|^2/4) (unit mass),
     E(w) = int [ |grad w|^2 / 2 + w^2 / (2(p-1)) - |w|^(p+1)/(p+1) ] rho dy,
 
 decreases along the rescaled flow with dissipation rate int |w_s|^2 rho dy.
+
+Both frames build their implicit matrices from one tridiagonal stencil of the
+Laplacian (`_laplacian_bands`: d^2/dx^2 on the interval, d^2/dr^2 +
+(n-1)/r d/dr with the smooth origin row n d^2/dr^2 on the ball); the rescaled
+frame adds its drift and mass terms on top. The mesh density rho
+(`gaussian_density`) and the dissipation rate (`dissipation_rates`) also exist
+once each.
 """
 
 from __future__ import annotations
@@ -55,6 +62,17 @@ def _energy_parts(values, grad_sq, weights, norm, p) -> EnergyValue:
     return EnergyValue(total=d + q - pot, dirichlet=d, quadratic=q, potential=pot)
 
 
+def gaussian_density(y: np.ndarray, geometry: str, n: int) -> np.ndarray:
+    """The unit-mass Gaussian rho on the mesh y, with the radial measure
+    folded in on the ball, so trapezoid sums over y integrate against rho."""
+    if geometry == "interval":
+        return (4.0 * math.pi) ** (-0.5) * np.exp(-y * y / 4.0)
+    if geometry == "ball":
+        return ((4.0 * math.pi) ** (-n / 2.0) * np.exp(-y * y / 4.0)
+                * sphere_area(n) * np.maximum(y, 0.0) ** (n - 1))
+    raise UsageError(f"unknown geometry {geometry!r}")
+
+
 def energy(w, params: ProblemParams, y: np.ndarray | None = None,
            geometry: str = "interval") -> EnergyValue:
     """Weighted energy of a rescaled state.
@@ -71,17 +89,8 @@ def energy(w, params: ProblemParams, y: np.ndarray | None = None,
     if y is None:
         raise UsageError("mesh energy needs the mesh")
     w = np.asarray(w, dtype=float)
-    h = y[1] - y[0]
-    grad = np.gradient(w, h, edge_order=2)
-    if geometry == "interval":
-        n = 1
-        dens = (4.0 * math.pi) ** (-0.5) * np.exp(-y * y / 4.0)
-    elif geometry == "ball":
-        n = params.n
-        dens = ((4.0 * math.pi) ** (-n / 2.0) * np.exp(-y * y / 4.0)
-                * sphere_area(n) * np.maximum(y, 0.0) ** (n - 1))
-    else:
-        raise UsageError(f"unknown geometry {geometry!r}")
+    grad = np.gradient(w, y[1] - y[0], edge_order=2)
+    dens = gaussian_density(y, geometry, params.n)
     d = float(np.trapezoid(0.5 * grad**2 * dens, y))
     q = float(np.trapezoid(w * w / (2.0 * (p - 1.0)) * dens, y))
     pot = float(np.trapezoid(np.abs(w) ** (p + 1.0) / (p + 1.0) * dens, y))
@@ -113,44 +122,51 @@ def rescale_to_similarity(u: np.ndarray, x: np.ndarray, t: float, T: float,
 # rescaled frame
 
 
-def _rescaled_banded(y: np.ndarray, params: ProblemParams, ds: float,
-                     geometry: str) -> np.ndarray:
-    """Banded (I - ds A) with A = Lap - (y/2) d/dy - 1/(p-1), Neumann walls."""
-    m = y.size
-    h = y[1] - y[0]
-    p, n = params.p, params.n
-    r = ds / (h * h)
-    lo = np.zeros(m)
-    di = np.zeros(m)
-    up = np.zeros(m)
-    for i in range(m):
-        yi = y[i]
-        if geometry == "ball" and i == 0:
-            # smooth radial origin: Lap w = n w_rr, no drift
-            a_lo, a_di, a_up = 0.0, -2.0 * n * r, 2.0 * n * r
-            drift = 0.0
-        else:
-            a_lo, a_di, a_up = r, -2.0 * r, r
-            if geometry == "ball":
-                curv = ds * (n - 1.0) / (yi * 2.0 * h)
-                a_lo -= curv
-                a_up += curv
-            drift = ds * (-yi / 2.0) / (2.0 * h)
-        a_lo -= drift
-        a_up += drift
-        a_di -= ds / (p - 1.0)
-        if i == 0 and geometry != "ball":
-            a_up += a_lo
-            a_lo = 0.0
-        if i == m - 1:
-            a_lo += a_up
-            a_up = 0.0
-        lo[i], di[i], up[i] = -a_lo, 1.0 - a_di, -a_up
-    ab = np.zeros((3, m))
+def _laplacian_bands(x: np.ndarray, c: float, geometry: str,
+                     n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """c times the (lower, main, upper) diagonals of the discrete Laplacian on
+    the uniform mesh x: d^2/dx^2 on the interval; d^2/dr^2 + (n-1)/r d/dr on
+    the ball, whose origin row is the smooth limit n d^2/dr^2. Boundary rows
+    are the caller's."""
+    m = x.size
+    h = x[1] - x[0]
+    r = c / (h * h)
+    lo = np.full(m, r)
+    di = np.full(m, -2.0 * r)
+    up = np.full(m, r)
+    if geometry == "ball":
+        curv = c * (n - 1.0) / (x[1:] * 2.0 * h)
+        lo[1:] -= curv
+        up[1:] += curv
+        lo[0], di[0], up[0] = 0.0, -2.0 * n * r, 2.0 * n * r
+    return lo, di, up
+
+
+def _banded(lo: np.ndarray, di: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """Pack row-wise tridiagonal coefficients into solve_banded's (1, 1) form."""
+    ab = np.zeros((3, di.size))
     ab[0, 1:] = up[:-1]
     ab[1, :] = di
     ab[2, :-1] = lo[1:]
     return ab
+
+
+def _rescaled_banded(y: np.ndarray, params: ProblemParams, ds: float,
+                     geometry: str) -> np.ndarray:
+    """Banded (I - ds A) with A = Lap - (y/2) d/dy - 1/(p-1), Neumann walls.
+    The drift vanishes on the ball's origin row, where y = 0."""
+    h = y[1] - y[0]
+    lo, di, up = _laplacian_bands(y, ds, geometry, params.n)
+    drift = ds * (-y / 2.0) / (2.0 * h)
+    lo -= drift
+    up += drift
+    di -= ds / (params.p - 1.0)
+    if geometry != "ball":
+        up[0] += lo[0]
+        lo[0] = 0.0
+    lo[-1] += up[-1]
+    up[-1] = 0.0
+    return _banded(-lo, 1.0 - di, -up)
 
 
 @dataclass
@@ -230,14 +246,6 @@ class RescaledFlow:
         )
 
 
-def step_rescaled(w: np.ndarray, y: np.ndarray, params: ProblemParams,
-                  ds: float, geometry: str = "interval") -> np.ndarray:
-    """One semi-implicit step (convenience wrapper; builds the matrix)."""
-    ab = _rescaled_banded(np.asarray(y, dtype=float), params, ds, geometry)
-    rhs = w + ds * np.abs(w) ** (params.p - 1.0) * w
-    return solve_banded((1, 1), ab, rhs)
-
-
 def linearized_matrix(y: np.ndarray, params: ProblemParams,
                       geometry: str = "interval") -> np.ndarray:
     """Dense mesh matrix of Lap - (y/2) d/dy - 1/(p-1) + p kappa^(p-1), the
@@ -280,9 +288,22 @@ class DissipationReport:
     holds: bool
 
 
-def dissipation_check(run: RescaledRun, s_a: float, s_b: float,
-                      tol: float = 0.02) -> DissipationReport:
-    """Check int_{s_a}^{s_b} int |w_s|^2 rho dy ds = E(a) - E(b) within tol.
+def dissipation_rates(run: RescaledRun) -> np.ndarray:
+    """int |w_s|^2 rho dy at every recorded state, w_s by np.gradient over the
+    records (centered inside, one-sided at the ends); zeros below 3 records."""
+    if run.states is None:
+        raise UsageError("dissipation rates need a densely recorded run")
+    if run.states.shape[0] < 3:
+        return np.zeros(run.states.shape[0])
+    dens = gaussian_density(run.y, run.geometry, run.params.n)
+    ws = np.gradient(run.states, run.ds, axis=0)
+    return np.trapezoid(ws * ws * dens, run.y, axis=1)
+
+
+def dissipation_check(run: RescaledRun, rates: np.ndarray, s_a: float,
+                      s_b: float, tol: float = 0.02) -> DissipationReport:
+    """Check int_{s_a}^{s_b} int |w_s|^2 rho dy ds = E(a) - E(b) within tol,
+    with rates = dissipation_rates(run).
 
     w_s from centered differences of the recorded states, so the window is
     snapped inward by one recording step at each end."""
@@ -295,17 +316,7 @@ def dissipation_check(run: RescaledRun, s_a: float, s_b: float,
     i_b = min(s.size - 2, int(np.searchsorted(s, s_b)))
     if i_b - i_a < 8:
         raise UsageError("recorded states are too sparse in the requested window")
-    ds = run.ds
-    y = run.y
-    if run.geometry == "interval":
-        dens = (4.0 * math.pi) ** (-0.5) * np.exp(-y * y / 4.0)
-    else:
-        n = run.params.n
-        dens = ((4.0 * math.pi) ** (-n / 2.0) * np.exp(-y * y / 4.0)
-                * sphere_area(n) * np.maximum(y, 0.0) ** (n - 1))
-    ws = (run.states[i_a + 1:i_b + 2] - run.states[i_a - 1:i_b]) / (2.0 * ds)
-    rates = np.array([np.trapezoid(v * v * dens, y) for v in ws])
-    lhs = float(np.trapezoid(rates, dx=ds))
+    lhs = float(np.trapezoid(rates[i_a:i_b + 1], dx=run.ds))
     rhs = float(run.energies[i_a] - run.energies[i_b + 1])
     rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
     return DissipationReport(s_lo=float(s[i_a]), s_hi=float(s[i_b + 1]),
@@ -319,7 +330,7 @@ def dissipation_check(run: RescaledRun, s_a: float, s_b: float,
 @dataclass
 class Snapshot:
     t: float
-    max_u: float
+    max_u: float                 # max |u|
     u: np.ndarray
 
 
@@ -331,7 +342,7 @@ class BlowupRun:
     status: str                  # 'blew-up' | 'global-existence'
     t_end: float
     times: np.ndarray
-    sup_u: np.ndarray
+    sup_u: np.ndarray            # max |u| per step
     min_u: float
     u_final: np.ndarray
     snapshots: list
@@ -343,27 +354,12 @@ class BlowupRun:
 
 def _diffusion_banded(x: np.ndarray, dt: float, geometry: str, n: int) -> np.ndarray:
     """Crank-Nicolson left matrix (I - dt/2 Lap), Dirichlet outer wall."""
-    m = x.size
-    h = x[1] - x[0]
-    r = 0.5 * dt / (h * h)
-    lo = np.full(m, -r)
-    di = np.full(m, 1.0 + 2.0 * r)
-    up = np.full(m, -r)
-    if geometry == "ball":
-        lo[0], di[0], up[0] = 0.0, 1.0 + 2.0 * n * r, -2.0 * n * r
-        for i in range(1, m - 1):
-            curv = 0.5 * dt * (n - 1.0) / (x[i] * 2.0 * h)
-            lo[i] = -r + curv
-            up[i] = -r - curv
-    lo[-1], di[-1], up[-1] = 0.0, 1.0, 0.0
-    lo[0] = 0.0
+    lo, di, up = _laplacian_bands(x, 0.5 * dt, geometry, n)
+    lo, di, up = -lo, 1.0 - di, -up
     if geometry == "interval":
         di[0], up[0] = 1.0, 0.0
-    ab = np.zeros((3, m))
-    ab[0, 1:] = up[:-1]
-    ab[1, :] = di
-    ab[2, :-1] = lo[1:]
-    return ab
+    lo[-1], di[-1] = 0.0, 1.0
+    return _banded(lo, di, up)
 
 
 def _diffusion_rhs(u: np.ndarray, x: np.ndarray, dt: float, geometry: str,
@@ -407,7 +403,7 @@ def _parabola_argmax(x: np.ndarray, u: np.ndarray) -> float:
 
 def fit_blowup_time(times: np.ndarray, sups: np.ndarray, p: float,
                     decade: float = 10.0) -> dict:
-    """Least-squares fit of log(max u) = log C - beta log(T - t) over the last
+    """Least-squares fit of log(max |u|) = log C - beta log(T - t) over the last
     decade of growth, with a bounded 1-D search over T past the end."""
     if times.size < 8:
         raise UsageError("not enough history to fit a blow-up time")
@@ -459,9 +455,8 @@ def solve_physical(u0, params: ProblemParams, R: float = 2.0, m: int = 4001,
     p, n = params.p, params.n
     big = 10.0 * u_cap
 
-    sup0 = float(np.abs(u).max())
-    if sup0 == 0.0:
-        sup0 = 1.0
+    amax = float(np.abs(u).max())
+    sup0 = amax if amax > 0.0 else 1.0
     if snapshot_levels is None:
         # half-decade ladder from above the initial size up to the cap
         lead = 10.0 ** np.arange(math.floor(math.log10(sup0 * 4.0)) + 1.0,
@@ -471,13 +466,12 @@ def solve_physical(u0, params: ProblemParams, R: float = 2.0, m: int = 4001,
     next_level = 0
 
     times = [0.0]
-    sups = [float(u.max())]
-    snapshots = [Snapshot(t=0.0, max_u=float(u.max()), u=u.copy())]
+    sups = [amax]
+    snapshots = [Snapshot(t=0.0, max_u=amax, u=u.copy())]
     min_u = float(u.min())
     t = 0.0
     status = None
     while True:
-        amax = float(np.abs(u).max())
         if amax >= u_cap:
             status = "blew-up"
             break
@@ -496,11 +490,12 @@ def solve_physical(u0, params: ProblemParams, R: float = 2.0, m: int = 4001,
             u = solve_banded((1, 1), ab, _diffusion_rhs(u, x, dt, geometry, n))
         u = _reaction_exact(u, 0.5 * dt, p, big)
         t += dt
+        amax = float(np.abs(u).max())
         times.append(t)
-        sups.append(float(u.max()))
+        sups.append(amax)
         min_u = min(min_u, float(u.min()))
-        while next_level < len(levels) and u.max() >= levels[next_level]:
-            snapshots.append(Snapshot(t=t, max_u=float(u.max()), u=u.copy()))
+        while next_level < len(levels) and amax >= levels[next_level]:
+            snapshots.append(Snapshot(t=t, max_u=amax, u=u.copy()))
             next_level += 1
 
     times = np.array(times)
@@ -511,8 +506,8 @@ def solve_physical(u0, params: ProblemParams, R: float = 2.0, m: int = 4001,
     if status == "blew-up":
         fit = fit_blowup_time(times, sups, p)
         T_est = fit["T_est"]
-        a_est = _parabola_argmax(x, snapshots[-1].u)
-        snapshots.append(Snapshot(t=t, max_u=float(u.max()), u=u.copy()))
+        a_est = _parabola_argmax(x, np.abs(snapshots[-1].u))
+        snapshots.append(Snapshot(t=t, max_u=amax, u=u.copy()))
     return BlowupRun(params=params, x=x, geometry=geometry, status=status,
                      t_end=float(t), times=times, sup_u=sups, min_u=min_u,
                      u_final=u.copy(), snapshots=snapshots,

@@ -37,6 +37,7 @@ from .evolution import (
     RescaledFlow,
     convergence_pipeline,
     dissipation_check,
+    dissipation_rates,
     solve_physical,
     stable_mode_state,
 )
@@ -66,7 +67,6 @@ from .quadrature import (
     gaussian_moment_1d,
     gaussian_radial_moment,
     radial_grid,
-    sphere_area,
     tensor_grid,
 )
 from .spectral import (
@@ -87,15 +87,11 @@ class RunOutcome:
     summary: dict
 
 
-def _noop(*_args, **_kw):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # exponents
 
 
-def run_exponents(cfg: dict, out_dir: Path, log=_noop) -> RunOutcome:
+def run_exponents(cfg: dict, out_dir: Path) -> RunOutcome:
     params = ProblemParams(n=cfg["n"], p=cfg["p"])
     rng = np.random.default_rng(cfg["seed"])
 
@@ -144,7 +140,7 @@ def _random_field_pair(grid, rng):
     return one(), one()
 
 
-def run_verify_identities(cfg: dict, out_dir: Path, log=_noop) -> RunOutcome:
+def run_verify_identities(cfg: dict, out_dir: Path) -> RunOutcome:
     n, p, cases = cfg["n"], cfg["p"], cfg["cases"]
     if n > 3:
         raise ConfigurationError(
@@ -236,7 +232,7 @@ def _spectrum_profile(cfg: dict, params: ProblemParams, basis):
     return profile_field(prof, basis.grid), prof
 
 
-def run_spectrum(cfg: dict, out_dir: Path, log=_noop) -> RunOutcome:
+def run_spectrum(cfg: dict, out_dir: Path) -> RunOutcome:
     params = ProblemParams(n=cfg["n"], p=cfg["p"])
     basis = build_basis(cfg["n"], cfg["N"], degree=cfg["degree"] or None,
                         kind=cfg["basis"])
@@ -294,7 +290,7 @@ def run_spectrum(cfg: dict, out_dir: Path, log=_noop) -> RunOutcome:
 # shooting
 
 
-def run_shoot(cfg: dict, out_dir: Path, log=_noop) -> RunOutcome:
+def run_shoot(cfg: dict, out_dir: Path) -> RunOutcome:
     params = ProblemParams(n=cfg["n"], p=cfg["p"])
     alpha = cfg["alpha"] if cfg["alpha"] > 0.0 else params.kappa
     prof = shoot(alpha, params, r_max=cfg["r_max"], rtol=cfg["rtol"],
@@ -327,7 +323,7 @@ def run_shoot(cfg: dict, out_dir: Path, log=_noop) -> RunOutcome:
                       verdicts=verdicts, summary=summary)
 
 
-def run_scan(cfg: dict, out_dir: Path, log=_noop) -> RunOutcome:
+def run_scan(cfg: dict, out_dir: Path) -> RunOutcome:
     params = ProblemParams(n=cfg["n"], p=cfg["p"])
     result = scan_profiles(params, cfg["alpha_lo"], cfg["alpha_hi"],
                            count=cfg["count"], spacing=cfg["spacing"],
@@ -379,7 +375,7 @@ def _rescaled_initial(cfg: dict, params: ProblemParams, y: np.ndarray) -> np.nda
     return stable_mode_state(y, params, amp, cfg["geometry"])
 
 
-def run_evolve_rescaled(cfg: dict, out_dir: Path, log=_noop) -> RunOutcome:
+def run_evolve_rescaled(cfg: dict, out_dir: Path) -> RunOutcome:
     params = ProblemParams(n=cfg["n"], p=cfg["p"])
     if cfg["geometry"] == "interval" and params.n != 1:
         raise ConfigurationError("interval geometry is one-dimensional; "
@@ -389,13 +385,8 @@ def run_evolve_rescaled(cfg: dict, out_dir: Path, log=_noop) -> RunOutcome:
     w0 = _rescaled_initial(cfg, params, flow.y)
     run = flow.run(w0, cfg["s_end"], record_states=True)
 
-    if run.states.shape[0] >= 3:
-        dens = _weight_density(run)
-        ws = np.gradient(run.states, run.ds, axis=0)
-        rates = np.trapezoid(ws * ws * dens, run.y, axis=1)
-        lhs_cum = cumulative_trapezoid(rates, dx=run.ds, initial=0.0)
-    else:
-        lhs_cum = np.zeros(run.states.shape[0])
+    rates = dissipation_rates(run)
+    lhs_cum = cumulative_trapezoid(rates, dx=run.ds, initial=0.0)
     rhs_cum = run.energies[0] - run.energies
     write_csv(out_dir / "timeseries.csv",
               ("s", "sup_dev", "E", "dissipation_lhs", "dissipation_rhs"),
@@ -410,7 +401,7 @@ def run_evolve_rescaled(cfg: dict, out_dir: Path, log=_noop) -> RunOutcome:
     if run.status == "completed" and run.s_values[-1] > 0.0:
         hi = cfg["diss_hi"] if cfg["diss_hi"] > 0.0 else float(run.s_values[-1])
         lo = cfg["diss_lo"]
-        diss = dissipation_check(run, lo, hi)
+        diss = dissipation_check(run, rates, lo, hi)
 
     summary = {
         "n": params.n, "p": params.p, "init": cfg["init"], "amp": cfg["amp"],
@@ -439,15 +430,6 @@ def run_evolve_rescaled(cfg: dict, out_dir: Path, log=_noop) -> RunOutcome:
                                 f"[{diss.s_lo:.3g}, {diss.s_hi:.3g}]"))
     return RunOutcome(files=["timeseries.csv", "evolve.json"],
                       verdicts=verdicts, summary=summary)
-
-
-def _weight_density(run) -> np.ndarray:
-    y = run.y
-    if run.geometry == "interval":
-        return (4.0 * math.pi) ** (-0.5) * np.exp(-y * y / 4.0)
-    n = run.params.n
-    return ((4.0 * math.pi) ** (-n / 2.0) * np.exp(-y * y / 4.0)
-            * sphere_area(n) * np.maximum(y, 0.0) ** (n - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +476,7 @@ def _blowup_summary(params, run) -> dict:
     }
 
 
-def run_blowup(cfg: dict, out_dir: Path, log=_noop) -> RunOutcome:
+def run_blowup(cfg: dict, out_dir: Path) -> RunOutcome:
     params, run = _physical_run(cfg)
     files = _blowup_files(run, out_dir)
     summary = _blowup_summary(params, run)
@@ -522,7 +504,7 @@ def run_blowup(cfg: dict, out_dir: Path, log=_noop) -> RunOutcome:
     return RunOutcome(files=files, verdicts=verdicts, summary=summary)
 
 
-def run_theorem13(cfg: dict, out_dir: Path, log=_noop) -> RunOutcome:
+def run_theorem13(cfg: dict, out_dir: Path) -> RunOutcome:
     params, run = _physical_run(cfg)
     files = _blowup_files(run, out_dir)
     verdicts = [Verdict("blew-up", run.status == "blew-up",
@@ -565,15 +547,15 @@ RUNNERS = {
 }
 
 
-def run_kind(kind: str, cfg: dict, out_dir, log=_noop) -> RunOutcome:
+def run_kind(kind: str, cfg: dict, out_dir) -> RunOutcome:
     if kind not in RUNNERS:
         raise UsageError(f"no runner for kind {kind!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return RUNNERS[kind](cfg, out_dir, log)
+    return RUNNERS[kind](cfg, out_dir)
 
 
-def replay(manifest_path, out_dir, log=_noop) -> RunOutcome:
+def replay(manifest_path, out_dir) -> RunOutcome:
     """Re-run a recorded manifest and compare outputs against the originals."""
     manifest = load_manifest(manifest_path)
     kind, cfg = manifest_config(manifest)
@@ -584,7 +566,7 @@ def replay(manifest_path, out_dir, log=_noop) -> RunOutcome:
         src_dir = src_dir.parent
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    outcome = run_kind(kind, cfg, out_dir, log)
+    outcome = run_kind(kind, cfg, out_dir)
     names = [e["name"] for e in manifest["outputs"]]
     reports = compare_outputs(src_dir, out_dir, names)
     matches = all(r["bitwise"] or r["numeric_ok"] for r in reports)

@@ -232,12 +232,6 @@ def profile_residual(profile: RadialProfile) -> float:
     return float(np.abs(res).max())
 
 
-def profile_H_positivity(profile: RadialProfile) -> tuple[float, bool]:
-    H = profile.H_values()
-    m = float(H.min())
-    return m, m > 0.0
-
-
 def accepts_bounded_positive(profile: RadialProfile, r_max: float = 20.0,
                              band_factor: float = 10.0) -> bool:
     """w > 0 and |w| <= band on all of [0, r_max]."""

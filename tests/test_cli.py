@@ -107,7 +107,7 @@ def test_verdict_failure_exits_1(tmp_path, capsys):
 
 
 def test_numeric_failure_exits_3(tmp_path, capsys, monkeypatch):
-    def boom(kind, cfg, out_dir, log=None):
+    def boom(kind, cfg, out_dir):
         raise NumericError("synthetic failure")
 
     monkeypatch.setattr(cli, "run_kind", boom)
@@ -117,6 +117,16 @@ def test_numeric_failure_exits_3(tmp_path, capsys, monkeypatch):
     manifest = load_manifest(out)              # failure manifest still written
     assert manifest["all_passed"] is False
     assert manifest["verdicts"][0]["name"] == "numeric-failure"
+
+
+@pytest.mark.parametrize("kind", ["blowup", "theorem13"])
+def test_negative_data_gives_verdicts(tmp_path, kind):
+    # negative initial data blows up downward; the run must end in verdicts
+    # with a manifest, not in a traceback
+    out = tmp_path / kind
+    assert run_cli(kind, "--out", str(out), "--quiet", "--set", "amp=-3") in (0, 1)
+    manifest = load_manifest(out)
+    assert manifest["kind"] == kind and manifest["verdicts"]
 
 
 def test_shoot_default_is_kappa(tmp_path, capsys):

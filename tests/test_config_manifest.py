@@ -16,7 +16,6 @@ from blowlab.config import (
     config_hash,
     config_text,
     load_config_file,
-    parse_config,
     parse_config_roundtrip,
     parse_config_text,
     resolve_config,
@@ -126,14 +125,12 @@ def test_parse_config_text():
 def test_parse_config_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("kind = shoot\nalpha = 2.0\n")
-    kind, cfg = parse_config(path)
-    assert kind == "shoot" and cfg["alpha"] == 2.0
-    kind, cfg = parse_config(path, kind="shoot", overrides={"alpha": "3.0"})
-    assert cfg["alpha"] == 3.0
-    path2 = tmp_path / "nokind.cfg"
-    path2.write_text("alpha = 2.0\n")
+    values = load_config_file(path)
+    assert values == {"kind": "shoot", "alpha": "2.0"}
+    assert resolve_config("shoot", values)["alpha"] == 2.0
+    assert resolve_config("shoot", values, {"alpha": "3.0"})["alpha"] == 3.0
     with pytest.raises(ConfigurationError):
-        parse_config(path2)
+        resolve_config("scan", values)             # file names another kind
     with pytest.raises(ConfigurationError):
         load_config_file(tmp_path / "absent.cfg")
 

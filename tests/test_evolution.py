@@ -25,9 +25,12 @@ from blowlab import (
 from blowlab.evolution import (
     BlowupRun,
     Snapshot,
+    _diffusion_banded,
+    _diffusion_rhs,
+    _laplacian_bands,
+    dissipation_rates,
     linearized_matrix,
     stable_mode_state,
-    step_rescaled,
 )
 from blowlab.quadrature import tensor_grid
 
@@ -122,8 +125,8 @@ def test_flow_callable_init_and_step_wrapper():
     run_a = flow.run(lambda y: 1.0 + 0.01 * np.exp(-y * y), s_end=0.05)
     run_b = flow.run(1.0 + 0.01 * np.exp(-flow.y ** 2), s_end=0.05)
     assert np.array_equal(run_a.final, run_b.final)
-    one = step_rescaled(run_a.states[0], flow.y, P2, flow.ds)
-    assert np.abs(one - run_a.states[1]).max() < 1e-14
+    fresh = RescaledFlow(P2, m=201, ds=1e-2)     # builds its matrix anew
+    assert np.array_equal(fresh.step(run_a.states[0]), run_a.states[1])
 
 
 def test_flow_argument_errors():
@@ -187,22 +190,82 @@ def test_energy_monotone_along_perturbed_run(perturbed_kappa_run):
 
 
 def test_dissipation_identity(perturbed_kappa_run):
-    rep = dissipation_check(perturbed_kappa_run, 0.2, 1.8)
+    rep = dissipation_check(perturbed_kappa_run,
+                            dissipation_rates(perturbed_kappa_run), 0.2, 1.8)
     assert rep.holds
     assert rep.rel_err < 0.02
     assert rep.lhs > 0.0 and rep.rhs > 0.0
     assert 0.19 <= rep.s_lo <= 0.21 and 1.79 <= rep.s_hi <= 1.81
 
 
+def test_dissipation_rates_shape(perturbed_kappa_run):
+    run = perturbed_kappa_run
+    rates = dissipation_rates(run)
+    assert rates.shape == run.s_values.shape and np.all(rates >= 0.0)
+    short = RescaledFlow(P2, m=201, ds=1e-2).run(np.ones(201), s_end=0.01)
+    assert np.array_equal(dissipation_rates(short), np.zeros(2))
+
+
 def test_dissipation_argument_errors(perturbed_kappa_run):
     flow = RescaledFlow(P2, m=201, ds=1e-2)
     bare = flow.run(np.ones(201), s_end=1.0, record_states=False)
     with pytest.raises(UsageError):
-        dissipation_check(bare, 0.2, 0.8)
+        dissipation_check(bare, np.zeros(101), 0.2, 0.8)
     with pytest.raises(UsageError):
-        dissipation_check(perturbed_kappa_run, 0.8, 0.2)
+        dissipation_rates(bare)
+    rates = dissipation_rates(perturbed_kappa_run)
     with pytest.raises(UsageError):
-        dissipation_check(perturbed_kappa_run, 1.0, 1.004)   # window too thin
+        dissipation_check(perturbed_kappa_run, rates, 0.8, 0.2)
+    with pytest.raises(UsageError):
+        dissipation_check(perturbed_kappa_run, rates, 1.0, 1.004)   # window too thin
+
+
+# ---------------------------------------------------------------------------
+# shared Laplacian stencil
+
+
+def _apply_rows(lo, di, up, u):
+    """Row-wise tridiagonal product; the first and last entries only carry
+    the rows' own diagonal and inner neighbour."""
+    out = di * u
+    out[1:] += lo[1:] * u[:-1]
+    out[:-1] += up[:-1] * u[1:]
+    return out
+
+
+@pytest.mark.parametrize("geometry,n", [("interval", 1), ("ball", 1), ("ball", 2),
+                                        ("ball", 3), ("ball", 4)])
+def test_laplacian_bands_quadratic_and_constant(geometry, n):
+    # Lap |x|^2 = 2n, and the three-point stencils are exact on quadratics;
+    # on the ball the origin row is the smooth limit n d^2/dr^2
+    x = np.linspace(-2.0, 2.0, 41) if geometry == "interval" else np.linspace(0.0, 2.0, 41)
+    c = 0.37
+    lo, di, up = _laplacian_bands(x, c, geometry, n)
+    first = 0 if geometry == "ball" else 1
+    got = _apply_rows(lo, di, up, x * x)[first:-1]
+    scale = c * 4.0 / (x[1] - x[0]) ** 2
+    assert np.abs(got - 2.0 * n * c).max() <= 1e-13 * scale
+    assert np.abs(_apply_rows(lo, di, up, np.ones_like(x))[first:-1]).max() <= 1e-13 * scale
+    if geometry == "ball":
+        assert lo[0] == 0.0 and up[0] == -di[0] == 2.0 * n * c / (x[1] - x[0]) ** 2
+
+
+@pytest.mark.parametrize("geometry,n", [("interval", 1), ("ball", 3)])
+def test_crank_nicolson_halves_sum_to_twice_identity(geometry, n):
+    # (I - dt/2 Lap) u + (I + dt/2 Lap) u = 2u on every row that is not a
+    # Dirichlet wall; the ball's origin row is included
+    x = np.linspace(-2.0, 2.0, 201) if geometry == "interval" else np.linspace(0.0, 2.0, 201)
+    u = np.random.default_rng(5).standard_normal(x.size)
+    dt = 3e-3
+    ab = _diffusion_banded(x, dt, geometry, n)
+    left = ab[1] * u
+    left[:-1] += ab[0, 1:] * u[1:]
+    left[1:] += ab[2, :-1] * u[:-1]
+    total = left + _diffusion_rhs(u, x, dt, geometry, n)
+    first = 0 if geometry == "ball" else 1
+    r = 0.5 * dt / (x[1] - x[0]) ** 2
+    assert np.abs(total - 2.0 * u)[first:-1].max() <= 1e-13 * (1.0 + 4.0 * n * r)
+    assert ab[1, -1] == 1.0 and ab[2, -2] == 0.0        # Dirichlet at the wall
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +300,25 @@ def test_small_data_global_existence():
     assert run.T_est is None and run.fit == {}
     assert run.sup_u[-1] < 0.05 * 1.0      # decayed well below the start
     assert run.t_end == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("geometry,n,u0", [
+    ("interval", 1, lambda x: 3.0 * np.cos(np.pi * x / 4.0)),
+    ("ball", 3, lambda x: 20.0 * np.exp(-x * x)),
+    ("ball", 3, lambda x: 3.0 * np.exp(-x * x)),      # decays; min u < 0 late
+], ids=["interval-blowup", "ball-blowup", "ball-decay"])
+def test_solve_physical_is_odd(geometry, n, u0):
+    # the equation maps u to -u, and every step of the solver is odd in u
+    params = ProblemParams(n=n, p=2.0 if n == 1 else 3.0)
+    kw = dict(m=401, geometry=geometry, u_cap=1e6, t_max=2.0)
+    pos = solve_physical(u0, params, **kw)
+    neg = solve_physical(lambda x: -u0(x), params, **kw)
+    assert pos.status == neg.status
+    assert np.array_equal(pos.times, neg.times)
+    assert np.array_equal(pos.sup_u, neg.sup_u)
+    assert pos.T_est == neg.T_est and pos.a_est == neg.a_est
+    assert np.array_equal(neg.u_final, -pos.u_final)
+    assert np.all(pos.sup_u > 0.0)
 
 
 def test_solve_physical_argument_errors():

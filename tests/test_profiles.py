@@ -26,7 +26,6 @@ from blowlab import (
 from blowlab.profiles import (
     OUTCOMES,
     accepts_bounded_positive,
-    profile_H_positivity,
     rk4_shoot,
     series_start,
 )
@@ -68,8 +67,8 @@ def test_shoot_at_kappa_is_constant():
         assert prof.events == {"zero_at": None, "cap_at": None}
         assert np.abs(prof.w - kappa(p)).max() < 1e-10
         assert profile_residual(prof) < 1e-10
-        mn, pos = profile_H_positivity(prof)
-        assert pos and mn == pytest.approx(kappa(p) / (p - 1.0), rel=1e-9)
+        mn = prof.H_values().min()
+        assert mn > 0.0 and mn == pytest.approx(kappa(p) / (p - 1.0), rel=1e-9)
 
 
 def test_shoot_at_kappa_random_exponents():
