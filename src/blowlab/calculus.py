@@ -345,13 +345,17 @@ class GaussianSum:
         coef = (8.0 + 4.0 * n) * b * b - 8.0 * b ** 3 * d2
         return (coef[:, :, None] * diff * parts[:, :, None]).sum(axis=0)
 
-    def ou(self, pts: np.ndarray) -> np.ndarray:
-        return self.lap(pts) - 0.5 * (pts * self.grad(pts)).sum(axis=1)
+    def ou(self, pts: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """L g = Lap g - y . grad g / 2, with grad = self.grad(pts) passed in
+        so callers that need it too evaluate it once."""
+        return self.lap(pts) - 0.5 * (pts * grad).sum(axis=1)
 
-    def grad_ou(self, pts: np.ndarray) -> np.ndarray:
-        """grad(L g) = grad(Lap g) - (grad g + Hess(g) y) / 2."""
-        hy = np.einsum("qij,qj->qi", self.hess(pts), pts)
-        return self.grad_lap(pts) - 0.5 * (self.grad(pts) + hy)
+    def grad_ou(self, pts: np.ndarray, grad: np.ndarray,
+                hess: np.ndarray) -> np.ndarray:
+        """grad(L g) = grad(Lap g) - (grad g + Hess(g) y) / 2, with
+        grad = self.grad(pts) and hess = self.hess(pts) passed in."""
+        hy = np.einsum("qij,qj->qi", hess, pts)
+        return self.grad_lap(pts) - 0.5 * (grad + hy)
 
 
 def random_gaussian_sum(rng: np.random.Generator, n: int, nterms: int = 3,
@@ -398,15 +402,17 @@ def make_log_test_eigenpair(grid: TensorGrid, rng: np.random.Generator,
     gs = random_gaussian_sum(rng, grid.n)
     pts = grid.points
     for _ in range(60):
-        pot = p / (p - 1.0) - gs.ou(pts) - (gs.grad(pts) ** 2).sum(axis=1)
+        grad = gs.grad(pts)
+        pot = p / (p - 1.0) - gs.ou(pts, grad) - (grad ** 2).sum(axis=1)
         if pot.min() > floor:
             # w must be a bounded positive field with H > 0; shrinking the
             # sample drives w toward the constant kappa where H = kappa/(p-1).
             # grad pot = -grad(L g) - 2 Hess(g) grad(g), all analytic; the
             # quadrature-grid spectral gradient is useless this far out.
             wvals = (pot / p) ** (1.0 / (p - 1.0))
-            gpot = -gs.grad_ou(pts) \
-                - 2.0 * np.einsum("qij,qj->qi", gs.hess(pts), gs.grad(pts))
+            hess = gs.hess(pts)
+            gpot = -gs.grad_ou(pts, grad, hess) \
+                - 2.0 * np.einsum("qij,qj->qi", hess, grad)
             wgrad = (wvals / ((p - 1.0) * pot))[:, None] * gpot
             w = SampledField(grid=grid, values=wvals, grad=wgrad)
             if compute_H(w, p).min > 0.0:
@@ -415,7 +421,7 @@ def make_log_test_eigenpair(grid: TensorGrid, rng: np.random.Generator,
     else:
         raise UsageError("could not scale the eigenpair sample to a positive potential")
     gv = gs(pts)
-    f = SampledField(grid=grid, values=np.exp(gv), grad=np.exp(gv)[:, None] * gs.grad(pts))
+    f = SampledField(grid=grid, values=np.exp(gv), grad=np.exp(gv)[:, None] * grad)
     return EigenpairSample(w=w, f=f, mu=-1.0)
 
 

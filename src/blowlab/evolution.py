@@ -15,7 +15,14 @@ w = (T-t)^(1/(p-1)) u, solving
     w_s = w_yy - (y/2) w_y - w/(p-1) + |w|^(p-1) w
 
 by a semi-implicit step (linear part implicit, nonlinearity explicit) that
-keeps the constants 0 and kappa fixed to solver roundoff.
+keeps the constants 0 and kappa fixed to solver roundoff. The step matrix is
+tridiagonal and fixed, so it is LU-factored once and each step is one O(m)
+solve. The stable-mode initial state comes from shift-invert inverse
+iteration on the same tridiagonal operator (O(m) per iteration); dense
+eigensolvers of `linearized_matrix` serve only as the tests' oracle. No
+diagonal similarity makes the operator symmetric in general: on the ball
+with n >= 4, and on coarse interval meshes with a wide domain, some product
+of opposite off-diagonals is negative.
 
 The weighted energy with rho = (4 pi)^(-n/2) exp(-|y|^2/4) (unit mass),
 
@@ -38,7 +45,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.linalg import eig, solve_banded
+from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.optimize import minimize_scalar
 
 from .calculus import SampledField
@@ -152,9 +160,10 @@ def _banded(lo: np.ndarray, di: np.ndarray, up: np.ndarray) -> np.ndarray:
 
 
 def _rescaled_banded(y: np.ndarray, params: ProblemParams, ds: float,
-                     geometry: str) -> np.ndarray:
-    """Banded (I - ds A) with A = Lap - (y/2) d/dy - 1/(p-1), Neumann walls.
-    The drift vanishes on the ball's origin row, where y = 0."""
+                     geometry: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(I - ds A) with A = Lap - (y/2) d/dy - 1/(p-1), Neumann walls, as
+    LAPACK's tridiagonal (dl, d, du): sub-, main and super-diagonal. The
+    drift vanishes on the ball's origin row, where y = 0."""
     h = y[1] - y[0]
     lo, di, up = _laplacian_bands(y, ds, geometry, params.n)
     drift = ds * (-y / 2.0) / (2.0 * h)
@@ -166,7 +175,24 @@ def _rescaled_banded(y: np.ndarray, params: ProblemParams, ds: float,
         lo[0] = 0.0
     lo[-1] += up[-1]
     up[-1] = 0.0
-    return _banded(-lo, 1.0 - di, -up)
+    return -lo[1:], 1.0 - di, -up[:-1]
+
+
+def _tridiagonal_lu(dl: np.ndarray, d: np.ndarray, du: np.ndarray) -> tuple:
+    """LU factors of a tridiagonal matrix by LAPACK ?gttrf (partial pivoting),
+    ready for `_tridiagonal_solve`; an exactly singular matrix raises."""
+    *lu, info = dgttrf(dl, d, du)
+    if info > 0:
+        raise NumericError(f"tridiagonal factorisation hit a zero pivot in row {info}",
+                           payload={"row": int(info)})
+    return tuple(lu)
+
+
+def _tridiagonal_solve(lu: tuple, b: np.ndarray) -> np.ndarray:
+    """Solve with `_tridiagonal_lu` factors by LAPACK ?gttrs. It does the
+    arithmetic of ?gtsv (which solve_banded calls for (1, 1) bands), so the
+    result is bitwise that of solve_banded; b is overwritten."""
+    return dgttrs(*lu, b, overwrite_b=1)[0]
 
 
 @dataclass
@@ -206,12 +232,13 @@ class RescaledFlow:
         self.cap = cap
         self.ds = ds
         self.y = np.linspace(-L, L, m) if geometry == "interval" else np.linspace(0.0, L, m)
-        self._ab = _rescaled_banded(self.y, params, ds, geometry)
+        # the step matrix never changes: factor it once, solve every step
+        self._lu = _tridiagonal_lu(*_rescaled_banded(self.y, params, ds, geometry))
 
     def step(self, w: np.ndarray) -> np.ndarray:
         p = self.params.p
         rhs = w + self.ds * np.abs(w) ** (p - 1.0) * w
-        return solve_banded((1, 1), self._ab, rhs)
+        return _tridiagonal_solve(self._lu, rhs)
 
     def run(self, w0, s_end: float, record_states: bool = True) -> RescaledRun:
         w = (np.asarray(w0(self.y), dtype=float) if callable(w0)
@@ -246,33 +273,57 @@ class RescaledFlow:
         )
 
 
+def _linearized_tridiagonal(y: np.ndarray, params: ProblemParams,
+                            geometry: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(dl, d, du) of Lap - (y/2) d/dy - 1/(p-1) + p kappa^(p-1), the flow
+    linearized about the constant profile, with the stepper's stencils."""
+    dl, d, du = _rescaled_banded(y, params, 1.0, geometry)
+    gain = params.p * kappa(params.p) ** (params.p - 1.0)
+    return -dl, (1.0 - d) + gain, -du
+
+
 def linearized_matrix(y: np.ndarray, params: ProblemParams,
                       geometry: str = "interval") -> np.ndarray:
-    """Dense mesh matrix of Lap - (y/2) d/dy - 1/(p-1) + p kappa^(p-1), the
-    flow linearized about the constant profile, with the stepper's stencils."""
-    y = np.asarray(y, dtype=float)
-    m = y.size
-    ab = _rescaled_banded(y, params, 1.0, geometry)
-    dense = np.zeros((m, m))
-    idx = np.arange(m)
-    dense[idx, idx] = ab[1]
-    dense[idx[:-1], idx[1:]] = ab[0][1:]
-    dense[idx[1:], idx[:-1]] = ab[2][:-1]
-    A = np.eye(m) - dense
-    kap = kappa(params.p)
-    return A + params.p * kap ** (params.p - 1.0) * np.eye(m)
+    """The linearized operator of `_linearized_tridiagonal` as a dense
+    matrix, for dense eigensolvers (the tests' oracle for the stable mode)."""
+    dl, d, du = _linearized_tridiagonal(np.asarray(y, dtype=float), params, geometry)
+    return np.diag(d) + np.diag(dl, -1) + np.diag(du, 1)
 
 
 def stable_mode_state(y: np.ndarray, params: ProblemParams, amp: float,
                       geometry: str = "interval", target: float = -1.0) -> np.ndarray:
     """kappa plus amp times the discrete linearized eigenmode whose decay rate
-    is closest to target (default -1, the first mode below the constant)."""
-    L = linearized_matrix(y, params, geometry)
-    mu, vecs = eig(L)
-    mu = mu.real
-    j = int(np.argmin(np.abs(mu - target)))
-    v = vecs[:, j].real
-    v /= np.abs(v).max()
+    is closest to target (default -1, the first mode below the constant).
+
+    Shift-invert inverse iteration in O(m) per step: L - target I is factored
+    once, then solved from a fixed generic start until the Rayleigh quotient
+    mu and the max-normalized iterate v satisfy
+
+        ||L v - mu v||_inf <= 1e-14 (||L||_inf + |mu|).
+
+    The bound scales with ||L||_inf ~ 1/h^2 because that sets the residual
+    floor of a backward-stable solve (about 1e-8 on a 40001-point ball mesh).
+    A zero pivot, or no convergence within 100 iterations (a complex pair
+    nearest the target, as on very coarse meshes), raises NumericError. The
+    mode is scaled to max |v| = 1 with v >= 0 at the point nearest y = 0.
+    """
+    y = np.asarray(y, dtype=float)
+    dl, d, du = _linearized_tridiagonal(y, params, geometry)
+    lu = _tridiagonal_lu(dl, d - target, du)
+    norm = np.abs(dl).max() + np.abs(d).max() + np.abs(du).max()   # >= ||L||_inf
+    v = np.random.default_rng(0).standard_normal(y.size)
+    for _ in range(100):
+        x = _tridiagonal_solve(lu, v)
+        v = x / np.abs(x).max()
+        Lv = d * v
+        Lv[1:] += dl * v[:-1]
+        Lv[:-1] += du * v[1:]
+        mu = float(v @ Lv) / float(v @ v)
+        if np.abs(Lv - mu * v).max() <= 1e-14 * (norm + abs(mu)):
+            break
+    else:
+        raise NumericError(f"stable-mode iteration did not converge near rate {target}",
+                           payload={"target": target, "mu": mu})
     if v[np.abs(y).argmin()] < 0.0:
         v = -v
     return kappa(params.p) + amp * v
@@ -343,7 +394,8 @@ class BlowupRun:
     t_end: float
     times: np.ndarray
     sup_u: np.ndarray            # max |u| per step
-    min_u: float
+    min_u: float                 # min u over the run
+    max_u: float                 # max u over the run
     u_final: np.ndarray
     snapshots: list
     T_est: float | None
@@ -423,12 +475,19 @@ def fit_blowup_time(times: np.ndarray, sups: np.ndarray, p: float,
         r = Y - A @ coef
         return float(r @ r), coef
 
+    def objective(xi):
+        # near a huge cap T - t_end can fall below the resolution of t
+        T = t_end + tail * math.exp(xi)
+        return sse(T)[0] if T > t_end else math.inf
+
     # search log((T - t_end)/tail): the sse minimum is sharp on the tail
     # scale, which a linear bracket spanning [1e-3, 100] tails cannot resolve
-    res = minimize_scalar(lambda xi: sse(t_end + tail * math.exp(xi))[0],
-                          bounds=(math.log(1e-3), math.log(100.0)),
+    res = minimize_scalar(objective, bounds=(math.log(1e-3), math.log(100.0)),
                           method="bounded", options={"xatol": 1e-12})
     T_est = float(t_end + tail * math.exp(res.x))
+    if not T_est > t_end:
+        raise NumericError(f"blow-up time is not resolved past t = {t_end}",
+                           payload={"t": float(t_end)})
     err, coef = sse(T_est)
     return {"T_est": T_est, "exponent": float(-coef[1]), "logC": float(coef[0]),
             "sse": err, "points": int(mask.sum())}
@@ -454,6 +513,9 @@ def solve_physical(u0, params: ProblemParams, R: float = 2.0, m: int = 4001,
         raise UsageError("initial data does not match the mesh")
     p, n = params.p, params.n
     big = 10.0 * u_cap
+    if not math.isfinite(big):
+        raise UsageError(f"u_cap must leave headroom in float range (10 u_cap "
+                         f"finite), got {u_cap}")
 
     amax = float(np.abs(u).max())
     sup0 = amax if amax > 0.0 else 1.0
@@ -469,20 +531,23 @@ def solve_physical(u0, params: ProblemParams, R: float = 2.0, m: int = 4001,
     sups = [amax]
     snapshots = [Snapshot(t=0.0, max_u=amax, u=u.copy())]
     min_u = float(u.min())
+    max_u = float(u.max())
     t = 0.0
     status = None
     while True:
+        # finiteness first: an inf state must not reach the blow-up fit
+        if not math.isfinite(amax):
+            raise NumericError("state left float range", payload={"t": t})
         if amax >= u_cap:
             status = "blew-up"
             break
         if t >= t_max:
             status = "global-existence"
             break
-        if not math.isfinite(amax):
-            raise NumericError("state left float range", payload={"t": t})
         dt = fixed_dt if fixed_dt is not None else theta * amax ** (1.0 - p)
         dt = min(dt, 0.2 * amax ** (1.0 - p), t_max - t)
-        if dt <= 0.0 or not math.isfinite(dt):
+        # a step too small to advance t would record a stalled clock
+        if not math.isfinite(dt) or t + dt <= t:
             raise NumericError(f"step size underflow at t = {t}", payload={"t": t})
         u = _reaction_exact(u, 0.5 * dt, p, big)
         if diffusion:
@@ -494,6 +559,7 @@ def solve_physical(u0, params: ProblemParams, R: float = 2.0, m: int = 4001,
         times.append(t)
         sups.append(amax)
         min_u = min(min_u, float(u.min()))
+        max_u = max(max_u, float(u.max()))
         while next_level < len(levels) and amax >= levels[next_level]:
             snapshots.append(Snapshot(t=t, max_u=amax, u=u.copy()))
             next_level += 1
@@ -509,7 +575,7 @@ def solve_physical(u0, params: ProblemParams, R: float = 2.0, m: int = 4001,
         a_est = _parabola_argmax(x, np.abs(snapshots[-1].u))
         snapshots.append(Snapshot(t=t, max_u=amax, u=u.copy()))
     return BlowupRun(params=params, x=x, geometry=geometry, status=status,
-                     t_end=float(t), times=times, sup_u=sups, min_u=min_u,
+                     t_end=float(t), times=times, sup_u=sups, min_u=min_u, max_u=max_u,
                      u_final=u.copy(), snapshots=snapshots,
                      T_est=T_est, fit=fit, a_est=a_est,
                      meta={"theta": theta, "u_cap": u_cap, "t_max": t_max,

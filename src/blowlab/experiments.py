@@ -488,9 +488,15 @@ def run_blowup(cfg: dict, out_dir: Path) -> RunOutcome:
         verdicts.append(Verdict("status-expected",
                                 run.status == cfg["expected_status"],
                                 f"status {run.status}"))
-    pos_tol = 1e-8 * cfg["amp"]
-    verdicts.append(Verdict("positivity", run.min_u >= -pos_tol,
-                            f"min u = {run.min_u:.3e}"))
+    # the flow preserves the sign of the data: min u for positive data,
+    # max u for negative data, each within 1e-8 |amp| of zero
+    pos_tol = 1e-8 * abs(cfg["amp"])
+    if cfg["amp"] >= 0.0:
+        verdicts.append(Verdict("positivity", run.min_u >= -pos_tol,
+                                f"min u = {run.min_u:.3e}"))
+    else:
+        verdicts.append(Verdict("positivity", run.max_u <= pos_tol,
+                                f"max u = {run.max_u:.3e}"))
     if not cfg["diffusion"] and cfg["init"] == "constant" and run.status == "blew-up":
         p = params.p
         T_exact = cfg["amp"] ** (1.0 - p) / (p - 1.0)

@@ -312,8 +312,8 @@ def test_gaussian_sum_derivatives_match_finite_differences():
     gou_fd = np.empty((8, 2))
     for i in range(2):
         e = h * np.eye(2)[i]
-        gou_fd[:, i] = (gs.ou(q + e) - gs.ou(q - e)) / (2 * h)
-    assert np.abs(gs.grad_ou(q) - gou_fd).max() < 1e-5
+        gou_fd[:, i] = (gs.ou(q + e, gs.grad(q + e)) - gs.ou(q - e, gs.grad(q - e))) / (2 * h)
+    assert np.abs(gs.grad_ou(q, gs.grad(q), gs.hess(q)) - gou_fd).max() < 1e-5
 
 
 def test_random_bump_field_support(g2):
@@ -331,7 +331,7 @@ def test_eigenpair_construction_is_exact(g1):
     gs = random_gaussian_sum(rng, 1, amp=0.1)
     pts = g1.points
     p = 2.0
-    pot = p / (p - 1.0) - gs.ou(pts) - (gs.grad(pts) ** 2).sum(axis=1)
+    pot = p / (p - 1.0) - gs.ou(pts, gs.grad(pts)) - (gs.grad(pts) ** 2).sum(axis=1)
     assert pot.min() > 0.0
     wvals = (pot / p) ** (1.0 / (p - 1.0))
     w = SampledField(grid=g1, values=wvals, grad=np.zeros((g1.npoints, 1)))

@@ -129,6 +129,57 @@ def test_negative_data_gives_verdicts(tmp_path, kind):
     assert manifest["kind"] == kind and manifest["verdicts"]
 
 
+@pytest.mark.parametrize("amp", [3.0, -3.0])
+def test_positivity_verdict_follows_the_sign_of_the_data(tmp_path, amp):
+    out = tmp_path / "blowup"
+    assert run_cli("blowup", "--out", str(out), "--quiet", "--set", f"amp={amp}") == 0
+    verdict = {v["name"]: v for v in load_manifest(out)["verdicts"]}["positivity"]
+    summary = json.loads((out / "blowup.json").read_text())
+    assert verdict["passed"] is True
+    if amp > 0.0:       # the text positive data always had
+        assert verdict["detail"] == f"min u = {summary['min_u']:.3e}"
+    else:
+        assert verdict["detail"].startswith("max u = ")
+
+
+def _assert_failure_manifest(out):
+    manifest = load_manifest(out)
+    assert manifest["all_passed"] is False
+    assert manifest["verdicts"][0]["name"] == "numeric-failure"
+
+
+def test_rescaled_overflow_ends_as_blew_up(tmp_path, capsys):
+    # with a cap beyond float range the state overflows first; the run's own
+    # finiteness check must end it, not an exception from the solver
+    out = tmp_path / "evo"
+    assert run_cli("evolve-rescaled", "--out", str(out),
+                   "--set", "cap=1e300", "--set", "amp=10") == 1
+    assert "[FAIL] completed" in capsys.readouterr().err
+    assert load_manifest(out)["all_passed"] is False
+    assert json.loads((out / "evolve.json").read_text())["status"] == "blew-up"
+
+
+def test_unconverged_stable_mode_exits_3(tmp_path, capsys):
+    out = tmp_path / "evo"
+    assert run_cli("evolve-rescaled", "--out", str(out),
+                   "--set", "init=stable-mode", "--set", "geometry=ball",
+                   "--set", "n=10", "--set", "m=9") == 3
+    assert "did not converge" in capsys.readouterr().err
+    _assert_failure_manifest(out)
+
+
+def test_cap_near_float_max(tmp_path, capsys):
+    # 1e307 outruns the resolution of t before the cap: numeric failure
+    out = tmp_path / "big"
+    assert run_cli("blowup", "--out", str(out), "--set", "u_cap=1e307") == 3
+    assert "numerical failure:" in capsys.readouterr().err
+    _assert_failure_manifest(out)
+    # 10 u_cap overflows: a usage error
+    assert run_cli("blowup", "--out", str(tmp_path / "huge"),
+                   "--set", "u_cap=1e308") == 2
+    assert "u_cap" in capsys.readouterr().err
+
+
 def test_shoot_default_is_kappa(tmp_path, capsys):
     out = tmp_path / "shoot"
     assert run_cli("shoot", "--out", str(out)) == 0

@@ -7,8 +7,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eig, solve_banded
 
 from blowlab import (
+    NumericError,
     ProblemParams,
     SampledField,
     UsageError,
@@ -28,6 +30,7 @@ from blowlab.evolution import (
     _diffusion_banded,
     _diffusion_rhs,
     _laplacian_bands,
+    _rescaled_banded,
     dissipation_rates,
     linearized_matrix,
     stable_mode_state,
@@ -129,6 +132,18 @@ def test_flow_callable_init_and_step_wrapper():
     assert np.array_equal(fresh.step(run_a.states[0]), run_a.states[1])
 
 
+@pytest.mark.parametrize("geometry,params", [("interval", P2), ("ball", P33)])
+def test_factored_step_matches_banded_solve(geometry, params):
+    # the once-factored step against solve_banded on a freshly built matrix
+    flow = RescaledFlow(params, m=201, ds=1e-2, geometry=geometry)
+    w = 1.0 + 0.3 * np.exp(-flow.y ** 2)
+    dl, d, du = _rescaled_banded(flow.y, params, flow.ds, geometry)
+    ab = np.zeros((3, d.size))
+    ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
+    rhs = w + flow.ds * np.abs(w) ** (params.p - 1.0) * w
+    assert np.array_equal(flow.step(w), solve_banded((1, 1), ab, rhs))
+
+
 def test_flow_argument_errors():
     with pytest.raises(UsageError):
         RescaledFlow(P2, L=4.0)
@@ -168,6 +183,41 @@ def test_stable_mode_decays_at_its_rate():
     assert run.status == "completed"
     ratio = run.sup_dev[-1] / run.sup_dev[0]
     assert 0.11 < ratio < 0.16             # e^{-2} = 0.135 for the mu = -1 mode
+
+
+@pytest.mark.parametrize("geometry,n,p", [
+    ("interval", 1, 2.0), ("interval", 1, 3.0), ("interval", 1, 5.0),
+    ("ball", 1, 3.0), ("ball", 3, 3.0), ("ball", 4, 3.0), ("ball", 5, 2.0),
+    ("ball", 10, 3.0)])
+def test_stable_mode_matches_dense_eig(geometry, n, p):
+    # dense eig of the assembled matrix is the oracle for the O(m) iteration;
+    # n >= 4 on the ball has no symmetrizing diagonal similarity
+    params = ProblemParams(n=n, p=p)
+    y = np.linspace(-8.0, 8.0, 801) if geometry == "interval" else np.linspace(0.0, 8.0, 801)
+    L = linearized_matrix(y, params, geometry)
+    v = stable_mode_state(y, params, 1.0, geometry) - kappa(p)
+    mu_all, vecs = eig(L)
+    j = int(np.argmin(np.abs(mu_all.real + 1.0)))
+    mu = float(v @ L @ v) / float(v @ v)
+    assert abs(mu - mu_all[j].real) < 1e-8
+    assert abs(np.abs(v).max() - 1.0) < 1e-15
+    assert np.abs(L @ v - mu * v).max() < 1e-8
+    ref = vecs[:, j].real
+    ref /= np.abs(ref).max()
+    if ref[np.abs(y).argmin()] < 0.0:
+        ref = -ref
+    assert np.abs(v - ref).max() < 1e-7
+
+
+def test_stable_mode_without_a_real_nearest_mode_raises():
+    # on a 9-point ball mesh in n = 10 the rates nearest -1 are a complex
+    # pair, which real inverse iteration cannot converge to
+    y = np.linspace(0.0, 8.0, 9)
+    params = ProblemParams(n=10, p=3.0)
+    rates = np.linalg.eigvals(linearized_matrix(y, params, "ball"))
+    assert abs(rates[np.argmin(np.abs(rates + 1.0))].imag) > 0.1
+    with pytest.raises(NumericError):
+        stable_mode_state(y, params, 1.0, "ball")
 
 
 def test_ball_geometry_stable_mode():
@@ -281,6 +331,9 @@ def test_fit_blowup_time_exact_series():
     assert fit["points"] >= 8
     with pytest.raises(UsageError):
         fit_blowup_time(times[:5], sups[:5], 2.0)
+    # a remaining time far below the resolution of t cannot be fitted
+    with pytest.raises(NumericError):
+        fit_blowup_time(times, np.geomspace(1.0, 1e20, times.size), 2.0)
 
 
 def test_reaction_only_constant_has_known_blowup_time():
@@ -333,6 +386,16 @@ def test_solve_physical_argument_errors():
         solve_physical(ones, P2, geometry="plane")
     with pytest.raises(UsageError):
         solve_physical(np.ones(7), P2, m=101)
+    with pytest.raises(UsageError):                 # 10 u_cap overflows
+        solve_physical(ones, P2, u_cap=1e308)
+
+
+def test_solve_physical_stalled_clock_raises():
+    # past about 2e15 the step no longer advances t near T = 0.4; the run
+    # must stop with a NumericError rather than fit a stalled clock
+    with pytest.raises(NumericError, match="underflow"):
+        solve_physical(lambda x: 3.0 * np.cos(np.pi * x / 4.0), P2, m=401,
+                       u_cap=1e307)
 
 
 def test_order_of_accuracy():
@@ -384,7 +447,7 @@ def test_convergence_pipeline_interpolation_floor():
         snaps.append(Snapshot(t=T - Tt, max_u=1.0 / Tt, u=np.full_like(x, 1.0 / Tt)))
     run = BlowupRun(params=P2, x=x, geometry="interval", status="blew-up",
                     t_end=T - 1e-4, times=np.array([0.0, T - 1e-4]),
-                    sup_u=np.array([1.0, 1e4]), min_u=1.0,
+                    sup_u=np.array([1.0, 1e4]), min_u=1.0, max_u=1e4,
                     u_final=snaps[-1].u, snapshots=snaps,
                     T_est=T, fit={}, a_est=0.0)
     rep = convergence_pipeline(run)
