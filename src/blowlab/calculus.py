@@ -48,7 +48,7 @@ class SampledField:
     lap: np.ndarray | None = None
 
     @classmethod
-    def from_values(cls, grid: Grid, values, with_lap: bool = True) -> "SampledField":
+    def from_values(cls, grid: Grid, values) -> "SampledField":
         """Derivatives filled in spectrally from the grid's orthonormal basis.
 
         Trustworthy in the weighted norm and pointwise where the weight
@@ -60,8 +60,8 @@ class SampledField:
             raise UsageError(
                 f"values shape {values.shape} does not match grid ({grid.npoints},)"
             )
-        lap = grid.laplacian(values) if with_lap else None
-        return cls(grid=grid, values=values, grad=grid.gradient(values), lap=lap)
+        return cls(grid=grid, values=values, grad=grid.gradient(values),
+                   lap=grid.laplacian(values))
 
     @classmethod
     def from_callable(cls, grid: Grid, f, grad=None, lap=None) -> "SampledField":
@@ -256,16 +256,25 @@ def verify_prop35_inequality(w: SampledField, m: float, eta: SampledField,
                     {"m": m, **consts, "tol": tol})
 
 
-def cutoff_field(grid: Grid, R: float) -> SampledField:
-    """eta_R(|y|) as a field with analytic gradient; |grad| <= 1.875 < 2."""
+def radial_field(grid: Grid, f) -> SampledField:
+    """A radial function as a field, where f(r) returns (values, d/dr values).
+
+    On radial grids grad is d/dr; on tensor grids it is lifted to
+    slope * y/|y|, taken as 0 at the origin.
+    """
     if grid.kind == "radial":
-        vals, slope = cutoff_radial(grid.r, R)
+        vals, slope = f(grid.r)
         return SampledField(grid=grid, values=vals, grad=slope.reshape(-1, 1))
     r = np.sqrt((grid.points**2).sum(axis=1))
-    vals, slope = cutoff_radial(r, R)
+    vals, slope = f(r)
     with np.errstate(invalid="ignore", divide="ignore"):
         unit = np.where(r[:, None] > 0.0, grid.points / np.maximum(r, 1e-300)[:, None], 0.0)
     return SampledField(grid=grid, values=vals, grad=slope[:, None] * unit)
+
+
+def cutoff_field(grid: Grid, R: float) -> SampledField:
+    """eta_R(|y|) as a field with analytic gradient; |grad| <= 1.875 < 2."""
+    return radial_field(grid, lambda r: cutoff_radial(r, R))
 
 
 # ---------------------------------------------------------------------------

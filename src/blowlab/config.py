@@ -187,6 +187,9 @@ def _validate(kind: str, cfg: dict) -> None:
     if kind == "blowup" or kind == "theorem13":
         if not 0.0 < cfg["theta"] <= 0.2:
             raise ConfigurationError(f"theta must be in (0, 0.2], got {cfg['theta']}")
+    if cfg.get("geometry") == "interval" and cfg["n"] != 1:
+        raise ConfigurationError("interval geometry is one-dimensional; "
+                                 "use geometry = ball for n > 1")
     if kind == "evolve-rescaled" and cfg["L"] < 8.0:
         raise ConfigurationError(f"L must be >= 8, got {cfg['L']}")
     if kind == "scan" and not 0.0 < cfg["alpha_lo"] < cfg["alpha_hi"]:

@@ -240,6 +240,10 @@ class RescaledFlow:
         rhs = w + self.ds * np.abs(w) ** (p - 1.0) * w
         return _tridiagonal_solve(self._lu, rhs)
 
+    # a run ends as blew-up at the first state past the cap or with a
+    # non-finite energy, unrecorded; numpy's overflow warnings on the way
+    # there would only leak to the caller
+    @np.errstate(over="ignore", invalid="ignore")
     def run(self, w0, s_end: float, record_states: bool = True) -> RescaledRun:
         w = (np.asarray(w0(self.y), dtype=float) if callable(w0)
              else np.asarray(w0, dtype=float).copy())
@@ -247,20 +251,27 @@ class RescaledFlow:
             raise UsageError("initial state does not match the mesh")
         kap = kappa(self.params.p)
         nsteps = int(round(s_end / self.ds))
+        e0 = energy(w, self.params, self.y, self.geometry).total
+        if not math.isfinite(e0):
+            raise NumericError("initial state has non-finite energy",
+                               payload={"energy": e0})
         s_vals = [0.0]
-        energies = [energy(w, self.params, self.y, self.geometry).total]
+        energies = [e0]
         sup_dev = [float(np.abs(w - kap).max())]
         states = [w.copy()] if record_states else None
         status = "completed"
         events = {}
         for k in range(nsteps):
             w = self.step(w)
-            if not np.all(np.isfinite(w)) or np.abs(w).max() > self.cap:
+            e = (energy(w, self.params, self.y, self.geometry).total
+                 if np.all(np.isfinite(w)) and np.abs(w).max() <= self.cap
+                 else math.nan)
+            if not math.isfinite(e):
                 status = "blew-up"
                 events["cap_at_s"] = (k + 1) * self.ds
                 break
             s_vals.append((k + 1) * self.ds)
-            energies.append(energy(w, self.params, self.y, self.geometry).total)
+            energies.append(e)
             sup_dev.append(float(np.abs(w - kap).max()))
             if record_states:
                 states.append(w.copy())
@@ -368,9 +379,9 @@ def dissipation_check(run: RescaledRun, rates: np.ndarray, s_a: float,
     if i_b - i_a < 8:
         raise UsageError("recorded states are too sparse in the requested window")
     lhs = float(np.trapezoid(rates[i_a:i_b + 1], dx=run.ds))
-    rhs = float(run.energies[i_a] - run.energies[i_b + 1])
+    rhs = float(run.energies[i_a] - run.energies[i_b])
     rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-    return DissipationReport(s_lo=float(s[i_a]), s_hi=float(s[i_b + 1]),
+    return DissipationReport(s_lo=float(s[i_a]), s_hi=float(s[i_b]),
                              lhs=lhs, rhs=rhs, rel_err=rel, holds=rel <= tol)
 
 
@@ -592,8 +603,8 @@ class WindowRow:
     t: float
     T_minus_t: float
     s: float
-    sup_dev: float      # sup_{|y| <= K} |w - kappa|
-    min_H: float        # min of w/(p-1) + y w_y / 2 on the window
+    sup_dev: float      # sup_{|y| <= K} |sign w - kappa|
+    min_H: float        # min of H(sign w) = (w/(p-1) + y w_y / 2) sign on the window
 
 
 @dataclass
@@ -623,13 +634,16 @@ def convergence_pipeline(run: BlowupRun, K: float = 1.0, conv_tol: float = 0.05,
                          min_snapshots: int = 3, max_rows: int = 5,
                          resolution_factor: float = 4.0) -> ConvergenceReport:
     """Rescale stored snapshots around (T_est, a_est) and check that
-    sup_{|y|<=K} |w - kappa| decreases over >= min_snapshots times and ends
-    below conv_tol. H on the window is reported per row."""
+    sup_{|y|<=K} |sign w - kappa| decreases over >= min_snapshots times and
+    ends below conv_tol, where sign is that of u at a_est in the last
+    snapshot. H of sign w on the window is reported per row."""
     if run.status != "blew-up":
         raise UsageError("the convergence pipeline needs a run that blew up")
     T, a = run.T_est, run.a_est
     p = run.params.p
     kap = kappa(p)
+    # u -> -u maps solutions to solutions: negative data approach -kappa
+    sign = -1.0 if np.interp(a, run.x, run.snapshots[-1].u) < 0.0 else 1.0
     h = float(run.x[1] - run.x[0])
     sup_start = run.sup_u[0]
     yg = np.linspace(-K, K, 201)
@@ -646,8 +660,8 @@ def convergence_pipeline(run: BlowupRun, K: float = 1.0, conv_tol: float = 0.05,
         if snap.max_u < 100.0 * sup_start:     # not yet in the blow-up regime
             continue
         spl = CubicSpline(run.x, snap.u)
-        w = Tt ** (1.0 / (p - 1.0)) * spl(a + lam * yg)
-        w_y = Tt ** (1.0 / (p - 1.0)) * lam * spl(a + lam * yg, 1)
+        w = sign * Tt ** (1.0 / (p - 1.0)) * spl(a + lam * yg)
+        w_y = sign * Tt ** (1.0 / (p - 1.0)) * lam * spl(a + lam * yg, 1)
         Hw = w / (p - 1.0) + 0.5 * yg * w_y
         rows.append(WindowRow(t=snap.t, T_minus_t=float(Tt), s=float(-math.log(Tt)),
                               sup_dev=float(np.abs(w - kap).max()),

@@ -246,8 +246,8 @@ def run_spectrum(cfg: dict, out_dir: Path) -> RunOutcome:
     fd_ok = None
     if params.n == 1:
         if cfg["profile"] == "shoot":
-            w_at, _, _ = extended_profile(prof)
-            w_call = lambda y: w_at(np.abs(y))
+            w_at, _ = extended_profile(prof)
+            w_call = lambda y: w_at(np.abs(y))[0]
         else:
             const = params.kappa if cfg["profile"] == "kappa" else 0.0
             w_call = lambda y: np.full_like(np.asarray(y, dtype=float), const)
@@ -257,8 +257,8 @@ def run_spectrum(cfg: dict, out_dir: Path) -> RunOutcome:
         fd_ok = err < 1e-3
         fd_block = {"eigenvalues": [float(v) for v in fd], "max_abs_err": err}
 
-    sign_rep = sign_change_check(w, params, basis)
-    stab_rep = stability_classify(w, params, basis)
+    sign_rep = sign_change_check(w, op)
+    stab_rep = stability_classify(w, op)
 
     write_csv(out_dir / "eigenvalues.csv", ("index", "eigenvalue"),
               [(i, float(v)) for i, v in enumerate(rep.eigenvalues)])
@@ -377,9 +377,6 @@ def _rescaled_initial(cfg: dict, params: ProblemParams, y: np.ndarray) -> np.nda
 
 def run_evolve_rescaled(cfg: dict, out_dir: Path) -> RunOutcome:
     params = ProblemParams(n=cfg["n"], p=cfg["p"])
-    if cfg["geometry"] == "interval" and params.n != 1:
-        raise ConfigurationError("interval geometry is one-dimensional; "
-                                 "use geometry = ball for n > 1")
     flow = RescaledFlow(params, L=cfg["L"], m=cfg["m"], ds=cfg["ds"],
                         geometry=cfg["geometry"], cap=cfg["cap"])
     w0 = _rescaled_initial(cfg, params, flow.y)
@@ -447,9 +444,6 @@ def _initial_data(cfg: dict):
 
 def _physical_run(cfg: dict):
     params = ProblemParams(n=cfg["n"], p=cfg["p"])
-    if cfg["geometry"] == "interval" and params.n != 1:
-        raise ConfigurationError("interval geometry is one-dimensional; "
-                                 "use geometry = ball for n > 1")
     run = solve_physical(_initial_data(cfg), params, R=cfg["R"], m=cfg["m"],
                          geometry=cfg["geometry"], theta=cfg["theta"],
                          u_cap=cfg["u_cap"], t_max=cfg["t_max"],

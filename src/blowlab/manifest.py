@@ -177,13 +177,6 @@ def manifest_config(manifest: dict) -> tuple[str, dict]:
     return kind, cfg
 
 
-def _float_or_none(cell: str):
-    try:
-        return float(cell)
-    except ValueError:
-        return None
-
-
 def _rel_diff(a: float, b: float) -> float:
     if a == b:
         return 0.0
@@ -209,40 +202,32 @@ def _compare_values(a, b, worst: list) -> bool:
     return a == b
 
 
+def _csv_cell(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+def _parse_output(name: str, text: str):
+    """JSON as loaded; CSV as rows whose cells are floats where they parse,
+    text otherwise. Both then go through the one _compare_values rule."""
+    if name.endswith(".json"):
+        return json.loads(text)
+    return [[_csv_cell(c) for c in row] for row in csv.reader(io.StringIO(text))]
+
+
 def _compare_text(name: str, text_a: str, text_b: str) -> dict:
     result = {"name": name, "bitwise": text_a == text_b, "numeric_ok": True,
               "max_rel_diff": 0.0}
     if result["bitwise"]:
         return result
     worst = [0.0]
-    if name.endswith(".json"):
-        try:
-            ok = _compare_values(json.loads(text_a), json.loads(text_b), worst)
-        except json.JSONDecodeError:
-            ok = False
-    else:
-        rows_a = list(csv.reader(io.StringIO(text_a)))
-        rows_b = list(csv.reader(io.StringIO(text_b)))
-        ok = len(rows_a) == len(rows_b)
-        if ok:
-            for ra, rb in zip(rows_a, rows_b):
-                if len(ra) != len(rb):
-                    ok = False
-                    break
-                for ca, cb in zip(ra, rb):
-                    if ca == cb:
-                        continue
-                    fa, fb = _float_or_none(ca), _float_or_none(cb)
-                    if fa is None or fb is None:
-                        ok = False
-                        break
-                    d = _rel_diff(fa, fb)
-                    worst[0] = max(worst[0], d)
-                    if d > REL_TOL:
-                        ok = False
-                        break
-                if not ok:
-                    break
+    try:
+        ok = _compare_values(_parse_output(name, text_a),
+                             _parse_output(name, text_b), worst)
+    except json.JSONDecodeError:
+        ok = False
     result["numeric_ok"] = ok
     result["max_rel_diff"] = worst[0]
     return result

@@ -37,7 +37,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicHermiteSpline
 
-from .calculus import SampledField
+from .calculus import SampledField, radial_field
 from .errors import DomainError, NumericError, UsageError
 from .exponents import ProblemParams, kappa
 from .quadrature import Grid
@@ -314,8 +314,9 @@ def scan_profiles(params: ProblemParams, alpha_lo: float, alpha_hi: float,
 
 
 def extended_profile(profile: RadialProfile, band_factor: float = 10.0):
-    """(w_at, w_r_at, r_cut): cubic-Hermite inside the trusted radius, then the
-    steady power tail r^(-2/(p-1)); values below r0 use the series start.
+    """(w_at, r_cut), where w_at(r) returns (w, w_r): cubic-Hermite inside the
+    trusted radius, then the steady power tail r^(-2/(p-1)); values below r0
+    use the series start.
 
     The tail keeps the far field positive and slowly varying so Gaussian-
     weighted functionals see no artifacts from the (weight ~ e^{-r^2/4})
@@ -335,42 +336,22 @@ def extended_profile(profile: RadialProfile, band_factor: float = 10.0):
 
     def w_at(r):
         r = np.asarray(r, dtype=float)
-        out = np.empty_like(r)
+        w, w_r = np.empty_like(r), np.empty_like(r)
         lo = r < r_lo
         hi = r > r_cut
         mid = ~(lo | hi)
-        out[lo] = alpha + c * r[lo] ** 2 + d * r[lo] ** 4
-        out[mid] = spl(r[mid])
-        out[hi] = w_cut * (r[hi] / r_cut) ** gamma
-        return out
+        w[lo] = alpha + c * r[lo] ** 2 + d * r[lo] ** 4
+        w_r[lo] = 2.0 * c * r[lo] + 4.0 * d * r[lo] ** 3
+        w[mid] = spl(r[mid])
+        w_r[mid] = dspl(r[mid])
+        w[hi] = w_cut * (r[hi] / r_cut) ** gamma
+        w_r[hi] = w_cut * gamma / r_cut * (r[hi] / r_cut) ** (gamma - 1.0)
+        return w, w_r
 
-    def w_r_at(r):
-        r = np.asarray(r, dtype=float)
-        out = np.empty_like(r)
-        lo = r < r_lo
-        hi = r > r_cut
-        mid = ~(lo | hi)
-        out[lo] = 2.0 * c * r[lo] + 4.0 * d * r[lo] ** 3
-        out[mid] = dspl(r[mid])
-        out[hi] = w_cut * gamma / r_cut * (r[hi] / r_cut) ** (gamma - 1.0)
-        return out
-
-    return w_at, w_r_at, r_cut
+    return w_at, r_cut
 
 
 def profile_field(profile: RadialProfile, grid: Grid) -> SampledField:
     """Sample an (extended) profile on a quadrature grid with analytic
     radial gradient, ready for the spectral checks."""
-    w_at, w_r_at, _ = extended_profile(profile)
-    if grid.kind == "radial":
-        vals = w_at(grid.r)
-        grad = w_r_at(grid.r).reshape(-1, 1)
-    else:
-        rr = np.sqrt((grid.points**2).sum(axis=1))
-        vals = w_at(rr)
-        slope = w_r_at(rr)
-        with np.errstate(invalid="ignore"):
-            unit = np.where(rr[:, None] > 0.0,
-                            grid.points / np.maximum(rr, 1e-300)[:, None], 0.0)
-        grad = slope[:, None] * unit
-    return SampledField(grid=grid, values=vals, grad=grad)
+    return radial_field(grid, extended_profile(profile)[0])

@@ -236,12 +236,8 @@ def radial_grid(n: int, degree: int = 48) -> RadialGrid:
 Grid = TensorGrid | RadialGrid
 
 
-def grids_compatible(a: Grid, b: Grid) -> bool:
-    return a is b or (a.kind == b.kind and a.n == b.n and a.degree == b.degree)
-
-
 def require_same_grid(a: Grid, b: Grid) -> None:
-    if not grids_compatible(a, b):
+    if not (a is b or (a.kind == b.kind and a.n == b.n and a.degree == b.degree)):
         raise UsageError(
             f"mismatched grids: {a.kind}(n={a.n}, degree={a.degree}) vs "
             f"{b.kind}(n={b.n}, degree={b.degree})"
@@ -298,14 +294,10 @@ def cutoff_radial(r, R: float):
     return smoothstep(t), -smoothstep_slope(t)
 
 
-def basis_count_limit(grid: Grid) -> int:
-    """Largest per-axis (tensor) or total (radial) basis size the grid integrates
-    exactly in the Gram sense."""
-    return grid.degree
-
-
 def require_basis_fits(grid: Grid, per_axis: int) -> None:
-    if per_axis > basis_count_limit(grid):
+    """A grid integrates a basis exactly in the Gram sense up to its own
+    degree of functions per axis (tensor) or in total (radial)."""
+    if per_axis > grid.degree:
         raise ConfigurationError(
             f"basis needs {per_axis} functions per axis but the degree-{grid.degree} "
             "grid is only Gram-exact up to its own degree; enlarge the grid"

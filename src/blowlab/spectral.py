@@ -16,6 +16,10 @@ radial bases.
 Two consistency anchors with the continuous theory: H = w/(p-1) + y.grad(w)/2
 always satisfies L_w H = H along exact profiles (lambda = -1), and a sign
 change of H forces lambda_1 < -1.
+
+Each field's operator is assembled once: the Rayleigh, sign-change and
+stability checks all take the SpectralOperator, and the two that also read
+the field refuse one assembled on other values or another grid.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .quadrature import (
     hermite_basis,
     radial_grid,
     require_basis_fits,
+    require_same_grid,
     tensor_grid,
 )
 
@@ -266,14 +271,24 @@ class SignChangeReport:
         }
 
 
-def sign_change_check(w: SampledField, params: ProblemParams,
-                      basis: WeightedBasis, tau_factor: float = 1e-8,
+def _require_assembled_on(w: SampledField, op: SpectralOperator) -> None:
+    """The checks read w's derivatives and op's matrix: both must describe
+    the same field on the same grid."""
+    require_same_grid(w.grid, op.basis.grid)
+    if not np.array_equal(w.values, op.w_values):
+        raise UsageError("operator was assembled on other values than w")
+
+
+def sign_change_check(w: SampledField, op: SpectralOperator,
+                      tau_factor: float = 1e-8,
                       lam_tol: float = 1e-4) -> SignChangeReport:
-    """H sign change must imply lambda_1 < -1 (checked as < -1 + lam_tol)."""
-    H = compute_H(w, params)
+    """H sign change must imply lambda_1 < -1 (checked as < -1 + lam_tol),
+    with op = assemble(w, basis, params)."""
+    _require_assembled_on(w, op)
+    H = compute_H(w, op.params)
     tau = tau_factor * max(abs(H.min), abs(H.max))
     sign_change = (H.min < -tau) and (H.max > tau)
-    lam1 = spectrum(assemble(w, basis, params), 1).lambda1
+    lam1 = spectrum(op, 1).lambda1
     consistent = (not sign_change) or (lam1 < -1.0 + lam_tol)
     return SignChangeReport(min_H=H.min, max_H=H.max, sign_change=sign_change,
                             lambda1=lam1, consistent=consistent, tau=tau)
@@ -313,16 +328,18 @@ class StabilityReport:
         }
 
 
-def stability_classify(w: SampledField, params: ProblemParams,
-                       basis: WeightedBasis, span_tol: float = 1e-4,
-                       neg_tol: float = 1e-8, mode_tol: float = 1e-6) -> StabilityReport:
+def stability_classify(w: SampledField, op: SpectralOperator,
+                       span_tol: float = 1e-4, neg_tol: float = 1e-8,
+                       mode_tol: float = 1e-6) -> StabilityReport:
     """Stable iff every lambda < 0 eigenfunction lies in the trivial span
-    (projection residual < span_tol) or is a translation mode."""
-    op = assemble(w, basis, params)
+    (projection residual < span_tol) or is a translation mode, with
+    op = assemble(w, basis, params)."""
+    _require_assembled_on(w, op)
+    basis = op.basis
     rep = spectrum(op)
     wq = basis.grid.weights
 
-    span = [compute_H(w, params).values]
+    span = [compute_H(w, op.params).values]
     if basis.kind != "radial":
         for i in range(basis.n):
             span.append(w.grad[:, i])

@@ -184,7 +184,7 @@ def test_criterion_5_sign_change_consistency(acceptance, perturbed_kappa_run,
     reports = []
     for params, field, name in collect_suite_profiles(perturbed_kappa_run,
                                                       cosine_blowup_run):
-        rep = sign_change_check(field, params, basis)
+        rep = sign_change_check(field, assemble(field, basis, params))
         reports.append((name, rep))
     bad = [name for name, rep in reports if not rep.consistent]
     changed = sum(rep.sign_change for _, rep in reports)

@@ -3,7 +3,10 @@
 replay round trips including the tamper guard.
 """
 
+import csv
 import json
+import math
+import warnings
 
 import pytest
 
@@ -81,6 +84,10 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                    "--out", str(tmp_path / "c")) == 2
     assert run_cli("blowup", "--set", "theta=0.5",
                    "--out", str(tmp_path / "d")) == 2
+    capsys.readouterr()
+    assert run_cli("blowup", "--set", "n=2",
+                   "--out", str(tmp_path / "e")) == 2
+    assert "one-dimensional" in capsys.readouterr().err
     assert run_cli("not-a-command") == 2     # argparse usage exit
     assert run_cli() == 2
 
@@ -150,13 +157,29 @@ def _assert_failure_manifest(out):
 
 def test_rescaled_overflow_ends_as_blew_up(tmp_path, capsys):
     # with a cap beyond float range the state overflows first; the run's own
-    # finiteness check must end it, not an exception from the solver
+    # finiteness checks must end it, before its energy overflows, without an
+    # exception from the solver or a numpy warning
     out = tmp_path / "evo"
-    assert run_cli("evolve-rescaled", "--out", str(out),
-                   "--set", "cap=1e300", "--set", "amp=10") == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("evolve-rescaled", "--out", str(out),
+                       "--set", "cap=1e300", "--set", "amp=10") == 1
     assert "[FAIL] completed" in capsys.readouterr().err
     assert load_manifest(out)["all_passed"] is False
     assert json.loads((out / "evolve.json").read_text())["status"] == "blew-up"
+    with open(out / "timeseries.csv") as fh:
+        energies = [float(row["E"]) for row in csv.DictReader(fh)]
+    assert len(energies) > 1 and all(math.isfinite(e) for e in energies)
+
+
+def test_rescaled_initial_energy_overflow_exits_3(tmp_path, capsys):
+    out = tmp_path / "evo"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("evolve-rescaled", "--out", str(out),
+                       "--set", "amp=1e200") == 3
+    assert "non-finite energy" in capsys.readouterr().err
+    _assert_failure_manifest(out)
 
 
 def test_unconverged_stable_mode_exits_3(tmp_path, capsys):
@@ -254,6 +277,18 @@ def test_theorem13_run(tmp_path, capsys):
     assert header_of(out / "final_state.csv") == "x,u"
     summary = json.loads((out / "report.json").read_text())
     assert summary["convergence"]["passed"] is True
+
+
+def test_theorem13_negative_data_mirrors_positive(tmp_path, capsys):
+    # u -> -u maps solutions to solutions, so amp=-3 blows up at the same
+    # (T, a) towards -kappa and gives amp=3's window ladder exactly
+    neg, pos = tmp_path / "neg", tmp_path / "pos"
+    assert run_cli("theorem13", "--out", str(neg), "--set", "amp=-3") == 0
+    captured = capsys.readouterr()
+    for name in ("blew-up", "window-count", "window-monotone", "window-final"):
+        assert f"[PASS] {name}" in captured.out
+    assert run_cli("theorem13", "--out", str(pos), "--quiet", "--set", "amp=3") == 0
+    assert (neg / "window.csv").read_bytes() == (pos / "window.csv").read_bytes()
 
 
 def test_replay_reproduces_run(tmp_path, capsys):

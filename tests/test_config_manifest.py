@@ -105,6 +105,10 @@ def test_validation_rules():
         resolve_config("evolve-rescaled", {"L": "4"})
     with pytest.raises(ConfigurationError):
         resolve_config("scan", {"alpha_lo": "2.0", "alpha_hi": "1.0"})
+    for kind in ("evolve-rescaled", "blowup", "theorem13"):
+        with pytest.raises(ConfigurationError, match="one-dimensional"):
+            resolve_config(kind, {"n": "2"})
+        assert resolve_config(kind, {"n": "2", "geometry": "ball"})["n"] == 2
 
 
 def test_parse_config_text():
@@ -295,6 +299,29 @@ def test_compare_outputs_numeric_fallback(tmp_path):
     (b / "t.csv").write_text("x,tag\n1.0,different\n")
     rep = compare_outputs(a, b, ["t.csv"])[0]
     assert not rep["numeric_ok"]
+
+
+def test_compare_outputs_csv_shapes_and_cell_types(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir(), b.mkdir()
+    (a / "t.csv").write_text("x,tag\n1.0,ok\n")
+    (b / "t.csv").write_text("x,tag\n1.0,ok,extra\n")       # row length
+    rep = compare_outputs(a, b, ["t.csv"])[0]
+    assert not rep["bitwise"] and not rep["numeric_ok"]
+    assert rep["max_rel_diff"] == 0.0
+
+    (b / "t.csv").write_text("x,tag\n1.0,ok\n2.0,ok\n")     # row count
+    assert not compare_outputs(a, b, ["t.csv"])[0]["numeric_ok"]
+
+    (b / "t.csv").write_text("x,tag\nnan-ish,ok\n")          # number vs text
+    rep = compare_outputs(a, b, ["t.csv"])[0]
+    assert not rep["numeric_ok"]
+    assert rep["max_rel_diff"] == 0.0
+
+    # the printed forms differ, the numbers do not
+    (b / "t.csv").write_text("x,tag\n1,ok\n")
+    rep = compare_outputs(a, b, ["t.csv"])[0]
+    assert not rep["bitwise"] and rep["numeric_ok"]
 
 
 def test_compare_outputs_json_and_missing(tmp_path):

@@ -240,12 +240,17 @@ def test_energy_monotone_along_perturbed_run(perturbed_kappa_run):
 
 
 def test_dissipation_identity(perturbed_kappa_run):
-    rep = dissipation_check(perturbed_kappa_run,
-                            dissipation_rates(perturbed_kappa_run), 0.2, 1.8)
+    run = perturbed_kappa_run
+    rates = dissipation_rates(run)
+    rep = dissipation_check(run, rates, 0.2, 1.8)
     assert rep.holds
     assert rep.rel_err < 0.02
     assert rep.lhs > 0.0 and rep.rhs > 0.0
     assert 0.19 <= rep.s_lo <= 0.21 and 1.79 <= rep.s_hi <= 1.81
+    # both sides cover the one reported window [s_lo, s_hi]
+    i_a, i_b = np.searchsorted(run.s_values, [rep.s_lo, rep.s_hi])
+    assert rep.lhs == float(np.trapezoid(rates[i_a:i_b + 1], dx=run.ds))
+    assert rep.rhs == float(run.energies[i_a] - run.energies[i_b])
 
 
 def test_dissipation_rates_shape(perturbed_kappa_run):

@@ -29,7 +29,8 @@ from blowlab.profiles import (
     rk4_shoot,
     series_start,
 )
-from blowlab.quadrature import radial_grid
+from blowlab.calculus import cutoff_field
+from blowlab.quadrature import cutoff_radial, radial_grid, tensor_grid
 
 P21 = ProblemParams(n=1, p=2.0)
 P23 = ProblemParams(n=3, p=2.0)
@@ -213,14 +214,14 @@ def test_shoot_argument_errors():
 
 def test_extended_profile_power_tail():
     prof = shoot(kappa(2.0), P21)
-    w_at, w_r_at, r_cut = extended_profile(prof)
+    w_at, r_cut = extended_profile(prof)
     assert r_cut == pytest.approx(20.0)
-    assert w_at(np.array([0.0]))[0] == pytest.approx(1.0, abs=1e-12)
-    assert w_at(np.array([5.0]))[0] == pytest.approx(1.0, abs=1e-9)
+    assert w_at(np.array([0.0]))[0][0] == pytest.approx(1.0, abs=1e-12)
+    assert w_at(np.array([5.0]))[0][0] == pytest.approx(1.0, abs=1e-9)
     # beyond the cut: w_cut (r/r_cut)^(-2/(p-1))
-    assert w_at(np.array([25.0]))[0] == pytest.approx((25.0 / 20.0) ** -2.0, rel=1e-9)
-    assert w_r_at(np.array([25.0]))[0] == pytest.approx(
-        -2.0 / 20.0 * (25.0 / 20.0) ** -3.0, rel=1e-9)
+    w, w_r = w_at(np.array([25.0]))
+    assert w[0] == pytest.approx((25.0 / 20.0) ** -2.0, rel=1e-9)
+    assert w_r[0] == pytest.approx(-2.0 / 20.0 * (25.0 / 20.0) ** -3.0, rel=1e-9)
 
 
 def test_extended_profile_needs_positive_range():
@@ -229,6 +230,31 @@ def test_extended_profile_needs_positive_range():
                          w_r=np.zeros(50), outcome="hit-zero", r_end=1.0)
     with pytest.raises(UsageError):
         extended_profile(junk)
+
+
+@pytest.mark.parametrize("grid", [tensor_grid(1, 64), tensor_grid(2, 33),
+                                  radial_grid(3, 32)],
+                         ids=["tensor-n1", "tensor-n2-origin", "radial-n3"])
+def test_radial_field_matches_the_per_caller_lifts(grid):
+    # the lift cutoff_field and profile_field each carried before radial_field
+    def lifted(f):
+        if grid.kind == "radial":
+            vals, slope = f(grid.r)
+            return vals, slope.reshape(-1, 1)
+        rr = np.sqrt((grid.points**2).sum(axis=1))
+        vals, slope = f(rr)
+        with np.errstate(invalid="ignore"):
+            unit = np.where(rr[:, None] > 0.0,
+                            grid.points / np.maximum(rr, 1e-300)[:, None], 0.0)
+        return vals, slope[:, None] * unit
+
+    prof = shoot(0.9, ProblemParams(n=grid.n, p=2.0))
+    w_at, _ = extended_profile(prof)
+    for field, (vals, grad) in (
+            (profile_field(prof, grid), lifted(w_at)),
+            (cutoff_field(grid, 3.0), lifted(lambda r: cutoff_radial(r, 3.0)))):
+        assert np.array_equal(field.values, vals)
+        assert np.array_equal(field.grad, grad)
 
 
 def test_profile_field_on_radial_grid():

@@ -165,7 +165,7 @@ def test_fd_against_spectral_nontrivial(basis16):
 
 def test_sign_change_at_kappa(basis16):
     w = SampledField.constant(basis16.grid, kappa(2.0))
-    rep = sign_change_check(w, P2, basis16)
+    rep = sign_change_check(w, assemble(w, basis16, P2))
     assert not rep.sign_change
     assert rep.min_H == pytest.approx(1.0)
     assert rep.lambda1 == pytest.approx(-1.0, abs=1e-9)
@@ -180,7 +180,7 @@ def test_sign_change_with_deep_well(basis16):
     gs = GaussianSum(a=np.array([10.0]), b=np.array([1.0]), c=np.zeros((1, 1)))
     pts = basis16.grid.points
     w = SampledField(grid=basis16.grid, values=1.0 + gs(pts), grad=gs.grad(pts))
-    rep = sign_change_check(w, P2, basis16)
+    rep = sign_change_check(w, assemble(w, basis16, P2))
     assert rep.sign_change
     assert rep.lambda1 < -1.0
     assert rep.consistent
@@ -190,7 +190,7 @@ def test_sign_change_logic_can_fail(basis16):
     # w = 0.1 y is not a steady profile; H = 0.15 y changes sign while
     # lambda_1 stays near +0.77, so the implication must report False
     w = poly_field(basis16.grid, [0.0, 0.1])
-    rep = sign_change_check(w, P2, basis16)
+    rep = sign_change_check(w, assemble(w, basis16, P2))
     assert rep.sign_change
     assert rep.lambda1 > 0.0
     assert not rep.consistent
@@ -198,7 +198,7 @@ def test_sign_change_logic_can_fail(basis16):
 
 def test_stability_classify_at_kappa(basis16):
     w = SampledField.constant(basis16.grid, kappa(2.0))
-    rep = stability_classify(w, P2, basis16)
+    rep = stability_classify(w, assemble(w, basis16, P2))
     assert rep.stable
     labels = {round(m.eigenvalue, 6): m.label for m in rep.modes}
     assert labels[-1.0] == "trivial-span"
@@ -210,7 +210,7 @@ def test_stability_classify_at_kappa(basis16):
 
 def test_stability_classify_zero_state(basis16):
     w = SampledField.constant(basis16.grid, 0.0)
-    rep = stability_classify(w, P2, basis16)
+    rep = stability_classify(w, assemble(w, basis16, P2))
     assert rep.stable
     assert rep.modes == ()
     assert rep.note == ""
@@ -220,6 +220,19 @@ def test_stability_classify_genuine_mode(basis16):
     gs = GaussianSum(a=np.array([10.0]), b=np.array([1.0]), c=np.zeros((1, 1)))
     pts = basis16.grid.points
     w = SampledField(grid=basis16.grid, values=1.0 + gs(pts), grad=gs.grad(pts))
-    rep = stability_classify(w, P2, basis16)
+    rep = stability_classify(w, assemble(w, basis16, P2))
     assert not rep.stable
     assert any(m.label == "genuine" for m in rep.modes)
+
+
+def test_checks_refuse_an_operator_of_another_field(basis16):
+    w = SampledField.constant(basis16.grid, kappa(2.0))
+    other = assemble(SampledField.constant(basis16.grid, 0.5), basis16, P2)
+    for check in (sign_change_check, stability_classify):
+        with pytest.raises(UsageError, match="other values"):
+            check(w, other)
+    # the same constant on a grid of another degree
+    wide = SampledField.constant(build_basis(1, 16, degree=48).grid, kappa(2.0))
+    for check in (sign_change_check, stability_classify):
+        with pytest.raises(UsageError, match="mismatched grids"):
+            check(wide, assemble(w, basis16, P2))
