@@ -7,7 +7,13 @@ solved exactly,
     u(dt) = u0 (1 - (p-1) dt |u0|^(p-1))^(-1/(p-1)),
 
 and Crank-Nicolson diffusion. The step policy dt = theta (max|u|)^(1-p)
-follows the blow-up so the run reaches any cap in O(log) steps.
+follows the blow-up so the run reaches any cap in O(log) steps. A step
+allocates no mesh-sized array: the state alternates between two buffers, the
+reaction and the right-hand side are written into them with out= ufuncs, and
+one (3, m) band array is refilled from r = dt/(2 h^2) each step and handed
+to solve_banded to overwrite. solve_banded skips its finite check; the loop
+tests max|u| for finiteness before every step, so a nan or inf state ends
+the run as a NumericError.
 
 Rescaled frame: w(y, s) with y = (x-a)/sqrt(T-t), s = -log(T-t),
 w = (T-t)^(1/(p-1)) u, solving
@@ -30,11 +36,13 @@ The weighted energy with rho = (4 pi)^(-n/2) exp(-|y|^2/4) (unit mass),
 
 decreases along the rescaled flow with dissipation rate int |w_s|^2 rho dy.
 
-Both frames build their implicit matrices from one tridiagonal stencil of the
-Laplacian (`_laplacian_bands`: d^2/dx^2 on the interval, d^2/dr^2 +
-(n-1)/r d/dr with the smooth origin row n d^2/dr^2 on the ball); the rescaled
-frame adds its drift and mass terms on top. The mesh density rho
-(`gaussian_density`) and the dissipation rate (`dissipation_rates`) also exist
+Both frames discretize the Laplacian with the same three-point stencil:
+d^2/dx^2 on the interval, d^2/dr^2 + (n-1)/r d/dr with the smooth origin row
+n d^2/dr^2 on the ball. The rescaled frame builds its matrix once from
+`_laplacian_bands` and adds its drift and mass terms on top; the physical
+frame's Crank-Nicolson halves (`_diffusion_banded`, `_diffusion_rhs`) are
+refilled every step and write the stencil in place. The mesh density rho
+(`gaussian_density`) and the dissipation rate (`dissipation_rates`) exist
 once each.
 """
 
@@ -148,15 +156,6 @@ def _laplacian_bands(x: np.ndarray, c: float, geometry: str,
         up[1:] += curv
         lo[0], di[0], up[0] = 0.0, -2.0 * n * r, 2.0 * n * r
     return lo, di, up
-
-
-def _banded(lo: np.ndarray, di: np.ndarray, up: np.ndarray) -> np.ndarray:
-    """Pack row-wise tridiagonal coefficients into solve_banded's (1, 1) form."""
-    ab = np.zeros((3, di.size))
-    ab[0, 1:] = up[:-1]
-    ab[1, :] = di
-    ab[2, :-1] = lo[1:]
-    return ab
 
 
 def _rescaled_banded(y: np.ndarray, params: ProblemParams, ds: float,
@@ -415,43 +414,88 @@ class BlowupRun:
     meta: dict = dc_field(default_factory=dict)
 
 
-def _diffusion_banded(x: np.ndarray, dt: float, geometry: str, n: int) -> np.ndarray:
-    """Crank-Nicolson left matrix (I - dt/2 Lap), Dirichlet outer wall."""
-    lo, di, up = _laplacian_bands(x, 0.5 * dt, geometry, n)
-    lo, di, up = -lo, 1.0 - di, -up
-    if geometry == "interval":
-        di[0], up[0] = 1.0, 0.0
-    lo[-1], di[-1] = 0.0, 1.0
-    return _banded(lo, di, up)
+def _diffusion_banded(x: np.ndarray, dt: float, geometry: str, n: int,
+                      out: np.ndarray | None = None,
+                      den: np.ndarray | None = None) -> np.ndarray:
+    """Crank-Nicolson left matrix (I - dt/2 Lap), Dirichlet outer wall, in
+    solve_banded's (1, 1) form. Every entry of out (3, m) is set when it is
+    given, so one array serves a whole run; den is the ball's x[1:-1] 2h."""
+    h = x[1] - x[0]
+    r = 0.5 * dt / (h * h)
+    ab = np.empty((3, x.size)) if out is None else out
+    ab[0, 0] = ab[2, -1] = 0.0                  # outside the matrix
+    ab[1] = 1.0 - (-2.0 * r)
+    if geometry == "ball":
+        # rows 1..m-2 couple with -(r -+ (dt/2)(n-1)/(2 x h)); the curvature
+        # term is built in the upper slots, then both bands are formed there
+        up, lo = ab[0, 2:], ab[2, :-2]
+        np.divide(0.5 * dt * (n - 1.0), x[1:-1] * 2.0 * h if den is None else den,
+                  out=up)
+        np.subtract(r, up, out=lo)
+        np.add(r, up, out=up)
+        np.negative(lo, out=lo)
+        np.negative(up, out=up)
+        ab[0, 1] = -(2.0 * n * r)              # origin row: n d^2/dr^2
+        ab[1, 0] = 1.0 - (-2.0 * n * r)
+    else:
+        ab[0, 2:] = -r
+        ab[2, :-2] = -r
+        ab[0, 1], ab[1, 0] = 0.0, 1.0          # Dirichlet at x = -R
+    ab[2, -2], ab[1, -1] = 0.0, 1.0            # Dirichlet at the outer wall
+    return ab
 
 
 def _diffusion_rhs(u: np.ndarray, x: np.ndarray, dt: float, geometry: str,
-                   n: int) -> np.ndarray:
+                   n: int, out: np.ndarray | None = None,
+                   den: np.ndarray | None = None,
+                   work: np.ndarray | None = None) -> np.ndarray:
+    """Crank-Nicolson right side (I + dt/2 Lap) u with zero Dirichlet rows,
+    written into out (m,) when given, which must not overlap u. On the ball,
+    den is x[1:-1] 4h and work an (m-2,) scratch array."""
     h = x[1] - x[0]
     r = 0.5 * dt / (h * h)
-    rhs = u.copy()
-    lap = np.zeros_like(u)
-    lap[1:-1] = u[2:] - 2.0 * u[1:-1] + u[:-2]
+    rhs = np.empty_like(u) if out is None else out
+    mid = rhs[1:-1]
     if geometry == "ball":
-        lap[0] = 2.0 * n * (u[1] - u[0])
-        curv = dt * (n - 1.0) / (x[1:-1] * 4.0 * h)
-        rhs[1:-1] = u[1:-1] + r * lap[1:-1] + curv * (u[2:] - u[:-2])
-        rhs[0] = u[0] + r * lap[0]
+        curv = np.divide(dt * (n - 1.0), x[1:-1] * 4.0 * h if den is None else den,
+                         out=work)
+        np.subtract(u[2:], u[:-2], out=mid)
+        np.multiply(curv, mid, out=curv)
+    # u + r ((u[2:] - 2 u) + u[:-2]), operation by operation
+    np.multiply(2.0, u[1:-1], out=mid)
+    np.subtract(u[2:], mid, out=mid)
+    np.add(mid, u[:-2], out=mid)
+    np.multiply(r, mid, out=mid)
+    np.add(u[1:-1], mid, out=mid)
+    if geometry == "ball":
+        np.add(mid, curv, out=mid)
+        rhs[0] = u[0] + r * (2.0 * n * (u[1] - u[0]))
     else:
-        rhs[1:-1] = u[1:-1] + r * lap[1:-1]
         rhs[0] = 0.0
     rhs[-1] = 0.0
     return rhs
 
 
-def _reaction_exact(u: np.ndarray, dt: float, p: float, big: float) -> np.ndarray:
+def _reaction_exact(u: np.ndarray, dt: float, p: float, big: float,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Exact flow of u' = |u|^(p-1) u; arguments driven past the pole are sent
-    to +-big so the cap check fires on the next inspection."""
-    au = np.abs(u)
-    z = 1.0 - (p - 1.0) * dt * au ** (p - 1.0)
-    out = np.where(z > 0.0, u * np.maximum(z, 1e-300) ** (-1.0 / (p - 1.0)),
-                   np.sign(u) * big)
-    return out
+    to +-big so the cap check fires on the next inspection. Written into out
+    when given, which must not overlap u."""
+    z = np.empty_like(u) if out is None else out
+    np.abs(u, out=z)
+    z **= p - 1.0
+    np.multiply((p - 1.0) * dt, z, out=z)
+    np.subtract(1.0, z, out=z)
+    past = None
+    if not z.min() > 0.0:                      # at or past the pole, or nan
+        past = ~(z > 0.0)
+        fixed = np.sign(u[past]) * big
+    np.maximum(z, 1e-300, out=z)
+    z **= -1.0 / (p - 1.0)
+    np.multiply(u, z, out=z)
+    if past is not None:
+        z[past] = fixed
+    return z
 
 
 def _parabola_argmax(x: np.ndarray, u: np.ndarray) -> float:
@@ -519,7 +563,8 @@ def solve_physical(u0, params: ProblemParams, R: float = 2.0, m: int = 4001,
     if R <= 0.0 or m < 9:
         raise UsageError("need R > 0 and a reasonable mesh")
     x = np.linspace(-R, R, m) if geometry == "interval" else np.linspace(0.0, R, m)
-    u = np.asarray(u0(x), dtype=float) if callable(u0) else np.asarray(u0, dtype=float).copy()
+    # the run's own copy: the step writes into its state buffers
+    u = np.array(u0(x) if callable(u0) else u0, dtype=float)
     if u.shape != x.shape:
         raise UsageError("initial data does not match the mesh")
     p, n = params.p, params.n
@@ -537,6 +582,16 @@ def solve_physical(u0, params: ProblemParams, R: float = 2.0, m: int = 4001,
         snapshot_levels = lead
     levels = sorted(float(v) for v in snapshot_levels)
     next_level = 0
+
+    # one step's buffers, refilled every step: the state ping-pongs between
+    # u and spare, and the band and ball denominators serve every step
+    spare = np.empty_like(u)
+    ab = np.empty((3, m))
+    band_den = rhs_den = work = None
+    if geometry == "ball":
+        h = x[1] - x[0]
+        band_den, rhs_den = x[1:-1] * 2.0 * h, x[1:-1] * 4.0 * h
+        work = np.empty(m - 2)
 
     times = [0.0]
     sups = [amax]
@@ -560,17 +615,24 @@ def solve_physical(u0, params: ProblemParams, R: float = 2.0, m: int = 4001,
         # a step too small to advance t would record a stalled clock
         if not math.isfinite(dt) or t + dt <= t:
             raise NumericError(f"step size underflow at t = {t}", payload={"t": t})
-        u = _reaction_exact(u, 0.5 * dt, p, big)
-        if diffusion:
-            ab = _diffusion_banded(x, dt, geometry, n)
-            u = solve_banded((1, 1), ab, _diffusion_rhs(u, x, dt, geometry, n))
-        u = _reaction_exact(u, 0.5 * dt, p, big)
+        # no finite check inside the step (solve_banded skips its own): a
+        # nan or inf state reaches amax quietly and stops the run above
+        with np.errstate(over="ignore", invalid="ignore"):
+            u, spare = _reaction_exact(u, 0.5 * dt, p, big, out=spare), u
+            if diffusion:
+                rhs = _diffusion_rhs(u, x, dt, geometry, n, out=spare,
+                                     den=rhs_den, work=work)
+                _diffusion_banded(x, dt, geometry, n, out=ab, den=band_den)
+                u, spare = solve_banded((1, 1), ab, rhs, overwrite_ab=True,
+                                        overwrite_b=True, check_finite=False), u
+            u, spare = _reaction_exact(u, 0.5 * dt, p, big, out=spare), u
         t += dt
-        amax = float(np.abs(u).max())
+        lo_u, hi_u = float(u.min()), float(u.max())
+        amax = max(abs(lo_u), abs(hi_u))
         times.append(t)
         sups.append(amax)
-        min_u = min(min_u, float(u.min()))
-        max_u = max(max_u, float(u.max()))
+        min_u = min(min_u, lo_u)
+        max_u = max(max_u, hi_u)
         while next_level < len(levels) and amax >= levels[next_level]:
             snapshots.append(Snapshot(t=t, max_u=amax, u=u.copy()))
             next_level += 1

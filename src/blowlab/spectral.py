@@ -19,13 +19,16 @@ change of H forces lambda_1 < -1.
 
 Each field's operator is assembled once: the Rayleigh, sign-change and
 stability checks all take the SpectralOperator, and the two that also read
-the field refuse one assembled on other values or another grid.
+the field refuse one assembled on other values or another grid. The operator
+also holds its one eigendecomposition, so every spectrum report on it shares
+a single `eigh`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal
@@ -142,6 +145,14 @@ class SpectralOperator:
     def size(self) -> int:
         return self.basis.size
 
+    @cached_property
+    def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(eigenvalues ascending, eigenvectors) of the matrix, computed on
+        first use and shared, read-only, by every report on this operator."""
+        mu, vecs = eigh(self.matrix)
+        mu.flags.writeable = vecs.flags.writeable = False
+        return mu, vecs
+
 
 def assemble(w, basis: WeightedBasis, params: ProblemParams,
              sym_tol: float = 1e-10) -> SpectralOperator:
@@ -194,7 +205,7 @@ class SpectrumReport:
 
 def spectrum(op: SpectralOperator, k: int | None = None) -> SpectrumReport:
     k = op.size if k is None else min(k, op.size)
-    mu, vecs = eigh(op.matrix)
+    mu, vecs = op.eigenpairs
     lam = -mu[::-1][:k]
     coeffs = vecs[:, ::-1][:, :k]
     return SpectrumReport(

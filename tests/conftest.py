@@ -4,7 +4,7 @@ unit tests and the acceptance gate drive the same runs."""
 import numpy as np
 import pytest
 
-from blowlab import ProblemParams, RescaledFlow, solve_physical
+from blowlab import ProblemParams, RescaledFlow, evolution, solve_physical
 
 # one line per acceptance criterion, echoed after the test summary so the
 # verdicts are visible without -s
@@ -49,3 +49,22 @@ def perturbed_kappa_run():
     run = flow.run(w0, s_end=2.0, record_states=True)
     assert run.status == "completed"
     return run
+
+
+@pytest.fixture
+def inf_in_third_step(monkeypatch):
+    """The physical reaction substep puts an inf mid-mesh on its fifth call,
+    the first half of the third step, so it reaches the banded solve. Returns
+    the list of substep calls (their dt)."""
+    real = evolution._reaction_exact
+    calls = []
+
+    def reaction(u, dt, p, big, out=None):
+        res = real(u, dt, p, big, out=out)
+        calls.append(dt)
+        if len(calls) == 5:
+            res[res.size // 2] = np.inf
+        return res
+
+    monkeypatch.setattr(evolution, "_reaction_exact", reaction)
+    return calls

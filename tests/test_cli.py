@@ -126,6 +126,32 @@ def test_numeric_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert manifest["verdicts"][0]["name"] == "numeric-failure"
 
 
+def test_nonfinite_state_exits_3(tmp_path, capsys, inf_in_third_step):
+    out = tmp_path / "blow"
+    assert run_cli("blowup", "--out", str(out), "--quiet", "--set", "m=401") == 3
+    assert "numerical failure: state left float range" in capsys.readouterr().err
+    manifest = load_manifest(out)
+    assert manifest["all_passed"] is False
+    assert manifest["verdicts"][0]["name"] == "numeric-failure"
+
+
+def test_one_eigendecomposition_per_spectrum_run(tmp_path, monkeypatch):
+    # the runner's report, the sign-change check and the stability check
+    # all read the operator's one decomposition
+    from blowlab import spectral
+    real = spectral.eigh
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(spectral, "eigh", counted)
+    assert run_cli("spectrum", "--out", str(tmp_path / "s"), "--quiet",
+                   "--set", "n=2", "--set", "N=32") == 0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("kind", ["blowup", "theorem13"])
 def test_negative_data_gives_verdicts(tmp_path, kind):
     # negative initial data blows up downward; the run must end in verdicts

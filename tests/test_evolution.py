@@ -30,6 +30,7 @@ from blowlab.evolution import (
     _diffusion_banded,
     _diffusion_rhs,
     _laplacian_bands,
+    _reaction_exact,
     _rescaled_banded,
     dissipation_rates,
     linearized_matrix,
@@ -393,6 +394,119 @@ def test_solve_physical_argument_errors():
         solve_physical(np.ones(7), P2, m=101)
     with pytest.raises(UsageError):                 # 10 u_cap overflows
         solve_physical(ones, P2, u_cap=1e308)
+
+
+# The physical step before it wrote into buffers: every substep allocated.
+# These are its expressions verbatim, the reference for the in-place step.
+
+def _allocating_reaction(u, dt, p, big):
+    z = 1.0 - (p - 1.0) * dt * np.abs(u) ** (p - 1.0)
+    return np.where(z > 0.0, u * np.maximum(z, 1e-300) ** (-1.0 / (p - 1.0)),
+                    np.sign(u) * big)
+
+
+def _allocating_banded(x, dt, geometry, n):
+    lo, di, up = _laplacian_bands(x, 0.5 * dt, geometry, n)
+    lo, di, up = -lo, 1.0 - di, -up
+    if geometry == "interval":
+        di[0], up[0] = 1.0, 0.0
+    lo[-1], di[-1] = 0.0, 1.0
+    ab = np.zeros((3, x.size))
+    ab[0, 1:] = up[:-1]
+    ab[1, :] = di
+    ab[2, :-1] = lo[1:]
+    return ab
+
+
+def _allocating_rhs(u, x, dt, geometry, n):
+    h = x[1] - x[0]
+    r = 0.5 * dt / (h * h)
+    rhs = u.copy()
+    lap = np.zeros_like(u)
+    lap[1:-1] = u[2:] - 2.0 * u[1:-1] + u[:-2]
+    if geometry == "ball":
+        lap[0] = 2.0 * n * (u[1] - u[0])
+        curv = dt * (n - 1.0) / (x[1:-1] * 4.0 * h)
+        rhs[1:-1] = u[1:-1] + r * lap[1:-1] + curv * (u[2:] - u[:-2])
+        rhs[0] = u[0] + r * lap[0]
+    else:
+        rhs[1:-1] = u[1:-1] + r * lap[1:-1]
+        rhs[0] = 0.0
+    rhs[-1] = 0.0
+    return rhs
+
+
+@pytest.mark.parametrize("geometry,params,u0,fixed_dt,diffusion", [
+    ("interval", P2, lambda x: 3.0 * np.cos(np.pi * x / 4.0), 5e-3, True),
+    ("ball", P33, lambda x: 5.0 * np.exp(-x * x), 5e-4, True),
+    ("interval", P2, lambda x: 3.0 * np.cos(np.pi * x / 4.0), 5e-3, False),
+], ids=["interval-p2", "ball-n3-p3", "no-diffusion"])
+def test_physical_step_is_bitwise_the_allocating_step(geometry, params, u0,
+                                                      fixed_dt, diffusion):
+    m, u_cap = 201, 1e8
+    t_max = 20 * fixed_dt
+    run = solve_physical(u0, params, m=m, geometry=geometry, u_cap=u_cap,
+                         t_max=t_max, diffusion=diffusion, fixed_dt=fixed_dt)
+    x = run.x
+    u = u0(x)
+    p, n, big = params.p, params.n, 10.0 * u_cap
+    t, amax = 0.0, float(np.abs(u).max())
+    times, sups = [t], [amax]
+    while t < t_max:
+        dt = min(fixed_dt, 0.2 * amax ** (1.0 - p), t_max - t)
+        u = _allocating_reaction(u, 0.5 * dt, p, big)
+        if diffusion:
+            u = solve_banded((1, 1), _allocating_banded(x, dt, geometry, n),
+                             _allocating_rhs(u, x, dt, geometry, n))
+        u = _allocating_reaction(u, 0.5 * dt, p, big)
+        t += dt
+        amax = float(np.abs(u).max())
+        times.append(t)
+        sups.append(amax)
+    assert run.status == "global-existence" and len(times) >= 21
+    assert sups[-1] > sups[0]                     # the reaction is at work
+    assert np.array_equal(run.u_final, u)
+    assert np.array_equal(run.times, times)
+    assert np.array_equal(run.sup_u, sups)
+
+
+@pytest.mark.parametrize("geometry,n", [("interval", 1), ("ball", 3)])
+def test_step_builders_write_the_allocating_values(geometry, n):
+    # each builder, fresh or into a dirty reused buffer, against its
+    # allocating reference; the reaction with points at and past the pole
+    x = np.linspace(-2.0, 2.0, 101) if geometry == "interval" else np.linspace(0.0, 2.0, 101)
+    u = np.random.default_rng(2).standard_normal(x.size) * 3.0
+    h, dt = x[1] - x[0], 2e-3
+    band_den, rhs_den = x[1:-1] * 2.0 * h, x[1:-1] * 4.0 * h
+    dirty = lambda shape: np.full(shape, np.nan)
+    want = _allocating_banded(x, dt, geometry, n)
+    assert np.array_equal(_diffusion_banded(x, dt, geometry, n), want)
+    got = _diffusion_banded(x, dt, geometry, n, out=dirty((3, x.size)), den=band_den)
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    want = _allocating_rhs(u, x, dt, geometry, n)
+    assert np.array_equal(_diffusion_rhs(u, x, dt, geometry, n), want)
+    got = _diffusion_rhs(u, x, dt, geometry, n, out=dirty(x.size), den=rhs_den,
+                         work=dirty(x.size - 2))
+    assert np.array_equal(got, want)
+    u[:3] = [0.0, 40.0, -40.0]                    # 1 - dt |u| <= 0 at +-40
+    for p in (2.0, 3.0):
+        want = _allocating_reaction(u, 0.05, p, 1e9)
+        assert np.abs(want[1:3]).tolist() == [1e9, 1e9]
+        assert np.array_equal(_reaction_exact(u, 0.05, p, 1e9), want)
+        got = _reaction_exact(u, 0.05, p, 1e9, out=dirty(x.size))
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("geometry,n", [("interval", 1), ("ball", 3)])
+def test_nonfinite_state_raises_numeric_error(inf_in_third_step, geometry, n):
+    # solve_banded skips its finite check, so an inf reaching it must not
+    # end in its ValueError: the loop's gate raises NumericError, and no
+    # numpy warning escapes on the way
+    params = ProblemParams(n=n, p=2.0 if n == 1 else 3.0)
+    with pytest.raises(NumericError, match="float range"):
+        solve_physical(lambda x: 3.0 * np.cos(np.pi * x / 4.0), params, m=401,
+                       geometry=geometry)
+    assert len(inf_in_third_step) == 6
 
 
 def test_solve_physical_stalled_clock_raises():
