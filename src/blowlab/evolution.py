@@ -610,8 +610,14 @@ def solve_physical(u0, params: ProblemParams, R: float = 2.0, m: int = 4001,
         if t >= t_max:
             status = "global-existence"
             break
-        dt = fixed_dt if fixed_dt is not None else theta * amax ** (1.0 - p)
-        dt = min(dt, 0.2 * amax ** (1.0 - p), t_max - t)
+        # the policy scale max|u|^(1-p) is +inf for zero data (a steady
+        # state) and for data so small that it overflows: dt is t_max - t
+        try:
+            scale = amax ** (1.0 - p)
+        except (ZeroDivisionError, OverflowError):
+            scale = math.inf
+        dt = fixed_dt if fixed_dt is not None else theta * scale
+        dt = min(dt, 0.2 * scale, t_max - t)
         # a step too small to advance t would record a stalled clock
         if not math.isfinite(dt) or t + dt <= t:
             raise NumericError(f"step size underflow at t = {t}", payload={"t": t})

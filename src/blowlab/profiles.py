@@ -19,6 +19,11 @@ converged-to-kappa-like-tail, or reached-Rmax-bounded. The constant solution
 w = kappa is the only bounded positive profile in the probed regimes; scans
 bracket outcome changes and bisection re-discovers kappa.
 
+A scan needs only each alpha's outcome and end radius. classify_shot takes
+them from the terminal events of an integration without dense output, and
+builds shoot()'s mesh only for an alpha that no event decides (the snap band
+below, or a shot still bounded at r_max, whose tail test reads the mesh).
+
 The constant branch is a separatrix: perturbations of the regular series
 solution grow only like r^2, but the second, singular solution of the
 linearized equation grows like e^{r^2/4}, so the rounding defect of kappa in
@@ -70,7 +75,9 @@ def _rhs(params: ProblemParams, cap: float):
     soft = 10.0 * cap  # keep powers finite on rejected trial steps past the cap
 
     def rhs(r, z):
-        w, wr = z
+        # Python floats: cheaper than numpy scalars, and the same for the
+        # ndarray solve_ivp passes and the tuple rk4_shoot passes
+        w, wr = float(z[0]), float(z[1])
         ww = min(abs(w), soft)
         return (wr, -((n - 1.0) / r - 0.5 * r) * wr + w / (p - 1.0) - ww ** (p - 1.0) * w)
 
@@ -109,11 +116,17 @@ class RadialProfile:
         return float(self.r[bad[0] - 1])
 
 
-def shoot(alpha: float, params: ProblemParams, r_max: float = 20.0,
-          rtol: float = 1e-10, atol: float = 1e-12, cap: float = 1e6,
-          mesh_points: int = 4001, method: str = "DOP853",
-          tail_tol: float = 1e-3) -> RadialProfile:
-    """Integrate from the series start; classify by the first terminal event."""
+def _integrate(alpha: float, params: ProblemParams, r_max: float, rtol: float,
+               atol: float, cap: float, method: str, dense: bool):
+    """Start from the series and integrate to the first terminal event.
+
+    Returns (series, sol, t_zero, t_cap, r_end), with series = (r0, c, d) and
+    an absent event at inf. For alpha in the snap band (module docstring) the
+    trajectory is the constant kappa: sol is None and r_end = r_max.
+    dense=False skips DOP853's dense-output stages on every step; events are
+    located on the step's own interpolant either way, so t_zero, t_cap and
+    r_end do not depend on it.
+    """
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise DomainError(f"shooting needs alpha > 0, got {alpha!r}")
     if r_max <= 0.0 or cap <= 0.0:
@@ -126,16 +139,7 @@ def shoot(alpha: float, params: ProblemParams, r_max: float = 20.0,
     if abs(alpha - kap) <= 1e-12 * max(1.0, kap):
         # separatrix snap (see module docstring); the band is far below any
         # bisection tolerance a scan would use
-        rr = np.linspace(r0, r_max, mesh_points)
-        return RadialProfile(
-            params=params, alpha=alpha, r=rr, w=np.full(mesh_points, alpha),
-            w_r=np.zeros(mesh_points), outcome="reached-Rmax-bounded",
-            r_end=float(r_max),
-            events={"zero_at": None, "cap_at": None},
-            meta={"r0": r0, "c": 0.0, "d": 0.0, "rtol": rtol, "atol": atol,
-                  "cap": cap, "r_max": r_max, "method": method,
-                  "snapped_to_constant": True},
-        )
+        return (r0, 0.0, 0.0), None, math.inf, math.inf, float(r_max)
 
     def ev_zero(r, z):
         return z[0]
@@ -150,23 +154,49 @@ def shoot(alpha: float, params: ProblemParams, r_max: float = 20.0,
     with np.errstate(over="ignore", invalid="ignore"):
         sol = solve_ivp(_rhs(params, cap), (r0, r_max), (w0, w0r),
                         method=method, rtol=rtol, atol=atol,
-                        events=(ev_zero, ev_cap), dense_output=True)
+                        events=(ev_zero, ev_cap), dense_output=dense)
     if sol.status == -1:
         raise NumericError(f"integration failed at r = {sol.t[-1]:.6g}: {sol.message}",
                            payload={"r": sol.t, "w": sol.y[0], "w_r": sol.y[1]})
 
     t_zero = sol.t_events[0][0] if sol.t_events[0].size else math.inf
     t_cap = sol.t_events[1][0] if sol.t_events[1].size else math.inf
-    r_end = float(min(t_zero, t_cap, sol.t[-1]))
+    return (r0, c, d), sol, t_zero, t_cap, float(min(t_zero, t_cap, sol.t[-1]))
+
+
+def _event_outcome(t_zero: float, t_cap: float) -> str | None:
+    """The outcome a terminal event decides, or None when neither fired."""
+    if t_zero <= t_cap and math.isfinite(t_zero):
+        return "hit-zero"
+    if math.isfinite(t_cap):
+        return "blew-up"
+    return None
+
+
+def shoot(alpha: float, params: ProblemParams, r_max: float = 20.0,
+          rtol: float = 1e-10, atol: float = 1e-12, cap: float = 1e6,
+          mesh_points: int = 4001, method: str = "DOP853",
+          tail_tol: float = 1e-3) -> RadialProfile:
+    """Integrate from the series start; classify by the first terminal event."""
+    (r0, c, d), sol, t_zero, t_cap, r_end = _integrate(
+        alpha, params, r_max, rtol, atol, cap, method, dense=True)
+    meta = {"r0": r0, "c": c, "d": d, "rtol": rtol, "atol": atol,
+            "cap": cap, "r_max": r_max, "method": method}
+    if sol is None:
+        rr = np.linspace(r0, r_max, mesh_points)
+        return RadialProfile(
+            params=params, alpha=alpha, r=rr, w=np.full(mesh_points, alpha),
+            w_r=np.zeros(mesh_points), outcome="reached-Rmax-bounded",
+            r_end=r_end, events={"zero_at": None, "cap_at": None},
+            meta=meta | {"snapped_to_constant": True},
+        )
+
     rr = np.linspace(r0, r_end, mesh_points)
     zz = sol.sol(rr)
     w, w_r = zz[0].copy(), zz[1].copy()
 
-    if t_zero <= t_cap and math.isfinite(t_zero):
-        outcome = "hit-zero"
-    elif math.isfinite(t_cap):
-        outcome = "blew-up"
-    else:
+    outcome = _event_outcome(t_zero, t_cap)
+    if outcome is None:
         quarter = rr >= r0 + 0.75 * (r_end - r0)
         kap = kappa(params.p)
         near = (np.abs(w[quarter] - kap).max() <= tail_tol * max(1.0, kap)
@@ -182,9 +212,28 @@ def shoot(alpha: float, params: ProblemParams, r_max: float = 20.0,
         r_end=r_end,
         events={"zero_at": None if math.isinf(t_zero) else float(t_zero),
                 "cap_at": None if math.isinf(t_cap) else float(t_cap)},
-        meta={"r0": r0, "c": c, "d": d, "rtol": rtol, "atol": atol,
-              "cap": cap, "r_max": r_max, "method": method},
+        meta=meta,
     )
+
+
+def classify_shot(alpha: float, params: ProblemParams, r_max: float = 20.0,
+                  rtol: float = 1e-10, atol: float = 1e-12, cap: float = 1e6,
+                  method: str = "DOP853", **mesh_kw) -> tuple[str, float]:
+    """shoot(alpha, params, ...)'s (outcome, r_end), without its mesh.
+
+    A terminal event decides hit-zero or blew-up from a sparse integration.
+    Only when none fires (the snap band, or a trajectory that stays bounded
+    up to r_max) does the tail test need the mesh: then this calls shoot(),
+    passing mesh_kw (mesh_points, tail_tol) on.
+    """
+    _, _, t_zero, t_cap, r_end = _integrate(alpha, params, r_max, rtol, atol,
+                                            cap, method, dense=False)
+    outcome = _event_outcome(t_zero, t_cap)
+    if outcome is not None:
+        return outcome, r_end
+    prof = shoot(alpha, params, r_max=r_max, rtol=rtol, atol=atol, cap=cap,
+                 method=method, **mesh_kw)
+    return prof.outcome, prof.r_end
 
 
 def rk4_shoot(alpha: float, params: ProblemParams, r_max: float = 10.0,
@@ -286,15 +335,15 @@ def scan_profiles(params: ProblemParams, alpha_lo: float, alpha_hi: float,
     else:
         raise UsageError(f"unknown spacing {spacing!r}")
 
-    cache: dict[float, RadialProfile] = {}
+    cache: dict[float, tuple[str, float]] = {}
 
-    def classify(a: float) -> RadialProfile:
+    def classify(a: float) -> tuple[str, float]:
         if a not in cache:
-            cache[a] = shoot(a, params, **shoot_kw)
+            cache[a] = classify_shot(a, params, **shoot_kw)
         return cache[a]
 
-    outcomes = [classify(float(a)).outcome for a in alphas]
-    r_ends = np.array([cache[float(a)].r_end for a in alphas])
+    outcomes = [classify(float(a))[0] for a in alphas]
+    r_ends = np.array([cache[float(a)][1] for a in alphas])
 
     brackets = []
     for a, b, oa, ob in zip(alphas[:-1], alphas[1:], outcomes[:-1], outcomes[1:]):
@@ -303,7 +352,7 @@ def scan_profiles(params: ProblemParams, alpha_lo: float, alpha_hi: float,
         lo, hi, olo, ohi = float(a), float(b), oa, ob
         while hi - lo > bisect_tol * max(1.0, abs(hi)):
             mid = 0.5 * (lo + hi)
-            om = classify(mid).outcome
+            om = classify(mid)[0]
             if om == olo:
                 lo = mid
             else:

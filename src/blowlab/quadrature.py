@@ -244,31 +244,6 @@ def require_same_grid(a: Grid, b: Grid) -> None:
         )
 
 
-def check_grid(grid: Grid, max_degree: int | None = None) -> dict:
-    """Diagnostics: weight-sum relative error and worst moment relative error.
-
-    Tensor grids are checked against 1-D Gaussian moments per axis, radial
-    grids against the closed-form radial moments. Exactness is expected for
-    polynomial degree <= 2*degree - 1.
-    """
-    mass_rel = abs(grid.weights.sum() - grid.total_mass()) / grid.total_mass()
-    worst = 0.0
-    top = 2 * grid.degree - 1 if max_degree is None else max_degree
-    if grid.kind == "tensor":
-        y0 = grid.points[:, 0]
-        rest = TOTAL_MASS_1D ** (grid.n - 1)
-        for k in range(0, top + 1, 2):
-            exact = gaussian_moment_1d(k) * rest
-            got = float(np.dot(grid.weights, y0**k))
-            worst = max(worst, abs(got - exact) / abs(exact))
-    else:
-        for k in range(0, top + 1, 2):
-            exact = gaussian_radial_moment(grid.n, k)
-            got = float(np.dot(grid.weights, grid.r**k))
-            worst = max(worst, abs(got - exact) / abs(exact))
-    return {"mass_rel_err": float(mass_rel), "moment_rel_err": float(worst)}
-
-
 def smoothstep(t):
     """C^2 ramp 0 -> 1 on [0, 1]: 6 t^5 - 15 t^4 + 10 t^3, max slope 1.875."""
     t = np.clip(t, 0.0, 1.0)

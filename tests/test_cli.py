@@ -162,6 +162,22 @@ def test_negative_data_gives_verdicts(tmp_path, kind):
     assert manifest["kind"] == kind and manifest["verdicts"]
 
 
+@pytest.mark.parametrize("sets", [("amp=0",), ("amp=1e-200", "p=3")],
+                         ids=["zero", "tiny-p3"])
+def test_zero_and_tiny_data_give_verdicts(tmp_path, sets):
+    # max|u|^(1-p) is 1/0 for zero data and overflows for 1e-200 at p = 3;
+    # both runs exist globally and must end in verdicts with a manifest
+    out = tmp_path / "blowup"
+    argv = ["blowup", "--out", str(out), "--quiet"]
+    for pair in sets:
+        argv += ["--set", pair]
+    assert run_cli(*argv) == 1
+    verdicts = {v["name"]: v for v in load_manifest(out)["verdicts"]}
+    assert verdicts["status-expected"]["detail"] == "status global-existence"
+    summary = json.loads((out / "blowup.json").read_text())
+    assert summary["status"] == "global-existence"
+
+
 @pytest.mark.parametrize("amp", [3.0, -3.0])
 def test_positivity_verdict_follows_the_sign_of_the_data(tmp_path, amp):
     out = tmp_path / "blowup"

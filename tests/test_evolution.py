@@ -361,6 +361,27 @@ def test_small_data_global_existence():
     assert run.t_end == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("geometry,n", [("interval", 1), ("ball", 3)])
+def test_zero_data_is_a_steady_state(geometry, n):
+    # max|u|^(1-p) = 1/0: no step-size limit, so one step to t_max
+    params = ProblemParams(n=n, p=3.0)
+    run = solve_physical(np.zeros_like, params, m=101, geometry=geometry, t_max=2.0)
+    assert run.status == "global-existence" and run.T_est is None
+    assert run.times.tolist() == [0.0, 2.0]
+    assert run.sup_u.tolist() == [0.0, 0.0] and not run.u_final.any()
+
+
+def test_data_below_the_step_scale_range_runs_to_t_max():
+    # (1e-200)^(1-p) overflows at p = 3; at p = 2 it is 1e200 and finite, and
+    # both limit dt by t_max - t alone
+    for p in (2.0, 3.0):
+        run = solve_physical(lambda x: 1e-200 * np.cos(np.pi * x / 4.0),
+                             ProblemParams(n=1, p=p), m=101, t_max=2.0)
+        assert run.status == "global-existence"
+        assert run.times.tolist() == [0.0, 2.0]
+        assert 0.0 < run.sup_u[-1] < 1e-200
+
+
 @pytest.mark.parametrize("geometry,n,u0", [
     ("interval", 1, lambda x: 3.0 * np.cos(np.pi * x / 4.0)),
     ("ball", 3, lambda x: 20.0 * np.exp(-x * x)),

@@ -9,7 +9,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import CubicHermiteSpline
+
+import blowlab.profiles as profiles
 
 from blowlab import (
     DomainError,
@@ -25,7 +29,9 @@ from blowlab import (
 )
 from blowlab.profiles import (
     OUTCOMES,
+    _rhs,
     accepts_bounded_positive,
+    classify_shot,
     rk4_shoot,
     series_start,
 )
@@ -266,3 +272,119 @@ def test_profile_field_on_radial_grid():
     inside = grid.r <= 20.0
     assert np.abs(f.values[inside] - kappa(3.0)).max() < 1e-9
     assert np.all(f.values > 0.0)
+
+
+EVENT_OUTCOMES = ("hit-zero", "blew-up")
+
+
+@st.composite
+def shot_cases(draw):
+    """(params, alpha, shoot keywords): alpha near kappa (the snap band
+    included), below it, far above it, or anywhere below 3 kappa; r_max down
+    to 0.05; the default cap, or one a little above kappa that shots rising
+    from below kappa cross."""
+    p = draw(st.sampled_from([1.5, 2.0, 3.0, 5.0]) | st.floats(1.2, 6.0))
+    kap = kappa(p)
+    where = draw(st.sampled_from(["near", "below", "far", "wide"]))
+    if where == "near":
+        alpha = kap * (1.0 + draw(st.floats(-1e-3, 1e-3)))
+    elif where == "below":
+        alpha = kap * draw(st.floats(0.05, 0.95))
+    elif where == "far":
+        alpha = kap * draw(st.floats(10.0, 1e3))
+    else:
+        alpha = kap * draw(st.floats(0.05, 3.0))
+    kw = {"r_max": draw(st.sampled_from([20.0]) | st.floats(0.05, 6.0)),
+          "cap": draw(st.just(1e6) | st.floats(1.05, 3.0).map(lambda f: f * kap))}
+    return ProblemParams(n=draw(st.integers(1, 4)), p=p), alpha, kw
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@example((P21, 0.5, {"r_max": 20.0, "cap": 1.0}))     # blew-up
+@example((P21, 0.99, {"r_max": 3.0, "cap": 1e6}))     # falls back: bounded
+@example((P21, 1.0, {"r_max": 20.0, "cap": 1e6}))     # falls back: snap band
+@given(shot_cases())
+def test_classifier_matches_shoot(case):
+    params, alpha, kw = case
+    prof = shoot(alpha, params, mesh_points=401, **kw)
+    assert classify_shot(alpha, params, mesh_points=401, **kw) == (prof.outcome, prof.r_end)
+
+
+def test_classifier_falls_back_only_without_an_event(monkeypatch):
+    calls = []
+    real = profiles.shoot
+
+    def counting(alpha, params, **kw):
+        calls.append(kw)
+        return real(alpha, params, **kw)
+
+    monkeypatch.setattr(profiles, "shoot", counting)
+    outcome, r_end = classify_shot(0.5, P21, cap=1.0)
+    assert outcome == "blew-up" and r_end < 20.0
+    assert classify_shot(0.5, P21)[0] == "hit-zero"
+    assert calls == []
+    assert classify_shot(0.99, P21, r_max=3.0, mesh_points=801) == (
+        "reached-Rmax-bounded", 3.0)
+    assert calls == [{"r_max": 3.0, "rtol": 1e-10, "atol": 1e-12, "cap": 1e6,
+                      "method": "DOP853", "mesh_points": 801}]
+
+
+@pytest.mark.parametrize("lo, hi, kw, n_shots", [
+    (0.5, 1.5, {"count": 5}, 1),                # kappa on the grid: snapped
+    (0.9, 1.1, {"count": 5, "r_max": 3.0}, 5),  # bounded up to a short r_max
+    (0.2, 2.0, {"count": 7, "cap": 1.5}, 0),    # a blew-up/hit-zero bracket
+], ids=["snap", "short-rmax", "cap"])
+def test_scan_shoots_only_undecided_alphas(monkeypatch, lo, hi, kw, n_shots):
+    classified, shot = [], []
+    real_classify, real_shoot = profiles.classify_shot, profiles.shoot
+
+    def counting_classify(alpha, params, **shoot_kw):
+        res = real_classify(alpha, params, **shoot_kw)
+        classified.append((alpha, res[0]))
+        return res
+
+    def counting_shoot(alpha, params, **shoot_kw):
+        assert shoot_kw["mesh_points"] == 201     # scan's **shoot_kw reaches it
+        shot.append(alpha)
+        return real_shoot(alpha, params, **shoot_kw)
+
+    monkeypatch.setattr(profiles, "classify_shot", counting_classify)
+    monkeypatch.setattr(profiles, "shoot", counting_shoot)
+    res = scan_profiles(P21, lo, hi, mesh_points=201, **kw)
+    undecided = [a for a, o in classified if o not in EVENT_OUTCOMES]
+    assert shot == undecided and len(shot) == n_shots
+    assert len(set(a for a, _ in classified)) == len(classified)   # cached
+    assert res.outcomes == [o for _, o in classified[:len(res.alphas)]]
+    assert len(classified) > len(res.alphas) or not res.brackets
+
+
+def _rhs_numpy_scalars(params, cap):
+    # the right-hand side as it was before _rhs converted to Python floats;
+    # with an ndarray z it computes on numpy float64 scalars
+    p, n = params.p, params.n
+    soft = 10.0 * cap  # keep powers finite on rejected trial steps past the cap
+
+    def rhs(r, z):
+        w, wr = z
+        ww = min(abs(w), soft)
+        return (wr, -((n - 1.0) / r - 0.5 * r) * wr + w / (p - 1.0) - ww ** (p - 1.0) * w)
+
+    return rhs
+
+
+@pytest.mark.parametrize("p, n", [(2.0, 1), (3.0, 3), (5.0, 3), (1.5, 1), (2.0, 4)])
+def test_rhs_is_bitwise_the_numpy_scalar_rhs(p, n):
+    params = ProblemParams(n=n, p=p)
+    cap = 1e6
+    new, old = _rhs(params, cap), _rhs_numpy_scalars(params, cap)
+    rng = np.random.default_rng(int(10 * p) + n)
+    size = 4000
+    rs = 10.0 ** rng.uniform(-4.0, 1.3, size)
+    # magnitudes from 1e-8 past the 10 cap clamp at 1e7, both signs
+    ws = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-8.0, 8.0, size)
+    wrs = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-8.0, 4.0, size)
+    for r, w, wr in zip(rs.tolist(), ws.tolist(), wrs.tolist()):
+        want = np.array(old(r, np.array([w, wr])), dtype=float).view(np.int64)
+        for z in (np.array([w, wr]), (w, wr)):
+            got = np.array(new(r, z), dtype=float).view(np.int64)
+            assert np.array_equal(got, want), (r, w, wr, z)

@@ -15,7 +15,6 @@ from blowlab import (
 )
 from blowlab.quadrature import (
     TOTAL_MASS_1D,
-    check_grid,
     cutoff_radial,
     hermite_basis,
     require_basis_fits,
@@ -134,6 +133,31 @@ def test_radial_basis_orthonormal():
         g = radial_grid(n, 40)
         gram = g.basis.T @ (g.weights[:, None] * g.basis)
         assert np.abs(gram - np.eye(40)).max() < 1e-8
+
+
+def check_grid(grid):
+    """Diagnostics: weight-sum relative error and worst moment relative error.
+
+    Tensor grids are checked against 1-D Gaussian moments per axis, radial
+    grids against the closed-form radial moments. Exactness is expected for
+    polynomial degree <= 2*degree - 1.
+    """
+    mass_rel = abs(grid.weights.sum() - grid.total_mass()) / grid.total_mass()
+    worst = 0.0
+    top = 2 * grid.degree - 1
+    if grid.kind == "tensor":
+        y0 = grid.points[:, 0]
+        rest = TOTAL_MASS_1D ** (grid.n - 1)
+        for k in range(0, top + 1, 2):
+            exact = gaussian_moment_1d(k) * rest
+            got = float(np.dot(grid.weights, y0**k))
+            worst = max(worst, abs(got - exact) / abs(exact))
+    else:
+        for k in range(0, top + 1, 2):
+            exact = gaussian_radial_moment(grid.n, k)
+            got = float(np.dot(grid.weights, grid.r**k))
+            worst = max(worst, abs(got - exact) / abs(exact))
+    return {"mass_rel_err": float(mass_rel), "moment_rel_err": float(worst)}
 
 
 def test_check_grid_diagnostics():
