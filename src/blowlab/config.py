@@ -17,6 +17,7 @@ config_text/parse.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -194,6 +195,8 @@ def _validate(kind: str, cfg: dict) -> None:
         raise ConfigurationError(f"L must be >= 8, got {cfg['L']}")
     if kind == "scan" and not 0.0 < cfg["alpha_lo"] < cfg["alpha_hi"]:
         raise ConfigurationError("need 0 < alpha_lo < alpha_hi")
+    if kind == "scan" and not (cfg["bisect_tol"] > 0.0 and math.isfinite(cfg["bisect_tol"])):
+        raise ConfigurationError(f"bisect_tol must be finite and > 0, got {cfg['bisect_tol']}")
 
 
 def load_config_file(path) -> dict[str, str]:

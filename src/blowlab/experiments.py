@@ -350,8 +350,10 @@ def run_scan(cfg: dict, out_dir: Path) -> RunOutcome:
         "kappa_in_some_bracket": covered,
     }
     write_json(out_dir / "scan.json", summary)
+    widest = max((b.width for b in result.brackets), default=0.0)
     verdicts = [Verdict("brackets-refined", refined,
-                        f"{len(result.brackets)} brackets at tol {cfg['bisect_tol']:g}")]
+                        f"{len(result.brackets)} brackets at tol {cfg['bisect_tol']:g}, "
+                        f"widest {widest:.3g}")]
     if cfg["alpha_lo"] < kap < cfg["alpha_hi"]:
         verdicts.append(Verdict("kappa-bracketed", covered,
                                 f"kappa = {kap:.9g}"))

@@ -20,9 +20,16 @@ w = kappa is the only bounded positive profile in the probed regimes; scans
 bracket outcome changes and bisection re-discovers kappa.
 
 A scan needs only each alpha's outcome and end radius. classify_shot takes
-them from the terminal events of an integration without dense output, and
-builds shoot()'s mesh only for an alpha that no event decides (the snap band
-below, or a shot still bounded at r_max, whose tail test reads the mesh).
+them from the terminal events of a solve_ivp integration without dense
+output, and builds shoot()'s mesh only for an alpha that no event decides
+(the snap band below, or a shot still bounded at r_max, whose tail test
+reads the mesh). classify_lanes does the same for a whole list of alphas at
+once: each alpha is a lane of one vectorised DOP853 integration that repeats
+scipy's arithmetic (tableau, step-size control, event location on the dense
+interpolant), so its results are classify_shot's. scan_profiles classifies
+its grid in one batch, and bisects every bracket BISECT_DEPTH levels per
+batch, tree-exact: the brackets are those of the sequential loop. shoot and
+classify_shot stay on solve_ivp as the scalar reference.
 
 The constant branch is a separatrix: perturbations of the regular series
 solution grow only like r^2, but the second, singular solution of the
@@ -37,10 +44,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from itertools import repeat
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as _dop853
 from scipy.interpolate import CubicHermiteSpline
+from scipy.optimize import brentq
 
 from .calculus import SampledField, radial_field
 from .errors import DomainError, NumericError, UsageError
@@ -53,6 +63,17 @@ OUTCOMES = (
     "blew-up",
     "reached-Rmax-bounded",
 )
+
+# scipy's DOP853 tableau and step-size control, for the lane classifier
+_N_STAGES = _dop853.N_STAGES
+_A, _B, _C = _dop853.A, _dop853.B, _dop853.C
+_E3, _E5, _D = _dop853.E3, _dop853.E5, _dop853.D
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERR_EXP = -1.0 / 8.0                       # -1 / (error estimator order + 1)
+_EPS = float(np.finfo(float).eps)
+
+# levels of the sequential bisection that one batch of lanes settles
+BISECT_DEPTH = 5
 
 
 def series_start(alpha: float, params: ProblemParams) -> tuple[float, float, float, float, float]:
@@ -236,6 +257,246 @@ def classify_shot(alpha: float, params: ProblemParams, r_max: float = 20.0,
     return prof.outcome, prof.r_end
 
 
+def _pow(x: np.ndarray, e: float) -> np.ndarray:
+    """x ** e for x >= 0 per lane, with the C library's pow as Python floats
+    and numpy scalars compute it (numpy's vectorised power can differ in the
+    last bit); inf where the power overflows or divides by zero."""
+    if e == 1.0:
+        return x
+    vals = x.tolist()
+    try:
+        return np.fromiter(map(math.pow, vals, repeat(e)), float, len(vals))
+    except (OverflowError, ValueError):
+        return np.array([_pow_or_inf(v, e) for v in vals])
+
+
+def _pow_or_inf(v: float, e: float) -> float:
+    try:
+        return v ** e
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each lane's row of x, through the same ddot."""
+    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
+
+
+def _rhs_lanes(params: ProblemParams, cap: float):
+    """_rhs's expression on lanes, in two parts: drift(r) is the coefficient
+    -((n-1)/r - r/2) of w_r, for radii of any shape, and rhs(drift_r, y, out)
+    writes (w_r, w_r') for the lane states y (lanes, 2) into out."""
+    p, n = params.p, params.n
+    soft = 10.0 * cap
+
+    def drift(r):
+        return -((n - 1.0) / r - 0.5 * r)
+
+    def rhs(drift_r, y, out):
+        w, wr = y[:, 0], y[:, 1]
+        out[:, 0] = wr
+        out[:, 1] = drift_r * wr + w / (p - 1.0) - _pow(np.minimum(np.abs(w), soft), p - 1.0) * w
+
+    return drift, rhs
+
+
+def _initial_step(drift, rhs, t, y, f, t_bound, rtol, atol):
+    """scipy's select_initial_step for DOP853 (error estimator order 7), per lane."""
+    interval = t_bound - t
+    scale = atol + np.abs(y) * rtol
+    d0 = _norms(y / scale) / 2 ** 0.5
+    d1 = _norms(f / scale) / 2 ** 0.5
+    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+    h0 = np.minimum(h0, interval)
+    f1 = np.empty_like(y)
+    rhs(drift(t + h0), y + h0[:, None] * f, f1)
+    d2 = _norms((f1 - f) / scale) / 2 ** 0.5 / h0
+    tiny = (d1 <= 1e-15) & (d2 <= 1e-15)
+    h1 = np.where(tiny, np.maximum(1e-6, h0 * 1e-3),
+                  _pow(0.01 / np.where(d2 > d1, d2, d1), 1.0 / 8.0))
+    return np.minimum(np.minimum(100.0 * h0, h1), interval)
+
+
+def _first_event(params, cap, t_old, t_new, y_old, y_new, K, zero, up):
+    """(outcome, radius) of the terminal event in one lane's accepted step.
+
+    K (16, 2) holds the step's 13 stages. Builds the step's 7th-order
+    interpolant from the 3 extra stages as scipy's DOP853 dense output does,
+    and locates each active event on it with brentq (xtol = rtol = 4 eps).
+    The earlier root wins, hit-zero on a tie, as solve_ivp's first terminal
+    event does.
+    """
+    rhs = _rhs(params, cap)
+    h = t_new - t_old
+    for s in range(_N_STAGES + 1, _dop853.N_STAGES_EXTENDED):
+        dy = np.dot(K[:s].T, _A[s, :s]) * h
+        K[s] = rhs(t_old + _C[s] * h, y_old + dy)
+    delta = y_new - y_old
+    F = np.empty((_dop853.INTERPOLATOR_POWER, 2))
+    F[0] = delta
+    F[1] = h * K[0] - delta
+    F[2] = 2 * delta - h * (K[_N_STAGES] + K[0])
+    F[3:] = h * np.dot(_D, K)
+    coeffs = F[::-1, 0].tolist()
+    w_old = float(y_old[0])
+
+    def w_at(t):
+        x = (t - t_old) / h
+        w = 0.0
+        for i, c in enumerate(coeffs):
+            w += c
+            w *= x if i % 2 == 0 else 1 - x
+        return w + w_old
+
+    tol = 4 * _EPS
+    roots = []
+    if zero:
+        roots.append((brentq(w_at, t_old, t_new, xtol=tol, rtol=tol), "hit-zero"))
+    if up:
+        roots.append((brentq(lambda t: abs(w_at(t)) - cap, t_old, t_new,
+                             xtol=tol, rtol=tol), "blew-up"))
+    r, outcome = min(roots, key=lambda root: root[0])
+    return outcome, float(r)
+
+
+def classify_lanes(alphas, params: ProblemParams, r_max: float = 20.0,
+                   rtol: float = 1e-10, atol: float = 1e-12, cap: float = 1e6,
+                   method: str = "DOP853", **mesh_kw) -> list[tuple[str, float]]:
+    """[classify_shot(alpha, params, ...) for alpha in alphas], in one batch.
+
+    Each alpha is a lane with its own r, (w, w_r), step size and rejected-step
+    flag; one vectorised DOP853 step per iteration advances every lane. The
+    tableau, initial step, error norm and step-size control are scipy's, with
+    the same arithmetic, so a lane takes solve_ivp's steps. A lane ends on
+    the first accepted step where w crosses 0 downward or |w| crosses cap
+    upward, located on that step's dense interpolant. A lane in the snap band,
+    or one that reaches r_max without an event, goes to shoot() as in
+    classify_shot, with mesh_kw passed on.
+    """
+    if method != "DOP853":
+        raise UsageError(f"lane classification integrates with DOP853, not {method!r}")
+    alphas = [float(a) for a in alphas]
+    for alpha in alphas:
+        if not (alpha > 0.0 and math.isfinite(alpha)):
+            raise DomainError(f"shooting needs alpha > 0, got {alpha!r}")
+    if r_max <= 0.0 or cap <= 0.0:
+        raise UsageError("r_max and cap must be positive")
+    if atol < 0.0:
+        raise UsageError("atol must not be negative")
+    kap = kappa(params.p)
+    results: list = [None] * len(alphas)
+    fallback, lanes, starts = [], [], []
+    for i, alpha in enumerate(alphas):
+        r0, w0, w0r, _, _ = series_start(alpha, params)
+        if r_max <= r0:
+            raise UsageError(f"r_max = {r_max} does not exceed the start radius {r0}")
+        if abs(alpha - kap) <= 1e-12 * max(1.0, kap):
+            fallback.append(i)        # the snap band: the constant trajectory
+        else:
+            lanes.append(i)
+            starts.append((r0, w0, w0r))
+    if lanes:
+        start = np.array(starts)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            fallback += _run_lanes(params, np.array(lanes), start[:, 0], start[:, 1:],
+                                   float(r_max), max(rtol, 100 * _EPS),  # solve_ivp's floor
+                                   atol, cap, alphas, results)
+    for i in sorted(fallback):
+        prof = shoot(alphas[i], params, r_max=r_max, rtol=rtol, atol=atol, cap=cap,
+                     method=method, **mesh_kw)
+        results[i] = (prof.outcome, prof.r_end)
+    return results
+
+
+def _step(drift, rhs, t, y, f, h_abs, rejected, t_bound, rtol, atol):
+    """One DOP853 step attempt per lane, one pass of scipy's
+    RungeKutta._step_impl loop. h_abs is the step size to try (already held
+    at or above the minimum step) and rejected flags the lanes whose last
+    attempt failed. Returns (t_new, y_new, K, ok, h_next): K holds the
+    stages as (lane, stage, component), ok the lanes whose attempt is
+    accepted, h_next the step size each lane tries next."""
+    t_new = np.minimum(t + h_abs, t_bound)
+    h = t_new - t
+    h_abs = np.abs(h)
+
+    # each lane's K is laid out as scipy's, so matmul runs scipy's np.dot
+    # on it lane by lane
+    K = np.empty((t.size, _dop853.N_STAGES_EXTENDED, 2))
+    Kt = K.transpose(0, 2, 1)
+    K[:, 0] = f
+    drift_r = drift(t + _C[:_N_STAGES + 1, None] * h)    # C[12] = 1: r = t + h
+    h2 = h[:, None]
+    for s in range(1, _N_STAGES):
+        dy = np.matmul(Kt[:, :, :s], _A[s, :s])
+        dy *= h2
+        dy += y
+        rhs(drift_r[s], dy, K[:, s])
+    y_new = y + h2 * np.matmul(Kt[:, :, :_N_STAGES], _B)
+    rhs(drift_r[_N_STAGES], y_new, K[:, _N_STAGES])
+
+    # scipy's DOP853 error norm and step-size factor
+    scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+    e5 = _pow(_norms(np.matmul(Kt[:, :, :_N_STAGES + 1], _E5) / scale), 2.0)
+    e3 = _pow(_norms(np.matmul(Kt[:, :, :_N_STAGES + 1], _E3) / scale), 2.0)
+    err = np.where((e5 == 0.0) & (e3 == 0.0), 0.0,
+                   h_abs * e5 / np.sqrt((e5 + 0.01 * e3) * 2))
+    ok = err < 1.0
+    factor = _SAFETY * _pow(err, _ERR_EXP)
+    grow = np.where(err == 0.0, _MAX_FACTOR,
+                    np.where(factor < _MAX_FACTOR, factor, _MAX_FACTOR))
+    grow = np.where(rejected & ~(grow < 1.0), 1.0, grow)
+    shrink = np.where(factor > _MIN_FACTOR, factor, _MIN_FACTOR)
+    return t_new, y_new, K, ok, h_abs * np.where(ok, grow, shrink)
+
+
+def _run_lanes(params, idx, t, y, t_bound, rtol, atol, cap, alphas, results):
+    """Integrate lanes idx from radii t and states y (lanes, 2) to their first
+    terminal event, writing (outcome, r_end) into results. Returns the lanes
+    that reached t_bound without one."""
+    drift, rhs = _rhs_lanes(params, cap)
+    f = np.empty_like(y)
+    rhs(drift(t), y, f)
+    h_abs = _initial_step(drift, rhs, t, y, f, t_bound, rtol, atol)
+    g_zero, g_cap = y[:, 0], np.abs(y[:, 0]) - cap
+    rejected = np.zeros(idx.size, dtype=bool)
+    reached_bound = []
+    while idx.size:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = np.where(~rejected & (h_abs < min_step), min_step, h_abs)
+        small = rejected & (h_abs < min_step)
+        if small.any():
+            j = int(np.argmax(small))
+            raise NumericError(
+                f"integration failed at r = {t[j]:.6g}: required step size is "
+                "less than spacing between numbers",
+                payload={"alpha": alphas[idx[j]], "r": float(t[j])})
+        t_new, y_new, K, ok, h_abs = _step(drift, rhs, t, y, f, h_abs, rejected,
+                                           t_bound, rtol, atol)
+        rejected = ~ok
+
+        # terminal events on accepted steps, by solve_ivp's sign tests
+        gz_new = np.where(ok, y_new[:, 0], g_zero)
+        gc_new = np.where(ok, np.abs(y_new[:, 0]) - cap, g_cap)
+        zero = ok & (g_zero >= 0.0) & (gz_new <= 0.0)
+        up = ok & (g_cap <= 0.0) & (gc_new >= 0.0)
+        fired = zero | up
+        for j in np.flatnonzero(fired):
+            results[idx[j]] = _first_event(params, cap, t[j], t_new[j], y[j], y_new[j],
+                                           K[j], bool(zero[j]), bool(up[j]))
+        reached = ok & ~fired & (t_new >= t_bound)
+        reached_bound += idx[reached].tolist()
+
+        t = np.where(ok, t_new, t)
+        y = np.where(ok[:, None], y_new, y)
+        f = np.where(ok[:, None], K[:, _N_STAGES], f)
+        g_zero, g_cap = gz_new, gc_new
+        keep = ~(fired | reached)
+        if not keep.all():
+            idx, t, y, f, h_abs, rejected, g_zero, g_cap = (
+                x[keep] for x in (idx, t, y, f, h_abs, rejected, g_zero, g_cap))
+    return reached_bound
+
+
 def rk4_shoot(alpha: float, params: ProblemParams, r_max: float = 10.0,
               h: float = 1e-3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fixed-step classic RK4 from the same series start; the independent
@@ -323,7 +584,15 @@ def scan_profiles(params: ProblemParams, alpha_lo: float, alpha_hi: float,
                   count: int = 33, spacing: str = "linear",
                   bisect_tol: float = 1e-8, **shoot_kw) -> ScanResult:
     """Classify count alphas, then bisect every consecutive outcome change
-    down to width bisect_tol * max(1, alpha)."""
+    down to width bisect_tol * max(1, alpha), or until the midpoint no longer
+    lies strictly inside the bracket.
+
+    The grid is one batch of lanes. Bisection is the sequential loop's, run
+    BISECT_DEPTH levels per batch: each round classifies, for every open
+    bracket, every midpoint the loop could visit in its next BISECT_DEPTH
+    steps, then walks those steps. The brackets are bitwise the sequential
+    loop's.
+    """
     if not (0.0 < alpha_lo < alpha_hi):
         raise DomainError("need 0 < alpha_lo < alpha_hi")
     if count < 2:
@@ -337,29 +606,47 @@ def scan_profiles(params: ProblemParams, alpha_lo: float, alpha_hi: float,
 
     cache: dict[float, tuple[str, float]] = {}
 
-    def classify(a: float) -> tuple[str, float]:
-        if a not in cache:
-            cache[a] = classify_shot(a, params, **shoot_kw)
-        return cache[a]
+    def classify(batch: list[float]) -> None:
+        todo = list(dict.fromkeys(a for a in batch if a not in cache))
+        if todo:
+            cache.update(zip(todo, classify_lanes(todo, params, **shoot_kw)))
 
-    outcomes = [classify(float(a))[0] for a in alphas]
-    r_ends = np.array([cache[float(a)][1] for a in alphas])
+    def splits(lo: float, hi: float) -> bool:
+        # the sequential loop's test, plus a stop once rounding leaves no
+        # midpoint strictly inside (lo, hi)
+        return (hi - lo > bisect_tol * max(1.0, abs(hi))
+                and lo < 0.5 * (lo + hi) < hi)
 
-    brackets = []
-    for a, b, oa, ob in zip(alphas[:-1], alphas[1:], outcomes[:-1], outcomes[1:]):
-        if oa == ob:
-            continue
-        lo, hi, olo, ohi = float(a), float(b), oa, ob
-        while hi - lo > bisect_tol * max(1.0, abs(hi)):
-            mid = 0.5 * (lo + hi)
-            om = classify(mid)[0]
-            if om == olo:
-                lo = mid
-            else:
-                hi, ohi = mid, om
-        brackets.append(Bracket(lo, hi, olo, ohi))
+    def midpoints(lo: float, hi: float, depth: int) -> list[float]:
+        if depth == 0 or not splits(lo, hi):
+            return []
+        mid = 0.5 * (lo + hi)
+        return [mid] + midpoints(lo, mid, depth - 1) + midpoints(mid, hi, depth - 1)
+
+    grid = alphas.tolist()
+    classify(grid)
+    outcomes = [cache[a][0] for a in grid]
+    r_ends = np.array([cache[a][1] for a in grid])
+
+    # [lo, hi, outcome_lo, outcome_hi] per outcome change, in grid order
+    brackets = [[lo, hi, olo, ohi] for lo, hi, olo, ohi in
+                zip(grid[:-1], grid[1:], outcomes[:-1], outcomes[1:]) if olo != ohi]
+    active = [b for b in brackets if splits(b[0], b[1])]
+    while active:
+        classify([m for b in active for m in midpoints(b[0], b[1], BISECT_DEPTH)])
+        for b in active:
+            for _ in range(BISECT_DEPTH):
+                if not splits(b[0], b[1]):
+                    break
+                mid = 0.5 * (b[0] + b[1])
+                om = cache[mid][0]
+                if om == b[2]:
+                    b[0] = mid
+                else:
+                    b[1], b[3] = mid, om
+        active = [b for b in active if splits(b[0], b[1])]
     return ScanResult(params=params, alphas=alphas, outcomes=outcomes,
-                      r_ends=r_ends, brackets=brackets)
+                      r_ends=r_ends, brackets=[Bracket(*b) for b in brackets])
 
 
 def extended_profile(profile: RadialProfile, band_factor: float = 10.0):

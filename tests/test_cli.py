@@ -274,6 +274,29 @@ def test_scan_via_config_file(tmp_path, capsys):
     assert manifest["config_file"] == str(cfgfile)
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_scan_refuses_a_degenerate_bisect_tol(tmp_path, capsys, tol):
+    assert run_cli("scan", "--out", str(tmp_path / "scan"),
+                   "--set", f"bisect_tol={tol}") == 2
+    assert "bisect_tol" in capsys.readouterr().err
+
+
+def test_scan_below_float_resolution_ends_with_verdicts(tmp_path, capsys):
+    # no midpoint lies strictly inside a bracket one ulp wide: bisection stops
+    # there, and brackets-refined reports the width it reached
+    out = tmp_path / "scan"
+    assert run_cli("scan", "--out", str(out), "--set", "count=5",
+                   "--set", "bisect_tol=1e-20") == 1
+    assert "[FAIL] brackets-refined" in capsys.readouterr().err
+    summary = json.loads((out / "scan.json").read_text())
+    assert len(summary["brackets"]) == 2
+    for b in summary["brackets"]:
+        lo, hi = b["alpha_lo"], b["alpha_hi"]
+        assert hi == math.nextafter(lo, math.inf)
+    detail = {v["name"]: v for v in load_manifest(out)["verdicts"]}["brackets-refined"]
+    assert detail["detail"].endswith(f"widest {max(b['width'] for b in summary['brackets']):.3g}")
+
+
 def test_spectrum_run(tmp_path):
     out = tmp_path / "spec"
     assert run_cli("spectrum", "--out", str(out), "--quiet",

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import DOP853
 from scipy.interpolate import CubicHermiteSpline
 
 import blowlab.profiles as profiles
@@ -29,8 +30,10 @@ from blowlab import (
 )
 from blowlab.profiles import (
     OUTCOMES,
+    Bracket,
     _rhs,
     accepts_bounded_positive,
+    classify_lanes,
     classify_shot,
     rk4_shoot,
     series_start,
@@ -310,6 +313,115 @@ def test_classifier_matches_shoot(case):
     assert classify_shot(alpha, params, mesh_points=401, **kw) == (prof.outcome, prof.r_end)
 
 
+# Lanes against solve_ivp, measured before these bounds were fixed: over this
+# strategy's cases, 480 random lanes in 40 batches of the same four kinds,
+# and 200 lanes with 1e-12 <= |alpha/kappa - 1| <= 1e-6 (p in {1.5, 2, 2.7,
+# 3, 5}, n = 1..4), every outcome and every r_end was bitwise equal: each
+# lane repeats scipy's arithmetic operation for operation. So the band with
+# |alpha/kappa - 1| < 1e-6, where a last-bit difference in a step would grow
+# like e^{r^2/4} before the event, keeps the relative 1e-12 of the far band.
+R_END_RTOL = 1e-12
+
+
+def assert_lanes_match_scalar(alphas, params, **kw):
+    for alpha, (outcome, r_end) in zip(alphas, classify_lanes(alphas, params, **kw)):
+        want_outcome, want_r_end = classify_shot(alpha, params, **kw)
+        assert outcome == want_outcome, alpha
+        assert r_end == pytest.approx(want_r_end, rel=R_END_RTOL, abs=0.0), alpha
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@example((P21, 0.5, {"r_max": 20.0, "cap": 1.0}))     # blew-up
+@example((P21, 0.99, {"r_max": 3.0, "cap": 1e6}))     # falls back: bounded
+@example((P21, 1.0, {"r_max": 20.0, "cap": 1e6}))     # falls back: snap band
+@given(shot_cases())
+def test_lane_classifier_matches_classify_shot(case):
+    params, alpha, kw = case
+    assert_lanes_match_scalar([alpha], params, mesh_points=401, **kw)
+
+
+@pytest.mark.parametrize("p, n, kw", [
+    (2.0, 1, {}),
+    (3.0, 3, {"cap": 2.0}),
+    (5.0, 2, {"r_max": 4.0}),
+    (1.5, 4, {"cap": 30.0}),
+], ids=["p2-n1", "p3-n3-cap", "p5-n2-short", "p1.5-n4-cap"])
+def test_lane_batch_matches_classify_shot(p, n, kw):
+    # one batch mixing every kind of lane: snapped, near kappa (long), early
+    # events, far above kappa, and lanes that may reach r_max; lanes leave
+    # the batch at different iterations
+    kap = kappa(p)
+    rel = [1.0, 1.0 + 3e-9, 1.0 - 2e-7, 0.999, 1.001, 0.05, 0.3, 0.7,
+           1.5, 2.5, 10.0, 300.0]
+    alphas = [kap * f for f in rel]
+    assert_lanes_match_scalar(alphas, ProblemParams(n=n, p=p), mesh_points=401, **kw)
+
+
+@pytest.mark.parametrize("alpha, params, cap", [
+    (0.5, P21, 1e6), (0.2, P23, 2.0), (kappa(3.0) * 1.1, ProblemParams(n=3, p=3.0), 1e6),
+    (40.0, ProblemParams(n=2, p=1.5), 1e6)])
+def test_one_lane_step_is_scipys_dop853_step(alpha, params, cap):
+    # the public stepper from the series start: first step size, the state
+    # after the step and the next step size agree to a few ulp. scipy's
+    # step() retries a rejected attempt with a smaller step; so do the lanes
+    r0, w0, w0r, _, _ = series_start(alpha, params)
+    solver = DOP853(_rhs(params, cap), r0, np.array([w0, w0r]), 20.0,
+                    rtol=1e-10, atol=1e-12)
+    drift, rhs = profiles._rhs_lanes(params, cap)
+    t, y = np.array([r0]), np.array([[w0, w0r]])
+    f = np.empty_like(y)
+    rhs(drift(t), y, f)
+    h_abs = profiles._initial_step(drift, rhs, t, y, f, 20.0, 1e-10, 1e-12)
+    np.testing.assert_array_max_ulp(h_abs, [solver.h_abs], maxulp=4)
+
+    rejected = np.zeros(1, dtype=bool)
+    attempts = 0
+    while True:
+        attempts += 1
+        t_new, y_new, _, ok, h_next = profiles._step(
+            drift, rhs, t, y, f, h_abs, rejected, 20.0, 1e-10, 1e-12)
+        if ok[0]:
+            break
+        h_abs, rejected = h_next, ~ok
+        assert attempts < 20
+    solver.step()
+    assert solver.status == "running"
+    np.testing.assert_array_max_ulp(t_new, [solver.t], maxulp=4)
+    np.testing.assert_array_max_ulp(y_new[0], solver.y, maxulp=4)
+    np.testing.assert_array_max_ulp(h_next, [solver.h_abs], maxulp=4)
+
+
+def test_lane_rhs_is_bitwise_rhs():
+    # the lanes' right-hand side against _rhs, the one solve_ivp evaluates
+    rng = np.random.default_rng(3)
+    size = 2000
+    rs = 10.0 ** rng.uniform(-4.0, 1.3, size)
+    ws = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-8.0, 8.0, size)
+    wrs = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-8.0, 4.0, size)
+    for p, n in [(2.0, 1), (3.0, 3), (5.0, 3), (1.5, 1), (2.7, 4)]:
+        params = ProblemParams(n=n, p=p)
+        scalar = _rhs(params, 1e6)
+        drift, rhs = profiles._rhs_lanes(params, 1e6)
+        got = np.empty((size, 2))
+        rhs(drift(rs), np.column_stack([ws, wrs]), got)
+        want = np.array([scalar(r, (w, wr)) for r, w, wr in zip(rs, ws, wrs)])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (p, n)
+
+
+def test_lane_classifier_argument_errors():
+    with pytest.raises(UsageError):
+        classify_lanes([0.5], P21, method="RK45")
+    with pytest.raises(UsageError):
+        scan_profiles(P21, 0.5, 1.5, method="RK45")
+    with pytest.raises(DomainError):
+        classify_lanes([0.5, 0.0], P21)
+    with pytest.raises(UsageError):
+        classify_lanes([0.5], P21, r_max=1e-4)
+    with pytest.raises(UsageError):
+        classify_lanes([0.5], P21, cap=-1.0)
+    assert classify_lanes([], P21) == []
+
+
 def test_classifier_falls_back_only_without_an_event(monkeypatch):
     calls = []
     real = profiles.shoot
@@ -336,11 +448,11 @@ def test_classifier_falls_back_only_without_an_event(monkeypatch):
 ], ids=["snap", "short-rmax", "cap"])
 def test_scan_shoots_only_undecided_alphas(monkeypatch, lo, hi, kw, n_shots):
     classified, shot = [], []
-    real_classify, real_shoot = profiles.classify_shot, profiles.shoot
+    real_classify, real_shoot = profiles.classify_lanes, profiles.shoot
 
-    def counting_classify(alpha, params, **shoot_kw):
-        res = real_classify(alpha, params, **shoot_kw)
-        classified.append((alpha, res[0]))
+    def counting_classify(alphas, params, **shoot_kw):
+        res = real_classify(alphas, params, **shoot_kw)
+        classified.extend((alpha, outcome) for alpha, (outcome, _) in zip(alphas, res))
         return res
 
     def counting_shoot(alpha, params, **shoot_kw):
@@ -348,7 +460,7 @@ def test_scan_shoots_only_undecided_alphas(monkeypatch, lo, hi, kw, n_shots):
         shot.append(alpha)
         return real_shoot(alpha, params, **shoot_kw)
 
-    monkeypatch.setattr(profiles, "classify_shot", counting_classify)
+    monkeypatch.setattr(profiles, "classify_lanes", counting_classify)
     monkeypatch.setattr(profiles, "shoot", counting_shoot)
     res = scan_profiles(P21, lo, hi, mesh_points=201, **kw)
     undecided = [a for a, o in classified if o not in EVENT_OUTCOMES]
@@ -388,3 +500,58 @@ def test_rhs_is_bitwise_the_numpy_scalar_rhs(p, n):
         for z in (np.array([w, wr]), (w, wr)):
             got = np.array(new(r, z), dtype=float).view(np.int64)
             assert np.array_equal(got, want), (r, w, wr, z)
+
+
+def sequential_brackets(alphas, outcomes, classify, bisect_tol):
+    # scan_profiles' bisection before it ran in lanes, carried verbatim, plus
+    # the stop once no midpoint lies strictly inside (lo, hi)
+    brackets = []
+    for a, b, oa, ob in zip(alphas[:-1], alphas[1:], outcomes[:-1], outcomes[1:]):
+        if oa == ob:
+            continue
+        lo, hi, olo, ohi = float(a), float(b), oa, ob
+        while hi - lo > bisect_tol * max(1.0, abs(hi)):
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            om = classify(mid)[0]
+            if om == olo:
+                lo = mid
+            else:
+                hi, ohi = mid, om
+        brackets.append(Bracket(lo, hi, olo, ohi))
+    return brackets
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lane_bisection_is_the_sequential_loop(monkeypatch, seed):
+    # a stub classifier with random separatrix points: the outcome of alpha
+    # is a fixed label of the interval between consecutive points it lies in
+    rng = np.random.default_rng(seed)
+    lo, hi = 0.05 + rng.uniform(0.0, 1.0), 2.0 + rng.uniform(0.0, 30.0)
+    cuts = np.sort(rng.uniform(lo, hi, int(rng.integers(3, 9))))
+    # a cut on a grid point as well: the snap-band case of real scans
+    count = int(rng.integers(5, 40))
+    grid = np.linspace(lo, hi, count)
+    cuts = np.sort(np.append(cuts, grid[int(rng.integers(1, count - 1))]))
+    labels = [str(x) for x in rng.choice(list(OUTCOMES), cuts.size + 1)]
+
+    def stub_one(alpha):
+        return labels[int(np.searchsorted(cuts, alpha, side="right"))], 1.0
+
+    batches = []
+
+    def stub(alphas, params, **kw):
+        batches.append(len(alphas))
+        return [stub_one(a) for a in alphas]
+
+    monkeypatch.setattr(profiles, "classify_lanes", stub)
+    for bisect_tol in (0.25, 1e-3, 1e-8, 1e-13, 1e-20):
+        batches.clear()
+        res = scan_profiles(P21, lo, hi, count=count, bisect_tol=bisect_tol)
+        want = sequential_brackets(res.alphas, res.outcomes, stub_one, bisect_tol)
+        assert res.brackets == want
+        assert len(res.brackets) == sum(a != b for a, b in
+                                        zip(res.outcomes[:-1], res.outcomes[1:]))
+        assert batches[0] == count
+        assert all(b <= (2 ** profiles.BISECT_DEPTH - 1) * len(want) for b in batches[1:])
