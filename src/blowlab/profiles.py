@@ -28,8 +28,10 @@ once: each alpha is a lane of one vectorised DOP853 integration that repeats
 scipy's arithmetic (tableau, step-size control, event location on the dense
 interpolant), so its results are classify_shot's. scan_profiles classifies
 its grid in one batch, and bisects every bracket BISECT_DEPTH levels per
-batch, tree-exact: the brackets are those of the sequential loop. shoot and
-classify_shot stay on solve_ivp as the scalar reference.
+batch, tree-exact: the brackets are those of the sequential loop, and a
+midpoint no event decides goes through shoot() only if the walk visits it,
+as in that loop. shoot and classify_shot stay on solve_ivp as the scalar
+reference.
 
 The constant branch is a separatrix: perturbations of the regular series
 solution grow only like r^2, but the second, singular solution of the
@@ -137,6 +139,22 @@ class RadialProfile:
         return float(self.r[bad[0] - 1])
 
 
+def _shot_start(alpha: float, params: ProblemParams, r_max: float, cap: float):
+    """Check one shot's arguments and start it: (r0, w0, w0r, c, d, snapped)
+    from series_start, with snapped true for alpha in the snap band (module
+    docstring), whose trajectory is the constant kappa."""
+    if not (alpha > 0.0 and math.isfinite(alpha)):
+        raise DomainError(f"shooting needs alpha > 0, got {alpha!r}")
+    if r_max <= 0.0 or cap <= 0.0:
+        raise UsageError("r_max and cap must be positive")
+    r0, w0, w0r, c, d = series_start(alpha, params)
+    if r_max <= r0:
+        raise UsageError(f"r_max = {r_max} does not exceed the start radius {r0}")
+    kap = kappa(params.p)
+    # the band is far below any bisection tolerance a scan would use
+    return r0, w0, w0r, c, d, abs(alpha - kap) <= 1e-12 * max(1.0, kap)
+
+
 def _integrate(alpha: float, params: ProblemParams, r_max: float, rtol: float,
                atol: float, cap: float, method: str, dense: bool):
     """Start from the series and integrate to the first terminal event.
@@ -148,18 +166,8 @@ def _integrate(alpha: float, params: ProblemParams, r_max: float, rtol: float,
     located on the step's own interpolant either way, so t_zero, t_cap and
     r_end do not depend on it.
     """
-    if not (alpha > 0.0 and math.isfinite(alpha)):
-        raise DomainError(f"shooting needs alpha > 0, got {alpha!r}")
-    if r_max <= 0.0 or cap <= 0.0:
-        raise UsageError("r_max and cap must be positive")
-    r0, w0, w0r, c, d = series_start(alpha, params)
-    if r_max <= r0:
-        raise UsageError(f"r_max = {r_max} does not exceed the start radius {r0}")
-
-    kap = kappa(params.p)
-    if abs(alpha - kap) <= 1e-12 * max(1.0, kap):
-        # separatrix snap (see module docstring); the band is far below any
-        # bisection tolerance a scan would use
+    r0, w0, w0r, c, d, snapped = _shot_start(alpha, params, r_max, cap)
+    if snapped:
         return (r0, 0.0, 0.0), None, math.inf, math.inf, float(r_max)
 
     def ev_zero(r, z):
@@ -361,7 +369,8 @@ def _first_event(params, cap, t_old, t_new, y_old, y_new, K, zero, up):
 
 def classify_lanes(alphas, params: ProblemParams, r_max: float = 20.0,
                    rtol: float = 1e-10, atol: float = 1e-12, cap: float = 1e6,
-                   method: str = "DOP853", **mesh_kw) -> list[tuple[str, float]]:
+                   method: str = "DOP853", resolve: bool = True,
+                   **mesh_kw) -> list[tuple[str, float] | None]:
     """[classify_shot(alpha, params, ...) for alpha in alphas], in one batch.
 
     Each alpha is a lane with its own r, (w, w_r), step size and rejected-step
@@ -369,42 +378,36 @@ def classify_lanes(alphas, params: ProblemParams, r_max: float = 20.0,
     tableau, initial step, error norm and step-size control are scipy's, with
     the same arithmetic, so a lane takes solve_ivp's steps. A lane ends on
     the first accepted step where w crosses 0 downward or |w| crosses cap
-    upward, located on that step's dense interpolant. A lane in the snap band,
-    or one that reaches r_max without an event, goes to shoot() as in
-    classify_shot, with mesh_kw passed on.
+    upward, located on that step's dense interpolant. A lane no event decides
+    (the snap band, or one that reaches r_max) goes to shoot() as in
+    classify_shot, with mesh_kw passed on; with resolve=False its result is
+    None instead, for a caller that may not need it.
     """
     if method != "DOP853":
         raise UsageError(f"lane classification integrates with DOP853, not {method!r}")
-    alphas = [float(a) for a in alphas]
-    for alpha in alphas:
-        if not (alpha > 0.0 and math.isfinite(alpha)):
-            raise DomainError(f"shooting needs alpha > 0, got {alpha!r}")
-    if r_max <= 0.0 or cap <= 0.0:
-        raise UsageError("r_max and cap must be positive")
     if atol < 0.0:
         raise UsageError("atol must not be negative")
-    kap = kappa(params.p)
+    alphas = [float(a) for a in alphas]
     results: list = [None] * len(alphas)
-    fallback, lanes, starts = [], [], []
+    undecided, lanes, starts = [], [], []
     for i, alpha in enumerate(alphas):
-        r0, w0, w0r, _, _ = series_start(alpha, params)
-        if r_max <= r0:
-            raise UsageError(f"r_max = {r_max} does not exceed the start radius {r0}")
-        if abs(alpha - kap) <= 1e-12 * max(1.0, kap):
-            fallback.append(i)        # the snap band: the constant trajectory
+        r0, w0, w0r, _, _, snapped = _shot_start(alpha, params, r_max, cap)
+        if snapped:
+            undecided.append(i)
         else:
             lanes.append(i)
             starts.append((r0, w0, w0r))
     if lanes:
         start = np.array(starts)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            fallback += _run_lanes(params, np.array(lanes), start[:, 0], start[:, 1:],
-                                   float(r_max), max(rtol, 100 * _EPS),  # solve_ivp's floor
-                                   atol, cap, alphas, results)
-    for i in sorted(fallback):
-        prof = shoot(alphas[i], params, r_max=r_max, rtol=rtol, atol=atol, cap=cap,
-                     method=method, **mesh_kw)
-        results[i] = (prof.outcome, prof.r_end)
+            undecided += _run_lanes(params, np.array(lanes), start[:, 0], start[:, 1:],
+                                    float(r_max), max(rtol, 100 * _EPS),  # solve_ivp's floor
+                                    atol, cap, alphas, results)
+    if resolve:
+        for i in sorted(undecided):
+            prof = shoot(alphas[i], params, r_max=r_max, rtol=rtol, atol=atol, cap=cap,
+                         method=method, **mesh_kw)
+            results[i] = (prof.outcome, prof.r_end)
     return results
 
 
@@ -590,8 +593,9 @@ def scan_profiles(params: ProblemParams, alpha_lo: float, alpha_hi: float,
     The grid is one batch of lanes. Bisection is the sequential loop's, run
     BISECT_DEPTH levels per batch: each round classifies, for every open
     bracket, every midpoint the loop could visit in its next BISECT_DEPTH
-    steps, then walks those steps. The brackets are bitwise the sequential
-    loop's.
+    steps, then walks those steps. A midpoint no event decides goes to
+    shoot() only if the walk visits it, so shoot() runs for the alphas it
+    ran for in the sequential loop. The brackets are bitwise that loop's.
     """
     if not (0.0 < alpha_lo < alpha_hi):
         raise DomainError("need 0 < alpha_lo < alpha_hi")
@@ -604,12 +608,21 @@ def scan_profiles(params: ProblemParams, alpha_lo: float, alpha_hi: float,
     else:
         raise UsageError(f"unknown spacing {spacing!r}")
 
-    cache: dict[float, tuple[str, float]] = {}
+    cache: dict[float, tuple[str, float] | None] = {}
 
-    def classify(batch: list[float]) -> None:
+    def classify(batch: list[float], resolve: bool) -> None:
         todo = list(dict.fromkeys(a for a in batch if a not in cache))
         if todo:
-            cache.update(zip(todo, classify_lanes(todo, params, **shoot_kw)))
+            cache.update(zip(todo, classify_lanes(todo, params, resolve=resolve,
+                                                  **shoot_kw)))
+
+    def outcome(alpha: float) -> str:
+        # a speculative midpoint no event decided goes to shoot() only when
+        # the walk visits it, as in the sequential loop
+        if cache[alpha] is None:
+            prof = shoot(alpha, params, **shoot_kw)
+            cache[alpha] = (prof.outcome, prof.r_end)
+        return cache[alpha][0]
 
     def splits(lo: float, hi: float) -> bool:
         # the sequential loop's test, plus a stop once rounding leaves no
@@ -624,7 +637,7 @@ def scan_profiles(params: ProblemParams, alpha_lo: float, alpha_hi: float,
         return [mid] + midpoints(lo, mid, depth - 1) + midpoints(mid, hi, depth - 1)
 
     grid = alphas.tolist()
-    classify(grid)
+    classify(grid, resolve=True)
     outcomes = [cache[a][0] for a in grid]
     r_ends = np.array([cache[a][1] for a in grid])
 
@@ -633,13 +646,14 @@ def scan_profiles(params: ProblemParams, alpha_lo: float, alpha_hi: float,
                 zip(grid[:-1], grid[1:], outcomes[:-1], outcomes[1:]) if olo != ohi]
     active = [b for b in brackets if splits(b[0], b[1])]
     while active:
-        classify([m for b in active for m in midpoints(b[0], b[1], BISECT_DEPTH)])
+        classify([m for b in active for m in midpoints(b[0], b[1], BISECT_DEPTH)],
+                 resolve=False)
         for b in active:
             for _ in range(BISECT_DEPTH):
                 if not splits(b[0], b[1]):
                     break
                 mid = 0.5 * (b[0] + b[1])
-                om = cache[mid][0]
+                om = outcome(mid)
                 if om == b[2]:
                     b[0] = mid
                 else:

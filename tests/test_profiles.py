@@ -445,14 +445,16 @@ def test_classifier_falls_back_only_without_an_event(monkeypatch):
     (0.5, 1.5, {"count": 5}, 1),                # kappa on the grid: snapped
     (0.9, 1.1, {"count": 5, "r_max": 3.0}, 5),  # bounded up to a short r_max
     (0.2, 2.0, {"count": 7, "cap": 1.5}, 0),    # a blew-up/hit-zero bracket
-], ids=["snap", "short-rmax", "cap"])
+    (0.5, 1.5, {"count": 9, "r_max": 5.0}, 21), # brackets with a bounded side
+], ids=["snap", "short-rmax", "cap", "bounded-side"])
 def test_scan_shoots_only_undecided_alphas(monkeypatch, lo, hi, kw, n_shots):
     classified, shot = [], []
     real_classify, real_shoot = profiles.classify_lanes, profiles.shoot
 
     def counting_classify(alphas, params, **shoot_kw):
         res = real_classify(alphas, params, **shoot_kw)
-        classified.extend((alpha, outcome) for alpha, (outcome, _) in zip(alphas, res))
+        # None: a speculative midpoint that no event decided
+        classified.extend((alpha, r and r[0]) for alpha, r in zip(alphas, res))
         return res
 
     def counting_shoot(alpha, params, **shoot_kw):
@@ -464,10 +466,24 @@ def test_scan_shoots_only_undecided_alphas(monkeypatch, lo, hi, kw, n_shots):
     monkeypatch.setattr(profiles, "shoot", counting_shoot)
     res = scan_profiles(P21, lo, hi, mesh_points=201, **kw)
     undecided = [a for a, o in classified if o not in EVENT_OUTCOMES]
-    assert shot == undecided and len(shot) == n_shots
+    grid_shot = [a for a in res.alphas.tolist() if a in undecided]
+    assert shot[:len(grid_shot)] == grid_shot
+    assert set(shot) <= set(undecided) and len(set(shot)) == len(shot)
     assert len(set(a for a, _ in classified)) == len(classified)   # cached
     assert res.outcomes == [o for _, o in classified[:len(res.alphas)]]
     assert len(classified) > len(res.alphas) or not res.brackets
+
+    # shoot() runs for the alphas the sequential loop shot: the grid's
+    # undecided ones and the undecided midpoints its bisection visits
+    bisect_shot = shot[len(grid_shot):]
+    shot.clear()
+    shot_kw = {k: v for k, v in kw.items() if k != "count"}
+    want = sequential_brackets(
+        res.alphas, res.outcomes,
+        lambda a: classify_shot(a, P21, mesh_points=201, **shot_kw), 1e-8)
+    assert res.brackets == want
+    assert sorted(bisect_shot) == sorted(shot)
+    assert len(grid_shot) + len(bisect_shot) == n_shots
 
 
 def _rhs_numpy_scalars(params, cap):
