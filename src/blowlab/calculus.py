@@ -14,6 +14,16 @@ the analysis rests on:
                          explicitly assembled constant C = C(p, m, eps).
 
 [f]_W denotes the integral of f against exp(-|y|^2/4).
+
+The randomized batteries draw Gaussian sums g = sum_j a_j exp(-b_j |y-c_j|^2).
+`GaussianSum.at(pts)` evaluates y - c_j, |y - c_j|^2 and exp(-b_j |y-c_j|^2)
+once per point set, and values, gradient, Laplacian, Hessian and
+grad-Laplacian all read them; halving the amplitudes in
+`make_log_test_eigenpair` reuses the exponentials, since b, c and the points
+stay. The sum's own methods reuse the terms of their last point array only
+when it is the same read-only array with its own data; `from_callable`
+hands its callables such a copy of the grid points. Every route gives
+bitwise the values of a fresh evaluation.
 """
 
 from __future__ import annotations
@@ -65,8 +75,13 @@ class SampledField:
 
     @classmethod
     def from_callable(cls, grid: Grid, f, grad=None, lap=None) -> "SampledField":
-        """Sample callables; any derivative not supplied is computed spectrally."""
-        pts = grid.points
+        """Sample callables; any derivative not supplied is computed spectrally.
+
+        The callables get one read-only copy of the points, so a GaussianSum
+        and its derivative methods evaluate their exponentials once.
+        """
+        pts = grid.points.copy()
+        pts.flags.writeable = False
         values = np.asarray(f(pts), dtype=float).reshape(-1)
         g = None if grad is None else np.asarray(grad(pts), dtype=float)
         l = None if lap is None else np.asarray(lap(pts), dtype=float).reshape(-1)
@@ -312,59 +327,98 @@ def random_poly_field(grid: TensorGrid, rng: np.random.Generator,
 
 @dataclass(frozen=True)
 class GaussianSum:
-    """g(y) = sum_j a_j exp(-b_j |y - c_j|^2), with analytic derivatives."""
+    """g(y) = sum_j a_j exp(-b_j |y - c_j|^2), with analytic derivatives.
+
+    at(pts) evaluates the terms on one point set for every derivative.
+    Calling the sum, grad or lap reuses the terms of the last point array
+    only when it is the same read-only array with its own data, as in
+    from_callable; any other array is evaluated afresh.
+    """
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray  # (nterms, n)
 
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
-        return self._parts(pts).sum(axis=0)
-
-    def _parts(self, pts: np.ndarray) -> np.ndarray:
-        d2 = ((pts[None, :, :] - self.c[:, None, :]) ** 2).sum(axis=2)
-        return self.a[:, None] * np.exp(-self.b[:, None] * d2)
-
-    def grad(self, pts: np.ndarray) -> np.ndarray:
-        parts = self._parts(pts)
-        diff = pts[None, :, :] - self.c[:, None, :]
-        return (-2.0 * self.b[:, None, None] * diff * parts[:, :, None]).sum(axis=0)
-
-    def lap(self, pts: np.ndarray) -> np.ndarray:
-        n = pts.shape[1]
-        parts = self._parts(pts)
-        d2 = ((pts[None, :, :] - self.c[:, None, :]) ** 2).sum(axis=2)
-        return ((4.0 * self.b[:, None] ** 2 * d2 - 2.0 * n * self.b[:, None]) * parts).sum(axis=0)
-
-    def hess(self, pts: np.ndarray) -> np.ndarray:
-        parts = self._parts(pts)
-        diff = pts[None, :, :] - self.c[:, None, :]
-        b = self.b[:, None, None, None]
-        outer = diff[:, :, :, None] * diff[:, :, None, :]
-        eye = np.eye(pts.shape[1])[None, None, :, :]
-        return ((4.0 * b * b * outer - 2.0 * b * eye)
-                * parts[:, :, None, None]).sum(axis=0)
-
-    def grad_lap(self, pts: np.ndarray) -> np.ndarray:
-        n = pts.shape[1]
-        parts = self._parts(pts)
+    def at(self, pts: np.ndarray) -> "GaussianTerms":
         diff = pts[None, :, :] - self.c[:, None, :]
         d2 = (diff ** 2).sum(axis=2)
-        b = self.b[:, None]
-        coef = (8.0 + 4.0 * n) * b * b - 8.0 * b ** 3 * d2
-        return (coef[:, :, None] * diff * parts[:, :, None]).sum(axis=0)
+        expo = np.exp(-self.b[:, None] * d2)
+        return GaussianTerms(self, pts, diff, d2, expo, self.a[:, None] * expo)
 
-    def ou(self, pts: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        """L g = Lap g - y . grad g / 2, with grad = self.grad(pts) passed in
+    def _terms(self, pts: np.ndarray) -> "GaussianTerms":
+        last = self.__dict__.get("_last")
+        if last is not None and last.pts is pts and not pts.flags.writeable:
+            return last
+        terms = self.at(pts)
+        if pts.base is None and not pts.flags.writeable:
+            object.__setattr__(self, "_last", terms)
+        return terms
+
+    def __call__(self, pts: np.ndarray) -> np.ndarray:
+        return self._terms(pts).values()
+
+    def grad(self, pts: np.ndarray) -> np.ndarray:
+        return self._terms(pts).grad()
+
+    def lap(self, pts: np.ndarray) -> np.ndarray:
+        return self._terms(pts).lap()
+
+
+@dataclass(frozen=True, eq=False)
+class GaussianTerms:
+    """A GaussianSum's terms on the points pts (nq, n): y - c_j, |y - c_j|^2,
+    exp(-b_j |y - c_j|^2) and the parts a_j exp(-b_j |y - c_j|^2), each
+    (nterms, nq, ...), evaluated once and read by every derivative."""
+
+    gs: GaussianSum
+    pts: np.ndarray
+    diff: np.ndarray
+    d2: np.ndarray
+    expo: np.ndarray
+    parts: np.ndarray
+
+    def scaled(self, factor: float) -> "GaussianTerms":
+        """The terms of the sum with every amplitude times factor; the
+        points, centres and widths are unchanged, so are the exponentials."""
+        gs = GaussianSum(a=self.gs.a * factor, b=self.gs.b, c=self.gs.c)
+        return GaussianTerms(gs, self.pts, self.diff, self.d2, self.expo,
+                             gs.a[:, None] * self.expo)
+
+    def values(self) -> np.ndarray:
+        return self.parts.sum(axis=0)
+
+    def grad(self) -> np.ndarray:
+        b = self.gs.b[:, None, None]
+        return (-2.0 * b * self.diff * self.parts[:, :, None]).sum(axis=0)
+
+    def lap(self) -> np.ndarray:
+        n = self.pts.shape[1]
+        b = self.gs.b[:, None]
+        return ((4.0 * b ** 2 * self.d2 - 2.0 * n * b) * self.parts).sum(axis=0)
+
+    def hess(self) -> np.ndarray:
+        b = self.gs.b[:, None, None, None]
+        outer = self.diff[:, :, :, None] * self.diff[:, :, None, :]
+        eye = np.eye(self.pts.shape[1])[None, None, :, :]
+        return ((4.0 * b * b * outer - 2.0 * b * eye)
+                * self.parts[:, :, None, None]).sum(axis=0)
+
+    def grad_lap(self) -> np.ndarray:
+        n = self.pts.shape[1]
+        b = self.gs.b[:, None]
+        coef = (8.0 + 4.0 * n) * b * b - 8.0 * b ** 3 * self.d2
+        return (coef[:, :, None] * self.diff * self.parts[:, :, None]).sum(axis=0)
+
+    def ou(self, grad: np.ndarray) -> np.ndarray:
+        """L g = Lap g - y . grad g / 2, with grad = self.grad() passed in
         so callers that need it too evaluate it once."""
-        return self.lap(pts) - 0.5 * (pts * grad).sum(axis=1)
+        return self.lap() - 0.5 * (self.pts * grad).sum(axis=1)
 
-    def grad_ou(self, pts: np.ndarray, grad: np.ndarray,
-                hess: np.ndarray) -> np.ndarray:
+    def grad_ou(self, grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
         """grad(L g) = grad(Lap g) - (grad g + Hess(g) y) / 2, with
-        grad = self.grad(pts) and hess = self.hess(pts) passed in."""
-        hy = np.einsum("qij,qj->qi", hess, pts)
-        return self.grad_lap(pts) - 0.5 * (grad + hy)
+        grad = self.grad() and hess = self.hess() passed in."""
+        hy = np.einsum("qij,qj->qi", hess, self.pts)
+        return self.grad_lap() - 0.5 * (grad + hy)
 
 
 def random_gaussian_sum(rng: np.random.Generator, n: int, nterms: int = 3,
@@ -381,11 +435,11 @@ def random_gaussian_sum(rng: np.random.Generator, n: int, nterms: int = 3,
 def random_bump_field(grid: TensorGrid, rng: np.random.Generator,
                       support_R: float = 4.0) -> SampledField:
     """Smooth compactly supported field: Gaussian sum times a radial cutoff."""
-    gs = random_gaussian_sum(rng, grid.n, amp=1.0)
-    pts = grid.points
+    terms = random_gaussian_sum(rng, grid.n, amp=1.0).at(grid.points)
     eta = cutoff_field(grid, support_R)
-    vals = gs(pts) * eta.values
-    grad = gs.grad(pts) * eta.values[:, None] + gs(pts)[:, None] * eta.grad
+    gv = terms.values()
+    vals = gv * eta.values
+    grad = terms.grad() * eta.values[:, None] + gv[:, None] * eta.grad
     return SampledField(grid=grid, values=vals, grad=grad)
 
 
@@ -408,28 +462,27 @@ def make_log_test_eigenpair(grid: TensorGrid, rng: np.random.Generator,
                             params: ProblemParams) -> EigenpairSample:
     p = params.p
     floor = 0.1 * p / (p - 1.0)
-    gs = random_gaussian_sum(rng, grid.n)
-    pts = grid.points
+    terms = random_gaussian_sum(rng, grid.n).at(grid.points)
     for _ in range(60):
-        grad = gs.grad(pts)
-        pot = p / (p - 1.0) - gs.ou(pts, grad) - (grad ** 2).sum(axis=1)
+        grad = terms.grad()
+        pot = p / (p - 1.0) - terms.ou(grad) - (grad ** 2).sum(axis=1)
         if pot.min() > floor:
             # w must be a bounded positive field with H > 0; shrinking the
             # sample drives w toward the constant kappa where H = kappa/(p-1).
             # grad pot = -grad(L g) - 2 Hess(g) grad(g), all analytic; the
             # quadrature-grid spectral gradient is useless this far out.
             wvals = (pot / p) ** (1.0 / (p - 1.0))
-            hess = gs.hess(pts)
-            gpot = -gs.grad_ou(pts, grad, hess) \
+            hess = terms.hess()
+            gpot = -terms.grad_ou(grad, hess) \
                 - 2.0 * np.einsum("qij,qj->qi", hess, grad)
             wgrad = (wvals / ((p - 1.0) * pot))[:, None] * gpot
             w = SampledField(grid=grid, values=wvals, grad=wgrad)
             if compute_H(w, p).min > 0.0:
                 break
-        gs = GaussianSum(a=gs.a * 0.5, b=gs.b, c=gs.c)
+        terms = terms.scaled(0.5)
     else:
         raise UsageError("could not scale the eigenpair sample to a positive potential")
-    gv = gs(pts)
+    gv = terms.values()
     f = SampledField(grid=grid, values=np.exp(gv), grad=np.exp(gv)[:, None] * grad)
     return EigenpairSample(w=w, f=f, mu=-1.0)
 

@@ -191,8 +191,12 @@ def _validate(kind: str, cfg: dict) -> None:
     if cfg.get("geometry") == "interval" and cfg["n"] != 1:
         raise ConfigurationError("interval geometry is one-dimensional; "
                                  "use geometry = ball for n > 1")
-    if kind == "evolve-rescaled" and cfg["L"] < 8.0:
-        raise ConfigurationError(f"L must be >= 8, got {cfg['L']}")
+    if kind == "evolve-rescaled":
+        if not 8.0 <= cfg["L"] < math.inf:
+            raise ConfigurationError(f"L must be finite and >= 8, got {cfg['L']}")
+        for key in ("s_end", "ds"):
+            if not (cfg[key] > 0.0 and math.isfinite(cfg[key])):
+                raise ConfigurationError(f"{key} must be finite and > 0, got {cfg[key]}")
     if kind == "scan" and not 0.0 < cfg["alpha_lo"] < cfg["alpha_hi"]:
         raise ConfigurationError("need 0 < alpha_lo < alpha_hi")
     if kind == "scan" and not (cfg["bisect_tol"] > 0.0 and math.isfinite(cfg["bisect_tol"])):

@@ -35,6 +35,17 @@ The weighted energy with rho = (4 pi)^(-n/2) exp(-|y|^2/4) (unit mass),
     E(w) = int [ |grad w|^2 / 2 + w^2 / (2(p-1)) - |w|^(p+1)/(p+1) ] rho dy,
 
 decreases along the rescaled flow with dissipation rate int |w_s|^2 rho dy.
+`energy` takes one state (m,) or a stack of states (k, m); it reduces along
+the last axis, so each row of a stack gets bitwise its single-state energy.
+
+`RescaledFlow.run` takes its steps one at a time into a block of up to
+_BLOCK states and then does the per-state bookkeeping for the whole block
+in one vectorised pass: the finite-and-below-cap test, one `energy` call on
+the stack and sup |w - kappa|. The run stops where a per-step check would:
+at the first state that is non-finite, past the cap or of non-finite
+energy, which is not recorded; the block's later steps are discarded. The
+record grows one block at a time (an unrecorded run reuses one block), so a
+long s_end that blows up early allocates nothing for the steps not taken.
 
 Both frames discretize the Laplacian with the same three-point stencil:
 d^2/dx^2 on the interval, d^2/dr^2 + (n-1)/r d/dr with the smooth origin row
@@ -65,10 +76,12 @@ from .quadrature import sphere_area
 
 @dataclass(frozen=True)
 class EnergyValue:
-    total: float
-    dirichlet: float
-    quadratic: float
-    potential: float
+    """Energy parts: floats for one state, (k,) arrays for a (k, m) stack."""
+
+    total: float | np.ndarray
+    dirichlet: float | np.ndarray
+    quadratic: float | np.ndarray
+    potential: float | np.ndarray
 
 
 def _energy_parts(values, grad_sq, weights, norm, p) -> EnergyValue:
@@ -94,9 +107,11 @@ def energy(w, params: ProblemParams, y: np.ndarray | None = None,
     """Weighted energy of a rescaled state.
 
     Accepts a SampledField (quadrature grid; exact for the polynomial part)
-    or an array of mesh values with the mesh y. Mesh integrals use the
-    trapezoid rule against the normalized Gaussian; constants are then only
-    as exact as the truncated tail, so checks at 1e-10 should use fields.
+    or mesh values with the mesh y: one state (m,), giving float parts, or a
+    stack of states (k, m), giving (k,) arrays whose rows are bitwise the
+    energies of the single rows. Mesh integrals use the trapezoid rule
+    against the normalized Gaussian; constants are then only as exact as
+    the truncated tail, so checks at 1e-10 should use fields.
     """
     p = params.p
     if isinstance(w, SampledField):
@@ -104,12 +119,19 @@ def energy(w, params: ProblemParams, y: np.ndarray | None = None,
         return _energy_parts(w.values, w.grad_sq(), w.grid.weights, norm, p)
     if y is None:
         raise UsageError("mesh energy needs the mesh")
-    w = np.asarray(w, dtype=float)
-    grad = np.gradient(w, y[1] - y[0], edge_order=2)
+    w = np.ascontiguousarray(w, dtype=float)
+    if w.ndim not in (1, 2) or w.shape[-1] != y.size:
+        raise UsageError(f"mesh values of shape {w.shape} do not match the mesh "
+                         f"({y.size},)")
+    # every reduction runs along the last axis of a C-contiguous array, where
+    # numpy's pairwise sum works row by row
+    grad = np.gradient(w, y[1] - y[0], axis=-1, edge_order=2)
     dens = gaussian_density(y, geometry, params.n)
-    d = float(np.trapezoid(0.5 * grad**2 * dens, y))
-    q = float(np.trapezoid(w * w / (2.0 * (p - 1.0)) * dens, y))
-    pot = float(np.trapezoid(np.abs(w) ** (p + 1.0) / (p + 1.0) * dens, y))
+    d = np.trapezoid(0.5 * grad**2 * dens, y, axis=-1)
+    q = np.trapezoid(w * w / (2.0 * (p - 1.0)) * dens, y, axis=-1)
+    pot = np.trapezoid(np.abs(w) ** (p + 1.0) / (p + 1.0) * dens, y, axis=-1)
+    if w.ndim == 1:
+        d, q, pot = float(d), float(q), float(pot)
     return EnergyValue(total=d + q - pot, dirichlet=d, quadratic=q, potential=pot)
 
 
@@ -194,6 +216,10 @@ def _tridiagonal_solve(lu: tuple, b: np.ndarray) -> np.ndarray:
     return dgttrs(*lu, b, overwrite_b=1)[0]
 
 
+# states per bookkeeping block of RescaledFlow.run
+_BLOCK = 256
+
+
 @dataclass
 class RescaledRun:
     params: ProblemParams
@@ -220,11 +246,11 @@ class RescaledFlow:
 
     def __init__(self, params: ProblemParams, L: float = 8.0, m: int = 801,
                  ds: float = 1e-2, geometry: str = "interval", cap: float = 1e6):
-        if L < 8.0:
-            raise UsageError(f"domain half-width must be >= 8, got {L}")
+        if not 8.0 <= L < math.inf:
+            raise UsageError(f"domain half-width must be finite and >= 8, got {L}")
         if geometry not in ("interval", "ball"):
             raise UsageError(f"unknown geometry {geometry!r}")
-        if ds <= 0.0 or m < 9:
+        if not (0.0 < ds < math.inf) or m < 9:
             raise UsageError("need ds > 0 and a reasonable mesh")
         self.params = params
         self.geometry = geometry
@@ -239,46 +265,64 @@ class RescaledFlow:
         rhs = w + self.ds * np.abs(w) ** (p - 1.0) * w
         return _tridiagonal_solve(self._lu, rhs)
 
-    # a run ends as blew-up at the first state past the cap or with a
-    # non-finite energy, unrecorded; numpy's overflow warnings on the way
-    # there would only leak to the caller
+    # numpy's overflow warnings on the way to a blow-up would only leak to
+    # the caller; the run ends there as blew-up
     @np.errstate(over="ignore", invalid="ignore")
     def run(self, w0, s_end: float, record_states: bool = True) -> RescaledRun:
+        """Step from w0 to s_end, one step at a time. The stop test, the
+        energies and sup |w - kappa| are evaluated per block of up to _BLOCK
+        states. The run ends as blew-up at the first state that is
+        non-finite, past the cap or of non-finite energy, unrecorded, and
+        the block's later steps are dropped. The record grows by blocks;
+        an unrecorded run reuses one."""
         w = (np.asarray(w0(self.y), dtype=float) if callable(w0)
              else np.asarray(w0, dtype=float).copy())
         if w.shape != self.y.shape:
             raise UsageError("initial state does not match the mesh")
+        if not math.isfinite(s_end):
+            raise UsageError(f"s_end must be finite, got {s_end}")
         kap = kappa(self.params.p)
         nsteps = int(round(s_end / self.ds))
         e0 = energy(w, self.params, self.y, self.geometry).total
         if not math.isfinite(e0):
             raise NumericError("initial state has non-finite energy",
                                payload={"energy": e0})
-        s_vals = [0.0]
-        energies = [e0]
-        sup_dev = [float(np.abs(w - kap).max())]
-        states = [w.copy()] if record_states else None
+        s_vals = [np.zeros(1)]
+        energies = [np.array([e0])]
+        sup_dev = [np.array([np.abs(w - kap).max()])]
+        states = [w[None, :].copy()] if record_states else None
         status = "completed"
         events = {}
-        for k in range(nsteps):
-            w = self.step(w)
-            e = (energy(w, self.params, self.y, self.geometry).total
-                 if np.all(np.isfinite(w)) and np.abs(w).max() <= self.cap
-                 else math.nan)
-            if not math.isfinite(e):
-                status = "blew-up"
-                events["cap_at_s"] = (k + 1) * self.ds
-                break
-            s_vals.append((k + 1) * self.ds)
-            energies.append(e)
-            sup_dev.append(float(np.abs(w - kap).max()))
+        block = None
+        done = 0
+        while done < nsteps:
+            k = min(_BLOCK, nsteps - done)
+            if record_states or block is None:
+                block = np.empty((k, w.size))
+            for j in range(k):
+                w = self.step(w)
+                block[j] = w
+            amax = np.abs(block[:k]).max(axis=1)
+            ok = np.isfinite(amax) & (amax <= self.cap)
+            good = k if ok.all() else int(ok.argmin())
+            e = energy(block[:good], self.params, self.y, self.geometry).total
+            if not np.isfinite(e).all():
+                good = int(np.isfinite(e).argmin())
+            s_vals.append(np.arange(done + 1, done + good + 1) * self.ds)
+            energies.append(e[:good])
+            sup_dev.append(np.abs(block[:good] - kap).max(axis=1))
             if record_states:
-                states.append(w.copy())
+                states.append(block[:good])
+            if good < k:
+                status = "blew-up"
+                events["cap_at_s"] = (done + good + 1) * self.ds
+                break
+            done += k
         return RescaledRun(
             params=self.params, y=self.y, ds=self.ds, geometry=self.geometry,
-            s_values=np.array(s_vals), energies=np.array(energies),
-            sup_dev=np.array(sup_dev),
-            states=np.array(states) if record_states else None,
+            s_values=np.concatenate(s_vals), energies=np.concatenate(energies),
+            sup_dev=np.concatenate(sup_dev),
+            states=np.concatenate(states) if record_states else None,
             status=status, events=events,
         )
 

@@ -26,6 +26,7 @@ from blowlab import (
     verify_prop35_inequality,
     weighted_inner,
 )
+from blowlab import calculus
 from blowlab.calculus import (
     GaussianSum,
     bracket,
@@ -303,17 +304,210 @@ def test_gaussian_sum_derivatives_match_finite_differences():
             ei, ej = h * np.eye(2)[i], h * np.eye(2)[j]
             hess_fd[:, i, j] = (gs(q + ei + ej) - gs(q + ei - ej)
                                 - gs(q - ei + ej) + gs(q - ei - ej)) / (4 * h * h)
-    assert np.abs(gs.hess(q) - hess_fd).max() < 1e-4
+    assert np.abs(gs.at(q).hess() - hess_fd).max() < 1e-4
     glap_fd = np.empty((8, 2))
     for i in range(2):
         e = h * np.eye(2)[i]
         glap_fd[:, i] = (gs.lap(q + e) - gs.lap(q - e)) / (2 * h)
-    assert np.abs(gs.grad_lap(q) - glap_fd).max() < 1e-5
+    assert np.abs(gs.at(q).grad_lap() - glap_fd).max() < 1e-5
     gou_fd = np.empty((8, 2))
     for i in range(2):
         e = h * np.eye(2)[i]
-        gou_fd[:, i] = (gs.ou(q + e, gs.grad(q + e)) - gs.ou(q - e, gs.grad(q - e))) / (2 * h)
-    assert np.abs(gs.grad_ou(q, gs.grad(q), gs.hess(q)) - gou_fd).max() < 1e-5
+        up, down = gs.at(q + e), gs.at(q - e)
+        gou_fd[:, i] = (up.ou(up.grad()) - down.ou(down.grad())) / (2 * h)
+    terms = gs.at(q)
+    assert np.abs(terms.grad_ou(terms.grad(), terms.hess()) - gou_fd).max() < 1e-5
+
+
+# GaussianSum as it was before its terms were shared: each method computes
+# y - c, |y - c|^2 and the exponentials afresh. The oracle of the shared terms.
+
+
+def _fresh_parts(gs, pts):
+    d2 = ((pts[None, :, :] - gs.c[:, None, :]) ** 2).sum(axis=2)
+    return gs.a[:, None] * np.exp(-gs.b[:, None] * d2)
+
+
+def _fresh_value(gs, pts):
+    return _fresh_parts(gs, pts).sum(axis=0)
+
+
+def _fresh_grad(gs, pts):
+    parts = _fresh_parts(gs, pts)
+    diff = pts[None, :, :] - gs.c[:, None, :]
+    return (-2.0 * gs.b[:, None, None] * diff * parts[:, :, None]).sum(axis=0)
+
+
+def _fresh_lap(gs, pts):
+    n = pts.shape[1]
+    parts = _fresh_parts(gs, pts)
+    d2 = ((pts[None, :, :] - gs.c[:, None, :]) ** 2).sum(axis=2)
+    return ((4.0 * gs.b[:, None] ** 2 * d2 - 2.0 * n * gs.b[:, None]) * parts).sum(axis=0)
+
+
+def _fresh_hess(gs, pts):
+    parts = _fresh_parts(gs, pts)
+    diff = pts[None, :, :] - gs.c[:, None, :]
+    b = gs.b[:, None, None, None]
+    outer = diff[:, :, :, None] * diff[:, :, None, :]
+    eye = np.eye(pts.shape[1])[None, None, :, :]
+    return ((4.0 * b * b * outer - 2.0 * b * eye)
+            * parts[:, :, None, None]).sum(axis=0)
+
+
+def _fresh_grad_lap(gs, pts):
+    n = pts.shape[1]
+    parts = _fresh_parts(gs, pts)
+    diff = pts[None, :, :] - gs.c[:, None, :]
+    d2 = (diff ** 2).sum(axis=2)
+    b = gs.b[:, None]
+    coef = (8.0 + 4.0 * n) * b * b - 8.0 * b ** 3 * d2
+    return (coef[:, :, None] * diff * parts[:, :, None]).sum(axis=0)
+
+
+def _fresh_ou(gs, pts, grad):
+    return _fresh_lap(gs, pts) - 0.5 * (pts * grad).sum(axis=1)
+
+
+def _fresh_grad_ou(gs, pts, grad, hess):
+    hy = np.einsum("qij,qj->qi", hess, pts)
+    return _fresh_grad_lap(gs, pts) - 0.5 * (grad + hy)
+
+
+def _fresh_all(gs, pts):
+    grad, hess = _fresh_grad(gs, pts), _fresh_hess(gs, pts)
+    return {"values": _fresh_value(gs, pts), "grad": grad, "lap": _fresh_lap(gs, pts),
+            "hess": hess, "grad_lap": _fresh_grad_lap(gs, pts),
+            "ou": _fresh_ou(gs, pts, grad), "grad_ou": _fresh_grad_ou(gs, pts, grad, hess)}
+
+
+def _method_all(gs, pts):
+    return {"values": gs(pts), "grad": gs.grad(pts), "lap": gs.lap(pts)}
+
+
+def _terms_all(terms):
+    grad, hess = terms.grad(), terms.hess()
+    return {"values": terms.values(), "grad": grad, "lap": terms.lap(), "hess": hess,
+            "grad_lap": terms.grad_lap(), "ou": terms.ou(grad),
+            "grad_ou": terms.grad_ou(grad, hess)}
+
+
+def _assert_bitwise(got, want):
+    for key in got:
+        assert got[key].shape == want[key].shape, key
+        assert np.array_equal(got[key], want[key]), key
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gaussian_sum_shared_terms_are_fresh_evaluations(n):
+    rng = np.random.default_rng(40 + n)
+    gs = random_gaussian_sum(rng, n)
+    pts = rng.uniform(-4.0, 4.0, (50, n))
+    want = _fresh_all(gs, pts)
+    _assert_bitwise(_method_all(gs, pts), want)          # writeable: no reuse
+    _assert_bitwise(_terms_all(gs.at(pts)), want)
+    frozen = pts.copy()
+    frozen.flags.writeable = False
+    _assert_bitwise(_method_all(gs, frozen), want)       # reused terms
+    _assert_bitwise(_method_all(gs, frozen), want)
+    # a shrink step reuses the exponentials of the unshrunk terms
+    half = GaussianSum(a=gs.a * 0.5, b=gs.b, c=gs.c)
+    _assert_bitwise(_terms_all(gs.at(pts).scaled(0.5)), _fresh_all(half, pts))
+
+
+def test_gaussian_sum_never_serves_stale_points():
+    rng = np.random.default_rng(5)
+    gs = random_gaussian_sum(rng, 2)
+    pts = rng.uniform(-3.0, 3.0, (30, 2))
+    frozen = pts.copy()
+    frozen.flags.writeable = False
+    first = gs(frozen)
+    assert np.array_equal(gs(frozen), first)
+    # a copy, a different array, and another array of the same values
+    moved = frozen + 0.5
+    assert np.array_equal(gs(moved), _fresh_value(gs, moved))
+    assert np.array_equal(gs.grad(frozen.copy()), _fresh_grad(gs, pts))
+    # a writeable array mutated in place between calls
+    assert np.array_equal(gs(pts), first)
+    pts += 0.25
+    assert np.array_equal(gs(pts), _fresh_value(gs, pts))
+    assert np.array_equal(gs.lap(pts), _fresh_lap(gs, pts))
+    # a kept array made writeable again and changed
+    assert np.array_equal(gs(frozen), first)
+    frozen.flags.writeable = True
+    frozen -= 1.0
+    assert np.array_equal(gs(frozen), _fresh_value(gs, frozen))
+    # a read-only view of a writeable base is not kept either
+    base = rng.uniform(-3.0, 3.0, (30, 2))
+    view = base[:]
+    view.flags.writeable = False
+    assert np.array_equal(gs(view), _fresh_value(gs, base))
+    base *= 2.0
+    assert np.array_equal(gs(view), _fresh_value(gs, base))
+    assert np.array_equal(gs.grad(view), _fresh_grad(gs, base))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_from_callable_of_a_gaussian_sum_is_the_fresh_field(n):
+    grid = tensor_grid(n, {1: 64, 2: 24, 3: 12}[n])
+    gs = random_gaussian_sum(np.random.default_rng(n), n)
+    f = SampledField.from_callable(grid, gs, grad=gs.grad, lap=gs.lap)
+    assert np.array_equal(f.values, _fresh_value(gs, grid.points))
+    assert np.array_equal(f.grad, _fresh_grad(gs, grid.points))
+    assert np.array_equal(f.lap, _fresh_lap(gs, grid.points))
+    assert grid.points.flags.writeable          # the grid's own points untouched
+
+
+def _fresh_log_test_eigenpair(grid, rng, params, amp):
+    """make_log_test_eigenpair as it was, on the fresh evaluations."""
+    p = params.p
+    floor = 0.1 * p / (p - 1.0)
+    gs = random_gaussian_sum(rng, grid.n, amp=amp)
+    pts = grid.points
+    for _ in range(60):
+        grad = _fresh_grad(gs, pts)
+        pot = p / (p - 1.0) - _fresh_ou(gs, pts, grad) - (grad ** 2).sum(axis=1)
+        if pot.min() > floor:
+            wvals = (pot / p) ** (1.0 / (p - 1.0))
+            hess = _fresh_hess(gs, pts)
+            gpot = -_fresh_grad_ou(gs, pts, grad, hess) \
+                - 2.0 * np.einsum("qij,qj->qi", hess, grad)
+            wgrad = (wvals / ((p - 1.0) * pot))[:, None] * gpot
+            w = SampledField(grid=grid, values=wvals, grad=wgrad)
+            if compute_H(w, p).min > 0.0:
+                break
+        gs = GaussianSum(a=gs.a * 0.5, b=gs.b, c=gs.c)
+    else:
+        raise UsageError("could not scale the eigenpair sample to a positive potential")
+    gv = _fresh_value(gs, pts)
+    f = SampledField(grid=grid, values=np.exp(gv), grad=np.exp(gv)[:, None] * grad)
+    return w, f
+
+
+@pytest.mark.parametrize("amp", [0.25, 8.0])
+@pytest.mark.parametrize("n,p", [(1, 2.0), (2, 3.0), (3, 2.0)])
+def test_log_test_eigenpair_and_bump_are_the_fresh_samples(monkeypatch, n, p, amp):
+    # amplitude 0.25 is the battery's draw and needs no shrink; at 8 every
+    # sample here is halved two or three times before its potential is positive
+    monkeypatch.setattr(calculus, "random_gaussian_sum",
+                        lambda rng, n, amp=amp: random_gaussian_sum(rng, n, amp=amp))
+    grid = tensor_grid(n, {1: 64, 2: 24, 3: 12}[n])
+    params = ProblemParams(n=n, p=p)
+    for seed in (0, 3, 7, 12):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        pair = make_log_test_eigenpair(grid, rng, params)
+        w, f = _fresh_log_test_eigenpair(grid, ref, params, amp)
+        for got, want in ((pair.w, w), (pair.f, f)):
+            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(got.grad, want.grad)
+        bump = random_bump_field(grid, rng)
+        gs = random_gaussian_sum(ref, n, amp=1.0)
+        eta = cutoff_field(grid, 4.0)
+        vals = _fresh_value(gs, grid.points) * eta.values
+        grad = _fresh_grad(gs, grid.points) * eta.values[:, None] \
+            + _fresh_value(gs, grid.points)[:, None] * eta.grad
+        assert np.array_equal(bump.values, vals) and np.array_equal(bump.grad, grad)
+        assert rng.random() == ref.random()     # the same draws were taken
 
 
 def test_random_bump_field_support(g2):
@@ -331,7 +525,8 @@ def test_eigenpair_construction_is_exact(g1):
     gs = random_gaussian_sum(rng, 1, amp=0.1)
     pts = g1.points
     p = 2.0
-    pot = p / (p - 1.0) - gs.ou(pts, gs.grad(pts)) - (gs.grad(pts) ** 2).sum(axis=1)
+    terms = gs.at(pts)
+    pot = p / (p - 1.0) - terms.ou(terms.grad()) - (terms.grad() ** 2).sum(axis=1)
     assert pot.min() > 0.0
     wvals = (pot / p) ** (1.0 / (p - 1.0))
     w = SampledField(grid=g1, values=wvals, grad=np.zeros((g1.npoints, 1)))

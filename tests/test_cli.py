@@ -281,6 +281,14 @@ def test_scan_refuses_a_degenerate_bisect_tol(tmp_path, capsys, tol):
     assert "bisect_tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting", ["s_end=nan", "s_end=inf", "s_end=-1", "s_end=0",
+                                     "ds=nan", "ds=inf", "ds=0", "L=nan", "L=inf"])
+def test_evolve_rescaled_refuses_degenerate_steps(tmp_path, capsys, setting):
+    assert run_cli("evolve-rescaled", "--out", str(tmp_path / "evo"),
+                   "--set", setting) == 2
+    assert setting.split("=")[0] in capsys.readouterr().err
+
+
 def test_scan_below_float_resolution_ends_with_verdicts(tmp_path, capsys):
     # no midpoint lies strictly inside a bracket one ulp wide: bisection stops
     # there, and brackets-refined reports the width it reached

@@ -4,6 +4,8 @@ dissipation accounting, blow-up time fitting, and the convergence pipeline.
 """
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from blowlab import (
     rescale_to_similarity,
     solve_physical,
     RescaledFlow,
+    evolution,
 )
 from blowlab.evolution import (
     BlowupRun,
@@ -166,6 +169,163 @@ def test_flow_supercritical_constant_blows_up():
     run = flow.run(np.full(201, 2.0), s_end=50.0, record_states=False)
     assert run.status == "blew-up"
     assert "cap_at_s" in run.events
+
+
+@pytest.mark.parametrize("s_end", [math.nan, math.inf, -math.inf])
+def test_flow_refuses_a_nonfinite_end(s_end):
+    with pytest.raises(UsageError):
+        RescaledFlow(P2, m=201).run(np.ones(201), s_end=s_end)
+
+
+@pytest.mark.parametrize("kwargs", [{"L": math.nan}, {"L": math.inf}, {"ds": math.nan},
+                                    {"ds": math.inf}])
+def test_flow_refuses_nonfinite_arguments(kwargs):
+    with pytest.raises(UsageError):
+        RescaledFlow(P2, m=201, **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# per-block bookkeeping of the rescaled run
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _per_step_run(self, w0, s_end, record_states=True):
+    """RescaledFlow.run as it was with the energy, sup_dev and stop test
+    evaluated after every step: the oracle of the blocked run."""
+    w = (np.asarray(w0(self.y), dtype=float) if callable(w0)
+         else np.asarray(w0, dtype=float).copy())
+    if w.shape != self.y.shape:
+        raise UsageError("initial state does not match the mesh")
+    kap = kappa(self.params.p)
+    nsteps = int(round(s_end / self.ds))
+    e0 = energy(w, self.params, self.y, self.geometry).total
+    if not math.isfinite(e0):
+        raise NumericError("initial state has non-finite energy",
+                           payload={"energy": e0})
+    s_vals = [0.0]
+    energies = [e0]
+    sup_dev = [float(np.abs(w - kap).max())]
+    states = [w.copy()] if record_states else None
+    status = "completed"
+    events = {}
+    for k in range(nsteps):
+        w = self.step(w)
+        e = (energy(w, self.params, self.y, self.geometry).total
+             if np.all(np.isfinite(w)) and np.abs(w).max() <= self.cap
+             else math.nan)
+        if not math.isfinite(e):
+            status = "blew-up"
+            events["cap_at_s"] = (k + 1) * self.ds
+            break
+        s_vals.append((k + 1) * self.ds)
+        energies.append(e)
+        sup_dev.append(float(np.abs(w - kap).max()))
+        if record_states:
+            states.append(w.copy())
+    return (np.array(s_vals), np.array(energies), np.array(sup_dev),
+            np.array(states) if record_states else None, status, events)
+
+
+def _assert_run_is_the_per_step_run(flow, w0, s_end, record_states):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run = flow.run(w0, s_end, record_states=record_states)
+        want = _per_step_run(flow, w0, s_end, record_states=record_states)
+    got = (run.s_values, run.energies, run.sup_dev, run.states, run.status, run.events)
+    for name, g, w in zip(("s_values", "energies", "sup_dev", "states"), got, want):
+        if w is None:
+            assert g is None, name
+        else:
+            assert g.dtype == w.dtype and g.shape == w.shape, name
+            assert np.array_equal(g, w), name
+    assert run.status == want[4]
+    assert run.events == want[5]
+    for a, b in zip(run.events.values(), want[5].values()):
+        assert type(a) is type(b)
+    return run
+
+
+@pytest.mark.parametrize("record_states", [True, False])
+@pytest.mark.parametrize("nsteps", [0, 1, evolution._BLOCK - 1, evolution._BLOCK,
+                                    evolution._BLOCK + 1])
+@pytest.mark.parametrize("geometry,params", [("interval", P2), ("ball", P33)])
+def test_blocked_run_is_the_per_step_run(geometry, params, nsteps, record_states):
+    # below kappa the state decays toward 0, so every step is recorded
+    flow = RescaledFlow(params, m=201, ds=1e-2, geometry=geometry)
+    w0 = kappa(params.p) - 0.1 * np.exp(-flow.y ** 2 / 4.0)
+    run = _assert_run_is_the_per_step_run(flow, w0, nsteps * flow.ds, record_states)
+    assert run.status == "completed" and run.s_values.size == nsteps + 1
+
+
+@pytest.mark.parametrize("record_states", [True, False])
+def test_blocked_run_stops_at_a_cap_crossed_mid_block(record_states):
+    # 2 kappa grows past the cap at step 702, inside the third block
+    flow = RescaledFlow(P2, m=201, ds=1e-3, cap=1e4)
+    run = _assert_run_is_the_per_step_run(flow, np.full(201, 2.0), 2.0, record_states)
+    assert run.status == "blew-up"
+    assert run.s_values.size - 1 == 701
+    assert 0 < 701 % evolution._BLOCK < evolution._BLOCK - 1
+
+
+@pytest.mark.parametrize("record_states", [True, False])
+@pytest.mark.parametrize("geometry,params", [("interval", P2), ("ball", P33)])
+def test_blocked_run_stops_at_a_nonfinite_energy(geometry, params, record_states):
+    # a cap beyond reach: the first state whose |w|^(p+1) overflows ends the
+    # run while the state itself is finite
+    flow = RescaledFlow(params, m=201, ds=1e-3, geometry=geometry, cap=1e300)
+    w0 = kappa(params.p) + 10.0 * np.exp(-flow.y ** 2 / 4.0)
+    run = _assert_run_is_the_per_step_run(flow, w0, 2.0, record_states)
+    assert run.status == "blew-up"
+    nrec = run.s_values.size
+    assert 1 < nrec < 2000 and nrec % evolution._BLOCK != 0
+    last = w0
+    for _ in range(nrec):
+        last = flow.step(last)
+    assert np.isfinite(last).all() and np.abs(last).max() <= flow.cap
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not math.isfinite(energy(last, params, flow.y, geometry).total)
+
+
+def test_blocked_run_allocates_no_steps_it_does_not_take():
+    # s_end asks for 10^7 steps (16 GB of states); the run blows up near
+    # step 70 and must hold no more than its blocks
+    flow = RescaledFlow(P2, m=201, ds=1e-3, cap=1e4)
+    tracemalloc.start()
+    try:
+        run = flow.run(np.full(201, 2.0), s_end=1e4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.status == "blew-up" and run.states.shape == (702, 201)
+    assert peak < 16 * evolution._BLOCK * 201 * 8
+
+
+@pytest.mark.parametrize("m", [9, 16, 129, 130, 801])
+@pytest.mark.parametrize("geometry,params", [("interval", P2), ("ball", P33)])
+def test_stacked_energy_is_the_row_energy(geometry, params, m):
+    flow = RescaledFlow(params, m=m, geometry=geometry)
+    rng = np.random.default_rng(m)
+    stack = kappa(params.p) + rng.standard_normal((7, m)) * np.exp(-flow.y ** 2 / 8.0)
+    ev = energy(stack, params, flow.y, geometry)
+    for field in ("total", "dirichlet", "quadratic", "potential"):
+        got = getattr(ev, field)
+        assert got.shape == (7,) and got.dtype == np.float64
+        rows = [getattr(energy(row, params, flow.y, geometry), field) for row in stack]
+        assert all(type(r) is float for r in rows)
+        assert np.array_equal(got, np.array(rows)), field
+    # a stack of one and a Fortran-ordered stack reduce row by row as well
+    one = energy(stack[2:3], params, flow.y, geometry).total
+    assert one.shape == (1,) and one[0] == energy(stack[2], params, flow.y, geometry).total
+    assert np.array_equal(energy(np.asfortranarray(stack), params, flow.y, geometry).total,
+                          ev.total)
+
+
+def test_stacked_energy_shape_errors():
+    y = np.linspace(-8.0, 8.0, 101)
+    with pytest.raises(UsageError):
+        energy(np.ones((3, 100)), P2, y)
+    with pytest.raises(UsageError):
+        energy(np.ones((2, 3, 101)), P2, y)
 
 
 def test_linearized_matrix_decay_rates():
