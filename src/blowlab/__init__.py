@@ -40,6 +40,7 @@ from .exponents import (
     kappa_identity_residual,
     m_condition,
 )
+from .manifest import TOOL_VERSION
 from .profiles import (
     RadialProfile,
     accepts_bounded_positive,
@@ -68,7 +69,7 @@ from .spectral import (
     stability_classify,
 )
 
-__version__ = "0.1.0"
+__version__ = TOOL_VERSION
 
 __all__ = [
     "BlowupRun", "CheckRow", "ConfigurationError", "CriticalExponents",

@@ -18,12 +18,10 @@ the analysis rests on:
 The randomized batteries draw Gaussian sums g = sum_j a_j exp(-b_j |y-c_j|^2).
 `GaussianSum.at(pts)` evaluates y - c_j, |y - c_j|^2 and exp(-b_j |y-c_j|^2)
 once per point set, and values, gradient, Laplacian, Hessian and
-grad-Laplacian all read them; halving the amplitudes in
-`make_log_test_eigenpair` reuses the exponentials, since b, c and the points
-stay. The sum's own methods reuse the terms of their last point array only
-when it is the same read-only array with its own data; `from_callable`
-hands its callables such a copy of the grid points. Every route gives
-bitwise the values of a fresh evaluation.
+grad-Laplacian all read them; `GaussianSum.field(grid)` is the sampled
+field (values, gradient, Laplacian) of one such evaluation. Halving the
+amplitudes in `make_log_test_eigenpair` reuses the exponentials, since b, c
+and the points stay.
 """
 
 from __future__ import annotations
@@ -75,13 +73,9 @@ class SampledField:
 
     @classmethod
     def from_callable(cls, grid: Grid, f, grad=None, lap=None) -> "SampledField":
-        """Sample callables; any derivative not supplied is computed spectrally.
-
-        The callables get one read-only copy of the points, so a GaussianSum
-        and its derivative methods evaluate their exponentials once.
-        """
-        pts = grid.points.copy()
-        pts.flags.writeable = False
+        """Sample callables of the points (nq, n); any derivative not supplied
+        is computed spectrally."""
+        pts = grid.points
         values = np.asarray(f(pts), dtype=float).reshape(-1)
         g = None if grad is None else np.asarray(grad(pts), dtype=float)
         l = None if lap is None else np.asarray(lap(pts), dtype=float).reshape(-1)
@@ -329,10 +323,8 @@ def random_poly_field(grid: TensorGrid, rng: np.random.Generator,
 class GaussianSum:
     """g(y) = sum_j a_j exp(-b_j |y - c_j|^2), with analytic derivatives.
 
-    at(pts) evaluates the terms on one point set for every derivative.
-    Calling the sum, grad or lap reuses the terms of the last point array
-    only when it is the same read-only array with its own data, as in
-    from_callable; any other array is evaluated afresh.
+    at(pts) evaluates the terms on one point set for every derivative;
+    field(grid) is the sampled field of the terms on the grid's points.
     """
 
     a: np.ndarray
@@ -345,23 +337,10 @@ class GaussianSum:
         expo = np.exp(-self.b[:, None] * d2)
         return GaussianTerms(self, pts, diff, d2, expo, self.a[:, None] * expo)
 
-    def _terms(self, pts: np.ndarray) -> "GaussianTerms":
-        last = self.__dict__.get("_last")
-        if last is not None and last.pts is pts and not pts.flags.writeable:
-            return last
-        terms = self.at(pts)
-        if pts.base is None and not pts.flags.writeable:
-            object.__setattr__(self, "_last", terms)
-        return terms
-
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
-        return self._terms(pts).values()
-
-    def grad(self, pts: np.ndarray) -> np.ndarray:
-        return self._terms(pts).grad()
-
-    def lap(self, pts: np.ndarray) -> np.ndarray:
-        return self._terms(pts).lap()
+    def field(self, grid: TensorGrid) -> SampledField:
+        terms = self.at(grid.points)
+        return SampledField(grid=grid, values=terms.values(), grad=terms.grad(),
+                            lap=terms.lap())
 
 
 @dataclass(frozen=True, eq=False)

@@ -144,6 +144,9 @@ SCHEMAS["theorem13"] = {
 
 KINDS = tuple(SCHEMAS)
 
+# an evolve-rescaled run keeps every state: (steps + 1) * m floats
+MAX_RECORDED_VALUES = 2**25
+
 
 def parse_config_text(text: str) -> dict[str, str]:
     """key = value lines; '#' comments; later keys win."""
@@ -197,6 +200,12 @@ def _validate(kind: str, cfg: dict) -> None:
         for key in ("s_end", "ds"):
             if not (cfg[key] > 0.0 and math.isfinite(cfg[key])):
                 raise ConfigurationError(f"{key} must be finite and > 0, got {cfg[key]}")
+        steps = cfg["s_end"] / cfg["ds"]
+        if not (math.isfinite(steps)
+                and (round(steps) + 1) * cfg["m"] <= MAX_RECORDED_VALUES):
+            raise ConfigurationError(
+                f"s_end/ds = {steps:.3g} steps on m = {cfg['m']} points would record "
+                f"more than {MAX_RECORDED_VALUES} values; raise ds or lower s_end or m")
     if kind == "scan" and not 0.0 < cfg["alpha_lo"] < cfg["alpha_hi"]:
         raise ConfigurationError("need 0 < alpha_lo < alpha_hi")
     if kind == "scan" and not (cfg["bisect_tol"] > 0.0 and math.isfinite(cfg["bisect_tol"])):

@@ -143,17 +143,23 @@ def exact_energy_kappa(params: ProblemParams) -> float:
 
 def rescale_to_similarity(u: np.ndarray, x: np.ndarray, t: float, T: float,
                           a: float, y_out: np.ndarray,
-                          params: ProblemParams) -> tuple[np.ndarray, float, np.ndarray]:
-    """(w on y_out, s, validity mask). Outside the sampled x-range w is nan."""
+                          params: ProblemParams
+                          ) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """(w, w_y on y_out, s, validity mask) for w(y) = (T-t)^(1/(p-1)) u(a + sqrt(T-t) y),
+    from a cubic spline of u. Outside the sampled x-range w and w_y are nan."""
     if not T > t:
         raise UsageError(f"need T > t, got T = {T}, t = {t}")
     lam = math.sqrt(T - t)
+    scale = (T - t) ** (1.0 / (params.p - 1.0))
     xt = a + lam * np.asarray(y_out)
     mask = (xt >= x[0]) & (xt <= x[-1])
     spl = CubicSpline(x, u)
     w = np.full(xt.shape, np.nan)
-    w[mask] = (T - t) ** (1.0 / (params.p - 1.0)) * spl(xt[mask])
-    return w, -math.log(T - t), mask
+    w_y = np.full(xt.shape, np.nan)
+    xm = xt[mask]
+    w[mask] = scale * spl(xm)
+    w_y[mask] = (scale * lam) * spl(xm, 1)
+    return w, w_y, -math.log(T - t), mask
 
 
 # ---------------------------------------------------------------------------
@@ -771,11 +777,11 @@ def convergence_pipeline(run: BlowupRun, K: float = 1.0, conv_tol: float = 0.05,
             continue
         if snap.max_u < 100.0 * sup_start:     # not yet in the blow-up regime
             continue
-        spl = CubicSpline(run.x, snap.u)
-        w = sign * Tt ** (1.0 / (p - 1.0)) * spl(a + lam * yg)
-        w_y = sign * Tt ** (1.0 / (p - 1.0)) * lam * spl(a + lam * yg, 1)
+        w, w_y, s, _ = rescale_to_similarity(snap.u, run.x, snap.t, T, a, yg,
+                                             run.params)
+        w, w_y = sign * w, sign * w_y
         Hw = w / (p - 1.0) + 0.5 * yg * w_y
-        rows.append(WindowRow(t=snap.t, T_minus_t=float(Tt), s=float(-math.log(Tt)),
+        rows.append(WindowRow(t=snap.t, T_minus_t=float(Tt), s=s,
                               sup_dev=float(np.abs(w - kap).max()),
                               min_H=float(Hw.min())))
     rows = rows[-max_rows:]

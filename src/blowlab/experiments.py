@@ -55,6 +55,7 @@ from .manifest import (
     write_json,
 )
 from .profiles import (
+    OUTCOMES,
     accepts_bounded_positive,
     extended_profile,
     profile_field,
@@ -135,8 +136,7 @@ def _random_field_pair(grid, rng):
     def one():
         if grid.n <= 2 and rng.random() < 0.5:
             return random_poly_field(grid, rng, max_deg=4)
-        gs = random_gaussian_sum(rng, grid.n)
-        return SampledField.from_callable(grid, gs, grad=gs.grad, lap=gs.lap)
+        return random_gaussian_sum(rng, grid.n).field(grid)
     return one(), one()
 
 
@@ -149,8 +149,9 @@ def run_verify_identities(cfg: dict, out_dir: Path) -> RunOutcome:
     params = ProblemParams(n=n, p=p)
     rng = np.random.default_rng(cfg["seed"])
     # the exact-identity rows need the random bumps resolved to ~1e-9, which
-    # takes more nodes per axis than the spectral default in n = 2, 3
-    grid = tensor_grid(n, cfg["degree"] or {1: 64, 2: 48}.get(n, 32))
+    # takes more nodes per axis than the spectral default in n = 2, 3; n = 3
+    # passes at 34 for seeds 0-29 and fails some at 33
+    grid = tensor_grid(n, cfg["degree"] or {1: 64, 2: 48, 3: 34}[n])
     rgrid = radial_grid(n)
     rows: list[CheckRow] = []
 
@@ -174,8 +175,7 @@ def run_verify_identities(cfg: dict, out_dir: Path) -> RunOutcome:
         coef[(2,) + (0,) * (n - 1)] = 0.5
         f0 = poly_field(grid, coef)
     else:
-        gs0 = random_gaussian_sum(np.random.default_rng(7), n)
-        f0 = SampledField.from_callable(grid, gs0, grad=gs0.grad, lap=gs0.lap)
+        f0 = random_gaussian_sum(np.random.default_rng(7), n).field(grid)
     rows.append(verify_ibp(f0, f0, name="ibp-anchor"))
 
     for i in range(cases):
@@ -196,9 +196,7 @@ def run_verify_identities(cfg: dict, out_dir: Path) -> RunOutcome:
 
     # weighted-H^1 growth diagnostic on a fixed smooth field
     gs = random_gaussian_sum(np.random.default_rng(11), n)
-    base = growth_diagnostic(
-        lambda g2: SampledField.from_callable(g2, gs, grad=gs.grad, lap=gs.lap),
-        n, grid.degree)
+    base = growth_diagnostic(gs.field, n, grid.degree)
     rows.append(CheckRow("h1-growth-smooth", base.lhs, base.rhs,
                          base.residual, base.holds, base.info))
 
@@ -311,9 +309,7 @@ def run_shoot(cfg: dict, out_dir: Path) -> RunOutcome:
                                           "c": prof.meta["c"], "d": prof.meta["d"]},
     }
     write_json(out_dir / "shoot.json", summary)
-    verdicts = [Verdict("outcome-classified", prof.outcome in
-                        ("hit-zero", "blew-up", "converged-to-kappa-like-tail",
-                         "reached-Rmax-bounded"), prof.outcome)]
+    verdicts = [Verdict("outcome-classified", prof.outcome in OUTCOMES, prof.outcome)]
     if abs(alpha - params.kappa) <= 1e-12:
         verdicts.append(Verdict("constant-profile-residual", res < 1e-10,
                                 f"sup residual {res:.3e}"))

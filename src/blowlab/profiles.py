@@ -156,7 +156,7 @@ def _shot_start(alpha: float, params: ProblemParams, r_max: float, cap: float):
 
 
 def _integrate(alpha: float, params: ProblemParams, r_max: float, rtol: float,
-               atol: float, cap: float, method: str, dense: bool):
+               atol: float, cap: float, dense: bool):
     """Start from the series and integrate to the first terminal event.
 
     Returns (series, sol, t_zero, t_cap, r_end), with series = (r0, c, d) and
@@ -182,7 +182,7 @@ def _integrate(alpha: float, params: ProblemParams, r_max: float, rtol: float,
 
     with np.errstate(over="ignore", invalid="ignore"):
         sol = solve_ivp(_rhs(params, cap), (r0, r_max), (w0, w0r),
-                        method=method, rtol=rtol, atol=atol,
+                        method="DOP853", rtol=rtol, atol=atol,
                         events=(ev_zero, ev_cap), dense_output=dense)
     if sol.status == -1:
         raise NumericError(f"integration failed at r = {sol.t[-1]:.6g}: {sol.message}",
@@ -204,13 +204,12 @@ def _event_outcome(t_zero: float, t_cap: float) -> str | None:
 
 def shoot(alpha: float, params: ProblemParams, r_max: float = 20.0,
           rtol: float = 1e-10, atol: float = 1e-12, cap: float = 1e6,
-          mesh_points: int = 4001, method: str = "DOP853",
-          tail_tol: float = 1e-3) -> RadialProfile:
+          mesh_points: int = 4001, tail_tol: float = 1e-3) -> RadialProfile:
     """Integrate from the series start; classify by the first terminal event."""
     (r0, c, d), sol, t_zero, t_cap, r_end = _integrate(
-        alpha, params, r_max, rtol, atol, cap, method, dense=True)
+        alpha, params, r_max, rtol, atol, cap, dense=True)
     meta = {"r0": r0, "c": c, "d": d, "rtol": rtol, "atol": atol,
-            "cap": cap, "r_max": r_max, "method": method}
+            "cap": cap, "r_max": r_max}
     if sol is None:
         rr = np.linspace(r0, r_max, mesh_points)
         return RadialProfile(
@@ -247,7 +246,7 @@ def shoot(alpha: float, params: ProblemParams, r_max: float = 20.0,
 
 def classify_shot(alpha: float, params: ProblemParams, r_max: float = 20.0,
                   rtol: float = 1e-10, atol: float = 1e-12, cap: float = 1e6,
-                  method: str = "DOP853", **mesh_kw) -> tuple[str, float]:
+                  **mesh_kw) -> tuple[str, float]:
     """shoot(alpha, params, ...)'s (outcome, r_end), without its mesh.
 
     A terminal event decides hit-zero or blew-up from a sparse integration.
@@ -256,12 +255,12 @@ def classify_shot(alpha: float, params: ProblemParams, r_max: float = 20.0,
     passing mesh_kw (mesh_points, tail_tol) on.
     """
     _, _, t_zero, t_cap, r_end = _integrate(alpha, params, r_max, rtol, atol,
-                                            cap, method, dense=False)
+                                            cap, dense=False)
     outcome = _event_outcome(t_zero, t_cap)
     if outcome is not None:
         return outcome, r_end
     prof = shoot(alpha, params, r_max=r_max, rtol=rtol, atol=atol, cap=cap,
-                 method=method, **mesh_kw)
+                 **mesh_kw)
     return prof.outcome, prof.r_end
 
 
@@ -369,8 +368,7 @@ def _first_event(params, cap, t_old, t_new, y_old, y_new, K, zero, up):
 
 def classify_lanes(alphas, params: ProblemParams, r_max: float = 20.0,
                    rtol: float = 1e-10, atol: float = 1e-12, cap: float = 1e6,
-                   method: str = "DOP853", resolve: bool = True,
-                   **mesh_kw) -> list[tuple[str, float] | None]:
+                   resolve: bool = True, **mesh_kw) -> list[tuple[str, float] | None]:
     """[classify_shot(alpha, params, ...) for alpha in alphas], in one batch.
 
     Each alpha is a lane with its own r, (w, w_r), step size and rejected-step
@@ -383,8 +381,6 @@ def classify_lanes(alphas, params: ProblemParams, r_max: float = 20.0,
     classify_shot, with mesh_kw passed on; with resolve=False its result is
     None instead, for a caller that may not need it.
     """
-    if method != "DOP853":
-        raise UsageError(f"lane classification integrates with DOP853, not {method!r}")
     if atol < 0.0:
         raise UsageError("atol must not be negative")
     alphas = [float(a) for a in alphas]
@@ -406,7 +402,7 @@ def classify_lanes(alphas, params: ProblemParams, r_max: float = 20.0,
     if resolve:
         for i in sorted(undecided):
             prof = shoot(alphas[i], params, r_max=r_max, rtol=rtol, atol=atol, cap=cap,
-                         method=method, **mesh_kw)
+                         **mesh_kw)
             results[i] = (prof.outcome, prof.r_end)
     return results
 

@@ -8,6 +8,7 @@ All closed-form values below are multiples of 2 sqrt(pi) = [1]_W in 1-D:
 import math
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 import pytest
 
 from blowlab import (
@@ -162,9 +163,7 @@ def test_verify_ibp_random_polynomials(g1, g2):
 def test_verify_ibp_gaussian_pairs(g1):
     rng = np.random.default_rng(23)
     for _ in range(10):
-        gs, gt = random_gaussian_sum(rng, 1), random_gaussian_sum(rng, 1)
-        f = SampledField.from_callable(g1, gs, grad=gs.grad, lap=gs.lap)
-        h = SampledField.from_callable(g1, gt, grad=gt.grad, lap=gt.lap)
+        f, h = random_gaussian_sum(rng, 1).field(g1), random_gaussian_sum(rng, 1).field(g1)
         row = verify_ibp(f, h)
         assert row.holds, f"residual {row.residual:.3e}"
 
@@ -270,10 +269,11 @@ def test_poly_field_matches_spectral_gradient(g1):
     rng = np.random.default_rng(2)
     coef = rng.uniform(-1.0, 1.0, size=7)
     f = poly_field(g1, coef)
-    spectral = SampledField.from_values(g1, f.values)
     inner = np.abs(g1.points[:, 0]) <= 8.0
-    assert np.abs((f.grad - spectral.grad)[inner]).max() < 1e-8
-    assert np.abs((f.lap - spectral.lap)[inner]).max() < 1e-7
+    for spectral in (SampledField.from_values(g1, f.values),
+                     SampledField.from_callable(g1, lambda pts: P.polyval(pts[:, 0], coef))):
+        assert np.abs((f.grad - spectral.grad)[inner]).max() < 1e-8
+        assert np.abs((f.lap - spectral.lap)[inner]).max() < 1e-7
 
 
 def test_gaussian_sum_derivatives_match_finite_differences():
@@ -281,34 +281,36 @@ def test_gaussian_sum_derivatives_match_finite_differences():
     gs = random_gaussian_sum(rng, 2)
     pts = rng.uniform(-3.0, 3.0, (40, 2))
     h = 1e-5
+    g = lambda q: gs.at(q).values()
+    lap = lambda q: gs.at(q).lap()
 
     def fd_grad(q):
         out = np.zeros(2)
         for i in range(2):
             e = np.zeros(2)
             e[i] = h
-            out[i] = (gs(q[None] + e) - gs(q[None] - e))[0] / (2 * h)
+            out[i] = (g(q[None] + e) - g(q[None] - e))[0] / (2 * h)
         return out
 
     for q in pts[:8]:
-        assert np.abs(gs.grad(q[None])[0] - fd_grad(q)).max() < 1e-8
+        assert np.abs(gs.at(q[None]).grad()[0] - fd_grad(q)).max() < 1e-8
 
     # laplacian, hessian and third-order pieces against central differences
     q = pts[:8]
-    lap_fd = sum((gs(q + h * np.eye(2)[i]) - 2 * gs(q) + gs(q - h * np.eye(2)[i])) / h**2
+    lap_fd = sum((g(q + h * np.eye(2)[i]) - 2 * g(q) + g(q - h * np.eye(2)[i])) / h**2
                  for i in range(2))
-    assert np.abs(gs.lap(q) - lap_fd).max() < 1e-4
+    assert np.abs(lap(q) - lap_fd).max() < 1e-4
     hess_fd = np.empty((8, 2, 2))
     for i in range(2):
         for j in range(2):
             ei, ej = h * np.eye(2)[i], h * np.eye(2)[j]
-            hess_fd[:, i, j] = (gs(q + ei + ej) - gs(q + ei - ej)
-                                - gs(q - ei + ej) + gs(q - ei - ej)) / (4 * h * h)
+            hess_fd[:, i, j] = (g(q + ei + ej) - g(q + ei - ej)
+                                - g(q - ei + ej) + g(q - ei - ej)) / (4 * h * h)
     assert np.abs(gs.at(q).hess() - hess_fd).max() < 1e-4
     glap_fd = np.empty((8, 2))
     for i in range(2):
         e = h * np.eye(2)[i]
-        glap_fd[:, i] = (gs.lap(q + e) - gs.lap(q - e)) / (2 * h)
+        glap_fd[:, i] = (lap(q + e) - lap(q - e)) / (2 * h)
     assert np.abs(gs.at(q).grad_lap() - glap_fd).max() < 1e-5
     gou_fd = np.empty((8, 2))
     for i in range(2):
@@ -381,10 +383,6 @@ def _fresh_all(gs, pts):
             "ou": _fresh_ou(gs, pts, grad), "grad_ou": _fresh_grad_ou(gs, pts, grad, hess)}
 
 
-def _method_all(gs, pts):
-    return {"values": gs(pts), "grad": gs.grad(pts), "lap": gs.lap(pts)}
-
-
 def _terms_all(terms):
     grad, hess = terms.grad(), terms.hess()
     return {"values": terms.values(), "grad": grad, "lap": terms.lap(), "hess": hess,
@@ -403,59 +401,23 @@ def test_gaussian_sum_shared_terms_are_fresh_evaluations(n):
     rng = np.random.default_rng(40 + n)
     gs = random_gaussian_sum(rng, n)
     pts = rng.uniform(-4.0, 4.0, (50, n))
-    want = _fresh_all(gs, pts)
-    _assert_bitwise(_method_all(gs, pts), want)          # writeable: no reuse
-    _assert_bitwise(_terms_all(gs.at(pts)), want)
-    frozen = pts.copy()
-    frozen.flags.writeable = False
-    _assert_bitwise(_method_all(gs, frozen), want)       # reused terms
-    _assert_bitwise(_method_all(gs, frozen), want)
+    _assert_bitwise(_terms_all(gs.at(pts)), _fresh_all(gs, pts))
     # a shrink step reuses the exponentials of the unshrunk terms
     half = GaussianSum(a=gs.a * 0.5, b=gs.b, c=gs.c)
     _assert_bitwise(_terms_all(gs.at(pts).scaled(0.5)), _fresh_all(half, pts))
-
-
-def test_gaussian_sum_never_serves_stale_points():
-    rng = np.random.default_rng(5)
-    gs = random_gaussian_sum(rng, 2)
-    pts = rng.uniform(-3.0, 3.0, (30, 2))
-    frozen = pts.copy()
-    frozen.flags.writeable = False
-    first = gs(frozen)
-    assert np.array_equal(gs(frozen), first)
-    # a copy, a different array, and another array of the same values
-    moved = frozen + 0.5
-    assert np.array_equal(gs(moved), _fresh_value(gs, moved))
-    assert np.array_equal(gs.grad(frozen.copy()), _fresh_grad(gs, pts))
-    # a writeable array mutated in place between calls
-    assert np.array_equal(gs(pts), first)
-    pts += 0.25
-    assert np.array_equal(gs(pts), _fresh_value(gs, pts))
-    assert np.array_equal(gs.lap(pts), _fresh_lap(gs, pts))
-    # a kept array made writeable again and changed
-    assert np.array_equal(gs(frozen), first)
-    frozen.flags.writeable = True
-    frozen -= 1.0
-    assert np.array_equal(gs(frozen), _fresh_value(gs, frozen))
-    # a read-only view of a writeable base is not kept either
-    base = rng.uniform(-3.0, 3.0, (30, 2))
-    view = base[:]
-    view.flags.writeable = False
-    assert np.array_equal(gs(view), _fresh_value(gs, base))
-    base *= 2.0
-    assert np.array_equal(gs(view), _fresh_value(gs, base))
-    assert np.array_equal(gs.grad(view), _fresh_grad(gs, base))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_from_callable_of_a_gaussian_sum_is_the_fresh_field(n):
     grid = tensor_grid(n, {1: 64, 2: 24, 3: 12}[n])
     gs = random_gaussian_sum(np.random.default_rng(n), n)
-    f = SampledField.from_callable(grid, gs, grad=gs.grad, lap=gs.lap)
-    assert np.array_equal(f.values, _fresh_value(gs, grid.points))
-    assert np.array_equal(f.grad, _fresh_grad(gs, grid.points))
-    assert np.array_equal(f.lap, _fresh_lap(gs, grid.points))
-    assert grid.points.flags.writeable          # the grid's own points untouched
+    sampled = SampledField.from_callable(grid, lambda pts: gs.at(pts).values(),
+                                         grad=lambda pts: gs.at(pts).grad(),
+                                         lap=lambda pts: gs.at(pts).lap())
+    for f in (gs.field(grid), sampled):
+        assert np.array_equal(f.values, _fresh_value(gs, grid.points))
+        assert np.array_equal(f.grad, _fresh_grad(gs, grid.points))
+        assert np.array_equal(f.lap, _fresh_lap(gs, grid.points))
 
 
 def _fresh_log_test_eigenpair(grid, rng, params, amp):
@@ -530,7 +492,7 @@ def test_eigenpair_construction_is_exact(g1):
     assert pot.min() > 0.0
     wvals = (pot / p) ** (1.0 / (p - 1.0))
     w = SampledField(grid=g1, values=wvals, grad=np.zeros((g1.npoints, 1)))
-    gv, grad, lap = gs(pts), gs.grad(pts), gs.lap(pts)
+    gv, grad, lap = terms.values(), terms.grad(), terms.lap()
     f = SampledField(grid=g1, values=np.exp(gv), grad=np.exp(gv)[:, None] * grad,
                      lap=np.exp(gv) * (lap + (grad**2).sum(axis=1)))
     out = linearized_apply(w, f, P2)
@@ -553,9 +515,7 @@ def test_make_log_test_eigenpair_contract(g1):
 def test_growth_diagnostic_smooth_vs_growing():
     rng = np.random.default_rng(21)
     gs = random_gaussian_sum(rng, 1)
-    row = growth_diagnostic(
-        lambda g: SampledField.from_callable(g, gs, grad=gs.grad, lap=gs.lap),
-        n=1, degree=24)
+    row = growth_diagnostic(gs.field, n=1, degree=24)
     assert row.holds
 
     # e^(y^2/8) has infinite weighted H^1 mass: the sampled mass keeps

@@ -282,7 +282,8 @@ def test_scan_refuses_a_degenerate_bisect_tol(tmp_path, capsys, tol):
 
 
 @pytest.mark.parametrize("setting", ["s_end=nan", "s_end=inf", "s_end=-1", "s_end=0",
-                                     "ds=nan", "ds=inf", "ds=0", "L=nan", "L=inf"])
+                                     "ds=nan", "ds=inf", "ds=0", "L=nan", "L=inf",
+                                     "ds=1e-300", "ds=1e-6"])
 def test_evolve_rescaled_refuses_degenerate_steps(tmp_path, capsys, setting):
     assert run_cli("evolve-rescaled", "--out", str(tmp_path / "evo"),
                    "--set", setting) == 2
@@ -315,6 +316,15 @@ def test_spectrum_run(tmp_path):
     assert abs(lam[0] + 1.0) < 1e-8 and abs(lam[3] - 0.5) < 1e-8
     assert summary["fd_check"]["max_abs_err"] < 1e-3
     assert summary["stability"]["stable"] is True
+
+
+def test_verify_identities_n3_default_degree_resolves_seed_3(tmp_path):
+    # seed 3 draws a Gaussian sum that degree 32 does not resolve to the
+    # identity tolerance (ibp-029 off by 2.9e-8)
+    out = tmp_path / "ids"
+    assert run_cli("verify-identities", "--out", str(out), "--quiet",
+                   "--set", "n=3", "--seed", "3") == 0
+    assert json.loads((out / "identities.json").read_text())["failures"] == []
 
 
 def test_verify_identities_run(tmp_path):

@@ -91,7 +91,7 @@ def test_rescale_exact_self_similar_solution():
     T, t = 1.0, 0.75
     u = np.full_like(x, kappa(2.0) * (T - t) ** -1.0)
     y_out = np.linspace(-3.0, 3.0, 121)
-    w, s, mask = rescale_to_similarity(u, x, t, T, 0.0, y_out, P2)
+    w, _, s, mask = rescale_to_similarity(u, x, t, T, 0.0, y_out, P2)
     assert s == pytest.approx(-math.log(0.25), rel=1e-14)
     assert np.abs(w[mask] - kappa(2.0)).max() < 1e-10
     assert np.all(np.isnan(w[~mask]))
@@ -101,9 +101,11 @@ def test_rescale_linear_snapshot():
     # u = x, T - t = 4, a = 0, p = 2: lambda = 2 and w(y) = 4 u(2y) = 8 y
     x = np.linspace(-4.0, 4.0, 801)
     y_out = np.linspace(-3.0, 3.0, 61)
-    w, s, mask = rescale_to_similarity(x.copy(), x, 0.0, 4.0, 0.0, y_out, P2)
+    w, w_y, s, mask = rescale_to_similarity(x.copy(), x, 0.0, 4.0, 0.0, y_out, P2)
     assert np.array_equal(mask, np.abs(y_out) <= 2.0)
     assert np.abs(w[mask] - 8.0 * y_out[mask]).max() < 1e-10
+    assert np.abs(w_y[mask] - 8.0).max() < 1e-10
+    assert np.all(np.isnan(w[~mask])) and np.all(np.isnan(w_y[~mask]))
     assert s == pytest.approx(-math.log(4.0))
 
 

@@ -409,10 +409,6 @@ def test_lane_rhs_is_bitwise_rhs():
 
 
 def test_lane_classifier_argument_errors():
-    with pytest.raises(UsageError):
-        classify_lanes([0.5], P21, method="RK45")
-    with pytest.raises(UsageError):
-        scan_profiles(P21, 0.5, 1.5, method="RK45")
     with pytest.raises(DomainError):
         classify_lanes([0.5, 0.0], P21)
     with pytest.raises(UsageError):
@@ -438,7 +434,7 @@ def test_classifier_falls_back_only_without_an_event(monkeypatch):
     assert classify_shot(0.99, P21, r_max=3.0, mesh_points=801) == (
         "reached-Rmax-bounded", 3.0)
     assert calls == [{"r_max": 3.0, "rtol": 1e-10, "atol": 1e-12, "cap": 1e6,
-                      "method": "DOP853", "mesh_points": 801}]
+                      "mesh_points": 801}]
 
 
 @pytest.mark.parametrize("lo, hi, kw, n_shots", [

@@ -138,7 +138,7 @@ def test_lambda1_nonincreasing_in_basis_size():
     prev = math.inf
     for N in (4, 8, 12, 20):
         basis = build_basis(1, N, degree=64)
-        w = kappa(2.0) + gs(basis.grid.points)
+        w = kappa(2.0) + gs.at(basis.grid.points).values()
         lam1 = spectrum(assemble(w, basis, P2), 1).lambda1
         assert lam1 <= prev + 1e-12
         prev = lam1
@@ -156,7 +156,7 @@ def test_fd_oracle_at_kappa():
 def test_fd_against_spectral_nontrivial(basis16):
     # same operator through both discretizations, no closed form involved
     gs = GaussianSum(a=np.array([0.3]), b=np.array([0.25]), c=np.zeros((1, 1)))
-    w_at = lambda y: kappa(2.0) + gs(np.atleast_2d(y).reshape(-1, 1))
+    w_at = lambda y: kappa(2.0) + gs.at(np.atleast_2d(y).reshape(-1, 1)).values()
     big = build_basis(1, 24)
     rep = spectrum(assemble(w_at(big.grid.points[:, 0]), big, P2), 3)
     lam_fd = fd_eigenvalues_1d(w_at, P2, k=3)
@@ -178,8 +178,8 @@ def test_sign_change_with_deep_well(basis16):
     # w = 1 + 10 exp(-y^2): H = 1 + 10(1 - y^2)exp(-y^2) changes sign and the
     # potential well pushes lambda_1 far below -1, as the theory demands
     gs = GaussianSum(a=np.array([10.0]), b=np.array([1.0]), c=np.zeros((1, 1)))
-    pts = basis16.grid.points
-    w = SampledField(grid=basis16.grid, values=1.0 + gs(pts), grad=gs.grad(pts))
+    terms = gs.at(basis16.grid.points)
+    w = SampledField(grid=basis16.grid, values=1.0 + terms.values(), grad=terms.grad())
     rep = sign_change_check(w, assemble(w, basis16, P2))
     assert rep.sign_change
     assert rep.lambda1 < -1.0
@@ -218,8 +218,8 @@ def test_stability_classify_zero_state(basis16):
 
 def test_stability_classify_genuine_mode(basis16):
     gs = GaussianSum(a=np.array([10.0]), b=np.array([1.0]), c=np.zeros((1, 1)))
-    pts = basis16.grid.points
-    w = SampledField(grid=basis16.grid, values=1.0 + gs(pts), grad=gs.grad(pts))
+    terms = gs.at(basis16.grid.points)
+    w = SampledField(grid=basis16.grid, values=1.0 + terms.values(), grad=terms.grad())
     rep = stability_classify(w, assemble(w, basis16, P2))
     assert not rep.stable
     assert any(m.label == "genuine" for m in rep.modes)
