@@ -530,17 +530,25 @@ def _reaction_exact(u: np.ndarray, dt: float, p: float, big: float,
                     out: np.ndarray | None = None) -> np.ndarray:
     """Exact flow of u' = |u|^(p-1) u; arguments driven past the pole are sent
     to +-big so the cap check fires on the next inspection. Written into out
-    when given, which must not overlap u."""
+    when given, which must not overlap u.
+
+    Two passes run only where they can change a bit. The power |u|^(p-1)
+    is skipped when p - 1 is 1 (x**1.0 is x). The base z = 1 - c, c >= 0, is
+    clamped to 1e-300 only when some point is at or past the pole: for
+    c <= 1 the rounded 1 - c is 0 or at least 2^-53, so the clamp moves no
+    z > 0; it keeps the power off z <= 0 and nan, whose results are
+    replaced."""
     z = np.empty_like(u) if out is None else out
     np.abs(u, out=z)
-    z **= p - 1.0
+    if p - 1.0 != 1.0:
+        z **= p - 1.0
     np.multiply((p - 1.0) * dt, z, out=z)
     np.subtract(1.0, z, out=z)
     past = None
     if not z.min() > 0.0:                      # at or past the pole, or nan
         past = ~(z > 0.0)
         fixed = np.sign(u[past]) * big
-    np.maximum(z, 1e-300, out=z)
+        np.maximum(z, 1e-300, out=z)
     z **= -1.0 / (p - 1.0)
     np.multiply(u, z, out=z)
     if past is not None:
@@ -754,9 +762,13 @@ def convergence_pipeline(run: BlowupRun, K: float = 1.0, conv_tol: float = 0.05,
     """Rescale stored snapshots around (T_est, a_est) and check that
     sup_{|y|<=K} |sign w - kappa| decreases over >= min_snapshots times and
     ends below conv_tol, where sign is that of u at a_est in the last
-    snapshot. H of sign w on the window is reported per row."""
+    snapshot. H of sign w on the window is reported per row. The rows are
+    the last max_rows snapshots that pass the window filters, oldest first;
+    the snapshots are walked newest first, so no earlier one is rescaled."""
     if run.status != "blew-up":
         raise UsageError("the convergence pipeline needs a run that blew up")
+    if max_rows < 1:
+        raise UsageError(f"max_rows must be at least 1, got {max_rows}")
     T, a = run.T_est, run.a_est
     p = run.params.p
     kap = kappa(p)
@@ -766,7 +778,9 @@ def convergence_pipeline(run: BlowupRun, K: float = 1.0, conv_tol: float = 0.05,
     sup_start = run.sup_u[0]
     yg = np.linspace(-K, K, 201)
     rows = []
-    for snap in run.snapshots:
+    for snap in reversed(run.snapshots):
+        if len(rows) == max_rows:
+            break
         Tt = T - snap.t
         if Tt <= 0.0:
             continue
@@ -784,7 +798,7 @@ def convergence_pipeline(run: BlowupRun, K: float = 1.0, conv_tol: float = 0.05,
         rows.append(WindowRow(t=snap.t, T_minus_t=float(Tt), s=s,
                               sup_dev=float(np.abs(w - kap).max()),
                               min_H=float(Hw.min())))
-    rows = rows[-max_rows:]
+    rows.reverse()
     sups = [r.sup_dev for r in rows]
     decreasing = len(rows) >= min_snapshots and all(
         b < a for a, b in zip(sups[:-1], sups[1:]))

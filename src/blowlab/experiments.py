@@ -58,6 +58,7 @@ from .profiles import (
     OUTCOMES,
     accepts_bounded_positive,
     extended_profile,
+    in_snap_band,
     profile_field,
     profile_residual,
     scan_profiles,
@@ -310,7 +311,7 @@ def run_shoot(cfg: dict, out_dir: Path) -> RunOutcome:
     }
     write_json(out_dir / "shoot.json", summary)
     verdicts = [Verdict("outcome-classified", prof.outcome in OUTCOMES, prof.outcome)]
-    if abs(alpha - params.kappa) <= 1e-12:
+    if in_snap_band(alpha, params.kappa):
         verdicts.append(Verdict("constant-profile-residual", res < 1e-10,
                                 f"sup residual {res:.3e}"))
         verdicts.append(Verdict("H-positive", bool(H.min() > 0.0),
@@ -330,7 +331,15 @@ def run_scan(cfg: dict, out_dir: Path) -> RunOutcome:
               [(b.alpha_lo, b.alpha_hi, b.outcome_lo, b.outcome_hi, b.width)
                for b in result.brackets])
     kap = params.kappa
-    covered = any(b.alpha_lo <= kap <= b.alpha_hi for b in result.brackets)
+    # every shot in the snap band is the constant kappa, so bisection below
+    # its width closes one bracket onto each edge of the band instead of
+    # onto kappa; the band between two such brackets covers kappa
+    enters = any(in_snap_band(b.alpha_hi, kap) and not in_snap_band(b.alpha_lo, kap)
+                 for b in result.brackets)
+    leaves = any(in_snap_band(b.alpha_lo, kap) and not in_snap_band(b.alpha_hi, kap)
+                 for b in result.brackets)
+    covered = (enters and leaves) or any(b.alpha_lo <= kap <= b.alpha_hi
+                                         for b in result.brackets)
     refined = all(b.width <= cfg["bisect_tol"] * max(1.0, abs(b.alpha_hi)) * 1.0001
                   for b in result.brackets)
     counts: dict[str, int] = {}
@@ -385,7 +394,8 @@ def run_evolve_rescaled(cfg: dict, out_dir: Path) -> RunOutcome:
     rhs_cum = run.energies[0] - run.energies
     write_csv(out_dir / "timeseries.csv",
               ("s", "sup_dev", "E", "dissipation_lhs", "dissipation_rhs"),
-              zip(run.s_values, run.sup_dev, run.energies, lhs_cum, rhs_cum))
+              np.column_stack((run.s_values, run.sup_dev, run.energies,
+                               lhs_cum, rhs_cum)))
 
     jumps = np.diff(run.energies)
     max_jump = float(jumps.max()) if jumps.size else 0.0
@@ -451,9 +461,9 @@ def _physical_run(cfg: dict):
 
 def _blowup_files(run, out_dir: Path) -> list:
     write_csv(out_dir / "suphistory.csv", ("t", "max_u"),
-              zip(run.times, run.sup_u))
+              np.column_stack((run.times, run.sup_u)))
     write_csv(out_dir / "final_state.csv", ("x", "u"),
-              zip(run.x, run.u_final))
+              np.column_stack((run.x, run.u_final)))
     return ["suphistory.csv", "final_state.csv"]
 
 

@@ -90,11 +90,22 @@ def format_cell(value) -> str:
 
 
 def csv_text(header, rows) -> str:
+    """The header line through csv.writer, then one line per row of cells
+    from format_cell. rows is any iterable of rows; a 2-D float64 ndarray is
+    formatted in one % operation over a per-row template of %.12g cells,
+    which gives the same bytes as its rows as tuples: a float cell is
+    "%.12g" % value either way, and csv.writer quotes none of those texts
+    (digits, sign, point, e, inf, nan)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([format_cell(v) for v in row])
+    if getattr(rows, "ndim", None) == 2 and rows.dtype == "float64":
+        count, width = rows.shape
+        line = ",".join(("%.12g",) * width) + "\n"
+        buf.write((line * count) % tuple(rows.ravel().tolist()))
+    else:
+        for row in rows:
+            writer.writerow([format_cell(v) for v in row])
     return buf.getvalue()
 
 

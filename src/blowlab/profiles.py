@@ -66,6 +66,17 @@ OUTCOMES = (
     "reached-Rmax-bounded",
 )
 
+# relative half-width of the snap band around kappa (module docstring); a
+# scan bisecting below it closes its brackets onto the band's two edges
+SNAP_BAND = 1e-12
+
+
+def in_snap_band(alpha: float, kap: float) -> bool:
+    """True for alpha in the snap band, |alpha - kap| <= SNAP_BAND max(1, kap),
+    where a shot is the constant trajectory kap."""
+    return abs(alpha - kap) <= SNAP_BAND * max(1.0, kap)
+
+
 # scipy's DOP853 tableau and step-size control, for the lane classifier
 _N_STAGES = _dop853.N_STAGES
 _A, _B, _C = _dop853.A, _dop853.B, _dop853.C
@@ -150,9 +161,7 @@ def _shot_start(alpha: float, params: ProblemParams, r_max: float, cap: float):
     r0, w0, w0r, c, d = series_start(alpha, params)
     if r_max <= r0:
         raise UsageError(f"r_max = {r_max} does not exceed the start radius {r0}")
-    kap = kappa(params.p)
-    # the band is far below any bisection tolerance a scan would use
-    return r0, w0, w0r, c, d, abs(alpha - kap) <= 1e-12 * max(1.0, kap)
+    return r0, w0, w0r, c, d, in_snap_band(alpha, kappa(params.p))
 
 
 def _integrate(alpha: float, params: ProblemParams, r_max: float, rtol: float,

@@ -306,6 +306,19 @@ def test_scan_below_float_resolution_ends_with_verdicts(tmp_path, capsys):
     assert detail["detail"].endswith(f"widest {max(b['width'] for b in summary['brackets']):.3g}")
 
 
+@pytest.mark.parametrize("tol", ["1e-12", "5e-13"])
+def test_scan_below_the_snap_band_brackets_kappa(tmp_path, capsys, tol):
+    # bisection closes one bracket onto each edge of the snap band around
+    # kappa; the band between them covers kappa
+    out = tmp_path / "scan"
+    assert run_cli("scan", "--out", str(out), "--set", f"bisect_tol={tol}") == 0
+    assert "[PASS] kappa-bracketed" in capsys.readouterr().out
+    summary = json.loads((out / "scan.json").read_text())
+    kap = summary["kappa"]
+    assert not any(b["alpha_lo"] <= kap <= b["alpha_hi"] for b in summary["brackets"])
+    assert summary["kappa_in_some_bracket"] is True
+
+
 def test_spectrum_run(tmp_path):
     out = tmp_path / "spec"
     assert run_cli("spectrum", "--out", str(out), "--quiet",

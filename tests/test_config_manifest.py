@@ -203,6 +203,29 @@ def test_csv_text_golden():
                     "1,reached-Rmax-bounded,false\n")
 
 
+@pytest.mark.parametrize("arr", [
+    np.array([[math.nan, math.inf], [-math.inf, -0.0], [5e-324, 1e21],
+              [3.0, 1.0 / 3.0], [0.1, -2.5e-300], [1e16, 123456789012.5]]),
+    np.linspace(-2.0, 2.0, 1001).reshape(-1, 1) ** 3,
+    np.random.default_rng(5).standard_normal((50, 5)) * 10.0 ** np.arange(-8, 17, 5),
+    np.empty((0, 3)),
+    np.empty((4, 0)),
+], ids=["specials", "one-column", "five-columns", "no-rows", "no-columns"])
+def test_csv_text_of_a_float_array_is_that_of_its_rows(arr):
+    # a 2-D float64 array is formatted in one operation; the bytes must be
+    # those of the per-cell path over the same rows as tuples
+    header = tuple(f"c{j}" for j in range(arr.shape[1]))
+    assert csv_text(header, arr) == csv_text(header, map(tuple, arr))
+
+
+def test_csv_text_formats_other_arrays_per_cell():
+    # float32 cells are not floats: they go through str() as before
+    ints = np.arange(6).reshape(3, 2)
+    assert csv_text(("a", "b"), ints) == "a,b\n0,1\n2,3\n4,5\n"
+    small = np.array([[0.1, 1.0 / 3.0]], dtype=np.float32)
+    assert csv_text(("a", "b"), small) == csv_text(("a", "b"), map(tuple, small))
+
+
 def test_sha256_file(tmp_path):
     import hashlib
     path = tmp_path / "x.bin"

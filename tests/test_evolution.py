@@ -739,6 +739,17 @@ def test_convergence_pipeline_on_cosine_run(cosine_blowup_run):
     assert d["passed"] is True and len(d["rows"]) == len(rep.rows)
 
 
+def test_convergence_pipeline_keeps_the_newest_windows(cosine_blowup_run):
+    # the pipeline walks the snapshots newest first and stops at max_rows:
+    # its rows are the last max_rows of every usable window, oldest first
+    every = convergence_pipeline(cosine_blowup_run, max_rows=10 ** 6).rows
+    assert len(every) >= 3
+    for keep in (1, 2, len(every), len(every) + 1):
+        assert convergence_pipeline(cosine_blowup_run, max_rows=keep).rows == every[-keep:]
+    with pytest.raises(UsageError, match="max_rows"):
+        convergence_pipeline(cosine_blowup_run, max_rows=0)
+
+
 def test_convergence_pipeline_interpolation_floor():
     # fabricated exactly self-similar snapshots: the only deviation left is
     # spline interpolation error, orders below the 0.05 verdict threshold
