@@ -767,8 +767,6 @@ def convergence_pipeline(run: BlowupRun, K: float = 1.0, conv_tol: float = 0.05,
     the snapshots are walked newest first, so no earlier one is rescaled."""
     if run.status != "blew-up":
         raise UsageError("the convergence pipeline needs a run that blew up")
-    if max_rows < 1:
-        raise UsageError(f"max_rows must be at least 1, got {max_rows}")
     T, a = run.T_est, run.a_est
     p = run.params.p
     kap = kappa(p)

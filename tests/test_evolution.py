@@ -746,8 +746,6 @@ def test_convergence_pipeline_keeps_the_newest_windows(cosine_blowup_run):
     assert len(every) >= 3
     for keep in (1, 2, len(every), len(every) + 1):
         assert convergence_pipeline(cosine_blowup_run, max_rows=keep).rows == every[-keep:]
-    with pytest.raises(UsageError, match="max_rows"):
-        convergence_pipeline(cosine_blowup_run, max_rows=0)
 
 
 def test_convergence_pipeline_interpolation_floor():
