@@ -147,6 +147,16 @@ KINDS = tuple(SCHEMAS)
 # an evolve-rescaled run keeps every state: (steps + 1) * m floats
 MAX_RECORDED_VALUES = 2**25
 
+# float keys that must be finite and > 0, per kind
+_POSITIVE = {
+    "evolve-rescaled": ("s_end", "ds"),
+    "spectrum": ("r_max",),
+    "shoot": ("r_max",),
+    "scan": ("r_max", "bisect_tol"),
+    "blowup": ("u_cap",),
+    "theorem13": ("u_cap", "K", "conv_tol"),
+}
+
 
 def parse_config_text(text: str) -> dict[str, str]:
     """key = value lines; '#' comments; later keys win."""
@@ -188,6 +198,9 @@ def _validate(kind: str, cfg: dict) -> None:
         raise ConfigurationError(f"p must be > 1, got {cfg['p']}")
     if "n" in cfg and cfg["n"] < 1:
         raise ConfigurationError(f"n must be >= 1, got {cfg['n']}")
+    for key in _POSITIVE.get(kind, ()):
+        if not 0.0 < cfg[key] < math.inf:
+            raise ConfigurationError(f"{key} must be finite and > 0, got {cfg[key]}")
     if kind == "blowup" or kind == "theorem13":
         if not 0.0 < cfg["theta"] <= 0.2:
             raise ConfigurationError(f"theta must be in (0, 0.2], got {cfg['theta']}")
@@ -197,9 +210,6 @@ def _validate(kind: str, cfg: dict) -> None:
     if kind == "evolve-rescaled":
         if not 8.0 <= cfg["L"] < math.inf:
             raise ConfigurationError(f"L must be finite and >= 8, got {cfg['L']}")
-        for key in ("s_end", "ds"):
-            if not (cfg[key] > 0.0 and math.isfinite(cfg[key])):
-                raise ConfigurationError(f"{key} must be finite and > 0, got {cfg[key]}")
         steps = cfg["s_end"] / cfg["ds"]
         if not (math.isfinite(steps)
                 and (round(steps) + 1) * cfg["m"] <= MAX_RECORDED_VALUES):
@@ -208,8 +218,12 @@ def _validate(kind: str, cfg: dict) -> None:
                 f"more than {MAX_RECORDED_VALUES} values; raise ds or lower s_end or m")
     if kind == "scan" and not 0.0 < cfg["alpha_lo"] < cfg["alpha_hi"]:
         raise ConfigurationError("need 0 < alpha_lo < alpha_hi")
-    if kind == "scan" and not (cfg["bisect_tol"] > 0.0 and math.isfinite(cfg["bisect_tol"])):
-        raise ConfigurationError(f"bisect_tol must be finite and > 0, got {cfg['bisect_tol']}")
+    # 0 means kappa; a shot needs a finite alpha
+    if "alpha" in cfg and not 0.0 <= cfg["alpha"] < math.inf:
+        raise ConfigurationError(f"alpha must be finite and >= 0 (0 = kappa), "
+                                 f"got {cfg['alpha']}")
+    if kind == "spectrum" and cfg["k"] < 1:
+        raise ConfigurationError(f"k must be >= 1, got {cfg['k']}")
 
 
 def load_config_file(path) -> dict[str, str]:

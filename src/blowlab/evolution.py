@@ -44,8 +44,8 @@ in one vectorised pass: the finite-and-below-cap test, one `energy` call on
 the stack and sup |w - kappa|. The run stops where a per-step check would:
 at the first state that is non-finite, past the cap or of non-finite
 energy, which is not recorded; the block's later steps are discarded. The
-record grows one block at a time (an unrecorded run reuses one block), so a
-long s_end that blows up early allocates nothing for the steps not taken.
+record grows one block at a time, so a long s_end that blows up early
+allocates nothing for the steps not taken.
 
 Both frames discretize the Laplacian with the same three-point stencil:
 d^2/dx^2 on the interval, d^2/dr^2 + (n-1)/r d/dr with the smooth origin row
@@ -235,14 +235,12 @@ class RescaledRun:
     s_values: np.ndarray
     energies: np.ndarray
     sup_dev: np.ndarray          # sup |w - kappa| per recorded state
-    states: np.ndarray | None    # (nrec, m) when recorded
+    states: np.ndarray           # (nrec, m)
     status: str                  # 'completed' | 'blew-up'
     events: dict = dc_field(default_factory=dict)
 
     @property
     def final(self) -> np.ndarray:
-        if self.states is None:
-            raise UsageError("run was not recorded densely")
         return self.states[-1]
 
 
@@ -274,13 +272,13 @@ class RescaledFlow:
     # numpy's overflow warnings on the way to a blow-up would only leak to
     # the caller; the run ends there as blew-up
     @np.errstate(over="ignore", invalid="ignore")
-    def run(self, w0, s_end: float, record_states: bool = True) -> RescaledRun:
-        """Step from w0 to s_end, one step at a time. The stop test, the
-        energies and sup |w - kappa| are evaluated per block of up to _BLOCK
-        states. The run ends as blew-up at the first state that is
-        non-finite, past the cap or of non-finite energy, unrecorded, and
-        the block's later steps are dropped. The record grows by blocks;
-        an unrecorded run reuses one."""
+    def run(self, w0, s_end: float) -> RescaledRun:
+        """Step from w0 to s_end, one step at a time, recording every state.
+        The stop test, the energies and sup |w - kappa| are evaluated per
+        block of up to _BLOCK states. The run ends as blew-up at the first
+        state that is non-finite, past the cap or of non-finite energy,
+        unrecorded, and the block's later steps are dropped. The record
+        grows by blocks."""
         w = (np.asarray(w0(self.y), dtype=float) if callable(w0)
              else np.asarray(w0, dtype=float).copy())
         if w.shape != self.y.shape:
@@ -296,19 +294,17 @@ class RescaledFlow:
         s_vals = [np.zeros(1)]
         energies = [np.array([e0])]
         sup_dev = [np.array([np.abs(w - kap).max()])]
-        states = [w[None, :].copy()] if record_states else None
+        states = [w[None, :].copy()]
         status = "completed"
         events = {}
-        block = None
         done = 0
         while done < nsteps:
             k = min(_BLOCK, nsteps - done)
-            if record_states or block is None:
-                block = np.empty((k, w.size))
+            block = np.empty((k, w.size))
             for j in range(k):
                 w = self.step(w)
                 block[j] = w
-            amax = np.abs(block[:k]).max(axis=1)
+            amax = np.abs(block).max(axis=1)
             ok = np.isfinite(amax) & (amax <= self.cap)
             good = k if ok.all() else int(ok.argmin())
             e = energy(block[:good], self.params, self.y, self.geometry).total
@@ -317,8 +313,7 @@ class RescaledFlow:
             s_vals.append(np.arange(done + 1, done + good + 1) * self.ds)
             energies.append(e[:good])
             sup_dev.append(np.abs(block[:good] - kap).max(axis=1))
-            if record_states:
-                states.append(block[:good])
+            states.append(block[:good])
             if good < k:
                 status = "blew-up"
                 events["cap_at_s"] = (done + good + 1) * self.ds
@@ -328,7 +323,7 @@ class RescaledFlow:
             params=self.params, y=self.y, ds=self.ds, geometry=self.geometry,
             s_values=np.concatenate(s_vals), energies=np.concatenate(energies),
             sup_dev=np.concatenate(sup_dev),
-            states=np.concatenate(states) if record_states else None,
+            states=np.concatenate(states),
             status=status, events=events,
         )
 
@@ -402,8 +397,6 @@ class DissipationReport:
 def dissipation_rates(run: RescaledRun) -> np.ndarray:
     """int |w_s|^2 rho dy at every recorded state, w_s by np.gradient over the
     records (centered inside, one-sided at the ends); zeros below 3 records."""
-    if run.states is None:
-        raise UsageError("dissipation rates need a densely recorded run")
     if run.states.shape[0] < 3:
         return np.zeros(run.states.shape[0])
     dens = gaussian_density(run.y, run.geometry, run.params.n)
@@ -418,8 +411,6 @@ def dissipation_check(run: RescaledRun, rates: np.ndarray, s_a: float,
 
     w_s from centered differences of the recorded states, so the window is
     snapped inward by one recording step at each end."""
-    if run.states is None:
-        raise UsageError("dissipation check needs a densely recorded run")
     s = run.s_values
     if s_b <= s_a:
         raise UsageError("need s_a < s_b")
@@ -566,13 +557,13 @@ def _parabola_argmax(x: np.ndarray, u: np.ndarray) -> float:
     return float(x[i] + 0.5 * (x[1] - x[0]) * (u[i - 1] - u[i + 1]) / denom)
 
 
-def fit_blowup_time(times: np.ndarray, sups: np.ndarray, p: float,
-                    decade: float = 10.0) -> dict:
-    """Least-squares fit of log(max |u|) = log C - beta log(T - t) over the last
-    decade of growth, with a bounded 1-D search over T past the end."""
+def fit_blowup_time(times: np.ndarray, sups: np.ndarray, p: float) -> dict:
+    """Least-squares fit of log(max |u|) = log C - beta log(T - t) over the
+    steps with max |u| within a factor 10 of the last (at least the last 8),
+    with a bounded 1-D search over T past the end."""
     if times.size < 8:
         raise UsageError("not enough history to fit a blow-up time")
-    mask = sups >= sups[-1] / decade
+    mask = sups >= sups[-1] / 10.0
     if mask.sum() < 8:
         mask = np.zeros_like(mask)
         mask[-8:] = True
@@ -609,8 +600,7 @@ def fit_blowup_time(times: np.ndarray, sups: np.ndarray, p: float,
 def solve_physical(u0, params: ProblemParams, R: float = 2.0, m: int = 4001,
                    geometry: str = "interval", theta: float = 0.05,
                    u_cap: float = 1e8, t_max: float = 10.0,
-                   diffusion: bool = True, fixed_dt: float | None = None,
-                   snapshot_levels: np.ndarray | None = None) -> BlowupRun:
+                   diffusion: bool = True, fixed_dt: float | None = None) -> BlowupRun:
     """Run the physical problem until blow-up (max |u| >= u_cap), t_max, or a
     numeric failure. theta <= 0.2 keeps dt within the stability policy
     dt <= 0.2 (max|u|)^(1-p)."""
@@ -633,12 +623,9 @@ def solve_physical(u0, params: ProblemParams, R: float = 2.0, m: int = 4001,
 
     amax = float(np.abs(u).max())
     sup0 = amax if amax > 0.0 else 1.0
-    if snapshot_levels is None:
-        # half-decade ladder from above the initial size up to the cap
-        lead = 10.0 ** np.arange(math.floor(math.log10(sup0 * 4.0)) + 1.0,
-                                 math.log10(u_cap) - 0.25, 0.5)
-        snapshot_levels = lead
-    levels = sorted(float(v) for v in snapshot_levels)
+    # levels 10^(k/2) from above the initial size up to the cap
+    levels = (10.0 ** np.arange(math.floor(math.log10(sup0 * 4.0)) + 1.0,
+                                math.log10(u_cap) - 0.25, 0.5)).tolist()
     next_level = 0
 
     # one step's buffers, refilled every step: the state ping-pongs between

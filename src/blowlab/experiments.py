@@ -250,7 +250,7 @@ def run_spectrum(cfg: dict, out_dir: Path) -> RunOutcome:
         else:
             const = params.kappa if cfg["profile"] == "kappa" else 0.0
             w_call = lambda y: np.full_like(np.asarray(y, dtype=float), const)
-        kk = min(cfg["k"], 6)
+        kk = min(rep.eigenvalues.size, 6)       # k may exceed the basis size
         fd = fd_eigenvalues_1d(w_call, params, k=kk)
         err = float(np.abs(fd[:kk] - rep.eigenvalues[:kk]).max())
         fd_ok = err < 1e-3
@@ -387,7 +387,7 @@ def run_evolve_rescaled(cfg: dict, out_dir: Path) -> RunOutcome:
     flow = RescaledFlow(params, L=cfg["L"], m=cfg["m"], ds=cfg["ds"],
                         geometry=cfg["geometry"], cap=cfg["cap"])
     w0 = _rescaled_initial(cfg, params, flow.y)
-    run = flow.run(w0, cfg["s_end"], record_states=True)
+    run = flow.run(w0, cfg["s_end"])
 
     rates = dissipation_rates(run)
     lhs_cum = cumulative_trapezoid(rates, dx=run.ds, initial=0.0)

@@ -19,19 +19,19 @@ converged-to-kappa-like-tail, or reached-Rmax-bounded. The constant solution
 w = kappa is the only bounded positive profile in the probed regimes; scans
 bracket outcome changes and bisection re-discovers kappa.
 
-A scan needs only each alpha's outcome and end radius. classify_shot takes
-them from the terminal events of a solve_ivp integration without dense
-output, and builds shoot()'s mesh only for an alpha that no event decides
-(the snap band below, or a shot still bounded at r_max, whose tail test
-reads the mesh). classify_lanes does the same for a whole list of alphas at
-once: each alpha is a lane of one vectorised DOP853 integration that repeats
-scipy's arithmetic (tableau, step-size control, event location on the dense
-interpolant), so its results are classify_shot's. scan_profiles classifies
-its grid in one batch, and bisects every bracket BISECT_DEPTH levels per
-batch, tree-exact: the brackets are those of the sequential loop, and a
-midpoint no event decides goes through shoot() only if the walk visits it,
-as in that loop. shoot and classify_shot stay on solve_ivp as the scalar
-reference.
+shoot is the one scalar path: one solve_ivp DOP853 integration with dense
+output, classified by its first terminal event, or by its tail on the mesh
+when none fires. A scan needs only each alpha's outcome and end radius.
+classify_lanes takes them for a whole list of alphas at once: each alpha is a
+lane of one vectorised DOP853 integration that repeats scipy's arithmetic
+(tableau, step-size control, event location on the dense interpolant), so a
+lane that an event ends gives shoot's outcome and r_end, and a lane that
+none ends (the snap band below, or a shot still bounded at r_max, whose tail
+test reads the mesh) gives None. scan_profiles classifies its grid in one
+batch, and bisects every bracket BISECT_DEPTH levels per batch, tree-exact:
+the brackets are those of the sequential loop, and an alpha no event decides
+goes through shoot() only if the grid or the walk reads it, as in that loop.
+shoot stays on solve_ivp as the lanes' scalar reference.
 
 The constant branch is a separatrix: perturbations of the regular series
 solution grow only like r^2, but the second, singular solution of the
@@ -88,6 +88,13 @@ _EPS = float(np.finfo(float).eps)
 # levels of the sequential bisection that one batch of lanes settles
 BISECT_DEPTH = 5
 
+# a bounded shot's kappa-tail test: |w - kappa| <= TAIL_TOL max(1, kappa) and
+# |w_r| <= TAIL_TOL over the last quarter of its mesh
+TAIL_TOL = 1e-3
+
+# a profile is trusted while 0 < w <= BAND_FACTOR max(kappa, alpha)
+BAND_FACTOR = 10.0
+
 
 def series_start(alpha: float, params: ProblemParams) -> tuple[float, float, float, float, float]:
     """(r0, w(r0), w'(r0), c, d) for the regular expansion at the origin."""
@@ -139,9 +146,9 @@ class RadialProfile:
     def H_values(self) -> np.ndarray:
         return self.w / (self.params.p - 1.0) + 0.5 * self.r * self.w_r
 
-    def trusted_radius(self, band_factor: float = 10.0) -> float:
+    def trusted_radius(self) -> float:
         """Largest r up to which w stays positive and below the acceptance band."""
-        band = band_factor * max(kappa(self.params.p), self.alpha)
+        band = BAND_FACTOR * max(kappa(self.params.p), self.alpha)
         bad = np.nonzero((self.w <= 0.0) | (np.abs(self.w) > band))[0]
         if bad.size == 0:
             return float(self.r[-1])
@@ -153,31 +160,38 @@ class RadialProfile:
 def _shot_start(alpha: float, params: ProblemParams, r_max: float, cap: float):
     """Check one shot's arguments and start it: (r0, w0, w0r, c, d, snapped)
     from series_start, with snapped true for alpha in the snap band (module
-    docstring), whose trajectory is the constant kappa."""
+    docstring), whose trajectory is the constant kappa. shoot and the lanes
+    both start here, so they refuse the same arguments."""
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise DomainError(f"shooting needs alpha > 0, got {alpha!r}")
-    if r_max <= 0.0 or cap <= 0.0:
-        raise UsageError("r_max and cap must be positive")
+    if not cap > 0.0:
+        raise UsageError(f"cap must be positive, got {cap}")
     r0, w0, w0r, c, d = series_start(alpha, params)
-    if r_max <= r0:
-        raise UsageError(f"r_max = {r_max} does not exceed the start radius {r0}")
+    if not r0 < r_max < math.inf:
+        raise UsageError(f"r_max = {r_max} must be finite and exceed the start "
+                         f"radius {r0}")
     return r0, w0, w0r, c, d, in_snap_band(alpha, kappa(params.p))
 
 
-def _integrate(alpha: float, params: ProblemParams, r_max: float, rtol: float,
-               atol: float, cap: float, dense: bool):
-    """Start from the series and integrate to the first terminal event.
-
-    Returns (series, sol, t_zero, t_cap, r_end), with series = (r0, c, d) and
-    an absent event at inf. For alpha in the snap band (module docstring) the
-    trajectory is the constant kappa: sol is None and r_end = r_max.
-    dense=False skips DOP853's dense-output stages on every step; events are
-    located on the step's own interpolant either way, so t_zero, t_cap and
-    r_end do not depend on it.
-    """
+def shoot(alpha: float, params: ProblemParams, r_max: float = 20.0,
+          rtol: float = 1e-10, atol: float = 1e-12, cap: float = 1e6,
+          mesh_points: int = 4001) -> RadialProfile:
+    """Integrate from the series start to the first terminal event (w crosses
+    0 downward, or |w| crosses cap upward) and classify the shot by it; a
+    shot that none ends is bounded up to r_max, and its tail on the mesh
+    decides between the kappa-tail label and plain bounded. For alpha in the
+    snap band (module docstring) the trajectory is the constant kappa."""
     r0, w0, w0r, c, d, snapped = _shot_start(alpha, params, r_max, cap)
+    meta = {"r0": r0, "c": c, "d": d, "rtol": rtol, "atol": atol,
+            "cap": cap, "r_max": r_max}
     if snapped:
-        return (r0, 0.0, 0.0), None, math.inf, math.inf, float(r_max)
+        rr = np.linspace(r0, r_max, mesh_points)
+        return RadialProfile(
+            params=params, alpha=alpha, r=rr, w=np.full(mesh_points, alpha),
+            w_r=np.zeros(mesh_points), outcome="reached-Rmax-bounded",
+            r_end=float(r_max), events={"zero_at": None, "cap_at": None},
+            meta=meta | {"c": 0.0, "d": 0.0, "snapped_to_constant": True},
+        )
 
     def ev_zero(r, z):
         return z[0]
@@ -192,56 +206,31 @@ def _integrate(alpha: float, params: ProblemParams, r_max: float, rtol: float,
     with np.errstate(over="ignore", invalid="ignore"):
         sol = solve_ivp(_rhs(params, cap), (r0, r_max), (w0, w0r),
                         method="DOP853", rtol=rtol, atol=atol,
-                        events=(ev_zero, ev_cap), dense_output=dense)
+                        events=(ev_zero, ev_cap), dense_output=True)
     if sol.status == -1:
         raise NumericError(f"integration failed at r = {sol.t[-1]:.6g}: {sol.message}",
                            payload={"r": sol.t, "w": sol.y[0], "w_r": sol.y[1]})
 
     t_zero = sol.t_events[0][0] if sol.t_events[0].size else math.inf
     t_cap = sol.t_events[1][0] if sol.t_events[1].size else math.inf
-    return (r0, c, d), sol, t_zero, t_cap, float(min(t_zero, t_cap, sol.t[-1]))
-
-
-def _event_outcome(t_zero: float, t_cap: float) -> str | None:
-    """The outcome a terminal event decides, or None when neither fired."""
-    if t_zero <= t_cap and math.isfinite(t_zero):
-        return "hit-zero"
-    if math.isfinite(t_cap):
-        return "blew-up"
-    return None
-
-
-def shoot(alpha: float, params: ProblemParams, r_max: float = 20.0,
-          rtol: float = 1e-10, atol: float = 1e-12, cap: float = 1e6,
-          mesh_points: int = 4001, tail_tol: float = 1e-3) -> RadialProfile:
-    """Integrate from the series start; classify by the first terminal event."""
-    (r0, c, d), sol, t_zero, t_cap, r_end = _integrate(
-        alpha, params, r_max, rtol, atol, cap, dense=True)
-    meta = {"r0": r0, "c": c, "d": d, "rtol": rtol, "atol": atol,
-            "cap": cap, "r_max": r_max}
-    if sol is None:
-        rr = np.linspace(r0, r_max, mesh_points)
-        return RadialProfile(
-            params=params, alpha=alpha, r=rr, w=np.full(mesh_points, alpha),
-            w_r=np.zeros(mesh_points), outcome="reached-Rmax-bounded",
-            r_end=r_end, events={"zero_at": None, "cap_at": None},
-            meta=meta | {"snapped_to_constant": True},
-        )
-
+    r_end = float(min(t_zero, t_cap, sol.t[-1]))
     rr = np.linspace(r0, r_end, mesh_points)
     zz = sol.sol(rr)
     w, w_r = zz[0].copy(), zz[1].copy()
 
-    outcome = _event_outcome(t_zero, t_cap)
-    if outcome is None:
+    if t_zero <= t_cap and math.isfinite(t_zero):
+        outcome = "hit-zero"
+    elif math.isfinite(t_cap):
+        outcome = "blew-up"
+    else:
         quarter = rr >= r0 + 0.75 * (r_end - r0)
         kap = kappa(params.p)
-        near = (np.abs(w[quarter] - kap).max() <= tail_tol * max(1.0, kap)
-                and np.abs(w_r[quarter]).max() <= tail_tol)
+        near = (np.abs(w[quarter] - kap).max() <= TAIL_TOL * max(1.0, kap)
+                and np.abs(w_r[quarter]).max() <= TAIL_TOL)
         # the constant trajectory itself (alpha = kappa) never moved, so it is
         # plain bounded; the kappa-tail label is reserved for trajectories
         # that actually travelled before settling
-        moved = float(np.abs(w - kap).max()) > 10.0 * tail_tol * max(1.0, kap)
+        moved = float(np.abs(w - kap).max()) > 10.0 * TAIL_TOL * max(1.0, kap)
         outcome = "converged-to-kappa-like-tail" if (near and moved) else "reached-Rmax-bounded"
 
     return RadialProfile(
@@ -251,26 +240,6 @@ def shoot(alpha: float, params: ProblemParams, r_max: float = 20.0,
                 "cap_at": None if math.isinf(t_cap) else float(t_cap)},
         meta=meta,
     )
-
-
-def classify_shot(alpha: float, params: ProblemParams, r_max: float = 20.0,
-                  rtol: float = 1e-10, atol: float = 1e-12, cap: float = 1e6,
-                  **mesh_kw) -> tuple[str, float]:
-    """shoot(alpha, params, ...)'s (outcome, r_end), without its mesh.
-
-    A terminal event decides hit-zero or blew-up from a sparse integration.
-    Only when none fires (the snap band, or a trajectory that stays bounded
-    up to r_max) does the tail test need the mesh: then this calls shoot(),
-    passing mesh_kw (mesh_points, tail_tol) on.
-    """
-    _, _, t_zero, t_cap, r_end = _integrate(alpha, params, r_max, rtol, atol,
-                                            cap, dense=False)
-    outcome = _event_outcome(t_zero, t_cap)
-    if outcome is not None:
-        return outcome, r_end
-    prof = shoot(alpha, params, r_max=r_max, rtol=rtol, atol=atol, cap=cap,
-                 **mesh_kw)
-    return prof.outcome, prof.r_end
 
 
 def _pow(x: np.ndarray, e: float) -> np.ndarray:
@@ -376,43 +345,35 @@ def _first_event(params, cap, t_old, t_new, y_old, y_new, K, zero, up):
 
 
 def classify_lanes(alphas, params: ProblemParams, r_max: float = 20.0,
-                   rtol: float = 1e-10, atol: float = 1e-12, cap: float = 1e6,
-                   resolve: bool = True, **mesh_kw) -> list[tuple[str, float] | None]:
-    """[classify_shot(alpha, params, ...) for alpha in alphas], in one batch.
+                   rtol: float = 1e-10, atol: float = 1e-12,
+                   cap: float = 1e6) -> list[tuple[str, float] | None]:
+    """shoot(alpha, params, ...)'s (outcome, r_end) for every alpha that a
+    terminal event decides, from one batch; None for the others (the snap
+    band, or a shot that reaches r_max), whose outcome needs shoot()'s mesh.
 
     Each alpha is a lane with its own r, (w, w_r), step size and rejected-step
     flag; one vectorised DOP853 step per iteration advances every lane. The
     tableau, initial step, error norm and step-size control are scipy's, with
     the same arithmetic, so a lane takes solve_ivp's steps. A lane ends on
     the first accepted step where w crosses 0 downward or |w| crosses cap
-    upward, located on that step's dense interpolant. A lane no event decides
-    (the snap band, or one that reaches r_max) goes to shoot() as in
-    classify_shot, with mesh_kw passed on; with resolve=False its result is
-    None instead, for a caller that may not need it.
+    upward, located on that step's dense interpolant.
     """
     if atol < 0.0:
         raise UsageError("atol must not be negative")
     alphas = [float(a) for a in alphas]
     results: list = [None] * len(alphas)
-    undecided, lanes, starts = [], [], []
+    lanes, starts = [], []
     for i, alpha in enumerate(alphas):
         r0, w0, w0r, _, _, snapped = _shot_start(alpha, params, r_max, cap)
-        if snapped:
-            undecided.append(i)
-        else:
+        if not snapped:
             lanes.append(i)
             starts.append((r0, w0, w0r))
     if lanes:
         start = np.array(starts)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            undecided += _run_lanes(params, np.array(lanes), start[:, 0], start[:, 1:],
-                                    float(r_max), max(rtol, 100 * _EPS),  # solve_ivp's floor
-                                    atol, cap, alphas, results)
-    if resolve:
-        for i in sorted(undecided):
-            prof = shoot(alphas[i], params, r_max=r_max, rtol=rtol, atol=atol, cap=cap,
-                         **mesh_kw)
-            results[i] = (prof.outcome, prof.r_end)
+            _run_lanes(params, np.array(lanes), start[:, 0], start[:, 1:], float(r_max),
+                       max(rtol, 100 * _EPS),  # solve_ivp's floor
+                       atol, cap, alphas, results)
     return results
 
 
@@ -459,15 +420,14 @@ def _step(drift, rhs, t, y, f, h_abs, rejected, t_bound, rtol, atol):
 
 def _run_lanes(params, idx, t, y, t_bound, rtol, atol, cap, alphas, results):
     """Integrate lanes idx from radii t and states y (lanes, 2) to their first
-    terminal event, writing (outcome, r_end) into results. Returns the lanes
-    that reached t_bound without one."""
+    terminal event, writing (outcome, r_end) into results; a lane that
+    reaches t_bound without one leaves its result alone."""
     drift, rhs = _rhs_lanes(params, cap)
     f = np.empty_like(y)
     rhs(drift(t), y, f)
     h_abs = _initial_step(drift, rhs, t, y, f, t_bound, rtol, atol)
     g_zero, g_cap = y[:, 0], np.abs(y[:, 0]) - cap
     rejected = np.zeros(idx.size, dtype=bool)
-    reached_bound = []
     while idx.size:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs = np.where(~rejected & (h_abs < min_step), min_step, h_abs)
@@ -492,7 +452,6 @@ def _run_lanes(params, idx, t, y, t_bound, rtol, atol, cap, alphas, results):
             results[idx[j]] = _first_event(params, cap, t[j], t_new[j], y[j], y_new[j],
                                            K[j], bool(zero[j]), bool(up[j]))
         reached = ok & ~fired & (t_new >= t_bound)
-        reached_bound += idx[reached].tolist()
 
         t = np.where(ok, t_new, t)
         y = np.where(ok[:, None], y_new, y)
@@ -502,7 +461,6 @@ def _run_lanes(params, idx, t, y, t_bound, rtol, atol, cap, alphas, results):
         if not keep.all():
             idx, t, y, f, h_abs, rejected, g_zero, g_cap = (
                 x[keep] for x in (idx, t, y, f, h_abs, rejected, g_zero, g_cap))
-    return reached_bound
 
 
 def rk4_shoot(alpha: float, params: ProblemParams, r_max: float = 10.0,
@@ -550,12 +508,11 @@ def profile_residual(profile: RadialProfile) -> float:
     return float(np.abs(res).max())
 
 
-def accepts_bounded_positive(profile: RadialProfile, r_max: float = 20.0,
-                             band_factor: float = 10.0) -> bool:
+def accepts_bounded_positive(profile: RadialProfile, r_max: float = 20.0) -> bool:
     """w > 0 and |w| <= band on all of [0, r_max]."""
     if profile.r[-1] < r_max - 1e-9:
         return False
-    band = band_factor * max(kappa(profile.params.p), profile.alpha)
+    band = BAND_FACTOR * max(kappa(profile.params.p), profile.alpha)
     return bool(profile.w.min() > 0.0 and np.abs(profile.w).max() <= band)
 
 
@@ -598,9 +555,11 @@ def scan_profiles(params: ProblemParams, alpha_lo: float, alpha_hi: float,
     The grid is one batch of lanes. Bisection is the sequential loop's, run
     BISECT_DEPTH levels per batch: each round classifies, for every open
     bracket, every midpoint the loop could visit in its next BISECT_DEPTH
-    steps, then walks those steps. A midpoint no event decides goes to
-    shoot() only if the walk visits it, so shoot() runs for the alphas it
-    ran for in the sequential loop. The brackets are bitwise that loop's.
+    steps, then walks those steps. An alpha no event decides goes to shoot()
+    when the grid or the walk reads its outcome, so shoot() runs for the
+    alphas it ran for in the sequential loop, in the same order. The brackets
+    are bitwise that loop's. shoot_kw reaches shoot(); all of it but
+    mesh_points reaches the lanes.
     """
     if not (0.0 < alpha_lo < alpha_hi):
         raise DomainError("need 0 < alpha_lo < alpha_hi")
@@ -613,17 +572,17 @@ def scan_profiles(params: ProblemParams, alpha_lo: float, alpha_hi: float,
     else:
         raise UsageError(f"unknown spacing {spacing!r}")
 
+    lane_kw = {k: v for k, v in shoot_kw.items() if k != "mesh_points"}
     cache: dict[float, tuple[str, float] | None] = {}
 
-    def classify(batch: list[float], resolve: bool) -> None:
+    def classify(batch: list[float]) -> None:
         todo = list(dict.fromkeys(a for a in batch if a not in cache))
         if todo:
-            cache.update(zip(todo, classify_lanes(todo, params, resolve=resolve,
-                                                  **shoot_kw)))
+            cache.update(zip(todo, classify_lanes(todo, params, **lane_kw)))
 
     def outcome(alpha: float) -> str:
-        # a speculative midpoint no event decided goes to shoot() only when
-        # the walk visits it, as in the sequential loop
+        # an alpha no event decided goes to shoot() only when its outcome is
+        # read, as in the sequential loop
         if cache[alpha] is None:
             prof = shoot(alpha, params, **shoot_kw)
             cache[alpha] = (prof.outcome, prof.r_end)
@@ -642,8 +601,8 @@ def scan_profiles(params: ProblemParams, alpha_lo: float, alpha_hi: float,
         return [mid] + midpoints(lo, mid, depth - 1) + midpoints(mid, hi, depth - 1)
 
     grid = alphas.tolist()
-    classify(grid, resolve=True)
-    outcomes = [cache[a][0] for a in grid]
+    classify(grid)
+    outcomes = [outcome(a) for a in grid]
     r_ends = np.array([cache[a][1] for a in grid])
 
     # [lo, hi, outcome_lo, outcome_hi] per outcome change, in grid order
@@ -651,8 +610,7 @@ def scan_profiles(params: ProblemParams, alpha_lo: float, alpha_hi: float,
                 zip(grid[:-1], grid[1:], outcomes[:-1], outcomes[1:]) if olo != ohi]
     active = [b for b in brackets if splits(b[0], b[1])]
     while active:
-        classify([m for b in active for m in midpoints(b[0], b[1], BISECT_DEPTH)],
-                 resolve=False)
+        classify([m for b in active for m in midpoints(b[0], b[1], BISECT_DEPTH)])
         for b in active:
             for _ in range(BISECT_DEPTH):
                 if not splits(b[0], b[1]):
@@ -668,7 +626,7 @@ def scan_profiles(params: ProblemParams, alpha_lo: float, alpha_hi: float,
                       r_ends=r_ends, brackets=[Bracket(*b) for b in brackets])
 
 
-def extended_profile(profile: RadialProfile, band_factor: float = 10.0):
+def extended_profile(profile: RadialProfile):
     """(w_at, r_cut), where w_at(r) returns (w, w_r): cubic-Hermite inside the
     trusted radius, then the steady power tail r^(-2/(p-1)); values below r0
     use the series start.
@@ -678,7 +636,7 @@ def extended_profile(profile: RadialProfile, band_factor: float = 10.0):
     region beyond the trajectory's certified range.
     """
     p = profile.params.p
-    r_cut = profile.trusted_radius(band_factor)
+    r_cut = profile.trusted_radius()
     mask = profile.r <= r_cut + 1e-12
     if mask.sum() < 4:
         raise UsageError("profile has no usable positive range to extend")

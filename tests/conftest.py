@@ -42,11 +42,11 @@ def cosine_blowup_run():
 
 @pytest.fixture(scope="session")
 def perturbed_kappa_run():
-    """Rescaled flow started from kappa + 0.1 exp(-y^2/4), densely recorded."""
+    """Rescaled flow started from kappa + 0.1 exp(-y^2/4)."""
     params = ProblemParams(n=1, p=2.0)
     flow = RescaledFlow(params, L=8.0, m=801, ds=1e-3, geometry="interval")
     w0 = 1.0 + 0.1 * np.exp(-flow.y ** 2 / 4.0)
-    run = flow.run(w0, s_end=2.0, record_states=True)
+    run = flow.run(w0, s_end=2.0)
     assert run.status == "completed"
     return run
 

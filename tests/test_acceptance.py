@@ -317,7 +317,7 @@ def test_criterion_10_energy(acceptance, perturbed_kappa_run):
                         geometry="ball")
     runs["ball stable-mode"] = flow.run(
         stable_mode_state(flow.y, ProblemParams(n=3, p=3.0), 1e-3,
-                          geometry="ball"), s_end=1.0, record_states=False)
+                          geometry="ball"), s_end=1.0)
     jumps = {name: float(np.max(np.diff(r.energies)))
              for name, r in runs.items()}
     monotone = all(j <= 1e-12 for j in jumps.values())

@@ -257,6 +257,41 @@ def test_shoot_default_is_kappa(tmp_path, capsys):
     assert summary["accepted_bounded_positive"] is True
 
 
+@pytest.mark.parametrize("sets", [
+    ["alpha=nan"], ["alpha=-1"], ["alpha=inf"], ["profile=shoot", "alpha=nan"],
+], ids=["shoot-nan", "shoot-negative", "shoot-inf", "spectrum-nan"])
+def test_shots_refuse_a_degenerate_alpha(tmp_path, capsys, sets):
+    # alpha > 0 used to pick kappa for any alpha that was not positive
+    kind = "spectrum" if "profile=shoot" in sets else "shoot"
+    argv = [kind, "--out", str(tmp_path / "o")]
+    for setting in sets:
+        argv += ["--set", setting]
+    assert run_cli(*argv) == 2
+    assert "alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, setting", [
+    ("spectrum", "k=0"), ("blowup", "u_cap=0"), ("blowup", "u_cap=-1"),
+    ("theorem13", "K=0"), ("theorem13", "conv_tol=nan"), ("theorem13", "conv_tol=0"),
+], ids=["spectrum-k0", "blowup-u_cap0", "blowup-u_cap-negative", "theorem13-K0",
+        "theorem13-conv_tol-nan", "theorem13-conv_tol0"])
+def test_degenerate_settings_exit_2(tmp_path, capsys, kind, setting):
+    # each ended in a traceback or a vacuous pass
+    assert run_cli(kind, "--out", str(tmp_path / "o"), "--set", setting) == 2
+    assert setting.split("=")[0] in capsys.readouterr().err
+
+
+def test_spectrum_k_beyond_the_basis_gives_verdicts(tmp_path, capsys):
+    # the fd check compares the eigenvalues the spectrum has, at most 6
+    out = tmp_path / "spec"
+    assert run_cli("spectrum", "--out", str(out), "--set", "N=4",
+                   "--set", "k=100") == 0
+    assert "[PASS] fd-crosscheck" in capsys.readouterr().out
+    summary = json.loads((out / "spectrum.json").read_text())
+    assert len(summary["eigenvalues"]) == 4
+    assert len(summary["fd_check"]["eigenvalues"]) == 4
+
+
 def test_scan_via_config_file(tmp_path, capsys):
     cfgfile = tmp_path / "scan.cfg"
     cfgfile.write_text("kind = scan\ncount = 3\nbisect_tol = 1e-6\n")

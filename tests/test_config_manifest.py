@@ -111,6 +111,14 @@ def test_validation_rules():
         assert resolve_config(kind, {"n": "2", "geometry": "ball"})["n"] == 2
 
 
+@pytest.mark.parametrize("r_max", ["nan", "inf", "-inf", "0", "-1"])
+@pytest.mark.parametrize("kind", ["shoot", "scan", "spectrum"])
+def test_shots_refuse_a_degenerate_r_max(kind, r_max):
+    # a scan's lanes would never reach a nan r_max
+    with pytest.raises(ConfigurationError, match="r_max"):
+        resolve_config(kind, {"r_max": r_max})
+
+
 def test_parse_config_text():
     text = """
     # a comment

@@ -121,7 +121,7 @@ def test_rescale_needs_future_time():
 
 def test_flow_constant_fixed_points():
     flow = RescaledFlow(P2, m=201, ds=1e-2)
-    run = flow.run(np.ones(201), s_end=1.0, record_states=False)
+    run = flow.run(np.ones(201), s_end=1.0)
     assert run.status == "completed"
     assert run.sup_dev.max() < 1e-10       # kappa is a discrete fixed point
     run = flow.run(np.zeros(201), s_end=1.0)
@@ -160,15 +160,12 @@ def test_flow_argument_errors():
     flow = RescaledFlow(P2, m=201)
     with pytest.raises(UsageError):
         flow.run(np.ones(7), s_end=1.0)
-    run = flow.run(np.ones(201), s_end=0.2, record_states=False)
-    with pytest.raises(UsageError):
-        run.final
 
 
 def test_flow_supercritical_constant_blows_up():
     # w0 = 2 kappa: pure growth dominates, the cap event must fire
     flow = RescaledFlow(P2, m=201, ds=1e-2, cap=1e4)
-    run = flow.run(np.full(201, 2.0), s_end=50.0, record_states=False)
+    run = flow.run(np.full(201, 2.0), s_end=50.0)
     assert run.status == "blew-up"
     assert "cap_at_s" in run.events
 
@@ -191,7 +188,7 @@ def test_flow_refuses_nonfinite_arguments(kwargs):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _per_step_run(self, w0, s_end, record_states=True):
+def _per_step_run(self, w0, s_end):
     """RescaledFlow.run as it was with the energy, sup_dev and stop test
     evaluated after every step: the oracle of the blocked run."""
     w = (np.asarray(w0(self.y), dtype=float) if callable(w0)
@@ -207,7 +204,7 @@ def _per_step_run(self, w0, s_end, record_states=True):
     s_vals = [0.0]
     energies = [e0]
     sup_dev = [float(np.abs(w - kap).max())]
-    states = [w.copy()] if record_states else None
+    states = [w.copy()]
     status = "completed"
     events = {}
     for k in range(nsteps):
@@ -222,24 +219,25 @@ def _per_step_run(self, w0, s_end, record_states=True):
         s_vals.append((k + 1) * self.ds)
         energies.append(e)
         sup_dev.append(float(np.abs(w - kap).max()))
-        if record_states:
-            states.append(w.copy())
+        states.append(w.copy())
     return (np.array(s_vals), np.array(energies), np.array(sup_dev),
-            np.array(states) if record_states else None, status, events)
+            np.array(states), status, events)
 
 
-def _assert_run_is_the_per_step_run(flow, w0, s_end, record_states):
+# a run records every state; the cases below keep the record_states=True ids
+# they had while unrecorded runs existed too
+RECORDED = pytest.mark.parametrize("record_states", [True])
+
+
+def _assert_run_is_the_per_step_run(flow, w0, s_end):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        run = flow.run(w0, s_end, record_states=record_states)
-        want = _per_step_run(flow, w0, s_end, record_states=record_states)
+        run = flow.run(w0, s_end)
+        want = _per_step_run(flow, w0, s_end)
     got = (run.s_values, run.energies, run.sup_dev, run.states, run.status, run.events)
     for name, g, w in zip(("s_values", "energies", "sup_dev", "states"), got, want):
-        if w is None:
-            assert g is None, name
-        else:
-            assert g.dtype == w.dtype and g.shape == w.shape, name
-            assert np.array_equal(g, w), name
+        assert g.dtype == w.dtype and g.shape == w.shape, name
+        assert np.array_equal(g, w), name
     assert run.status == want[4]
     assert run.events == want[5]
     for a, b in zip(run.events.values(), want[5].values()):
@@ -247,7 +245,7 @@ def _assert_run_is_the_per_step_run(flow, w0, s_end, record_states):
     return run
 
 
-@pytest.mark.parametrize("record_states", [True, False])
+@RECORDED
 @pytest.mark.parametrize("nsteps", [0, 1, evolution._BLOCK - 1, evolution._BLOCK,
                                     evolution._BLOCK + 1])
 @pytest.mark.parametrize("geometry,params", [("interval", P2), ("ball", P33)])
@@ -255,28 +253,28 @@ def test_blocked_run_is_the_per_step_run(geometry, params, nsteps, record_states
     # below kappa the state decays toward 0, so every step is recorded
     flow = RescaledFlow(params, m=201, ds=1e-2, geometry=geometry)
     w0 = kappa(params.p) - 0.1 * np.exp(-flow.y ** 2 / 4.0)
-    run = _assert_run_is_the_per_step_run(flow, w0, nsteps * flow.ds, record_states)
+    run = _assert_run_is_the_per_step_run(flow, w0, nsteps * flow.ds)
     assert run.status == "completed" and run.s_values.size == nsteps + 1
 
 
-@pytest.mark.parametrize("record_states", [True, False])
+@RECORDED
 def test_blocked_run_stops_at_a_cap_crossed_mid_block(record_states):
     # 2 kappa grows past the cap at step 702, inside the third block
     flow = RescaledFlow(P2, m=201, ds=1e-3, cap=1e4)
-    run = _assert_run_is_the_per_step_run(flow, np.full(201, 2.0), 2.0, record_states)
+    run = _assert_run_is_the_per_step_run(flow, np.full(201, 2.0), 2.0)
     assert run.status == "blew-up"
     assert run.s_values.size - 1 == 701
     assert 0 < 701 % evolution._BLOCK < evolution._BLOCK - 1
 
 
-@pytest.mark.parametrize("record_states", [True, False])
+@RECORDED
 @pytest.mark.parametrize("geometry,params", [("interval", P2), ("ball", P33)])
 def test_blocked_run_stops_at_a_nonfinite_energy(geometry, params, record_states):
     # a cap beyond reach: the first state whose |w|^(p+1) overflows ends the
     # run while the state itself is finite
     flow = RescaledFlow(params, m=201, ds=1e-3, geometry=geometry, cap=1e300)
     w0 = kappa(params.p) + 10.0 * np.exp(-flow.y ** 2 / 4.0)
-    run = _assert_run_is_the_per_step_run(flow, w0, 2.0, record_states)
+    run = _assert_run_is_the_per_step_run(flow, w0, 2.0)
     assert run.status == "blew-up"
     nrec = run.s_values.size
     assert 1 < nrec < 2000 and nrec % evolution._BLOCK != 0
@@ -342,7 +340,7 @@ def test_linearized_matrix_decay_rates():
 def test_stable_mode_decays_at_its_rate():
     flow = RescaledFlow(P2, m=801, ds=1e-3)
     w0 = stable_mode_state(flow.y, P2, 1e-3)
-    run = flow.run(w0, s_end=2.0, record_states=False)
+    run = flow.run(w0, s_end=2.0)
     assert run.status == "completed"
     ratio = run.sup_dev[-1] / run.sup_dev[0]
     assert 0.11 < ratio < 0.16             # e^{-2} = 0.135 for the mu = -1 mode
@@ -390,7 +388,7 @@ def test_ball_geometry_stable_mode():
     assert abs(mu[1]) < 1e-3               # radial ladder mu = 1 - k
     assert abs(mu[2] + 1.0) < 5e-3
     w0 = stable_mode_state(flow.y, P33, 1e-3, geometry="ball")
-    run = flow.run(w0, s_end=1.0, record_states=False)
+    run = flow.run(w0, s_end=1.0)
     assert run.status == "completed"
     assert 0.3 < run.sup_dev[-1] / run.sup_dev[0] < 0.45
     assert np.all(np.diff(run.energies) <= 1e-12)
@@ -425,12 +423,6 @@ def test_dissipation_rates_shape(perturbed_kappa_run):
 
 
 def test_dissipation_argument_errors(perturbed_kappa_run):
-    flow = RescaledFlow(P2, m=201, ds=1e-2)
-    bare = flow.run(np.ones(201), s_end=1.0, record_states=False)
-    with pytest.raises(UsageError):
-        dissipation_check(bare, np.zeros(101), 0.2, 0.8)
-    with pytest.raises(UsageError):
-        dissipation_rates(bare)
     rates = dissipation_rates(perturbed_kappa_run)
     with pytest.raises(UsageError):
         dissipation_check(perturbed_kappa_run, rates, 0.8, 0.2)

@@ -34,7 +34,6 @@ from blowlab.profiles import (
     _rhs,
     accepts_bounded_positive,
     classify_lanes,
-    classify_shot,
     rk4_shoot,
     series_start,
 )
@@ -215,6 +214,9 @@ def test_shoot_argument_errors():
         shoot(1.0, P21, r_max=-1.0)
     with pytest.raises(UsageError):
         shoot(1.0, P21, r_max=1e-4)   # below the series start radius
+    for r_max in (math.nan, math.inf):
+        with pytest.raises(UsageError):
+            shoot(0.5, P21, r_max=r_max)
     with pytest.raises(UsageError):
         shoot(1.0, P21, cap=0.0)
     with pytest.raises(DomainError):
@@ -302,17 +304,6 @@ def shot_cases(draw):
     return ProblemParams(n=draw(st.integers(1, 4)), p=p), alpha, kw
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@example((P21, 0.5, {"r_max": 20.0, "cap": 1.0}))     # blew-up
-@example((P21, 0.99, {"r_max": 3.0, "cap": 1e6}))     # falls back: bounded
-@example((P21, 1.0, {"r_max": 20.0, "cap": 1e6}))     # falls back: snap band
-@given(shot_cases())
-def test_classifier_matches_shoot(case):
-    params, alpha, kw = case
-    prof = shoot(alpha, params, mesh_points=401, **kw)
-    assert classify_shot(alpha, params, mesh_points=401, **kw) == (prof.outcome, prof.r_end)
-
-
 # Lanes against solve_ivp, measured before these bounds were fixed: over this
 # strategy's cases, 480 random lanes in 40 batches of the same four kinds,
 # and 200 lanes with 1e-12 <= |alpha/kappa - 1| <= 1e-6 (p in {1.5, 2, 2.7,
@@ -323,21 +314,26 @@ def test_classifier_matches_shoot(case):
 R_END_RTOL = 1e-12
 
 
-def assert_lanes_match_scalar(alphas, params, **kw):
-    for alpha, (outcome, r_end) in zip(alphas, classify_lanes(alphas, params, **kw)):
-        want_outcome, want_r_end = classify_shot(alpha, params, **kw)
-        assert outcome == want_outcome, alpha
-        assert r_end == pytest.approx(want_r_end, rel=R_END_RTOL, abs=0.0), alpha
+def assert_lanes_match_shoot(alphas, params, **kw):
+    # a lane gives None exactly when no event decides shoot()'s outcome,
+    # and otherwise shoot()'s outcome and r_end
+    for alpha, got in zip(alphas, classify_lanes(alphas, params, **kw)):
+        prof = shoot(alpha, params, mesh_points=401, **kw)
+        if prof.outcome not in EVENT_OUTCOMES:
+            assert got is None, alpha
+            continue
+        assert got is not None and got[0] == prof.outcome, alpha
+        assert got[1] == pytest.approx(prof.r_end, rel=R_END_RTOL, abs=0.0), alpha
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @example((P21, 0.5, {"r_max": 20.0, "cap": 1.0}))     # blew-up
-@example((P21, 0.99, {"r_max": 3.0, "cap": 1e6}))     # falls back: bounded
-@example((P21, 1.0, {"r_max": 20.0, "cap": 1e6}))     # falls back: snap band
+@example((P21, 0.99, {"r_max": 3.0, "cap": 1e6}))     # undecided: bounded
+@example((P21, 1.0, {"r_max": 20.0, "cap": 1e6}))     # undecided: snap band
 @given(shot_cases())
-def test_lane_classifier_matches_classify_shot(case):
+def test_classifier_matches_shoot(case):
     params, alpha, kw = case
-    assert_lanes_match_scalar([alpha], params, mesh_points=401, **kw)
+    assert_lanes_match_shoot([alpha], params, **kw)
 
 
 @pytest.mark.parametrize("p, n, kw", [
@@ -346,7 +342,7 @@ def test_lane_classifier_matches_classify_shot(case):
     (5.0, 2, {"r_max": 4.0}),
     (1.5, 4, {"cap": 30.0}),
 ], ids=["p2-n1", "p3-n3-cap", "p5-n2-short", "p1.5-n4-cap"])
-def test_lane_batch_matches_classify_shot(p, n, kw):
+def test_lane_batch_matches_shoot(p, n, kw):
     # one batch mixing every kind of lane: snapped, near kappa (long), early
     # events, far above kappa, and lanes that may reach r_max; lanes leave
     # the batch at different iterations
@@ -354,7 +350,7 @@ def test_lane_batch_matches_classify_shot(p, n, kw):
     rel = [1.0, 1.0 + 3e-9, 1.0 - 2e-7, 0.999, 1.001, 0.05, 0.3, 0.7,
            1.5, 2.5, 10.0, 300.0]
     alphas = [kap * f for f in rel]
-    assert_lanes_match_scalar(alphas, ProblemParams(n=n, p=p), mesh_points=401, **kw)
+    assert_lanes_match_shoot(alphas, ProblemParams(n=n, p=p), **kw)
 
 
 @pytest.mark.parametrize("alpha, params, cap", [
@@ -415,26 +411,22 @@ def test_lane_classifier_argument_errors():
         classify_lanes([0.5], P21, r_max=1e-4)
     with pytest.raises(UsageError):
         classify_lanes([0.5], P21, cap=-1.0)
+    with pytest.raises(UsageError):
+        classify_lanes([0.5], P21, r_max=math.inf)
     assert classify_lanes([], P21) == []
 
 
 def test_classifier_falls_back_only_without_an_event(monkeypatch):
-    calls = []
-    real = profiles.shoot
+    # the lanes never shoot: an alpha no event decides comes back None, for
+    # the caller to shoot
+    def no_shoot(*args, **kw):
+        raise AssertionError("the lanes called shoot()")
 
-    def counting(alpha, params, **kw):
-        calls.append(kw)
-        return real(alpha, params, **kw)
-
-    monkeypatch.setattr(profiles, "shoot", counting)
-    outcome, r_end = classify_shot(0.5, P21, cap=1.0)
+    monkeypatch.setattr(profiles, "shoot", no_shoot)
+    [(outcome, r_end)] = classify_lanes([0.5], P21, cap=1.0)
     assert outcome == "blew-up" and r_end < 20.0
-    assert classify_shot(0.5, P21)[0] == "hit-zero"
-    assert calls == []
-    assert classify_shot(0.99, P21, r_max=3.0, mesh_points=801) == (
-        "reached-Rmax-bounded", 3.0)
-    assert calls == [{"r_max": 3.0, "rtol": 1e-10, "atol": 1e-12, "cap": 1e6,
-                      "mesh_points": 801}]
+    assert classify_lanes([0.5], P21)[0][0] == "hit-zero"
+    assert classify_lanes([0.99, kappa(2.0)], P21, r_max=3.0) == [None, None]
 
 
 @pytest.mark.parametrize("lo, hi, kw, n_shots", [
@@ -447,9 +439,10 @@ def test_scan_shoots_only_undecided_alphas(monkeypatch, lo, hi, kw, n_shots):
     classified, shot = [], []
     real_classify, real_shoot = profiles.classify_lanes, profiles.shoot
 
-    def counting_classify(alphas, params, **shoot_kw):
-        res = real_classify(alphas, params, **shoot_kw)
-        # None: a speculative midpoint that no event decided
+    def counting_classify(alphas, params, **lane_kw):
+        assert "mesh_points" not in lane_kw       # the lanes build no mesh
+        res = real_classify(alphas, params, **lane_kw)
+        # None: an alpha that no event decided
         classified.extend((alpha, r and r[0]) for alpha, r in zip(alphas, res))
         return res
 
@@ -466,19 +459,26 @@ def test_scan_shoots_only_undecided_alphas(monkeypatch, lo, hi, kw, n_shots):
     assert shot[:len(grid_shot)] == grid_shot
     assert set(shot) <= set(undecided) and len(set(shot)) == len(shot)
     assert len(set(a for a, _ in classified)) == len(classified)   # cached
-    assert res.outcomes == [o for _, o in classified[:len(res.alphas)]]
+    # the grid's outcomes are the lanes', or shoot()'s where a lane gave None
+    assert [a for a, _ in classified[:len(res.alphas)]] == res.alphas.tolist()
+    assert all(o_lane in (None, o) for o, (_, o_lane) in zip(res.outcomes, classified))
     assert len(classified) > len(res.alphas) or not res.brackets
 
     # shoot() runs for the alphas the sequential loop shot: the grid's
     # undecided ones and the undecided midpoints its bisection visits
     bisect_shot = shot[len(grid_shot):]
-    shot.clear()
     shot_kw = {k: v for k, v in kw.items() if k != "count"}
-    want = sequential_brackets(
-        res.alphas, res.outcomes,
-        lambda a: classify_shot(a, P21, mesh_points=201, **shot_kw), 1e-8)
+    undecided_midpoints = []
+
+    def classify_one(alpha):
+        prof = real_shoot(alpha, P21, mesh_points=201, **shot_kw)
+        if prof.outcome not in EVENT_OUTCOMES:
+            undecided_midpoints.append(alpha)
+        return prof.outcome, prof.r_end
+
+    want = sequential_brackets(res.alphas, res.outcomes, classify_one, 1e-8)
     assert res.brackets == want
-    assert sorted(bisect_shot) == sorted(shot)
+    assert sorted(bisect_shot) == sorted(undecided_midpoints)
     assert len(grid_shot) + len(bisect_shot) == n_shots
 
 
