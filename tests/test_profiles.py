@@ -331,9 +331,28 @@ def assert_lanes_match_shoot(alphas, params, **kw):
 @example((P21, 0.99, {"r_max": 3.0, "cap": 1e6}))     # undecided: bounded
 @example((P21, 1.0, {"r_max": 20.0, "cap": 1e6}))     # undecided: snap band
 @given(shot_cases())
-def test_classifier_matches_shoot(case):
+def test_lane_classifier_matches_classify_shot(case):
+    # one lane against the scalar classification, which is shoot()'s outcome
     params, alpha, kw = case
     assert_lanes_match_shoot([alpha], params, **kw)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@example((P21, 0.5, {"r_max": 20.0, "cap": 1.0}))     # blew-up
+@example((P21, 0.99, {"r_max": 3.0, "cap": 1e6}))     # undecided: bounded
+@example((P21, 1.0, {"r_max": 20.0, "cap": 1e6}))     # undecided: snap band
+@given(shot_cases())
+def test_classifier_matches_shoot(case):
+    # the scan classifies a grid alpha by its lane, or by shoot() where no
+    # event decides the lane; either way it reads shoot()'s outcome and r_end
+    params, alpha, kw = case
+    res = scan_profiles(params, alpha, 2.0 * alpha, count=2, bisect_tol=math.inf,
+                        mesh_points=401, **kw)
+    assert all((b.alpha_lo, b.alpha_hi) == tuple(res.alphas) for b in res.brackets)
+    for a, outcome, r_end in zip(res.alphas, res.outcomes, res.r_ends):
+        prof = shoot(a, params, mesh_points=401, **kw)
+        assert outcome == prof.outcome, a
+        assert r_end == pytest.approx(prof.r_end, rel=R_END_RTOL, abs=0.0), a
 
 
 @pytest.mark.parametrize("p, n, kw", [
