@@ -157,6 +157,15 @@ _POSITIVE = {
     "theorem13": ("u_cap", "K", "conv_tol"),
 }
 
+# int keys with a lower bound, per kind; the exponent-ordering scan starts at n = 11
+_AT_LEAST = {
+    "exponents": (("random_p_count", 1), ("n_scan_hi", 11)),
+    "verify-identities": (("cases", 1),),
+}
+
+# shooting's smallest relative tolerance, solve_ivp's floor
+_MIN_RTOL = 100 * math.ulp(1.0)
+
 
 def parse_config_text(text: str) -> dict[str, str]:
     """key = value lines; '#' comments; later keys win."""
@@ -224,6 +233,17 @@ def _validate(kind: str, cfg: dict) -> None:
                                  f"got {cfg['alpha']}")
     if kind == "spectrum" and cfg["k"] < 1:
         raise ConfigurationError(f"k must be >= 1, got {cfg['k']}")
+    if kind == "shoot":
+        # solve_ivp and the lanes raise a smaller rtol to this floor anyway
+        if not _MIN_RTOL <= cfg["rtol"] < math.inf:
+            raise ConfigurationError(
+                f"rtol must be finite and >= 100 eps = {_MIN_RTOL:.3g}, got {cfg['rtol']}")
+        if not 0.0 <= cfg["atol"] < math.inf:
+            raise ConfigurationError(f"atol must be finite and >= 0, got {cfg['atol']}")
+    # a randomized battery or a scan over an empty range passes vacuously
+    for key, lo in _AT_LEAST.get(kind, ()):
+        if cfg[key] < lo:
+            raise ConfigurationError(f"{key} must be >= {lo}, got {cfg[key]}")
 
 
 def load_config_file(path) -> dict[str, str]:

@@ -55,6 +55,10 @@ frame's Crank-Nicolson halves (`_diffusion_banded`, `_diffusion_rhs`) are
 refilled every step and write the stencil in place. The mesh density rho
 (`gaussian_density`) and the dissipation rate (`dissipation_rates`) exist
 once each.
+
+scipy.interpolate and scipy.optimize are imported inside the two
+physical-frame functions that use them (`rescale_to_similarity`,
+`fit_blowup_time`), so the rescaled frame loads scipy.linalg only.
 """
 
 from __future__ import annotations
@@ -63,10 +67,8 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgttrf, dgttrs
-from scipy.optimize import minimize_scalar
 
 from .calculus import SampledField
 from .errors import DomainError, NumericError, UsageError
@@ -153,6 +155,7 @@ def rescale_to_similarity(u: np.ndarray, x: np.ndarray, t: float, T: float,
     scale = (T - t) ** (1.0 / (params.p - 1.0))
     xt = a + lam * np.asarray(y_out)
     mask = (xt >= x[0]) & (xt <= x[-1])
+    from scipy.interpolate import CubicSpline
     spl = CubicSpline(x, u)
     w = np.full(xt.shape, np.nan)
     w_y = np.full(xt.shape, np.nan)
@@ -586,6 +589,7 @@ def fit_blowup_time(times: np.ndarray, sups: np.ndarray, p: float) -> dict:
 
     # search log((T - t_end)/tail): the sse minimum is sharp on the tail
     # scale, which a linear bracket spanning [1e-3, 100] tails cannot resolve
+    from scipy.optimize import minimize_scalar
     res = minimize_scalar(objective, bounds=(math.log(1e-3), math.log(100.0)),
                           method="bounded", options={"xatol": 1e-12})
     T_est = float(t_end + tail * math.exp(res.x))

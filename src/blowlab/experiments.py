@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .calculus import (
     CSV_HEADER,
@@ -99,7 +98,7 @@ def run_exponents(cfg: dict, out_dir: Path) -> RunOutcome:
 
     draws = 1.0 + 10.0 ** rng.uniform(-2.0, 1.3, cfg["random_p_count"])
     residuals = np.array([kappa_identity_residual(p) for p in draws])
-    worst = float(residuals.max()) if residuals.size else 0.0
+    worst = float(residuals.max())
 
     n_hi = max(cfg["n_scan_hi"], cfg["n"])
     table = [critical_exponents(n) for n in range(1, n_hi + 1)]
@@ -382,6 +381,12 @@ def _rescaled_initial(cfg: dict, params: ProblemParams, y: np.ndarray) -> np.nda
     return stable_mode_state(y, params, amp, cfg["geometry"])
 
 
+def _cumulative_trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
+    """scipy.integrate.cumulative_trapezoid(y, dx=dx, initial=0.0) for 1-D y,
+    in scipy's order of operations, without importing scipy.integrate."""
+    return np.concatenate(([0.0], np.cumsum(dx * (y[1:] + y[:-1]) / 2.0)))
+
+
 def run_evolve_rescaled(cfg: dict, out_dir: Path) -> RunOutcome:
     params = ProblemParams(n=cfg["n"], p=cfg["p"])
     flow = RescaledFlow(params, L=cfg["L"], m=cfg["m"], ds=cfg["ds"],
@@ -390,7 +395,7 @@ def run_evolve_rescaled(cfg: dict, out_dir: Path) -> RunOutcome:
     run = flow.run(w0, cfg["s_end"])
 
     rates = dissipation_rates(run)
-    lhs_cum = cumulative_trapezoid(rates, dx=run.ds, initial=0.0)
+    lhs_cum = _cumulative_trapezoid(rates, run.ds)
     rhs_cum = run.energies[0] - run.energies
     write_csv(out_dir / "timeseries.csv",
               ("s", "sup_dev", "E", "dissipation_lhs", "dissipation_rhs"),

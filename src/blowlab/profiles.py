@@ -40,19 +40,21 @@ double precision (and the integrator's own tolerance noise) becomes O(1)
 before r = 14. Within a machine-level band around kappa the branches cannot
 be distinguished in floats; shoot() therefore snaps alpha inside that band to
 the exact constant trajectory.
+
+Importing this module loads no scipy. solve_ivp, the DOP853 tableau
+(_dop853), brentq and CubicHermiteSpline are imported by the code that
+calls them, so a run that never shoots does not load scipy.integrate,
+scipy.optimize or scipy.interpolate.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 from itertools import repeat
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.integrate._ivp import dop853_coefficients as _dop853
-from scipy.interpolate import CubicHermiteSpline
-from scipy.optimize import brentq
 
 from .calculus import SampledField, radial_field
 from .errors import DomainError, NumericError, UsageError
@@ -77,10 +79,8 @@ def in_snap_band(alpha: float, kap: float) -> bool:
     return abs(alpha - kap) <= SNAP_BAND * max(1.0, kap)
 
 
-# scipy's DOP853 tableau and step-size control, for the lane classifier
-_N_STAGES = _dop853.N_STAGES
-_A, _B, _C = _dop853.A, _dop853.B, _dop853.C
-_E3, _E5, _D = _dop853.E3, _dop853.E5, _dop853.D
+# scipy's DOP853 step-size control, for the lane classifier; the tableau
+# comes from _dop853()
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERR_EXP = -1.0 / 8.0                       # -1 / (error estimator order + 1)
 _EPS = float(np.finfo(float).eps)
@@ -94,6 +94,25 @@ TAIL_TOL = 1e-3
 
 # a profile is trusted while 0 < w <= BAND_FACTOR max(kappa, alpha)
 BAND_FACTOR = 10.0
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on the first call.
+
+    A module-level name rather than a local import so that perfbench's tracer
+    can wrap shoot's integrations and read nfev from their results; it goes
+    when runs record their own counters (ROADMAP item 8)."""
+    from scipy.integrate import solve_ivp as _solve_ivp
+    return _solve_ivp(*args, **kwargs)
+
+
+@functools.cache
+def _dop853():
+    """scipy's DOP853 coefficient module (tableau, dense-output matrix D,
+    stage counts), imported on first use so that runs which never classify
+    lanes do not load scipy.integrate."""
+    from scipy.integrate._ivp import dop853_coefficients
+    return dop853_coefficients
 
 
 def series_start(alpha: float, params: ProblemParams) -> tuple[float, float, float, float, float]:
@@ -302,9 +321,10 @@ def _initial_step(drift, rhs, t, y, f, t_bound, rtol, atol):
     return np.minimum(np.minimum(100.0 * h0, h1), interval)
 
 
-def _first_event(params, cap, t_old, t_new, y_old, y_new, K, zero, up):
+def _first_event(tab, brentq, params, cap, t_old, t_new, y_old, y_new, K, zero, up):
     """(outcome, radius) of the terminal event in one lane's accepted step.
 
+    tab is the DOP853 coefficient module (_dop853()) and brentq scipy's.
     K (16, 2) holds the step's 13 stages. Builds the step's 7th-order
     interpolant from the 3 extra stages as scipy's DOP853 dense output does,
     and locates each active event on it with brentq (xtol = rtol = 4 eps).
@@ -313,15 +333,15 @@ def _first_event(params, cap, t_old, t_new, y_old, y_new, K, zero, up):
     """
     rhs = _rhs(params, cap)
     h = t_new - t_old
-    for s in range(_N_STAGES + 1, _dop853.N_STAGES_EXTENDED):
-        dy = np.dot(K[:s].T, _A[s, :s]) * h
-        K[s] = rhs(t_old + _C[s] * h, y_old + dy)
+    for s in range(tab.N_STAGES + 1, tab.N_STAGES_EXTENDED):
+        dy = np.dot(K[:s].T, tab.A[s, :s]) * h
+        K[s] = rhs(t_old + tab.C[s] * h, y_old + dy)
     delta = y_new - y_old
-    F = np.empty((_dop853.INTERPOLATOR_POWER, 2))
+    F = np.empty((tab.INTERPOLATOR_POWER, 2))
     F[0] = delta
     F[1] = h * K[0] - delta
-    F[2] = 2 * delta - h * (K[_N_STAGES] + K[0])
-    F[3:] = h * np.dot(_D, K)
+    F[2] = 2 * delta - h * (K[tab.N_STAGES] + K[0])
+    F[3:] = h * np.dot(tab.D, K)
     coeffs = F[::-1, 0].tolist()
     w_old = float(y_old[0])
 
@@ -377,9 +397,10 @@ def classify_lanes(alphas, params: ProblemParams, r_max: float = 20.0,
     return results
 
 
-def _step(drift, rhs, t, y, f, h_abs, rejected, t_bound, rtol, atol):
+def _step(tab, drift, rhs, t, y, f, h_abs, rejected, t_bound, rtol, atol):
     """One DOP853 step attempt per lane, one pass of scipy's
-    RungeKutta._step_impl loop. h_abs is the step size to try (already held
+    RungeKutta._step_impl loop, with the coefficients of tab (the module
+    _dop853() returns). h_abs is the step size to try (already held
     at or above the minimum step) and rejected flags the lanes whose last
     attempt failed. Returns (t_new, y_new, K, ok, h_next): K holds the
     stages as (lane, stage, component), ok the lanes whose attempt is
@@ -390,23 +411,24 @@ def _step(drift, rhs, t, y, f, h_abs, rejected, t_bound, rtol, atol):
 
     # each lane's K is laid out as scipy's, so matmul runs scipy's np.dot
     # on it lane by lane
-    K = np.empty((t.size, _dop853.N_STAGES_EXTENDED, 2))
+    ns = tab.N_STAGES
+    K = np.empty((t.size, tab.N_STAGES_EXTENDED, 2))
     Kt = K.transpose(0, 2, 1)
     K[:, 0] = f
-    drift_r = drift(t + _C[:_N_STAGES + 1, None] * h)    # C[12] = 1: r = t + h
+    drift_r = drift(t + tab.C[:ns + 1, None] * h)    # C[12] = 1: r = t + h
     h2 = h[:, None]
-    for s in range(1, _N_STAGES):
-        dy = np.matmul(Kt[:, :, :s], _A[s, :s])
+    for s in range(1, ns):
+        dy = np.matmul(Kt[:, :, :s], tab.A[s, :s])
         dy *= h2
         dy += y
         rhs(drift_r[s], dy, K[:, s])
-    y_new = y + h2 * np.matmul(Kt[:, :, :_N_STAGES], _B)
-    rhs(drift_r[_N_STAGES], y_new, K[:, _N_STAGES])
+    y_new = y + h2 * np.matmul(Kt[:, :, :ns], tab.B)
+    rhs(drift_r[ns], y_new, K[:, ns])
 
     # scipy's DOP853 error norm and step-size factor
     scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-    e5 = _pow(_norms(np.matmul(Kt[:, :, :_N_STAGES + 1], _E5) / scale), 2.0)
-    e3 = _pow(_norms(np.matmul(Kt[:, :, :_N_STAGES + 1], _E3) / scale), 2.0)
+    e5 = _pow(_norms(np.matmul(Kt[:, :, :ns + 1], tab.E5) / scale), 2.0)
+    e3 = _pow(_norms(np.matmul(Kt[:, :, :ns + 1], tab.E3) / scale), 2.0)
     err = np.where((e5 == 0.0) & (e3 == 0.0), 0.0,
                    h_abs * e5 / np.sqrt((e5 + 0.01 * e3) * 2))
     ok = err < 1.0
@@ -422,6 +444,8 @@ def _run_lanes(params, idx, t, y, t_bound, rtol, atol, cap, alphas, results):
     """Integrate lanes idx from radii t and states y (lanes, 2) to their first
     terminal event, writing (outcome, r_end) into results; a lane that
     reaches t_bound without one leaves its result alone."""
+    from scipy.optimize import brentq
+    tab = _dop853()
     drift, rhs = _rhs_lanes(params, cap)
     f = np.empty_like(y)
     rhs(drift(t), y, f)
@@ -438,7 +462,7 @@ def _run_lanes(params, idx, t, y, t_bound, rtol, atol, cap, alphas, results):
                 f"integration failed at r = {t[j]:.6g}: required step size is "
                 "less than spacing between numbers",
                 payload={"alpha": alphas[idx[j]], "r": float(t[j])})
-        t_new, y_new, K, ok, h_abs = _step(drift, rhs, t, y, f, h_abs, rejected,
+        t_new, y_new, K, ok, h_abs = _step(tab, drift, rhs, t, y, f, h_abs, rejected,
                                            t_bound, rtol, atol)
         rejected = ~ok
 
@@ -449,13 +473,13 @@ def _run_lanes(params, idx, t, y, t_bound, rtol, atol, cap, alphas, results):
         up = ok & (g_cap <= 0.0) & (gc_new >= 0.0)
         fired = zero | up
         for j in np.flatnonzero(fired):
-            results[idx[j]] = _first_event(params, cap, t[j], t_new[j], y[j], y_new[j],
-                                           K[j], bool(zero[j]), bool(up[j]))
+            results[idx[j]] = _first_event(tab, brentq, params, cap, t[j], t_new[j],
+                                           y[j], y_new[j], K[j], bool(zero[j]), bool(up[j]))
         reached = ok & ~fired & (t_new >= t_bound)
 
         t = np.where(ok, t_new, t)
         y = np.where(ok[:, None], y_new, y)
-        f = np.where(ok[:, None], K[:, _N_STAGES], f)
+        f = np.where(ok[:, None], K[:, tab.N_STAGES], f)
         g_zero, g_cap = gz_new, gc_new
         keep = ~(fired | reached)
         if not keep.all():
@@ -640,6 +664,7 @@ def extended_profile(profile: RadialProfile):
     mask = profile.r <= r_cut + 1e-12
     if mask.sum() < 4:
         raise UsageError("profile has no usable positive range to extend")
+    from scipy.interpolate import CubicHermiteSpline
     spl = CubicHermiteSpline(profile.r[mask], profile.w[mask], profile.w_r[mask])
     dspl = spl.derivative()
     r_lo = float(profile.r[0])

@@ -6,6 +6,7 @@ replay round trips including the tamper guard.
 import csv
 import json
 import math
+import sys
 import warnings
 
 import pytest
@@ -279,6 +280,45 @@ def test_degenerate_settings_exit_2(tmp_path, capsys, kind, setting):
     # each ended in a traceback or a vacuous pass
     assert run_cli(kind, "--out", str(tmp_path / "o"), "--set", setting) == 2
     assert setting.split("=")[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting", [
+    "rtol=nan", "rtol=inf", "rtol=0", "rtol=1e-300", "atol=nan", "atol=inf", "atol=-1",
+], ids=["rtol-nan", "rtol-inf", "rtol-zero", "rtol-below-floor", "atol-nan", "atol-inf",
+        "atol-negative"])
+def test_shoot_refuses_a_degenerate_tolerance(tmp_path, capsys, setting):
+    # a NaN tolerance never returned, a negative atol ended in scipy's
+    # ValueError, and an rtol below the floor leaked scipy's warning
+    assert run_cli("shoot", "--out", str(tmp_path / "o"), "--set", "alpha=0.7",
+                   "--set", setting) == 2
+    assert setting.split("=")[0] in capsys.readouterr().err
+
+
+def test_shoot_accepts_the_tolerance_floor(tmp_path, capsys):
+    floor = 100 * sys.float_info.epsilon
+    assert run_cli("shoot", "--out", str(tmp_path / "o"), "--set", "alpha=0.7",
+                   "--set", f"rtol={floor!r}", "--set", "atol=0") == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("kind, setting", [
+    ("verify-identities", "cases=0"), ("verify-identities", "cases=-1"),
+    ("exponents", "random_p_count=0"), ("exponents", "n_scan_hi=0"),
+    ("exponents", "n_scan_hi=10"),
+], ids=["cases0", "cases-negative", "random_p_count0", "n_scan_hi0", "n_scan_hi10"])
+def test_vacuous_batteries_exit_2(tmp_path, capsys, kind, setting):
+    # each passed on zero random cases or an empty n range
+    assert run_cli(kind, "--out", str(tmp_path / "o"), "--set", setting) == 2
+    assert setting.split("=")[0] in capsys.readouterr().err
+
+
+def test_smallest_exponents_battery_passes(tmp_path, capsys):
+    out = tmp_path / "exp"
+    assert run_cli("exponents", "--out", str(out), "--set", "n_scan_hi=11",
+                   "--set", "random_p_count=1") == 0
+    summary = json.loads((out / "exponents.json").read_text())
+    assert summary["random_p"]["count"] == 1
+    assert summary["ordering_scan"] == {"n_lo": 11, "n_hi": 11, "all_hold": True}
 
 
 def test_spectrum_k_beyond_the_basis_gives_verdicts(tmp_path, capsys):

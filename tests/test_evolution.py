@@ -9,6 +9,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import eig, solve_banded
 
 from blowlab import (
@@ -39,6 +42,7 @@ from blowlab.evolution import (
     linearized_matrix,
     stable_mode_state,
 )
+from blowlab.experiments import _cumulative_trapezoid
 from blowlab.quadrature import tensor_grid
 
 P2 = ProblemParams(n=1, p=2.0)
@@ -412,6 +416,21 @@ def test_dissipation_identity(perturbed_kappa_run):
     i_a, i_b = np.searchsorted(run.s_values, [rep.s_lo, rep.s_hi])
     assert rep.lhs == float(np.trapezoid(rates[i_a:i_b + 1], dx=run.ds))
     assert rep.rhs == float(run.energies[i_a] - run.energies[i_b])
+
+
+@settings(max_examples=200, deadline=None)
+@given(size=st.integers(1, 2000), seed=st.integers(0, 2**32 - 1),
+       log_ds=st.floats(-150.0, 150.0), log_scale=st.floats(-140.0, 140.0))
+def test_dissipation_sum_is_scipys_cumulative_trapezoid(size, seed, log_ds, log_scale):
+    # the evolve-rescaled timeseries' running integral, bitwise scipy's,
+    # which stays the reference here; the sums stay below float overflow
+    rng = np.random.default_rng(seed)
+    rates = rng.uniform(-1.0, 1.0, size) * 10.0 ** (log_scale + rng.uniform(-5.0, 0.0, size))
+    ds = float(rng.uniform(0.5, 1.0) * 10.0 ** log_ds)
+    got = _cumulative_trapezoid(rates, ds)
+    want = cumulative_trapezoid(rates, dx=ds, initial=0.0)
+    assert got.dtype == want.dtype and np.array_equal(got.view(np.int64),
+                                                      want.view(np.int64))
 
 
 def test_dissipation_rates_shape(perturbed_kappa_run):

@@ -394,7 +394,7 @@ def test_one_lane_step_is_scipys_dop853_step(alpha, params, cap):
     while True:
         attempts += 1
         t_new, y_new, _, ok, h_next = profiles._step(
-            drift, rhs, t, y, f, h_abs, rejected, 20.0, 1e-10, 1e-12)
+            profiles._dop853(), drift, rhs, t, y, f, h_abs, rejected, 20.0, 1e-10, 1e-12)
         if ok[0]:
             break
         h_abs, rejected = h_next, ~ok
