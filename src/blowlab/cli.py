@@ -112,9 +112,9 @@ def _run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         outcome = run_kind(kind, cfg, out_dir)
-    except NumericError as exc:
-        failure = build_manifest(kind, cfg, out_dir, [],
-                                 [Verdict("numeric-failure", False, str(exc))],
+    except (NumericError, UsageError) as exc:
+        name = "numeric-failure" if isinstance(exc, NumericError) else "refused"
+        failure = build_manifest(kind, cfg, out_dir, [], [Verdict(name, False, str(exc))],
                                  seed=cfg.get("seed", 0), started=started,
                                  finished=now(), config_file=args.config,
                                  overrides=overrides)

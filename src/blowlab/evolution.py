@@ -56,9 +56,13 @@ refilled every step and write the stencil in place. The mesh density rho
 (`gaussian_density`) and the dissipation rate (`dissipation_rates`) exist
 once each.
 
-scipy.interpolate and scipy.optimize are imported inside the two
-physical-frame functions that use them (`rescale_to_similarity`,
-`fit_blowup_time`), so the rescaled frame loads scipy.linalg only.
+Importing this module loads no scipy. scipy.linalg comes in with the first
+banded solve (`solve_banded`, a forwarder) or the first tridiagonal
+factorisation (`_tridiagonal_solver`, once per RescaledFlow or stable-mode
+iteration, not per step); scipy.interpolate and scipy.optimize are imported
+inside the two physical-frame functions that use them
+(`rescale_to_similarity`, `fit_blowup_time`). So the rescaled frame loads
+scipy.linalg only.
 """
 
 from __future__ import annotations
@@ -67,8 +71,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .calculus import SampledField
 from .errors import DomainError, NumericError, UsageError
@@ -208,21 +210,33 @@ def _rescaled_banded(y: np.ndarray, params: ProblemParams, ds: float,
     return -lo[1:], 1.0 - di, -up[:-1]
 
 
-def _tridiagonal_lu(dl: np.ndarray, d: np.ndarray, du: np.ndarray) -> tuple:
-    """LU factors of a tridiagonal matrix by LAPACK ?gttrf (partial pivoting),
-    ready for `_tridiagonal_solve`; an exactly singular matrix raises."""
+def solve_banded(l_and_u, ab, b, **kwargs):
+    """scipy.linalg.solve_banded, imported on the first call.
+
+    A module-level name rather than a local import so that perfbench's tracer
+    can wrap the physical frame's banded solves and read (l_and_u, ab, b)
+    from their positional arguments; it goes when runs record their own
+    counters (ROADMAP item 8)."""
+    from scipy.linalg import solve_banded as _solve_banded
+    return _solve_banded(l_and_u, ab, b, **kwargs)
+
+
+def _tridiagonal_solver(dl: np.ndarray, d: np.ndarray, du: np.ndarray):
+    """solve(b) for a tridiagonal matrix, from its LU factors by LAPACK
+    ?gttrf (partial pivoting); an exactly singular matrix raises. solve runs
+    ?gttrs, which does the arithmetic of ?gtsv (which solve_banded calls for
+    (1, 1) bands), so its result is bitwise that of solve_banded; b is
+    overwritten."""
+    from scipy.linalg.lapack import dgttrf, dgttrs
     *lu, info = dgttrf(dl, d, du)
     if info > 0:
         raise NumericError(f"tridiagonal factorisation hit a zero pivot in row {info}",
                            payload={"row": int(info)})
-    return tuple(lu)
 
+    def solve(b: np.ndarray) -> np.ndarray:
+        return dgttrs(*lu, b, overwrite_b=1)[0]
 
-def _tridiagonal_solve(lu: tuple, b: np.ndarray) -> np.ndarray:
-    """Solve with `_tridiagonal_lu` factors by LAPACK ?gttrs. It does the
-    arithmetic of ?gtsv (which solve_banded calls for (1, 1) bands), so the
-    result is bitwise that of solve_banded; b is overwritten."""
-    return dgttrs(*lu, b, overwrite_b=1)[0]
+    return solve
 
 
 # states per bookkeeping block of RescaledFlow.run
@@ -265,12 +279,12 @@ class RescaledFlow:
         self.ds = ds
         self.y = np.linspace(-L, L, m) if geometry == "interval" else np.linspace(0.0, L, m)
         # the step matrix never changes: factor it once, solve every step
-        self._lu = _tridiagonal_lu(*_rescaled_banded(self.y, params, ds, geometry))
+        self._solve = _tridiagonal_solver(*_rescaled_banded(self.y, params, ds, geometry))
 
     def step(self, w: np.ndarray) -> np.ndarray:
         p = self.params.p
         rhs = w + self.ds * np.abs(w) ** (p - 1.0) * w
-        return _tridiagonal_solve(self._lu, rhs)
+        return self._solve(rhs)
 
     # numpy's overflow warnings on the way to a blow-up would only leak to
     # the caller; the run ends there as blew-up
@@ -367,11 +381,11 @@ def stable_mode_state(y: np.ndarray, params: ProblemParams, amp: float,
     """
     y = np.asarray(y, dtype=float)
     dl, d, du = _linearized_tridiagonal(y, params, geometry)
-    lu = _tridiagonal_lu(dl, d - target, du)
+    solve = _tridiagonal_solver(dl, d - target, du)
     norm = np.abs(dl).max() + np.abs(d).max() + np.abs(du).max()   # >= ||L||_inf
     v = np.random.default_rng(0).standard_normal(y.size)
     for _ in range(100):
-        x = _tridiagonal_solve(lu, v)
+        x = solve(v)
         v = x / np.abs(x).max()
         Lv = d * v
         Lv[1:] += dl * v[:-1]
@@ -404,7 +418,11 @@ def dissipation_rates(run: RescaledRun) -> np.ndarray:
         return np.zeros(run.states.shape[0])
     dens = gaussian_density(run.y, run.geometry, run.params.n)
     ws = np.gradient(run.states, run.ds, axis=0)
-    return np.trapezoid(ws * ws * dens, run.y, axis=1)
+    # squared and weighted in place: each state-sized temporary adds to the
+    # run's peak memory
+    ws *= ws
+    ws *= dens
+    return np.trapezoid(ws, run.y, axis=1)
 
 
 def dissipation_check(run: RescaledRun, rates: np.ndarray, s_a: float,

@@ -31,7 +31,7 @@ from .calculus import (
     verify_poincare,
     verify_prop35_inequality,
 )
-from .errors import ConfigurationError, UsageError
+from .errors import ConfigurationError, DomainError, UsageError
 from .evolution import (
     RescaledFlow,
     convergence_pipeline,
@@ -227,6 +227,10 @@ def _spectrum_profile(cfg: dict, params: ProblemParams, basis):
         return SampledField.constant(basis.grid, 0.0), None
     alpha = cfg["alpha"] if cfg["alpha"] > 0.0 else params.kappa
     prof = shoot(alpha, params, r_max=cfg["r_max"])
+    if prof.outcome in ("hit-zero", "blew-up"):
+        # a shot an event ended is no profile to linearize about
+        raise DomainError(f"the shot from alpha = {alpha!r} is not a profile: "
+                          f"outcome {prof.outcome} at r_end = {prof.r_end!r}")
     return profile_field(prof, basis.grid), prof
 
 

@@ -24,14 +24,14 @@ output, classified by its first terminal event, or by its tail on the mesh
 when none fires. A scan needs only each alpha's outcome and end radius.
 classify_lanes takes them for a whole list of alphas at once: each alpha is a
 lane of one vectorised DOP853 integration that repeats scipy's arithmetic
-(tableau, step-size control, event location on the dense interpolant), so a
-lane that an event ends gives shoot's outcome and r_end, and a lane that
-none ends (the snap band below, or a shot still bounded at r_max, whose tail
-test reads the mesh) gives None. scan_profiles classifies its grid in one
-batch, and bisects every bracket BISECT_DEPTH levels per batch, tree-exact:
-the brackets are those of the sequential loop, and an alpha no event decides
-goes through shoot() only if the grid or the walk reads it, as in that loop.
-shoot stays on solve_ivp as the lanes' scalar reference.
+(tableau, step-size control, event location on the dense interpolant by
+brentq), so a lane that an event ends gives shoot's outcome and r_end, and a
+lane that none ends (the snap band below, or a shot still bounded at r_max,
+whose tail test reads the mesh) gives None. scan_profiles classifies its
+grid in one batch, and bisects every bracket BISECT_DEPTH levels per batch,
+tree-exact: the brackets are those of the sequential loop, and an alpha no
+event decides goes through shoot() only if the grid or the walk reads it, as
+in that loop. shoot stays on solve_ivp as the lanes' scalar reference.
 
 The constant branch is a separatrix: perturbations of the regular series
 solution grow only like r^2, but the second, singular solution of the
@@ -41,21 +41,23 @@ before r = 14. Within a machine-level band around kappa the branches cannot
 be distinguished in floats; shoot() therefore snaps alpha inside that band to
 the exact constant trajectory.
 
-Importing this module loads no scipy. solve_ivp, the DOP853 tableau
-(_dop853), brentq and CubicHermiteSpline are imported by the code that
-calls them, so a run that never shoots does not load scipy.integrate,
-scipy.optimize or scipy.interpolate.
+The lanes load no scipy: the DOP853 tableau is data (blowlab._dop853), and
+_brentq is scipy's brentq ported operation for operation. solve_ivp and
+CubicHermiteSpline are imported by the code that calls them, so scipy
+(scipy.integrate and scipy.optimize; scipy.interpolate for the spline) comes
+in only when shoot() integrates, that is for an alpha outside the snap band,
+and when extended_profile fits a spline to such a shot.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field as dc_field
 from itertools import repeat
 
 import numpy as np
 
+from . import _dop853 as _DOP853
 from .calculus import SampledField, radial_field
 from .errors import DomainError, NumericError, UsageError
 from .exponents import ProblemParams, kappa
@@ -106,13 +108,63 @@ def solve_ivp(*args, **kwargs):
     return _solve_ivp(*args, **kwargs)
 
 
-@functools.cache
 def _dop853():
-    """scipy's DOP853 coefficient module (tableau, dense-output matrix D,
-    stage counts), imported on first use so that runs which never classify
-    lanes do not load scipy.integrate."""
-    from scipy.integrate._ivp import dop853_coefficients
-    return dop853_coefficients
+    """The DOP853 coefficient module blowlab._dop853 (tableau, dense-output
+    matrix D, stage counts), bitwise scipy's."""
+    return _DOP853
+
+
+def _brentq(f, a, b, xtol, rtol, maxiter=100):
+    """scipy.optimize.brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter):
+    Brent's (1973) root finder, scipy's brentq.c operation for operation on
+    Python floats, so the root is bitwise scipy's. As scipy's wrapper does, a
+    NaN function value or f(a), f(b) of equal sign raises ValueError, and no
+    convergence within maxiter iterations raises RuntimeError."""
+    def call(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry           # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
 
 
 def series_start(alpha: float, params: ProblemParams) -> tuple[float, float, float, float, float]:
@@ -321,13 +373,13 @@ def _initial_step(drift, rhs, t, y, f, t_bound, rtol, atol):
     return np.minimum(np.minimum(100.0 * h0, h1), interval)
 
 
-def _first_event(tab, brentq, params, cap, t_old, t_new, y_old, y_new, K, zero, up):
+def _first_event(tab, params, cap, t_old, t_new, y_old, y_new, K, zero, up):
     """(outcome, radius) of the terminal event in one lane's accepted step.
 
-    tab is the DOP853 coefficient module (_dop853()) and brentq scipy's.
-    K (16, 2) holds the step's 13 stages. Builds the step's 7th-order
-    interpolant from the 3 extra stages as scipy's DOP853 dense output does,
-    and locates each active event on it with brentq (xtol = rtol = 4 eps).
+    tab is the DOP853 coefficient module (_dop853()). K (16, 2) holds the
+    step's 13 stages. Builds the step's 7th-order interpolant from the 3
+    extra stages as scipy's DOP853 dense output does, and locates each
+    active event on it with _brentq (xtol = rtol = 4 eps) as solve_ivp does.
     The earlier root wins, hit-zero on a tie, as solve_ivp's first terminal
     event does.
     """
@@ -356,10 +408,10 @@ def _first_event(tab, brentq, params, cap, t_old, t_new, y_old, y_new, K, zero, 
     tol = 4 * _EPS
     roots = []
     if zero:
-        roots.append((brentq(w_at, t_old, t_new, xtol=tol, rtol=tol), "hit-zero"))
+        roots.append((_brentq(w_at, t_old, t_new, tol, tol), "hit-zero"))
     if up:
-        roots.append((brentq(lambda t: abs(w_at(t)) - cap, t_old, t_new,
-                             xtol=tol, rtol=tol), "blew-up"))
+        roots.append((_brentq(lambda t: abs(w_at(t)) - cap, t_old, t_new, tol, tol),
+                      "blew-up"))
     r, outcome = min(roots, key=lambda root: root[0])
     return outcome, float(r)
 
@@ -444,7 +496,6 @@ def _run_lanes(params, idx, t, y, t_bound, rtol, atol, cap, alphas, results):
     """Integrate lanes idx from radii t and states y (lanes, 2) to their first
     terminal event, writing (outcome, r_end) into results; a lane that
     reaches t_bound without one leaves its result alone."""
-    from scipy.optimize import brentq
     tab = _dop853()
     drift, rhs = _rhs_lanes(params, cap)
     f = np.empty_like(y)
@@ -473,7 +524,7 @@ def _run_lanes(params, idx, t, y, t_bound, rtol, atol, cap, alphas, results):
         up = ok & (g_cap <= 0.0) & (gc_new >= 0.0)
         fired = zero | up
         for j in np.flatnonzero(fired):
-            results[idx[j]] = _first_event(tab, brentq, params, cap, t[j], t_new[j],
+            results[idx[j]] = _first_event(tab, params, cap, t[j], t_new[j],
                                            y[j], y_new[j], K[j], bool(zero[j]), bool(up[j]))
         reached = ok & ~fired & (t_new >= t_bound)
 
@@ -653,7 +704,10 @@ def scan_profiles(params: ProblemParams, alpha_lo: float, alpha_hi: float,
 def extended_profile(profile: RadialProfile):
     """(w_at, r_cut), where w_at(r) returns (w, w_r): cubic-Hermite inside the
     trusted radius, then the steady power tail r^(-2/(p-1)); values below r0
-    use the series start.
+    use the series start. A shot snapped to the constant (shoot's snap band)
+    is that constant inside r_cut, with the same tail beyond, and fits no
+    spline: the Hermite cubic through constant data with zero slopes is that
+    constant with zero derivative.
 
     The tail keeps the far field positive and slowly varying so Gaussian-
     weighted functionals see no artifacts from the (weight ~ e^{-r^2/4})
@@ -664,13 +718,22 @@ def extended_profile(profile: RadialProfile):
     mask = profile.r <= r_cut + 1e-12
     if mask.sum() < 4:
         raise UsageError("profile has no usable positive range to extend")
-    from scipy.interpolate import CubicHermiteSpline
-    spl = CubicHermiteSpline(profile.r[mask], profile.w[mask], profile.w_r[mask])
-    dspl = spl.derivative()
-    r_lo = float(profile.r[0])
-    w_cut = float(spl(min(r_cut, profile.r[mask][-1])))
-    gamma = -2.0 / (p - 1.0)
     alpha, c, d = profile.alpha, profile.meta.get("c", 0.0), profile.meta.get("d", 0.0)
+    if profile.meta.get("snapped_to_constant"):
+        w_cut = alpha
+
+        def inner(r):
+            return np.full_like(r, alpha), np.zeros_like(r)
+    else:
+        from scipy.interpolate import CubicHermiteSpline
+        spl = CubicHermiteSpline(profile.r[mask], profile.w[mask], profile.w_r[mask])
+        dspl = spl.derivative()
+        w_cut = float(spl(min(r_cut, profile.r[mask][-1])))
+
+        def inner(r):
+            return spl(r), dspl(r)
+    r_lo = float(profile.r[0])
+    gamma = -2.0 / (p - 1.0)
 
     def w_at(r):
         r = np.asarray(r, dtype=float)
@@ -680,8 +743,7 @@ def extended_profile(profile: RadialProfile):
         mid = ~(lo | hi)
         w[lo] = alpha + c * r[lo] ** 2 + d * r[lo] ** 4
         w_r[lo] = 2.0 * c * r[lo] + 4.0 * d * r[lo] ** 3
-        w[mid] = spl(r[mid])
-        w_r[mid] = dspl(r[mid])
+        w[mid], w_r[mid] = inner(r[mid])
         w[hi] = w_cut * (r[hi] / r_cut) ** gamma
         w_r[hi] = w_cut * gamma / r_cut * (r[hi] / r_cut) ** (gamma - 1.0)
         return w, w_r

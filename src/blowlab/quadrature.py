@@ -16,6 +16,9 @@ operator assembly, are
     phi_k(r) = L_k^(n/2-1)(r^2/4) / c_{n,k},                 L phi_k = -k phi_k
 
 with c_{n,k}^2 = sphere_area(n) 2^(n-1) Gamma(k + n/2) / k!.
+
+Importing this module loads no scipy; the radial family imports
+scipy.special where it is built (`laguerre_norms`, `radial_grid`).
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
-from scipy.special import eval_genlaguerre, gammaln, roots_genlaguerre
 
 from .errors import ConfigurationError, UsageError
 
@@ -160,6 +162,7 @@ def tensor_grid(n: int, degree: int | None = None) -> TensorGrid:
 
 def laguerre_norms(n: int, nfuncs: int) -> np.ndarray:
     """Weighted L^2 norms of L_k^(n/2-1)(r^2/4) over R^n (radial measure)."""
+    from scipy.special import gammaln
     alpha = n / 2.0 - 1.0
     ks = np.arange(nfuncs)
     log_n2 = (
@@ -217,6 +220,7 @@ def radial_grid(n: int, degree: int = 48) -> RadialGrid:
         raise UsageError(f"grid dimension must be a positive integer, got {n!r}")
     if degree < 2:
         raise UsageError("grid degree must be at least 2")
+    from scipy.special import eval_genlaguerre, roots_genlaguerre
     alpha = n / 2.0 - 1.0
     x, wx = roots_genlaguerre(degree, alpha)
     r = 2.0 * np.sqrt(x)

@@ -22,6 +22,9 @@ stability checks all take the SpectralOperator, and the two that also read
 the field refuse one assembled on other values or another grid. The operator
 also holds its one eigendecomposition, so every spectrum report on it shares
 a single `eigh`.
+
+Importing this module loads no scipy: `eigh` and `eigh_tridiagonal` import
+scipy.linalg on their first call.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal
 
 from .calculus import SampledField, compute_H
 from .errors import ConfigurationError, NumericError, UsageError
@@ -44,6 +46,13 @@ from .quadrature import (
     require_same_grid,
     tensor_grid,
 )
+
+
+def eigh(a):
+    """scipy.linalg.eigh(a), imported on the first call. A module-level name
+    so that a test can count the eigendecompositions of a run."""
+    from scipy.linalg import eigh as _eigh
+    return _eigh(a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,6 +267,7 @@ def fd_eigenvalues_1d(w_at, params: ProblemParams, L: float = 12.0,
     wv = np.asarray(w_at(y), dtype=float)
     diag = -2.0 / h**2 + 0.25 - y**2 / 16.0 - 1.0 / (p - 1.0) + p * np.abs(wv) ** (p - 1.0)
     off = np.full(y.size - 1, 1.0 / h**2)
+    from scipy.linalg import eigh_tridiagonal
     mu = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
                           select_range=(y.size - k, y.size - 1))
     return -mu[::-1]

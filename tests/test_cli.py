@@ -332,6 +332,32 @@ def test_spectrum_k_beyond_the_basis_gives_verdicts(tmp_path, capsys):
     assert len(summary["fd_check"]["eigenvalues"]) == 4
 
 
+@pytest.mark.parametrize("sets", [("alpha=0.9",), ("alpha=1.5",),
+                                  ("n=3", "p=3", "alpha=0.5")],
+                         ids=["below-kappa", "above-kappa", "n3-p3"])
+def test_spectrum_refuses_a_shot_that_is_not_a_profile(tmp_path, capsys, sets):
+    # a shot that hits zero (or blows up) is no profile to linearize about:
+    # exit 2, and a failure manifest naming the outcome and r_end
+    from blowlab import ProblemParams, shoot
+    from blowlab.config import resolve_config
+    out = tmp_path / "spec"
+    sets = ("profile=shoot", "N=8") + sets
+    argv = ["spectrum", "--out", str(out)]
+    for s in sets:
+        argv += ["--set", s]
+    assert run_cli(*argv) == 2
+    manifest = load_manifest(out)
+    cfg = resolve_config("spectrum", {}, dict(s.split("=") for s in sets))
+    prof = shoot(cfg["alpha"], ProblemParams(n=cfg["n"], p=cfg["p"]), r_max=cfg["r_max"])
+    assert prof.outcome == "hit-zero"
+    detail = f"outcome hit-zero at r_end = {prof.r_end!r}"
+    assert detail in capsys.readouterr().err
+    assert manifest["all_passed"] is False
+    assert [v["name"] for v in manifest["verdicts"]] == ["refused"]
+    assert detail in manifest["verdicts"][0]["detail"]
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
 def test_scan_via_config_file(tmp_path, capsys):
     cfgfile = tmp_path / "scan.cfg"
     cfgfile.write_text("kind = scan\ncount = 3\nbisect_tol = 1e-6\n")

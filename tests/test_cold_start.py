@@ -13,25 +13,37 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 DEFERRED = ("scipy.integrate", "scipy.optimize", "scipy.interpolate")
 
-# run each argv through cli.main, then print the exit codes and which of
-# DEFERRED ended up in sys.modules
+# run each argv through cli.main, then print the exit codes and every scipy
+# module in sys.modules
 SCRIPT = """
 import json, sys
 import blowlab.cli as cli
 codes = [cli.main(argv + ["--out", f"run{i}", "--quiet"])
          for i, argv in enumerate(json.loads(sys.argv[1]))]
 print(json.dumps({"codes": codes,
-                  "loaded": [m for m in json.loads(sys.argv[2]) if m in sys.modules]}))
+                  "scipy": sorted(m for m in sys.modules
+                                  if m == "scipy" or m.startswith("scipy."))}))
 """
 
 
 def run_fresh(tmp_path, runs):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, json.dumps(runs), json.dumps(DEFERRED)],
+        [sys.executable, "-c", SCRIPT, json.dumps(runs)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_profiles_path_loads_no_scipy(tmp_path):
+    # the lanes carry the DOP853 tableau and brentq themselves, and shoot at
+    # kappa is the snapped constant: neither imports any of scipy
+    got = run_fresh(tmp_path, [
+        ["scan", "--set", "count=5"],
+        ["shoot"],
+        ["exponents", "--set", "random_p_count=5", "--set", "n_scan_hi=12"],
+    ])
+    assert got == {"codes": [0] * 3, "scipy": []}
 
 
 def test_similarity_frame_loads_no_deferred_scipy(tmp_path):
@@ -43,18 +55,23 @@ def test_similarity_frame_loads_no_deferred_scipy(tmp_path):
          "--set", "s_end=0.5"],
         ["verify-identities", "--set", "cases=2"],
         ["spectrum", "--set", "N=8"],
+        ["spectrum", "--set", "N=8", "--set", "profile=shoot"],
         ["exponents", "--set", "random_p_count=5", "--set", "n_scan_hi=12"],
     ])
-    assert got == {"codes": [0] * 5, "loaded": []}
+    assert got["codes"] == [0] * 6
+    assert [m for m in DEFERRED if m in got["scipy"]] == []
 
 
 def test_deferred_imports_resolve_in_a_fresh_process(tmp_path):
-    # scan runs the lanes (tableau, brentq), shoot solve_ivp, spectrum on a
-    # shot the Hermite spline, theorem13 CubicSpline and minimize_scalar
+    # scan with bisection runs the lanes, shoot off kappa solve_ivp, spectrum
+    # on a bounded shot off kappa the Hermite spline, theorem13 CubicSpline
+    # and minimize_scalar
     got = run_fresh(tmp_path, [
         ["scan", "--set", "count=5", "--set", "bisect_tol=1e-4"],
         ["shoot", "--set", "alpha=0.7"],
-        ["spectrum", "--set", "N=8", "--set", "profile=shoot"],
+        ["spectrum", "--set", "N=8", "--set", "n=2", "--set", "profile=shoot",
+         "--set", "alpha=1.01", "--set", "r_max=4"],
         ["theorem13", "--set", "m=1001"],
     ])
-    assert got == {"codes": [0] * 4, "loaded": list(DEFERRED)}
+    assert got["codes"] == [0] * 4
+    assert [m for m in DEFERRED if m in got["scipy"]] == list(DEFERRED)

@@ -12,7 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import DOP853
+from scipy.integrate._ivp import dop853_coefficients
 from scipy.interpolate import CubicHermiteSpline
+from scipy.optimize import brentq
 
 import blowlab.profiles as profiles
 
@@ -235,6 +237,29 @@ def test_extended_profile_power_tail():
     assert w_r[0] == pytest.approx(-2.0 / 20.0 * (25.0 / 20.0) ** -3.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("n, p", [(1, 2.0), (2, 2.0), (3, 3.0)])
+def test_snapped_extension_is_the_spline_extension(n, p):
+    # a shot snapped to kappa extends without a spline, bitwise as the
+    # Hermite spline through its constant trajectory extends, on the spectrum
+    # grids and the 1-D fd mesh
+    prof = shoot(kappa(p), ProblemParams(n=n, p=p))
+    assert prof.meta["snapped_to_constant"]
+    spline = RadialProfile(params=prof.params, alpha=prof.alpha, r=prof.r, w=prof.w,
+                           w_r=prof.w_r, outcome=prof.outcome, r_end=prof.r_end,
+                           meta={k: v for k, v in prof.meta.items()
+                                 if k != "snapped_to_constant"})
+    grid = tensor_grid(n, 32) if n < 3 else radial_grid(n, 32)
+    fd_mesh = np.abs(np.linspace(-12.0, 12.0, 2401))
+    (w_at, r_cut), (spl_at, spl_cut) = extended_profile(prof), extended_profile(spline)
+    assert r_cut == spl_cut
+    for r in (fd_mesh, np.sqrt((grid.points ** 2).sum(axis=1)), np.array([0.0, 25.0])):
+        for got, want in zip(w_at(r), spl_at(r)):
+            assert got.tobytes() == want.tobytes()
+    for got, want in ((profile_field(prof, grid), profile_field(spline, grid)),):
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.grad.tobytes() == want.grad.tobytes()
+
+
 def test_extended_profile_needs_positive_range():
     r = np.linspace(1e-3, 1.0, 50)
     junk = RadialProfile(params=P21, alpha=1.0, r=r, w=-np.ones(50),
@@ -404,6 +429,91 @@ def test_one_lane_step_is_scipys_dop853_step(alpha, params, cap):
     np.testing.assert_array_max_ulp(t_new, [solver.t], maxulp=4)
     np.testing.assert_array_max_ulp(y_new[0], solver.y, maxulp=4)
     np.testing.assert_array_max_ulp(h_next, [solver.h_abs], maxulp=4)
+
+
+def test_dop853_tableau_is_scipys():
+    # blowlab._dop853 is data copied from scipy, bitwise
+    tab = profiles._dop853()
+    for name in ("N_STAGES", "N_STAGES_EXTENDED", "INTERPOLATOR_POWER"):
+        assert getattr(tab, name) == getattr(dop853_coefficients, name)
+    for name in ("C", "A", "B", "E3", "E5", "D"):
+        ours, theirs = getattr(tab, name), getattr(dop853_coefficients, name)
+        assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+        assert ours.tobytes() == theirs.tobytes()
+
+
+def brentq_outcome(find, f, a, b, xtol, rtol, maxiter=100):
+    """find's root, or the type of the exception it raises."""
+    try:
+        return find(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+
+
+def port(f, a, b, xtol, rtol, maxiter=100):
+    return profiles._brentq(f, a, b, xtol, rtol, maxiter)
+
+
+EPS = float(np.finfo(float).eps)
+
+
+@st.composite
+def root_cases(draw):
+    """(f, a, b, xtol): a random polynomial or a shifted, scaled sine on a
+    random interval. About half the cases have no sign change."""
+    a = draw(st.floats(-5.0, 5.0))
+    b = a + draw(st.floats(1e-6, 10.0))
+    xtol = 10.0 ** draw(st.floats(math.log10(4 * EPS), -8.0))
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=7))
+        f = lambda x: sum(c * x ** k for k, c in enumerate(coeffs))   # noqa: E731
+    else:
+        scale, shift = draw(st.floats(0.1, 10.0)), draw(st.floats(-3.0, 3.0))
+        f = lambda x: math.sin(scale * x + shift)   # noqa: E731
+    return f, a, b, xtol
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(root_cases())
+def test_brentq_port_is_scipys(case):
+    f, a, b, xtol = case
+    want = brentq_outcome(brentq, f, a, b, xtol, 4 * EPS)
+    got = brentq_outcome(port, f, a, b, xtol, 4 * EPS)
+    assert got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize("f, a, b, maxiter, error", [
+    (lambda x: 1.0 + x * x, -1.0, 1.0, 100, ValueError),         # equal signs
+    (lambda x: 1e-200, 0.0, 1.0, 100, ValueError),                # f(a) f(b) underflows
+    (lambda x: math.nan, 0.0, 1.0, 100, ValueError),
+    (lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0, 100, ValueError),
+    (lambda x: math.nan if 0.45 < x < 0.55 else x ** 3 - 0.125, 0.0, 1.0, 100, ValueError),
+    (lambda x: x ** 3 - 0.1, 0.0, 1.0, 2, RuntimeError),          # maxiter runs out
+], ids=["equal-signs", "underflow", "nan-at-a", "nan-at-b", "nan-inside", "maxiter"])
+def test_brentq_port_raises_as_scipy(f, a, b, maxiter, error):
+    for find in (brentq, port):
+        with pytest.raises(error):
+            find(f, a, b, xtol=4 * EPS, rtol=4 * EPS, maxiter=maxiter)
+
+
+@pytest.mark.parametrize("alphas, params, kw", [
+    ([0.3, 0.9, 1.2, 5.0], P21, {}),
+    ([0.5, 2.0], P21, {"cap": 1.0}),
+    ([0.2, 0.6, 3.0], ProblemParams(n=3, p=3.0), {"cap": 2.0}),
+], ids=["hit-zero", "blew-up", "n3-p3-cap"])
+def test_brentq_port_on_lane_events_is_scipys(monkeypatch, alphas, params, kw):
+    # every root the lanes locate, on their real event functions, is scipy's
+    calls, ported = [], profiles._brentq
+
+    def both(f, a, b, xtol, rtol, maxiter=100):
+        got = ported(f, a, b, xtol, rtol, maxiter)
+        assert got == brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)
+        calls.append(got)
+        return got
+
+    monkeypatch.setattr(profiles, "_brentq", both)
+    results = classify_lanes(alphas, params, **kw)
+    assert len(calls) >= sum(r is not None for r in results) > 0
 
 
 def test_lane_rhs_is_bitwise_rhs():
