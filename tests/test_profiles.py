@@ -255,9 +255,9 @@ def test_snapped_extension_is_the_spline_extension(n, p):
     for r in (fd_mesh, np.sqrt((grid.points ** 2).sum(axis=1)), np.array([0.0, 25.0])):
         for got, want in zip(w_at(r), spl_at(r)):
             assert got.tobytes() == want.tobytes()
-    for got, want in ((profile_field(prof, grid), profile_field(spline, grid)),):
-        assert got.values.tobytes() == want.values.tobytes()
-        assert got.grad.tobytes() == want.grad.tobytes()
+    got, want = profile_field(prof, grid), profile_field(spline, grid)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.grad.tobytes() == want.grad.tobytes()
 
 
 def test_extended_profile_needs_positive_range():
@@ -460,7 +460,7 @@ EPS = float(np.finfo(float).eps)
 @st.composite
 def root_cases(draw):
     """(f, a, b, xtol): a random polynomial or a shifted, scaled sine on a
-    random interval. About half the cases have no sign change."""
+    random interval; where the ends have equal signs both must raise."""
     a = draw(st.floats(-5.0, 5.0))
     b = a + draw(st.floats(1e-6, 10.0))
     xtol = 10.0 ** draw(st.floats(math.log10(4 * EPS), -8.0))
