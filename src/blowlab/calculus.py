@@ -56,22 +56,6 @@ class SampledField:
     lap: np.ndarray | None = None
 
     @classmethod
-    def from_values(cls, grid: Grid, values) -> "SampledField":
-        """Derivatives filled in spectrally from the grid's orthonormal basis.
-
-        Trustworthy in the weighted norm and pointwise where the weight
-        lives; far quadrature nodes amplify coefficient roundoff, so supply
-        analytic derivatives for anything that is not polynomial-like.
-        """
-        values = np.asarray(values, dtype=float)
-        if values.shape != (grid.npoints,):
-            raise UsageError(
-                f"values shape {values.shape} does not match grid ({grid.npoints},)"
-            )
-        return cls(grid=grid, values=values, grad=grid.gradient(values),
-                   lap=grid.laplacian(values))
-
-    @classmethod
     def from_callable(cls, grid: Grid, f, grad=None, lap=None) -> "SampledField":
         """Sample callables of the points (nq, n); any derivative not supplied
         is computed spectrally."""
@@ -92,15 +76,6 @@ class SampledField:
         return cls(grid=grid, values=np.full(nq, float(c)),
                    grad=np.zeros((nq, ncomp)), lap=np.zeros(nq))
 
-    @classmethod
-    def coordinate(cls, grid: Grid, i: int = 0) -> "SampledField":
-        if grid.kind == "radial":
-            raise UsageError("coordinate fields are not radially symmetric")
-        nq = grid.npoints
-        g = np.zeros((nq, grid.n))
-        g[:, i] = 1.0
-        return cls(grid=grid, values=grid.points[:, i].copy(), grad=g, lap=np.zeros(nq))
-
     def grad_sq(self) -> np.ndarray:
         return (self.grad * self.grad).sum(axis=1)
 
@@ -113,15 +88,6 @@ class SampledField:
 def weighted_inner(f: SampledField, g: SampledField) -> float:
     require_same_grid(f.grid, g.grid)
     return float(np.dot(f.grid.weights, f.values * g.values))
-
-
-def bracket(f: SampledField | np.ndarray, grid: Grid | None = None) -> float:
-    """[f]_W: integral against the Gaussian weight."""
-    if isinstance(f, SampledField):
-        return float(np.dot(f.grid.weights, f.values))
-    if grid is None:
-        raise UsageError("bracket of a bare array needs the grid")
-    return float(np.dot(grid.weights, np.asarray(f)))
 
 
 def ou_apply(f: SampledField) -> np.ndarray:
@@ -172,20 +138,25 @@ class CheckRow:
 
 CSV_HEADER = ("check_name", "lhs", "rhs", "residual", "holds")
 
+# the integration-by-parts identity holds within IDENTITY_TOL (1 + |rhs|); a
+# one-sided bound lhs <= rhs holds within INEQUALITY_TOL (1 + |lhs| + |rhs|)
+IDENTITY_TOL = 1e-8
+INEQUALITY_TOL = 1e-9
 
-def verify_ibp(f: SampledField, g: SampledField, tol: float = 1e-8,
-               name: str = "ibp") -> CheckRow:
-    """[f L g]_W + [grad f . grad g]_W = 0, within tol (1 + |[grad f . grad g]|)."""
+
+def verify_ibp(f: SampledField, g: SampledField, name: str = "ibp") -> CheckRow:
+    """[f L g]_W + [grad f . grad g]_W = 0, within
+    IDENTITY_TOL (1 + |[grad f . grad g]|)."""
     require_same_grid(f.grid, g.grid)
     lhs = float(np.dot(f.grid.weights, f.values * ou_apply(g)))
     rhs = -float(np.dot(f.grid.weights, (f.grad * g.grad).sum(axis=1)))
     res = abs(lhs - rhs)
-    return CheckRow(name, lhs, rhs, res, res <= tol * (1.0 + abs(rhs)), {"tol": tol})
+    return CheckRow(name, lhs, rhs, res, res <= IDENTITY_TOL * (1.0 + abs(rhs)),
+                    {"tol": IDENTITY_TOL})
 
 
 def verify_log_test_inequality(w, f: SampledField, mu: float, phi: SampledField,
-                               params, tol: float = 1e-9,
-                               name: str = "log_test") -> CheckRow:
+                               params, name: str = "log_test") -> CheckRow:
     """Given an exact positive eigenpair L_w f = -mu f, check
     [phi^2 (p|w|^(p-1) + |grad log f|^2)] <= [4|grad phi|^2 - 2(mu - 1/(p-1)) phi^2].
     """
@@ -200,12 +171,11 @@ def verify_log_test_inequality(w, f: SampledField, mu: float, phi: SampledField,
     rhs = float(np.dot(wq, 4.0 * phi.grad_sq() - 2.0 * (mu - 1.0 / (p - 1.0)) * phi.values**2))
     scale = 1.0 + abs(lhs) + abs(rhs)
     res = max(0.0, lhs - rhs)
-    return CheckRow(name, lhs, rhs, res, lhs <= rhs + tol * scale,
-                    {"mu": mu, "tol": tol})
+    return CheckRow(name, lhs, rhs, res, lhs <= rhs + INEQUALITY_TOL * scale,
+                    {"mu": mu, "tol": INEQUALITY_TOL})
 
 
-def verify_poincare(v: SampledField, tol: float = 1e-9,
-                    name: str = "poincare") -> CheckRow:
+def verify_poincare(v: SampledField, name: str = "poincare") -> CheckRow:
     """[v^2 |y|^2]_W <= 16 [|grad v|^2]_W + 4 n [v^2]_W."""
     grid = v.grid
     r2 = grid.r**2 if grid.kind == "radial" else (grid.points**2).sum(axis=1)
@@ -214,7 +184,8 @@ def verify_poincare(v: SampledField, tol: float = 1e-9,
         + 4.0 * grid.n * float(np.dot(grid.weights, v.values**2))
     scale = 1.0 + abs(lhs) + abs(rhs)
     res = max(0.0, lhs - rhs)
-    return CheckRow(name, lhs, rhs, res, lhs <= rhs + tol * scale, {"tol": tol})
+    return CheckRow(name, lhs, rhs, res, lhs <= rhs + INEQUALITY_TOL * scale,
+                    {"tol": INEQUALITY_TOL})
 
 
 def prop35_constants(m: float, p: float) -> dict:
@@ -247,8 +218,7 @@ def prop35_constants(m: float, p: float) -> dict:
 
 
 def verify_prop35_inequality(w: SampledField, m: float, eta: SampledField,
-                             params, tol: float = 1e-9,
-                             name: str = "moment_bound") -> CheckRow:
+                             params, name: str = "moment_bound") -> CheckRow:
     """[eta^2 |w|^(2m+p-1)]_W <= C [ |w|^(2m) (|grad eta|^2 + eta^2) ]_W."""
     require_same_grid(w.grid, eta.grid)
     p = params.p if isinstance(params, ProblemParams) else float(params)
@@ -261,8 +231,8 @@ def verify_prop35_inequality(w: SampledField, m: float, eta: SampledField,
     )
     scale = 1.0 + abs(lhs) + abs(rhs)
     res = max(0.0, lhs - rhs)
-    return CheckRow(name, lhs, rhs, res, lhs <= rhs + tol * scale,
-                    {"m": m, **consts, "tol": tol})
+    return CheckRow(name, lhs, rhs, res, lhs <= rhs + INEQUALITY_TOL * scale,
+                    {"m": m, **consts, "tol": INEQUALITY_TOL})
 
 
 def radial_field(grid: Grid, f) -> SampledField:
@@ -400,14 +370,20 @@ class GaussianTerms:
         return self.grad_lap() - 0.5 * (grad + hy)
 
 
-def random_gaussian_sum(rng: np.random.Generator, n: int, nterms: int = 3,
-                        amp: float = 0.25, spread: float = 2.0) -> GaussianSum:
+# terms of a random Gaussian sum, and the half-width of the cube its centres
+# are drawn from
+GAUSSIAN_TERMS = 3
+GAUSSIAN_SPREAD = 2.0
+
+
+def random_gaussian_sum(rng: np.random.Generator, n: int,
+                        amp: float = 0.25) -> GaussianSum:
     # widths stay below 0.3 so the bumps are resolved by the default
     # quadrature in every supported dimension
     return GaussianSum(
-        a=rng.uniform(-amp, amp, nterms),
-        b=rng.uniform(0.08, 0.3, nterms),
-        c=rng.uniform(-spread, spread, (nterms, n)),
+        a=rng.uniform(-amp, amp, GAUSSIAN_TERMS),
+        b=rng.uniform(0.08, 0.3, GAUSSIAN_TERMS),
+        c=rng.uniform(-GAUSSIAN_SPREAD, GAUSSIAN_SPREAD, (GAUSSIAN_TERMS, n)),
     )
 
 

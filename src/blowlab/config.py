@@ -59,10 +59,10 @@ class Field:
         return str(raw)
 
 
-def _common(n=1, p=2.0):
+def _common():
     return {
-        "n": Field(int, n, "space dimension"),
-        "p": Field(float, p, "nonlinearity exponent, > 1"),
+        "n": Field(int, 1, "space dimension"),
+        "p": Field(float, 2.0, "nonlinearity exponent, > 1"),
         "seed": Field(int, 0, "seed for randomized batteries"),
     }
 
@@ -153,8 +153,8 @@ _POSITIVE = {
     "spectrum": ("r_max",),
     "shoot": ("r_max",),
     "scan": ("r_max", "bisect_tol"),
-    "blowup": ("u_cap",),
-    "theorem13": ("u_cap", "K", "conv_tol"),
+    "blowup": ("R", "width", "t_max", "u_cap"),
+    "theorem13": ("R", "width", "t_max", "u_cap", "K", "conv_tol"),
 }
 
 # int keys with a lower bound, per kind; the exponent-ordering scan starts at n = 11
@@ -227,6 +227,9 @@ def _validate(kind: str, cfg: dict) -> None:
                 f"more than {MAX_RECORDED_VALUES} values; raise ds or lower s_end or m")
     if kind == "scan" and not 0.0 < cfg["alpha_lo"] < cfg["alpha_hi"]:
         raise ConfigurationError("need 0 < alpha_lo < alpha_hi")
+    # amplitudes may be zero or negative, not inf or nan
+    if "amp" in cfg and not math.isfinite(cfg["amp"]):
+        raise ConfigurationError(f"amp must be finite, got {cfg['amp']}")
     # 0 means kappa; a shot needs a finite alpha
     if "alpha" in cfg and not 0.0 <= cfg["alpha"] < math.inf:
         raise ConfigurationError(f"alpha must be finite and >= 0 (0 = kappa), "

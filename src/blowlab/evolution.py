@@ -362,26 +362,30 @@ def linearized_matrix(y: np.ndarray, params: ProblemParams,
     return np.diag(d) + np.diag(dl, -1) + np.diag(du, 1)
 
 
-def stable_mode_state(y: np.ndarray, params: ProblemParams, amp: float,
-                      geometry: str = "interval", target: float = -1.0) -> np.ndarray:
-    """kappa plus amp times the discrete linearized eigenmode whose decay rate
-    is closest to target (default -1, the first mode below the constant).
+# decay rate of the stable mode: the first linearized mode below the constant
+STABLE_MODE_RATE = -1.0
 
-    Shift-invert inverse iteration in O(m) per step: L - target I is factored
-    once, then solved from a fixed generic start until the Rayleigh quotient
-    mu and the max-normalized iterate v satisfy
+
+def stable_mode_state(y: np.ndarray, params: ProblemParams, amp: float,
+                      geometry: str = "interval") -> np.ndarray:
+    """kappa plus amp times the discrete linearized eigenmode whose decay rate
+    is closest to STABLE_MODE_RATE.
+
+    Shift-invert inverse iteration in O(m) per step: L - STABLE_MODE_RATE I
+    is factored once, then solved from a fixed generic start until the Rayleigh
+    quotient mu and the max-normalized iterate v satisfy
 
         ||L v - mu v||_inf <= 1e-14 (||L||_inf + |mu|).
 
     The bound scales with ||L||_inf ~ 1/h^2 because that sets the residual
     floor of a backward-stable solve (about 1e-8 on a 40001-point ball mesh).
     A zero pivot, or no convergence within 100 iterations (a complex pair
-    nearest the target, as on very coarse meshes), raises NumericError. The
+    nearest that rate, as on very coarse meshes), raises NumericError. The
     mode is scaled to max |v| = 1 with v >= 0 at the point nearest y = 0.
     """
     y = np.asarray(y, dtype=float)
     dl, d, du = _linearized_tridiagonal(y, params, geometry)
-    solve = _tridiagonal_solver(dl, d - target, du)
+    solve = _tridiagonal_solver(dl, d - STABLE_MODE_RATE, du)
     norm = np.abs(dl).max() + np.abs(d).max() + np.abs(du).max()   # >= ||L||_inf
     v = np.random.default_rng(0).standard_normal(y.size)
     for _ in range(100):
@@ -394,8 +398,9 @@ def stable_mode_state(y: np.ndarray, params: ProblemParams, amp: float,
         if np.abs(Lv - mu * v).max() <= 1e-14 * (norm + abs(mu)):
             break
     else:
-        raise NumericError(f"stable-mode iteration did not converge near rate {target}",
-                           payload={"target": target, "mu": mu})
+        raise NumericError(f"stable-mode iteration did not converge near rate "
+                           f"{STABLE_MODE_RATE}",
+                           payload={"target": STABLE_MODE_RATE, "mu": mu})
     if v[np.abs(y).argmin()] < 0.0:
         v = -v
     return kappa(params.p) + amp * v
@@ -425,10 +430,14 @@ def dissipation_rates(run: RescaledRun) -> np.ndarray:
     return np.trapezoid(ws, run.y, axis=1)
 
 
+# relative tolerance of the dissipation identity
+DISSIPATION_TOL = 0.02
+
+
 def dissipation_check(run: RescaledRun, rates: np.ndarray, s_a: float,
-                      s_b: float, tol: float = 0.02) -> DissipationReport:
-    """Check int_{s_a}^{s_b} int |w_s|^2 rho dy ds = E(a) - E(b) within tol,
-    with rates = dissipation_rates(run).
+                      s_b: float) -> DissipationReport:
+    """Check int_{s_a}^{s_b} int |w_s|^2 rho dy ds = E(a) - E(b) within
+    DISSIPATION_TOL, relative, with rates = dissipation_rates(run).
 
     w_s from centered differences of the recorded states, so the window is
     snapped inward by one recording step at each end."""
@@ -443,7 +452,7 @@ def dissipation_check(run: RescaledRun, rates: np.ndarray, s_a: float,
     rhs = float(run.energies[i_a] - run.energies[i_b])
     rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
     return DissipationReport(s_lo=float(s[i_a]), s_hi=float(s[i_b]),
-                             lhs=lhs, rhs=rhs, rel_err=rel, holds=rel <= tol)
+                             lhs=lhs, rhs=rhs, rel_err=rel, holds=rel <= DISSIPATION_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +634,7 @@ def solve_physical(u0, params: ProblemParams, R: float = 2.0, m: int = 4001,
                    diffusion: bool = True, fixed_dt: float | None = None) -> BlowupRun:
     """Run the physical problem until blow-up (max |u| >= u_cap), t_max, or a
     numeric failure. theta <= 0.2 keeps dt within the stability policy
-    dt <= 0.2 (max|u|)^(1-p)."""
+    dt <= 0.2 (max|u|)^(1-p). Initial data must be finite and below u_cap."""
     if geometry not in ("interval", "ball"):
         raise UsageError(f"unknown geometry {geometry!r}")
     if not 0.0 < theta <= 0.2:
@@ -644,6 +653,10 @@ def solve_physical(u0, params: ProblemParams, R: float = 2.0, m: int = 4001,
                          f"finite), got {u_cap}")
 
     amax = float(np.abs(u).max())
+    # the snapshot ladder runs from above the data up to the cap
+    if not amax < u_cap:
+        raise UsageError(f"initial data must be finite with max|u0| < u_cap = "
+                         f"{u_cap:g}, got max|u0| = {amax:g}")
     sup0 = amax if amax > 0.0 else 1.0
     # levels 10^(k/2) from above the initial size up to the cap
     levels = (10.0 ** np.arange(math.floor(math.log10(sup0 * 4.0)) + 1.0,
@@ -765,11 +778,14 @@ class ConvergenceReport:
         }
 
 
+# windows the convergence check needs
+MIN_WINDOWS = 3
+
+
 def convergence_pipeline(run: BlowupRun, K: float = 1.0, conv_tol: float = 0.05,
-                         min_snapshots: int = 3, max_rows: int = 5,
-                         resolution_factor: float = 4.0) -> ConvergenceReport:
+                         max_rows: int = 5) -> ConvergenceReport:
     """Rescale stored snapshots around (T_est, a_est) and check that
-    sup_{|y|<=K} |sign w - kappa| decreases over >= min_snapshots times and
+    sup_{|y|<=K} |sign w - kappa| decreases over >= MIN_WINDOWS times and
     ends below conv_tol, where sign is that of u at a_est in the last
     snapshot. H of sign w on the window is reported per row. The rows are
     the last max_rows snapshots that pass the window filters, oldest first;
@@ -792,7 +808,7 @@ def convergence_pipeline(run: BlowupRun, K: float = 1.0, conv_tol: float = 0.05,
         if Tt <= 0.0:
             continue
         lam = math.sqrt(Tt)
-        if lam < resolution_factor * h:        # window thinner than the mesh
+        if lam < 4.0 * h:                      # window thinner than the mesh
             continue
         if a - 1.05 * K * lam < run.x[0] or a + 1.05 * K * lam > run.x[-1]:
             continue
@@ -807,7 +823,7 @@ def convergence_pipeline(run: BlowupRun, K: float = 1.0, conv_tol: float = 0.05,
                               min_H=float(Hw.min())))
     rows.reverse()
     sups = [r.sup_dev for r in rows]
-    decreasing = len(rows) >= min_snapshots and all(
+    decreasing = len(rows) >= MIN_WINDOWS and all(
         b < a for a, b in zip(sups[:-1], sups[1:]))
     final = sups[-1] if sups else math.inf
     return ConvergenceReport(params=run.params, K=K, conv_tol=conv_tol,

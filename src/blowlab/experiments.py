@@ -33,6 +33,7 @@ from .calculus import (
 )
 from .errors import ConfigurationError, DomainError, UsageError
 from .evolution import (
+    MIN_WINDOWS,
     RescaledFlow,
     convergence_pipeline,
     dissipation_check,
@@ -536,7 +537,7 @@ def run_theorem13(cfg: dict, out_dir: Path) -> RunOutcome:
         files.append("window.csv")
         summary["convergence"] = report.to_dict()
         verdicts += [
-            Verdict("window-count", len(report.rows) >= 3,
+            Verdict("window-count", len(report.rows) >= MIN_WINDOWS,
                     f"{len(report.rows)} usable windows"),
             Verdict("window-monotone", report.decreasing,
                     "sup |w - kappa| decreasing over the ladder"),

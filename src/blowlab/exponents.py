@@ -36,11 +36,6 @@ class ProblemParams:
         object.__setattr__(self, "p", float(self.p))
 
     @property
-    def beta(self) -> float:
-        """Blow-up rate exponent 1/(p-1)."""
-        return 1.0 / (self.p - 1.0)
-
-    @property
     def kappa(self) -> float:
         return kappa(self.p)
 

@@ -82,7 +82,7 @@ def in_snap_band(alpha: float, kap: float) -> bool:
 
 
 # scipy's DOP853 step-size control, for the lane classifier; the tableau
-# comes from _dop853()
+# is _DOP853
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERR_EXP = -1.0 / 8.0                       # -1 / (error estimator order + 1)
 _EPS = float(np.finfo(float).eps)
@@ -106,12 +106,6 @@ def solve_ivp(*args, **kwargs):
     when runs record their own counters (ROADMAP item 8)."""
     from scipy.integrate import solve_ivp as _solve_ivp
     return _solve_ivp(*args, **kwargs)
-
-
-def _dop853():
-    """The DOP853 coefficient module blowlab._dop853 (tableau, dense-output
-    matrix D, stage counts), bitwise scipy's."""
-    return _DOP853
 
 
 def _brentq(f, a, b, xtol, rtol, maxiter=100):
@@ -373,27 +367,26 @@ def _initial_step(drift, rhs, t, y, f, t_bound, rtol, atol):
     return np.minimum(np.minimum(100.0 * h0, h1), interval)
 
 
-def _first_event(tab, params, cap, t_old, t_new, y_old, y_new, K, zero, up):
+def _first_event(params, cap, t_old, t_new, y_old, y_new, K, zero, up):
     """(outcome, radius) of the terminal event in one lane's accepted step.
 
-    tab is the DOP853 coefficient module (_dop853()). K (16, 2) holds the
-    step's 13 stages. Builds the step's 7th-order interpolant from the 3
-    extra stages as scipy's DOP853 dense output does, and locates each
-    active event on it with _brentq (xtol = rtol = 4 eps) as solve_ivp does.
-    The earlier root wins, hit-zero on a tie, as solve_ivp's first terminal
-    event does.
+    K (16, 2) holds the step's 13 stages. Builds the step's 7th-order
+    interpolant from the 3 extra stages as scipy's DOP853 dense output does,
+    and locates each active event on it with _brentq (xtol = rtol = 4 eps)
+    as solve_ivp does. The earlier root wins, hit-zero on a tie, as
+    solve_ivp's first terminal event does.
     """
     rhs = _rhs(params, cap)
     h = t_new - t_old
-    for s in range(tab.N_STAGES + 1, tab.N_STAGES_EXTENDED):
-        dy = np.dot(K[:s].T, tab.A[s, :s]) * h
-        K[s] = rhs(t_old + tab.C[s] * h, y_old + dy)
+    for s in range(_DOP853.N_STAGES + 1, _DOP853.N_STAGES_EXTENDED):
+        dy = np.dot(K[:s].T, _DOP853.A[s, :s]) * h
+        K[s] = rhs(t_old + _DOP853.C[s] * h, y_old + dy)
     delta = y_new - y_old
-    F = np.empty((tab.INTERPOLATOR_POWER, 2))
+    F = np.empty((_DOP853.INTERPOLATOR_POWER, 2))
     F[0] = delta
     F[1] = h * K[0] - delta
-    F[2] = 2 * delta - h * (K[tab.N_STAGES] + K[0])
-    F[3:] = h * np.dot(tab.D, K)
+    F[2] = 2 * delta - h * (K[_DOP853.N_STAGES] + K[0])
+    F[3:] = h * np.dot(_DOP853.D, K)
     coeffs = F[::-1, 0].tolist()
     w_old = float(y_old[0])
 
@@ -449,38 +442,38 @@ def classify_lanes(alphas, params: ProblemParams, r_max: float = 20.0,
     return results
 
 
-def _step(tab, drift, rhs, t, y, f, h_abs, rejected, t_bound, rtol, atol):
+def _step(drift, rhs, t, y, f, h_abs, rejected, t_bound, rtol, atol):
     """One DOP853 step attempt per lane, one pass of scipy's
-    RungeKutta._step_impl loop, with the coefficients of tab (the module
-    _dop853() returns). h_abs is the step size to try (already held
-    at or above the minimum step) and rejected flags the lanes whose last
-    attempt failed. Returns (t_new, y_new, K, ok, h_next): K holds the
-    stages as (lane, stage, component), ok the lanes whose attempt is
-    accepted, h_next the step size each lane tries next."""
+    RungeKutta._step_impl loop, with the coefficients of _DOP853. h_abs is
+    the step size to try (already held at or above the minimum step) and
+    rejected flags the lanes whose last attempt failed. Returns (t_new,
+    y_new, K, ok, h_next): K holds the stages as (lane, stage, component),
+    ok the lanes whose attempt is accepted, h_next the step size each lane
+    tries next."""
     t_new = np.minimum(t + h_abs, t_bound)
     h = t_new - t
     h_abs = np.abs(h)
 
     # each lane's K is laid out as scipy's, so matmul runs scipy's np.dot
     # on it lane by lane
-    ns = tab.N_STAGES
-    K = np.empty((t.size, tab.N_STAGES_EXTENDED, 2))
+    ns = _DOP853.N_STAGES
+    K = np.empty((t.size, _DOP853.N_STAGES_EXTENDED, 2))
     Kt = K.transpose(0, 2, 1)
     K[:, 0] = f
-    drift_r = drift(t + tab.C[:ns + 1, None] * h)    # C[12] = 1: r = t + h
+    drift_r = drift(t + _DOP853.C[:ns + 1, None] * h)    # C[12] = 1: r = t + h
     h2 = h[:, None]
     for s in range(1, ns):
-        dy = np.matmul(Kt[:, :, :s], tab.A[s, :s])
+        dy = np.matmul(Kt[:, :, :s], _DOP853.A[s, :s])
         dy *= h2
         dy += y
         rhs(drift_r[s], dy, K[:, s])
-    y_new = y + h2 * np.matmul(Kt[:, :, :ns], tab.B)
+    y_new = y + h2 * np.matmul(Kt[:, :, :ns], _DOP853.B)
     rhs(drift_r[ns], y_new, K[:, ns])
 
     # scipy's DOP853 error norm and step-size factor
     scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-    e5 = _pow(_norms(np.matmul(Kt[:, :, :ns + 1], tab.E5) / scale), 2.0)
-    e3 = _pow(_norms(np.matmul(Kt[:, :, :ns + 1], tab.E3) / scale), 2.0)
+    e5 = _pow(_norms(np.matmul(Kt[:, :, :ns + 1], _DOP853.E5) / scale), 2.0)
+    e3 = _pow(_norms(np.matmul(Kt[:, :, :ns + 1], _DOP853.E3) / scale), 2.0)
     err = np.where((e5 == 0.0) & (e3 == 0.0), 0.0,
                    h_abs * e5 / np.sqrt((e5 + 0.01 * e3) * 2))
     ok = err < 1.0
@@ -496,7 +489,6 @@ def _run_lanes(params, idx, t, y, t_bound, rtol, atol, cap, alphas, results):
     """Integrate lanes idx from radii t and states y (lanes, 2) to their first
     terminal event, writing (outcome, r_end) into results; a lane that
     reaches t_bound without one leaves its result alone."""
-    tab = _dop853()
     drift, rhs = _rhs_lanes(params, cap)
     f = np.empty_like(y)
     rhs(drift(t), y, f)
@@ -513,7 +505,7 @@ def _run_lanes(params, idx, t, y, t_bound, rtol, atol, cap, alphas, results):
                 f"integration failed at r = {t[j]:.6g}: required step size is "
                 "less than spacing between numbers",
                 payload={"alpha": alphas[idx[j]], "r": float(t[j])})
-        t_new, y_new, K, ok, h_abs = _step(tab, drift, rhs, t, y, f, h_abs, rejected,
+        t_new, y_new, K, ok, h_abs = _step(drift, rhs, t, y, f, h_abs, rejected,
                                            t_bound, rtol, atol)
         rejected = ~ok
 
@@ -524,13 +516,13 @@ def _run_lanes(params, idx, t, y, t_bound, rtol, atol, cap, alphas, results):
         up = ok & (g_cap <= 0.0) & (gc_new >= 0.0)
         fired = zero | up
         for j in np.flatnonzero(fired):
-            results[idx[j]] = _first_event(tab, params, cap, t[j], t_new[j],
-                                           y[j], y_new[j], K[j], bool(zero[j]), bool(up[j]))
+            results[idx[j]] = _first_event(params, cap, t[j], t_new[j], y[j], y_new[j],
+                                           K[j], bool(zero[j]), bool(up[j]))
         reached = ok & ~fired & (t_new >= t_bound)
 
         t = np.where(ok, t_new, t)
         y = np.where(ok[:, None], y_new, y)
-        f = np.where(ok[:, None], K[:, tab.N_STAGES], f)
+        f = np.where(ok[:, None], K[:, _DOP853.N_STAGES], f)
         g_zero, g_cap = gz_new, gc_new
         keep = ~(fired | reached)
         if not keep.all():

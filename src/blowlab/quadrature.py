@@ -99,9 +99,6 @@ class TensorGrid:
     def npoints(self) -> int:
         return self.weights.size
 
-    def total_mass(self) -> float:
-        return TOTAL_MASS_1D ** self.n
-
     def reshape(self, values: np.ndarray) -> np.ndarray:
         return np.asarray(values).reshape((self.degree,) * self.n)
 
@@ -192,9 +189,6 @@ class RadialGrid:
     @property
     def points(self) -> np.ndarray:
         return self.r.reshape(-1, 1)
-
-    def total_mass(self) -> float:
-        return TOTAL_MASS_1D ** self.n
 
     def to_coeffs(self, values: np.ndarray) -> np.ndarray:
         return self.basis.T @ (self.weights * np.asarray(values))

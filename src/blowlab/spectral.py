@@ -224,44 +224,44 @@ def spectrum(op: SpectralOperator, k: int | None = None) -> SpectrumReport:
     )
 
 
-def first_eigenvalue_rayleigh(op: SpectralOperator, tol: float = 1e-14,
-                              max_iter: int = 100000) -> float:
+def first_eigenvalue_rayleigh(op: SpectralOperator) -> float:
     """min over the discrete space of the Rayleigh quotient of L_w.
 
     Independent route: shifted power iteration on the assembled form (the
-    quotient's minimum is -max eig of the matrix); deterministic start.
+    quotient's minimum is -max eig of the matrix); deterministic start. It
+    stops once the quotient q moves by at most 1e-14 (1 + |q|) in a step, or
+    after 100000 steps.
     """
     A = op.matrix
     sigma = float(np.abs(A).sum(axis=1).max()) + 1.0  # Gershgorin: A + sigma I > 0
     v = np.ones(op.size) + 1e-3 * np.arange(op.size)
     v /= np.linalg.norm(v)
     q_old = math.inf
-    for _ in range(max_iter):
+    for _ in range(100000):
         w = A @ v + sigma * v
         nw = np.linalg.norm(w)
         if nw == 0.0:
             break
         v = w / nw
         q = float(v @ (A @ v))
-        if abs(q - q_old) <= tol * (1.0 + abs(q)):
+        if abs(q - q_old) <= 1e-14 * (1.0 + abs(q)):
             break
         q_old = q
     return -q
 
 
-def fd_eigenvalues_1d(w_at, params: ProblemParams, L: float = 12.0,
-                      npts: int = 2401, k: int = 6) -> np.ndarray:
+def fd_eigenvalues_1d(w_at, params: ProblemParams, k: int = 6) -> np.ndarray:
     """Independent 1-D check: second-order finite differences on the
     symmetrized operator.
 
     The substitution v = exp(y^2/8) vt turns L_w into the Schroedinger form
     vt'' + (1/4 - y^2/16 - 1/(p-1) + p|w|^(p-1)) vt with Dirichlet walls at
-    +-L; the Gaussian factor makes the truncation error ~ exp(-L^2/4).
-    Returns the first k eigenvalues ascending.
+    +-L, L = 12, on 2401 mesh points; the Gaussian factor makes the
+    truncation error ~ exp(-L^2/4). Returns the first k eigenvalues ascending.
     """
     if params.n != 1:
         raise UsageError("the finite-difference check is one-dimensional")
-    y = np.linspace(-L, L, npts)[1:-1]
+    y = np.linspace(-12.0, 12.0, 2401)[1:-1]
     h = y[1] - y[0]
     p = params.p
     wv = np.asarray(w_at(y), dtype=float)
@@ -300,17 +300,21 @@ def _require_assembled_on(w: SampledField, op: SpectralOperator) -> None:
         raise UsageError("operator was assembled on other values than w")
 
 
-def sign_change_check(w: SampledField, op: SpectralOperator,
-                      tau_factor: float = 1e-8,
-                      lam_tol: float = 1e-4) -> SignChangeReport:
-    """H sign change must imply lambda_1 < -1 (checked as < -1 + lam_tol),
+# H changes sign when it leaves the band SIGN_CHANGE_BAND max|H| on both
+# sides; lambda_1 < -1 is checked as lambda_1 < -1 + LAMBDA1_TOL
+SIGN_CHANGE_BAND = 1e-8
+LAMBDA1_TOL = 1e-4
+
+
+def sign_change_check(w: SampledField, op: SpectralOperator) -> SignChangeReport:
+    """H sign change must imply lambda_1 < -1 (checked as < -1 + LAMBDA1_TOL),
     with op = assemble(w, basis, params)."""
     _require_assembled_on(w, op)
     H = compute_H(w, op.params)
-    tau = tau_factor * max(abs(H.min), abs(H.max))
+    tau = SIGN_CHANGE_BAND * max(abs(H.min), abs(H.max))
     sign_change = (H.min < -tau) and (H.max > tau)
     lam1 = spectrum(op, 1).lambda1
-    consistent = (not sign_change) or (lam1 < -1.0 + lam_tol)
+    consistent = (not sign_change) or (lam1 < -1.0 + LAMBDA1_TOL)
     return SignChangeReport(min_H=H.min, max_H=H.max, sign_change=sign_change,
                             lambda1=lam1, consistent=consistent, tau=tau)
 
@@ -329,7 +333,7 @@ class StabilityReport:
 
     span{H, d_i w} are the modes generated by time and space translation of
     the underlying solution; at w = kappa the translation eigenfunctions exist
-    while grad(kappa) = 0, so eigenvalues within mode_tol of -1/2 are labeled
+    while grad(kappa) = 0, so eigenvalues within MODE_TOL of -1/2 are labeled
     translation modes by eigenvalue alone (flagged)."""
 
     modes: tuple
@@ -349,11 +353,17 @@ class StabilityReport:
         }
 
 
-def stability_classify(w: SampledField, op: SpectralOperator,
-                       span_tol: float = 1e-4, neg_tol: float = 1e-8,
-                       mode_tol: float = 1e-6) -> StabilityReport:
+# a mode with lambda < -NEG_TOL is negative; it lies in the trivial span when
+# its relative projection residual is below SPAN_TOL, and is a translation
+# mode by eigenvalue when |lambda + 1/2| < MODE_TOL
+NEG_TOL = 1e-8
+SPAN_TOL = 1e-4
+MODE_TOL = 1e-6
+
+
+def stability_classify(w: SampledField, op: SpectralOperator) -> StabilityReport:
     """Stable iff every lambda < 0 eigenfunction lies in the trivial span
-    (projection residual < span_tol) or is a translation mode, with
+    (projection residual < SPAN_TOL) or is a translation mode, with
     op = assemble(w, basis, params)."""
     _require_assembled_on(w, op)
     basis = op.basis
@@ -377,7 +387,7 @@ def stability_classify(w: SampledField, op: SpectralOperator,
     modes = []
     stable = True
     for j, lam in enumerate(rep.eigenvalues):
-        if lam >= -neg_tol:
+        if lam >= -NEG_TOL:
             break
         u = rep.func_values[:, j]
         nrm = math.sqrt(float(np.dot(wq, u * u)))
@@ -385,9 +395,9 @@ def stability_classify(w: SampledField, op: SpectralOperator,
         for o in ortho:
             resid -= np.dot(wq, resid * o) * o
         rel = math.sqrt(float(np.dot(wq, resid * resid))) / max(nrm, 1e-300)
-        if rel < span_tol:
+        if rel < SPAN_TOL:
             modes.append(ModeLabel(float(lam), "trivial-span", rel, False))
-        elif abs(lam + 0.5) < mode_tol:
+        elif abs(lam + 0.5) < MODE_TOL:
             modes.append(ModeLabel(float(lam), "translation-by-eigenvalue", rel, True))
         else:
             modes.append(ModeLabel(float(lam), "genuine", rel, False))

@@ -30,7 +30,6 @@ from blowlab import (
 from blowlab import calculus
 from blowlab.calculus import (
     GaussianSum,
-    bracket,
     cutoff_field,
     growth_diagnostic,
     make_log_test_eigenpair,
@@ -58,7 +57,7 @@ def g2():
 
 def test_weighted_inner_documented_values(g1):
     one = SampledField.constant(g1, 1.0)
-    y = SampledField.coordinate(g1)
+    y = poly_field(g1, [0.0, 1.0])
     assert weighted_inner(one, one) == pytest.approx(M0, rel=1e-14)
     assert weighted_inner(one, one) == pytest.approx(3.5449077018110318, rel=1e-14)
     assert weighted_inner(y, y) == pytest.approx(2.0 * M0, rel=1e-14)
@@ -69,14 +68,6 @@ def test_weighted_inner_documented_values(g1):
 def test_weighted_inner_dimension_two(g2):
     one = SampledField.constant(g2, 1.0)
     assert weighted_inner(one, one) == pytest.approx(M0**2, rel=1e-13)
-
-
-def test_bracket(g1):
-    y2 = poly_field(g1, [0.0, 0.0, 1.0])
-    assert bracket(y2) == pytest.approx(2.0 * M0, rel=1e-13)
-    assert bracket(y2.values, g1) == pytest.approx(2.0 * M0, rel=1e-13)
-    with pytest.raises(UsageError):
-        bracket(y2.values)
 
 
 def test_grid_mismatch_rejected(g1):
@@ -270,7 +261,8 @@ def test_poly_field_matches_spectral_gradient(g1):
     coef = rng.uniform(-1.0, 1.0, size=7)
     f = poly_field(g1, coef)
     inner = np.abs(g1.points[:, 0]) <= 8.0
-    for spectral in (SampledField.from_values(g1, f.values),
+    for spectral in (SampledField(grid=g1, values=f.values, grad=g1.gradient(f.values),
+                                  lap=g1.laplacian(f.values)),
                      SampledField.from_callable(g1, lambda pts: P.polyval(pts[:, 0], coef))):
         assert np.abs((f.grad - spectral.grad)[inner]).max() < 1e-8
         assert np.abs((f.lap - spectral.lap)[inner]).max() < 1e-7

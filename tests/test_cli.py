@@ -274,12 +274,34 @@ def test_shots_refuse_a_degenerate_alpha(tmp_path, capsys, sets):
 @pytest.mark.parametrize("kind, setting", [
     ("spectrum", "k=0"), ("blowup", "u_cap=0"), ("blowup", "u_cap=-1"),
     ("theorem13", "K=0"), ("theorem13", "conv_tol=nan"), ("theorem13", "conv_tol=0"),
+    ("blowup", "R=nan"), ("theorem13", "R=inf"),
+    ("blowup", "width=0"), ("theorem13", "width=nan"),
+    ("blowup", "t_max=nan"), ("theorem13", "t_max=-1"),
+    ("blowup", "amp=inf"), ("theorem13", "amp=-inf"), ("evolve-rescaled", "amp=nan"),
 ], ids=["spectrum-k0", "blowup-u_cap0", "blowup-u_cap-negative", "theorem13-K0",
-        "theorem13-conv_tol-nan", "theorem13-conv_tol0"])
+        "theorem13-conv_tol-nan", "theorem13-conv_tol0",
+        "blowup-R-nan", "theorem13-R-inf", "blowup-width0", "theorem13-width-nan",
+        "blowup-t_max-nan", "theorem13-t_max-negative",
+        "blowup-amp-inf", "theorem13-amp-negative-inf", "evolve-rescaled-amp-nan"])
 def test_degenerate_settings_exit_2(tmp_path, capsys, kind, setting):
-    # each ended in a traceback or a vacuous pass
+    # each ended in a traceback, a vacuous pass, a run with no time limit or
+    # no steps, or a "state left float range" exit 3 with leaked warnings
     assert run_cli(kind, "--out", str(tmp_path / "o"), "--set", setting) == 2
     assert setting.split("=")[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, amp", [
+    ("blowup", "1e308"), ("theorem13", "1e308"), ("blowup", "1e8"), ("theorem13", "-1e9"),
+], ids=["blowup-1e308", "theorem13-1e308", "blowup-at-cap", "theorem13-beyond-cap"])
+def test_data_at_or_beyond_the_cap_is_refused(tmp_path, capsys, kind, amp):
+    # 1e308 ended in an OverflowError traceback while the snapshot ladder
+    # was built; data at the cap has no history to fit a blow-up time
+    out = tmp_path / "o"
+    assert run_cli(kind, "--out", str(out), "--set", f"amp={amp}") == 2
+    assert "u_cap" in capsys.readouterr().err
+    manifest = load_manifest(out)
+    assert manifest["all_passed"] is False
+    assert [v["name"] for v in manifest["verdicts"]] == ["refused"]
 
 
 @pytest.mark.parametrize("setting", [

@@ -590,6 +590,16 @@ def test_solve_physical_argument_errors():
         solve_physical(ones, P2, u_cap=1e308)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e308, 1e8, -1e8],
+                         ids=["nan", "inf", "-inf", "1e308", "at-cap", "-at-cap"])
+def test_solve_physical_refuses_data_outside_the_cap(value):
+    # the snapshot ladder starts at log10(4 max|u0|), which overflowed for
+    # 1e308 and inf; data at the cap has no history to fit
+    data = lambda x: np.where(np.abs(x) < 0.5, value, 1.0)
+    with pytest.raises(UsageError, match="u_cap"):
+        solve_physical(data, P2, m=101, u_cap=1e8)
+
+
 # The physical step before it wrote into buffers: every substep allocated.
 # These are its expressions verbatim, the reference for the in-place step.
 

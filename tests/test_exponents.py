@@ -102,7 +102,6 @@ def test_admissible_m_interval_boundary():
 
 def test_problem_params():
     pp = ProblemParams(n=3, p=3.0)
-    assert pp.beta == pytest.approx(0.5)
     assert pp.kappa == pytest.approx(SQRT_HALF)
     with pytest.raises(DomainError):
         ProblemParams(n=0, p=2.0)

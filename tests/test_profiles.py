@@ -419,7 +419,7 @@ def test_one_lane_step_is_scipys_dop853_step(alpha, params, cap):
     while True:
         attempts += 1
         t_new, y_new, _, ok, h_next = profiles._step(
-            profiles._dop853(), drift, rhs, t, y, f, h_abs, rejected, 20.0, 1e-10, 1e-12)
+            drift, rhs, t, y, f, h_abs, rejected, 20.0, 1e-10, 1e-12)
         if ok[0]:
             break
         h_abs, rejected = h_next, ~ok
@@ -433,7 +433,7 @@ def test_one_lane_step_is_scipys_dop853_step(alpha, params, cap):
 
 def test_dop853_tableau_is_scipys():
     # blowlab._dop853 is data copied from scipy, bitwise
-    tab = profiles._dop853()
+    tab = profiles._DOP853
     for name in ("N_STAGES", "N_STAGES_EXTENDED", "INTERPOLATOR_POWER"):
         assert getattr(tab, name) == getattr(dop853_coefficients, name)
     for name in ("C", "A", "B", "E3", "E5", "D"):
