@@ -163,7 +163,7 @@ _AT_LEAST = {
     "verify-identities": (("cases", 1),),
 }
 
-# shooting's smallest relative tolerance, solve_ivp's floor
+# shooting's smallest relative tolerance, the lanes' floor (solve_ivp's)
 _MIN_RTOL = 100 * math.ulp(1.0)
 
 
@@ -237,7 +237,7 @@ def _validate(kind: str, cfg: dict) -> None:
     if kind == "spectrum" and cfg["k"] < 1:
         raise ConfigurationError(f"k must be >= 1, got {cfg['k']}")
     if kind == "shoot":
-        # solve_ivp and the lanes raise a smaller rtol to this floor anyway
+        # the lanes raise a smaller rtol to this floor anyway
         if not _MIN_RTOL <= cfg["rtol"] < math.inf:
             raise ConfigurationError(
                 f"rtol must be finite and >= 100 eps = {_MIN_RTOL:.3g}, got {cfg['rtol']}")

@@ -457,7 +457,12 @@ def _initial_data(cfg: dict):
         return lambda x: amp * np.cos(math.pi * x / (2.0 * R))
     if kind == "constant":
         return lambda x: np.full_like(x, amp)
-    return lambda x: amp * np.exp(-(x / width) ** 2)
+
+    def gaussian(x):
+        # (x/width)^2 overflows for a tiny width; exp(-inf) = 0 is the exact limit
+        with np.errstate(over="ignore"):
+            return amp * np.exp(-(x / width) ** 2)
+    return gaussian
 
 
 def _physical_run(cfg: dict):

@@ -19,19 +19,18 @@ converged-to-kappa-like-tail, or reached-Rmax-bounded. The constant solution
 w = kappa is the only bounded positive profile in the probed regimes; scans
 bracket outcome changes and bisection re-discovers kappa.
 
-shoot is the one scalar path: one solve_ivp DOP853 integration with dense
-output, classified by its first terminal event, or by its tail on the mesh
-when none fires. A scan needs only each alpha's outcome and end radius.
-classify_lanes takes them for a whole list of alphas at once: each alpha is a
-lane of one vectorised DOP853 integration that repeats scipy's arithmetic
-(tableau, step-size control, event location on the dense interpolant by
-brentq), so a lane that an event ends gives shoot's outcome and r_end, and a
-lane that none ends (the snap band below, or a shot still bounded at r_max,
-whose tail test reads the mesh) gives None. scan_profiles classifies its
-grid in one batch, and bisects every bracket BISECT_DEPTH levels per batch,
-tree-exact: the brackets are those of the sequential loop, and an alpha no
-event decides goes through shoot() only if the grid or the walk reads it, as
-in that loop. shoot stays on solve_ivp as the lanes' scalar reference.
+One DOP853 integrator shoots: each alpha is a lane of one vectorised
+integration that repeats scipy's solve_ivp arithmetic (tableau, step-size
+control, event location on the dense interpolant by brentq), ending at its
+first terminal event. A scan needs only each alpha's outcome and end radius,
+and classify_lanes takes them for a whole list of alphas at once; a lane
+that no event ends (the snap band below, or a shot still bounded at r_max,
+whose tail test reads the mesh) gives None. shoot is one lane that keeps its
+steps and evaluates their dense output on its mesh as solve_ivp's
+OdeSolution does. scan_profiles classifies its grid in one batch, and
+bisects every bracket BISECT_DEPTH levels per batch, tree-exact: the
+brackets are those of the sequential loop, and an alpha no event decides
+goes through shoot() only if the grid or the walk reads it, as in that loop.
 
 The constant branch is a separatrix: perturbations of the regular series
 solution grow only like r^2, but the second, singular solution of the
@@ -41,12 +40,10 @@ before r = 14. Within a machine-level band around kappa the branches cannot
 be distinguished in floats; shoot() therefore snaps alpha inside that band to
 the exact constant trajectory.
 
-The lanes load no scipy: the DOP853 tableau is data (blowlab._dop853), and
-_brentq is scipy's brentq ported operation for operation. solve_ivp and
-CubicHermiteSpline are imported by the code that calls them, so scipy
-(scipy.integrate and scipy.optimize; scipy.interpolate for the spline) comes
-in only when shoot() integrates, that is for an alpha outside the snap band,
-and when extended_profile fits a spline to such a shot.
+Shooting loads no scipy: the DOP853 tableau is data (blowlab._dop853), and
+_brentq is scipy's brentq ported operation for operation. CubicHermiteSpline
+is imported by extended_profile, so scipy.interpolate comes in only when a
+spline is fitted to a shot off kappa.
 """
 
 from __future__ import annotations
@@ -101,9 +98,9 @@ BAND_FACTOR = 10.0
 def solve_ivp(*args, **kwargs):
     """scipy.integrate.solve_ivp, imported on the first call.
 
-    A module-level name rather than a local import so that perfbench's tracer
-    can wrap shoot's integrations and read nfev from their results; it goes
-    when runs record their own counters (ROADMAP item 8)."""
+    Nothing in blowlab calls it: shoot runs on the lanes. It stays only as
+    a name that perfbench's tracer wraps, until runs record their own
+    counters (ROADMAP item 8)."""
     from scipy.integrate import solve_ivp as _solve_ivp
     return _solve_ivp(*args, **kwargs)
 
@@ -162,10 +159,12 @@ def _brentq(f, a, b, xtol, rtol, maxiter=100):
 
 
 def series_start(alpha: float, params: ProblemParams) -> tuple[float, float, float, float, float]:
-    """(r0, w(r0), w'(r0), c, d) for the regular expansion at the origin."""
+    """(r0, w(r0), w'(r0), c, d) for the regular expansion at the origin;
+    DomainError where they leave float range."""
     p, n = params.p, params.n
-    c = (alpha / (p - 1.0) - abs(alpha) ** (p - 1.0) * alpha) / (2.0 * n)
-    d = c * p * (1.0 / (p - 1.0) - abs(alpha) ** (p - 1.0)) / (4.0 * (n + 2.0))
+    q = _pow_or_inf(abs(alpha), p - 1.0)        # inf leaves r0 = 0, refused below
+    c = (alpha / (p - 1.0) - q * alpha) / (2.0 * n)
+    d = c * p * (1.0 / (p - 1.0) - q) / (4.0 * (n + 2.0))
     r0 = 1e-3
     if c != 0.0:
         r0 = min(r0, 0.03 * math.sqrt(abs(alpha / c)))
@@ -173,6 +172,8 @@ def series_start(alpha: float, params: ProblemParams) -> tuple[float, float, flo
         r0 = min(r0, 0.03 * abs(alpha / d) ** 0.25)
     w0 = alpha + c * r0**2 + d * r0**4
     w0r = 2.0 * c * r0 + 4.0 * d * r0**3
+    if not (r0 > 0.0 and math.isfinite(w0) and math.isfinite(w0r)):
+        raise DomainError(f"the series start at alpha = {alpha!r}, p = {p!r} leaves float range")
     return r0, w0, w0r, c, d
 
 
@@ -258,36 +259,13 @@ def shoot(alpha: float, params: ProblemParams, r_max: float = 20.0,
             meta=meta | {"c": 0.0, "d": 0.0, "snapped_to_constant": True},
         )
 
-    def ev_zero(r, z):
-        return z[0]
-    ev_zero.terminal = True
-    ev_zero.direction = -1.0
-
-    def ev_cap(r, z):
-        return abs(z[0]) - cap
-    ev_cap.terminal = True
-    ev_cap.direction = 1.0
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        sol = solve_ivp(_rhs(params, cap), (r0, r_max), (w0, w0r),
-                        method="DOP853", rtol=rtol, atol=atol,
-                        events=(ev_zero, ev_cap), dense_output=True)
-    if sol.status == -1:
-        raise NumericError(f"integration failed at r = {sol.t[-1]:.6g}: {sol.message}",
-                           payload={"r": sol.t, "w": sol.y[0], "w_r": sol.y[1]})
-
-    t_zero = sol.t_events[0][0] if sol.t_events[0].size else math.inf
-    t_cap = sol.t_events[1][0] if sol.t_events[1].size else math.inf
-    r_end = float(min(t_zero, t_cap, sol.t[-1]))
+    result, steps = [None], []
+    _run_lanes(params, np.zeros(1, dtype=int), np.array([r0]), np.array([[w0, w0r]]),
+               float(r_max), rtol, atol, cap, [alpha], result, steps)
+    outcome, r_end = result[0] or (None, float(r_max))
     rr = np.linspace(r0, r_end, mesh_points)
-    zz = sol.sol(rr)
-    w, w_r = zz[0].copy(), zz[1].copy()
-
-    if t_zero <= t_cap and math.isfinite(t_zero):
-        outcome = "hit-zero"
-    elif math.isfinite(t_cap):
-        outcome = "blew-up"
-    else:
+    w, w_r = _on_mesh(params, cap, steps, r_end, rr)
+    if outcome is None:
         quarter = rr >= r0 + 0.75 * (r_end - r0)
         kap = kappa(params.p)
         near = (np.abs(w[quarter] - kap).max() <= TAIL_TOL * max(1.0, kap)
@@ -301,8 +279,8 @@ def shoot(alpha: float, params: ProblemParams, r_max: float = 20.0,
     return RadialProfile(
         params=params, alpha=alpha, r=rr, w=w, w_r=w_r, outcome=outcome,
         r_end=r_end,
-        events={"zero_at": None if math.isinf(t_zero) else float(t_zero),
-                "cap_at": None if math.isinf(t_cap) else float(t_cap)},
+        events={"zero_at": r_end if outcome == "hit-zero" else None,
+                "cap_at": r_end if outcome == "blew-up" else None},
         meta=meta,
     )
 
@@ -367,15 +345,10 @@ def _initial_step(drift, rhs, t, y, f, t_bound, rtol, atol):
     return np.minimum(np.minimum(100.0 * h0, h1), interval)
 
 
-def _first_event(params, cap, t_old, t_new, y_old, y_new, K, zero, up):
-    """(outcome, radius) of the terminal event in one lane's accepted step.
-
-    K (16, 2) holds the step's 13 stages. Builds the step's 7th-order
-    interpolant from the 3 extra stages as scipy's DOP853 dense output does,
-    and locates each active event on it with _brentq (xtol = rtol = 4 eps)
-    as solve_ivp does. The earlier root wins, hit-zero on a tie, as
-    solve_ivp's first terminal event does.
-    """
+def _dense(params, cap, t_old, t_new, y_old, y_new, K):
+    """scipy's DOP853 dense output F (7, 2) of one lane's accepted step. K
+    (16, 2) holds the step's 13 stages; the 3 extra stages go into its last
+    rows, evaluated as scipy's _dense_output_impl evaluates them."""
     rhs = _rhs(params, cap)
     h = t_new - t_old
     for s in range(_DOP853.N_STAGES + 1, _DOP853.N_STAGES_EXTENDED):
@@ -387,7 +360,16 @@ def _first_event(params, cap, t_old, t_new, y_old, y_new, K, zero, up):
     F[1] = h * K[0] - delta
     F[2] = 2 * delta - h * (K[_DOP853.N_STAGES] + K[0])
     F[3:] = h * np.dot(_DOP853.D, K)
-    coeffs = F[::-1, 0].tolist()
+    return F
+
+
+def _first_event(params, cap, t_old, t_new, y_old, y_new, K, zero, up):
+    """(outcome, radius) of the terminal event in one lane's accepted step,
+    located on the step's _dense interpolant by _brentq (xtol = rtol = 4 eps)
+    as solve_ivp locates it; the earlier root wins, hit-zero on a tie, as
+    solve_ivp's first terminal event does."""
+    coeffs = _dense(params, cap, t_old, t_new, y_old, y_new, K)[::-1, 0].tolist()
+    h = t_new - t_old
     w_old = float(y_old[0])
 
     def w_at(t):
@@ -409,6 +391,26 @@ def _first_event(params, cap, t_old, t_new, y_old, y_new, K, zero, up):
     return outcome, float(r)
 
 
+def _on_mesh(params, cap, steps, r_end, rr):
+    """(w, w_r) at the ascending radii rr from one lane's steps, as solve_ivp's
+    OdeSolution evaluates its dense output: point r takes segment
+    searchsorted(ts, r, side="left") - 1 of ts = (step starts, r_end), held
+    in range, and each run of points on one segment Dop853DenseOutput's loop."""
+    ts = np.array([step[0] for step in steps] + [r_end])
+    seg = np.clip(np.searchsorted(ts, rr, side="left") - 1, 0, len(steps) - 1)
+    cuts = (np.flatnonzero(np.diff(seg)) + 1).tolist()
+    y = np.empty((rr.size, 2))
+    for lo, hi in zip([0] + cuts, cuts + [rr.size]):
+        t_old, t_new, y_old = steps[seg[lo]][:3]
+        x = ((rr[lo:hi] - t_old) / (t_new - t_old))[:, None]
+        y[lo:hi] = 0.0
+        for i, f in enumerate(_dense(params, cap, *steps[seg[lo]])[::-1]):
+            y[lo:hi] += f
+            y[lo:hi] *= x if i % 2 == 0 else 1 - x
+        y[lo:hi] += y_old
+    return y[:, 0].copy(), y[:, 1].copy()
+
+
 def classify_lanes(alphas, params: ProblemParams, r_max: float = 20.0,
                    rtol: float = 1e-10, atol: float = 1e-12,
                    cap: float = 1e6) -> list[tuple[str, float] | None]:
@@ -423,8 +425,6 @@ def classify_lanes(alphas, params: ProblemParams, r_max: float = 20.0,
     the first accepted step where w crosses 0 downward or |w| crosses cap
     upward, located on that step's dense interpolant.
     """
-    if atol < 0.0:
-        raise UsageError("atol must not be negative")
     alphas = [float(a) for a in alphas]
     results: list = [None] * len(alphas)
     lanes, starts = [], []
@@ -435,10 +435,8 @@ def classify_lanes(alphas, params: ProblemParams, r_max: float = 20.0,
             starts.append((r0, w0, w0r))
     if lanes:
         start = np.array(starts)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            _run_lanes(params, np.array(lanes), start[:, 0], start[:, 1:], float(r_max),
-                       max(rtol, 100 * _EPS),  # solve_ivp's floor
-                       atol, cap, alphas, results)
+        _run_lanes(params, np.array(lanes), start[:, 0], start[:, 1:], float(r_max),
+                   rtol, atol, cap, alphas, results)
     return results
 
 
@@ -485,10 +483,15 @@ def _step(drift, rhs, t, y, f, h_abs, rejected, t_bound, rtol, atol):
     return t_new, y_new, K, ok, h_abs * np.where(ok, grow, shrink)
 
 
-def _run_lanes(params, idx, t, y, t_bound, rtol, atol, cap, alphas, results):
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _run_lanes(params, idx, t, y, t_bound, rtol, atol, cap, alphas, results, steps=None):
     """Integrate lanes idx from radii t and states y (lanes, 2) to their first
     terminal event, writing (outcome, r_end) into results; a lane that
-    reaches t_bound without one leaves its result alone."""
+    reaches t_bound without one leaves its result alone. steps, for a single
+    lane, receives (t_old, t_new, y_old, y_new, K) for each accepted step."""
+    if atol < 0.0:
+        raise UsageError("atol must not be negative")
+    rtol = max(rtol, 100 * _EPS)                # solve_ivp's floor
     drift, rhs = _rhs_lanes(params, cap)
     f = np.empty_like(y)
     rhs(drift(t), y, f)
@@ -508,6 +511,8 @@ def _run_lanes(params, idx, t, y, t_bound, rtol, atol, cap, alphas, results):
         t_new, y_new, K, ok, h_abs = _step(drift, rhs, t, y, f, h_abs, rejected,
                                            t_bound, rtol, atol)
         rejected = ~ok
+        if steps is not None and ok[0]:
+            steps.append((t[0], t_new[0], y[0], y_new[0], K[0]))
 
         # terminal events on accepted steps, by solve_ivp's sign tests
         gz_new = np.where(ok, y_new[:, 0], g_zero)

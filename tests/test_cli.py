@@ -272,6 +272,20 @@ def test_shots_refuse_a_degenerate_alpha(tmp_path, capsys, sets):
 
 
 @pytest.mark.parametrize("kind, setting", [
+    ("shoot", "alpha=1e300"), ("scan", "alpha_hi=1e300"), ("scan", "p=1e300"),
+], ids=["shoot-alpha", "scan-alpha_hi", "scan-p"])
+def test_a_series_start_out_of_float_range_is_refused(tmp_path, capsys, kind, setting):
+    # shoot ended in scipy's "y0 must be finite" traceback, the scan never
+    # returned (its lanes' step size went nan), and p = 1e300 ended in an
+    # OverflowError traceback from alpha^(p-1)
+    out = tmp_path / "o"
+    assert run_cli(kind, "--out", str(out), "--set", setting) == 2
+    assert "float range" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [v["name"] for v in manifest["verdicts"]] == ["refused"]
+
+
+@pytest.mark.parametrize("kind, setting", [
     ("spectrum", "k=0"), ("blowup", "u_cap=0"), ("blowup", "u_cap=-1"),
     ("theorem13", "K=0"), ("theorem13", "conv_tol=nan"), ("theorem13", "conv_tol=0"),
     ("blowup", "R=nan"), ("theorem13", "R=inf"),

@@ -11,7 +11,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-DEFERRED = ("scipy.integrate", "scipy.optimize", "scipy.interpolate")
+DEFERRED = ("scipy.optimize", "scipy.interpolate")
 
 # run each argv through cli.main, then print the exit codes and every scipy
 # module in sys.modules
@@ -36,14 +36,20 @@ def run_fresh(tmp_path, runs):
 
 
 def test_profiles_path_loads_no_scipy(tmp_path):
-    # the lanes carry the DOP853 tableau and brentq themselves, and shoot at
-    # kappa is the snapped constant: neither imports any of scipy
+    # the lanes carry the DOP853 tableau and brentq themselves, a shot off
+    # kappa is one lane, and shoot at kappa is the snapped constant: none of
+    # them imports any of scipy. The last scan brackets nothing (kappa lies
+    # outside its range) and sends all 5 of its alphas, bounded at r_max,
+    # through shoot
     got = run_fresh(tmp_path, [
         ["scan", "--set", "count=5"],
         ["shoot"],
         ["exponents", "--set", "random_p_count=5", "--set", "n_scan_hi=12"],
+        ["shoot", "--set", "alpha=0.7"],
+        ["scan", "--set", "alpha_lo=1.01", "--set", "alpha_hi=1.1", "--set", "count=5",
+         "--set", "r_max=3"],
     ])
-    assert got == {"codes": [0] * 3, "scipy": []}
+    assert got == {"codes": [0] * 5, "scipy": []}
 
 
 def test_similarity_frame_loads_no_deferred_scipy(tmp_path):
@@ -63,9 +69,9 @@ def test_similarity_frame_loads_no_deferred_scipy(tmp_path):
 
 
 def test_deferred_imports_resolve_in_a_fresh_process(tmp_path):
-    # scan with bisection runs the lanes, shoot off kappa solve_ivp, spectrum
-    # on a bounded shot off kappa the Hermite spline, theorem13 CubicSpline
-    # and minimize_scalar
+    # scan with bisection and shoot off kappa run the lanes, spectrum on a
+    # bounded shot off kappa the Hermite spline, theorem13 CubicSpline and
+    # minimize_scalar; no run integrates with scipy
     got = run_fresh(tmp_path, [
         ["scan", "--set", "count=5", "--set", "bisect_tol=1e-4"],
         ["shoot", "--set", "alpha=0.7"],
@@ -75,3 +81,4 @@ def test_deferred_imports_resolve_in_a_fresh_process(tmp_path):
     ])
     assert got["codes"] == [0] * 4
     assert [m for m in DEFERRED if m in got["scipy"]] == list(DEFERRED)
+    assert "scipy.integrate" not in got["scipy"]

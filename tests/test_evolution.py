@@ -42,7 +42,7 @@ from blowlab.evolution import (
     linearized_matrix,
     stable_mode_state,
 )
-from blowlab.experiments import _cumulative_trapezoid
+from blowlab.experiments import _cumulative_trapezoid, _initial_data
 from blowlab.quadrature import tensor_grid
 
 P2 = ProblemParams(n=1, p=2.0)
@@ -431,6 +431,17 @@ def test_dissipation_sum_is_scipys_cumulative_trapezoid(size, seed, log_ds, log_
     want = cumulative_trapezoid(rates, dx=ds, initial=0.0)
     assert got.dtype == want.dtype and np.array_equal(got.view(np.int64),
                                                       want.view(np.int64))
+
+
+def test_tiny_gaussian_width_leaks_no_overflow_warning():
+    # (x/width)^2 overflowed to inf with numpy's RuntimeWarning; the data is
+    # exp(-inf) = 0 off the origin, exactly
+    x = np.linspace(-4.0, 4.0, 9)
+    u0 = _initial_data({"init": "gaussian", "amp": 3.0, "width": 1e-300, "R": 4.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = u0(x)
+    assert got.tolist() == [0.0] * 4 + [3.0] + [0.0] * 4
 
 
 def test_dissipation_rates_shape(perturbed_kappa_run):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import DOP853
+from scipy.integrate import DOP853, solve_ivp
 from scipy.integrate._ivp import dop853_coefficients
 from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import brentq
@@ -20,6 +20,7 @@ import blowlab.profiles as profiles
 
 from blowlab import (
     DomainError,
+    NumericError,
     ProblemParams,
     RadialProfile,
     UsageError,
@@ -32,8 +33,10 @@ from blowlab import (
 )
 from blowlab.profiles import (
     OUTCOMES,
+    TAIL_TOL,
     Bracket,
     _rhs,
+    _shot_start,
     accepts_bounded_positive,
     classify_lanes,
     rk4_shoot,
@@ -57,6 +60,19 @@ def test_series_start_closed_form():
     # at alpha = kappa both coefficients vanish: the constant solution
     _, w0, w0r, c, d = series_start(kappa(2.0), P21)
     assert c == 0.0 and d == 0.0 and w0 == 1.0 and w0r == 0.0
+
+
+@pytest.mark.parametrize("alpha, p", [(1e155, 2.0), (1e300, 2.0), (1.5, 1e300)],
+                         ids=["c-overflows", "alpha-1e300", "pow-overflows"])
+def test_series_start_out_of_float_range_is_refused(alpha, p):
+    # alpha = 1e155 gave (0.0, nan, nan, -inf, inf), on which the lanes never
+    # ended: the step size went nan and never failed the min-step test; and
+    # alpha^(p-1) raised OverflowError at p = 1e300
+    params = ProblemParams(n=1, p=p)
+    for start in (series_start, lambda a, par: shoot(a, par),
+                  lambda a, par: classify_lanes([0.5, a], par), rk4_shoot):
+        with pytest.raises(DomainError, match="float range"):
+            start(alpha, params)
 
 
 def test_series_coefficients_recovered_from_trajectory():
@@ -329,6 +345,81 @@ def shot_cases(draw):
     return ProblemParams(n=draw(st.integers(1, 4)), p=p), alpha, kw
 
 
+def scipy_solution(params, r0, w0, w0r, r_max, rtol, atol, cap):
+    """solve_ivp's DOP853 shot with dense output, ended by the first terminal
+    event: w crossing 0 downward or |w| crossing cap upward."""
+    def ev_zero(r, z):
+        return z[0]
+    ev_zero.terminal = True
+    ev_zero.direction = -1.0
+
+    def ev_cap(r, z):
+        return abs(z[0]) - cap
+    ev_cap.terminal = True
+    ev_cap.direction = 1.0
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        return solve_ivp(_rhs(params, cap), (r0, r_max), (w0, w0r),
+                         method="DOP853", rtol=rtol, atol=atol,
+                         events=(ev_zero, ev_cap), dense_output=True)
+
+
+def scipy_shoot(alpha, params, r_max=20.0, rtol=1e-10, atol=1e-12, cap=1e6,
+                mesh_points=4001):
+    """shoot() as it ran on scipy's solve_ivp, before it became one lane: the
+    reference that shoot() and the lanes repeat bitwise. rk4_shoot stays the
+    independent oracle."""
+    r0, w0, w0r, c, d, snapped = _shot_start(alpha, params, r_max, cap)
+    meta = {"r0": r0, "c": c, "d": d, "rtol": rtol, "atol": atol,
+            "cap": cap, "r_max": r_max}
+    if snapped:
+        rr = np.linspace(r0, r_max, mesh_points)
+        return RadialProfile(
+            params=params, alpha=alpha, r=rr, w=np.full(mesh_points, alpha),
+            w_r=np.zeros(mesh_points), outcome="reached-Rmax-bounded",
+            r_end=float(r_max), events={"zero_at": None, "cap_at": None},
+            meta=meta | {"c": 0.0, "d": 0.0, "snapped_to_constant": True},
+        )
+
+    sol = scipy_solution(params, r0, w0, w0r, r_max, rtol, atol, cap)
+    if sol.status == -1:
+        raise NumericError(f"integration failed at r = {sol.t[-1]:.6g}: {sol.message}")
+
+    t_zero = sol.t_events[0][0] if sol.t_events[0].size else math.inf
+    t_cap = sol.t_events[1][0] if sol.t_events[1].size else math.inf
+    r_end = float(min(t_zero, t_cap, sol.t[-1]))
+    rr = np.linspace(r0, r_end, mesh_points)
+    zz = sol.sol(rr)
+    w, w_r = zz[0].copy(), zz[1].copy()
+
+    if t_zero <= t_cap and math.isfinite(t_zero):
+        outcome = "hit-zero"
+    elif math.isfinite(t_cap):
+        outcome = "blew-up"
+    else:
+        quarter = rr >= r0 + 0.75 * (r_end - r0)
+        kap = kappa(params.p)
+        near = (np.abs(w[quarter] - kap).max() <= TAIL_TOL * max(1.0, kap)
+                and np.abs(w_r[quarter]).max() <= TAIL_TOL)
+        moved = float(np.abs(w - kap).max()) > 10.0 * TAIL_TOL * max(1.0, kap)
+        outcome = "converged-to-kappa-like-tail" if (near and moved) else "reached-Rmax-bounded"
+
+    return RadialProfile(
+        params=params, alpha=alpha, r=rr, w=w, w_r=w_r, outcome=outcome,
+        r_end=r_end,
+        events={"zero_at": None if math.isinf(t_zero) else float(t_zero),
+                "cap_at": None if math.isinf(t_cap) else float(t_cap)},
+        meta=meta,
+    )
+
+
+def assert_same_shot(got, want):
+    assert (got.outcome, got.r_end, got.events, got.meta) == \
+        (want.outcome, want.r_end, want.events, want.meta)
+    for name in ("r", "w", "w_r"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
 # Lanes against solve_ivp, measured before these bounds were fixed: over this
 # strategy's cases, 480 random lanes in 40 batches of the same four kinds,
 # and 200 lanes with 1e-12 <= |alpha/kappa - 1| <= 1e-6 (p in {1.5, 2, 2.7,
@@ -339,16 +430,39 @@ def shot_cases(draw):
 R_END_RTOL = 1e-12
 
 
-def assert_lanes_match_shoot(alphas, params, **kw):
-    # a lane gives None exactly when no event decides shoot()'s outcome,
-    # and otherwise shoot()'s outcome and r_end
+def assert_lanes_match_reference(alphas, params, **kw):
+    # shoot() is the scipy reference's shot bitwise, mesh included; a lane
+    # gives None exactly when no event decides the reference's outcome, and
+    # otherwise its outcome and r_end
     for alpha, got in zip(alphas, classify_lanes(alphas, params, **kw)):
-        prof = shoot(alpha, params, mesh_points=401, **kw)
-        if prof.outcome not in EVENT_OUTCOMES:
+        ref = scipy_shoot(alpha, params, mesh_points=401, **kw)
+        assert_same_shot(shoot(alpha, params, mesh_points=401, **kw), ref)
+        if ref.outcome not in EVENT_OUTCOMES:
             assert got is None, alpha
             continue
-        assert got is not None and got[0] == prof.outcome, alpha
-        assert got[1] == pytest.approx(prof.r_end, rel=R_END_RTOL, abs=0.0), alpha
+        assert got is not None and got[0] == ref.outcome, alpha
+        assert got[1] == pytest.approx(ref.r_end, rel=R_END_RTOL, abs=0.0), alpha
+
+
+@pytest.mark.parametrize("alpha, params, cap", [
+    (0.5, P21, 1e6), (0.2, P23, 2.0), (0.99, P21, 1e6), (40.0, ProblemParams(n=2, p=1.5), 1e6)],
+    ids=["hit-zero", "blew-up", "bounded", "far"])
+def test_dense_output_on_any_mesh_is_scipys(alpha, params, cap):
+    # a shot's mesh meets a step boundary only at its two ends; on a mesh
+    # through every boundary and every step's midpoint as well, the lane's
+    # steps give OdeSolution's values
+    r0, w0, w0r, _, _ = series_start(alpha, params)
+    result, steps = [None], []
+    profiles._run_lanes(params, np.zeros(1, dtype=int), np.array([r0]),
+                        np.array([[w0, w0r]]), 5.0, 1e-10, 1e-12, cap, [alpha], result, steps)
+    sol = scipy_solution(params, r0, w0, w0r, 5.0, 1e-10, 1e-12, cap)
+    r_end = result[0][1] if result[0] else 5.0
+    assert r_end == sol.t[-1] and len(steps) == sol.t.size - 1 > 5
+    ts = np.array([step[0] for step in steps] + [r_end])
+    rr = np.sort(np.concatenate([ts, 0.5 * (ts[:-1] + ts[1:]), np.linspace(r0, r_end, 101)]))
+    want = sol.sol(rr)
+    for got, want_row in zip(profiles._on_mesh(params, cap, steps, r_end, rr), want):
+        assert got.tobytes() == want_row.tobytes()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -357,9 +471,9 @@ def assert_lanes_match_shoot(alphas, params, **kw):
 @example((P21, 1.0, {"r_max": 20.0, "cap": 1e6}))     # undecided: snap band
 @given(shot_cases())
 def test_lane_classifier_matches_classify_shot(case):
-    # one lane against the scalar classification, which is shoot()'s outcome
+    # one lane and shoot() against the scipy reference's shot
     params, alpha, kw = case
-    assert_lanes_match_shoot([alpha], params, **kw)
+    assert_lanes_match_reference([alpha], params, **kw)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -369,15 +483,16 @@ def test_lane_classifier_matches_classify_shot(case):
 @given(shot_cases())
 def test_classifier_matches_shoot(case):
     # the scan classifies a grid alpha by its lane, or by shoot() where no
-    # event decides the lane; either way it reads shoot()'s outcome and r_end
+    # event decides the lane; either way it reads the scipy reference's
+    # outcome and r_end
     params, alpha, kw = case
     res = scan_profiles(params, alpha, 2.0 * alpha, count=2, bisect_tol=math.inf,
                         mesh_points=401, **kw)
     assert all((b.alpha_lo, b.alpha_hi) == tuple(res.alphas) for b in res.brackets)
     for a, outcome, r_end in zip(res.alphas, res.outcomes, res.r_ends):
-        prof = shoot(a, params, mesh_points=401, **kw)
-        assert outcome == prof.outcome, a
-        assert r_end == pytest.approx(prof.r_end, rel=R_END_RTOL, abs=0.0), a
+        ref = scipy_shoot(float(a), params, mesh_points=401, **kw)
+        assert outcome == ref.outcome, a
+        assert r_end == pytest.approx(ref.r_end, rel=R_END_RTOL, abs=0.0), a
 
 
 @pytest.mark.parametrize("p, n, kw", [
@@ -394,7 +509,7 @@ def test_lane_batch_matches_shoot(p, n, kw):
     rel = [1.0, 1.0 + 3e-9, 1.0 - 2e-7, 0.999, 1.001, 0.05, 0.3, 0.7,
            1.5, 2.5, 10.0, 300.0]
     alphas = [kap * f for f in rel]
-    assert_lanes_match_shoot(alphas, ProblemParams(n=n, p=p), **kw)
+    assert_lanes_match_reference(alphas, ProblemParams(n=n, p=p), **kw)
 
 
 @pytest.mark.parametrize("alpha, params, cap", [
@@ -517,7 +632,8 @@ def test_brentq_port_on_lane_events_is_scipys(monkeypatch, alphas, params, kw):
 
 
 def test_lane_rhs_is_bitwise_rhs():
-    # the lanes' right-hand side against _rhs, the one solve_ivp evaluates
+    # the lanes' right-hand side against _rhs, the one the dense output's
+    # extra stages and the scipy reference evaluate
     rng = np.random.default_rng(3)
     size = 2000
     rs = 10.0 ** rng.uniform(-4.0, 1.3, size)
