@@ -24,7 +24,6 @@ from .evolution import (
     RescaledFlow,
     convergence_pipeline,
     dissipation_check,
-    dissipation_rates,
     energy,
     exact_energy_kappa,
     fit_blowup_time,
@@ -78,7 +77,7 @@ __all__ = [
     "TensorGrid", "UsageError", "accepts_bounded_positive",
     "admissible_m_interval", "assemble", "build_basis", "compute_H",
     "convergence_pipeline", "critical_exponents", "dissipation_check",
-    "dissipation_rates", "energy", "exact_energy_kappa", "extended_profile",
+    "energy", "exact_energy_kappa", "extended_profile",
     "fd_eigenvalues_1d", "first_eigenvalue_rayleigh", "fit_blowup_time",
     "gaussian_moment_1d", "gaussian_radial_moment", "kappa",
     "kappa_identity_residual", "linearized_apply", "m_condition", "ou_apply",

@@ -144,7 +144,7 @@ SCHEMAS["theorem13"] = {
 
 KINDS = tuple(SCHEMAS)
 
-# an evolve-rescaled run keeps every state: (steps + 1) * m floats
+# caps an evolve-rescaled run's work of (steps + 1) * m state values
 MAX_RECORDED_VALUES = 2**25
 
 # float keys that must be finite and > 0, per kind
@@ -220,11 +220,12 @@ def _validate(kind: str, cfg: dict) -> None:
         if not 8.0 <= cfg["L"] < math.inf:
             raise ConfigurationError(f"L must be finite and >= 8, got {cfg['L']}")
         steps = cfg["s_end"] / cfg["ds"]
-        if not (math.isfinite(steps)
+        # a run of no steps would pass its verdicts on the initial state alone
+        if not (math.isfinite(steps) and round(steps) >= 1
                 and (round(steps) + 1) * cfg["m"] <= MAX_RECORDED_VALUES):
             raise ConfigurationError(
-                f"s_end/ds = {steps:.3g} steps on m = {cfg['m']} points would record "
-                f"more than {MAX_RECORDED_VALUES} values; raise ds or lower s_end or m")
+                f"s_end/ds = {steps:.3g} steps on m = {cfg['m']} points: need at least "
+                f"1 step and at most {MAX_RECORDED_VALUES} state values; change s_end, ds or m")
     if kind == "scan" and not 0.0 < cfg["alpha_lo"] < cfg["alpha_hi"]:
         raise ConfigurationError("need 0 < alpha_lo < alpha_hi")
     # amplitudes may be zero or negative, not inf or nan

@@ -41,11 +41,12 @@ the last axis, so each row of a stack gets bitwise its single-state energy.
 `RescaledFlow.run` takes its steps one at a time into a block of up to
 _BLOCK states and then does the per-state bookkeeping for the whole block
 in one vectorised pass: the finite-and-below-cap test, one `energy` call on
-the stack and sup |w - kappa|. The run stops where a per-step check would:
-at the first state that is non-finite, past the cap or of non-finite
-energy, which is not recorded; the block's later steps are discarded. The
-record grows one block at a time, so a long s_end that blows up early
-allocates nothing for the steps not taken.
+the stack, sup |w - kappa| and the dissipation rates, whose centred
+differences in s reach two states back into the previous block. The run
+stops where a per-step check would: at the first state that is non-finite,
+past the cap or of non-finite energy, which is dropped; the block's later
+steps are discarded. The run keeps its per-state series and its last
+state, not its states, so its memory is O(_BLOCK m) whatever s_end is.
 
 Both frames discretize the Laplacian with the same three-point stencil:
 d^2/dx^2 on the interval, d^2/dr^2 + (n-1)/r d/dr with the smooth origin row
@@ -53,8 +54,8 @@ n d^2/dr^2 on the ball. The rescaled frame builds its matrix once from
 `_laplacian_bands` and adds its drift and mass terms on top; the physical
 frame's Crank-Nicolson halves (`_diffusion_banded`, `_diffusion_rhs`) are
 refilled every step and write the stencil in place. The mesh density rho
-(`gaussian_density`) and the dissipation rate (`dissipation_rates`) exist
-once each.
+(`gaussian_density`) and the dissipation rate (`RescaledFlow._dissipation`)
+exist once each.
 
 Importing this module loads no scipy. scipy.linalg comes in with the first
 banded solve (`solve_banded`, a forwarder) or the first tridiagonal
@@ -245,20 +246,14 @@ _BLOCK = 256
 
 @dataclass
 class RescaledRun:
-    params: ProblemParams
-    y: np.ndarray
     ds: float
-    geometry: str
     s_values: np.ndarray
     energies: np.ndarray
-    sup_dev: np.ndarray          # sup |w - kappa| per recorded state
-    states: np.ndarray           # (nrec, m)
+    sup_dev: np.ndarray          # sup |w - kappa| per state
+    rates: np.ndarray            # int |w_s|^2 rho dy per state
+    final: np.ndarray            # the last state
     status: str                  # 'completed' | 'blew-up'
     events: dict = dc_field(default_factory=dict)
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.states[-1]
 
 
 class RescaledFlow:
@@ -273,11 +268,14 @@ class RescaledFlow:
             raise UsageError(f"unknown geometry {geometry!r}")
         if not (0.0 < ds < math.inf) or m < 9:
             raise UsageError("need ds > 0 and a reasonable mesh")
+        if not cap > 0.0:
+            raise UsageError(f"cap must be positive, got {cap}")
         self.params = params
         self.geometry = geometry
         self.cap = cap
         self.ds = ds
         self.y = np.linspace(-L, L, m) if geometry == "interval" else np.linspace(0.0, L, m)
+        self._dens = gaussian_density(self.y, geometry, params.n)
         # the step matrix never changes: factor it once, solve every step
         self._solve = _tridiagonal_solver(*_rescaled_banded(self.y, params, ds, geometry))
 
@@ -286,16 +284,24 @@ class RescaledFlow:
         rhs = w + self.ds * np.abs(w) ** (p - 1.0) * w
         return self._solve(rhs)
 
+    def _dissipation(self, hi: np.ndarray, lo: np.ndarray, dt: float) -> np.ndarray:
+        """int |w_s|^2 rho dy for each row of w_s = (hi - lo) / dt, a stack of
+        state differences; w_s is divided, squared and weighted in place."""
+        ws = hi - lo
+        ws /= dt
+        ws *= ws
+        ws *= self._dens
+        return np.trapezoid(ws, self.y, axis=1)
+
     # numpy's overflow warnings on the way to a blow-up would only leak to
     # the caller; the run ends there as blew-up
     @np.errstate(over="ignore", invalid="ignore")
     def run(self, w0, s_end: float) -> RescaledRun:
-        """Step from w0 to s_end, one step at a time, recording every state.
-        The stop test, the energies and sup |w - kappa| are evaluated per
+        """Step from w0 to s_end, one step at a time. The stop test, the
+        energies, sup |w - kappa| and the dissipation rates are evaluated per
         block of up to _BLOCK states. The run ends as blew-up at the first
-        state that is non-finite, past the cap or of non-finite energy,
-        unrecorded, and the block's later steps are dropped. The record
-        grows by blocks."""
+        state that is non-finite, past the cap or of non-finite energy, which
+        is dropped with the block's later steps."""
         w = (np.asarray(w0(self.y), dtype=float) if callable(w0)
              else np.asarray(w0, dtype=float).copy())
         if w.shape != self.y.shape:
@@ -311,7 +317,8 @@ class RescaledFlow:
         s_vals = [np.zeros(1)]
         energies = [np.array([e0])]
         sup_dev = [np.array([np.abs(w - kap).max()])]
-        states = [w[None, :].copy()]
+        rates = []
+        stack = w[None, :].copy()               # the latest states, oldest first
         status = "completed"
         events = {}
         done = 0
@@ -330,17 +337,24 @@ class RescaledFlow:
             s_vals.append(np.arange(done + 1, done + good + 1) * self.ds)
             energies.append(e[:good])
             sup_dev.append(np.abs(block[:good] - kap).max(axis=1))
-            states.append(block[:good])
+            # w_s as np.gradient takes it over all states: one-sided at the
+            # ends, centred inside, with two states of the previous block
+            stack = np.concatenate((stack[-2:], block[:good]))
+            if not done:
+                rates.append(self._dissipation(stack[1:2], stack[:1], self.ds))
+            rates.append(self._dissipation(stack[2:], stack[:-2], 2.0 * self.ds))
             if good < k:
                 status = "blew-up"
                 events["cap_at_s"] = (done + good + 1) * self.ds
                 break
             done += k
+        rates.append(self._dissipation(stack[-1:], stack[-2:-1], self.ds))
+        s_values = np.concatenate(s_vals)
+        # fewer than 3 states have no centred difference: their rates are 0
+        rates = np.concatenate(rates) if s_values.size >= 3 else np.zeros(s_values.size)
         return RescaledRun(
-            params=self.params, y=self.y, ds=self.ds, geometry=self.geometry,
-            s_values=np.concatenate(s_vals), energies=np.concatenate(energies),
-            sup_dev=np.concatenate(sup_dev),
-            states=np.concatenate(states),
+            ds=self.ds, s_values=s_values, energies=np.concatenate(energies),
+            sup_dev=np.concatenate(sup_dev), rates=rates, final=stack[-1].copy(),
             status=status, events=events,
         )
 
@@ -416,31 +430,16 @@ class DissipationReport:
     holds: bool
 
 
-def dissipation_rates(run: RescaledRun) -> np.ndarray:
-    """int |w_s|^2 rho dy at every recorded state, w_s by np.gradient over the
-    records (centered inside, one-sided at the ends); zeros below 3 records."""
-    if run.states.shape[0] < 3:
-        return np.zeros(run.states.shape[0])
-    dens = gaussian_density(run.y, run.geometry, run.params.n)
-    ws = np.gradient(run.states, run.ds, axis=0)
-    # squared and weighted in place: each state-sized temporary adds to the
-    # run's peak memory
-    ws *= ws
-    ws *= dens
-    return np.trapezoid(ws, run.y, axis=1)
-
-
 # relative tolerance of the dissipation identity
 DISSIPATION_TOL = 0.02
 
 
-def dissipation_check(run: RescaledRun, rates: np.ndarray, s_a: float,
-                      s_b: float) -> DissipationReport:
+def dissipation_check(run: RescaledRun, s_a: float, s_b: float) -> DissipationReport:
     """Check int_{s_a}^{s_b} int |w_s|^2 rho dy ds = E(a) - E(b) within
-    DISSIPATION_TOL, relative, with rates = dissipation_rates(run).
+    DISSIPATION_TOL, relative, from the run's rates.
 
-    w_s from centered differences of the recorded states, so the window is
-    snapped inward by one recording step at each end."""
+    w_s from centered differences of the run's states, so the window is
+    snapped inward by one step at each end."""
     s = run.s_values
     if s_b <= s_a:
         raise UsageError("need s_a < s_b")
@@ -448,7 +447,7 @@ def dissipation_check(run: RescaledRun, rates: np.ndarray, s_a: float,
     i_b = min(s.size - 2, int(np.searchsorted(s, s_b)))
     if i_b - i_a < 8:
         raise UsageError("recorded states are too sparse in the requested window")
-    lhs = float(np.trapezoid(rates[i_a:i_b + 1], dx=run.ds))
+    lhs = float(np.trapezoid(run.rates[i_a:i_b + 1], dx=run.ds))
     rhs = float(run.energies[i_a] - run.energies[i_b])
     rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
     return DissipationReport(s_lo=float(s[i_a]), s_hi=float(s[i_b]),

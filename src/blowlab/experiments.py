@@ -37,7 +37,6 @@ from .evolution import (
     RescaledFlow,
     convergence_pipeline,
     dissipation_check,
-    dissipation_rates,
     solve_physical,
     stable_mode_state,
 )
@@ -399,8 +398,7 @@ def run_evolve_rescaled(cfg: dict, out_dir: Path) -> RunOutcome:
     w0 = _rescaled_initial(cfg, params, flow.y)
     run = flow.run(w0, cfg["s_end"])
 
-    rates = dissipation_rates(run)
-    lhs_cum = _cumulative_trapezoid(rates, run.ds)
+    lhs_cum = _cumulative_trapezoid(run.rates, run.ds)
     rhs_cum = run.energies[0] - run.energies
     write_csv(out_dir / "timeseries.csv",
               ("s", "sup_dev", "E", "dissipation_lhs", "dissipation_rhs"),
@@ -416,7 +414,7 @@ def run_evolve_rescaled(cfg: dict, out_dir: Path) -> RunOutcome:
     if run.status == "completed" and run.s_values[-1] > 0.0:
         hi = cfg["diss_hi"] if cfg["diss_hi"] > 0.0 else float(run.s_values[-1])
         lo = cfg["diss_lo"]
-        diss = dissipation_check(run, rates, lo, hi)
+        diss = dissipation_check(run, lo, hi)
 
     summary = {
         "n": params.n, "p": params.p, "init": cfg["init"], "amp": cfg["amp"],

@@ -501,7 +501,8 @@ def _run_lanes(params, idx, t, y, t_bound, rtol, atol, cap, alphas, results, ste
     while idx.size:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs = np.where(~rejected & (h_abs < min_step), min_step, h_abs)
-        small = rejected & (h_abs < min_step)
+        # a nan step size is too small as well: it would be retried forever
+        small = rejected & ~(h_abs >= min_step)
         if small.any():
             j = int(np.argmax(small))
             raise NumericError(

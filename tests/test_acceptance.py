@@ -21,7 +21,6 @@ from blowlab import (
     convergence_pipeline,
     critical_exponents,
     dissipation_check,
-    dissipation_rates,
     energy,
     exact_energy_kappa,
     fd_eigenvalues_1d,
@@ -322,8 +321,7 @@ def test_criterion_10_energy(acceptance, perturbed_kappa_run):
              for name, r in runs.items()}
     monotone = all(j <= 1e-12 for j in jumps.values())
 
-    diss = dissipation_check(perturbed_kappa_run,
-                             dissipation_rates(perturbed_kappa_run), 0.2, 1.8)
+    diss = dissipation_check(perturbed_kappa_run, 0.2, 1.8)
     ok = worst < 1e-10 and monotone and diss.rel_err < 0.02
     acceptance(10, ok,
                f"E(kappa) worst deviation {worst:.2e}, E nonincreasing on "

@@ -420,11 +420,22 @@ def test_scan_refuses_a_degenerate_bisect_tol(tmp_path, capsys, tol):
 
 @pytest.mark.parametrize("setting", ["s_end=nan", "s_end=inf", "s_end=-1", "s_end=0",
                                      "ds=nan", "ds=inf", "ds=0", "L=nan", "L=inf",
-                                     "ds=1e-300", "ds=1e-6"])
+                                     "ds=1e-300", "ds=1e-6", "ds=1e300", "s_end=1e-300"])
 def test_evolve_rescaled_refuses_degenerate_steps(tmp_path, capsys, setting):
+    # ds=1e300 and s_end=1e-300 took no steps and passed on the initial state
     assert run_cli("evolve-rescaled", "--out", str(tmp_path / "evo"),
                    "--set", setting) == 2
     assert setting.split("=")[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", ["0", "-1", "nan"])
+def test_evolve_rescaled_refuses_a_nonpositive_cap(tmp_path, capsys, cap):
+    # each ran and ended as blew-up at s = 0 (exit 1); shoot refuses them too
+    out = tmp_path / "evo"
+    assert run_cli("evolve-rescaled", "--out", str(out), "--set", f"cap={cap}") == 2
+    assert "cap must be positive" in capsys.readouterr().err
+    manifest = load_manifest(out)
+    assert [v["name"] for v in manifest["verdicts"]] == ["refused"]
 
 
 def test_scan_below_float_resolution_ends_with_verdicts(tmp_path, capsys):

@@ -38,7 +38,6 @@ from blowlab.evolution import (
     _laplacian_bands,
     _reaction_exact,
     _rescaled_banded,
-    dissipation_rates,
     linearized_matrix,
     stable_mode_state,
 )
@@ -129,7 +128,7 @@ def test_flow_constant_fixed_points():
     assert run.status == "completed"
     assert run.sup_dev.max() < 1e-10       # kappa is a discrete fixed point
     run = flow.run(np.zeros(201), s_end=1.0)
-    assert np.abs(run.states).max() == 0.0
+    assert np.abs(run.final).max() == 0.0 and not run.rates.any()
     assert np.abs(run.energies).max() == 0.0
 
 
@@ -139,7 +138,8 @@ def test_flow_callable_init_and_step_wrapper():
     run_b = flow.run(1.0 + 0.01 * np.exp(-flow.y ** 2), s_end=0.05)
     assert np.array_equal(run_a.final, run_b.final)
     fresh = RescaledFlow(P2, m=201, ds=1e-2)     # builds its matrix anew
-    assert np.array_equal(fresh.step(run_a.states[0]), run_a.states[1])
+    w0 = 1.0 + 0.01 * np.exp(-flow.y ** 2)
+    assert np.array_equal(fresh.step(w0), flow.run(w0, s_end=0.01).final)
 
 
 @pytest.mark.parametrize("geometry,params", [("interval", P2), ("ball", P33)])
@@ -161,6 +161,9 @@ def test_flow_argument_errors():
         RescaledFlow(P2, geometry="sphere")
     with pytest.raises(UsageError):
         RescaledFlow(P2, ds=0.0)
+    for cap in (0.0, -1.0, math.nan):
+        with pytest.raises(UsageError):
+            RescaledFlow(P2, cap=cap)
     flow = RescaledFlow(P2, m=201)
     with pytest.raises(UsageError):
         flow.run(np.ones(7), s_end=1.0)
@@ -194,7 +197,8 @@ def test_flow_refuses_nonfinite_arguments(kwargs):
 @np.errstate(over="ignore", invalid="ignore")
 def _per_step_run(self, w0, s_end):
     """RescaledFlow.run as it was with the energy, sup_dev and stop test
-    evaluated after every step: the oracle of the blocked run."""
+    evaluated after every step, every state kept and the dissipation rates
+    taken by np.gradient over all of them: the oracle of the blocked run."""
     w = (np.asarray(w0(self.y), dtype=float) if callable(w0)
          else np.asarray(w0, dtype=float).copy())
     if w.shape != self.y.shape:
@@ -224,12 +228,19 @@ def _per_step_run(self, w0, s_end):
         energies.append(e)
         sup_dev.append(float(np.abs(w - kap).max()))
         states.append(w.copy())
-    return (np.array(s_vals), np.array(energies), np.array(sup_dev),
-            np.array(states), status, events)
+    states = np.array(states)
+    rates = np.zeros(states.shape[0])
+    if states.shape[0] >= 3:
+        ws = np.gradient(states, self.ds, axis=0)
+        ws *= ws
+        ws *= evolution.gaussian_density(self.y, self.geometry, self.params.n)
+        rates = np.trapezoid(ws, self.y, axis=1)
+    return (np.array(s_vals), np.array(energies), np.array(sup_dev), rates,
+            states[-1], status, events)
 
 
-# a run records every state; the cases below keep the record_states=True ids
-# they had while unrecorded runs existed too
+# one-valued: the cases below keep the ids they had while record_states chose
+# between runs that kept every state and runs that kept none
 RECORDED = pytest.mark.parametrize("record_states", [True])
 
 
@@ -238,20 +249,21 @@ def _assert_run_is_the_per_step_run(flow, w0, s_end):
         warnings.simplefilter("error")
         run = flow.run(w0, s_end)
         want = _per_step_run(flow, w0, s_end)
-    got = (run.s_values, run.energies, run.sup_dev, run.states, run.status, run.events)
-    for name, g, w in zip(("s_values", "energies", "sup_dev", "states"), got, want):
+    got = (run.s_values, run.energies, run.sup_dev, run.rates, run.final)
+    for name, g, w in zip(("s_values", "energies", "sup_dev", "rates", "final"), got, want):
         assert g.dtype == w.dtype and g.shape == w.shape, name
-        assert np.array_equal(g, w), name
-    assert run.status == want[4]
-    assert run.events == want[5]
-    for a, b in zip(run.events.values(), want[5].values()):
+        assert np.array_equal(g.view(np.int64), w.view(np.int64)), name
+    assert run.status == want[5]
+    assert run.events == want[6]
+    for a, b in zip(run.events.values(), want[6].values()):
         assert type(a) is type(b)
     return run
 
 
 @RECORDED
-@pytest.mark.parametrize("nsteps", [0, 1, evolution._BLOCK - 1, evolution._BLOCK,
-                                    evolution._BLOCK + 1])
+@pytest.mark.parametrize("nsteps", [0, 1, 2, 3, evolution._BLOCK - 1, evolution._BLOCK,
+                                    evolution._BLOCK + 1, evolution._BLOCK + 2,
+                                    2 * evolution._BLOCK + 1])
 @pytest.mark.parametrize("geometry,params", [("interval", P2), ("ball", P33)])
 def test_blocked_run_is_the_per_step_run(geometry, params, nsteps, record_states):
     # below kappa the state decays toward 0, so every step is recorded
@@ -269,6 +281,21 @@ def test_blocked_run_stops_at_a_cap_crossed_mid_block(record_states):
     assert run.status == "blew-up"
     assert run.s_values.size - 1 == 701
     assert 0 < 701 % evolution._BLOCK < evolution._BLOCK - 1
+
+
+@pytest.mark.parametrize("step", [1, 2, 3])
+def test_blocked_run_stops_at_a_cap_crossed_in_its_first_steps(step):
+    # the fewest states a run can end with, where the rates are zeros or
+    # take their one-sided ends from the first block alone
+    uncapped = RescaledFlow(P2, m=201, ds=1e-3)
+    sups = [2.0]
+    w = np.full(201, 2.0)
+    for _ in range(step):
+        w = uncapped.step(w)
+        sups.append(float(np.abs(w).max()))
+    flow = RescaledFlow(P2, m=201, ds=1e-3, cap=0.5 * (sups[-2] + sups[-1]))
+    run = _assert_run_is_the_per_step_run(flow, np.full(201, 2.0), 2.0)
+    assert run.status == "blew-up" and run.s_values.size == step
 
 
 @RECORDED
@@ -300,8 +327,25 @@ def test_blocked_run_allocates_no_steps_it_does_not_take():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert run.status == "blew-up" and run.states.shape == (702, 201)
+    assert run.status == "blew-up" and run.s_values.size == 702
     assert peak < 16 * evolution._BLOCK * 201 * 8
+
+
+@pytest.mark.parametrize("blocks", [8, 40])
+def test_completed_run_memory_does_not_grow_with_its_steps(blocks):
+    # the run keeps no states: runs of 8 and of 40 blocks both peak within
+    # a few blocks' worth of states (40 blocks of states alone are 16 MB);
+    # only the per-state series, 4 floats a step, grow with the run
+    flow = RescaledFlow(P2, m=201, ds=1e-4)
+    w0 = kappa(2.0) - 0.1 * np.exp(-flow.y ** 2 / 4.0)
+    tracemalloc.start()
+    try:
+        run = flow.run(w0, s_end=blocks * evolution._BLOCK * flow.ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.status == "completed" and run.s_values.size == blocks * evolution._BLOCK + 1
+    assert peak < 10 * evolution._BLOCK * 201 * 8
 
 
 @pytest.mark.parametrize("m", [9, 16, 129, 130, 801])
@@ -406,15 +450,14 @@ def test_energy_monotone_along_perturbed_run(perturbed_kappa_run):
 
 def test_dissipation_identity(perturbed_kappa_run):
     run = perturbed_kappa_run
-    rates = dissipation_rates(run)
-    rep = dissipation_check(run, rates, 0.2, 1.8)
+    rep = dissipation_check(run, 0.2, 1.8)
     assert rep.holds
     assert rep.rel_err < 0.02
     assert rep.lhs > 0.0 and rep.rhs > 0.0
     assert 0.19 <= rep.s_lo <= 0.21 and 1.79 <= rep.s_hi <= 1.81
     # both sides cover the one reported window [s_lo, s_hi]
     i_a, i_b = np.searchsorted(run.s_values, [rep.s_lo, rep.s_hi])
-    assert rep.lhs == float(np.trapezoid(rates[i_a:i_b + 1], dx=run.ds))
+    assert rep.lhs == float(np.trapezoid(run.rates[i_a:i_b + 1], dx=run.ds))
     assert rep.rhs == float(run.energies[i_a] - run.energies[i_b])
 
 
@@ -446,18 +489,16 @@ def test_tiny_gaussian_width_leaks_no_overflow_warning():
 
 def test_dissipation_rates_shape(perturbed_kappa_run):
     run = perturbed_kappa_run
-    rates = dissipation_rates(run)
-    assert rates.shape == run.s_values.shape and np.all(rates >= 0.0)
+    assert run.rates.shape == run.s_values.shape and np.all(run.rates >= 0.0)
     short = RescaledFlow(P2, m=201, ds=1e-2).run(np.ones(201), s_end=0.01)
-    assert np.array_equal(dissipation_rates(short), np.zeros(2))
+    assert np.array_equal(short.rates, np.zeros(2))
 
 
 def test_dissipation_argument_errors(perturbed_kappa_run):
-    rates = dissipation_rates(perturbed_kappa_run)
     with pytest.raises(UsageError):
-        dissipation_check(perturbed_kappa_run, rates, 0.8, 0.2)
+        dissipation_check(perturbed_kappa_run, 0.8, 0.2)
     with pytest.raises(UsageError):
-        dissipation_check(perturbed_kappa_run, rates, 1.0, 1.004)   # window too thin
+        dissipation_check(perturbed_kappa_run, 1.0, 1.004)   # window too thin
 
 
 # ---------------------------------------------------------------------------

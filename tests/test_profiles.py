@@ -6,6 +6,10 @@ profile, so bisection over the shooting parameter must re-find alpha = kappa.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -659,6 +663,29 @@ def test_lane_classifier_argument_errors():
     with pytest.raises(UsageError):
         classify_lanes([0.5], P21, r_max=math.inf)
     assert classify_lanes([], P21) == []
+
+
+# one lane from a nan state: print the NumericError it ends in
+NAN_LANE = """
+import numpy as np
+from blowlab import NumericError, ProblemParams
+from blowlab.profiles import _run_lanes
+try:
+    _run_lanes(ProblemParams(n=1, p=2.0), np.zeros(1, dtype=int), np.array([1e-3]),
+               np.array([[np.nan, 0.0]]), 20.0, 1e-10, 1e-12, 1e6, [np.nan], [None])
+except NumericError as exc:
+    print(exc)
+"""
+
+
+def test_a_nan_lane_ends_in_a_numeric_error():
+    # a nan step size passed the minimum-step test, so the lane was retried
+    # forever; a fresh process under a timeout fails a regression, not hangs
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", NAN_LANE], capture_output=True,
+                          text=True, timeout=30, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    assert "required step size is less than spacing" in proc.stdout
 
 
 def test_classifier_falls_back_only_without_an_event(monkeypatch):
