@@ -152,7 +152,7 @@ _POSITIVE = {
     "evolve-rescaled": ("s_end", "ds"),
     "spectrum": ("r_max",),
     "shoot": ("r_max",),
-    "scan": ("r_max", "bisect_tol"),
+    "scan": ("r_max", "bisect_tol", "alpha_lo", "alpha_hi"),
     "blowup": ("R", "width", "t_max", "u_cap"),
     "theorem13": ("R", "width", "t_max", "u_cap", "K", "conv_tol"),
 }

@@ -259,8 +259,8 @@ def run_spectrum(cfg: dict, out_dir: Path) -> RunOutcome:
         fd_ok = err < 1e-3
         fd_block = {"eigenvalues": [float(v) for v in fd], "max_abs_err": err}
 
-    sign_rep = sign_change_check(w, op)
-    stab_rep = stability_classify(w, op)
+    sign_rep = sign_change_check(op)
+    stab_rep = stability_classify(op)
 
     write_csv(out_dir / "eigenvalues.csv", ("index", "eigenvalue"),
               [(i, float(v)) for i, v in enumerate(rep.eigenvalues)])

@@ -18,10 +18,12 @@ always satisfies L_w H = H along exact profiles (lambda = -1), and a sign
 change of H forces lambda_1 < -1.
 
 Each field's operator is assembled once: the Rayleigh, sign-change and
-stability checks all take the SpectralOperator, and the two that also read
-the field refuse one assembled on other values or another grid. The operator
-also holds its one eigendecomposition, so every spectrum report on it shares
-a single `eigh`.
+stability checks take the SpectralOperator alone. An operator assembled from
+a SampledField holds that field, so the two checks that read the field's
+derivatives read the very values the matrix was built on; they refuse an
+operator assembled from bare values, which carry no derivatives. The
+operator also holds its one eigendecomposition, so every spectrum report on
+it shares a single `eigh`.
 
 Importing this module loads no scipy: `eigh` and `eigh_tridiagonal` import
 scipy.linalg on their first call.
@@ -148,7 +150,7 @@ class SpectralOperator:
     params: ProblemParams
     matrix: np.ndarray
     asym_residual: float
-    w_values: np.ndarray
+    field: SampledField | None   # the field assembled on; None for bare values
 
     @property
     def size(self) -> int:
@@ -165,8 +167,13 @@ class SpectralOperator:
 
 def assemble(w, basis: WeightedBasis, params: ProblemParams,
              sym_tol: float = 1e-10) -> SpectralOperator:
-    """Quadratic form of L_w in the given basis; enforces symmetry."""
-    wv = w.values if isinstance(w, SampledField) else np.asarray(w, dtype=float)
+    """Quadratic form of L_w in the given basis; enforces symmetry. w is a
+    SampledField on the basis grid, which the operator keeps, or bare values
+    on its points."""
+    field = w if isinstance(w, SampledField) else None
+    if field is not None:
+        require_same_grid(field.grid, basis.grid)
+    wv = field.values if field is not None else np.asarray(w, dtype=float)
     if wv.shape != (basis.grid.npoints,):
         raise UsageError("w values must live on the basis grid")
     p = params.p
@@ -183,7 +190,7 @@ def assemble(w, basis: WeightedBasis, params: ProblemParams,
         )
     A = 0.5 * (A + A.T)
     return SpectralOperator(basis=basis, params=params, matrix=A,
-                            asym_residual=asym, w_values=wv)
+                            asym_residual=asym, field=field)
 
 
 @dataclass(frozen=True)
@@ -292,12 +299,11 @@ class SignChangeReport:
         }
 
 
-def _require_assembled_on(w: SampledField, op: SpectralOperator) -> None:
-    """The checks read w's derivatives and op's matrix: both must describe
-    the same field on the same grid."""
-    require_same_grid(w.grid, op.basis.grid)
-    if not np.array_equal(w.values, op.w_values):
-        raise UsageError("operator was assembled on other values than w")
+def _assembled_field(op: SpectralOperator) -> SampledField:
+    if op.field is None:
+        raise UsageError("the check reads the field's derivatives: assemble the "
+                         "operator from a SampledField, not from bare values")
+    return op.field
 
 
 # H changes sign when it leaves the band SIGN_CHANGE_BAND max|H| on both
@@ -306,10 +312,10 @@ SIGN_CHANGE_BAND = 1e-8
 LAMBDA1_TOL = 1e-4
 
 
-def sign_change_check(w: SampledField, op: SpectralOperator) -> SignChangeReport:
+def sign_change_check(op: SpectralOperator) -> SignChangeReport:
     """H sign change must imply lambda_1 < -1 (checked as < -1 + LAMBDA1_TOL),
-    with op = assemble(w, basis, params)."""
-    _require_assembled_on(w, op)
+    for the field op was assembled on."""
+    w = _assembled_field(op)
     H = compute_H(w, op.params)
     tau = SIGN_CHANGE_BAND * max(abs(H.min), abs(H.max))
     sign_change = (H.min < -tau) and (H.max > tau)
@@ -361,11 +367,11 @@ SPAN_TOL = 1e-4
 MODE_TOL = 1e-6
 
 
-def stability_classify(w: SampledField, op: SpectralOperator) -> StabilityReport:
+def stability_classify(op: SpectralOperator) -> StabilityReport:
     """Stable iff every lambda < 0 eigenfunction lies in the trivial span
-    (projection residual < SPAN_TOL) or is a translation mode, with
-    op = assemble(w, basis, params)."""
-    _require_assembled_on(w, op)
+    (projection residual < SPAN_TOL) or is a translation mode, for the field
+    op was assembled on."""
+    w = _assembled_field(op)
     basis = op.basis
     rep = spectrum(op)
     wq = basis.grid.weights

@@ -59,7 +59,7 @@ def inf_in_third_step(monkeypatch):
     real = evolution._reaction_exact
     calls = []
 
-    def reaction(u, dt, p, big, out=None):
+    def reaction(u, dt, p, big, out):
         res = real(u, dt, p, big, out=out)
         calls.append(dt)
         if len(calls) == 5:

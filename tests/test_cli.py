@@ -292,15 +292,24 @@ def test_a_series_start_out_of_float_range_is_refused(tmp_path, capsys, kind, se
     ("blowup", "width=0"), ("theorem13", "width=nan"),
     ("blowup", "t_max=nan"), ("theorem13", "t_max=-1"),
     ("blowup", "amp=inf"), ("theorem13", "amp=-inf"), ("evolve-rescaled", "amp=nan"),
+    ("blowup", "R=1e-300"), ("theorem13", "R=1e-300 geometry=ball n=3"),
+    ("scan", "alpha_hi=inf"),
 ], ids=["spectrum-k0", "blowup-u_cap0", "blowup-u_cap-negative", "theorem13-K0",
         "theorem13-conv_tol-nan", "theorem13-conv_tol0",
         "blowup-R-nan", "theorem13-R-inf", "blowup-width0", "theorem13-width-nan",
         "blowup-t_max-nan", "theorem13-t_max-negative",
-        "blowup-amp-inf", "theorem13-amp-negative-inf", "evolve-rescaled-amp-nan"])
+        "blowup-amp-inf", "theorem13-amp-negative-inf", "evolve-rescaled-amp-nan",
+        "blowup-R-underflow", "theorem13-ball-R-underflow", "scan-alpha_hi-inf"])
 def test_degenerate_settings_exit_2(tmp_path, capsys, kind, setting):
     # each ended in a traceback, a vacuous pass, a run with no time limit or
-    # no steps, or a "state left float range" exit 3 with leaked warnings
-    assert run_cli(kind, "--out", str(tmp_path / "o"), "--set", setting) == 2
+    # no steps, or a "state left float range" exit 3 with leaked warnings;
+    # R = 1e-300 leaked a divide-by-zero warning from 1/h^2, and alpha_hi = inf
+    # an invalid-value warning from the scan's alpha grid. The first
+    # setting is the one the refusal names
+    argv = [kind, "--out", str(tmp_path / "o")]
+    for one in setting.split():
+        argv += ["--set", one]
+    assert run_cli(*argv) == 2
     assert setting.split("=")[0] in capsys.readouterr().err
 
 

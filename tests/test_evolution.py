@@ -33,8 +33,7 @@ from blowlab import (
 from blowlab.evolution import (
     BlowupRun,
     Snapshot,
-    _diffusion_banded,
-    _diffusion_rhs,
+    _crank_nicolson,
     _laplacian_bands,
     _reaction_exact,
     _rescaled_banded,
@@ -260,10 +259,14 @@ def _assert_run_is_the_per_step_run(flow, w0, s_end):
     return run
 
 
+# the block edges; 255-258 and 513 were the edges of a 256-state block, and
+# at the present block they are runs of many blocks that end inside one
+_B = evolution._BLOCK
+
+
 @RECORDED
-@pytest.mark.parametrize("nsteps", [0, 1, 2, 3, evolution._BLOCK - 1, evolution._BLOCK,
-                                    evolution._BLOCK + 1, evolution._BLOCK + 2,
-                                    2 * evolution._BLOCK + 1])
+@pytest.mark.parametrize("nsteps", sorted({0, 1, 2, 3, _B - 1, _B, _B + 1, _B + 2, 2 * _B + 1,
+                                           255, 256, 257, 258, 513}))
 @pytest.mark.parametrize("geometry,params", [("interval", P2), ("ball", P33)])
 def test_blocked_run_is_the_per_step_run(geometry, params, nsteps, record_states):
     # below kappa the state decays toward 0, so every step is recorded
@@ -334,7 +337,7 @@ def test_blocked_run_allocates_no_steps_it_does_not_take():
 @pytest.mark.parametrize("blocks", [8, 40])
 def test_completed_run_memory_does_not_grow_with_its_steps(blocks):
     # the run keeps no states: runs of 8 and of 40 blocks both peak within
-    # a few blocks' worth of states (40 blocks of states alone are 16 MB);
+    # a few blocks' worth of states (40 blocks of states alone are 1.5 MB);
     # only the per-state series, 4 floats a step, grow with the run
     flow = RescaledFlow(P2, m=201, ds=1e-4)
     w0 = kappa(2.0) - 0.1 * np.exp(-flow.y ** 2 / 4.0)
@@ -531,18 +534,35 @@ def test_laplacian_bands_quadratic_and_constant(geometry, n):
         assert lo[0] == 0.0 and up[0] == -di[0] == 2.0 * n * c / (x[1] - x[0]) ** 2
 
 
+def _crank_nicolson_halves(monkeypatch, u, x, dt, geometry, n, ab, out):
+    """(ab, b): copies of the band array and right side that _crank_nicolson
+    hands to solve_banded, taken before the solve overwrites them."""
+    seen = []
+
+    def record(l_and_u, ab, b, **kwargs):
+        seen.append((ab.copy(), b.copy()))
+        return solve_banded(l_and_u, ab, b, **kwargs)
+
+    monkeypatch.setattr(evolution, "solve_banded", record)
+    den = x[1:-1] * 2.0 * (x[1] - x[0]) if geometry == "ball" else None
+    _crank_nicolson(u, x, dt, geometry, n, ab, out, den)
+    assert len(seen) == 1
+    return seen[0]
+
+
 @pytest.mark.parametrize("geometry,n", [("interval", 1), ("ball", 3)])
-def test_crank_nicolson_halves_sum_to_twice_identity(geometry, n):
+def test_crank_nicolson_halves_sum_to_twice_identity(monkeypatch, geometry, n):
     # (I - dt/2 Lap) u + (I + dt/2 Lap) u = 2u on every row that is not a
     # Dirichlet wall; the ball's origin row is included
     x = np.linspace(-2.0, 2.0, 201) if geometry == "interval" else np.linspace(0.0, 2.0, 201)
     u = np.random.default_rng(5).standard_normal(x.size)
     dt = 3e-3
-    ab = _diffusion_banded(x, dt, geometry, n)
+    ab, rhs = _crank_nicolson_halves(monkeypatch, u, x, dt, geometry, n,
+                                     np.empty((3, x.size)), np.empty(x.size))
     left = ab[1] * u
     left[:-1] += ab[0, 1:] * u[1:]
     left[1:] += ab[2, :-1] * u[:-1]
-    total = left + _diffusion_rhs(u, x, dt, geometry, n)
+    total = left + rhs
     first = 0 if geometry == "ball" else 1
     r = 0.5 * dt / (x[1] - x[0]) ** 2
     assert np.abs(total - 2.0 * u)[first:-1].max() <= 1e-13 * (1.0 + 4.0 * n * r)
@@ -727,30 +747,79 @@ def test_physical_step_is_bitwise_the_allocating_step(geometry, params, u0,
 
 
 @pytest.mark.parametrize("geometry,n", [("interval", 1), ("ball", 3)])
-def test_step_builders_write_the_allocating_values(geometry, n):
-    # each builder, fresh or into a dirty reused buffer, against its
-    # allocating reference; the reaction with points at and past the pole
+def test_step_builders_write_the_allocating_values(monkeypatch, geometry, n):
+    # the Crank-Nicolson step and the reaction, each into dirty reused
+    # buffers, against their allocating references; the reaction with points
+    # at and past the pole
     x = np.linspace(-2.0, 2.0, 101) if geometry == "interval" else np.linspace(0.0, 2.0, 101)
     u = np.random.default_rng(2).standard_normal(x.size) * 3.0
     h, dt = x[1] - x[0], 2e-3
-    band_den, rhs_den = x[1:-1] * 2.0 * h, x[1:-1] * 4.0 * h
+    den = x[1:-1] * 2.0 * h if geometry == "ball" else None
     dirty = lambda shape: np.full(shape, np.nan)
-    want = _allocating_banded(x, dt, geometry, n)
-    assert np.array_equal(_diffusion_banded(x, dt, geometry, n), want)
-    got = _diffusion_banded(x, dt, geometry, n, out=dirty((3, x.size)), den=band_den)
-    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
-    want = _allocating_rhs(u, x, dt, geometry, n)
-    assert np.array_equal(_diffusion_rhs(u, x, dt, geometry, n), want)
-    got = _diffusion_rhs(u, x, dt, geometry, n, out=dirty(x.size), den=rhs_den,
-                         work=dirty(x.size - 2))
+    want_ab = _allocating_banded(x, dt, geometry, n)
+    want_rhs = _allocating_rhs(u, x, dt, geometry, n)
+    want = solve_banded((1, 1), want_ab, want_rhs)
+    got = _crank_nicolson(u, x, dt, geometry, n, dirty((3, x.size)), dirty(x.size), den)
     assert np.array_equal(got, want)
+    # the halves it hands to the solve, sign bits included
+    ab, rhs = _crank_nicolson_halves(monkeypatch, u, x, dt, geometry, n,
+                                     dirty((3, x.size)), dirty(x.size))
+    assert np.array_equal(ab, want_ab) and np.array_equal(np.signbit(ab), np.signbit(want_ab))
+    assert np.array_equal(rhs, want_rhs)
     u[:3] = [0.0, 40.0, -40.0]                    # 1 - dt |u| <= 0 at +-40
     for p in (2.0, 3.0):
         want = _allocating_reaction(u, 0.05, p, 1e9)
         assert np.abs(want[1:3]).tolist() == [1e9, 1e9]
-        assert np.array_equal(_reaction_exact(u, 0.05, p, 1e9), want)
         got = _reaction_exact(u, 0.05, p, 1e9, out=dirty(x.size))
         assert np.array_equal(got, want)
+
+
+def _run_or_error(u0, params, **kwargs):
+    try:
+        return solve_physical(u0, params, **kwargs)
+    except NumericError as err:
+        return err
+
+
+@settings(max_examples=40, deadline=None)
+@given(geometry=st.sampled_from(["interval", "ball"]), n=st.integers(1, 4),
+       p=st.floats(1.5, 5.0), amp=st.floats(0.01, 20.0), sign=st.sampled_from([1.0, -1.0]),
+       init=st.sampled_from(["cosine", "constant", "gaussian"]), diffusion=st.booleans(),
+       m=st.integers(9, 201), log_cap=st.floats(2.0, 6.0))
+def test_physical_run_is_exactly_odd(geometry, n, p, amp, sign, init, diffusion, m,
+                                     log_cap):
+    # u -> -u maps solutions to solutions, and every operation of the step
+    # is odd in floating point too (|u|^(p-1) u, the clamp to +-big, the
+    # linear Crank-Nicolson halves and the banded solve, whose pivots do not
+    # depend on u): the run from -u0 is the negated run from u0, exactly.
+    # Equal as floats: a Dirichlet zero is +0.0 in both runs
+    params = ProblemParams(n=n if geometry == "ball" else 1, p=p)
+    cfg = {"init": init, "amp": sign * amp, "width": 0.5, "R": 2.0}
+    u0 = _initial_data(cfg)
+    kwargs = dict(m=m, geometry=geometry, u_cap=10.0 ** log_cap, diffusion=diffusion)
+    pos = _run_or_error(u0, params, **kwargs)
+    neg = _run_or_error(lambda x: -u0(x), params, **kwargs)
+    if isinstance(pos, NumericError):
+        assert isinstance(neg, NumericError)
+        assert (str(neg), neg.payload) == (str(pos), pos.payload)
+        return
+    assert neg.status == pos.status and neg.t_end == pos.t_end
+    assert np.array_equal(neg.u_final, -pos.u_final)
+    assert np.array_equal(neg.times, pos.times) and np.array_equal(neg.sup_u, pos.sup_u)
+    assert (neg.min_u, neg.max_u) == (-pos.max_u, -pos.min_u)
+    assert (neg.T_est, neg.a_est, neg.fit) == (pos.T_est, pos.a_est, pos.fit)
+    assert len(neg.snapshots) == len(pos.snapshots)
+    for a, b in zip(neg.snapshots, pos.snapshots):
+        assert (a.t, a.max_u) == (b.t, b.max_u) and np.array_equal(a.u, -b.u)
+
+
+def test_blowup_fit_below_the_clock_resolution_leaks_no_warning():
+    # at this cap the pure-reaction tail is ~4 ulp(t_end), so most of the
+    # fit's bracket puts T at t_end, where the objective is inf; Brent's
+    # parabolic step through it leaked numpy's invalid-value warning
+    run = solve_physical(lambda x: 5.0 * np.cos(np.pi * x / 4.0), ProblemParams(n=1, p=4.75),
+                         m=9, u_cap=10.0 ** 4.75, diffusion=False)
+    assert run.status == "blew-up" and run.T_est > run.t_end
 
 
 @pytest.mark.parametrize("geometry,n", [("interval", 1), ("ball", 3)])
