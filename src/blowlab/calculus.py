@@ -97,11 +97,10 @@ def ou_apply(f: SampledField) -> np.ndarray:
     return f.lap - 0.5 * f.y_dot_grad()
 
 
-def linearized_apply(w, v: SampledField, params: ProblemParams) -> np.ndarray:
+def linearized_apply(w: SampledField, v: SampledField, params: ProblemParams) -> np.ndarray:
     """(L_w v) values with L_w = L - 1/(p-1) + p |w|^(p-1)."""
-    wv = w.values if isinstance(w, SampledField) else np.asarray(w)
     p = params.p
-    return ou_apply(v) - v.values / (p - 1.0) + p * np.abs(wv) ** (p - 1.0) * v.values
+    return ou_apply(v) - v.values / (p - 1.0) + p * np.abs(w.values) ** (p - 1.0) * v.values
 
 
 @dataclass(frozen=True)
@@ -114,8 +113,8 @@ class HQuantity:
     max: float
 
 
-def compute_H(w: SampledField, p) -> HQuantity:
-    p = p.p if isinstance(p, ProblemParams) else float(p)
+def compute_H(w: SampledField, params: ProblemParams) -> HQuantity:
+    p = params.p
     vals = w.values / (p - 1.0) + 0.5 * w.y_dot_grad()
     return HQuantity(values=vals, min=float(vals.min()), max=float(vals.max()))
 
@@ -155,19 +154,19 @@ def verify_ibp(f: SampledField, g: SampledField, name: str = "ibp") -> CheckRow:
                     {"tol": IDENTITY_TOL})
 
 
-def verify_log_test_inequality(w, f: SampledField, mu: float, phi: SampledField,
-                               params, name: str = "log_test") -> CheckRow:
+def verify_log_test_inequality(w: SampledField, f: SampledField, mu: float, phi: SampledField,
+                               params: ProblemParams, name: str = "log_test") -> CheckRow:
     """Given an exact positive eigenpair L_w f = -mu f, check
     [phi^2 (p|w|^(p-1) + |grad log f|^2)] <= [4|grad phi|^2 - 2(mu - 1/(p-1)) phi^2].
     """
     require_same_grid(f.grid, phi.grid)
     if f.values.min() <= 0.0:
         raise UsageError("log-test needs a strictly positive eigenfunction")
-    wv = w.values if isinstance(w, SampledField) else np.asarray(w)
-    p = params.p if isinstance(params, ProblemParams) else float(params)
+    p = params.p
     wq = f.grid.weights
     glog2 = (f.grad / f.values[:, None]) ** 2
-    lhs = float(np.dot(wq, phi.values**2 * (p * np.abs(wv) ** (p - 1.0) + glog2.sum(axis=1))))
+    pot = p * np.abs(w.values) ** (p - 1.0)
+    lhs = float(np.dot(wq, phi.values**2 * (pot + glog2.sum(axis=1))))
     rhs = float(np.dot(wq, 4.0 * phi.grad_sq() - 2.0 * (mu - 1.0 / (p - 1.0)) * phi.values**2))
     scale = 1.0 + abs(lhs) + abs(rhs)
     res = max(0.0, lhs - rhs)
@@ -218,10 +217,10 @@ def prop35_constants(m: float, p: float) -> dict:
 
 
 def verify_prop35_inequality(w: SampledField, m: float, eta: SampledField,
-                             params, name: str = "moment_bound") -> CheckRow:
+                             params: ProblemParams, name: str = "moment_bound") -> CheckRow:
     """[eta^2 |w|^(2m+p-1)]_W <= C [ |w|^(2m) (|grad eta|^2 + eta^2) ]_W."""
     require_same_grid(w.grid, eta.grid)
-    p = params.p if isinstance(params, ProblemParams) else float(params)
+    p = params.p
     consts = prop35_constants(m, p)
     wq = w.grid.weights
     aw = np.abs(w.values)
@@ -387,11 +386,11 @@ def random_gaussian_sum(rng: np.random.Generator, n: int,
     )
 
 
-def random_bump_field(grid: TensorGrid, rng: np.random.Generator,
-                      support_R: float = 4.0) -> SampledField:
-    """Smooth compactly supported field: Gaussian sum times a radial cutoff."""
+def random_bump_field(grid: TensorGrid, rng: np.random.Generator) -> SampledField:
+    """Smooth compactly supported field: Gaussian sum times the radial cutoff
+    eta_R with R = 4, which is 1 on |y| <= 4 and 0 beyond |y| = 5."""
     terms = random_gaussian_sum(rng, grid.n, amp=1.0).at(grid.points)
-    eta = cutoff_field(grid, support_R)
+    eta = cutoff_field(grid, 4.0)
     gv = terms.values()
     vals = gv * eta.values
     grad = terms.grad() * eta.values[:, None] + gv[:, None] * eta.grad
@@ -432,7 +431,7 @@ def make_log_test_eigenpair(grid: TensorGrid, rng: np.random.Generator,
                 - 2.0 * np.einsum("qij,qj->qi", hess, grad)
             wgrad = (wvals / ((p - 1.0) * pot))[:, None] * gpot
             w = SampledField(grid=grid, values=wvals, grad=wgrad)
-            if compute_H(w, p).min > 0.0:
+            if compute_H(w, params).min > 0.0:
                 break
         terms = terms.scaled(0.5)
     else:

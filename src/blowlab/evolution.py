@@ -303,14 +303,13 @@ class RescaledFlow:
     # numpy's overflow warnings on the way to a blow-up would only leak to
     # the caller; the run ends there as blew-up
     @np.errstate(over="ignore", invalid="ignore")
-    def run(self, w0, s_end: float) -> RescaledRun:
-        """Step from w0 to s_end, one step at a time. The stop test, the
-        energies, sup |w - kappa| and the dissipation rates are evaluated per
-        block of up to _BLOCK states. The run ends as blew-up at the first
-        state that is non-finite, past the cap or of non-finite energy, which
-        is dropped with the block's later steps."""
-        w = (np.asarray(w0(self.y), dtype=float) if callable(w0)
-             else np.asarray(w0, dtype=float).copy())
+    def run(self, w0: np.ndarray, s_end: float) -> RescaledRun:
+        """Step from the state w0 on the mesh y to s_end, one step at a time.
+        The stop test, the energies, sup |w - kappa| and the dissipation rates
+        are evaluated per block of up to _BLOCK states. The run ends as
+        blew-up at the first state that is non-finite, past the cap or of
+        non-finite energy, which is dropped with the block's later steps."""
+        w = np.asarray(w0, dtype=float)
         if w.shape != self.y.shape:
             raise UsageError("initial state does not match the mesh")
         if not math.isfinite(s_end):
@@ -627,8 +626,9 @@ def solve_physical(u0, params: ProblemParams, R: float = 2.0, m: int = 4001,
                    u_cap: float = 1e8, t_max: float = 10.0,
                    diffusion: bool = True, fixed_dt: float | None = None) -> BlowupRun:
     """Run the physical problem until blow-up (max |u| >= u_cap), t_max, or a
-    numeric failure. theta <= 0.2 keeps dt within the stability policy
-    dt <= 0.2 (max|u|)^(1-p). Initial data must be finite and below u_cap."""
+    numeric failure, from the initial data u0(x) on the mesh x. theta <= 0.2
+    keeps dt within the stability policy dt <= 0.2 (max|u|)^(1-p). Initial
+    data must be finite and below u_cap."""
     if geometry not in ("interval", "ball"):
         raise UsageError(f"unknown geometry {geometry!r}")
     if not 0.0 < theta <= 0.2:
@@ -640,7 +640,7 @@ def solve_physical(u0, params: ProblemParams, R: float = 2.0, m: int = 4001,
     if h * h == 0.0:                           # the step divides by h^2
         raise UsageError(f"R = {R!r} on m = {m} points: the mesh step's square is 0")
     # the run's own copy: the step writes into its state buffers
-    u = np.array(u0(x) if callable(u0) else u0, dtype=float)
+    u = np.array(u0(x), dtype=float)
     if u.shape != x.shape:
         raise UsageError("initial data does not match the mesh")
     p, n = params.p, params.n
@@ -768,17 +768,18 @@ class ConvergenceReport:
         }
 
 
-# windows the convergence check needs
+# windows the convergence check needs, and the most it rescales
 MIN_WINDOWS = 3
+MAX_WINDOWS = 5
 
 
-def convergence_pipeline(run: BlowupRun, K: float = 1.0, conv_tol: float = 0.05,
-                         max_rows: int = 5) -> ConvergenceReport:
+def convergence_pipeline(run: BlowupRun, K: float = 1.0,
+                         conv_tol: float = 0.05) -> ConvergenceReport:
     """Rescale stored snapshots around (T_est, a_est) and check that
     sup_{|y|<=K} |sign w - kappa| decreases over >= MIN_WINDOWS times and
     ends below conv_tol, where sign is that of u at a_est in the last
     snapshot. H of sign w on the window is reported per row. The rows are
-    the last max_rows snapshots that pass the window filters, oldest first;
+    the last MAX_WINDOWS snapshots that pass the window filters, oldest first;
     the snapshots are walked newest first, so no earlier one is rescaled."""
     if run.status != "blew-up":
         raise UsageError("the convergence pipeline needs a run that blew up")
@@ -792,7 +793,7 @@ def convergence_pipeline(run: BlowupRun, K: float = 1.0, conv_tol: float = 0.05,
     yg = np.linspace(-K, K, 201)
     rows = []
     for snap in reversed(run.snapshots):
-        if len(rows) == max_rows:
+        if len(rows) == MAX_WINDOWS:
             break
         Tt = T - snap.t
         if Tt <= 0.0:

@@ -1,10 +1,10 @@
 """Named experiment runners behind the CLI.
 
 Each runner takes a resolved config and an output directory, writes its
-CSV/JSON artifacts there, and returns the file names, a list of pass/fail
-verdicts, and a JSON-ready summary. The CLI wraps the result in a manifest;
-replay re-runs a manifest's kind from its recorded config and compares the
-outputs file by file.
+CSV/JSON artifacts there, and returns the file names and a list of pass/fail
+verdicts. The CLI wraps the result in a manifest; replay re-runs a
+manifest's kind from its recorded config and compares the outputs file by
+file.
 """
 
 from __future__ import annotations
@@ -85,7 +85,6 @@ from .spectral import (
 class RunOutcome:
     files: list
     verdicts: list
-    summary: dict
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +122,7 @@ def run_exponents(cfg: dict, out_dir: Path) -> RunOutcome:
         Verdict("exponent-ordering", ordering_ok,
                 f"p_S < p_JL < p_L for n = 11..{n_hi}"),
     ]
-    return RunOutcome(files=["exponents_scan.csv", "exponents.json"],
-                      verdicts=verdicts, summary=summary)
+    return RunOutcome(files=["exponents_scan.csv", "exponents.json"], verdicts=verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +209,7 @@ def run_verify_identities(cfg: dict, out_dir: Path) -> RunOutcome:
     write_json(out_dir / "identities.json", summary)
     verdicts = [Verdict("all-identities-hold", not failures,
                         f"{len(rows)} checks, failures: {failures or 'none'}")]
-    return RunOutcome(files=["identities.csv", "identities.json"],
-                      verdicts=verdicts, summary=summary)
+    return RunOutcome(files=["identities.csv", "identities.json"], verdicts=verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +268,8 @@ def run_spectrum(cfg: dict, out_dir: Path) -> RunOutcome:
         "asym_residual": op.asym_residual,
         "gram_residual": basis.gram_residual(),
         "fd_check": fd_block,
-        "sign_change": sign_rep.to_dict(),
-        "stability": stab_rep.to_dict(),
+        "sign_change": sign_rep,
+        "stability": stab_rep,
     }
     write_json(out_dir / "spectrum.json", summary)
     verdicts = [
@@ -284,8 +281,7 @@ def run_spectrum(cfg: dict, out_dir: Path) -> RunOutcome:
     if fd_ok is not None:
         verdicts.insert(1, Verdict("fd-crosscheck", fd_ok,
                                    f"max |spectral - fd| = {fd_block['max_abs_err']:.3e}"))
-    return RunOutcome(files=["eigenvalues.csv", "spectrum.json"],
-                      verdicts=verdicts, summary=summary)
+    return RunOutcome(files=["eigenvalues.csv", "spectrum.json"], verdicts=verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +315,7 @@ def run_shoot(cfg: dict, out_dir: Path) -> RunOutcome:
                                 f"sup residual {res:.3e}"))
         verdicts.append(Verdict("H-positive", bool(H.min() > 0.0),
                                 f"min H = {H.min():.6g}"))
-    return RunOutcome(files=["profile.csv", "shoot.json"],
-                      verdicts=verdicts, summary=summary)
+    return RunOutcome(files=["profile.csv", "shoot.json"], verdicts=verdicts)
 
 
 def run_scan(cfg: dict, out_dir: Path) -> RunOutcome:
@@ -365,8 +360,7 @@ def run_scan(cfg: dict, out_dir: Path) -> RunOutcome:
     if cfg["alpha_lo"] < kap < cfg["alpha_hi"]:
         verdicts.append(Verdict("kappa-bracketed", covered,
                                 f"kappa = {kap:.9g}"))
-    return RunOutcome(files=["scan.csv", "brackets.csv", "scan.json"],
-                      verdicts=verdicts, summary=summary)
+    return RunOutcome(files=["scan.csv", "brackets.csv", "scan.json"], verdicts=verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -426,9 +420,7 @@ def run_evolve_rescaled(cfg: dict, out_dir: Path) -> RunOutcome:
         "max_energy_jump": max_jump,
         "sup_dev_first": float(run.sup_dev[0]),
         "sup_dev_last": float(run.sup_dev[-1]),
-        "dissipation": None if diss is None else {
-            "s_lo": diss.s_lo, "s_hi": diss.s_hi, "lhs": diss.lhs,
-            "rhs": diss.rhs, "rel_err": diss.rel_err, "holds": diss.holds},
+        "dissipation": diss,
     }
     write_json(out_dir / "evolve.json", summary)
     verdicts = [
@@ -441,8 +433,7 @@ def run_evolve_rescaled(cfg: dict, out_dir: Path) -> RunOutcome:
         verdicts.append(Verdict("dissipation-identity", diss.holds,
                                 f"relative error {diss.rel_err:.3%} on "
                                 f"[{diss.s_lo:.3g}, {diss.s_hi:.3g}]"))
-    return RunOutcome(files=["timeseries.csv", "evolve.json"],
-                      verdicts=verdicts, summary=summary)
+    return RunOutcome(files=["timeseries.csv", "evolve.json"], verdicts=verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +513,7 @@ def run_blowup(cfg: dict, out_dir: Path) -> RunOutcome:
         verdicts.append(Verdict("oracle-exponent", e_err < 1e-3,
                                 f"fit {run.fit['exponent']:.6g} vs 1/(p-1) = "
                                 f"{1.0 / (p - 1.0):.6g}"))
-    return RunOutcome(files=files, verdicts=verdicts, summary=summary)
+    return RunOutcome(files=files, verdicts=verdicts)
 
 
 def run_theorem13(cfg: dict, out_dir: Path) -> RunOutcome:
@@ -549,7 +540,7 @@ def run_theorem13(cfg: dict, out_dir: Path) -> RunOutcome:
         ]
     write_json(out_dir / "report.json", summary)
     files.append("report.json")
-    return RunOutcome(files=files, verdicts=verdicts, summary=summary)
+    return RunOutcome(files=files, verdicts=verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -603,4 +594,4 @@ def replay(manifest_path, out_dir) -> RunOutcome:
                                   f"{'bitwise' if r['bitwise'] else 'numeric' if r['numeric_ok'] else 'DIFFERS'}"
                                   for r in reports))]
     return RunOutcome(files=outcome.files + ["replay.json"],
-                      verdicts=outcome.verdicts + verdicts, summary=summary)
+                      verdicts=outcome.verdicts + verdicts)

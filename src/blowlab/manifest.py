@@ -10,6 +10,7 @@ and compares outputs file by file, bitwise first and numerically (relative
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -46,10 +47,7 @@ def write_text_atomic(path, text: str) -> Path:
 
 
 def _json_default(obj):
-    try:
-        import numpy as np
-    except ImportError:                       # pragma: no cover
-        raise TypeError(f"not JSON serializable: {obj!r}")
+    import numpy as np
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.floating):
@@ -62,12 +60,15 @@ def _json_default(obj):
 
 
 def json_text(obj) -> str:
-    """Canonical JSON: sorted keys, repr floats, non-finite as strings."""
+    """Canonical JSON: sorted keys, repr floats, non-finite as strings; a
+    dataclass instance is written as its fields, dataclasses.asdict."""
     cleaned = _sanitize(obj)
     return json.dumps(cleaned, indent=2, sort_keys=True, default=_json_default) + "\n"
 
 
 def _sanitize(obj):
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        obj = dataclasses.asdict(obj)
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

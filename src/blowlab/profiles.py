@@ -83,9 +83,14 @@ def in_snap_band(alpha: float, kap: float) -> bool:
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERR_EXP = -1.0 / 8.0                       # -1 / (error estimator order + 1)
 _EPS = float(np.finfo(float).eps)
+# iterations of an event's root search: scipy brentq's default maxiter
+BRENTQ_MAXITER = 100
 
 # levels of the sequential bisection that one batch of lanes settles
 BISECT_DEPTH = 5
+
+# points of a shot's uniform mesh from its start radius to its end
+MESH_POINTS = 4001
 
 # a bounded shot's kappa-tail test: |w - kappa| <= TAIL_TOL max(1, kappa) and
 # |w_r| <= TAIL_TOL over the last quarter of its mesh
@@ -105,12 +110,12 @@ def solve_ivp(*args, **kwargs):
     return _solve_ivp(*args, **kwargs)
 
 
-def _brentq(f, a, b, xtol, rtol, maxiter=100):
-    """scipy.optimize.brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter):
-    Brent's (1973) root finder, scipy's brentq.c operation for operation on
-    Python floats, so the root is bitwise scipy's. As scipy's wrapper does, a
-    NaN function value or f(a), f(b) of equal sign raises ValueError, and no
-    convergence within maxiter iterations raises RuntimeError."""
+def _brentq(f, a, b, xtol, rtol):
+    """scipy.optimize.brentq(f, a, b, xtol=xtol, rtol=rtol): Brent's (1973)
+    root finder, scipy's brentq.c operation for operation on Python floats,
+    so the root is bitwise scipy's. As scipy's wrapper does, a NaN function
+    value or f(a), f(b) of equal sign raises ValueError, and no convergence
+    within BRENTQ_MAXITER iterations, scipy's default, raises RuntimeError."""
     def call(x):
         fx = float(f(x))
         if math.isnan(fx):
@@ -126,7 +131,7 @@ def _brentq(f, a, b, xtol, rtol, maxiter=100):
         return xcur
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
+    for _ in range(BRENTQ_MAXITER):
         if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -155,7 +160,7 @@ def _brentq(f, a, b, xtol, rtol, maxiter=100):
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = call(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
+    raise RuntimeError(f"Failed to converge after {BRENTQ_MAXITER} iterations, value is {xcur}")
 
 
 def series_start(alpha: float, params: ProblemParams) -> tuple[float, float, float, float, float]:
@@ -240,8 +245,8 @@ def _shot_start(alpha: float, params: ProblemParams, r_max: float, cap: float):
 
 
 def shoot(alpha: float, params: ProblemParams, r_max: float = 20.0,
-          rtol: float = 1e-10, atol: float = 1e-12, cap: float = 1e6,
-          mesh_points: int = 4001) -> RadialProfile:
+          rtol: float = 1e-10, atol: float = 1e-12,
+          cap: float = 1e6) -> RadialProfile:
     """Integrate from the series start to the first terminal event (w crosses
     0 downward, or |w| crosses cap upward) and classify the shot by it; a
     shot that none ends is bounded up to r_max, and its tail on the mesh
@@ -251,10 +256,10 @@ def shoot(alpha: float, params: ProblemParams, r_max: float = 20.0,
     meta = {"r0": r0, "c": c, "d": d, "rtol": rtol, "atol": atol,
             "cap": cap, "r_max": r_max}
     if snapped:
-        rr = np.linspace(r0, r_max, mesh_points)
+        rr = np.linspace(r0, r_max, MESH_POINTS)
         return RadialProfile(
-            params=params, alpha=alpha, r=rr, w=np.full(mesh_points, alpha),
-            w_r=np.zeros(mesh_points), outcome="reached-Rmax-bounded",
+            params=params, alpha=alpha, r=rr, w=np.full(MESH_POINTS, alpha),
+            w_r=np.zeros(MESH_POINTS), outcome="reached-Rmax-bounded",
             r_end=float(r_max), events={"zero_at": None, "cap_at": None},
             meta=meta | {"c": 0.0, "d": 0.0, "snapped_to_constant": True},
         )
@@ -263,7 +268,7 @@ def shoot(alpha: float, params: ProblemParams, r_max: float = 20.0,
     _run_lanes(params, np.zeros(1, dtype=int), np.array([r0]), np.array([[w0, w0r]]),
                float(r_max), rtol, atol, cap, [alpha], result, steps)
     outcome, r_end = result[0] or (None, float(r_max))
-    rr = np.linspace(r0, r_end, mesh_points)
+    rr = np.linspace(r0, r_end, MESH_POINTS)
     w, w_r = _on_mesh(params, cap, steps, r_end, rr)
     if outcome is None:
         quarter = rr >= r0 + 0.75 * (r_end - r0)
@@ -631,8 +636,7 @@ def scan_profiles(params: ProblemParams, alpha_lo: float, alpha_hi: float,
     steps, then walks those steps. An alpha no event decides goes to shoot()
     when the grid or the walk reads its outcome, so shoot() runs for the
     alphas it ran for in the sequential loop, in the same order. The brackets
-    are bitwise that loop's. shoot_kw reaches shoot(); all of it but
-    mesh_points reaches the lanes.
+    are bitwise that loop's. shoot_kw reaches both shoot() and the lanes.
     """
     if not (0.0 < alpha_lo < alpha_hi):
         raise DomainError("need 0 < alpha_lo < alpha_hi")
@@ -645,13 +649,12 @@ def scan_profiles(params: ProblemParams, alpha_lo: float, alpha_hi: float,
     else:
         raise UsageError(f"unknown spacing {spacing!r}")
 
-    lane_kw = {k: v for k, v in shoot_kw.items() if k != "mesh_points"}
     cache: dict[float, tuple[str, float] | None] = {}
 
     def classify(batch: list[float]) -> None:
         todo = list(dict.fromkeys(a for a in batch if a not in cache))
         if todo:
-            cache.update(zip(todo, classify_lanes(todo, params, **lane_kw)))
+            cache.update(zip(todo, classify_lanes(todo, params, **shoot_kw)))
 
     def outcome(alpha: float) -> str:
         # an alpha no event decided goes to shoot() only when its outcome is

@@ -134,12 +134,17 @@ class TensorGrid:
         return out
 
 
+def default_tensor_degree(n: int) -> int:
+    """Nodes per axis of a tensor grid given no degree: 64 / 32 / 16 for n = 1 / 2 / >=3."""
+    return {1: 64, 2: 32}.get(n, 16)
+
+
 def tensor_grid(n: int, degree: int | None = None) -> TensorGrid:
-    """Build the tensor grid; default degrees 64 / 32 / 16 for n = 1 / 2 / >=3."""
+    """Build the tensor grid, of default_tensor_degree(n) unless degree is given."""
     if not isinstance(n, int) or n < 1:
         raise UsageError(f"grid dimension must be a positive integer, got {n!r}")
     if degree is None:
-        degree = {1: 64, 2: 32}.get(n, 16)
+        degree = default_tensor_degree(n)
     if degree < 2:
         raise UsageError("grid degree must be at least 2")
     x, w = hermegauss(degree)

@@ -18,12 +18,11 @@ always satisfies L_w H = H along exact profiles (lambda = -1), and a sign
 change of H forces lambda_1 < -1.
 
 Each field's operator is assembled once: the Rayleigh, sign-change and
-stability checks take the SpectralOperator alone. An operator assembled from
-a SampledField holds that field, so the two checks that read the field's
-derivatives read the very values the matrix was built on; they refuse an
-operator assembled from bare values, which carry no derivatives. The
-operator also holds its one eigendecomposition, so every spectrum report on
-it shares a single `eigh`.
+stability checks take the SpectralOperator alone. The operator holds the
+SampledField it was assembled from, so the two checks that read the field's
+derivatives read the very values the matrix was built on. It also holds its
+one eigendecomposition, so every spectrum report on it shares a single
+`eigh`.
 
 Importing this module loads no scipy: `eigh` and `eigh_tridiagonal` import
 scipy.linalg on their first call.
@@ -32,7 +31,7 @@ scipy.linalg on their first call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -42,6 +41,7 @@ from .errors import ConfigurationError, NumericError, UsageError
 from .exponents import ProblemParams
 from .quadrature import (
     Grid,
+    default_tensor_degree,
     hermite_basis,
     radial_grid,
     require_basis_fits,
@@ -116,7 +116,7 @@ def build_basis(n: int, N: int, degree: int | None = None,
     while per_axis**n < N:
         per_axis += 1
     if degree is None:
-        degree = max({1: 64, 2: 32}.get(n, 16), per_axis + 8)
+        degree = max(default_tensor_degree(n), per_axis + 8)
     grid = tensor_grid(n, degree)
     require_basis_fits(grid, per_axis)
     labels = _tensor_indices(n, per_axis, N)
@@ -150,7 +150,7 @@ class SpectralOperator:
     params: ProblemParams
     matrix: np.ndarray
     asym_residual: float
-    field: SampledField | None   # the field assembled on; None for bare values
+    field: SampledField          # the field assembled on
 
     @property
     def size(self) -> int:
@@ -165,15 +165,16 @@ class SpectralOperator:
         return mu, vecs
 
 
-def assemble(w, basis: WeightedBasis, params: ProblemParams,
-             sym_tol: float = 1e-10) -> SpectralOperator:
+# the assembled form is symmetric within SYM_TOL (1 + max |A_ij|)
+SYM_TOL = 1e-10
+
+
+def assemble(w: SampledField, basis: WeightedBasis,
+             params: ProblemParams) -> SpectralOperator:
     """Quadratic form of L_w in the given basis; enforces symmetry. w is a
-    SampledField on the basis grid, which the operator keeps, or bare values
-    on its points."""
-    field = w if isinstance(w, SampledField) else None
-    if field is not None:
-        require_same_grid(field.grid, basis.grid)
-    wv = field.values if field is not None else np.asarray(w, dtype=float)
+    SampledField on the basis grid, which the operator keeps."""
+    require_same_grid(w.grid, basis.grid)
+    wv = w.values
     if wv.shape != (basis.grid.npoints,):
         raise UsageError("w values must live on the basis grid")
     p = params.p
@@ -183,14 +184,14 @@ def assemble(w, basis: WeightedBasis, params: ProblemParams,
     A += basis.values.T @ ((wq * pot)[:, None] * basis.values)
     asym = float(np.abs(A - A.T).max())
     scale = 1.0 + float(np.abs(A).max())
-    if asym > sym_tol * scale:
+    if asym > SYM_TOL * scale:
         raise NumericError(
             f"assembled operator is not symmetric (residual {asym:.3e})",
             payload={"asym": asym},
         )
     A = 0.5 * (A + A.T)
     return SpectralOperator(basis=basis, params=params, matrix=A,
-                            asym_residual=asym, field=field)
+                            asym_residual=asym, field=w)
 
 
 @dataclass(frozen=True)
@@ -291,20 +292,6 @@ class SignChangeReport:
     consistent: bool
     tau: float
 
-    def to_dict(self) -> dict:
-        return {
-            "min_H": self.min_H, "max_H": self.max_H,
-            "sign_change": self.sign_change, "lambda1": self.lambda1,
-            "consistent": self.consistent, "tau": self.tau,
-        }
-
-
-def _assembled_field(op: SpectralOperator) -> SampledField:
-    if op.field is None:
-        raise UsageError("the check reads the field's derivatives: assemble the "
-                         "operator from a SampledField, not from bare values")
-    return op.field
-
 
 # H changes sign when it leaves the band SIGN_CHANGE_BAND max|H| on both
 # sides; lambda_1 < -1 is checked as lambda_1 < -1 + LAMBDA1_TOL
@@ -315,8 +302,7 @@ LAMBDA1_TOL = 1e-4
 def sign_change_check(op: SpectralOperator) -> SignChangeReport:
     """H sign change must imply lambda_1 < -1 (checked as < -1 + LAMBDA1_TOL),
     for the field op was assembled on."""
-    w = _assembled_field(op)
-    H = compute_H(w, op.params)
+    H = compute_H(op.field, op.params)
     tau = SIGN_CHANGE_BAND * max(abs(H.min), abs(H.max))
     sign_change = (H.min < -tau) and (H.max > tau)
     lam1 = spectrum(op, 1).lambda1
@@ -346,18 +332,6 @@ class StabilityReport:
     stable: bool
     note: str
 
-    def to_dict(self) -> dict:
-        return {
-            "stable": self.stable,
-            "note": self.note,
-            "modes": [
-                {"eigenvalue": m.eigenvalue, "label": m.label,
-                 "span_residual": m.span_residual,
-                 "by_eigenvalue_only": m.by_eigenvalue_only}
-                for m in self.modes
-            ],
-        }
-
 
 # a mode with lambda < -NEG_TOL is negative; it lies in the trivial span when
 # its relative projection residual is below SPAN_TOL, and is a translation
@@ -371,7 +345,7 @@ def stability_classify(op: SpectralOperator) -> StabilityReport:
     """Stable iff every lambda < 0 eigenfunction lies in the trivial span
     (projection residual < SPAN_TOL) or is a translation mode, for the field
     op was assembled on."""
-    w = _assembled_field(op)
+    w = op.field
     basis = op.basis
     rep = spectrum(op)
     wq = basis.grid.weights

@@ -133,7 +133,7 @@ def test_criterion_4_constant_witnesses(acceptance):
         # convention, i.e. the image equals the input
         out = linearized_apply(w, SampledField.constant(grid, 1.0), params)
         worst_L = max(worst_L, float(np.max(np.abs(out - 1.0))))
-        H = compute_H(w, p)
+        H = compute_H(w, params)
         worst_H = max(worst_H, abs(H.min - kappa(p) / (p - 1.0)),
                       abs(H.max - kappa(p) / (p - 1.0)))
         assert H.min > 0.0

@@ -118,12 +118,12 @@ def test_linearized_apply_at_zero(g1):
 
 def test_compute_H_values(g1):
     w = SampledField.constant(g1, 1.0)
-    H = compute_H(w, 2.0)
+    H = compute_H(w, P2)
     assert np.abs(H.values - 1.0).max() == 0.0
     assert H.min == H.max == 1.0
 
     y = poly_field(g1, [0.0, 1.0])
-    H = compute_H(y, P2)            # accepts params or bare p
+    H = compute_H(y, P2)
     assert np.abs(H.values - 1.5 * y.grid.points[:, 0]).max() < 1e-12
     assert H.min < 0.0 < H.max      # sign-changing
 
@@ -428,7 +428,7 @@ def _fresh_log_test_eigenpair(grid, rng, params, amp):
                 - 2.0 * np.einsum("qij,qj->qi", hess, grad)
             wgrad = (wvals / ((p - 1.0) * pot))[:, None] * gpot
             w = SampledField(grid=grid, values=wvals, grad=wgrad)
-            if compute_H(w, p).min > 0.0:
+            if compute_H(w, params).min > 0.0:
                 break
         gs = GaussianSum(a=gs.a * 0.5, b=gs.b, c=gs.c)
     else:
@@ -466,7 +466,7 @@ def test_log_test_eigenpair_and_bump_are_the_fresh_samples(monkeypatch, n, p, am
 
 def test_random_bump_field_support(g2):
     rng = np.random.default_rng(8)
-    f = random_bump_field(g2, rng, support_R=4.0)
+    f = random_bump_field(g2, rng)
     r = np.sqrt((g2.points**2).sum(axis=1))
     assert np.all(f.values[r >= 5.0] == 0.0)
     assert np.abs(f.values).max() > 0.0

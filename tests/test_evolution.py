@@ -131,11 +131,8 @@ def test_flow_constant_fixed_points():
     assert np.abs(run.energies).max() == 0.0
 
 
-def test_flow_callable_init_and_step_wrapper():
+def test_flow_step_wrapper():
     flow = RescaledFlow(P2, m=201, ds=1e-2)
-    run_a = flow.run(lambda y: 1.0 + 0.01 * np.exp(-y * y), s_end=0.05)
-    run_b = flow.run(1.0 + 0.01 * np.exp(-flow.y ** 2), s_end=0.05)
-    assert np.array_equal(run_a.final, run_b.final)
     fresh = RescaledFlow(P2, m=201, ds=1e-2)     # builds its matrix anew
     w0 = 1.0 + 0.01 * np.exp(-flow.y ** 2)
     assert np.array_equal(fresh.step(w0), flow.run(w0, s_end=0.01).final)
@@ -657,7 +654,7 @@ def test_solve_physical_argument_errors():
     with pytest.raises(UsageError):
         solve_physical(ones, P2, geometry="plane")
     with pytest.raises(UsageError):
-        solve_physical(np.ones(7), P2, m=101)
+        solve_physical(lambda x: np.ones(7), P2, m=101)
     with pytest.raises(UsageError):                 # 10 u_cap overflows
         solve_physical(ones, P2, u_cap=1e308)
 
@@ -881,13 +878,15 @@ def test_convergence_pipeline_on_cosine_run(cosine_blowup_run):
     assert d["passed"] is True and len(d["rows"]) == len(rep.rows)
 
 
-def test_convergence_pipeline_keeps_the_newest_windows(cosine_blowup_run):
-    # the pipeline walks the snapshots newest first and stops at max_rows:
-    # its rows are the last max_rows of every usable window, oldest first
-    every = convergence_pipeline(cosine_blowup_run, max_rows=10 ** 6).rows
+def test_convergence_pipeline_keeps_the_newest_windows(monkeypatch, cosine_blowup_run):
+    # the pipeline walks the snapshots newest first and stops at MAX_WINDOWS:
+    # its rows are the last MAX_WINDOWS of every usable window, oldest first
+    monkeypatch.setattr(evolution, "MAX_WINDOWS", 10 ** 6)
+    every = convergence_pipeline(cosine_blowup_run).rows
     assert len(every) >= 3
     for keep in (1, 2, len(every), len(every) + 1):
-        assert convergence_pipeline(cosine_blowup_run, max_rows=keep).rows == every[-keep:]
+        monkeypatch.setattr(evolution, "MAX_WINDOWS", keep)
+        assert convergence_pipeline(cosine_blowup_run).rows == every[-keep:]
 
 
 def test_convergence_pipeline_interpolation_floor():

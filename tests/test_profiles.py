@@ -5,6 +5,7 @@ In the probed ranges the constant w = kappa is the only bounded positive
 profile, so bisection over the shooting parameter must re-find alpha = kappa.
 """
 
+import inspect
 import math
 import os
 import subprocess
@@ -36,6 +37,7 @@ from blowlab import (
     shoot,
 )
 from blowlab.profiles import (
+    MESH_POINTS,
     OUTCOMES,
     TAIL_TOL,
     Bracket,
@@ -107,7 +109,7 @@ def test_shoot_at_kappa_random_exponents():
     for _ in range(10):
         p = 1.0 + 10.0 ** rng.uniform(-0.5, 0.8)
         params = ProblemParams(n=int(rng.integers(1, 5)), p=p)
-        prof = shoot(kappa(p), params, mesh_points=801)
+        prof = shoot(kappa(p), params)
         assert prof.outcome == "reached-Rmax-bounded"
         assert profile_residual(prof) < 1e-10
 
@@ -148,21 +150,23 @@ def test_profile_residual_flags_corruption():
 
 
 def test_residual_needs_enough_points():
-    prof = shoot(kappa(2.0), P21, mesh_points=5)
+    r = np.linspace(1e-3, 20.0, 5)
+    prof = RadialProfile(params=P21, alpha=1.0, r=r, w=np.ones(5), w_r=np.zeros(5),
+                         outcome="reached-Rmax-bounded", r_end=20.0)
     with pytest.raises(UsageError):
         profile_residual(prof)
 
 
 def test_rk4_agrees_with_adaptive():
     # compare on [r0, 5], inside the event-free range of this trajectory
-    prof = shoot(0.2, P23, r_max=5.0, mesh_points=8001)
+    prof = shoot(0.2, P23, r_max=5.0)
     spl = CubicHermiteSpline(prof.r, prof.w, prof.w_r)
     rs, ws, _ = rk4_shoot(0.2, P23, r_max=5.0, h=1e-3)
     assert np.abs(spl(rs) - ws).max() < 1e-6
 
 
 def test_rk4_fourth_order_convergence():
-    prof = shoot(0.2, P23, r_max=5.0, mesh_points=8001)
+    prof = shoot(0.2, P23, r_max=5.0)
     spl = CubicHermiteSpline(prof.r, prof.w, prof.w_r)
     errs = []
     for h in (0.1, 0.05, 0.025):
@@ -187,7 +191,7 @@ def test_trusted_radius():
 
 
 def test_scan_rediscovers_kappa():
-    res = scan_profiles(P21, 0.5, 1.5, count=5, mesh_points=401)
+    res = scan_profiles(P21, 0.5, 1.5, count=5)
     assert res.outcomes == ["hit-zero", "hit-zero", "reached-Rmax-bounded",
                             "hit-zero", "hit-zero"]
     assert len(res.brackets) == 2
@@ -205,15 +209,15 @@ def test_scan_without_candidates():
     # away from the alpha = kappa mesh point every trajectory leaves the
     # positive bounded band; no accepted candidate and nothing to bracket
     params = ProblemParams(n=3, p=3.0)
-    res = scan_profiles(params, 0.05, 3.0 * kappa(3.0), count=9, mesh_points=201)
+    res = scan_profiles(params, 0.05, 3.0 * kappa(3.0), count=9)
     assert all(o == "hit-zero" for o in res.outcomes)
     assert res.brackets == []
     for a in res.alphas:
-        assert not accepts_bounded_positive(shoot(float(a), params, mesh_points=201))
+        assert not accepts_bounded_positive(shoot(float(a), params))
 
 
 def test_scan_log_spacing_and_errors():
-    res = scan_profiles(P21, 0.25, 4.0, count=3, spacing="log", mesh_points=201)
+    res = scan_profiles(P21, 0.25, 4.0, count=3, spacing="log")
     assert res.alphas == pytest.approx([0.25, 1.0, 4.0])
     with pytest.raises(DomainError):
         scan_profiles(P21, -1.0, 1.0)
@@ -368,8 +372,7 @@ def scipy_solution(params, r0, w0, w0r, r_max, rtol, atol, cap):
                          events=(ev_zero, ev_cap), dense_output=True)
 
 
-def scipy_shoot(alpha, params, r_max=20.0, rtol=1e-10, atol=1e-12, cap=1e6,
-                mesh_points=4001):
+def scipy_shoot(alpha, params, r_max=20.0, rtol=1e-10, atol=1e-12, cap=1e6):
     """shoot() as it ran on scipy's solve_ivp, before it became one lane: the
     reference that shoot() and the lanes repeat bitwise. rk4_shoot stays the
     independent oracle."""
@@ -377,10 +380,10 @@ def scipy_shoot(alpha, params, r_max=20.0, rtol=1e-10, atol=1e-12, cap=1e6,
     meta = {"r0": r0, "c": c, "d": d, "rtol": rtol, "atol": atol,
             "cap": cap, "r_max": r_max}
     if snapped:
-        rr = np.linspace(r0, r_max, mesh_points)
+        rr = np.linspace(r0, r_max, MESH_POINTS)
         return RadialProfile(
-            params=params, alpha=alpha, r=rr, w=np.full(mesh_points, alpha),
-            w_r=np.zeros(mesh_points), outcome="reached-Rmax-bounded",
+            params=params, alpha=alpha, r=rr, w=np.full(MESH_POINTS, alpha),
+            w_r=np.zeros(MESH_POINTS), outcome="reached-Rmax-bounded",
             r_end=float(r_max), events={"zero_at": None, "cap_at": None},
             meta=meta | {"c": 0.0, "d": 0.0, "snapped_to_constant": True},
         )
@@ -392,7 +395,7 @@ def scipy_shoot(alpha, params, r_max=20.0, rtol=1e-10, atol=1e-12, cap=1e6,
     t_zero = sol.t_events[0][0] if sol.t_events[0].size else math.inf
     t_cap = sol.t_events[1][0] if sol.t_events[1].size else math.inf
     r_end = float(min(t_zero, t_cap, sol.t[-1]))
-    rr = np.linspace(r0, r_end, mesh_points)
+    rr = np.linspace(r0, r_end, MESH_POINTS)
     zz = sol.sol(rr)
     w, w_r = zz[0].copy(), zz[1].copy()
 
@@ -439,8 +442,8 @@ def assert_lanes_match_reference(alphas, params, **kw):
     # gives None exactly when no event decides the reference's outcome, and
     # otherwise its outcome and r_end
     for alpha, got in zip(alphas, classify_lanes(alphas, params, **kw)):
-        ref = scipy_shoot(alpha, params, mesh_points=401, **kw)
-        assert_same_shot(shoot(alpha, params, mesh_points=401, **kw), ref)
+        ref = scipy_shoot(alpha, params, **kw)
+        assert_same_shot(shoot(alpha, params, **kw), ref)
         if ref.outcome not in EVENT_OUTCOMES:
             assert got is None, alpha
             continue
@@ -490,11 +493,10 @@ def test_classifier_matches_shoot(case):
     # event decides the lane; either way it reads the scipy reference's
     # outcome and r_end
     params, alpha, kw = case
-    res = scan_profiles(params, alpha, 2.0 * alpha, count=2, bisect_tol=math.inf,
-                        mesh_points=401, **kw)
+    res = scan_profiles(params, alpha, 2.0 * alpha, count=2, bisect_tol=math.inf, **kw)
     assert all((b.alpha_lo, b.alpha_hi) == tuple(res.alphas) for b in res.brackets)
     for a, outcome, r_end in zip(res.alphas, res.outcomes, res.r_ends):
-        ref = scipy_shoot(float(a), params, mesh_points=401, **kw)
+        ref = scipy_shoot(float(a), params, **kw)
         assert outcome == ref.outcome, a
         assert r_end == pytest.approx(ref.r_end, rel=R_END_RTOL, abs=0.0), a
 
@@ -561,16 +563,16 @@ def test_dop853_tableau_is_scipys():
         assert ours.tobytes() == theirs.tobytes()
 
 
-def brentq_outcome(find, f, a, b, xtol, rtol, maxiter=100):
+def brentq_outcome(find, f, a, b, xtol, rtol):
     """find's root, or the type of the exception it raises."""
     try:
-        return find(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)
+        return find(f, a, b, xtol=xtol, rtol=rtol)
     except (ValueError, RuntimeError) as exc:
         return type(exc)
 
 
-def port(f, a, b, xtol, rtol, maxiter=100):
-    return profiles._brentq(f, a, b, xtol, rtol, maxiter)
+def port(f, a, b, xtol, rtol):
+    return profiles._brentq(f, a, b, xtol, rtol)
 
 
 EPS = float(np.finfo(float).eps)
@@ -592,6 +594,10 @@ def root_cases(draw):
     return f, a, b, xtol
 
 
+def test_brentq_cap_is_scipys_default():
+    assert inspect.signature(brentq).parameters["maxiter"].default == profiles.BRENTQ_MAXITER
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(root_cases())
 def test_brentq_port_is_scipys(case):
@@ -609,10 +615,12 @@ def test_brentq_port_is_scipys(case):
     (lambda x: math.nan if 0.45 < x < 0.55 else x ** 3 - 0.125, 0.0, 1.0, 100, ValueError),
     (lambda x: x ** 3 - 0.1, 0.0, 1.0, 2, RuntimeError),          # maxiter runs out
 ], ids=["equal-signs", "underflow", "nan-at-a", "nan-at-b", "nan-inside", "maxiter"])
-def test_brentq_port_raises_as_scipy(f, a, b, maxiter, error):
-    for find in (brentq, port):
-        with pytest.raises(error):
-            find(f, a, b, xtol=4 * EPS, rtol=4 * EPS, maxiter=maxiter)
+def test_brentq_port_raises_as_scipy(monkeypatch, f, a, b, maxiter, error):
+    monkeypatch.setattr(profiles, "BRENTQ_MAXITER", maxiter)
+    with pytest.raises(error):
+        brentq(f, a, b, xtol=4 * EPS, rtol=4 * EPS, maxiter=maxiter)
+    with pytest.raises(error):
+        port(f, a, b, 4 * EPS, 4 * EPS)
 
 
 @pytest.mark.parametrize("alphas, params, kw", [
@@ -624,9 +632,9 @@ def test_brentq_port_on_lane_events_is_scipys(monkeypatch, alphas, params, kw):
     # every root the lanes locate, on their real event functions, is scipy's
     calls, ported = [], profiles._brentq
 
-    def both(f, a, b, xtol, rtol, maxiter=100):
-        got = ported(f, a, b, xtol, rtol, maxiter)
-        assert got == brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)
+    def both(f, a, b, xtol, rtol):
+        got = ported(f, a, b, xtol, rtol)
+        assert got == brentq(f, a, b, xtol=xtol, rtol=rtol)
         calls.append(got)
         return got
 
@@ -712,20 +720,18 @@ def test_scan_shoots_only_undecided_alphas(monkeypatch, lo, hi, kw, n_shots):
     real_classify, real_shoot = profiles.classify_lanes, profiles.shoot
 
     def counting_classify(alphas, params, **lane_kw):
-        assert "mesh_points" not in lane_kw       # the lanes build no mesh
         res = real_classify(alphas, params, **lane_kw)
         # None: an alpha that no event decided
         classified.extend((alpha, r and r[0]) for alpha, r in zip(alphas, res))
         return res
 
     def counting_shoot(alpha, params, **shoot_kw):
-        assert shoot_kw["mesh_points"] == 201     # scan's **shoot_kw reaches it
         shot.append(alpha)
         return real_shoot(alpha, params, **shoot_kw)
 
     monkeypatch.setattr(profiles, "classify_lanes", counting_classify)
     monkeypatch.setattr(profiles, "shoot", counting_shoot)
-    res = scan_profiles(P21, lo, hi, mesh_points=201, **kw)
+    res = scan_profiles(P21, lo, hi, **kw)
     undecided = [a for a, o in classified if o not in EVENT_OUTCOMES]
     grid_shot = [a for a in res.alphas.tolist() if a in undecided]
     assert shot[:len(grid_shot)] == grid_shot
@@ -743,7 +749,7 @@ def test_scan_shoots_only_undecided_alphas(monkeypatch, lo, hi, kw, n_shots):
     undecided_midpoints = []
 
     def classify_one(alpha):
-        prof = real_shoot(alpha, P21, mesh_points=201, **shot_kw)
+        prof = real_shoot(alpha, P21, **shot_kw)
         if prof.outcome not in EVENT_OUTCOMES:
             undecided_midpoints.append(alpha)
         return prof.outcome, prof.r_end
