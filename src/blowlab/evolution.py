@@ -13,9 +13,9 @@ the reaction is written into them with out= ufuncs. One routine,
 `_crank_nicolson`, takes the diffusion half: it computes r = dt/(2 h^2) and,
 on the ball, the curvature coefficient once, writes the right-hand side into
 the spare state buffer and the left matrix into one (3, m) band array per
-run, and hands both to solve_banded to overwrite. solve_banded skips its
-finite check; the loop tests max|u| for finiteness before every step, so a
-nan or inf state ends the run as a NumericError.
+run, and hands both to solve_banded (LAPACK dgtsv) to overwrite. The solve
+makes no finite check; the loop tests max|u| for finiteness before every
+step, so a nan or inf state ends the run as a NumericError.
 
 Rescaled frame: w(y, s) with y = (x-a)/sqrt(T-t), s = -log(T-t),
 w = (T-t)^(1/(p-1)) u, solving
@@ -47,8 +47,9 @@ the stack, sup |w - kappa| and the dissipation rates, whose centred
 differences in s reach two states back into the previous block. The run
 stops where a per-step check would: at the first state that is non-finite,
 past the cap or of non-finite energy, which is dropped; the block's later
-steps are discarded. The run keeps its per-state series and its last
-state, not its states, so its memory is O(_BLOCK m) whatever s_end is.
+steps are discarded. The run keeps its last state and four per-state
+series (s, energy, sup |w - kappa|, rate), filled in place, not its states:
+its memory is O(_BLOCK m) plus 32 bytes a step, whatever s_end asks for.
 
 Both frames discretize the Laplacian with the same three-point stencil:
 d^2/dx^2 on the interval, d^2/dr^2 + (n-1)/r d/dr with the smooth origin row
@@ -61,13 +62,15 @@ each step rounds differently, and moved `theorem13 m=40001`'s T_est by
 The mesh density rho (`gaussian_density`) and the dissipation rate
 (`RescaledFlow._dissipation`) exist once each.
 
-Importing this module loads no scipy. scipy.linalg comes in with the first
-banded solve (`solve_banded`, a forwarder) or the first tridiagonal
-factorisation (`_tridiagonal_solver`, once per RescaledFlow or stable-mode
-iteration, not per step); scipy.interpolate and scipy.optimize are imported
-inside the two physical-frame functions that use them
-(`rescale_to_similarity`, `fit_blowup_time`). So the rescaled frame loads
-scipy.linalg only.
+Importing this module loads no scipy, and both frames load scipy.linalg
+only: it comes in with the first banded solve (`solve_banded`, LAPACK dgtsv
+called directly), the first snapshot spline (whose slopes are one dgtsv
+solve) or the first tridiagonal factorisation (`_tridiagonal_solver`, once
+per RescaledFlow or stable-mode iteration, not per step). The snapshot
+rescaling's not-a-knot spline (blowlab._cubic) and the blow-up fit's
+bounded minimisation (`_fminbound`) are scipy.interpolate's CubicSpline and
+scipy.optimize's bounded Brent search, ported operation for operation, so
+every result is bitwise scipy's.
 """
 
 from __future__ import annotations
@@ -77,6 +80,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from . import _cubic
 from .calculus import SampledField
 from .errors import DomainError, NumericError, UsageError
 from .exponents import ProblemParams, kappa
@@ -155,20 +159,20 @@ def rescale_to_similarity(u: np.ndarray, x: np.ndarray, t: float, T: float,
                           params: ProblemParams
                           ) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
     """(w, w_y on y_out, s, validity mask) for w(y) = (T-t)^(1/(p-1)) u(a + sqrt(T-t) y),
-    from a cubic spline of u. Outside the sampled x-range w and w_y are nan."""
+    from the not-a-knot cubic spline of u (bitwise scipy's CubicSpline).
+    Outside the sampled x-range w and w_y are nan."""
     if not T > t:
         raise UsageError(f"need T > t, got T = {T}, t = {t}")
     lam = math.sqrt(T - t)
     scale = (T - t) ** (1.0 / (params.p - 1.0))
     xt = a + lam * np.asarray(y_out)
     mask = (xt >= x[0]) & (xt <= x[-1])
-    from scipy.interpolate import CubicSpline
-    spl = CubicSpline(x, u)
+    c = _cubic.not_a_knot(x, u)
     w = np.full(xt.shape, np.nan)
     w_y = np.full(xt.shape, np.nan)
     xm = xt[mask]
-    w[mask] = scale * spl(xm)
-    w_y[mask] = (scale * lam) * spl(xm, 1)
+    w[mask] = scale * _cubic.evaluate(c, x, xm, 0)
+    w_y[mask] = (scale * lam) * _cubic.evaluate(c, x, xm, 1)
     return w, w_y, -math.log(T - t), mask
 
 
@@ -215,15 +219,19 @@ def _rescaled_banded(y: np.ndarray, params: ProblemParams, ds: float,
     return -lo[1:], 1.0 - di, -up[:-1]
 
 
-def solve_banded(l_and_u, ab, b, **kwargs):
-    """scipy.linalg.solve_banded, imported on the first call.
+def solve_banded(l_and_u, ab, b):
+    """scipy.linalg.solve_banded(l_and_u, ab, b, overwrite_ab=True,
+    overwrite_b=True, check_finite=False) for l_and_u = (1, 1): LAPACK dgtsv
+    on ab's three rows and b in place, as scipy's (1, 1) branch calls it,
+    without the wrapper's validation. A singular matrix raises NumericError.
 
-    A module-level name rather than a local import so that perfbench's tracer
-    can wrap the physical frame's banded solves and read (l_and_u, ab, b)
-    from their positional arguments; it goes when runs record their own
-    counters (ROADMAP item 8)."""
-    from scipy.linalg import solve_banded as _solve_banded
-    return _solve_banded(l_and_u, ab, b, **kwargs)
+    A module-level name so that perfbench's tracer can wrap the physical
+    frame's banded solves and read (l_and_u, ab, b) from their positional
+    arguments; the name stays until runs record their own counters (ROADMAP
+    item 8)."""
+    if tuple(l_and_u) != (1, 1):
+        raise UsageError(f"only tridiagonal bands (1, 1) are solved, got {l_and_u}")
+    return _cubic.gtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
 
 
 def _tridiagonal_solver(dl: np.ndarray, d: np.ndarray, du: np.ndarray):
@@ -315,21 +323,24 @@ class RescaledFlow:
         if not math.isfinite(s_end):
             raise UsageError(f"s_end must be finite, got {s_end}")
         kap = kappa(self.params.p)
-        nsteps = int(round(s_end / self.ds))
+        nsteps = max(int(round(s_end / self.ds)), 0)     # s_end < 0 takes no step
         e0 = energy(w, self.params, self.y, self.geometry).total
         if not math.isfinite(e0):
             raise NumericError("initial state has non-finite energy",
                                payload={"energy": e0})
-        s_vals = [np.zeros(1)]
-        energies = [np.array([e0])]
-        sup_dev = [np.array([np.abs(w - kap).max()])]
-        rates = []
+        # the four per-state series, filled in place. They get room for every
+        # step asked for, but up front no more than one block of states takes
+        # (_BLOCK m / 4 steps); past that the room doubles as the run needs
+        # it, so a run that blows up early holds none for the steps it skips
+        series = np.empty((4, min(nsteps, _BLOCK * w.size // 4) + 1))
+        s_vals, energies, sup_dev, rates = series
+        s_vals[0], energies[0], sup_dev[0] = 0.0, e0, np.abs(w - kap).max()
         stack = w[None, :].copy()               # the latest states, oldest first
         status = "completed"
         events = {}
-        done = 0
-        while done < nsteps:
-            k = min(_BLOCK, nsteps - done)
+        count = 1                               # states kept
+        while count <= nsteps:
+            k = min(_BLOCK, nsteps + 1 - count)
             block = np.empty((k, w.size))
             for j in range(k):
                 w = self.step(w)
@@ -340,27 +351,35 @@ class RescaledFlow:
             e = energy(block[:good], self.params, self.y, self.geometry).total
             if not np.isfinite(e).all():
                 good = int(np.isfinite(e).argmin())
-            s_vals.append(np.arange(done + 1, done + good + 1) * self.ds)
-            energies.append(e[:good])
-            sup_dev.append(np.abs(block[:good] - kap).max(axis=1))
+            end = count + good
+            if end > series.shape[1]:
+                grown = np.empty((4, min(2 * series.shape[1], nsteps + 1)))
+                grown[:, :count] = series[:, :count]
+                series = grown
+                s_vals, energies, sup_dev, rates = series
+            s_vals[count:end] = np.arange(count, end) * self.ds
+            energies[count:end] = e[:good]
+            sup_dev[count:end] = np.abs(block[:good] - kap).max(axis=1)
             # w_s as np.gradient takes it over all states: one-sided at the
             # ends, centred inside, with two states of the previous block
             stack = np.concatenate((stack[-2:], block[:good]))
-            if not done:
-                rates.append(self._dissipation(stack[1:2], stack[:1], self.ds))
-            rates.append(self._dissipation(stack[2:], stack[:-2], 2.0 * self.ds))
+            if count == 1 and good:
+                rates[0] = self._dissipation(stack[1:2], stack[:1], self.ds)[0]
+            rates[max(count - 1, 1):end - 1] = self._dissipation(stack[2:], stack[:-2],
+                                                                 2.0 * self.ds)
+            count = end
             if good < k:
                 status = "blew-up"
-                events["cap_at_s"] = (done + good + 1) * self.ds
+                events["cap_at_s"] = count * self.ds
                 break
-            done += k
-        rates.append(self._dissipation(stack[-1:], stack[-2:-1], self.ds))
-        s_values = np.concatenate(s_vals)
         # fewer than 3 states have no centred difference: their rates are 0
-        rates = np.concatenate(rates) if s_values.size >= 3 else np.zeros(s_values.size)
+        if count >= 3:
+            rates[count - 1] = self._dissipation(stack[-1:], stack[-2:-1], self.ds)[0]
+        else:
+            rates[:count] = 0.0
         return RescaledRun(
-            ds=self.ds, s_values=s_values, energies=np.concatenate(energies),
-            sup_dev=np.concatenate(sup_dev), rates=rates, final=stack[-1].copy(),
+            ds=self.ds, s_values=s_vals[:count], energies=energies[:count],
+            sup_dev=sup_dev[:count], rates=rates[:count], final=stack[-1].copy(),
             status=status, events=events,
         )
 
@@ -534,8 +553,7 @@ def _crank_nicolson(u: np.ndarray, x: np.ndarray, dt: float, geometry: str,
         ab[0, 1], ab[1, 0] = 0.0, 1.0          # Dirichlet at x = -R
     out[-1] = 0.0
     ab[2, -2], ab[1, -1] = 0.0, 1.0            # Dirichlet at the outer wall
-    return solve_banded((1, 1), ab, out, overwrite_ab=True, overwrite_b=True,
-                        check_finite=False)
+    return solve_banded((1, 1), ab, out)
 
 
 def _reaction_exact(u: np.ndarray, dt: float, p: float, big: float,
@@ -577,6 +595,95 @@ def _parabola_argmax(x: np.ndarray, u: np.ndarray) -> float:
     return float(x[i] + 0.5 * (x[1] - x[0]) * (u[i - 1] - u[i + 1]) / denom)
 
 
+# the blow-up fit's bounded search: its absolute tolerance in
+# log((T - t_end)/tail), and scipy's default cap on objective evaluations
+FIT_XATOL = 1e-12
+FMINBOUND_MAXITER = 500
+
+
+def _fminbound(func, x1, x2):
+    """scipy.optimize.minimize_scalar(func, bounds=(x1, x2), method="bounded",
+    options={"xatol": FIT_XATOL}).x: Brent's (1973) bounded minimisation,
+    golden-section steps with parabolic interpolation, ported from scipy
+    1.17.1's _minimize_scalar_bounded operation for operation (its numpy
+    scalar ops included), so the minimiser is bitwise scipy's. The search
+    stops after FMINBOUND_MAXITER evaluations, scipy's default, and returns
+    its best point, as scipy does. Bounds that are not finite, or a lower
+    bound above the upper, raise UsageError (scipy's ValueError)."""
+    if not (np.size(x1) == 1 and np.isfinite(x1) and np.size(x2) == 1 and np.isfinite(x2)):
+        raise UsageError("Optimization bounds must be finite scalars.")
+    if x1 > x2:
+        raise UsageError("The lower bound exceeds the upper bound.")
+    sqrt_eps = np.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
+    a, b = x1, x2
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = func(x)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * np.abs(xf) + FIT_XATOL / 3.0
+    tol2 = 2.0 * tol1
+    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = 1
+        if np.abs(e) > tol1:                   # try a parabolic fit
+            golden = 0
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r = e
+            e = rat
+            if (np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf)) and (p < q * (b - xf)):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    si = np.sign(xm - xf) + ((xm - xf) == 0)
+                    rat = tol1 * si
+            else:
+                golden = 1
+        if golden:                             # golden-section step
+            if xf >= xm:
+                e = a - xf
+            else:
+                e = b - xf
+            rat = golden_mean * e
+        si = np.sign(rat) + (rat == 0)
+        x = xf + si * np.maximum(np.abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + FIT_XATOL / 3.0
+        tol2 = 2.0 * tol1
+        if num >= FMINBOUND_MAXITER:
+            break
+    return xf
+
+
 def fit_blowup_time(times: np.ndarray, sups: np.ndarray, p: float) -> dict:
     """Least-squares fit of log(max |u|) = log C - beta log(T - t) over the
     steps with max |u| within a factor 10 of the last (at least the last 8),
@@ -605,14 +712,12 @@ def fit_blowup_time(times: np.ndarray, sups: np.ndarray, p: float) -> dict:
         return sse(T)[0] if T > t_end else math.inf
 
     # search log((T - t_end)/tail): the sse minimum is sharp on the tail
-    # scale, which a linear bracket spanning [1e-3, 100] tails cannot resolve
-    from scipy.optimize import minimize_scalar
+    # scale, which a linear bracket spanning [1e-3, 100] tails cannot resolve.
     # Brent's parabolic step through an inf objective subtracts inf from inf:
     # the nan fails its acceptance test and a golden-section step is taken
     with np.errstate(invalid="ignore"):
-        res = minimize_scalar(objective, bounds=(math.log(1e-3), math.log(100.0)),
-                              method="bounded", options={"xatol": 1e-12})
-    T_est = float(t_end + tail * math.exp(res.x))
+        xi = _fminbound(objective, math.log(1e-3), math.log(100.0))
+    T_est = float(t_end + tail * math.exp(xi))
     if not T_est > t_end:
         raise NumericError(f"blow-up time is not resolved past t = {t_end}",
                            payload={"t": float(t_end)})
@@ -799,7 +904,9 @@ def convergence_pipeline(run: BlowupRun, K: float = 1.0,
         if Tt <= 0.0:
             continue
         lam = math.sqrt(Tt)
-        if lam < 4.0 * h:                      # window thinner than the mesh
+        # the window |y| <= K must span mesh cells: lam >= 4h, and K lam >= 4h
+        # when K < 1, or a window of a fraction of a cell passes vacuously
+        if lam < 4.0 * h or K * lam < 4.0 * h:
             continue
         if a - 1.05 * K * lam < run.x[0] or a + 1.05 * K * lam > run.x[-1]:
             continue

@@ -40,10 +40,10 @@ before r = 14. Within a machine-level band around kappa the branches cannot
 be distinguished in floats; shoot() therefore snaps alpha inside that band to
 the exact constant trajectory.
 
-Shooting loads no scipy: the DOP853 tableau is data (blowlab._dop853), and
-_brentq is scipy's brentq ported operation for operation. CubicHermiteSpline
-is imported by extended_profile, so scipy.interpolate comes in only when a
-spline is fitted to a shot off kappa.
+Profiles load no scipy: the DOP853 tableau is data (blowlab._dop853),
+_brentq is scipy's brentq ported operation for operation, and
+extended_profile's Hermite spline is blowlab._cubic, scipy's
+CubicHermiteSpline and PPoly evaluation ported the same way.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from itertools import repeat
 
 import numpy as np
 
-from . import _dop853 as _DOP853
+from . import _cubic, _dop853 as _DOP853
 from .calculus import SampledField, radial_field
 from .errors import DomainError, NumericError, UsageError
 from .exponents import ProblemParams, kappa
@@ -704,8 +704,9 @@ def scan_profiles(params: ProblemParams, alpha_lo: float, alpha_hi: float,
 
 def extended_profile(profile: RadialProfile):
     """(w_at, r_cut), where w_at(r) returns (w, w_r): cubic-Hermite inside the
-    trusted radius, then the steady power tail r^(-2/(p-1)); values below r0
-    use the series start. A shot snapped to the constant (shoot's snap band)
+    trusted radius (bitwise scipy's CubicHermiteSpline and its derivative),
+    then the steady power tail r^(-2/(p-1)); values below r0 use the series
+    start. A shot snapped to the constant (shoot's snap band)
     is that constant inside r_cut, with the same tail beyond, and fits no
     spline: the Hermite cubic through constant data with zero slopes is that
     constant with zero derivative.
@@ -726,13 +727,13 @@ def extended_profile(profile: RadialProfile):
         def inner(r):
             return np.full_like(r, alpha), np.zeros_like(r)
     else:
-        from scipy.interpolate import CubicHermiteSpline
-        spl = CubicHermiteSpline(profile.r[mask], profile.w[mask], profile.w_r[mask])
-        dspl = spl.derivative()
-        w_cut = float(spl(min(r_cut, profile.r[mask][-1])))
+        knots = profile.r[mask]
+        spl = _cubic.hermite(knots, profile.w[mask], profile.w_r[mask])
+        dspl = _cubic.derivative(spl)
+        w_cut = float(_cubic.evaluate(spl, knots, min(r_cut, knots[-1]), 0))
 
         def inner(r):
-            return spl(r), dspl(r)
+            return _cubic.evaluate(spl, knots, r, 0), _cubic.evaluate(dspl, knots, r, 0)
     r_lo = float(profile.r[0])
     gamma = -2.0 / (p - 1.0)
 

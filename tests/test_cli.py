@@ -544,6 +544,20 @@ def test_theorem13_negative_data_mirrors_positive(tmp_path, capsys):
     assert (neg / "window.csv").read_bytes() == (pos / "window.csv").read_bytes()
 
 
+@pytest.mark.parametrize("K", ["1e-300", "0.01"])
+def test_theorem13_windows_narrower_than_the_mesh_do_not_pass(tmp_path, capsys, K):
+    # the window |y| <= K spans K sqrt(T - t) in x: 0 mesh cells at
+    # K = 1e-300 and 0.06-0.56 cells at K = 0.01, where sup |w - kappa| reads
+    # a sample or two near y = 0. Such windows PASSed window-final with the
+    # default run's 0.02904; now every window spans at least 4 cells
+    out = tmp_path / "thm"
+    assert run_cli("theorem13", "--out", str(out), "--set", f"K={K}") == 1
+    captured = capsys.readouterr()
+    assert "[PASS] window-final" not in captured.out
+    assert "[FAIL] window-final" in captured.err
+    assert (out / "window.csv").read_text().splitlines() == ["t,T_minus_t,s,sup_dev,min_H"]
+
+
 def test_replay_reproduces_run(tmp_path, capsys):
     src = tmp_path / "src"
     assert run_cli("exponents", "--out", str(src), "--quiet",

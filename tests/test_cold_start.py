@@ -11,6 +11,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
+# once imported on call, now ported into blowlab (brentq, the bounded Brent
+# search, CubicSpline, CubicHermiteSpline): no subcommand loads them
 DEFERRED = ("scipy.optimize", "scipy.interpolate")
 
 # run each argv through cli.main, then print the exit codes and every scipy
@@ -68,10 +70,26 @@ def test_similarity_frame_loads_no_deferred_scipy(tmp_path):
     assert [m for m in DEFERRED if m in got["scipy"]] == []
 
 
+def test_physical_frame_loads_scipy_linalg_only(tmp_path):
+    # banded solves, the snapshot splines and the blow-up fit: dgtsv is all
+    # of scipy they call, so none of the modules scipy.interpolate and
+    # scipy.optimize used to bring in is loaded
+    got = run_fresh(tmp_path, [
+        ["blowup"],
+        ["blowup", "--set", "geometry=ball", "--set", "n=3", "--set", "amp=20"],
+        ["theorem13", "--set", "m=1001"],
+    ])
+    assert got["codes"] == [0] * 3
+    assert "scipy.linalg" in got["scipy"]
+    # a loaded submodule loads its package, so the packages' names suffice
+    assert set(got["scipy"]).isdisjoint(DEFERRED + ("scipy.sparse", "scipy.special"))
+
+
 def test_deferred_imports_resolve_in_a_fresh_process(tmp_path):
     # scan with bisection and shoot off kappa run the lanes, spectrum on a
-    # bounded shot off kappa the Hermite spline, theorem13 CubicSpline and
-    # minimize_scalar; no run integrates with scipy
+    # bounded shot off kappa the Hermite spline, theorem13 the not-a-knot
+    # spline and the bounded search: each exits 0 with what it imports on
+    # call (scipy.linalg), and none loads the modules blowlab carries ports of
     got = run_fresh(tmp_path, [
         ["scan", "--set", "count=5", "--set", "bisect_tol=1e-4"],
         ["shoot", "--set", "alpha=0.7"],
@@ -80,5 +98,6 @@ def test_deferred_imports_resolve_in_a_fresh_process(tmp_path):
         ["theorem13", "--set", "m=1001"],
     ])
     assert got["codes"] == [0] * 4
-    assert [m for m in DEFERRED if m in got["scipy"]] == list(DEFERRED)
+    assert "scipy.linalg" in got["scipy"]
+    assert [m for m in DEFERRED if m in got["scipy"]] == []
     assert "scipy.integrate" not in got["scipy"]

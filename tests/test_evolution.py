@@ -3,6 +3,7 @@ rescaling map, fixed points and linearized decay rates of the rescaled flow,
 dissipation accounting, blow-up time fitting, and the convergence pipeline.
 """
 
+import inspect
 import math
 import tracemalloc
 import warnings
@@ -13,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import eig, solve_banded
+from scipy.optimize import minimize_scalar
+from scipy.optimize._optimize import _minimize_scalar_bounded
 
 from blowlab import (
     NumericError,
@@ -582,6 +585,108 @@ def test_fit_blowup_time_exact_series():
     # a remaining time far below the resolution of t cannot be fitted
     with pytest.raises(NumericError):
         fit_blowup_time(times, np.geomspace(1.0, 1e20, times.size), 2.0)
+
+
+def test_fminbound_cap_is_scipys_default():
+    default = inspect.signature(_minimize_scalar_bounded).parameters["maxiter"].default
+    assert default == evolution.FMINBOUND_MAXITER
+
+
+def scipy_fminbound(f, a, b, maxiter=evolution.FMINBOUND_MAXITER):
+    return minimize_scalar(f, bounds=(a, b), method="bounded",
+                           options={"xatol": evolution.FIT_XATOL, "maxiter": maxiter}).x
+
+
+def traced(f):
+    """f, and the list of the points it is called at."""
+    seen = []
+
+    def g(x):
+        seen.append(x)
+        return f(x)
+
+    return g, seen
+
+
+@st.composite
+def bounded_objectives(draw):
+    """(f, a, b): a random polynomial, a shifted, scaled sine or a sharp
+    valley on a random interval, some with an inf region as the blow-up
+    fit's objective has past its bracket's end."""
+    a = draw(st.floats(-5.0, 5.0))
+    b = a + draw(st.floats(1e-6, 10.0))
+    kind = draw(st.sampled_from(["poly", "sine", "valley"]))
+    if kind == "poly":
+        coeffs = draw(st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=7))
+        f = lambda x: sum(c * x ** k for k, c in enumerate(coeffs))   # noqa: E731
+    elif kind == "sine":
+        scale, shift = draw(st.floats(0.1, 10.0)), draw(st.floats(-3.0, 3.0))
+        f = lambda x: math.sin(scale * x + shift)   # noqa: E731
+    else:
+        c, width = draw(st.floats(a, b)), 10.0 ** draw(st.floats(-8.0, 1.0))
+        f = lambda x: math.log1p(((x - c) / width) ** 2)   # noqa: E731
+    if draw(st.booleans()):
+        cut = draw(st.floats(a, b))
+        g = f
+        f = lambda x: math.inf if x < cut else g(x)   # noqa: E731
+    return f, a, b
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(bounded_objectives())
+def test_fminbound_port_is_scipys(case):
+    # the same points evaluated in the same order, so the same minimiser
+    f, a, b = case
+    with np.errstate(invalid="ignore"):
+        g, want = traced(f)
+        x_want = scipy_fminbound(g, a, b)
+        h, got = traced(f)
+        x_got = evolution._fminbound(h, a, b)
+    assert got == want and x_got == x_want
+
+
+def test_fminbound_port_stops_at_its_cap_as_scipy(monkeypatch):
+    # a tolerance of 1e-12 on a wide bracket needs more than 5 evaluations
+    monkeypatch.setattr(evolution, "FMINBOUND_MAXITER", 5)
+    f = lambda x: (x - 0.3) ** 2   # noqa: E731
+    g, want = traced(f)
+    x_want = scipy_fminbound(g, -4.0, 6.0, maxiter=5)
+    h, got = traced(f)
+    assert evolution._fminbound(h, -4.0, 6.0) == x_want and got == want
+    assert len(got) == 5
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 0.0), (0.0, math.inf), (math.nan, 1.0)],
+                         ids=["reversed", "inf", "nan"])
+def test_fminbound_port_refuses_bounds_as_scipy(a, b):
+    with pytest.raises(ValueError):
+        scipy_fminbound(lambda x: x * x, a, b)
+    with pytest.raises(UsageError):
+        evolution._fminbound(lambda x: x * x, a, b)
+
+
+@pytest.mark.parametrize("geometry,params,amp", [
+    ("interval", P2, 3.0), ("interval", ProblemParams(n=1, p=1.5), 3.0),
+    ("ball", P33, 20.0),
+], ids=["interval-p2", "interval-p1.5", "ball-n3-p3"])
+def test_fit_blowup_time_search_is_scipys(monkeypatch, geometry, params, amp):
+    # the fit's own objective, inf region included, at the blow-up runs'
+    # histories: the port evaluates the points scipy does
+    ported, calls = evolution._fminbound, []
+
+    def both(func, x1, x2):
+        g, want = traced(func)
+        x_want = scipy_fminbound(g, x1, x2)
+        h, got = traced(func)
+        x_got = ported(h, x1, x2)
+        assert got == want and x_got == x_want
+        calls.append(len(got))
+        return x_got
+
+    monkeypatch.setattr(evolution, "_fminbound", both)
+    run = solve_physical(lambda x: amp * np.cos(np.pi * x / 4.0), params, m=401,
+                         geometry=geometry)
+    assert run.status == "blew-up" and len(calls) == 1 and calls[0] > 8
 
 
 def test_reaction_only_constant_has_known_blowup_time():
