@@ -18,16 +18,47 @@ cases for 2 and 3 never arise), finite and strictly increasing, with finite
 samples.
 
 `gtsv` is the (1, 1) branch of scipy.linalg.solve_banded: LAPACK dgtsv on
-the three diagonals in place, without the wrapper's validation.
+the three diagonals in place, without the wrapper's validation. It takes
+dgtsv from `_flapack()`, scipy's compiled LAPACK wrapper module loaded on
+its own: the scipy.linalg package is not imported (its init brings in
+numpy.f2py, numpy.testing, numpy.random and numpy.ma, about 27 MB), and the
+routine is the same compiled function scipy.linalg.lapack exports.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
 
 import numpy as np
 
 from .errors import NumericError, UsageError
+
+
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _flapack():
+    """scipy.linalg._flapack, the f2py LAPACK module whose routines
+    scipy.linalg.lapack re-exports. Loaded once from scipy's linalg
+    directory as a lone extension module, registered in sys.modules under
+    its own name, without running scipy/linalg/__init__.py; `import scipy`
+    comes first, since its distributor init locates the bundled OpenBLAS.
+    A later `import scipy.linalg` finds this module in sys.modules and
+    exports the same routines."""
+    module = sys.modules.get(_FLAPACK)
+    if module is None:
+        import importlib.machinery
+        import importlib.util
+
+        import scipy
+        spec = importlib.machinery.PathFinder.find_spec(
+            _FLAPACK, [os.path.join(scipy.__path__[0], "linalg")])
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[_FLAPACK] = module
+    return module
 
 
 def gtsv(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -35,8 +66,7 @@ def gtsv(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> np.nda
     for b by LAPACK dgtsv (partial pivoting), overwriting all four; returns
     the solution, b itself when b is a contiguous float array. An exactly
     singular matrix raises NumericError."""
-    from scipy.linalg.lapack import dgtsv
-    *_, x, info = dgtsv(dl, d, du, b, 1, 1, 1, 1)
+    *_, x, info = _flapack().dgtsv(dl, d, du, b, 1, 1, 1, 1)
     if info > 0:
         raise NumericError(f"tridiagonal solve hit a zero pivot in row {info}",
                            payload={"row": int(info)})

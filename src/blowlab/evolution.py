@@ -62,15 +62,17 @@ each step rounds differently, and moved `theorem13 m=40001`'s T_est by
 The mesh density rho (`gaussian_density`) and the dissipation rate
 (`RescaledFlow._dissipation`) exist once each.
 
-Importing this module loads no scipy, and both frames load scipy.linalg
-only: it comes in with the first banded solve (`solve_banded`, LAPACK dgtsv
-called directly), the first snapshot spline (whose slopes are one dgtsv
-solve) or the first tridiagonal factorisation (`_tridiagonal_solver`, once
-per RescaledFlow or stable-mode iteration, not per step). The snapshot
-rescaling's not-a-knot spline (blowlab._cubic) and the blow-up fit's
-bounded minimisation (`_fminbound`) are scipy.interpolate's CubicSpline and
-scipy.optimize's bounded Brent search, ported operation for operation, so
-every result is bitwise scipy's.
+Importing this module loads no scipy, and neither frame loads the
+scipy.linalg package: all of scipy they call is LAPACK dgtsv, dgttrf and
+dgttrs, taken from scipy's LAPACK extension module, which `_cubic._flapack`
+loads on its own. It comes in with the first banded solve (`solve_banded`),
+the first snapshot spline (whose slopes are one dgtsv solve) or the first
+tridiagonal factorisation (`_tridiagonal_solver`, once per RescaledFlow or
+stable-mode iteration, not per step). The snapshot rescaling's not-a-knot
+spline (blowlab._cubic) and the blow-up fit's bounded minimisation
+(`_fminbound`) are scipy.interpolate's CubicSpline and scipy.optimize's
+bounded Brent search, ported operation for operation, so every result is
+bitwise scipy's.
 """
 
 from __future__ import annotations
@@ -223,7 +225,8 @@ def solve_banded(l_and_u, ab, b):
     """scipy.linalg.solve_banded(l_and_u, ab, b, overwrite_ab=True,
     overwrite_b=True, check_finite=False) for l_and_u = (1, 1): LAPACK dgtsv
     on ab's three rows and b in place, as scipy's (1, 1) branch calls it,
-    without the wrapper's validation. A singular matrix raises NumericError.
+    without the wrapper's validation and without importing scipy.linalg
+    (`_cubic.gtsv`). A singular matrix raises NumericError.
 
     A module-level name so that perfbench's tracer can wrap the physical
     frame's banded solves and read (l_and_u, ab, b) from their positional
@@ -236,12 +239,14 @@ def solve_banded(l_and_u, ab, b):
 
 def _tridiagonal_solver(dl: np.ndarray, d: np.ndarray, du: np.ndarray):
     """solve(b) for a tridiagonal matrix, from its LU factors by LAPACK
-    ?gttrf (partial pivoting); an exactly singular matrix raises. solve runs
-    ?gttrs, which does the arithmetic of ?gtsv (which solve_banded calls for
-    (1, 1) bands), so its result is bitwise that of solve_banded; b is
-    overwritten."""
-    from scipy.linalg.lapack import dgttrf, dgttrs
-    *lu, info = dgttrf(dl, d, du)
+    dgttrf (partial pivoting); an exactly singular matrix raises
+    NumericError. solve runs dgttrs, which does the arithmetic of dgtsv
+    (which solve_banded calls for (1, 1) bands), so its result is bitwise
+    that of solve_banded; b is overwritten. Both routines come from
+    `_cubic._flapack`, not from the scipy.linalg package."""
+    lapack = _cubic._flapack()
+    dgttrs = lapack.dgttrs
+    *lu, info = lapack.dgttrf(dl, d, du)
     if info > 0:
         raise NumericError(f"tridiagonal factorisation hit a zero pivot in row {info}",
                            payload={"row": int(info)})

@@ -30,20 +30,30 @@ MANIFEST_NAME = "manifest.json"
 REL_TOL = 1e-12
 
 
-def write_text_atomic(path, text: str) -> Path:
-    """Write via a temp file in the same directory, then rename."""
+# rows of a float array formatted per write_csv block: about 160 KB of text
+# for two columns, where the whole 40001-row final state took ~4 MB at once
+CSV_BLOCK_ROWS = 4096
+
+
+def _write_atomic(path, write) -> Path:
+    """Call write(fh) on a temp file in the same directory, then rename."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
     return path
+
+
+def write_text_atomic(path, text: str) -> Path:
+    """Write text via a temp file in the same directory, then rename."""
+    return _write_atomic(path, lambda fh: fh.write(text))
 
 
 def _json_default(obj):
@@ -90,28 +100,31 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def csv_text(header, rows) -> str:
+def _write_csv_rows(fh, header, rows) -> None:
     """The header line through csv.writer, then one line per row of cells
     from format_cell. rows is any iterable of rows; a 2-D float64 ndarray is
-    formatted in one % operation over a per-row template of %.12g cells,
-    which gives the same bytes as its rows as tuples: a float cell is
-    "%.12g" % value either way, and csv.writer quotes none of those texts
-    (digits, sign, point, e, inf, nan)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    formatted CSV_BLOCK_ROWS rows at a time, each block in one % operation
+    over a per-row template of %.12g cells, which gives the same bytes as
+    its rows as tuples: a float cell is "%.12g" % value either way, and
+    csv.writer quotes none of those texts (digits, sign, point, e, inf,
+    nan)."""
+    writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(header)
     if getattr(rows, "ndim", None) == 2 and rows.dtype == "float64":
         count, width = rows.shape
         line = ",".join(("%.12g",) * width) + "\n"
-        buf.write((line * count) % tuple(rows.ravel().tolist()))
+        for start in range(0, count, CSV_BLOCK_ROWS):
+            block = rows[start:start + CSV_BLOCK_ROWS]
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
     else:
         for row in rows:
             writer.writerow([format_cell(v) for v in row])
-    return buf.getvalue()
 
 
 def write_csv(path, header, rows) -> Path:
-    return write_text_atomic(path, csv_text(header, rows))
+    """Write header and rows as CSV text (see _write_csv_rows) via a temp
+    file, then rename; a float array never exists as one whole text."""
+    return _write_atomic(path, lambda fh: _write_csv_rows(fh, header, rows))
 
 
 def sha256_file(path) -> str:

@@ -1,6 +1,7 @@
-"""Fresh-interpreter runs of the CLI. Inside the test session scipy's heavy
-submodules are already loaded, which hides both what a subcommand imports
-and a deferred import that is broken; a new process shows both.
+"""Fresh-interpreter runs of the CLI, and of the LAPACK loader before
+scipy.linalg. Inside the test session scipy's heavy submodules are already
+loaded, which hides both what a subcommand imports and a deferred import
+that is broken; a new process shows both.
 """
 
 import json
@@ -55,8 +56,8 @@ def test_profiles_path_loads_no_scipy(tmp_path):
 
 
 def test_similarity_frame_loads_no_deferred_scipy(tmp_path):
-    # the rescaled flow, the identity battery, the spectrum and the exponents
-    # need numpy, scipy.linalg and scipy.special only
+    # the identity battery and the spectrum need scipy.linalg and
+    # scipy.special; the rescaled flow and the exponents load neither
     got = run_fresh(tmp_path, [
         ["evolve-rescaled", "--set", "m=201", "--set", "s_end=0.5"],
         ["evolve-rescaled", "--set", "init=stable-mode", "--set", "m=201",
@@ -70,19 +71,50 @@ def test_similarity_frame_loads_no_deferred_scipy(tmp_path):
     assert [m for m in DEFERRED if m in got["scipy"]] == []
 
 
-def test_physical_frame_loads_scipy_linalg_only(tmp_path):
-    # banded solves, the snapshot splines and the blow-up fit: dgtsv is all
-    # of scipy they call, so none of the modules scipy.interpolate and
-    # scipy.optimize used to bring in is loaded
+def test_physical_frame_loads_no_scipy_linalg(tmp_path):
+    # banded solves, the snapshot splines, the blow-up fit and the rescaled
+    # flow's factored solves: dgtsv, dgttrf and dgttrs are all of scipy they
+    # call, and they come from the LAPACK extension module alone
     got = run_fresh(tmp_path, [
         ["blowup"],
         ["blowup", "--set", "geometry=ball", "--set", "n=3", "--set", "amp=20"],
         ["theorem13", "--set", "m=1001"],
+        ["evolve-rescaled", "--set", "m=201", "--set", "s_end=0.5"],
+        ["evolve-rescaled", "--set", "init=stable-mode", "--set", "m=201",
+         "--set", "s_end=0.5"],
     ])
-    assert got["codes"] == [0] * 3
-    assert "scipy.linalg" in got["scipy"]
-    # a loaded submodule loads its package, so the packages' names suffice
-    assert set(got["scipy"]).isdisjoint(DEFERRED + ("scipy.sparse", "scipy.special"))
+    assert got["codes"] == [0] * 5
+    assert "scipy.linalg._flapack" in got["scipy"]
+    absent = DEFERRED + ("scipy.linalg", "scipy.sparse", "scipy.special")
+    assert set(got["scipy"]).isdisjoint(absent)
+
+
+def test_lapack_loader_then_scipy_linalg_in_a_fresh_process(tmp_path):
+    # the loader runs first and registers the extension module; a later
+    # import of scipy.linalg takes that module and exports the same
+    # routines, which solve bitwise as the loader's did
+    script = """
+import numpy as np
+from blowlab import _cubic
+dl, d, du = np.full(99, -1.0), np.full(100, 3.0), np.full(99, -0.5)
+b = np.linspace(-1.0, 1.0, 100)
+first = _cubic.gtsv(dl.copy(), d.copy(), du.copy(), b.copy())
+import sys
+assert "scipy.linalg" not in sys.modules
+import scipy.linalg
+from scipy.linalg import lapack
+module = _cubic._flapack()
+assert all(getattr(module, f) is getattr(lapack, f) for f in ("dgtsv", "dgttrf", "dgttrs"))
+ab = np.array([np.r_[0.0, du], d, np.r_[dl, 0.0]])
+assert np.array_equal(first, scipy.linalg.solve_banded((1, 1), ab, b))
+assert np.array_equal(first, lapack.dgtsv(dl, d, du, b)[3])
+print("ok")
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ok"]
 
 
 def test_deferred_imports_resolve_in_a_fresh_process(tmp_path):

@@ -21,11 +21,11 @@ from blowlab.config import (
     resolve_config,
 )
 from blowlab.manifest import (
+    CSV_BLOCK_ROWS,
     REL_TOL,
     Verdict,
     build_manifest,
     compare_outputs,
-    csv_text,
     format_cell,
     json_text,
     load_manifest,
@@ -203,9 +203,13 @@ def test_format_cell():
     assert format_cell("hit-zero") == "hit-zero"
 
 
-def test_csv_text_golden():
-    text = csv_text(("alpha", "outcome", "ok"),
-                    [(0.5, "hit-zero", True), (1.0, "reached-Rmax-bounded", False)])
+def _csv(tmp_path, header, rows) -> str:
+    return write_csv(tmp_path / "t.csv", header, rows).read_text()
+
+
+def test_csv_text_golden(tmp_path):
+    text = _csv(tmp_path, ("alpha", "outcome", "ok"),
+                [(0.5, "hit-zero", True), (1.0, "reached-Rmax-bounded", False)])
     assert text == ("alpha,outcome,ok\n"
                     "0.5,hit-zero,true\n"
                     "1,reached-Rmax-bounded,false\n")
@@ -219,19 +223,33 @@ def test_csv_text_golden():
     np.empty((0, 3)),
     np.empty((4, 0)),
 ], ids=["specials", "one-column", "five-columns", "no-rows", "no-columns"])
-def test_csv_text_of_a_float_array_is_that_of_its_rows(arr):
-    # a 2-D float64 array is formatted in one operation; the bytes must be
-    # those of the per-cell path over the same rows as tuples
+def test_csv_text_of_a_float_array_is_that_of_its_rows(arr, tmp_path):
+    # a 2-D float64 array is formatted a block of rows per operation; the
+    # bytes must be those of the per-cell path over the same rows as tuples
     header = tuple(f"c{j}" for j in range(arr.shape[1]))
-    assert csv_text(header, arr) == csv_text(header, map(tuple, arr))
+    assert _csv(tmp_path, header, arr) == _csv(tmp_path, header, map(tuple, arr))
 
 
-def test_csv_text_formats_other_arrays_per_cell():
+@pytest.mark.parametrize("count", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
+                                   CSV_BLOCK_ROWS + 1, 40001])
+def test_csv_blocks_join_to_the_whole_text(count, tmp_path):
+    # the blocks around their boundaries, and the 40001-row final state:
+    # the file is the array formatted in one % operation, and its rows as
+    # tuples through the per-cell path
+    x = np.linspace(-2.0, 2.0, count)
+    arr = np.column_stack((x, np.exp(-x * x) * 1e3 / 7.0))
+    line = "%.12g,%.12g\n"
+    whole = "x,u\n" + (line * count) % tuple(arr.ravel().tolist())
+    assert _csv(tmp_path, ("x", "u"), arr) == whole
+    assert _csv(tmp_path, ("x", "u"), map(tuple, arr)) == whole
+
+
+def test_csv_text_formats_other_arrays_per_cell(tmp_path):
     # float32 cells are not floats: they go through str() as before
     ints = np.arange(6).reshape(3, 2)
-    assert csv_text(("a", "b"), ints) == "a,b\n0,1\n2,3\n4,5\n"
+    assert _csv(tmp_path, ("a", "b"), ints) == "a,b\n0,1\n2,3\n4,5\n"
     small = np.array([[0.1, 1.0 / 3.0]], dtype=np.float32)
-    assert csv_text(("a", "b"), small) == csv_text(("a", "b"), map(tuple, small))
+    assert _csv(tmp_path, ("a", "b"), small) == _csv(tmp_path, ("a", "b"), map(tuple, small))
 
 
 def test_sha256_file(tmp_path):

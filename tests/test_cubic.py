@@ -2,7 +2,9 @@
 spline and the Hermite cubic, their coefficients, their values and first
 derivatives (PPoly's nu = 1 and PPoly.derivative) bitwise, sign bits
 included, on knots, at both ends, between knots and beyond them. Also the
-input checks and the tridiagonal solve's refusal of a singular matrix.
+input checks, and the LAPACK module that `_cubic._flapack` loads without
+scipy.linalg's package init: it is scipy.linalg.lapack's own, and its
+tridiagonal routines solve bitwise as scipy's and refuse a singular matrix.
 """
 
 import math
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
+from scipy.linalg import lapack
 
 from blowlab import NumericError, UsageError, _cubic, evolution
 
@@ -103,11 +106,54 @@ def test_input_checks_are_scipys(x, y, error):
 
 def test_singular_tridiagonal_solve_raises_numeric_error():
     # a zero first pivot with nothing below it to swap in: dgtsv's info = 1,
-    # which scipy's solve_banded raised as an uncaught LinAlgError
+    # which scipy's solve_banded raised as an uncaught LinAlgError; dgttrf
+    # stops at the same pivot
     ab = np.array([[0.0, 1.0, 1.0, 1.0],
                    [0.0, 2.0, 2.0, 2.0],
                    [0.0, 1.0, 1.0, 0.0]])
     with pytest.raises(NumericError, match="zero pivot in row 1"):
-        evolution.solve_banded((1, 1), ab, np.ones(4))
+        evolution.solve_banded((1, 1), ab.copy(), np.ones(4))
+    with pytest.raises(NumericError, match="zero pivot in row 1"):
+        evolution._tridiagonal_solver(ab[2, :-1], ab[1], ab[0, 1:])
+    assert lapack.dgttrf(ab[2, :-1], ab[1], ab[0, 1:])[-1] == 1
     with pytest.raises(UsageError):
         evolution.solve_banded((1, 2), np.zeros((4, 4)), np.ones(4))
+
+
+def test_lapack_loader_is_scipys_extension():
+    module = _cubic._flapack()
+    assert module is _cubic._flapack()
+    assert module.__file__ == lapack._flapack.__file__
+    for name in ("dgtsv", "dgttrf", "dgttrs"):
+        assert getattr(module, name) is getattr(lapack, name)
+
+
+def _tridiagonal(kind):
+    """(dl, d, du, b): diagonally dominant at m = 40001, as the physical
+    step's Crank-Nicolson matrix is, or sub-diagonal entries that often
+    exceed the pivot above them, which partial pivoting must swap in."""
+    rng = np.random.default_rng(21)
+    m = 40001 if kind == "dominant" else 257
+    dl, du = rng.uniform(-1.0, 1.0, (2, m - 1))
+    if kind == "dominant":
+        d = 2.5 + rng.uniform(0.0, 1.0, m)
+    else:
+        d = rng.uniform(-1.0, 1.0, m)
+        dl *= 4.0
+    return dl, d, du, rng.standard_normal(m)
+
+
+@pytest.mark.parametrize("kind", ["dominant", "interchanges"])
+def test_tridiagonal_solves_are_scipys(kind):
+    dl, d, du, b = _tridiagonal(kind)
+    want = lapack.dgtsv(dl, d, du, b)[3]
+    got = _cubic.gtsv(dl.copy(), d.copy(), du.copy(), b.copy())
+    assert same(got, want)
+    *lu, info = lapack.dgttrf(dl, d, du)
+    assert info == 0
+    pivots = lu[-1]
+    assert (pivots != np.arange(1, d.size + 1)).any() == (kind == "interchanges")
+    solve = evolution._tridiagonal_solver(dl.copy(), d.copy(), du.copy())
+    assert same(solve(b.copy()), lapack.dgttrs(*lu, b)[0])
+    # gttrs does gtsv's arithmetic, so the factored solve is the direct one
+    assert same(solve(b.copy()), want)
