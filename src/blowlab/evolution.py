@@ -257,11 +257,15 @@ def _tridiagonal_solver(dl: np.ndarray, d: np.ndarray, du: np.ndarray):
     return solve
 
 
-# states per bookkeeping block of RescaledFlow.run. A block's temporaries
-# (about 150 KB each at m = 801) are small enough for the allocator to reuse
-# from block to block; 256-state ones (1.6 MB) go back to the OS and are
-# faulted in again every block, ~25k minor faults per evolve-rescaled run
-_BLOCK = 24
+# states per bookkeeping block of RescaledFlow.run. At m = 801 a block's
+# temporaries (the stack of _BLOCK + 2 states, 109 KB, and smaller) stay
+# below the sizes at which glibc's malloc maps them afresh or trims them
+# off the heap while no earlier large free has raised its thresholds, so
+# they are reused from block to block: ~500 minor faults per cold
+# evolve-rescaled run, against ~16k at 24 states (150 KB) and ~25k at 256
+# (1.6 MB). Once an import such as scipy.linalg's has raised the
+# thresholds, 24-state blocks are ~7% faster by per-block overhead
+_BLOCK = 15
 
 
 @dataclass
