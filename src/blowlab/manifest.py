@@ -31,7 +31,7 @@ REL_TOL = 1e-12
 
 
 # rows of a float array formatted per write_csv block: about 160 KB of text
-# for two columns, where the whole 40001-row final state took ~4 MB at once
+# for two columns, so a 40001-row state is never one ~4 MB text in memory
 CSV_BLOCK_ROWS = 4096
 
 
