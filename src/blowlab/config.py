@@ -29,6 +29,22 @@ class Field:
     typ: object                 # int | float | bool | str, or tuple of choices
     default: object
     help: str = ""
+    interval: str = ""          # accepted values, e.g. "(0, 0.2]"; "" = unchecked
+
+    def __post_init__(self):
+        if self.interval:
+            lo, hi = self.interval[1:-1].split(",")
+            object.__setattr__(self, "_bounds", (float(lo), float(hi)))
+
+    def check(self, key: str, val) -> None:
+        """Refuse a value outside the interval; nan is outside every one."""
+        if not self.interval:
+            return
+        lo, hi = self._bounds
+        above = lo < val if self.interval[0] == "(" else lo <= val
+        below = val < hi if self.interval[-1] == ")" else val <= hi
+        if not (above and below):
+            raise ConfigurationError(f"{key} must be in {self.interval}, got {val}")
 
     def coerce(self, key: str, raw):
         if isinstance(self.typ, tuple):
@@ -53,7 +69,7 @@ class Field:
                 return int(raw)
             if self.typ is float:
                 return float(raw)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigurationError(
                 f"{key}: expected {self.typ.__name__}, got {raw!r}") from None
         return str(raw)
@@ -61,8 +77,9 @@ class Field:
 
 def _common():
     return {
-        "n": Field(int, 1, "space dimension"),
-        "p": Field(float, 2.0, "nonlinearity exponent, > 1"),
+        "n": Field(int, 1, "space dimension", "[1, inf)"),
+        # ProblemParams refuses p = inf once the run starts
+        "p": Field(float, 2.0, "nonlinearity exponent", "(1, inf]"),
         "seed": Field(int, 0, "seed for randomized batteries"),
     }
 
@@ -70,65 +87,68 @@ def _common():
 SCHEMAS: dict[str, dict[str, Field]] = {
     "exponents": {
         **_common(),
-        "n_scan_hi": Field(int, 50, "check the exponent ordering for 11..n_scan_hi"),
-        "random_p_count": Field(int, 100, "random p draws for the kappa identity"),
+        # a randomized battery or a scan over an empty range passes vacuously
+        "n_scan_hi": Field(int, 50, "check the exponent ordering for 11..n_scan_hi", "[11, inf)"),
+        "random_p_count": Field(int, 100, "random p draws for the kappa identity", "[1, inf)"),
     },
     "verify-identities": {
         **_common(),
         "degree": Field(int, 0, "quadrature degree (0 = dimension default)"),
-        "cases": Field(int, 50, "randomized cases per battery"),
+        "cases": Field(int, 50, "randomized cases per battery", "[1, inf)"),
     },
     "spectrum": {
         **_common(),
         "N": Field(int, 32, "basis size"),
-        "k": Field(int, 8, "eigenvalues to report"),
+        "k": Field(int, 8, "eigenvalues to report", "[1, inf)"),
         "degree": Field(int, 0, "quadrature degree (0 = auto)"),
         "basis": Field(("auto", "hermite", "radial"), "auto"),
         "profile": Field(("kappa", "zero", "shoot"), "kappa"),
-        "alpha": Field(float, 0.0, "center value when profile = shoot"),
-        "r_max": Field(float, 20.0),
+        "alpha": Field(float, 0.0, "center value when profile = shoot (0 = kappa)", "[0, inf)"),
+        "r_max": Field(float, 20.0, interval="(0, inf)"),
     },
     "shoot": {
         **_common(),
-        "alpha": Field(float, 0.0, "center value; 0 means kappa"),
-        "r_max": Field(float, 20.0),
-        "rtol": Field(float, 1e-10),
-        "atol": Field(float, 1e-12),
+        "alpha": Field(float, 0.0, "center value; 0 means kappa", "[0, inf)"),
+        "r_max": Field(float, 20.0, interval="(0, inf)"),
+        # the lanes raise a smaller rtol to this floor, 100 eps, anyway
+        "rtol": Field(float, 1e-10, interval=f"[{100 * math.ulp(1.0)!r}, inf)"),
+        "atol": Field(float, 1e-12, interval="[0, inf)"),
         "cap": Field(float, 1e6, "blow-up cap for |w|"),
     },
     "scan": {
         **_common(),
-        "alpha_lo": Field(float, 0.5),
-        "alpha_hi": Field(float, 1.5),
+        "alpha_lo": Field(float, 0.5, interval="(0, inf)"),
+        "alpha_hi": Field(float, 1.5, interval="(0, inf)"),
         "count": Field(int, 33),
         "spacing": Field(("linear", "log"), "linear"),
-        "bisect_tol": Field(float, 1e-8),
-        "r_max": Field(float, 20.0),
+        "bisect_tol": Field(float, 1e-8, interval="(0, inf)"),
+        "r_max": Field(float, 20.0, interval="(0, inf)"),
     },
     "evolve-rescaled": {
         **_common(),
-        "L": Field(float, 8.0, "domain half-width (>= 8)"),
+        "L": Field(float, 8.0, "domain half-width", "[8, inf)"),
         "m": Field(int, 801, "mesh points"),
-        "ds": Field(float, 1e-3),
-        "s_end": Field(float, 2.0),
+        "ds": Field(float, 1e-3, interval="(0, inf)"),
+        "s_end": Field(float, 2.0, interval="(0, inf)"),
         "geometry": Field(("interval", "ball"), "interval"),
         "init": Field(("kappa", "zero", "perturbed-kappa", "stable-mode"), "perturbed-kappa"),
-        "amp": Field(float, 0.1, "perturbation amplitude"),
+        # amplitudes may be zero or negative, not inf or nan
+        "amp": Field(float, 0.1, "perturbation amplitude", "(-inf, inf)"),
         "cap": Field(float, 1e6),
         "diss_lo": Field(float, 0.0, "dissipation window start"),
         "diss_hi": Field(float, 0.0, "dissipation window end (0 = s_end)"),
     },
     "blowup": {
         **_common(),
-        "R": Field(float, 2.0, "domain half-width / ball radius"),
+        "R": Field(float, 2.0, "domain half-width / ball radius", "(0, inf)"),
         "m": Field(int, 4001, "mesh points"),
         "geometry": Field(("interval", "ball"), "interval"),
-        "theta": Field(float, 0.05, "dt = theta (max u)^(1-p), <= 0.2"),
-        "u_cap": Field(float, 1e8),
-        "t_max": Field(float, 10.0),
+        "theta": Field(float, 0.05, "dt = theta (max u)^(1-p)", "(0, 0.2]"),
+        "u_cap": Field(float, 1e8, interval="(0, inf)"),
+        "t_max": Field(float, 10.0, interval="(0, inf)"),
         "init": Field(("cosine", "constant", "gaussian"), "cosine"),
-        "amp": Field(float, 3.0, "initial amplitude"),
-        "width": Field(float, 1.0, "gaussian width"),
+        "amp": Field(float, 3.0, "initial amplitude", "(-inf, inf)"),
+        "width": Field(float, 1.0, "gaussian width", "(0, inf)"),
         "diffusion": Field(bool, True, "False = reaction-only oracle"),
         "expected_status": Field(("blew-up", "global-existence", "any"), "blew-up"),
     },
@@ -138,33 +158,15 @@ SCHEMAS: dict[str, dict[str, Field]] = {
 # the convergence pipeline drives a blow-up run, so it shares that schema
 SCHEMAS["theorem13"] = {
     **SCHEMAS["blowup"],
-    "K": Field(float, 1.0, "window half-width in y"),
-    "conv_tol": Field(float, 0.05, "final sup |w - kappa| bound"),
+    "K": Field(float, 1.0, "window half-width in y", "(0, inf)"),
+    "conv_tol": Field(float, 0.05, "final sup |w - kappa| bound", "(0, inf)"),
 }
 
 KINDS = tuple(SCHEMAS)
 
-# caps an evolve-rescaled run's work of (steps + 1) * m state values
-MAX_RECORDED_VALUES = 2**25
-
-# float keys that must be finite and > 0, per kind
-_POSITIVE = {
-    "evolve-rescaled": ("s_end", "ds"),
-    "spectrum": ("r_max",),
-    "shoot": ("r_max",),
-    "scan": ("r_max", "bisect_tol", "alpha_lo", "alpha_hi"),
-    "blowup": ("R", "width", "t_max", "u_cap"),
-    "theorem13": ("R", "width", "t_max", "u_cap", "K", "conv_tol"),
-}
-
-# int keys with a lower bound, per kind; the exponent-ordering scan starts at n = 11
-_AT_LEAST = {
-    "exponents": (("random_p_count", 1), ("n_scan_hi", 11)),
-    "verify-identities": (("cases", 1),),
-}
-
-# shooting's smallest relative tolerance, the lanes' floor (solve_ivp's)
-_MIN_RTOL = 100 * math.ulp(1.0)
+# caps an evolve-rescaled run's work, (steps + 1) * m stepped state values;
+# the run keeps O(_BLOCK m) of them, so this bounds time, not memory
+WORK_BUDGET = 2**25
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -203,51 +205,23 @@ def resolve_config(kind: str, file_values: dict | None = None,
 
 
 def _validate(kind: str, cfg: dict) -> None:
-    if "p" in cfg and not cfg["p"] > 1.0:
-        raise ConfigurationError(f"p must be > 1, got {cfg['p']}")
-    if "n" in cfg and cfg["n"] < 1:
-        raise ConfigurationError(f"n must be >= 1, got {cfg['n']}")
-    for key in _POSITIVE.get(kind, ()):
-        if not 0.0 < cfg[key] < math.inf:
-            raise ConfigurationError(f"{key} must be finite and > 0, got {cfg[key]}")
-    if kind == "blowup" or kind == "theorem13":
-        if not 0.0 < cfg["theta"] <= 0.2:
-            raise ConfigurationError(f"theta must be in (0, 0.2], got {cfg['theta']}")
+    """Each key against its Field's interval, then the rules across keys."""
+    for key, field in SCHEMAS[kind].items():
+        field.check(key, cfg[key])
     if cfg.get("geometry") == "interval" and cfg["n"] != 1:
         raise ConfigurationError("interval geometry is one-dimensional; "
                                  "use geometry = ball for n > 1")
     if kind == "evolve-rescaled":
-        if not 8.0 <= cfg["L"] < math.inf:
-            raise ConfigurationError(f"L must be finite and >= 8, got {cfg['L']}")
         steps = cfg["s_end"] / cfg["ds"]
         # a run of no steps would pass its verdicts on the initial state alone
         if not (math.isfinite(steps) and round(steps) >= 1
-                and (round(steps) + 1) * cfg["m"] <= MAX_RECORDED_VALUES):
+                and (round(steps) + 1) * cfg["m"] <= WORK_BUDGET):
             raise ConfigurationError(
                 f"s_end/ds = {steps:.3g} steps on m = {cfg['m']} points: need at least "
-                f"1 step and at most {MAX_RECORDED_VALUES} state values; change s_end, ds or m")
-    if kind == "scan" and not 0.0 < cfg["alpha_lo"] < cfg["alpha_hi"]:
+                f"1 step and (steps + 1) * m within the work budget of {WORK_BUDGET} "
+                f"state values; change s_end, ds or m")
+    if kind == "scan" and not cfg["alpha_lo"] < cfg["alpha_hi"]:
         raise ConfigurationError("need 0 < alpha_lo < alpha_hi")
-    # amplitudes may be zero or negative, not inf or nan
-    if "amp" in cfg and not math.isfinite(cfg["amp"]):
-        raise ConfigurationError(f"amp must be finite, got {cfg['amp']}")
-    # 0 means kappa; a shot needs a finite alpha
-    if "alpha" in cfg and not 0.0 <= cfg["alpha"] < math.inf:
-        raise ConfigurationError(f"alpha must be finite and >= 0 (0 = kappa), "
-                                 f"got {cfg['alpha']}")
-    if kind == "spectrum" and cfg["k"] < 1:
-        raise ConfigurationError(f"k must be >= 1, got {cfg['k']}")
-    if kind == "shoot":
-        # the lanes raise a smaller rtol to this floor anyway
-        if not _MIN_RTOL <= cfg["rtol"] < math.inf:
-            raise ConfigurationError(
-                f"rtol must be finite and >= 100 eps = {_MIN_RTOL:.3g}, got {cfg['rtol']}")
-        if not 0.0 <= cfg["atol"] < math.inf:
-            raise ConfigurationError(f"atol must be finite and >= 0, got {cfg['atol']}")
-    # a randomized battery or a scan over an empty range passes vacuously
-    for key, lo in _AT_LEAST.get(kind, ()):
-        if cfg[key] < lo:
-            raise ConfigurationError(f"{key} must be >= {lo}, got {cfg[key]}")
 
 
 def load_config_file(path) -> dict[str, str]:

@@ -706,10 +706,7 @@ def extended_profile(profile: RadialProfile):
     """(w_at, r_cut), where w_at(r) returns (w, w_r): cubic-Hermite inside the
     trusted radius (bitwise scipy's CubicHermiteSpline and its derivative),
     then the steady power tail r^(-2/(p-1)); values below r0 use the series
-    start. A shot snapped to the constant (shoot's snap band)
-    is that constant inside r_cut, with the same tail beyond, and fits no
-    spline: the Hermite cubic through constant data with zero slopes is that
-    constant with zero derivative.
+    start.
 
     The tail keeps the far field positive and slowly varying so Gaussian-
     weighted functionals see no artifacts from the (weight ~ e^{-r^2/4})
@@ -721,19 +718,10 @@ def extended_profile(profile: RadialProfile):
     if mask.sum() < 4:
         raise UsageError("profile has no usable positive range to extend")
     alpha, c, d = profile.alpha, profile.meta.get("c", 0.0), profile.meta.get("d", 0.0)
-    if profile.meta.get("snapped_to_constant"):
-        w_cut = alpha
-
-        def inner(r):
-            return np.full_like(r, alpha), np.zeros_like(r)
-    else:
-        knots = profile.r[mask]
-        spl = _cubic.hermite(knots, profile.w[mask], profile.w_r[mask])
-        dspl = _cubic.derivative(spl)
-        w_cut = float(_cubic.evaluate(spl, knots, min(r_cut, knots[-1]), 0))
-
-        def inner(r):
-            return _cubic.evaluate(spl, knots, r, 0), _cubic.evaluate(dspl, knots, r, 0)
+    knots = profile.r[mask]
+    spl = _cubic.hermite(knots, profile.w[mask], profile.w_r[mask])
+    dspl = _cubic.derivative(spl)
+    w_cut = float(_cubic.evaluate(spl, knots, min(r_cut, knots[-1]), 0))
     r_lo = float(profile.r[0])
     gamma = -2.0 / (p - 1.0)
 
@@ -745,7 +733,8 @@ def extended_profile(profile: RadialProfile):
         mid = ~(lo | hi)
         w[lo] = alpha + c * r[lo] ** 2 + d * r[lo] ** 4
         w_r[lo] = 2.0 * c * r[lo] + 4.0 * d * r[lo] ** 3
-        w[mid], w_r[mid] = inner(r[mid])
+        w[mid] = _cubic.evaluate(spl, knots, r[mid], 0)
+        w_r[mid] = _cubic.evaluate(dspl, knots, r[mid], 0)
         w[hi] = w_cut * (r[hi] / r_cut) ** gamma
         w_r[hi] = w_cut * gamma / r_cut * (r[hi] / r_cut) ** (gamma - 1.0)
         return w, w_r

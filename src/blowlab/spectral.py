@@ -238,23 +238,25 @@ def first_eigenvalue_rayleigh(op: SpectralOperator) -> float:
     Independent route: shifted power iteration on the assembled form (the
     quotient's minimum is -max eig of the matrix); deterministic start. It
     stops once the quotient q moves by at most 1e-14 (1 + |q|) in a step, or
-    after 100000 steps.
+    after 100000 steps. An operator near float max overflows the norm; the
+    iterate then collapses to 0, and the quotient disagrees with eigh.
     """
     A = op.matrix
     sigma = float(np.abs(A).sum(axis=1).max()) + 1.0  # Gershgorin: A + sigma I > 0
     v = np.ones(op.size) + 1e-3 * np.arange(op.size)
     v /= np.linalg.norm(v)
     q_old = math.inf
-    for _ in range(100000):
-        w = A @ v + sigma * v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            break
-        v = w / nw
-        q = float(v @ (A @ v))
-        if abs(q - q_old) <= 1e-14 * (1.0 + abs(q)):
-            break
-        q_old = q
+    with np.errstate(over="ignore"):
+        for _ in range(100000):
+            w = A @ v + sigma * v
+            nw = np.linalg.norm(w)
+            if nw == 0.0:
+                break
+            v = w / nw
+            q = float(v @ (A @ v))
+            if abs(q - q_old) <= 1e-14 * (1.0 + abs(q)):
+                break
+            q_old = q
     return -q
 
 

@@ -377,6 +377,18 @@ def test_spectrum_k_beyond_the_basis_gives_verdicts(tmp_path, capsys):
     assert len(summary["fd_check"]["eigenvalues"]) == 4
 
 
+def test_spectrum_at_a_huge_p_fails_without_a_warning(tmp_path, capsys):
+    # the power iteration's norm overflowed on the operator's 1e300 entries
+    # and leaked numpy's overflow warning; the rayleigh check still FAILs
+    out = tmp_path / "spec"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("spectrum", "--out", str(out), "--set", "p=1e300") == 1
+    err = capsys.readouterr().err
+    assert "[FAIL] rayleigh-consistent" in err and "Warning" not in err
+    assert load_manifest(out)["all_passed"] is False
+
+
 @pytest.mark.parametrize("sets", [("alpha=0.9",), ("alpha=1.5",),
                                   ("n=3", "p=3", "alpha=0.5")],
                          ids=["below-kappa", "above-kappa", "n3-p3"])

@@ -171,6 +171,71 @@ def test_schema_defaults_are_valid():
         resolve_config(kind)
 
 
+# the refusals that pass each key's interval: the rules across keys
+_CROSS_KEY = ("interval geometry is one-dimensional", "s_end/ds = ", "alpha_lo < alpha_hi")
+
+
+def _interval_probes(field):
+    """(raw value, inside) at each finite bound of the Field's interval, the
+    nearest values on either side of it (ints step by 1), nan and +-inf; each
+    value as the CLI passes it (text) and as a caller may (a number)."""
+    text = field.interval
+    assert text[0] in "([" and text[-1] in ")]", text
+    lo, hi = (float(b) for b in text[1:-1].split(","))
+    assert lo < hi
+    closed_lo, closed_hi = text[0] == "[", text[-1] == "]"
+
+    def step(v, d):
+        return int(v) + d if field.typ is int else math.nextafter(v, d * math.inf)
+
+    probes = [(math.nan, False), (math.inf, hi == math.inf and closed_hi),
+              (-math.inf, lo == -math.inf and closed_lo)]
+    if math.isfinite(lo):
+        probes += [(int(lo) if field.typ is int else lo, closed_lo),
+                   (step(lo, -1), False), (step(lo, 1), True)]
+    if math.isfinite(hi):
+        probes += [(int(hi) if field.typ is int else hi, closed_hi),
+                   (step(hi, 1), False), (step(hi, -1), True)]
+    return [(raw, inside) for v, inside in probes for raw in (repr(v), v)]
+
+
+_RANGED = [(kind, key) for kind, schema in SCHEMAS.items()
+           for key, field in schema.items() if field.interval]
+
+
+@pytest.mark.parametrize("kind, key", _RANGED, ids=[f"{k}-{key}" for k, key in _RANGED])
+def test_each_key_accepts_exactly_its_interval(kind, key):
+    # generated from the schema: the default lies inside, and each probe is
+    # accepted, or refused only by a rule across keys, exactly when inside
+    field = SCHEMAS[kind][key]
+    resolve_config(kind)
+    for raw, inside in _interval_probes(field):
+        if inside:
+            try:
+                resolve_config(kind, {key: raw})
+            except ConfigurationError as err:
+                assert any(rule in str(err) for rule in _CROSS_KEY), (raw, str(err))
+        else:
+            with pytest.raises(ConfigurationError) as err:
+                resolve_config(kind, {key: raw})
+            # "n: expected int, got 'nan'" or "n must be in [1, inf), got 0"
+            assert str(err.value).startswith((f"{key}:", f"{key} must be in")), raw
+
+
+def test_theorem13_refuses_what_blowup_refuses():
+    # theorem13 inherits blowup's keys and their intervals through its schema
+    for key, field in SCHEMAS["blowup"].items():
+        if not field.interval:
+            continue
+        assert SCHEMAS["theorem13"][key] == field
+        for raw, inside in _interval_probes(field):
+            if not inside:
+                with pytest.raises(ConfigurationError, match=f"^{key}"):
+                    resolve_config("blowup", {key: raw})
+                with pytest.raises(ConfigurationError, match=f"^{key}"):
+                    resolve_config("theorem13", {key: raw})
+
+
 # ---------------------------------------------------------------------------
 # manifest plumbing
 

@@ -261,27 +261,27 @@ def test_extended_profile_power_tail():
     assert w_r[0] == pytest.approx(-2.0 / 20.0 * (25.0 / 20.0) ** -3.0, rel=1e-9)
 
 
-@pytest.mark.parametrize("n, p", [(1, 2.0), (2, 2.0), (3, 3.0)])
+@pytest.mark.parametrize("n, p", [(1, 2.0), (2, 2.0), (3, 3.0), (1, 1.5), (2, 7.0)])
 def test_snapped_extension_is_the_spline_extension(n, p):
-    # a shot snapped to kappa extends without a spline, bitwise as the
-    # Hermite spline through its constant trajectory extends, on the spectrum
-    # grids and the 1-D fd mesh
+    # the Hermite spline through a snapped shot's constant trajectory (zero
+    # slopes, c = d = 0) extends it bitwise as the constant with zero slope
+    # inside r_cut and kappa's power tail beyond, sign bits included, on the
+    # spectrum grids, the 1-D fd mesh and a dense sweep
     prof = shoot(kappa(p), ProblemParams(n=n, p=p))
     assert prof.meta["snapped_to_constant"]
-    spline = RadialProfile(params=prof.params, alpha=prof.alpha, r=prof.r, w=prof.w,
-                           w_r=prof.w_r, outcome=prof.outcome, r_end=prof.r_end,
-                           meta={k: v for k, v in prof.meta.items()
-                                 if k != "snapped_to_constant"})
+    w_at, r_cut = extended_profile(prof)
+    assert r_cut == prof.r_end
     grid = tensor_grid(n, 32) if n < 3 else radial_grid(n, 32)
-    fd_mesh = np.abs(np.linspace(-12.0, 12.0, 2401))
-    (w_at, r_cut), (spl_at, spl_cut) = extended_profile(prof), extended_profile(spline)
-    assert r_cut == spl_cut
-    for r in (fd_mesh, np.sqrt((grid.points ** 2).sum(axis=1)), np.array([0.0, 25.0])):
-        for got, want in zip(w_at(r), spl_at(r)):
-            assert got.tobytes() == want.tobytes()
-    got, want = profile_field(prof, grid), profile_field(spline, grid)
-    assert got.values.tobytes() == want.values.tobytes()
-    assert got.grad.tobytes() == want.grad.tobytes()
+    gamma = -2.0 / (p - 1.0)
+    for r in (np.abs(np.linspace(-12.0, 12.0, 2401)), np.sqrt((grid.points ** 2).sum(axis=1)),
+              np.linspace(0.0, 2.0 * r_cut, 5001), np.array([0.0, r_cut, 25.0])):
+        hi = r > r_cut
+        want_w, want_r = np.full_like(r, prof.alpha), np.zeros_like(r)
+        want_w[hi] = prof.alpha * (r[hi] / r_cut) ** gamma
+        want_r[hi] = prof.alpha * gamma / r_cut * (r[hi] / r_cut) ** (gamma - 1.0)
+        w, w_r = w_at(r)
+        assert w.tobytes() == want_w.tobytes()
+        assert w_r.tobytes() == want_r.tobytes()
 
 
 def test_extended_profile_needs_positive_range():
