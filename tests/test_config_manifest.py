@@ -199,27 +199,29 @@ def _interval_probes(field):
     return [(raw, inside) for v, inside in probes for raw in (repr(v), v)]
 
 
+def _assert_refused(kind, key, raw):
+    with pytest.raises(ConfigurationError) as err:
+        resolve_config(kind, {key: raw})
+    # "n: expected int, got 'nan'" or "n must be in [1, inf), got 0"
+    assert str(err.value).startswith((f"{key}:", f"{key} must be in")), (raw, str(err.value))
+
+
 _RANGED = [(kind, key) for kind, schema in SCHEMAS.items()
            for key, field in schema.items() if field.interval]
 
 
 @pytest.mark.parametrize("kind, key", _RANGED, ids=[f"{k}-{key}" for k, key in _RANGED])
 def test_each_key_accepts_exactly_its_interval(kind, key):
-    # generated from the schema: the default lies inside, and each probe is
-    # accepted, or refused only by a rule across keys, exactly when inside
-    field = SCHEMAS[kind][key]
-    resolve_config(kind)
-    for raw, inside in _interval_probes(field):
-        if inside:
-            try:
-                resolve_config(kind, {key: raw})
-            except ConfigurationError as err:
-                assert any(rule in str(err) for rule in _CROSS_KEY), (raw, str(err))
-        else:
-            with pytest.raises(ConfigurationError) as err:
-                resolve_config(kind, {key: raw})
-            # "n: expected int, got 'nan'" or "n must be in [1, inf), got 0"
-            assert str(err.value).startswith((f"{key}:", f"{key} must be in")), raw
+    # generated from the schema: each probe is accepted (or refused only by a
+    # rule across keys) when it is inside, and refused naming the key if not
+    for raw, inside in _interval_probes(SCHEMAS[kind][key]):
+        if not inside:
+            _assert_refused(kind, key, raw)
+            continue
+        try:
+            resolve_config(kind, {key: raw})
+        except ConfigurationError as err:
+            assert any(rule in str(err) for rule in _CROSS_KEY), (raw, str(err))
 
 
 def test_theorem13_refuses_what_blowup_refuses():
@@ -230,10 +232,8 @@ def test_theorem13_refuses_what_blowup_refuses():
         assert SCHEMAS["theorem13"][key] == field
         for raw, inside in _interval_probes(field):
             if not inside:
-                with pytest.raises(ConfigurationError, match=f"^{key}"):
-                    resolve_config("blowup", {key: raw})
-                with pytest.raises(ConfigurationError, match=f"^{key}"):
-                    resolve_config("theorem13", {key: raw})
+                _assert_refused("blowup", key, raw)
+                _assert_refused("theorem13", key, raw)
 
 
 # ---------------------------------------------------------------------------
