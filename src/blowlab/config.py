@@ -165,7 +165,9 @@ SCHEMAS["theorem13"] = {
 KINDS = tuple(SCHEMAS)
 
 # caps an evolve-rescaled run's work, (steps + 1) * m stepped state values;
-# the run keeps O(_BLOCK m) of them, so this bounds time, not memory
+# the run keeps O(_BLOCK m) of them, so this bounds time, not memory. It also
+# caps the arrays of a tensor grid and a spectral basis
+# (quadrature.require_within_budget), where it bounds memory
 WORK_BUDGET = 2**25
 
 

@@ -18,11 +18,11 @@ import numpy as np
 from .calculus import (
     CSV_HEADER,
     CheckRow,
-    SampledField,
     cutoff_field,
     growth_diagnostic,
     make_log_test_eigenpair,
     poly_field,
+    radial_field,
     random_bump_field,
     random_gaussian_sum,
     random_poly_field,
@@ -58,7 +58,6 @@ from .profiles import (
     accepts_bounded_positive,
     extended_profile,
     in_snap_band,
-    profile_field,
     profile_residual,
     scan_profiles,
     shoot,
@@ -216,27 +215,27 @@ def run_verify_identities(cfg: dict, out_dir: Path) -> RunOutcome:
 # spectrum
 
 
-def _spectrum_profile(cfg: dict, params: ProblemParams, basis):
+def _spectrum_profile(cfg: dict, params: ProblemParams):
+    """The profile to linearize about, as one radial function r -> (w, w_r)."""
     kind = cfg["profile"]
-    if kind == "kappa":
-        return SampledField.constant(basis.grid, params.kappa), None
-    if kind == "zero":
-        return SampledField.constant(basis.grid, 0.0), None
+    if kind != "shoot":
+        const = params.kappa if kind == "kappa" else 0.0
+        return lambda r: (np.full_like(r, const), np.zeros_like(r))
     alpha = cfg["alpha"] if cfg["alpha"] > 0.0 else params.kappa
     prof = shoot(alpha, params, r_max=cfg["r_max"])
     if prof.outcome in ("hit-zero", "blew-up"):
         # a shot an event ended is no profile to linearize about
         raise DomainError(f"the shot from alpha = {alpha!r} is not a profile: "
                           f"outcome {prof.outcome} at r_end = {prof.r_end!r}")
-    return profile_field(prof, basis.grid), prof
+    return extended_profile(prof)[0]
 
 
 def run_spectrum(cfg: dict, out_dir: Path) -> RunOutcome:
     params = ProblemParams(n=cfg["n"], p=cfg["p"])
     basis = build_basis(cfg["n"], cfg["N"], degree=cfg["degree"] or None,
                         kind=cfg["basis"])
-    w, prof = _spectrum_profile(cfg, params, basis)
-    op = assemble(w, basis, params)
+    w_at = _spectrum_profile(cfg, params)
+    op = assemble(radial_field(basis.grid, w_at), basis, params)
     rep = spectrum(op, cfg["k"])
     lam1_r = first_eigenvalue_rayleigh(op)
     ray_ok = abs(lam1_r - rep.lambda1) <= 1e-8 * (1.0 + abs(rep.lambda1))
@@ -244,14 +243,11 @@ def run_spectrum(cfg: dict, out_dir: Path) -> RunOutcome:
     fd_block = None
     fd_ok = None
     if params.n == 1:
-        if cfg["profile"] == "shoot":
-            w_at, _ = extended_profile(prof)
-            w_call = lambda y: w_at(np.abs(y))[0]
-        else:
-            const = params.kappa if cfg["profile"] == "kappa" else 0.0
-            w_call = lambda y: np.full_like(np.asarray(y, dtype=float), const)
         kk = min(rep.eigenvalues.size, 6)       # k may exceed the basis size
-        fd = fd_eigenvalues_1d(w_call, params, k=kk)
+        # the potential is even, so the line's modes alternate in parity; a
+        # radial basis spans the even ones, every other eigenvalue
+        step = 2 if basis.kind == "radial" else 1
+        fd = fd_eigenvalues_1d(lambda y: w_at(np.abs(y))[0], params, k=step * kk)[::step]
         err = float(np.abs(fd[:kk] - rep.eigenvalues[:kk]).max())
         fd_ok = err < 1e-3
         fd_block = {"eigenvalues": [float(v) for v in fd], "max_abs_err": err}

@@ -29,10 +29,17 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
+from .config import WORK_BUDGET
 from .errors import ConfigurationError, UsageError
 
 SQRT2 = math.sqrt(2.0)
 TOTAL_MASS_1D = 2.0 * math.sqrt(math.pi)  # int exp(-y^2/4) dy
+
+# the largest rules that build finitely, measured with numpy 2.4.6 and scipy
+# 1.17.1: hermegauss gives non-finite weights from degree 371 on, and
+# roots_genlaguerre from 364 on at n <= 10 (earlier at larger n: 357 at n = 100)
+MAX_HERMITE_DEGREE = 370
+MAX_LAGUERRE_DEGREE = 363
 
 
 def sphere_area(n: int) -> float:
@@ -140,13 +147,22 @@ def default_tensor_degree(n: int) -> int:
 
 
 def tensor_grid(n: int, degree: int | None = None) -> TensorGrid:
-    """Build the tensor grid, of default_tensor_degree(n) unless degree is given."""
+    """Build the tensor grid, of default_tensor_degree(n) unless degree is given.
+
+    Refuses (ConfigurationError) a degree above MAX_HERMITE_DEGREE and a grid
+    of more than config.WORK_BUDGET point coordinates.
+    """
     if not isinstance(n, int) or n < 1:
         raise UsageError(f"grid dimension must be a positive integer, got {n!r}")
     if degree is None:
         degree = default_tensor_degree(n)
     if degree < 2:
         raise UsageError("grid degree must be at least 2")
+    if degree > MAX_HERMITE_DEGREE:
+        raise ConfigurationError(
+            f"a Gauss-Hermite rule of degree {degree} does not build finitely; "
+            f"the largest that does is {MAX_HERMITE_DEGREE}")
+    require_within_budget(degree**n * n, f"a degree-{degree} tensor grid in n = {n}")
     x, w = hermegauss(degree)
     nodes = SQRT2 * x
     wts = SQRT2 * w
@@ -214,14 +230,26 @@ class RadialGrid:
 
 
 def radial_grid(n: int, degree: int = 48) -> RadialGrid:
-    """Radial grid: r = 2 sqrt(x) from generalized Gauss-Laguerre, alpha = n/2-1."""
+    """Radial grid: r = 2 sqrt(x) from generalized Gauss-Laguerre, alpha = n/2-1.
+
+    Refuses (ConfigurationError) a degree above MAX_LAGUERRE_DEGREE and a rule
+    whose nodes or weights come out non-finite.
+    """
     if not isinstance(n, int) or n < 1:
         raise UsageError(f"grid dimension must be a positive integer, got {n!r}")
     if degree < 2:
         raise UsageError("grid degree must be at least 2")
     from scipy.special import eval_genlaguerre, roots_genlaguerre
     alpha = n / 2.0 - 1.0
-    x, wx = roots_genlaguerre(degree, alpha)
+    refusal = ConfigurationError(
+        f"the Gauss-Laguerre rule of degree {degree} in n = {n} does not build "
+        f"finitely (at most degree {MAX_LAGUERRE_DEGREE} does, fewer at large n)")
+    if degree > MAX_LAGUERRE_DEGREE:
+        raise refusal
+    with np.errstate(all="ignore"):
+        x, wx = roots_genlaguerre(degree, alpha)
+    if not (np.isfinite(x).all() and np.isfinite(wx).all()):
+        raise refusal
     r = 2.0 * np.sqrt(x)
     weights = sphere_area(n) * 2.0 ** (n - 1) * wx
     norms = laguerre_norms(n, degree)
@@ -270,6 +298,13 @@ def cutoff_radial(r, R: float):
     r = np.asarray(r, dtype=float)
     t = R + 1.0 - r
     return smoothstep(t), -smoothstep_slope(t)
+
+
+def require_within_budget(count: int, what: str) -> None:
+    """Refuse an array of more than config.WORK_BUDGET values."""
+    if count > WORK_BUDGET:
+        raise ConfigurationError(
+            f"{what} needs {count} values, beyond the work budget of {WORK_BUDGET}")
 
 
 def require_basis_fits(grid: Grid, per_axis: int) -> None:

@@ -42,10 +42,10 @@ from .exponents import ProblemParams
 from .quadrature import (
     Grid,
     default_tensor_degree,
-    hermite_basis,
     radial_grid,
     require_basis_fits,
     require_same_grid,
+    require_within_budget,
     tensor_grid,
 )
 
@@ -92,7 +92,8 @@ def build_basis(n: int, N: int, degree: int | None = None,
     degree (kind 'hermite'), or radial Laguerre functions (kind 'radial').
 
     'auto' picks hermite. The quadrature degree must cover the basis; an
-    insufficient grid raises ConfigurationError.
+    insufficient grid raises ConfigurationError, and so does a tensor basis
+    of more than config.WORK_BUDGET gradient values.
     """
     if N < 1:
         raise UsageError("basis size must be >= 1")
@@ -117,28 +118,27 @@ def build_basis(n: int, N: int, degree: int | None = None,
         per_axis += 1
     if degree is None:
         degree = max(default_tensor_degree(n), per_axis + 8)
+    require_within_budget(degree**n * N * n, f"a basis of {N} functions on a degree-{degree} "
+                          f"tensor grid in n = {n}")
     grid = tensor_grid(n, degree)
     require_basis_fits(grid, per_axis)
     labels = _tensor_indices(n, per_axis, N)
-    b1 = hermite_basis(grid.nodes_1d, per_axis + 1)  # one extra for derivative shifts
-    nq = grid.npoints
-    shape = (grid.degree,) * n
-    values = np.empty((nq, N))
-    grads = np.empty((nq, N, n))
-    for j, lab in enumerate(labels):
-        cols = [b1[:, k] for k in lab]
-        prod = np.ones(shape)
-        for ax, col in enumerate(cols):
-            prod = prod * col.reshape((1,) * ax + (-1,) + (1,) * (n - ax - 1))
-        values[:, j] = prod.reshape(-1)
-        for ax in range(n):
-            k = lab[ax]
-            dcol = math.sqrt(k / 2.0) * b1[:, k - 1] if k > 0 else np.zeros(grid.degree)
-            dprod = np.ones(shape)
-            for ax2 in range(n):
-                col = dcol if ax2 == ax else b1[:, lab[ax2]]
-                dprod = dprod * col.reshape((1,) * ax2 + (-1,) + (1,) * (n - ax2 - 1))
-            grads[:, j, ax] = dprod.reshape(-1)
+    b = grid.basis_1d
+    db = np.zeros_like(b)                    # d/dy b_k = sqrt(k/2) b_{k-1}
+    db[:, 1:] = np.sqrt(np.arange(1, grid.degree) / 2.0) * b[:, :-1]
+    node = np.indices((grid.degree,) * n).reshape(n, -1)   # each point's node per axis
+    ks = np.array(labels).T
+    vals = [b[:, ks[ax]][node[ax]] for ax in range(n)]      # (nq, N) factors per axis
+    grads = np.empty((grid.npoints, N, n))
+    for ax in range(n):
+        factors = vals[:ax] + [db[:, ks[ax]][node[ax]]] + vals[ax + 1:]
+        out = grads[:, :, ax]
+        out[...] = factors[0]
+        for f in factors[1:]:
+            out *= f
+    values = vals[0]
+    for f in vals[1:]:
+        values *= f
     ou = np.array([-sum(lab) / 2.0 for lab in labels])
     return WeightedBasis(grid=grid, n=n, size=N, values=values, grads=grads,
                          ou_eigs=ou, labels=tuple(labels), kind="hermite")
@@ -196,14 +196,13 @@ def assemble(w: SampledField, basis: WeightedBasis,
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """First k eigenvalues (ascending; lambda < 0 unstable) with coefficient
-    vectors and grid values of the eigenfunctions."""
+    """First k eigenvalues (ascending; lambda < 0 unstable) with grid values
+    of the eigenfunctions."""
 
     params: ProblemParams
     basis_kind: str
     basis_size: int
     eigenvalues: np.ndarray
-    coeffs: np.ndarray            # (N, k)
     func_values: np.ndarray       # (nq, k)
 
     @property
@@ -223,12 +222,10 @@ class SpectrumReport:
 def spectrum(op: SpectralOperator, k: int | None = None) -> SpectrumReport:
     k = op.size if k is None else min(k, op.size)
     mu, vecs = op.eigenpairs
-    lam = -mu[::-1][:k]
-    coeffs = vecs[:, ::-1][:, :k]
     return SpectrumReport(
         params=op.params, basis_kind=op.basis.kind, basis_size=op.size,
-        eigenvalues=lam, coeffs=coeffs,
-        func_values=op.basis.synthesize(coeffs),
+        eigenvalues=-mu[::-1][:k],
+        func_values=op.basis.synthesize(vecs[:, ::-1][:, :k]),
     )
 
 
@@ -307,7 +304,7 @@ def sign_change_check(op: SpectralOperator) -> SignChangeReport:
     H = compute_H(op.field, op.params)
     tau = SIGN_CHANGE_BAND * max(abs(H.min), abs(H.max))
     sign_change = (H.min < -tau) and (H.max > tau)
-    lam1 = spectrum(op, 1).lambda1
+    lam1 = float(-op.eigenpairs[0][-1])
     consistent = (not sign_change) or (lam1 < -1.0 + LAMBDA1_TOL)
     return SignChangeReport(min_H=H.min, max_H=H.max, sign_change=sign_change,
                             lambda1=lam1, consistent=consistent, tau=tau)

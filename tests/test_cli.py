@@ -9,6 +9,7 @@ import math
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import blowlab.cli as cli
@@ -387,6 +388,65 @@ def test_spectrum_at_a_huge_p_fails_without_a_warning(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "[FAIL] rayleigh-consistent" in err and "Warning" not in err
     assert load_manifest(out)["all_passed"] is False
+
+
+@pytest.mark.parametrize("p", ["2", "3"])
+@pytest.mark.parametrize("profile", ["kappa", "zero", "shoot"])
+def test_radial_basis_at_n1_passes_its_fd_crosscheck(tmp_path, capsys, profile, p):
+    # at n = 1 the radial basis spans the even modes only; compared with the
+    # whole line's spectrum it FAILed fd-crosscheck at 2.500e+00
+    out = tmp_path / "spec"
+    assert run_cli("spectrum", "--out", str(out), "--set", "basis=radial",
+                   "--set", f"profile={profile}", "--set", f"p={p}") == 0
+    assert "[PASS] fd-crosscheck" in capsys.readouterr().out
+    summary = json.loads((out / "spectrum.json").read_text())
+    fd = summary["fd_check"]["eigenvalues"]
+    assert len(fd) == 6
+    assert np.abs(np.array(fd) - summary["eigenvalues"][:6]).max() < 1e-3
+    if profile == "kappa":
+        # the even modes of the line at kappa: lambda = k - 1
+        assert np.abs(np.array(fd) - np.arange(-1.0, 5.0)).max() < 1e-3
+
+
+def test_a_shot_profile_is_extended_once_per_spectrum_run(tmp_path, monkeypatch):
+    # the operator's field and the finite-difference check read one spline
+    from blowlab import experiments, profiles
+    real = profiles.extended_profile
+    calls = []
+
+    def counted(prof):
+        calls.append(prof.alpha)
+        return real(prof)
+
+    monkeypatch.setattr(profiles, "extended_profile", counted)
+    monkeypatch.setattr(experiments, "extended_profile", counted)
+    assert run_cli("spectrum", "--out", str(tmp_path / "s"), "--quiet",
+                   "--set", "profile=shoot") == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind, setting", [
+    ("spectrum", "n=1 N=400"), ("spectrum", "n=3 basis=radial N=200"),
+    ("verify-identities", "n=1 degree=600 cases=2"),
+    ("verify-identities", "n=3 degree=2000 cases=1"), ("spectrum", "n=1 N=100000"),
+], ids=["spectrum-hermite-degree-408", "spectrum-radial-degree-400",
+        "verify-identities-degree-600", "verify-identities-n3-degree-2000",
+        "spectrum-basis-beyond-the-budget"])
+def test_quadrature_beyond_what_its_rule_builds_is_refused(tmp_path, capsys, kind, setting):
+    # hermegauss gives non-finite weights above degree 370 and the radial rule
+    # breaks above 363: these leaked RuntimeWarnings and then ended in a
+    # traceback or FAILed on nan moments, or asked for arrays of 60+ GB
+    out = tmp_path / "o"
+    argv = [kind, "--out", str(out)]
+    for one in setting.split():
+        argv += ["--set", one]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err and "Warning" not in err
+    manifest = load_manifest(out)
+    assert [v["name"] for v in manifest["verdicts"]] == ["refused"]
 
 
 @pytest.mark.parametrize("sets", [("alpha=0.9",), ("alpha=1.5",),

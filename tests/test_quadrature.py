@@ -1,6 +1,7 @@
 """Quadrature rules, closed-form Gaussian moments, and the orthonormal bases."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -208,3 +209,25 @@ def test_basis_capacity_guard():
     require_basis_fits(g, 16)
     with pytest.raises(ConfigurationError):
         require_basis_fits(g, 17)
+
+
+@pytest.mark.parametrize("build, n, degree", [
+    (tensor_grid, 1, 371), (radial_grid, 1, 364), (radial_grid, 20, 363), (tensor_grid, 3, 224),
+], ids=["hermite-371", "laguerre-364", "laguerre-n20-363", "tensor-beyond-the-budget"])
+def test_grids_refuse_rules_they_cannot_build(build, n, degree):
+    # each leaked overflow warnings and built non-finite weights, or asked
+    # for more than the work budget's values (224^3 points in R^3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError):
+            build(n, degree)
+
+
+@pytest.mark.parametrize("build, n, degree", [
+    (tensor_grid, 1, 370), (radial_grid, 1, 363), (radial_grid, 20, 362),
+], ids=["hermite-370", "laguerre-363", "laguerre-n20-362"])
+def test_the_largest_rules_build_finitely(build, n, degree):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = build(n, degree)
+    assert np.isfinite(g.points).all() and np.isfinite(g.weights).all()

@@ -29,6 +29,7 @@ from blowlab import (
 from blowlab import spectral
 from blowlab.calculus import GaussianSum, poly_field
 from blowlab.manifest import json_text
+from blowlab.quadrature import hermite_basis
 
 P2 = ProblemParams(n=1, p=2.0)
 
@@ -247,3 +248,63 @@ def test_assemble_refuses_a_field_on_another_grid(basis16):
     assert w.grid.npoints == basis16.grid.npoints
     with pytest.raises(UsageError, match="mismatched grids"):
         assemble(w, basis16, P2)
+
+
+def _broadcast_basis(n, N, degree=None):
+    """Reference tensor basis: each label's products by nested broadcasting
+    over a Hermite table with one extra column."""
+    per_axis = 1
+    while per_axis**n < N:
+        per_axis += 1
+    if degree is None:
+        degree = max({1: 64, 2: 32}.get(n, 16), per_axis + 8)
+    grid = tensor_grid(n, degree)
+    labels = spectral._tensor_indices(n, per_axis, N)
+    b1 = hermite_basis(grid.nodes_1d, per_axis + 1)
+    shape = (degree,) * n
+    values = np.empty((grid.npoints, N))
+    grads = np.empty((grid.npoints, N, n))
+    for j, lab in enumerate(labels):
+        prod = np.ones(shape)
+        for ax, k in enumerate(lab):
+            prod = prod * b1[:, k].reshape((1,) * ax + (-1,) + (1,) * (n - ax - 1))
+        values[:, j] = prod.reshape(-1)
+        for ax in range(n):
+            k = lab[ax]
+            dcol = math.sqrt(k / 2.0) * b1[:, k - 1] if k > 0 else np.zeros(degree)
+            dprod = np.ones(shape)
+            for ax2 in range(n):
+                col = dcol if ax2 == ax else b1[:, lab[ax2]]
+                dprod = dprod * col.reshape((1,) * ax2 + (-1,) + (1,) * (n - ax2 - 1))
+            grads[:, j, ax] = dprod.reshape(-1)
+    return values, grads
+
+
+@pytest.mark.parametrize("n, N, degree", [(1, 64, 64), (2, 36, 6), (3, 27, 3), (4, 16, None)])
+def test_basis_matches_the_broadcast_products_bitwise(n, N, degree):
+    # the basis gathers each point's factors from the grid's own Hermite
+    # table; assemble rounds differently on another memory layout
+    basis = build_basis(n, N, degree=degree)
+    values, grads = _broadcast_basis(n, N, degree)
+    assert basis.values.flags.c_contiguous and basis.grads.flags.c_contiguous
+    assert basis.values.shape == values.shape and basis.grads.shape == grads.shape
+    assert basis.values.tobytes() == values.tobytes()
+    assert basis.grads.tobytes() == grads.tobytes()
+
+
+@pytest.mark.parametrize("profile", ["kappa", "zero"])
+@pytest.mark.parametrize("n, kind", [(1, "hermite"), (2, "hermite"), (3, "radial")])
+def test_a_constant_profile_assembles_as_the_constant_field(profile, n, kind):
+    # a spectrum run lifts every profile kind through radial_field; for a
+    # constant that must be the constant field, bit for bit
+    from blowlab.calculus import radial_field
+    from blowlab.experiments import _spectrum_profile
+    params = ProblemParams(n=n, p=3.0)
+    basis = build_basis(n, 8, kind=kind)
+    w_at = _spectrum_profile({"profile": profile}, params)
+    const = params.kappa if profile == "kappa" else 0.0
+    lifted = assemble(radial_field(basis.grid, w_at), basis, params)
+    direct = assemble(SampledField.constant(basis.grid, const), basis, params)
+    assert lifted.matrix.tobytes() == direct.matrix.tobytes()
+    assert sign_change_check(lifted) == sign_change_check(direct)
+    assert stability_classify(lifted) == stability_classify(direct)
