@@ -136,7 +136,7 @@ def build_basis(n: int, N: int, degree: int | None = None,
         out[...] = factors[0]
         for f in factors[1:]:
             out *= f
-    values = vals[0]
+    values = vals[0]                         # in place: the gradients are done with it
     for f in vals[1:]:
         values *= f
     ou = np.array([-sum(lab) / 2.0 for lab in labels])

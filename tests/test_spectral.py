@@ -29,7 +29,7 @@ from blowlab import (
 from blowlab import spectral
 from blowlab.calculus import GaussianSum, poly_field
 from blowlab.manifest import json_text
-from blowlab.quadrature import hermite_basis
+from blowlab.quadrature import default_tensor_degree, hermite_basis
 
 P2 = ProblemParams(n=1, p=2.0)
 
@@ -257,7 +257,7 @@ def _broadcast_basis(n, N, degree=None):
     while per_axis**n < N:
         per_axis += 1
     if degree is None:
-        degree = max({1: 64, 2: 32}.get(n, 16), per_axis + 8)
+        degree = max(default_tensor_degree(n), per_axis + 8)
     grid = tensor_grid(n, degree)
     labels = spectral._tensor_indices(n, per_axis, N)
     b1 = hermite_basis(grid.nodes_1d, per_axis + 1)
