@@ -18,12 +18,27 @@ cases for 2 and 3 never arise), finite and strictly increasing, with finite
 samples.
 
 `gtsv` is the (1, 1) branch of scipy.linalg.solve_banded: LAPACK dgtsv on
-the three diagonals in place, without the wrapper's validation. It takes
-dgtsv from `_flapack()`, scipy's compiled LAPACK wrapper module loaded on
-its own: the scipy.linalg package is not imported (its init brings in
-numpy.f2py, numpy.testing, numpy.random and numpy.ma: about 19 MB of peak
-RSS in a cold blowup run), and the routine is the same compiled function
-scipy.linalg.lapack exports.
+the three diagonals in place, without the wrapper's validation.
+
+`_flapack()` is scipy's compiled LAPACK wrapper module loaded on its own:
+the scipy.linalg package is not imported (its init brings in numpy.f2py,
+numpy.testing, numpy.random and numpy.ma: about 19 MB of peak RSS in a cold
+blowup run, 18 MB in a cold spectrum run), and each routine is the same
+compiled function scipy.linalg.lapack exports. It serves every LAPACK call
+in blowlab, each made with the arguments scipy 1.17.1 passes:
+
+- dgtsv: `gtsv`, the physical frame's banded solves and the not-a-knot
+  slopes;
+- dgttrf and dgttrs: `evolution._tridiagonal_solver`, the rescaled flow's
+  factored step and the stable-mode iteration;
+- dsyevr and dsyevr_lwork: `spectral.eigh` (scipy.linalg.eigh);
+- dstebz: `spectral.fd_eigenvalues_1d` (scipy.linalg.eigh_tridiagonal
+  with select="i", eigenvalues only);
+- dsbevd: `quadrature.roots_genlaguerre`, the banded eigensolve of
+  scipy.special.roots_genlaguerre.
+
+`check_info` turns a nonzero info code of the last three into NumericError,
+as `gtsv` does for a zero pivot.
 """
 
 from __future__ import annotations
@@ -60,6 +75,14 @@ def _flapack():
         spec.loader.exec_module(module)
         sys.modules[_FLAPACK] = module
     return module
+
+
+def check_info(routine: str, info: int) -> None:
+    """Raise NumericError for a nonzero LAPACK info code: the routine did
+    not converge (info > 0) or refused an argument (info < 0)."""
+    if info != 0:
+        raise NumericError(f"LAPACK {routine} failed with info {info}",
+                           payload={"routine": routine, "info": int(info)})
 
 
 def gtsv(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> np.ndarray:

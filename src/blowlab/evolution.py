@@ -44,7 +44,10 @@ the last axis, so each row of a stack gets bitwise its single-state energy.
 _BLOCK states and then does the per-state bookkeeping for the whole block
 in one vectorised pass: the finite-and-below-cap test, one `energy` call on
 the stack, sup |w - kappa| and the dissipation rates, whose centred
-differences in s reach two states back into the previous block. The run
+differences in s reach two states back into the previous block. Each step
+writes its right-hand side and solution into a row of one per-run state
+buffer, and the bookkeeping writes into one per-run `_MeshWork`, so a block
+allocates no mesh-sized array. The run
 stops where a per-step check would: at the first state that is non-finite,
 past the cap or of non-finite energy, which is dropped; the block's later
 steps are discarded. The run keeps its last state and four per-state
@@ -117,8 +120,32 @@ def gaussian_density(y: np.ndarray, geometry: str, n: int) -> np.ndarray:
     raise UsageError(f"unknown geometry {geometry!r}")
 
 
+class _MeshWork:
+    """Workspaces for the mesh integrals of up to `rows` states on the
+    uniform mesh y against the density dens: the energy's gradient and
+    integrands (rows, m) and the trapezoid rule's interval terms (rows, m-1).
+    `energy` allocates one for its call; `RescaledFlow.run` one per run."""
+
+    def __init__(self, y: np.ndarray, dens: np.ndarray, rows: int):
+        self.dens = dens
+        self.dy = np.diff(y)
+        self.grad = np.empty((rows, y.size))
+        self.vals = np.empty((rows, y.size))
+        self.pairs = np.empty((rows, y.size - 1))
+
+    def trapezoid(self, f: np.ndarray) -> np.ndarray:
+        """np.trapezoid(f, y, axis=-1) for a (k, m) stack, in its order of
+        operations: each row's interval terms dy (f[1:] + f[:-1]) / 2 and
+        their pairwise sum."""
+        pairs = self.pairs[:f.shape[0]]
+        np.add(f[:, 1:], f[:, :-1], out=pairs)
+        pairs *= self.dy
+        pairs /= 2.0
+        return pairs.sum(axis=-1)
+
+
 def energy(w, params: ProblemParams, y: np.ndarray | None = None,
-           geometry: str = "interval") -> EnergyValue:
+           geometry: str = "interval", work: _MeshWork | None = None) -> EnergyValue:
     """Weighted energy of a rescaled state.
 
     Accepts a SampledField (quadrature grid; exact for the polynomial part)
@@ -126,7 +153,9 @@ def energy(w, params: ProblemParams, y: np.ndarray | None = None,
     stack of states (k, m), giving (k,) arrays whose rows are bitwise the
     energies of the single rows. Mesh integrals use the trapezoid rule
     against the normalized Gaussian; constants are then only as exact as
-    the truncated tail, so checks at 1e-10 should use fields.
+    the truncated tail, so checks at 1e-10 should use fields. A mesh energy
+    is written into the workspaces of `work`, whose density it takes in
+    place of geometry's, or of a `_MeshWork` of its own.
     """
     p = params.p
     if isinstance(w, SampledField):
@@ -135,18 +164,40 @@ def energy(w, params: ProblemParams, y: np.ndarray | None = None,
     if y is None:
         raise UsageError("mesh energy needs the mesh")
     w = np.ascontiguousarray(w, dtype=float)
-    if w.ndim not in (1, 2) or w.shape[-1] != y.size:
+    if w.ndim not in (1, 2) or w.shape[-1] != y.size or y.size < 3:
         raise UsageError(f"mesh values of shape {w.shape} do not match the mesh "
-                         f"({y.size},)")
+                         f"({y.size},) of at least 3 points")
     # every reduction runs along the last axis of a C-contiguous array, where
     # numpy's pairwise sum works row by row
-    grad = np.gradient(w, y[1] - y[0], axis=-1, edge_order=2)
-    dens = gaussian_density(y, geometry, params.n)
-    d = np.trapezoid(0.5 * grad**2 * dens, y, axis=-1)
-    q = np.trapezoid(w * w / (2.0 * (p - 1.0)) * dens, y, axis=-1)
-    pot = np.trapezoid(np.abs(w) ** (p + 1.0) / (p + 1.0) * dens, y, axis=-1)
+    stack = w.reshape(-1, y.size)
+    k = stack.shape[0]
+    if work is None:
+        work = _MeshWork(y, gaussian_density(y, geometry, params.n), k)
+    dens = work.dens
+    # np.gradient(stack, dx, axis=-1, edge_order=2), in its order of operations
+    dx = y[1] - y[0]
+    grad = work.grad[:k]
+    np.subtract(stack[:, 2:], stack[:, :-2], out=grad[:, 1:-1])
+    grad[:, 1:-1] /= 2.0 * dx
+    grad[:, 0] = -1.5 / dx * stack[:, 0] + 2.0 / dx * stack[:, 1] + -0.5 / dx * stack[:, 2]
+    grad[:, -1] = 0.5 / dx * stack[:, -3] + -2.0 / dx * stack[:, -2] + 1.5 / dx * stack[:, -1]
+    # 0.5 grad^2 dens, w^2 / (2(p-1)) dens and |w|^(p+1) / (p+1) dens
+    np.square(grad, out=grad)
+    grad *= 0.5
+    grad *= dens
+    d = work.trapezoid(grad)
+    f = work.vals[:k]
+    np.multiply(stack, stack, out=f)
+    f /= 2.0 * (p - 1.0)
+    f *= dens
+    q = work.trapezoid(f)
+    np.abs(stack, out=f)
+    f **= p + 1.0
+    f /= p + 1.0
+    f *= dens
+    pot = work.trapezoid(f)
     if w.ndim == 1:
-        d, q, pot = float(d), float(q), float(pot)
+        d, q, pot = float(d[0]), float(q[0]), float(pot[0])
     return EnergyValue(total=d + q - pot, dirichlet=d, quadratic=q, potential=pot)
 
 
@@ -257,15 +308,16 @@ def _tridiagonal_solver(dl: np.ndarray, d: np.ndarray, du: np.ndarray):
     return solve
 
 
-# states per bookkeeping block of RescaledFlow.run. At m = 801 a block's
-# temporaries (the stack of _BLOCK + 2 states, 109 KB, and smaller) stay
-# below the sizes at which glibc's malloc maps them afresh or trims them
-# off the heap while no earlier large free has raised its thresholds, so
-# they are reused from block to block: ~500 minor faults per cold
-# evolve-rescaled run, against ~16k at 24 states (150 KB) and ~25k at 256
-# (1.6 MB). Once an import such as scipy.linalg's has raised the
-# thresholds, 24-state blocks are ~7% faster by per-block overhead
-_BLOCK = 15
+# states per bookkeeping block of RescaledFlow.run. A run allocates its
+# mesh-sized arrays once (`_MeshWork` and the (_BLOCK + 2, m) state buffer,
+# about 0.6 MB at m = 801) and no block allocates more than a few (k,)
+# reductions, so the block size no longer decides what malloc maps or trims
+# from block to block: a cold evolve-rescaled init=stable-mode run takes
+# ~520 minor faults at 24 states and ~510 at 15. Larger blocks pay the
+# per-block overhead less often: 24-state blocks ran that workload's flow
+# ~6% faster than 15-state ones (median of 25 alternating runs), and 32
+# gained nothing more
+_BLOCK = 24
 
 
 @dataclass
@@ -303,19 +355,28 @@ class RescaledFlow:
         # the step matrix never changes: factor it once, solve every step
         self._solve = _tridiagonal_solver(*_rescaled_banded(self.y, params, ds, geometry))
 
-    def step(self, w: np.ndarray) -> np.ndarray:
-        p = self.params.p
-        rhs = w + self.ds * np.abs(w) ** (p - 1.0) * w
+    def step(self, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The state one step after w, written into out (not w) when given:
+        the right-hand side w + ds |w|^(p-1) w is formed there and solved
+        in place."""
+        rhs = np.abs(w, out=out)
+        rhs **= self.params.p - 1.0
+        rhs *= self.ds
+        rhs *= w
+        rhs += w
         return self._solve(rhs)
 
-    def _dissipation(self, hi: np.ndarray, lo: np.ndarray, dt: float) -> np.ndarray:
+    def _dissipation(self, hi: np.ndarray, lo: np.ndarray, dt: float,
+                     work: _MeshWork) -> np.ndarray:
         """int |w_s|^2 rho dy for each row of w_s = (hi - lo) / dt, a stack of
-        state differences; w_s is divided, squared and weighted in place."""
-        ws = hi - lo
+        state differences, divided, squared and weighted in work's
+        workspace."""
+        ws = work.vals[:hi.shape[0]]
+        np.subtract(hi, lo, out=ws)
         ws /= dt
         ws *= ws
         ws *= self._dens
-        return np.trapezoid(ws, self.y, axis=1)
+        return work.trapezoid(ws)
 
     # numpy's overflow warnings on the way to a blow-up would only leak to
     # the caller; the run ends there as blew-up
@@ -333,7 +394,13 @@ class RescaledFlow:
             raise UsageError(f"s_end must be finite, got {s_end}")
         kap = kappa(self.params.p)
         nsteps = max(int(round(s_end / self.ds)), 0)     # s_end < 0 takes no step
-        e0 = energy(w, self.params, self.y, self.geometry).total
+        # every mesh-sized array of the run: the workspaces of its energies,
+        # sup |w - kappa| and rates, and the two latest states followed by
+        # the block's steps, each written in place by the step that takes it
+        work = _MeshWork(self.y, self._dens, _BLOCK)
+        states = np.empty((_BLOCK + 2, w.size))
+        states[1] = w
+        e0 = energy(w, self.params, self.y, self.geometry, work).total
         if not math.isfinite(e0):
             raise NumericError("initial state has non-finite energy",
                                payload={"energy": e0})
@@ -344,20 +411,18 @@ class RescaledFlow:
         series = np.empty((4, min(nsteps, _BLOCK * w.size // 4) + 1))
         s_vals, energies, sup_dev, rates = series
         s_vals[0], energies[0], sup_dev[0] = 0.0, e0, np.abs(w - kap).max()
-        stack = w[None, :].copy()               # the latest states, oldest first
         status = "completed"
         events = {}
         count = 1                               # states kept
         while count <= nsteps:
             k = min(_BLOCK, nsteps + 1 - count)
-            block = np.empty((k, w.size))
             for j in range(k):
-                w = self.step(w)
-                block[j] = w
-            amax = np.abs(block).max(axis=1)
+                self.step(states[1 + j], out=states[2 + j])
+            block = states[2:2 + k]
+            amax = np.abs(block, out=work.vals[:k]).max(axis=1)
             ok = np.isfinite(amax) & (amax <= self.cap)
             good = k if ok.all() else int(ok.argmin())
-            e = energy(block[:good], self.params, self.y, self.geometry).total
+            e = energy(block[:good], self.params, self.y, self.geometry, work).total
             if not np.isfinite(e).all():
                 good = int(np.isfinite(e).argmin())
             end = count + good
@@ -368,27 +433,30 @@ class RescaledFlow:
                 s_vals, energies, sup_dev, rates = series
             s_vals[count:end] = np.arange(count, end) * self.ds
             energies[count:end] = e[:good]
-            sup_dev[count:end] = np.abs(block[:good] - kap).max(axis=1)
+            dev = np.subtract(block[:good], kap, out=work.vals[:good])
+            sup_dev[count:end] = np.abs(dev, out=dev).max(axis=1)
             # w_s as np.gradient takes it over all states: one-sided at the
             # ends, centred inside, with two states of the previous block
-            stack = np.concatenate((stack[-2:], block[:good]))
+            stack = states[2 - min(count, 2):2 + good]
             if count == 1 and good:
-                rates[0] = self._dissipation(stack[1:2], stack[:1], self.ds)[0]
-            rates[max(count - 1, 1):end - 1] = self._dissipation(stack[2:], stack[:-2],
-                                                                 2.0 * self.ds)
+                rates[0] = self._dissipation(stack[1:2], stack[:1], self.ds, work)[0]
+            rates[max(count - 1, 1):end - 1] = self._dissipation(
+                stack[2:], stack[:-2], 2.0 * self.ds, work)
             count = end
+            keep = min(count, 2)
+            states[2 - keep:2] = stack[stack.shape[0] - keep:]
             if good < k:
                 status = "blew-up"
                 events["cap_at_s"] = count * self.ds
                 break
         # fewer than 3 states have no centred difference: their rates are 0
         if count >= 3:
-            rates[count - 1] = self._dissipation(stack[-1:], stack[-2:-1], self.ds)[0]
+            rates[count - 1] = self._dissipation(states[1:2], states[:1], self.ds, work)[0]
         else:
             rates[:count] = 0.0
         return RescaledRun(
             ds=self.ds, s_values=s_vals[:count], energies=energies[:count],
-            sup_dev=sup_dev[:count], rates=rates[:count], final=stack[-1].copy(),
+            sup_dev=sup_dev[:count], rates=rates[:count], final=states[1].copy(),
             status=status, events=events,
         )
 

@@ -18,7 +18,10 @@ operator assembly, are
 with c_{n,k}^2 = sphere_area(n) 2^(n-1) Gamma(k + n/2) / k!.
 
 Importing this module loads no scipy; the radial family imports
-scipy.special where it is built (`laguerre_norms`, `radial_grid`).
+scipy.special where it is built (`laguerre_norms`, `roots_genlaguerre`,
+`radial_grid`). Its Gauss-Laguerre rule is scipy.special.roots_genlaguerre
+ported, whose banded eigensolve calls LAPACK dsbevd from the extension
+module `_cubic._flapack` loads, so no grid loads the scipy.linalg package.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
+from . import _cubic
 from .config import WORK_BUDGET
 from .errors import ConfigurationError, UsageError
 
@@ -190,6 +194,38 @@ def laguerre_norms(n: int, nfuncs: int) -> np.ndarray:
     return np.exp(0.5 * log_n2)
 
 
+def roots_genlaguerre(degree: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """scipy.special.roots_genlaguerre(degree, alpha) for degree >= 2: the
+    nodes and weights of Gauss-Laguerre quadrature for x^alpha exp(-x) on
+    [0, inf). Ported from scipy 1.17.1 operation for operation, so both are
+    bitwise scipy's: the nodes are the eigenvalues of the Jacobi matrix of
+    the Laguerre recurrence (Golub and Welsch 1969), taken by LAPACK dsbevd
+    on its upper band as scipy.linalg.eigvals_banded takes them; one Newton
+    step refines them, and the weights come from log-normalised values of
+    L_(degree-1) and the derivative, scaled to sum to Gamma(alpha + 1).
+    Overflow on the way is the caller's to test for."""
+    from scipy.special import eval_genlaguerre, gamma
+    mu0 = gamma(alpha + 1)
+    k = np.arange(degree, dtype="d")
+    c = np.zeros((2, degree))
+    c[0, 1:] = -np.sqrt(k[1:] * (k[1:] + alpha))
+    c[1, :] = 2 * k + alpha + 1
+    x, _, info = _cubic._flapack().dsbevd(c, compute_v=0, lower=0, overwrite_ab=1)
+    _cubic.check_info("dsbevd", info)
+    y = eval_genlaguerre(degree, alpha, x)
+    dy = (degree * eval_genlaguerre(degree, alpha, x)
+          - (degree + alpha) * eval_genlaguerre(degree - 1, alpha, x)) / x
+    x -= y / dy
+    fm = eval_genlaguerre(degree - 1, alpha, x)
+    log_fm = np.log(np.abs(fm))
+    log_dy = np.log(np.abs(dy))
+    fm /= np.exp((log_fm.max() + log_fm.min()) / 2.0)
+    dy /= np.exp((log_dy.max() + log_dy.min()) / 2.0)
+    w = 1.0 / (fm * dy)
+    w *= mu0 / w.sum()
+    return x, w
+
+
 @dataclass(frozen=True, eq=False)
 class RadialGrid:
     """Radial Gauss-Laguerre grid; weights integrate radial f over all of R^n."""
@@ -239,7 +275,7 @@ def radial_grid(n: int, degree: int = 48) -> RadialGrid:
         raise UsageError(f"grid dimension must be a positive integer, got {n!r}")
     if degree < 2:
         raise UsageError("grid degree must be at least 2")
-    from scipy.special import eval_genlaguerre, roots_genlaguerre
+    from scipy.special import eval_genlaguerre
     alpha = n / 2.0 - 1.0
     refusal = ConfigurationError(
         f"the Gauss-Laguerre rule of degree {degree} in n = {n} does not build "

@@ -24,8 +24,11 @@ derivatives read the very values the matrix was built on. It also holds its
 one eigendecomposition, so every spectrum report on it shares a single
 `eigh`.
 
-Importing this module loads no scipy: `eigh` and `eigh_tridiagonal` import
-scipy.linalg on their first call.
+Importing this module loads no scipy, and no spectral run loads the
+scipy.linalg package: `eigh` and `fd_eigenvalues_1d` call LAPACK dsyevr and
+dstebz as scipy.linalg.eigh and eigh_tridiagonal do, bitwise, from the
+extension module `_cubic._flapack` loads on its own. A Hermite spectrum
+loads no other scipy; the radial basis adds scipy.special.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _cubic
 from .calculus import SampledField, compute_H
 from .errors import ConfigurationError, NumericError, UsageError
 from .exponents import ProblemParams
@@ -50,11 +54,22 @@ from .quadrature import (
 )
 
 
-def eigh(a):
-    """scipy.linalg.eigh(a), imported on the first call. A module-level name
-    so that a test can count the eigendecompositions of a run."""
-    from scipy.linalg import eigh as _eigh
-    return _eigh(a)
+def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """scipy.linalg.eigh(a) for a real symmetric float matrix: (eigenvalues
+    ascending, orthonormal eigenvectors) from LAPACK dsyevr on the lower
+    triangle, with the work sizes dsyevr_lwork gives, as scipy 1.17.1 calls
+    it. a is not overwritten. A non-finite entry, or a failed solve, raises
+    NumericError. A module-level name so that a test can count the
+    eigendecompositions of a run."""
+    if not np.isfinite(a).all():
+        raise NumericError("the matrix to diagonalise is not finite")
+    lapack = _cubic._flapack()
+    lwork, liwork, info = lapack.dsyevr_lwork(a.shape[0], lower=1)
+    _cubic.check_info("dsyevr_lwork", info)
+    w, v, _, _, info = lapack.dsyevr(a, compute_v=1, lower=1, overwrite_a=0,
+                                     lwork=int(lwork), liwork=int(liwork))
+    _cubic.check_info("dsyevr", info)
+    return w, v
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,7 +279,8 @@ def fd_eigenvalues_1d(w_at, params: ProblemParams, k: int = 6) -> np.ndarray:
     The substitution v = exp(y^2/8) vt turns L_w into the Schroedinger form
     vt'' + (1/4 - y^2/16 - 1/(p-1) + p|w|^(p-1)) vt with Dirichlet walls at
     +-L, L = 12, on 2401 mesh points; the Gaussian factor makes the
-    truncation error ~ exp(-L^2/4). Returns the first k eigenvalues ascending.
+    truncation error ~ exp(-L^2/4). Returns the first k eigenvalues ascending;
+    a non-finite operator raises NumericError.
     """
     if params.n != 1:
         raise UsageError("the finite-difference check is one-dimensional")
@@ -274,10 +290,14 @@ def fd_eigenvalues_1d(w_at, params: ProblemParams, k: int = 6) -> np.ndarray:
     wv = np.asarray(w_at(y), dtype=float)
     diag = -2.0 / h**2 + 0.25 - y**2 / 16.0 - 1.0 / (p - 1.0) + p * np.abs(wv) ** (p - 1.0)
     off = np.full(y.size - 1, 1.0 / h**2)
-    from scipy.linalg import eigh_tridiagonal
-    mu = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
-                          select_range=(y.size - k, y.size - 1))
-    return -mu[::-1]
+    if not np.isfinite(diag).all():
+        raise NumericError("the finite-difference operator is not finite")
+    # eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+    # select_range=(y.size - k, y.size - 1)): bisection by index, in order
+    m, mu, _, _, info = _cubic._flapack().dstebz(diag, off, 2, 0.0, 1.0,
+                                                 y.size - k + 1, y.size, 0.0, "E")
+    _cubic.check_info("dstebz", info)
+    return -mu[:m][::-1]
 
 
 @dataclass(frozen=True)
@@ -340,10 +360,24 @@ SPAN_TOL = 1e-4
 MODE_TOL = 1e-6
 
 
+def _weighted_norm(wq: np.ndarray, u: np.ndarray) -> float:
+    """sqrt([u^2]_W) on quadrature weights wq. A norm that is not finite
+    raises NumericError: a basis too large for its rule has eigenfunctions
+    whose squares overflow where the rule's outer weights underflow to 0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = float(np.dot(wq, u * u))
+    if not math.isfinite(sq):
+        raise NumericError(
+            "a weighted norm in the stability classification is not finite; "
+            "the basis is too large for its quadrature rule",
+            payload={"norm_squared": sq})
+    return math.sqrt(sq)
+
+
 def stability_classify(op: SpectralOperator) -> StabilityReport:
     """Stable iff every lambda < 0 eigenfunction lies in the trivial span
     (projection residual < SPAN_TOL) or is a translation mode, for the field
-    op was assembled on."""
+    op was assembled on. A norm that is not finite raises NumericError."""
     w = op.field
     basis = op.basis
     rep = spectrum(op)
@@ -354,12 +388,12 @@ def stability_classify(op: SpectralOperator) -> StabilityReport:
         for i in range(basis.n):
             span.append(w.grad[:, i])
     ortho = []
-    scale = max(math.sqrt(float(np.dot(wq, v * v))) for v in span)
+    scale = max(_weighted_norm(wq, v) for v in span)
     for v in span:
         u = v.astype(float).copy()
         for o in ortho:
             u -= np.dot(wq, u * o) * o
-        nrm = math.sqrt(float(np.dot(wq, u * u)))
+        nrm = _weighted_norm(wq, u)
         if nrm > 1e-10 * max(scale, 1e-300):
             ortho.append(u / nrm)
 
@@ -369,11 +403,11 @@ def stability_classify(op: SpectralOperator) -> StabilityReport:
         if lam >= -NEG_TOL:
             break
         u = rep.func_values[:, j]
-        nrm = math.sqrt(float(np.dot(wq, u * u)))
+        nrm = _weighted_norm(wq, u)
         resid = u.copy()
         for o in ortho:
             resid -= np.dot(wq, resid * o) * o
-        rel = math.sqrt(float(np.dot(wq, resid * resid))) / max(nrm, 1e-300)
+        rel = _weighted_norm(wq, resid) / max(nrm, 1e-300)
         if rel < SPAN_TOL:
             modes.append(ModeLabel(float(lam), "trivial-span", rel, False))
         elif abs(lam + 0.5) < MODE_TOL:

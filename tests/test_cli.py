@@ -390,6 +390,23 @@ def test_spectrum_at_a_huge_p_fails_without_a_warning(tmp_path, capsys):
     assert load_manifest(out)["all_passed"] is False
 
 
+@pytest.mark.parametrize("n", ["1", "3"])
+def test_radial_spectrum_with_nonfinite_mode_norms_exits_3(tmp_path, capsys, n):
+    # the degree-280 rule builds finitely, but its outer weights underflow to
+    # 0 where the eigenfunctions' squares overflow: the classification's
+    # norms were nan, leaked numpy's warnings, and the run exited 0
+    out = tmp_path / "spec"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("spectrum", "--out", str(out), "--set", "basis=radial",
+                       "--set", "N=140", "--set", f"n={n}") == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: a weighted norm" in err and "Warning" not in err
+    manifest = load_manifest(out)
+    assert manifest["all_passed"] is False
+    assert manifest["verdicts"][0]["name"] == "numeric-failure"
+
+
 @pytest.mark.parametrize("p", ["2", "3"])
 @pytest.mark.parametrize("profile", ["kappa", "zero", "shoot"])
 def test_radial_basis_at_n1_passes_its_fd_crosscheck(tmp_path, capsys, profile, p):

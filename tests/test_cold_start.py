@@ -56,8 +56,9 @@ def test_profiles_path_loads_no_scipy(tmp_path):
 
 
 def test_similarity_frame_loads_no_deferred_scipy(tmp_path):
-    # the identity battery and the spectrum need scipy.linalg and
-    # scipy.special; the rescaled flow and the exponents load neither
+    # the identity battery needs scipy.special, and the spectrum only the
+    # LAPACK extension module; the rescaled flow and the exponents load
+    # neither scipy.special nor the scipy.linalg package
     got = run_fresh(tmp_path, [
         ["evolve-rescaled", "--set", "m=201", "--set", "s_end=0.5"],
         ["evolve-rescaled", "--set", "init=stable-mode", "--set", "m=201",
@@ -120,8 +121,9 @@ print("ok")
 def test_deferred_imports_resolve_in_a_fresh_process(tmp_path):
     # scan with bisection and shoot off kappa run the lanes, spectrum on a
     # bounded shot off kappa the Hermite spline, theorem13 the not-a-knot
-    # spline and the bounded search: each exits 0 with what it imports on
-    # call (scipy.linalg), and none loads the modules blowlab carries ports of
+    # spline and the bounded search: each exits 0 with what it loads on call
+    # (scipy's LAPACK extension module), and none loads the modules blowlab
+    # carries ports of
     got = run_fresh(tmp_path, [
         ["scan", "--set", "count=5", "--set", "bisect_tol=1e-4"],
         ["shoot", "--set", "alpha=0.7"],
@@ -130,6 +132,31 @@ def test_deferred_imports_resolve_in_a_fresh_process(tmp_path):
         ["theorem13", "--set", "m=1001"],
     ])
     assert got["codes"] == [0] * 4
-    assert "scipy.linalg" in got["scipy"]
-    assert [m for m in DEFERRED if m in got["scipy"]] == []
+    assert "scipy.linalg._flapack" in got["scipy"]
+    assert [m for m in DEFERRED + ("scipy.linalg",) if m in got["scipy"]] == []
     assert "scipy.integrate" not in got["scipy"]
+
+
+def test_spectral_runs_load_no_scipy_linalg(tmp_path):
+    # the eigensolves (dsyevr, dstebz) and the Gauss-Laguerre rule's banded
+    # eigensolve (dsbevd) come from the LAPACK extension module alone; the
+    # radial basis and the identity battery add scipy.special
+    got = run_fresh(tmp_path, [
+        ["spectrum"],
+        ["spectrum", "--set", "n=2", "--set", "N=32"],
+        ["spectrum", "--set", "basis=radial", "--set", "n=3"],
+        ["verify-identities", "--set", "n=2"],
+    ])
+    assert got["codes"] == [0] * 4
+    assert "scipy.linalg._flapack" in got["scipy"]
+    assert set(got["scipy"]).isdisjoint(DEFERRED + ("scipy.linalg", "scipy.sparse"))
+
+
+def test_hermite_spectrum_loads_no_scipy_subpackage(tmp_path):
+    # a Hermite basis needs numpy's hermegauss and LAPACK's dsyevr and
+    # dstebz: beyond what `import scipy` loads (its private modules and
+    # scipy.version), only the LAPACK extension module
+    got = run_fresh(tmp_path, [["spectrum"], ["spectrum", "--set", "n=2", "--set", "N=32"]])
+    assert got["codes"] == [0] * 2
+    public = {m for m in got["scipy"] if m != "scipy" and not m.startswith("scipy._")}
+    assert public == {"scipy.linalg._flapack", "scipy.version"}

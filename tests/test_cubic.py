@@ -124,7 +124,7 @@ def test_lapack_loader_is_scipys_extension():
     module = _cubic._flapack()
     assert module is _cubic._flapack()
     assert module.__file__ == lapack._flapack.__file__
-    for name in ("dgtsv", "dgttrf", "dgttrs"):
+    for name in ("dgtsv", "dgttrf", "dgttrs", "dsyevr", "dsyevr_lwork", "dstebz", "dsbevd"):
         assert getattr(module, name) is getattr(lapack, name)
 
 

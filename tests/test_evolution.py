@@ -259,14 +259,16 @@ def _assert_run_is_the_per_step_run(flow, w0, s_end):
     return run
 
 
-# the block edges; 23-26 and 49 were the edges of a 24-state block and
-# 255-258 and 513 those of a 256-state block, and at the present block they
-# are runs of many blocks that end inside one
+# the block edges; 14-17 and 31 were the edges of a 15-state block, 23-26
+# and 49 those of a 24-state block and 255-258 and 513 those of a 256-state
+# block, and at any other block they are runs of many blocks that end
+# inside one
 _B = evolution._BLOCK
 
 
 @RECORDED
 @pytest.mark.parametrize("nsteps", sorted({0, 1, 2, 3, _B - 1, _B, _B + 1, _B + 2, 2 * _B + 1,
+                                           14, 15, 16, 17, 31,
                                            23, 24, 25, 26, 49, 255, 256, 257, 258, 513}))
 @pytest.mark.parametrize("geometry,params", [("interval", P2), ("ball", P33)])
 def test_blocked_run_is_the_per_step_run(geometry, params, nsteps, record_states):
