@@ -15,7 +15,7 @@ import pytest
 import scipy.linalg
 import scipy.special
 
-from blowlab import NumericError, ProblemParams, SampledField, _cubic, quadrature, spectral
+from blowlab import NumericError, ProblemParams, _cubic, quadrature, spectral
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "blowlab"
 
@@ -35,17 +35,6 @@ def test_eigh_is_scipys(N):
     want_w, want_v = scipy.linalg.eigh(a)
     assert same(w, want_w) and same(v, want_v)
     assert same(a, before)
-
-
-def test_eigh_of_an_assembled_operator_is_scipys():
-    basis = spectral.build_basis(2, 32)
-    params = ProblemParams(n=2, p=3.0)
-    field = SampledField.from_callable(
-        basis.grid, lambda y: 0.5 * np.exp(-(y * y).sum(axis=1) / 8.0))
-    op = spectral.assemble(field, basis, params)
-    w, v = spectral.eigh(op.matrix)
-    want_w, want_v = scipy.linalg.eigh(op.matrix)
-    assert same(w, want_w) and same(v, want_v)
 
 
 @pytest.fixture
