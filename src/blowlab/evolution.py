@@ -47,12 +47,12 @@ the stack, sup |w - kappa| and the dissipation rates, whose centred
 differences in s reach two states back into the previous block. Each step
 writes its right-hand side and solution into a row of one per-run state
 buffer, and the bookkeeping writes into one per-run `_MeshWork`, so a block
-allocates no mesh-sized array. The run
-stops where a per-step check would: at the first state that is non-finite,
-past the cap or of non-finite energy, which is dropped; the block's later
-steps are discarded. The run keeps its last state and four per-state
-series (s, energy, sup |w - kappa|, rate), filled in place, not its states:
-its memory is O(_BLOCK m) plus 32 bytes a step, whatever s_end asks for.
+allocates no mesh-sized array. The run stops where a per-step check would:
+at the first state that is non-finite, past the cap or of non-finite
+energy, which is dropped; the block's later steps are discarded. The run
+keeps its last state and four per-state series (s, energy, sup |w - kappa|,
+rate), filled in place, not its states: its memory is O(_BLOCK m) plus 32
+bytes a step, whatever s_end asks for.
 
 Both frames discretize the Laplacian with the same three-point stencil:
 d^2/dx^2 on the interval, d^2/dr^2 + (n-1)/r d/dr with the smooth origin row

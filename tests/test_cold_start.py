@@ -137,17 +137,15 @@ def test_deferred_imports_resolve_in_a_fresh_process(tmp_path):
     assert "scipy.integrate" not in got["scipy"]
 
 
-def test_spectral_runs_load_no_scipy_linalg(tmp_path):
-    # the eigensolves (dsyevr, dstebz) and the Gauss-Laguerre rule's banded
-    # eigensolve (dsbevd) come from the LAPACK extension module alone; the
+def test_radial_grids_load_no_scipy_linalg(tmp_path):
+    # the Gauss-Laguerre rule's banded eigensolve (dsbevd) and the spectrum's
+    # dsyevr and dstebz come from the LAPACK extension module alone; the
     # radial basis and the identity battery add scipy.special
     got = run_fresh(tmp_path, [
-        ["spectrum"],
-        ["spectrum", "--set", "n=2", "--set", "N=32"],
         ["spectrum", "--set", "basis=radial", "--set", "n=3"],
         ["verify-identities", "--set", "n=2"],
     ])
-    assert got["codes"] == [0] * 4
+    assert got["codes"] == [0] * 2
     assert "scipy.linalg._flapack" in got["scipy"]
     assert set(got["scipy"]).isdisjoint(DEFERRED + ("scipy.linalg", "scipy.sparse"))
 
@@ -155,7 +153,7 @@ def test_spectral_runs_load_no_scipy_linalg(tmp_path):
 def test_hermite_spectrum_loads_no_scipy_subpackage(tmp_path):
     # a Hermite basis needs numpy's hermegauss and LAPACK's dsyevr and
     # dstebz: beyond what `import scipy` loads (its private modules and
-    # scipy.version), only the LAPACK extension module
+    # scipy.version), only the LAPACK extension module, so no scipy.linalg
     got = run_fresh(tmp_path, [["spectrum"], ["spectrum", "--set", "n=2", "--set", "N=32"]])
     assert got["codes"] == [0] * 2
     public = {m for m in got["scipy"] if m != "scipy" and not m.startswith("scipy._")}
