@@ -20,12 +20,20 @@ samples.
 `gtsv` is the (1, 1) branch of scipy.linalg.solve_banded: LAPACK dgtsv on
 the three diagonals in place, without the wrapper's validation.
 
-`_flapack()` is scipy's compiled LAPACK wrapper module loaded on its own:
-the scipy.linalg package is not imported (its init brings in numpy.f2py,
-numpy.testing, numpy.random and numpy.ma: about 19 MB of peak RSS in a cold
-blowup run, 18 MB in a cold spectrum run), and each routine is the same
-compiled function scipy.linalg.lapack exports. It serves every LAPACK call
-in blowlab, each made with the arguments scipy 1.17.1 passes:
+`_lone(name)` loads one scipy module by itself, without running
+scipy/__init__.py or any package init, and registers it in sys.modules under
+its own name, so a later import of its package reuses it. The profiles'
+lanes load their DOP853 tableau (scipy.integrate._ivp.dop853_coefficients)
+and compiled brentq (scipy.optimize._zeros) this way; their packages would
+bring in scipy.linalg, scipy.sparse and scipy.special.
+
+`_flapack()` is scipy's compiled LAPACK wrapper module, loaded by `_lone`
+after `import scipy`: the scipy.linalg package is not imported (its init
+brings in numpy.f2py, numpy.testing, numpy.random and numpy.ma: about 19 MB
+of peak RSS in a cold blowup run, 18 MB in a cold spectrum run), and each
+routine is the same compiled function scipy.linalg.lapack exports. It serves
+every LAPACK call in blowlab, each made with the arguments scipy 1.17.1
+passes:
 
 - dgtsv: `gtsv`, the physical frame's banded solves and the not-a-knot
   slopes;
@@ -55,26 +63,34 @@ from .errors import NumericError, UsageError
 _FLAPACK = "scipy.linalg._flapack"
 
 
-def _flapack():
-    """scipy.linalg._flapack, the f2py LAPACK module whose routines
-    scipy.linalg.lapack re-exports. Loaded once from scipy's linalg
-    directory as a lone extension module, registered in sys.modules under
-    its own name, without running scipy/linalg/__init__.py; `import scipy`
-    comes first, since its distributor init locates the bundled OpenBLAS.
-    A later `import scipy.linalg` finds this module in sys.modules and
-    exports the same routines."""
-    module = sys.modules.get(_FLAPACK)
+def _lone(name: str):
+    """The scipy module `name`, loaded once by itself: found in its
+    directory under scipy's install location (find_spec of the top-level
+    package runs no init), executed as a lone module and registered in
+    sys.modules under its own name. A later import of its package finds it
+    there and uses the same module."""
+    module = sys.modules.get(name)
     if module is None:
         import importlib.machinery
         import importlib.util
 
-        import scipy
+        root = importlib.util.find_spec("scipy").submodule_search_locations[0]
         spec = importlib.machinery.PathFinder.find_spec(
-            _FLAPACK, [os.path.join(scipy.__path__[0], "linalg")])
+            name, [os.path.join(root, *name.split(".")[1:-1])])
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-        sys.modules[_FLAPACK] = module
+        sys.modules[name] = module
     return module
+
+
+def _flapack():
+    """scipy.linalg._flapack, the f2py LAPACK module whose routines
+    scipy.linalg.lapack re-exports, loaded by `_lone` after `import scipy`,
+    whose distributor init locates the bundled OpenBLAS. A later
+    `import scipy.linalg` exports the same routines."""
+    if _FLAPACK not in sys.modules:
+        import scipy  # noqa: F401
+    return _lone(_FLAPACK)
 
 
 def check_info(routine: str, info: int) -> None:

@@ -45,11 +45,15 @@ def kappa(p: float) -> float:
 
     Evaluated as exp(log(...)/(p-1)) so the identity
     kappa^(p-1) = 1/(p-1) survives p near 1 and large p at close to
-    machine accuracy.
+    machine accuracy. Below p ~ 1.00699 kappa exceeds the largest float:
+    DomainError.
     """
     if not (math.isfinite(p) and p > 1.0):
         raise DomainError(f"kappa requires p > 1, got {p!r}")
-    return math.exp(-math.log(p - 1.0) / (p - 1.0))
+    try:
+        return math.exp(-math.log(p - 1.0) / (p - 1.0))
+    except OverflowError:
+        raise DomainError(f"kappa leaves float range at p = {p!r}") from None
 
 
 def kappa_identity_residual(p: float) -> float:

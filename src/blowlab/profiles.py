@@ -40,10 +40,11 @@ before r = 14. Within a machine-level band around kappa the branches cannot
 be distinguished in floats; shoot() therefore snaps alpha inside that band to
 the exact constant trajectory.
 
-Profiles load no scipy: the DOP853 tableau is data (blowlab._dop853),
-_brentq is scipy's brentq ported operation for operation, and
-extended_profile's Hermite spline is blowlab._cubic, scipy's
-CubicHermiteSpline and PPoly evaluation ported the same way.
+Profiles import no scipy package: the DOP853 tableau is scipy's
+dop853_coefficients and _brentq is scipy's compiled brentq, each loaded as a
+lone module by _cubic._lone on first use, and extended_profile's Hermite
+spline is blowlab._cubic, scipy's CubicHermiteSpline and PPoly evaluation
+ported operation for operation.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from itertools import repeat
 
 import numpy as np
 
-from . import _cubic, _dop853 as _DOP853
+from . import _cubic
 from .calculus import SampledField, radial_field
 from .errors import DomainError, NumericError, UsageError
 from .exponents import ProblemParams, kappa
@@ -79,7 +80,7 @@ def in_snap_band(alpha: float, kap: float) -> bool:
 
 
 # scipy's DOP853 step-size control, for the lane classifier; the tableau
-# is _DOP853
+# is _tableau()
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERR_EXP = -1.0 / 8.0                       # -1 / (error estimator order + 1)
 _EPS = float(np.finfo(float).eps)
@@ -110,57 +111,27 @@ def solve_ivp(*args, **kwargs):
     return _solve_ivp(*args, **kwargs)
 
 
+def _tableau():
+    """scipy's DOP853 tableau module: C nodes, A stage matrix (13 stages
+    plus 3 for the interpolant), B weights, E3 and E5 error estimators, D
+    dense-output matrix and the stage counts."""
+    return _cubic._lone("scipy.integrate._ivp.dop853_coefficients")
+
+
 def _brentq(f, a, b, xtol, rtol):
     """scipy.optimize.brentq(f, a, b, xtol=xtol, rtol=rtol): Brent's (1973)
-    root finder, scipy's brentq.c operation for operation on Python floats,
-    so the root is bitwise scipy's. As scipy's wrapper does, a NaN function
-    value or f(a), f(b) of equal sign raises ValueError, and no convergence
-    within BRENTQ_MAXITER iterations, scipy's default, raises RuntimeError."""
+    root finder, scipy's compiled _zeros._brentq called as brentq calls it,
+    behind the same wrapper that turns a NaN function value into ValueError.
+    f(a), f(b) of equal sign raise ValueError, and no convergence within
+    BRENTQ_MAXITER iterations, scipy's default, raises RuntimeError."""
     def call(x):
-        fx = float(f(x))
+        fx = f(x)
         if math.isnan(fx):
             raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
         return fx
 
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = call(xpre), call(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(BRENTQ_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry           # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = call(xcur)
-    raise RuntimeError(f"Failed to converge after {BRENTQ_MAXITER} iterations, value is {xcur}")
+    return _cubic._lone("scipy.optimize._zeros")._brentq(
+        call, a, b, xtol, rtol, BRENTQ_MAXITER, (), False, True)
 
 
 def series_start(alpha: float, params: ProblemParams) -> tuple[float, float, float, float, float]:
@@ -354,17 +325,18 @@ def _dense(params, cap, t_old, t_new, y_old, y_new, K):
     """scipy's DOP853 dense output F (7, 2) of one lane's accepted step. K
     (16, 2) holds the step's 13 stages; the 3 extra stages go into its last
     rows, evaluated as scipy's _dense_output_impl evaluates them."""
+    tab = _tableau()
     rhs = _rhs(params, cap)
     h = t_new - t_old
-    for s in range(_DOP853.N_STAGES + 1, _DOP853.N_STAGES_EXTENDED):
-        dy = np.dot(K[:s].T, _DOP853.A[s, :s]) * h
-        K[s] = rhs(t_old + _DOP853.C[s] * h, y_old + dy)
+    for s in range(tab.N_STAGES + 1, tab.N_STAGES_EXTENDED):
+        dy = np.dot(K[:s].T, tab.A[s, :s]) * h
+        K[s] = rhs(t_old + tab.C[s] * h, y_old + dy)
     delta = y_new - y_old
-    F = np.empty((_DOP853.INTERPOLATOR_POWER, 2))
+    F = np.empty((tab.INTERPOLATOR_POWER, 2))
     F[0] = delta
     F[1] = h * K[0] - delta
-    F[2] = 2 * delta - h * (K[_DOP853.N_STAGES] + K[0])
-    F[3:] = h * np.dot(_DOP853.D, K)
+    F[2] = 2 * delta - h * (K[tab.N_STAGES] + K[0])
+    F[3:] = h * np.dot(tab.D, K)
     return F
 
 
@@ -447,7 +419,7 @@ def classify_lanes(alphas, params: ProblemParams, r_max: float = 20.0,
 
 def _step(drift, rhs, t, y, f, h_abs, rejected, t_bound, rtol, atol):
     """One DOP853 step attempt per lane, one pass of scipy's
-    RungeKutta._step_impl loop, with the coefficients of _DOP853. h_abs is
+    RungeKutta._step_impl loop, with the coefficients of _tableau(). h_abs is
     the step size to try (already held at or above the minimum step) and
     rejected flags the lanes whose last attempt failed. Returns (t_new,
     y_new, K, ok, h_next): K holds the stages as (lane, stage, component),
@@ -459,24 +431,25 @@ def _step(drift, rhs, t, y, f, h_abs, rejected, t_bound, rtol, atol):
 
     # each lane's K is laid out as scipy's, so matmul runs scipy's np.dot
     # on it lane by lane
-    ns = _DOP853.N_STAGES
-    K = np.empty((t.size, _DOP853.N_STAGES_EXTENDED, 2))
+    tab = _tableau()
+    ns = tab.N_STAGES
+    K = np.empty((t.size, tab.N_STAGES_EXTENDED, 2))
     Kt = K.transpose(0, 2, 1)
     K[:, 0] = f
-    drift_r = drift(t + _DOP853.C[:ns + 1, None] * h)    # C[12] = 1: r = t + h
+    drift_r = drift(t + tab.C[:ns + 1, None] * h)    # C[12] = 1: r = t + h
     h2 = h[:, None]
     for s in range(1, ns):
-        dy = np.matmul(Kt[:, :, :s], _DOP853.A[s, :s])
+        dy = np.matmul(Kt[:, :, :s], tab.A[s, :s])
         dy *= h2
         dy += y
         rhs(drift_r[s], dy, K[:, s])
-    y_new = y + h2 * np.matmul(Kt[:, :, :ns], _DOP853.B)
+    y_new = y + h2 * np.matmul(Kt[:, :, :ns], tab.B)
     rhs(drift_r[ns], y_new, K[:, ns])
 
     # scipy's DOP853 error norm and step-size factor
     scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-    e5 = _pow(_norms(np.matmul(Kt[:, :, :ns + 1], _DOP853.E5) / scale), 2.0)
-    e3 = _pow(_norms(np.matmul(Kt[:, :, :ns + 1], _DOP853.E3) / scale), 2.0)
+    e5 = _pow(_norms(np.matmul(Kt[:, :, :ns + 1], tab.E5) / scale), 2.0)
+    e3 = _pow(_norms(np.matmul(Kt[:, :, :ns + 1], tab.E3) / scale), 2.0)
     err = np.where((e5 == 0.0) & (e3 == 0.0), 0.0,
                    h_abs * e5 / np.sqrt((e5 + 0.01 * e3) * 2))
     ok = err < 1.0
@@ -498,6 +471,7 @@ def _run_lanes(params, idx, t, y, t_bound, rtol, atol, cap, alphas, results, ste
         raise UsageError("atol must not be negative")
     rtol = max(rtol, 100 * _EPS)                # solve_ivp's floor
     drift, rhs = _rhs_lanes(params, cap)
+    ns = _tableau().N_STAGES
     f = np.empty_like(y)
     rhs(drift(t), y, f)
     h_abs = _initial_step(drift, rhs, t, y, f, t_bound, rtol, atol)
@@ -533,7 +507,7 @@ def _run_lanes(params, idx, t, y, t_bound, rtol, atol, cap, alphas, results, ste
 
         t = np.where(ok, t_new, t)
         y = np.where(ok[:, None], y_new, y)
-        f = np.where(ok[:, None], K[:, _DOP853.N_STAGES], f)
+        f = np.where(ok[:, None], K[:, ns], f)
         g_zero, g_cap = gz_new, gc_new
         keep = ~(fired | reached)
         if not keep.all():

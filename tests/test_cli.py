@@ -286,6 +286,17 @@ def test_a_series_start_out_of_float_range_is_refused(tmp_path, capsys, kind, se
     assert [v["name"] for v in manifest["verdicts"]] == ["refused"]
 
 
+@pytest.mark.parametrize("kind", ["exponents", "shoot", "scan", "spectrum", "evolve-rescaled"])
+def test_kappa_out_of_float_range_is_refused(tmp_path, capsys, kind):
+    # kappa overflows below p ~ 1.00699: each of these ended in an
+    # OverflowError traceback from math.exp
+    out = tmp_path / "o"
+    assert run_cli(kind, "--out", str(out), "--set", "p=1.001") == 2
+    assert "float range" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [v["name"] for v in manifest["verdicts"]] == ["refused"]
+
+
 @pytest.mark.parametrize("kind, setting", [
     ("spectrum", "k=0"), ("blowup", "u_cap=0"), ("blowup", "u_cap=-1"),
     ("theorem13", "K=0"), ("theorem13", "conv_tol=nan"), ("theorem13", "conv_tol=0"),

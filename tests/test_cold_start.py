@@ -1,5 +1,5 @@
-"""Fresh-interpreter runs of the CLI, and of the LAPACK loader before
-scipy.linalg. Inside the test session scipy's heavy submodules are already
+"""Fresh-interpreter runs of the CLI, and of the lone-module loader before
+the scipy packages it loads from. Inside the test session scipy's heavy submodules are already
 loaded, which hides both what a subcommand imports and a deferred import
 that is broken; a new process shows both.
 """
@@ -12,9 +12,13 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# once imported on call, now ported into blowlab (brentq, the bounded Brent
-# search, CubicSpline, CubicHermiteSpline): no subcommand loads them
+# once imported on call, now ported into blowlab (the bounded Brent search,
+# CubicSpline, CubicHermiteSpline) or loaded from them as lone modules
+# (brentq's scipy.optimize._zeros): no subcommand loads the packages
 DEFERRED = ("scipy.optimize", "scipy.interpolate")
+
+# the two modules the lanes load by themselves, without their packages
+LONE = ["scipy.integrate._ivp.dop853_coefficients", "scipy.optimize._zeros"]
 
 # run each argv through cli.main, then print the exit codes and every scipy
 # module in sys.modules
@@ -39,11 +43,11 @@ def run_fresh(tmp_path, runs):
 
 
 def test_profiles_path_loads_no_scipy(tmp_path):
-    # the lanes carry the DOP853 tableau and brentq themselves, a shot off
-    # kappa is one lane, and shoot at kappa is the snapped constant: none of
-    # them imports any of scipy. The last scan brackets nothing (kappa lies
-    # outside its range) and sends all 5 of its alphas, bounded at r_max,
-    # through shoot
+    # the lanes load scipy's DOP853 tableau and compiled brentq as lone
+    # modules, a shot off kappa is one lane, and shoot at kappa is the
+    # snapped constant: none of them imports a scipy package, scipy itself
+    # included. The last scan brackets nothing (kappa lies outside its
+    # range) and sends all 5 of its alphas, bounded at r_max, through shoot
     got = run_fresh(tmp_path, [
         ["scan", "--set", "count=5"],
         ["shoot"],
@@ -52,7 +56,7 @@ def test_profiles_path_loads_no_scipy(tmp_path):
         ["scan", "--set", "alpha_lo=1.01", "--set", "alpha_hi=1.1", "--set", "count=5",
          "--set", "r_max=3"],
     ])
-    assert got == {"codes": [0] * 5, "scipy": []}
+    assert got == {"codes": [0] * 5, "scipy": LONE}
 
 
 def test_similarity_frame_loads_no_deferred_scipy(tmp_path):
@@ -118,12 +122,50 @@ print("ok")
     assert proc.stdout.split() == ["ok"]
 
 
+def test_lone_modules_then_their_packages_in_a_fresh_process(tmp_path):
+    # the lanes run first and register the tableau and brentq's module; later
+    # imports of scipy.integrate and scipy.optimize reuse both, and their
+    # solve_ivp and brentq still work, with the lanes' results
+    script = """
+import sys
+import blowlab.profiles as profiles
+from blowlab import ProblemParams, shoot
+params = ProblemParams(n=2, p=2.0)
+shot = shoot(0.7, params)
+assert shot.outcome == "hit-zero"
+lone = %r
+assert sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")) == lone
+tableau, zeros = (sys.modules[m] for m in lone)
+import scipy.integrate
+import scipy.optimize
+from scipy.integrate._ivp import dop853_coefficients, rk
+from scipy.optimize import _zeros
+assert dop853_coefficients is tableau and rk.dop853_coefficients is tableau
+assert _zeros is zeros and profiles._tableau() is tableau
+r0, w0, w0r, _, _ = profiles.series_start(0.7, params)
+zero = lambda r, z: z[0]
+zero.terminal, zero.direction = True, -1
+sol = scipy.integrate.solve_ivp(profiles._rhs(params, 1e6), (r0, 20.0), [w0, w0r],
+                                method="DOP853", rtol=1e-10, atol=1e-12, events=zero)
+assert sol.status == 1 and sol.t_events[0][0] == shot.r_end
+f = lambda x: x ** 3 - 0.1
+assert scipy.optimize.brentq(f, 0.0, 1.0) == profiles._brentq(f, 0.0, 1.0, 2e-12,
+                                                               4 * 2.0 ** -52)
+print("ok")
+""" % LONE
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ok"]
+
+
 def test_deferred_imports_resolve_in_a_fresh_process(tmp_path):
     # scan with bisection and shoot off kappa run the lanes, spectrum on a
     # bounded shot off kappa the Hermite spline, theorem13 the not-a-knot
     # spline and the bounded search: each exits 0 with what it loads on call
-    # (scipy's LAPACK extension module), and none loads the modules blowlab
-    # carries ports of
+    # (scipy's LAPACK extension module, the tableau and brentq's module),
+    # and none loads the packages blowlab carries ports of or loads from
     got = run_fresh(tmp_path, [
         ["scan", "--set", "count=5", "--set", "bisect_tol=1e-4"],
         ["shoot", "--set", "alpha=0.7"],

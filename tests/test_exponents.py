@@ -36,7 +36,8 @@ def test_kappa_identity_random_battery():
 
 
 def test_kappa_domain():
-    for bad in (1.0, 0.5, -3.0, math.inf, math.nan):
+    # below p ~ 1.00699 kappa passes the largest float
+    for bad in (1.0, 0.5, -3.0, math.inf, math.nan, 1.001, math.nextafter(1.0, 2.0)):
         with pytest.raises(DomainError):
             kappa(bad)
 

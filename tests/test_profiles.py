@@ -553,8 +553,9 @@ def test_one_lane_step_is_scipys_dop853_step(alpha, params, cap):
 
 
 def test_dop853_tableau_is_scipys():
-    # blowlab._dop853 is data copied from scipy, bitwise
-    tab = profiles._DOP853
+    # the lanes read scipy's tableau module through the lone loader
+    tab = profiles._tableau()
+    assert tab is dop853_coefficients
     for name in ("N_STAGES", "N_STAGES_EXTENDED", "INTERPOLATOR_POWER"):
         assert getattr(tab, name) == getattr(dop853_coefficients, name)
     for name in ("C", "A", "B", "E3", "E5", "D"):
