@@ -1,7 +1,7 @@
 """Fresh-interpreter runs of the CLI, and of the lone-module loader before
-the scipy packages it loads from. Inside the test session scipy's heavy submodules are already
-loaded, which hides both what a subcommand imports and a deferred import
-that is broken; a new process shows both.
+the scipy packages it loads from. Inside the test session scipy's heavy
+submodules are already loaded, which hides both what a subcommand imports
+and a deferred import that is broken; a new process shows both.
 """
 
 import json
@@ -149,8 +149,8 @@ sol = scipy.integrate.solve_ivp(profiles._rhs(params, 1e6), (r0, 20.0), [w0, w0r
                                 method="DOP853", rtol=1e-10, atol=1e-12, events=zero)
 assert sol.status == 1 and sol.t_events[0][0] == shot.r_end
 f = lambda x: x ** 3 - 0.1
-assert scipy.optimize.brentq(f, 0.0, 1.0) == profiles._brentq(f, 0.0, 1.0, 2e-12,
-                                                               4 * 2.0 ** -52)
+assert scipy.optimize.brentq(f, 0.0, 1.0) == profiles._brentq(
+    f, 0.0, 1.0, 2e-12, 4 * sys.float_info.epsilon)
 print("ok")
 """ % LONE
     env = dict(os.environ, PYTHONPATH=str(SRC))

@@ -553,15 +553,8 @@ def test_one_lane_step_is_scipys_dop853_step(alpha, params, cap):
 
 
 def test_dop853_tableau_is_scipys():
-    # the lanes read scipy's tableau module through the lone loader
-    tab = profiles._tableau()
-    assert tab is dop853_coefficients
-    for name in ("N_STAGES", "N_STAGES_EXTENDED", "INTERPOLATOR_POWER"):
-        assert getattr(tab, name) == getattr(dop853_coefficients, name)
-    for name in ("C", "A", "B", "E3", "E5", "D"):
-        ours, theirs = getattr(tab, name), getattr(dop853_coefficients, name)
-        assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
-        assert ours.tobytes() == theirs.tobytes()
+    # the lanes read scipy's tableau module itself, through the lone loader
+    assert profiles._tableau() is dop853_coefficients
 
 
 def brentq_outcome(find, f, a, b, xtol, rtol):
