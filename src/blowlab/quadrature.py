@@ -17,11 +17,14 @@ operator assembly, are
 
 with c_{n,k}^2 = sphere_area(n) 2^(n-1) Gamma(k + n/2) / k!.
 
-Importing this module loads no scipy; the radial family imports
-scipy.special where it is built (`laguerre_norms`, `roots_genlaguerre`,
-`radial_grid`). Its Gauss-Laguerre rule is scipy.special.roots_genlaguerre
-ported, whose banded eigensolve calls LAPACK dsbevd from the extension
-module `_cubic._flapack` loads, so no grid loads the scipy.linalg package.
+Importing this module loads no scipy, and no grid loads the scipy.special
+or scipy.linalg package. The radial family is built from ports that are
+bitwise scipy 1.17.1's: `laguerre_table` is the integer-order recurrence of
+scipy.special.eval_genlaguerre, and `roots_genlaguerre` is
+scipy.special.roots_genlaguerre, whose banded eigensolve calls LAPACK dsbevd
+from the extension module `_cubic._flapack` loads. The gamma, gammaln and
+binom they need are scipy's compiled ufuncs from
+scipy.special._special_ufuncs, loaded by itself with `_cubic._lone`.
 """
 
 from __future__ import annotations
@@ -44,6 +47,10 @@ TOTAL_MASS_1D = 2.0 * math.sqrt(math.pi)  # int exp(-y^2/4) dy
 # roots_genlaguerre from 364 on at n <= 10 (earlier at larger n: 357 at n = 100)
 MAX_HERMITE_DEGREE = 370
 MAX_LAGUERRE_DEGREE = 363
+
+# scipy's compiled gamma, gammaln and binom: the same ufuncs scipy.special
+# exports, without its package init
+_SPECIAL = "scipy.special._special_ufuncs"
 
 
 def sphere_area(n: int) -> float:
@@ -184,7 +191,7 @@ def tensor_grid(n: int, degree: int | None = None) -> TensorGrid:
 
 def laguerre_norms(n: int, nfuncs: int) -> np.ndarray:
     """Weighted L^2 norms of L_k^(n/2-1)(r^2/4) over R^n (radial measure)."""
-    from scipy.special import gammaln
+    gammaln = _cubic._lone(_SPECIAL).gammaln
     alpha = n / 2.0 - 1.0
     ks = np.arange(nfuncs)
     log_n2 = (
@@ -192,6 +199,30 @@ def laguerre_norms(n: int, nfuncs: int) -> np.ndarray:
         + gammaln(ks + alpha + 1.0) - gammaln(ks + 1.0)
     )
     return np.exp(0.5 * log_n2)
+
+
+def laguerre_table(kmax: int, alpha: float, x: np.ndarray) -> np.ndarray:
+    """Column k, for k = 0..kmax, is scipy.special.eval_genlaguerre(k, alpha,
+    x) at an integer k, as an (x.size, kmax + 1) array. Ported from scipy
+    1.17.1's eval_genlaguerre_l operation for operation, so every value is
+    bitwise scipy's: column 1 is -x + alpha + 1, and from d = -x/(alpha + 1)
+    and p = d + 1 each step k = 1, 2, ... takes
+    d = -x/(k + alpha + 1) p + k/(k + alpha + 1) d and p = d + p, so that
+    column k + 1 is binom(k + 1 + alpha, k + 1) p. The partial sums p do not
+    depend on the order asked for, so one pass gives every column."""
+    out = np.empty((x.size, kmax + 1))
+    out[:, 0] = 1.0
+    if kmax >= 1:
+        out[:, 1] = -x + alpha + 1
+    d = -x / (alpha + 1)
+    p = d + 1
+    for k in range(1, kmax):
+        d = -x / (k + alpha + 1) * p + (k / (k + alpha + 1)) * d
+        p = d + p
+        out[:, k + 1] = p
+    ks = np.arange(2.0, kmax + 1)
+    out[:, 2:] *= _cubic._lone(_SPECIAL).binom(ks + alpha, ks)
+    return out
 
 
 def roots_genlaguerre(degree: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -204,19 +235,18 @@ def roots_genlaguerre(degree: int, alpha: float) -> tuple[np.ndarray, np.ndarray
     step refines them, and the weights come from log-normalised values of
     L_(degree-1) and the derivative, scaled to sum to Gamma(alpha + 1).
     Overflow on the way is the caller's to test for."""
-    from scipy.special import eval_genlaguerre, gamma
-    mu0 = gamma(alpha + 1)
+    mu0 = _cubic._lone(_SPECIAL).gamma(alpha + 1)
     k = np.arange(degree, dtype="d")
     c = np.zeros((2, degree))
     c[0, 1:] = -np.sqrt(k[1:] * (k[1:] + alpha))
     c[1, :] = 2 * k + alpha + 1
     x, _, info = _cubic._flapack().dsbevd(c, compute_v=0, lower=0, overwrite_ab=1)
     _cubic.check_info("dsbevd", info)
-    y = eval_genlaguerre(degree, alpha, x)
-    dy = (degree * eval_genlaguerre(degree, alpha, x)
-          - (degree + alpha) * eval_genlaguerre(degree - 1, alpha, x)) / x
+    rows = laguerre_table(degree, alpha, x)
+    y = rows[:, degree]
+    dy = (degree * y - (degree + alpha) * rows[:, degree - 1]) / x
     x -= y / dy
-    fm = eval_genlaguerre(degree - 1, alpha, x)
+    fm = laguerre_table(degree - 1, alpha, x)[:, degree - 1]
     log_fm = np.log(np.abs(fm))
     log_dy = np.log(np.abs(dy))
     fm /= np.exp((log_fm.max() + log_fm.min()) / 2.0)
@@ -275,7 +305,6 @@ def radial_grid(n: int, degree: int = 48) -> RadialGrid:
         raise UsageError(f"grid dimension must be a positive integer, got {n!r}")
     if degree < 2:
         raise UsageError("grid degree must be at least 2")
-    from scipy.special import eval_genlaguerre
     alpha = n / 2.0 - 1.0
     refusal = ConfigurationError(
         f"the Gauss-Laguerre rule of degree {degree} in n = {n} does not build "
@@ -289,13 +318,11 @@ def radial_grid(n: int, degree: int = 48) -> RadialGrid:
     r = 2.0 * np.sqrt(x)
     weights = sphere_area(n) * 2.0 ** (n - 1) * wx
     norms = laguerre_norms(n, degree)
-    basis = np.stack(
-        [eval_genlaguerre(k, alpha, x) / norms[k] for k in range(degree)], axis=1
-    )
+    basis = laguerre_table(degree - 1, alpha, x) / norms
     # d/dr L_k(r^2/4) = -(r/2) L_{k-1}^(alpha+1)(r^2/4)
     basis_dr = np.zeros_like(basis)
-    for k in range(1, degree):
-        basis_dr[:, k] = -(r / 2.0) * eval_genlaguerre(k - 1, alpha + 1.0, x) / norms[k]
+    basis_dr[:, 1:] = (
+        (-(r / 2.0))[:, None] * laguerre_table(degree - 2, alpha + 1.0, x) / norms[1:])
     return RadialGrid(n=n, degree=degree, r=r, weights=weights,
                       basis=basis, basis_dr=basis_dr)
 

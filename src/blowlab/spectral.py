@@ -28,7 +28,8 @@ Importing this module loads no scipy, and no spectral run loads the
 scipy.linalg package: `eigh` and `fd_eigenvalues_1d` call LAPACK dsyevr and
 dstebz as scipy.linalg.eigh and eigh_tridiagonal do, bitwise, from the
 extension module `_cubic._flapack` loads on its own. A Hermite spectrum
-loads no other scipy; the radial basis adds scipy.special.
+loads no other scipy; the radial basis adds scipy.special._special_ufuncs,
+loaded by itself, and never the scipy.special package.
 """
 
 from __future__ import annotations

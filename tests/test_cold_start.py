@@ -20,6 +20,10 @@ DEFERRED = ("scipy.optimize", "scipy.interpolate")
 # the two modules the lanes load by themselves, without their packages
 LONE = ["scipy.integrate._ivp.dop853_coefficients", "scipy.optimize._zeros"]
 
+# the one scipy.special module a radial grid loads by itself, for its
+# compiled gamma, gammaln and binom; the package is never imported
+SPECIAL = ["scipy.special._special_ufuncs"]
+
 # run each argv through cli.main, then print the exit codes and every scipy
 # module in sys.modules
 SCRIPT = """
@@ -31,6 +35,10 @@ print(json.dumps({"codes": codes,
                   "scipy": sorted(m for m in sys.modules
                                   if m == "scipy" or m.startswith("scipy."))}))
 """
+
+
+def special(got):
+    return [m for m in got["scipy"] if m == "scipy.special" or m.startswith("scipy.special.")]
 
 
 def run_fresh(tmp_path, runs):
@@ -60,9 +68,9 @@ def test_profiles_path_loads_no_scipy(tmp_path):
 
 
 def test_similarity_frame_loads_no_deferred_scipy(tmp_path):
-    # the identity battery needs scipy.special, and the spectrum only the
-    # LAPACK extension module; the rescaled flow and the exponents load
-    # neither scipy.special nor the scipy.linalg package
+    # the identity battery's radial grid needs the LAPACK extension module
+    # and scipy.special._special_ufuncs, and the spectrum only the LAPACK
+    # module; nothing loads the scipy.special or scipy.linalg package
     got = run_fresh(tmp_path, [
         ["evolve-rescaled", "--set", "m=201", "--set", "s_end=0.5"],
         ["evolve-rescaled", "--set", "init=stable-mode", "--set", "m=201",
@@ -74,6 +82,7 @@ def test_similarity_frame_loads_no_deferred_scipy(tmp_path):
     ])
     assert got["codes"] == [0] * 6
     assert [m for m in DEFERRED if m in got["scipy"]] == []
+    assert special(got) == SPECIAL
 
 
 def test_physical_frame_loads_no_scipy_linalg(tmp_path):
@@ -182,14 +191,50 @@ def test_deferred_imports_resolve_in_a_fresh_process(tmp_path):
 def test_radial_grids_load_no_scipy_linalg(tmp_path):
     # the Gauss-Laguerre rule's banded eigensolve (dsbevd) and the spectrum's
     # dsyevr and dstebz come from the LAPACK extension module alone; the
-    # radial basis and the identity battery add scipy.special
+    # radial basis's Laguerre values are ported, and its gamma, gammaln and
+    # binom come from scipy.special._special_ufuncs alone. At n = 1 (alpha =
+    # -1/2) binom takes its half-integer branch
     got = run_fresh(tmp_path, [
         ["spectrum", "--set", "basis=radial", "--set", "n=3"],
+        ["spectrum", "--set", "basis=radial", "--set", "n=1"],
         ["verify-identities", "--set", "n=2"],
     ])
-    assert got["codes"] == [0] * 2
+    assert got["codes"] == [0] * 3
     assert "scipy.linalg._flapack" in got["scipy"]
     assert set(got["scipy"]).isdisjoint(DEFERRED + ("scipy.linalg", "scipy.sparse"))
+    assert special(got) == SPECIAL
+
+
+def test_special_ufuncs_loader_then_scipy_special_in_a_fresh_process(tmp_path):
+    # a radial grid runs first and registers scipy.special._special_ufuncs;
+    # a later import of scipy.special reuses that module, exports its gamma,
+    # gammaln and binom, and its eval_genlaguerre and roots_genlaguerre give
+    # the grid's values bitwise
+    script = """
+import sys
+import numpy as np
+from blowlab import quadrature
+grid = quadrature.radial_grid(1, 48)
+x, w = quadrature.roots_genlaguerre(48, -0.5)
+assert "scipy.special" not in sys.modules
+module = sys.modules["scipy.special._special_ufuncs"]
+import scipy.special
+from scipy.special import _special_ufuncs
+assert _special_ufuncs is module
+assert all(getattr(scipy.special, f) is getattr(module, f) for f in ("gamma", "gammaln", "binom"))
+want = scipy.special.roots_genlaguerre(48, -0.5)
+assert np.array_equal(x, want[0]) and np.array_equal(w, want[1])
+rows = quadrature.laguerre_table(47, -0.5, x)
+assert all(np.array_equal(rows[:, k], scipy.special.eval_genlaguerre(k, -0.5, x))
+           for k in range(48))
+assert np.array_equal(grid.basis, rows / quadrature.laguerre_norms(1, 48))
+print("ok")
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ok"]
 
 
 def test_hermite_spectrum_loads_no_scipy_subpackage(tmp_path):

@@ -3,7 +3,7 @@ functions they stand in for: spectral.eigh against scipy.linalg.eigh,
 spectral.fd_eigenvalues_1d's dstebz against scipy.linalg.eigh_tridiagonal,
 and quadrature.roots_genlaguerre against scipy.special.roots_genlaguerre,
 all bitwise, sign bits included. A nonzero LAPACK info raises NumericError,
-and no module of blowlab imports the scipy.linalg package.
+and no module of blowlab imports the scipy.linalg or scipy.special package.
 """
 
 import ast
@@ -113,11 +113,20 @@ def _imports(tree):
             yield from (f"{node.module}.{alias.name}" for alias in node.names)
 
 
-def test_no_module_imports_scipy_linalg():
-    found = {
+def _imported(package):
+    return {
         (path.name, name)
         for path in sorted(SRC.glob("*.py"))
         for name in _imports(ast.parse(path.read_text()))
-        if name == "scipy.linalg" or name.startswith("scipy.linalg.")
+        if name == package or name.startswith(package + ".")
     }
-    assert found == set()
+
+
+def test_no_module_imports_scipy_linalg():
+    assert _imported("scipy.linalg") == set()
+
+
+def test_no_module_imports_scipy_special():
+    # the radial rule's Laguerre values are ported, and its gamma, gammaln
+    # and binom come from the lone-loaded scipy.special._special_ufuncs
+    assert _imported("scipy.special") == set()

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 
 from blowlab import (
     ConfigurationError,
@@ -18,6 +19,7 @@ from blowlab.quadrature import (
     TOTAL_MASS_1D,
     cutoff_radial,
     hermite_basis,
+    laguerre_table,
     require_basis_fits,
     require_same_grid,
     smoothstep,
@@ -231,3 +233,28 @@ def test_the_largest_rules_build_finitely(build, n, degree):
         warnings.simplefilter("error")
         g = build(n, degree)
     assert np.isfinite(g.points).all() and np.isfinite(g.weights).all()
+
+
+@pytest.mark.parametrize("n", [*range(1, 14), 20, 41, 42, 43, 100])
+def test_laguerre_table_are_scipys(n):
+    # every order up to the largest rule's, at alpha and at alpha + 1 (the
+    # derivative's rows), on x up to 1500: from the origin through the
+    # nodes of the largest rule, where the values overflow
+    alpha = n / 2.0 - 1.0
+    x = np.concatenate([[0.0, 1e-300], np.geomspace(1e-6, 1500.0, 60),
+                        np.linspace(0.5, 50.0, 24)])
+    for a in (alpha, alpha + 1.0):
+        with np.errstate(all="ignore"):
+            rows = laguerre_table(363, a, x)
+            for k in range(364):
+                want = scipy.special.eval_genlaguerre(k, a, x)
+                assert np.array_equal(rows[:, k].view(np.int64), want.view(np.int64)), (a, k)
+
+
+def test_special_ufuncs_are_scipy_specials_own():
+    from blowlab import _cubic
+
+    module = _cubic._lone("scipy.special._special_ufuncs")
+    assert module.gamma is scipy.special.gamma
+    assert module.gammaln is scipy.special.gammaln
+    assert module.binom is scipy.special.binom
