@@ -236,7 +236,7 @@ def test_the_largest_rules_build_finitely(build, n, degree):
 
 
 @pytest.mark.parametrize("n", [*range(1, 14), 20, 41, 42, 43, 100])
-def test_laguerre_table_are_scipys(n):
+def test_laguerre_table_is_scipys(n):
     # every order up to the largest rule's, at alpha and at alpha + 1 (the
     # derivative's rows), on x up to 1500: from the origin through the
     # nodes of the largest rule, where the values overflow
