@@ -71,7 +71,8 @@ def _lone(name: str):
     directory under scipy's install location (find_spec of the top-level
     package runs no init), executed as a lone module and registered in
     sys.modules under its own name. A later import of its package finds it
-    there and uses the same module."""
+    there and uses the same module. A scipy without that module raises
+    ImportError and registers nothing."""
     module = sys.modules.get(name)
     if module is None:
         import importlib.machinery
@@ -80,6 +81,9 @@ def _lone(name: str):
         root = importlib.util.find_spec("scipy").submodule_search_locations[0]
         spec = importlib.machinery.PathFinder.find_spec(
             name, [os.path.join(root, *name.split(".")[1:-1])])
+        if spec is None:
+            raise ImportError(f"scipy has no module {name}; the modules blowlab "
+                              "loads by themselves are pinned to scipy 1.17.1", name=name)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         sys.modules[name] = module

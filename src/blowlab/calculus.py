@@ -36,7 +36,6 @@ from .errors import UsageError
 from .exponents import ProblemParams, admissible_m_interval, m_condition
 from .quadrature import (
     Grid,
-    RadialGrid,
     TensorGrid,
     cutoff_radial,
     require_same_grid,
@@ -46,8 +45,8 @@ from .quadrature import (
 
 @dataclass(frozen=True, eq=False)
 class SampledField:
-    """A function sampled on a grid together with first (and maybe second)
-    derivative data. grad has shape (nq, n) on tensor grids and (nq, 1) on
+    """A function sampled on a grid together with its derivative data, given
+    by the caller. grad has shape (nq, n) on tensor grids and (nq, 1) on
     radial grids (d/dr)."""
 
     grid: Grid
@@ -56,18 +55,13 @@ class SampledField:
     lap: np.ndarray | None = None
 
     @classmethod
-    def from_callable(cls, grid: Grid, f, grad=None, lap=None) -> "SampledField":
-        """Sample callables of the points (nq, n); any derivative not supplied
-        is computed spectrally."""
+    def from_callable(cls, grid: Grid, f, grad, lap) -> "SampledField":
+        """Sample callables of the points (nq, n): the function, its gradient
+        and its Laplacian."""
         pts = grid.points
-        values = np.asarray(f(pts), dtype=float).reshape(-1)
-        g = None if grad is None else np.asarray(grad(pts), dtype=float)
-        l = None if lap is None else np.asarray(lap(pts), dtype=float).reshape(-1)
-        if g is None:
-            g = grid.gradient(values)
-        if l is None:
-            l = grid.laplacian(values)
-        return cls(grid=grid, values=values, grad=g, lap=l)
+        return cls(grid=grid, values=np.asarray(f(pts), dtype=float).reshape(-1),
+                   grad=np.asarray(grad(pts), dtype=float),
+                   lap=np.asarray(lap(pts), dtype=float).reshape(-1))
 
     @classmethod
     def constant(cls, grid: Grid, c: float) -> "SampledField":

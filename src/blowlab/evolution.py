@@ -290,20 +290,24 @@ def solve_banded(l_and_u, ab, b):
 
 def _tridiagonal_solver(dl: np.ndarray, d: np.ndarray, du: np.ndarray):
     """solve(b) for a tridiagonal matrix, from its LU factors by LAPACK
-    dgttrf (partial pivoting); an exactly singular matrix raises
-    NumericError. solve runs dgttrs, which does the arithmetic of dgtsv
-    (which solve_banded calls for (1, 1) bands), so its result is bitwise
-    that of solve_banded; b is overwritten. Both routines come from
-    `_cubic._flapack`, not from the scipy.linalg package."""
+    dgttrf (partial pivoting); an exactly singular matrix, or any other
+    nonzero info from either routine, raises NumericError. solve runs
+    dgttrs, which does the arithmetic of dgtsv (which solve_banded calls for
+    (1, 1) bands), so its result is bitwise that of solve_banded; b is
+    overwritten. Both routines come from `_cubic._flapack`, not from the
+    scipy.linalg package."""
     lapack = _cubic._flapack()
     dgttrs = lapack.dgttrs
     *lu, info = lapack.dgttrf(dl, d, du)
     if info > 0:
         raise NumericError(f"tridiagonal factorisation hit a zero pivot in row {info}",
                            payload={"row": int(info)})
+    _cubic.check_info("dgttrf", info)
 
     def solve(b: np.ndarray) -> np.ndarray:
-        return dgttrs(*lu, b, overwrite_b=1)[0]
+        x, info = dgttrs(*lu, b, overwrite_b=1)
+        _cubic.check_info("dgttrs", info)
+        return x
 
     return solve
 
@@ -534,11 +538,16 @@ class DissipationReport:
 
 # relative tolerance of the dissipation identity
 DISSIPATION_TOL = 0.02
+# a window is decided only if its energy drop exceeds DISSIPATION_FLOOR eps
+# max |E|: the drop's rounding reached 10 eps max |E| at amplitudes 1e-9 to
+# 1e-7 about kappa, so above the floor it is at most half of DISSIPATION_TOL
+DISSIPATION_FLOOR = 1000.0
 
 
-def dissipation_check(run: RescaledRun, s_a: float, s_b: float) -> DissipationReport:
+def dissipation_check(run: RescaledRun, s_a: float, s_b: float) -> DissipationReport | None:
     """Check int_{s_a}^{s_b} int |w_s|^2 rho dy ds = E(a) - E(b) within
-    DISSIPATION_TOL, relative, from the run's rates.
+    DISSIPATION_TOL, relative, from the run's rates; None, no verdict, when
+    the drop E(a) - E(b) is within the rounding floor (DISSIPATION_FLOOR).
 
     w_s from centered differences of the run's states, so the window is
     snapped inward by one step at each end."""
@@ -551,6 +560,9 @@ def dissipation_check(run: RescaledRun, s_a: float, s_b: float) -> DissipationRe
         raise UsageError("recorded states are too sparse in the requested window")
     lhs = float(np.trapezoid(run.rates[i_a:i_b + 1], dx=run.ds))
     rhs = float(run.energies[i_a] - run.energies[i_b])
+    scale = float(np.abs(run.energies[i_a:i_b + 1]).max())
+    if abs(rhs) <= DISSIPATION_FLOOR * np.finfo(float).eps * scale:
+        return None
     rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
     return DissipationReport(s_lo=float(s[i_a]), s_hi=float(s[i_b]),
                              lhs=lhs, rhs=rhs, rel_err=rel, holds=rel <= DISSIPATION_TOL)

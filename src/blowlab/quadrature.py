@@ -9,8 +9,9 @@ families:
   * radial Gauss-Laguerre (generalized, alpha = n/2 - 1): r = 2 sqrt(x),
     weights carry the sphere area, for radially symmetric integrands.
 
-The matching orthonormal bases, used for spectral differentiation and for
-operator assembly, are
+The grids are quadrature rules only. The orthonormal eigenbases that
+spectral.build_basis samples on them, with `hermite_basis` and
+`laguerre_basis`, are
 
     b_k(y)   = He_k(y / sqrt(2)) / sqrt(2 sqrt(pi) k!),      L b_k  = -(k/2) b_k
     phi_k(r) = L_k^(n/2-1)(r^2/4) / c_{n,k},                 L phi_k = -k phi_k
@@ -89,16 +90,6 @@ def hermite_basis(points: np.ndarray, nfuncs: int) -> np.ndarray:
     return out * (4.0 * math.pi) ** (-0.25)
 
 
-def hermite_coeff_derivative(coeffs: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Coefficient image of d/dy: (Dc)_k = sqrt((k+1)/2) c_{k+1}."""
-    c = np.moveaxis(np.asarray(coeffs), axis, 0)
-    out = np.zeros_like(c)
-    deg = c.shape[0]
-    ks = np.sqrt(np.arange(1, deg) / 2.0)
-    out[:-1] = ks.reshape((-1,) + (1,) * (c.ndim - 1)) * c[1:]
-    return np.moveaxis(out, 0, axis)
-
-
 @dataclass(frozen=True, eq=False)
 class TensorGrid:
     """Tensor Gauss-Hermite grid for exp(-|y|^2/4) on R^n."""
@@ -109,47 +100,12 @@ class TensorGrid:
     weights: np.ndarray = field(repr=False)    # (nq,)
     nodes_1d: np.ndarray = field(repr=False)
     weights_1d: np.ndarray = field(repr=False)
-    basis_1d: np.ndarray = field(repr=False)   # (degree, degree) values of b_k
 
     kind = "tensor"
 
     @property
     def npoints(self) -> int:
         return self.weights.size
-
-    def reshape(self, values: np.ndarray) -> np.ndarray:
-        return np.asarray(values).reshape((self.degree,) * self.n)
-
-    def to_coeffs(self, values: np.ndarray) -> np.ndarray:
-        """Hermite coefficients, analysis exact through degree-1 per axis."""
-        c = self.reshape(values)
-        analysis = self.basis_1d.T * self.weights_1d  # (deg, deg) @ axis values
-        for ax in range(self.n):
-            c = np.moveaxis(np.tensordot(analysis, np.moveaxis(c, ax, 0), axes=(1, 0)), 0, ax)
-        return c
-
-    def from_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
-        c = coeffs
-        for ax in range(self.n):
-            c = np.moveaxis(np.tensordot(self.basis_1d, np.moveaxis(c, ax, 0), axes=(1, 0)), 0, ax)
-        return c.reshape(-1)
-
-    def gradient(self, values: np.ndarray) -> np.ndarray:
-        """Spectral gradient, (nq, n)."""
-        c = self.to_coeffs(values)
-        out = np.empty((self.npoints, self.n))
-        for ax in range(self.n):
-            out[:, ax] = self.from_coeffs(hermite_coeff_derivative(c, axis=ax))
-        return out
-
-    def laplacian(self, values: np.ndarray) -> np.ndarray:
-        c = self.to_coeffs(values)
-        out = np.zeros(self.npoints)
-        for ax in range(self.n):
-            out += self.from_coeffs(
-                hermite_coeff_derivative(hermite_coeff_derivative(c, axis=ax), axis=ax)
-            )
-        return out
 
 
 def default_tensor_degree(n: int) -> int:
@@ -183,10 +139,8 @@ def tensor_grid(n: int, degree: int | None = None) -> TensorGrid:
     weights = np.ones(degree**n)
     for wm in wmesh:
         weights = weights * wm.reshape(-1)
-    return TensorGrid(
-        n=n, degree=degree, points=points, weights=weights,
-        nodes_1d=nodes, weights_1d=wts, basis_1d=hermite_basis(nodes, degree),
-    )
+    return TensorGrid(n=n, degree=degree, points=points, weights=weights,
+                      nodes_1d=nodes, weights_1d=wts)
 
 
 def laguerre_norms(n: int, nfuncs: int) -> np.ndarray:
@@ -263,9 +217,8 @@ class RadialGrid:
     n: int
     degree: int
     r: np.ndarray = field(repr=False)          # (nq,)
+    x: np.ndarray = field(repr=False)          # (nq,) Laguerre nodes, r^2/4
     weights: np.ndarray = field(repr=False)    # (nq,)
-    basis: np.ndarray = field(repr=False)      # (nq, degree) values of phi_k
-    basis_dr: np.ndarray = field(repr=False)   # (nq, degree) values of phi_k'
 
     kind = "radial"
 
@@ -277,22 +230,19 @@ class RadialGrid:
     def points(self) -> np.ndarray:
         return self.r.reshape(-1, 1)
 
-    def to_coeffs(self, values: np.ndarray) -> np.ndarray:
-        return self.basis.T @ (self.weights * np.asarray(values))
 
-    def from_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.basis @ coeffs
-
-    def gradient(self, values: np.ndarray) -> np.ndarray:
-        """Radial derivative d/dr as an (nq, 1) array."""
-        return (self.basis_dr @ self.to_coeffs(values)).reshape(-1, 1)
-
-    def laplacian(self, values: np.ndarray) -> np.ndarray:
-        """Lap f = L f + (r/2) f_r, using L phi_k = -k phi_k exactly."""
-        c = self.to_coeffs(values)
-        ou = self.basis @ (-np.arange(self.degree) * c)
-        fr = self.basis_dr @ c
-        return ou + 0.5 * self.r * fr
+def laguerre_basis(grid: RadialGrid, nfuncs: int) -> tuple[np.ndarray, np.ndarray]:
+    """Values of phi_0..phi_{nfuncs-1} and of their d/dr at the grid's nodes,
+    each an (nq, nfuncs) array."""
+    alpha = grid.n / 2.0 - 1.0
+    norms = laguerre_norms(grid.n, nfuncs)
+    values = laguerre_table(nfuncs - 1, alpha, grid.x) / norms
+    # d/dr L_k(r^2/4) = -(r/2) L_{k-1}^(alpha+1)(r^2/4)
+    dr = np.zeros_like(values)
+    if nfuncs > 1:
+        dr[:, 1:] = ((-(grid.r / 2.0))[:, None]
+                     * laguerre_table(nfuncs - 2, alpha + 1.0, grid.x) / norms[1:])
+    return values, dr
 
 
 def radial_grid(n: int, degree: int = 48) -> RadialGrid:
@@ -317,14 +267,7 @@ def radial_grid(n: int, degree: int = 48) -> RadialGrid:
         raise refusal
     r = 2.0 * np.sqrt(x)
     weights = sphere_area(n) * 2.0 ** (n - 1) * wx
-    norms = laguerre_norms(n, degree)
-    basis = laguerre_table(degree - 1, alpha, x) / norms
-    # d/dr L_k(r^2/4) = -(r/2) L_{k-1}^(alpha+1)(r^2/4)
-    basis_dr = np.zeros_like(basis)
-    basis_dr[:, 1:] = (
-        (-(r / 2.0))[:, None] * laguerre_table(degree - 2, alpha + 1.0, x) / norms[1:])
-    return RadialGrid(n=n, degree=degree, r=r, weights=weights,
-                      basis=basis, basis_dr=basis_dr)
+    return RadialGrid(n=n, degree=degree, r=r, x=x, weights=weights)
 
 
 Grid = TensorGrid | RadialGrid

@@ -47,6 +47,8 @@ from .exponents import ProblemParams
 from .quadrature import (
     Grid,
     default_tensor_degree,
+    hermite_basis,
+    laguerre_basis,
     radial_grid,
     require_basis_fits,
     require_same_grid,
@@ -122,8 +124,8 @@ def build_basis(n: int, N: int, degree: int | None = None,
                 f"radial basis of size {N} needs quadrature degree >= {N}, got {deg}"
             )
         grid = radial_grid(n, deg)
-        values = grid.basis[:, :N].copy()
-        grads = grid.basis_dr[:, :N].copy().reshape(grid.npoints, N, 1)
+        values, grads = laguerre_basis(grid, N)
+        grads = grads.reshape(grid.npoints, N, 1)
         ou = -np.arange(N, dtype=float)
         return WeightedBasis(grid=grid, n=n, size=N, values=values, grads=grads,
                              ou_eigs=ou, labels=tuple(range(N)), kind="radial")
@@ -139,9 +141,9 @@ def build_basis(n: int, N: int, degree: int | None = None,
     grid = tensor_grid(n, degree)
     require_basis_fits(grid, per_axis)
     labels = _tensor_indices(n, per_axis, N)
-    b = grid.basis_1d
+    b = hermite_basis(grid.nodes_1d, per_axis)
     db = np.zeros_like(b)                    # d/dy b_k = sqrt(k/2) b_{k-1}
-    db[:, 1:] = np.sqrt(np.arange(1, grid.degree) / 2.0) * b[:, :-1]
+    db[:, 1:] = np.sqrt(np.arange(1, per_axis) / 2.0) * b[:, :-1]
     node = np.indices((grid.degree,) * n).reshape(n, -1)   # each point's node per axis
     ks = np.array(labels).T
     vals = [b[:, ks[ax]][node[ax]] for ax in range(n)]      # (nq, N) factors per axis

@@ -5,6 +5,7 @@ All closed-form values below are multiples of 2 sqrt(pi) = [1]_W in 1-D:
 [y^2] = 2 [1], [y^4] = 12 [1].
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -255,19 +256,6 @@ def test_cutoff_field_shape(g1):
     assert np.all(eta.values[rg.r >= 5.0] == 0.0)
 
 
-def test_poly_field_matches_spectral_gradient(g1):
-    # dual route: analytic polynomial derivatives vs the grid's spectral ones
-    rng = np.random.default_rng(2)
-    coef = rng.uniform(-1.0, 1.0, size=7)
-    f = poly_field(g1, coef)
-    inner = np.abs(g1.points[:, 0]) <= 8.0
-    for spectral in (SampledField(grid=g1, values=f.values, grad=g1.gradient(f.values),
-                                  lap=g1.laplacian(f.values)),
-                     SampledField.from_callable(g1, lambda pts: P.polyval(pts[:, 0], coef))):
-        assert np.abs((f.grad - spectral.grad)[inner]).max() < 1e-8
-        assert np.abs((f.lap - spectral.lap)[inner]).max() < 1e-7
-
-
 def test_gaussian_sum_derivatives_match_finite_differences():
     rng = np.random.default_rng(31)
     gs = random_gaussian_sum(rng, 2)
@@ -311,6 +299,19 @@ def test_gaussian_sum_derivatives_match_finite_differences():
         gou_fd[:, i] = (up.ou(up.grad()) - down.ou(down.grad())) / (2 * h)
     terms = gs.at(q)
     assert np.abs(terms.grad_ou(terms.grad(), terms.hess()) - gou_fd).max() < 1e-5
+
+    # poly_field's analytic gradient and Laplacian, by the same differences of
+    # its values on the grid shifted along each axis, bounded relative to its size
+    for n, coef in ((1, rng.uniform(-1.0, 1.0, 7)), (2, rng.uniform(-1.0, 1.0, (4, 4)))):
+        grid = tensor_grid(n, 16)
+        at = lambda e: poly_field(dataclasses.replace(grid, points=grid.points + e), coef).values
+        f = poly_field(grid, coef)
+        inner = (np.abs(grid.points) <= 3.0).all(axis=1)
+        fd_grad = np.stack([(at(e) - at(-e)) / (2 * h) for e in h * np.eye(n)], axis=1)
+        fd_lap = sum((at(e) - 2 * f.values + at(-e)) / h**2 for e in h * np.eye(n))
+        scale = 1.0 + np.abs(f.values[inner]).max()
+        assert np.abs(f.grad - fd_grad)[inner].max() < 1e-8 * scale
+        assert np.abs(f.lap - fd_lap)[inner].max() < 1e-4 * scale
 
 
 # GaussianSum as it was before its terms were shared: each method computes

@@ -619,6 +619,21 @@ def test_evolve_rescaled_run(tmp_path):
     assert summary["dissipation"]["holds"] is True
 
 
+@pytest.mark.parametrize("sets", [("init=kappa",), ("init=zero",), ("amp=1e-8",)],
+                         ids=["kappa", "zero", "amp-1e-8"])
+def test_evolve_rescaled_drop_at_rounding_gets_no_dissipation_verdict(tmp_path, sets):
+    # the energy barely moves about kappa and not at all from zero: a drop
+    # within the rounding floor decides nothing, so the run writes no report
+    out = tmp_path / "evo"
+    argv = ["evolve-rescaled", "--out", str(out), "--quiet"]
+    for pair in sets:
+        argv += ["--set", pair]
+    assert run_cli(*argv) == 0
+    names = [v["name"] for v in load_manifest(out)["verdicts"]]
+    assert names == ["completed", "energy-monotone"]
+    assert json.loads((out / "evolve.json").read_text())["dissipation"] is None
+
+
 def test_theorem13_run(tmp_path, capsys):
     out = tmp_path / "thm"
     assert run_cli("theorem13", "--out", str(out)) == 0

@@ -206,15 +206,15 @@ def test_radial_grids_load_no_scipy_linalg(tmp_path):
 
 
 def test_special_ufuncs_loader_then_scipy_special_in_a_fresh_process(tmp_path):
-    # a radial grid runs first and registers scipy.special._special_ufuncs;
-    # a later import of scipy.special reuses that module, exports its gamma,
-    # gammaln and binom, and its eval_genlaguerre and roots_genlaguerre give
-    # the grid's values bitwise
+    # a radial basis is built first and registers
+    # scipy.special._special_ufuncs; a later import of scipy.special reuses
+    # that module, exports its gamma, gammaln and binom, and its
+    # eval_genlaguerre and roots_genlaguerre give the basis bitwise
     script = """
 import sys
 import numpy as np
-from blowlab import quadrature
-grid = quadrature.radial_grid(1, 48)
+from blowlab import quadrature, spectral
+basis = spectral.build_basis(1, 48, 48, kind="radial")
 x, w = quadrature.roots_genlaguerre(48, -0.5)
 assert "scipy.special" not in sys.modules
 module = sys.modules["scipy.special._special_ufuncs"]
@@ -227,7 +227,9 @@ assert np.array_equal(x, want[0]) and np.array_equal(w, want[1])
 rows = quadrature.laguerre_table(47, -0.5, x)
 assert all(np.array_equal(rows[:, k], scipy.special.eval_genlaguerre(k, -0.5, x))
            for k in range(48))
-assert np.array_equal(grid.basis, rows / quadrature.laguerre_norms(1, 48))
+assert np.array_equal(basis.grid.x, x)
+want = np.stack([scipy.special.eval_genlaguerre(k, -0.5, x) for k in range(48)], axis=1)
+assert np.array_equal(basis.values, want / quadrature.laguerre_norms(1, 48))
 print("ok")
 """
     env = dict(os.environ, PYTHONPATH=str(SRC))

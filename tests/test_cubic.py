@@ -120,6 +120,37 @@ def test_singular_tridiagonal_solve_raises_numeric_error():
         evolution.solve_banded((1, 2), np.zeros((4, 4)), np.ones(4))
 
 
+class _Lapack:
+    """A stand-in LAPACK module whose dgttrf and dgttrs return the given info."""
+
+    def __init__(self, trf_info, trs_info):
+        self.trf_info, self.trs_info = trf_info, trs_info
+
+    def dgttrf(self, dl, d, du):
+        return dl, d, du, np.zeros(d.size - 2), np.arange(1, d.size + 1), self.trf_info
+
+    def dgttrs(self, dl, d, du, du2, ipiv, b, overwrite_b=0):
+        return b, self.trs_info
+
+
+@pytest.mark.parametrize("trf_info, trs_info, routine",
+                         [(-1, 0, "dgttrf"), (0, -1, "dgttrs"), (0, 2, "dgttrs")])
+def test_tridiagonal_solver_refuses_a_nonzero_info(monkeypatch, trf_info, trs_info, routine):
+    monkeypatch.setattr(_cubic, "_flapack", lambda: _Lapack(trf_info, trs_info))
+    dl, d, du, b = _tridiagonal("dominant")
+    with pytest.raises(NumericError, match=f"LAPACK {routine} failed with info"):
+        evolution._tridiagonal_solver(dl, d, du)(b)
+
+
+def test_lone_loader_refuses_a_module_scipy_lacks():
+    import sys
+
+    name = "scipy.integrate._ivp.no_such_module"
+    with pytest.raises(ImportError, match=f"no module {name}.*scipy 1.17.1"):
+        _cubic._lone(name)
+    assert name not in sys.modules
+
+
 def test_lapack_loader_is_scipys_extension():
     module = _cubic._flapack()
     assert module is _cubic._flapack()

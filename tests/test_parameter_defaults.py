@@ -16,11 +16,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "blowlab"
 # (module.qualified name, parameter): why it keeps a default that no call in
 # src/blowlab sets
 ALLOWED = {
-    ("calculus.SampledField.from_callable", "grad"):
-        "perfbench's tracer pins from_callable by name (ROADMAP item 1); "
-        "tests sample analytic derivatives through it",
-    ("calculus.SampledField.from_callable", "lap"):
-        "as grad: the derivative a caller may supply instead of the spectral one",
     ("cli.main", "argv"):
         "the console script calls main() with no arguments; tests pass argv",
     ("evolution.linearized_matrix", "geometry"):

@@ -29,7 +29,12 @@ from blowlab import (
 from blowlab import spectral
 from blowlab.calculus import GaussianSum, poly_field
 from blowlab.manifest import json_text
-from blowlab.quadrature import default_tensor_degree, hermite_basis
+from blowlab.quadrature import (
+    default_tensor_degree,
+    hermite_basis,
+    laguerre_norms,
+    laguerre_table,
+)
 
 P2 = ProblemParams(n=1, p=2.0)
 
@@ -290,6 +295,23 @@ def test_basis_matches_the_broadcast_products_bitwise(n, N, degree):
     assert basis.values.shape == values.shape and basis.grads.shape == grads.shape
     assert basis.values.tobytes() == values.tobytes()
     assert basis.grads.tobytes() == grads.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("N", [1, 2, 20, 40])
+def test_radial_basis_is_the_full_degree_tables_first_columns(n, N):
+    # the N-column tables are bitwise the first N columns of the degree-wide
+    # ones the grid used to hold: the recurrences and norms act column by column
+    basis = build_basis(n, N, 40, kind="radial")
+    grid = basis.grid
+    alpha = n / 2.0 - 1.0
+    norms = laguerre_norms(n, 40)
+    values = laguerre_table(39, alpha, grid.x) / norms
+    grads = np.zeros_like(values)
+    grads[:, 1:] = (-(grid.r / 2.0))[:, None] * laguerre_table(38, alpha + 1.0, grid.x) / norms[1:]
+    assert basis.values.shape == (40, N) and basis.grads.shape == (40, N, 1)
+    assert basis.values.tobytes() == values[:, :N].copy().tobytes()
+    assert basis.grads.tobytes() == grads[:, :N].copy().tobytes()
 
 
 @pytest.mark.parametrize("profile", ["kappa", "zero"])
