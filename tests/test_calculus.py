@@ -9,7 +9,6 @@ import dataclasses
 import math
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 import pytest
 
 from blowlab import (

@@ -8,6 +8,7 @@ tridiagonal routines solve bitwise as scipy's and refuse a singular matrix.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -143,8 +144,6 @@ def test_tridiagonal_solver_refuses_a_nonzero_info(monkeypatch, trf_info, trs_in
 
 
 def test_lone_loader_refuses_a_module_scipy_lacks():
-    import sys
-
     name = "scipy.integrate._ivp.no_such_module"
     with pytest.raises(ImportError, match=f"no module {name}.*scipy 1.17.1"):
         _cubic._lone(name)
