@@ -28,6 +28,7 @@ from blowlab import (
     weighted_inner,
 )
 from blowlab import calculus
+from blowlab.quadrature import hermite_basis
 from blowlab.calculus import (
     GaussianSum,
     cutoff_field,
@@ -253,6 +254,24 @@ def test_cutoff_field_shape(g1):
     rg = radial_grid(3, 32)
     eta = cutoff_field(rg, 4.0)
     assert np.all(eta.values[rg.r >= 5.0] == 0.0)
+
+
+def test_poly_field_matches_spectral_gradient(g1):
+    # dual route: analytic polynomial derivatives vs those of the field's
+    # expansion in the orthonormal Hermite functions, b_k' = sqrt(k/2) b_{k-1}
+    rng = np.random.default_rng(2)
+    coef = rng.uniform(-1.0, 1.0, size=7)
+    f = poly_field(g1, coef)
+    inner = np.abs(g1.points[:, 0]) <= 8.0
+    nb = 16
+    b = hermite_basis(g1.points[:, 0], nb)
+    a = b.T @ (g1.weights * f.values)
+    k = np.arange(nb)
+    grad = b[:, :-1] @ (a[1:] * np.sqrt(k[1:] / 2.0))
+    lap = b[:, :-2] @ (a[2:] * np.sqrt(k[2:] * k[1:-1]) / 2.0)
+    assert np.abs(b @ a - f.values)[inner].max() < 1e-8
+    assert np.abs(f.grad[:, 0] - grad)[inner].max() < 1e-8
+    assert np.abs(f.lap - lap)[inner].max() < 1e-7
 
 
 def test_gaussian_sum_derivatives_match_finite_differences():
