@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 from .config import load_config_file, resolve_config
 from .errors import NumericError, UsageError
-from .experiments import RUNNERS, replay, run_kind
-from .manifest import Verdict, build_manifest, now, save_manifest
+from .experiments import RUNNERS, RunOutcome, replay, run_kind
+from .manifest import Verdict, build_manifest, save_manifest
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,7 +94,7 @@ def _emit(verdicts, quiet: bool) -> bool:
 
 def _run(args) -> int:
     kind = args.command
-    started = now()
+    started = time.time()
     if kind == "replay":
         out_dir = Path(args.out) if args.out else Path("runs") / "replay"
         outcome = replay(args.manifest, out_dir)
@@ -109,22 +110,20 @@ def _run(args) -> int:
     cfg = resolve_config(kind, file_values, overrides)
 
     out_dir = Path(args.out) if args.out else Path("runs") / kind
-    out_dir.mkdir(parents=True, exist_ok=True)
+    error = None
     try:
         outcome = run_kind(kind, cfg, out_dir)
     except (NumericError, UsageError) as exc:
+        # a failed run leaves a manifest too: no outputs, one failed verdict
+        error = exc
         name = "numeric-failure" if isinstance(exc, NumericError) else "refused"
-        failure = build_manifest(kind, cfg, out_dir, [], [Verdict(name, False, str(exc))],
-                                 seed=cfg.get("seed", 0), started=started,
-                                 finished=now(), config_file=args.config,
-                                 overrides=overrides)
-        save_manifest(out_dir, failure)
-        raise
-    manifest = build_manifest(kind, cfg, out_dir, outcome.files,
-                              outcome.verdicts, seed=cfg.get("seed", 0),
-                              started=started, finished=now(),
+        outcome = RunOutcome([], [Verdict(name, False, str(exc))])
+    manifest = build_manifest(kind, cfg, out_dir, outcome.files, outcome.verdicts,
+                              started=started, finished=time.time(),
                               config_file=args.config, overrides=overrides)
     path = save_manifest(out_dir, manifest)
+    if error is not None:
+        raise error
     ok = _emit(outcome.verdicts, args.quiet)
     if not args.quiet:
         print(f"manifest: {path}")

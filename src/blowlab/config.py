@@ -11,7 +11,8 @@ A config file looks like
 Unknown keys and malformed values are configuration errors (CLI exit 2).
 Command-line overrides (--set key=value) win over file values, which win
 over defaults. The resolved mapping round-trips losslessly through
-config_text/parse.
+config_text and parse_config_text, so a manifest's config_text is itself a
+config file.
 """
 
 from __future__ import annotations
@@ -172,7 +173,8 @@ WORK_BUDGET = 2**25
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """key = value lines; '#' comments; later keys win."""
+    """key = value lines; '#' comments; later keys win; a value in single
+    quotes, as config_text writes text values, is read without them."""
     out: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -181,7 +183,10 @@ def parse_config_text(text: str) -> dict[str, str]:
         if "=" not in stripped:
             raise ConfigurationError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, val = stripped.partition("=")
-        out[key.strip()] = val.strip()
+        val = val.strip()
+        if len(val) >= 2 and val[0] == val[-1] == "'":
+            val = val[1:-1]
+        out[key.strip()] = val
     return out
 
 
@@ -240,20 +245,6 @@ def config_text(kind: str, cfg: dict) -> str:
         lines.append(f"{key} = {cfg[key]!r}" if isinstance(cfg[key], str)
                      else f"{key} = {cfg[key]}")
     return "\n".join(lines) + "\n"
-
-
-def parse_config_roundtrip(kind: str, text: str) -> dict:
-    """Parse canonical text back into a resolved config (used by replay)."""
-    raw = parse_config_text(text)
-    cleaned = {}
-    for key, val in raw.items():
-        if key == "kind":
-            cleaned[key] = val
-            continue
-        if val.startswith("'") and val.endswith("'"):
-            val = val[1:-1]
-        cleaned[key] = val
-    return resolve_config(kind, cleaned)
 
 
 def config_hash(kind: str, cfg: dict) -> str:

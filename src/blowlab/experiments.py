@@ -294,7 +294,7 @@ def run_shoot(cfg: dict, out_dir: Path) -> RunOutcome:
     accepted = accepts_bounded_positive(prof, r_max=cfg["r_max"])
 
     write_csv(out_dir / "profile.csv", ("r", "w", "w_r", "H"),
-              zip(prof.r, prof.w, prof.w_r, H))
+              np.column_stack((prof.r, prof.w, prof.w_r, H)))
     summary = {
         "n": params.n, "p": params.p, "alpha": alpha,
         "outcome": prof.outcome, "r_end": prof.r_end,
@@ -573,7 +573,6 @@ def replay(manifest_path, out_dir) -> RunOutcome:
     if not src_dir.is_dir():
         src_dir = src_dir.parent
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     outcome = run_kind(kind, cfg, out_dir)
     names = [e["name"] for e in manifest["outputs"]]
     reports = compare_outputs(src_dir, out_dir, names)

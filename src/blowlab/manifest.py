@@ -17,17 +17,18 @@ import json
 import math
 import os
 import tempfile
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .config import config_hash, config_text, parse_config_roundtrip
+from .config import config_hash, config_text, parse_config_text, resolve_config
 from .errors import UsageError
 
 TOOL_NAME = "blowlab"
 TOOL_VERSION = "0.1.0"
 MANIFEST_NAME = "manifest.json"
 REL_TOL = 1e-12
+# every float cell of a CSV, whether written by format_cell or as an array
+FLOAT_FORMAT = "%.12g"
 
 
 # rows of a float array formatted per write_csv block: about 160 KB of text
@@ -56,29 +57,18 @@ def write_text_atomic(path, text: str) -> Path:
     return _write_atomic(path, lambda fh: fh.write(text))
 
 
-def _json_default(obj):
-    import numpy as np
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {obj!r}")
-
-
 def json_text(obj) -> str:
     """Canonical JSON: sorted keys, repr floats, non-finite as strings; a
-    dataclass instance is written as its fields, dataclasses.asdict."""
-    cleaned = _sanitize(obj)
-    return json.dumps(cleaned, indent=2, sort_keys=True, default=_json_default) + "\n"
+    dataclass instance is written as its fields, dataclasses.asdict, and a
+    numpy scalar or array as its Python values, .tolist()."""
+    return json.dumps(_sanitize(obj), indent=2, sort_keys=True) + "\n"
 
 
 def _sanitize(obj):
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         obj = dataclasses.asdict(obj)
+    if type(obj).__module__ == "numpy":        # without importing numpy here
+        obj = obj.tolist()
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -96,7 +86,7 @@ def format_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return "%.12g" % value
+        return FLOAT_FORMAT % value
     return str(value)
 
 
@@ -104,15 +94,15 @@ def _write_csv_rows(fh, header, rows) -> None:
     """The header line through csv.writer, then one line per row of cells
     from format_cell. rows is any iterable of rows; a 2-D float64 ndarray is
     formatted CSV_BLOCK_ROWS rows at a time, each block in one % operation
-    over a per-row template of %.12g cells, which gives the same bytes as
-    its rows as tuples: a float cell is "%.12g" % value either way, and
+    over a per-row template of FLOAT_FORMAT cells, which gives the same bytes
+    as its rows as tuples: a float cell is FLOAT_FORMAT % value either way, and
     csv.writer quotes none of those texts (digits, sign, point, e, inf,
     nan)."""
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(header)
     if getattr(rows, "ndim", None) == 2 and rows.dtype == "float64":
         count, width = rows.shape
-        line = ",".join(("%.12g",) * width) + "\n"
+        line = ",".join((FLOAT_FORMAT,) * width) + "\n"
         for start in range(0, count, CSV_BLOCK_ROWS):
             block = rows[start:start + CSV_BLOCK_ROWS]
             fh.write((line * len(block)) % tuple(block.ravel().tolist()))
@@ -147,7 +137,7 @@ class Verdict:
 
 
 def build_manifest(kind: str, cfg: dict, out_dir, files, verdicts,
-                   seed: int, started: float, finished: float,
+                   started: float, finished: float,
                    config_file: str | None = None,
                    overrides: dict | None = None) -> dict:
     out_dir = Path(out_dir)
@@ -162,7 +152,7 @@ def build_manifest(kind: str, cfg: dict, out_dir, files, verdicts,
         "config_sha256": config_hash(kind, cfg),
         "config_file": config_file,
         "overrides": dict(overrides or {}),
-        "seed": int(seed),
+        "seed": cfg["seed"],
         "started_unix": started,
         "finished_unix": finished,
         "elapsed_seconds": finished - started,
@@ -186,16 +176,29 @@ def load_manifest(path) -> dict:
         data = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise UsageError(f"manifest is not valid JSON: {path}: {exc}") from None
-    for key in ("kind", "config_text", "config_sha256", "outputs"):
-        if key not in data:
-            raise UsageError(f"manifest missing field {key!r}: {path}")
+    if not isinstance(data, dict):
+        raise UsageError(f"manifest is not a JSON object: {path}")
+    for key in ("kind", "config_text", "config_sha256"):
+        if not isinstance(data.get(key), str):
+            raise UsageError(f"manifest field {key!r} is missing or not a string: {path}")
+    outputs = data.get("outputs")
+    if not (isinstance(outputs, list)
+            and all(isinstance(e, dict) and _is_file_name(e.get("name")) for e in outputs)):
+        raise UsageError(f"manifest field 'outputs' is not a list of objects with "
+                         f"a plain file name each: {path}")
     return data
 
 
+def _is_file_name(name) -> bool:
+    """A file name with no directory part, so it stays inside a run directory."""
+    return isinstance(name, str) and name not in ("", ".", "..") and Path(name).name == name
+
+
 def manifest_config(manifest: dict) -> tuple[str, dict]:
-    """Recover (kind, resolved config); refuse if the hash does not match."""
+    """Recover (kind, resolved config) through the --config parser; refuse if
+    the hash does not match."""
     kind = manifest["kind"]
-    cfg = parse_config_roundtrip(kind, manifest["config_text"])
+    cfg = resolve_config(kind, parse_config_text(manifest["config_text"]))
     if config_hash(kind, cfg) != manifest["config_sha256"]:
         raise UsageError("config hash mismatch: manifest config text was edited; "
                          "refusing to replay")
@@ -270,7 +273,3 @@ def compare_outputs(dir_a, dir_b, names) -> list[dict]:
             continue
         reports.append(_compare_text(name, pa.read_text(), pb.read_text()))
     return reports
-
-
-def now() -> float:
-    return time.time()

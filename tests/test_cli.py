@@ -14,7 +14,7 @@ import pytest
 
 import blowlab.cli as cli
 from blowlab import NumericError
-from blowlab.config import config_hash, config_text
+from blowlab.config import config_hash, config_text, parse_config_text, resolve_config
 from blowlab.manifest import load_manifest
 
 
@@ -53,9 +53,8 @@ def test_exponents_run_and_artifacts(tmp_path, capsys):
 
 
 def dict_from_text(text):
-    from blowlab.config import parse_config_roundtrip
     kind = text.splitlines()[0].split(" = ")[1]
-    return parse_config_roundtrip(kind, text)
+    return resolve_config(kind, parse_config_text(text))
 
 
 def test_seed_flag_lands_in_manifest(tmp_path):
@@ -712,3 +711,54 @@ def test_replay_of_replay_refused(tmp_path, capsys):
     }))
     assert run_cli("replay", str(fake), "--out", str(tmp_path / "dst")) == 2
     assert "cannot replay a replay" in capsys.readouterr().err
+
+
+def _valid_manifest():
+    cfg = resolve_config("exponents")
+    return {"kind": "exponents", "config_text": config_text("exponents", cfg),
+            "config_sha256": config_hash("exponents", cfg),
+            "outputs": [{"name": "exponents.json"}]}
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: None, lambda m: 3, lambda m: [m], lambda m: "manifest",
+    lambda m: {**m, "kind": None}, lambda m: {**m, "config_text": 5},
+    lambda m: {k: v for k, v in m.items() if k != "config_sha256"},
+    lambda m: {**m, "outputs": {"name": "exponents.json"}},
+    lambda m: {**m, "outputs": ["exponents.json"]},
+    lambda m: {**m, "outputs": [{"sha256": "0" * 64}]},
+    lambda m: {**m, "outputs": [{"name": "../exponents.json"}]},
+    lambda m: {**m, "outputs": [{"name": "sub/exponents.json"}]},
+    lambda m: {**m, "outputs": [{"name": "/etc/hostname"}]},
+    lambda m: {**m, "outputs": [{"name": ".."}]},
+], ids=["null", "number", "list", "string", "kind-null", "config-text-number",
+        "no-config-sha256", "outputs-object", "output-not-object", "output-no-name",
+        "name-parent", "name-subdir", "name-absolute", "name-dotdot"])
+def test_replay_refuses_a_malformed_manifest(tmp_path, capsys, edit):
+    # these ended in a TypeError or AttributeError traceback and exit 1, the
+    # code of a failed verdict; compare_outputs joins each name to both dirs
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(edit(_valid_manifest())))
+    assert run_cli("replay", str(path), "--out", str(tmp_path / "dst")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "dst").exists()
+
+
+@pytest.mark.parametrize("argv", [("scan",), ("blowup", "--set", "m=401")],
+                         ids=["scan", "blowup-m401"])
+def test_manifest_config_text_is_a_config_file(tmp_path, argv):
+    # a run's recorded config_text, passed back as --config, is the same run
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run_cli(*argv, "--out", str(first), "--quiet") == 0
+    recorded = load_manifest(first)
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(recorded["config_text"])
+    assert run_cli(argv[0], "--config", str(cfgfile), "--out", str(second), "--quiet") == 0
+    again = load_manifest(second)
+    assert again["config_text"] == recorded["config_text"]
+    assert again["config_sha256"] == recorded["config_sha256"]
+    assert again["outputs"] == recorded["outputs"]
+    for entry in recorded["outputs"]:
+        name = entry["name"]
+        assert (second / name).read_bytes() == (first / name).read_bytes()

@@ -16,7 +16,6 @@ from blowlab.config import (
     config_hash,
     config_text,
     load_config_file,
-    parse_config_roundtrip,
     parse_config_text,
     resolve_config,
 )
@@ -129,6 +128,10 @@ def test_parse_config_text():
     """
     raw = parse_config_text(text)
     assert raw == {"kind": "scan", "count": "11"}
+    # single quotes, as config_text writes text values, are dropped
+    text = "kind = 'scan'\nspacing = 'log'\nempty = ''\nlone = '\n"
+    assert parse_config_text(text) == {"kind": "scan", "spacing": "log",
+                                       "empty": "", "lone": "'"}
     with pytest.raises(ConfigurationError) as err:
         parse_config_text("kind scan")
     assert "line 1" in str(err.value)
@@ -147,14 +150,20 @@ def test_parse_config_file(tmp_path):
         load_config_file(tmp_path / "absent.cfg")
 
 
-def test_config_text_roundtrip_every_kind():
+def test_config_text_roundtrip_every_kind(tmp_path):
+    # the config_text a manifest records is a config file: read back through
+    # --config's path (load_config_file, resolve_config), quoted text included
     for kind in KINDS:
         cfg = resolve_config(kind)
         text = config_text(kind, cfg)
         assert text.splitlines()[0] == f"kind = {kind}"
         keys = [ln.split(" = ")[0] for ln in text.splitlines()[1:]]
         assert keys == sorted(keys)
-        assert parse_config_roundtrip(kind, text) == cfg
+        path = tmp_path / f"{kind}.cfg"
+        path.write_text(text)
+        again = resolve_config(kind, load_config_file(path))
+        assert again == cfg
+        assert config_hash(kind, again) == config_hash(kind, cfg)
         assert config_hash(kind, cfg) == config_hash(kind, dict(cfg))
 
 
@@ -257,6 +266,15 @@ def test_json_text_canonical():
     assert data["a"] == "inf" and data["c"][0] == "nan"
     assert data["d"] == [0, 1, 2] and data["e"] is True
     assert text.endswith("\n")
+    # numpy scalars and arrays follow the non-finite rule too: no bare NaN
+    def refuse(name):
+        raise ValueError(f"bare {name} in JSON")
+    text = json_text({"a": np.array([np.nan, 1.0]), "b": np.float32("inf"),
+                      "c": np.int64(3), "d": np.bool_(True)})
+    data = json.loads(text, parse_constant=refuse)
+    assert data == {"a": ["nan", 1.0], "b": "inf", "c": 3, "d": True}
+    with pytest.raises(TypeError):
+        json_text({"x": object()})
 
 
 def test_format_cell():
@@ -333,7 +351,7 @@ def _small_run_dir(tmp_path, seed=0):
     manifest = build_manifest("exponents", cfg, out,
                               ["table.csv", "summary.json"],
                               [Verdict("demo", True, "fine")],
-                              seed=seed, started=1.0, finished=2.5)
+                              started=1.0, finished=2.5)
     save_manifest(out, manifest)
     return out, manifest
 
