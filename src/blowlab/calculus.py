@@ -27,7 +27,7 @@ and the points stay.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -115,18 +115,28 @@ def compute_H(w: SampledField, params: ProblemParams) -> HQuantity:
 
 @dataclass(frozen=True)
 class CheckRow:
-    """One identity/inequality evaluation. For identities residual =
-    |lhs - rhs|; for one-sided bounds residual = max(0, lhs - rhs)."""
+    """One identity/inequality evaluation; its fields, in order, are the
+    columns of identities.csv (CSV_HEADER). identity() and bound() hold the
+    two pass rules, each computed from the row's own lhs and rhs."""
 
     name: str
     lhs: float
     rhs: float
     residual: float
     holds: bool
-    info: dict = dc_field(default_factory=dict)
 
-    def csv_row(self) -> tuple:
-        return (self.name, self.lhs, self.rhs, self.residual, self.holds)
+    @classmethod
+    def identity(cls, name: str, lhs: float, rhs: float, tol: float) -> "CheckRow":
+        """lhs = rhs: residual |lhs - rhs|, held within tol (1 + |rhs|)."""
+        res = abs(lhs - rhs)
+        return cls(name, lhs, rhs, res, res <= tol * (1.0 + abs(rhs)))
+
+    @classmethod
+    def bound(cls, name: str, lhs: float, rhs: float) -> "CheckRow":
+        """lhs <= rhs: residual max(0, lhs - rhs), held when
+        lhs <= rhs + INEQUALITY_TOL (1 + |lhs| + |rhs|)."""
+        return cls(name, lhs, rhs, max(0.0, lhs - rhs),
+                   lhs <= rhs + INEQUALITY_TOL * (1.0 + abs(lhs) + abs(rhs)))
 
 
 CSV_HEADER = ("check_name", "lhs", "rhs", "residual", "holds")
@@ -143,9 +153,7 @@ def verify_ibp(f: SampledField, g: SampledField, name: str = "ibp") -> CheckRow:
     require_same_grid(f.grid, g.grid)
     lhs = float(np.dot(f.grid.weights, f.values * ou_apply(g)))
     rhs = -float(np.dot(f.grid.weights, (f.grad * g.grad).sum(axis=1)))
-    res = abs(lhs - rhs)
-    return CheckRow(name, lhs, rhs, res, res <= IDENTITY_TOL * (1.0 + abs(rhs)),
-                    {"tol": IDENTITY_TOL})
+    return CheckRow.identity(name, lhs, rhs, IDENTITY_TOL)
 
 
 def verify_log_test_inequality(w: SampledField, f: SampledField, mu: float, phi: SampledField,
@@ -162,10 +170,7 @@ def verify_log_test_inequality(w: SampledField, f: SampledField, mu: float, phi:
     pot = p * np.abs(w.values) ** (p - 1.0)
     lhs = float(np.dot(wq, phi.values**2 * (pot + glog2.sum(axis=1))))
     rhs = float(np.dot(wq, 4.0 * phi.grad_sq() - 2.0 * (mu - 1.0 / (p - 1.0)) * phi.values**2))
-    scale = 1.0 + abs(lhs) + abs(rhs)
-    res = max(0.0, lhs - rhs)
-    return CheckRow(name, lhs, rhs, res, lhs <= rhs + INEQUALITY_TOL * scale,
-                    {"mu": mu, "tol": INEQUALITY_TOL})
+    return CheckRow.bound(name, lhs, rhs)
 
 
 def verify_poincare(v: SampledField, name: str = "poincare") -> CheckRow:
@@ -175,10 +180,7 @@ def verify_poincare(v: SampledField, name: str = "poincare") -> CheckRow:
     lhs = float(np.dot(grid.weights, v.values**2 * r2))
     rhs = 16.0 * float(np.dot(grid.weights, v.grad_sq())) \
         + 4.0 * grid.n * float(np.dot(grid.weights, v.values**2))
-    scale = 1.0 + abs(lhs) + abs(rhs)
-    res = max(0.0, lhs - rhs)
-    return CheckRow(name, lhs, rhs, res, lhs <= rhs + INEQUALITY_TOL * scale,
-                    {"tol": INEQUALITY_TOL})
+    return CheckRow.bound(name, lhs, rhs)
 
 
 def prop35_constants(m: float, p: float) -> dict:
@@ -222,10 +224,7 @@ def verify_prop35_inequality(w: SampledField, m: float, eta: SampledField,
     rhs = consts["C"] * float(
         np.dot(wq, aw ** (2.0 * m) * (eta.grad_sq() + eta.values**2))
     )
-    scale = 1.0 + abs(lhs) + abs(rhs)
-    res = max(0.0, lhs - rhs)
-    return CheckRow(name, lhs, rhs, res, lhs <= rhs + INEQUALITY_TOL * scale,
-                    {"m": m, **consts, "tol": INEQUALITY_TOL})
+    return CheckRow.bound(name, lhs, rhs)
 
 
 def radial_field(grid: Grid, f) -> SampledField:
@@ -452,4 +451,4 @@ def growth_diagnostic(make_field, n: int, degree: int) -> CheckRow:
     m2 = sobolev_mass(make_field(g2))
     ratio = m2 / m1 if m1 != 0.0 else math.inf
     return CheckRow("h1_growth_diagnostic", m1, m2, abs(ratio - 1.0),
-                    abs(ratio - 1.0) < 1e-6, {"ratio": ratio})
+                    abs(ratio - 1.0) < 1e-6)

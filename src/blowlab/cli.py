@@ -95,6 +95,12 @@ def _emit(verdicts, quiet: bool) -> bool:
 def _run(args) -> int:
     kind = args.command
     started = time.time()
+    if args.out:
+        # every part of --out that exists must be a directory
+        out = Path(args.out)
+        files = [q for q in (out, *out.parents) if q.exists() and not q.is_dir()]
+        if files:
+            raise UsageError(f"--out {args.out}: {files[0]} is not a directory")
     if kind == "replay":
         out_dir = Path(args.out) if args.out else Path("runs") / "replay"
         outcome = replay(args.manifest, out_dir)

@@ -153,7 +153,6 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "diffusion": Field(bool, True, "False = reaction-only oracle"),
         "expected_status": Field(("blew-up", "global-existence", "any"), "blew-up"),
     },
-    "replay": {},
 }
 
 # the convergence pipeline drives a blow-up run, so it shares that schema

@@ -932,6 +932,9 @@ def solve_physical(u0, params: ProblemParams, R: float = 2.0, m: int = 4001,
 
 @dataclass(frozen=True)
 class WindowRow:
+    """One rescaled snapshot; its fields, in order, are the columns of
+    window.csv."""
+
     t: float
     T_minus_t: float
     s: float
@@ -941,7 +944,11 @@ class WindowRow:
 
 @dataclass
 class ConvergenceReport:
-    params: ProblemParams
+    """The window ladder; written whole, by its fields, as report.json's
+    convergence."""
+
+    n: int
+    p: float
     K: float
     conv_tol: float
     T_est: float
@@ -950,16 +957,6 @@ class ConvergenceReport:
     decreasing: bool
     final_sup: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.params.n, "p": self.params.p, "K": self.K,
-            "conv_tol": self.conv_tol, "T_est": self.T_est, "a_est": self.a_est,
-            "rows": [{"t": r.t, "T_minus_t": r.T_minus_t, "s": r.s,
-                      "sup_dev": r.sup_dev, "min_H": r.min_H} for r in self.rows],
-            "decreasing": self.decreasing, "final_sup": self.final_sup,
-            "passed": self.passed,
-        }
 
 
 # windows the convergence check needs, and the most it rescales
@@ -1013,7 +1010,7 @@ def convergence_pipeline(run: BlowupRun, K: float = 1.0,
     decreasing = len(rows) >= MIN_WINDOWS and all(
         b < a for a, b in zip(sups[:-1], sups[1:]))
     final = sups[-1] if sups else math.inf
-    return ConvergenceReport(params=run.params, K=K, conv_tol=conv_tol,
+    return ConvergenceReport(n=run.params.n, p=p, K=K, conv_tol=conv_tol,
                              T_est=float(T), a_est=float(a), rows=rows,
                              decreasing=decreasing, final_sup=float(final),
                              passed=bool(decreasing and final < conv_tol))

@@ -10,7 +10,7 @@ file.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -156,14 +156,12 @@ def run_verify_identities(cfg: dict, out_dir: Path) -> RunOutcome:
     for k in range(0, 9):
         got = float(np.dot(grid.weights, grid.points[:, 0] ** k))
         want = gaussian_moment_1d(k) * TOTAL_MASS_1D ** (n - 1)
-        rows.append(CheckRow(f"moment-y0^{k}", got, want, abs(got - want),
-                             abs(got - want) <= 1e-10 * (1.0 + abs(want)), {}))
+        rows.append(CheckRow.identity(f"moment-y0^{k}", got, want, 1e-10))
     # even powers only: the radial rule integrates polynomials in r^2 exactly
     for k in range(0, 9, 2):
         got = float(np.dot(rgrid.weights, rgrid.r ** k))
         want = gaussian_radial_moment(n, k)
-        rows.append(CheckRow(f"radial-moment-r^{k}", got, want, abs(got - want),
-                             abs(got - want) <= 1e-10 * (1.0 + abs(want)), {}))
+        rows.append(CheckRow.identity(f"radial-moment-r^{k}", got, want, 1e-10))
 
     # deterministic anchor for the integration-by-parts identity
     if n <= 2:
@@ -193,9 +191,8 @@ def run_verify_identities(cfg: dict, out_dir: Path) -> RunOutcome:
 
     # weighted-H^1 growth diagnostic on a fixed smooth field
     gs = random_gaussian_sum(np.random.default_rng(11), n)
-    base = growth_diagnostic(gs.field, n, grid.degree)
-    rows.append(CheckRow("h1-growth-smooth", base.lhs, base.rhs,
-                         base.residual, base.holds, base.info))
+    rows.append(replace(growth_diagnostic(gs.field, n, grid.degree),
+                        name="h1-growth-smooth"))
 
     failures = [r.name for r in rows if not r.holds]
     summary = {
@@ -204,7 +201,7 @@ def run_verify_identities(cfg: dict, out_dir: Path) -> RunOutcome:
         "worst_residual": max(r.residual for r in rows),
         "all_hold": not failures,
     }
-    write_csv(out_dir / "identities.csv", CSV_HEADER, [r.csv_row() for r in rows])
+    write_csv(out_dir / "identities.csv", CSV_HEADER, [astuple(r) for r in rows])
     write_json(out_dir / "identities.json", summary)
     verdicts = [Verdict("all-identities-hold", not failures,
                         f"{len(rows)} checks, failures: {failures or 'none'}")]
@@ -258,7 +255,7 @@ def run_spectrum(cfg: dict, out_dir: Path) -> RunOutcome:
     write_csv(out_dir / "eigenvalues.csv", ("index", "eigenvalue"),
               [(i, float(v)) for i, v in enumerate(rep.eigenvalues)])
     summary = {
-        **rep.to_dict(),
+        **asdict(rep),
         "profile": cfg["profile"],
         "lambda1_rayleigh": lam1_r,
         "asym_residual": op.asym_residual,
@@ -322,8 +319,7 @@ def run_scan(cfg: dict, out_dir: Path) -> RunOutcome:
     write_csv(out_dir / "scan.csv", ("alpha", "outcome", "r_end"), result.rows())
     write_csv(out_dir / "brackets.csv",
               ("alpha_lo", "alpha_hi", "outcome_lo", "outcome_hi", "width"),
-              [(b.alpha_lo, b.alpha_hi, b.outcome_lo, b.outcome_hi, b.width)
-               for b in result.brackets])
+              [astuple(b) for b in result.brackets])
     kap = params.kappa
     # every shot in the snap band is the constant kappa, so bisection below
     # its width closes one bracket onto each edge of the band instead of
@@ -343,9 +339,7 @@ def run_scan(cfg: dict, out_dir: Path) -> RunOutcome:
         "n": params.n, "p": params.p, "kappa": kap,
         "alpha_lo": cfg["alpha_lo"], "alpha_hi": cfg["alpha_hi"],
         "outcome_counts": counts,
-        "brackets": [{"alpha_lo": b.alpha_lo, "alpha_hi": b.alpha_hi,
-                      "outcome_lo": b.outcome_lo, "outcome_hi": b.outcome_hi,
-                      "width": b.width} for b in result.brackets],
+        "brackets": result.brackets,
         "kappa_in_some_bracket": covered,
     }
     write_json(out_dir / "scan.json", summary)
@@ -522,10 +516,9 @@ def run_theorem13(cfg: dict, out_dir: Path) -> RunOutcome:
         report = convergence_pipeline(run, K=cfg["K"], conv_tol=cfg["conv_tol"])
         write_csv(out_dir / "window.csv",
                   ("t", "T_minus_t", "s", "sup_dev", "min_H"),
-                  [(r.t, r.T_minus_t, r.s, r.sup_dev, r.min_H)
-                   for r in report.rows])
+                  [astuple(r) for r in report.rows])
         files.append("window.csv")
-        summary["convergence"] = report.to_dict()
+        summary["convergence"] = report
         verdicts += [
             Verdict("window-count", len(report.rows) >= MIN_WINDOWS,
                     f"{len(report.rows)} usable windows"),
@@ -567,12 +560,14 @@ def replay(manifest_path, out_dir) -> RunOutcome:
     """Re-run a recorded manifest and compare outputs against the originals."""
     manifest = load_manifest(manifest_path)
     kind, cfg = manifest_config(manifest)
-    if kind == "replay":
-        raise UsageError("cannot replay a replay")
     src_dir = Path(manifest_path)
     if not src_dir.is_dir():
         src_dir = src_dir.parent
     out_dir = Path(out_dir)
+    if out_dir.resolve() == src_dir.resolve():
+        # the re-run would overwrite the recorded artifacts, then match itself
+        raise UsageError(f"replay output directory {out_dir} is the manifest's "
+                         f"own directory; choose another --out")
     outcome = run_kind(kind, cfg, out_dir)
     names = [e["name"] for e in manifest["outputs"]]
     reports = compare_outputs(src_dir, out_dir, names)

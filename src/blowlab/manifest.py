@@ -132,9 +132,6 @@ class Verdict:
     passed: bool
     detail: str = ""
 
-    def to_dict(self):
-        return {"name": self.name, "passed": bool(self.passed), "detail": self.detail}
-
 
 def build_manifest(kind: str, cfg: dict, out_dir, files, verdicts,
                    started: float, finished: float,
@@ -157,7 +154,7 @@ def build_manifest(kind: str, cfg: dict, out_dir, files, verdicts,
         "finished_unix": finished,
         "elapsed_seconds": finished - started,
         "outputs": entries,
-        "verdicts": [v.to_dict() for v in verdicts],
+        "verdicts": [dataclasses.asdict(v) for v in verdicts],
         "all_passed": all(v.passed for v in verdicts),
     }
 

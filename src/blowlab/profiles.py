@@ -570,14 +570,17 @@ def accepts_bounded_positive(profile: RadialProfile, r_max: float = 20.0) -> boo
 
 @dataclass(frozen=True)
 class Bracket:
+    """One outcome change of a scan, refined; its fields, in order, are the
+    columns of brackets.csv."""
+
     alpha_lo: float
     alpha_hi: float
     outcome_lo: str
     outcome_hi: str
+    width: float = dc_field(init=False)
 
-    @property
-    def width(self) -> float:
-        return self.alpha_hi - self.alpha_lo
+    def __post_init__(self):
+        object.__setattr__(self, "width", self.alpha_hi - self.alpha_lo)
 
     @property
     def midpoint(self) -> float:

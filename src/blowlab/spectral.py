@@ -92,9 +92,6 @@ class WeightedBasis:
         gram = self.values.T @ (self.grid.weights[:, None] * self.values)
         return float(np.abs(gram - np.eye(self.size)).max())
 
-    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.values @ coeffs
-
 
 def _tensor_indices(n: int, per_axis: int, count: int) -> list[tuple[int, ...]]:
     idx = [()]
@@ -214,37 +211,24 @@ def assemble(w: SampledField, basis: WeightedBasis,
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """First k eigenvalues (ascending; lambda < 0 unstable) with grid values
-    of the eigenfunctions."""
+    """First k eigenvalues (ascending; lambda < 0 unstable)."""
 
-    params: ProblemParams
+    n: int
+    p: float
     basis_kind: str
     basis_size: int
     eigenvalues: np.ndarray
-    func_values: np.ndarray       # (nq, k)
 
     @property
     def lambda1(self) -> float:
         return float(self.eigenvalues[0])
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.params.n,
-            "p": self.params.p,
-            "basis_kind": self.basis_kind,
-            "basis_size": self.basis_size,
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-        }
-
 
 def spectrum(op: SpectralOperator, k: int | None = None) -> SpectrumReport:
     k = op.size if k is None else min(k, op.size)
-    mu, vecs = op.eigenpairs
-    return SpectrumReport(
-        params=op.params, basis_kind=op.basis.kind, basis_size=op.size,
-        eigenvalues=-mu[::-1][:k],
-        func_values=op.basis.synthesize(vecs[:, ::-1][:, :k]),
-    )
+    mu = op.eigenpairs[0]
+    return SpectrumReport(n=op.params.n, p=op.params.p, basis_kind=op.basis.kind,
+                          basis_size=op.size, eigenvalues=-mu[::-1][:k])
 
 
 def first_eigenvalue_rayleigh(op: SpectralOperator) -> float:
@@ -383,7 +367,8 @@ def stability_classify(op: SpectralOperator) -> StabilityReport:
     op was assembled on. A norm that is not finite raises NumericError."""
     w = op.field
     basis = op.basis
-    rep = spectrum(op)
+    mu, vecs = op.eigenpairs
+    funcs = basis.values @ vecs[:, ::-1]        # eigenfunctions, lambda ascending
     wq = basis.grid.weights
 
     span = [compute_H(w, op.params).values]
@@ -402,10 +387,10 @@ def stability_classify(op: SpectralOperator) -> StabilityReport:
 
     modes = []
     stable = True
-    for j, lam in enumerate(rep.eigenvalues):
+    for j, lam in enumerate(-mu[::-1]):
         if lam >= -NEG_TOL:
             break
-        u = rep.func_values[:, j]
+        u = funcs[:, j]
         nrm = _weighted_norm(wq, u)
         resid = u.copy()
         for o in ortho:

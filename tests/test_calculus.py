@@ -30,6 +30,7 @@ from blowlab import (
 from blowlab import calculus
 from blowlab.quadrature import hermite_basis
 from blowlab.calculus import (
+    CheckRow,
     GaussianSum,
     cutoff_field,
     growth_diagnostic,
@@ -538,7 +539,7 @@ def test_growth_diagnostic_smooth_vs_growing():
 
     row = growth_diagnostic(growing, n=1, degree=24)
     assert not row.holds
-    assert row.info["ratio"] > 1.5
+    assert row.rhs / row.lhs > 1.5
 
 
 def test_sobolev_mass_constant(g1):
@@ -548,6 +549,28 @@ def test_sobolev_mass_constant(g1):
 
 def test_check_row_csv_shape(g1):
     row = verify_ibp(poly_field(g1, [0.0, 1.0]), poly_field(g1, [0.0, 1.0]))
-    name, lhs, rhs, residual, holds = row.csv_row()
+    name, lhs, rhs, residual, holds = dataclasses.astuple(row)
     assert name == "ibp" and holds is True
     assert residual <= 1e-8 * (1.0 + abs(rhs))
+
+
+def test_check_row_rules_at_the_tolerance_edge(monkeypatch):
+    # power-of-two tolerances put each edge on an exact float
+    up = lambda x: math.nextafter(x, math.inf)
+    down = lambda x: math.nextafter(x, -math.inf)
+    # identity: |lhs - rhs| <= tol (1 + |rhs|), at rhs = 1 and tol = 2^-20
+    tol = 2.0 ** -20
+    for edge, past in ((1.0 + 2.0 ** -19, up), (1.0 - 2.0 ** -19, down)):
+        row = CheckRow.identity("edge", edge, 1.0, tol)
+        assert row.holds is True and row.residual == 2.0 ** -19
+        assert CheckRow.identity("edge", past(edge), 1.0, tol).holds is False
+    # bound: lhs <= rhs + tol (1 + |lhs| + |rhs|); at tol = 1/4, lhs = 2 and
+    # rhs = 1 the right side is exactly 2, and it stays 2 one ulp past lhs
+    monkeypatch.setattr(calculus, "INEQUALITY_TOL", 0.25)
+    row = CheckRow.bound("edge", 2.0, 1.0)
+    assert row.holds is True and row.residual == 1.0
+    assert CheckRow.bound("edge", up(2.0), 1.0).holds is False
+    assert CheckRow.bound("edge", 0.5, 1.0).residual == 0.0
+    for lhs, rhs in ((math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)):
+        assert CheckRow.identity("nan", lhs, rhs, tol).holds is False
+        assert CheckRow.bound("nan", lhs, rhs).holds is False

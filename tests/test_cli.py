@@ -710,7 +710,45 @@ def test_replay_of_replay_refused(tmp_path, capsys):
         "outputs": [],
     }))
     assert run_cli("replay", str(fake), "--out", str(tmp_path / "dst")) == 2
-    assert "cannot replay a replay" in capsys.readouterr().err
+    assert "unknown run kind 'replay'" in capsys.readouterr().err
+    assert not (tmp_path / "dst").exists()
+
+
+@pytest.mark.parametrize("form, under", [("run", False), ("replay", False),
+                                         ("run", True), ("replay", True)],
+                         ids=["run", "replay", "run-under-file", "replay-under-file"])
+def test_out_naming_a_file_is_refused(tmp_path, capsys, form, under):
+    # ended in a FileExistsError (or NotADirectoryError) traceback and exit 1,
+    # the code of a failed verdict
+    src = tmp_path / "src"
+    assert run_cli("exponents", "--out", str(src), "--quiet") == 0
+    capsys.readouterr()
+    target = tmp_path / "taken.txt"
+    target.write_text("keep me\n")
+    argv = ("exponents",) if form == "run" else ("replay", str(src))
+    assert run_cli(*argv, "--out", str(target / "sub" if under else target)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert target.read_text() == "keep me\n"
+
+
+@pytest.mark.parametrize("via", ["same-path", "symlink"])
+def test_replay_into_the_manifests_own_directory_is_refused(tmp_path, capsys, via):
+    # the re-run overwrote the recorded artifacts, then matched them bitwise
+    src = tmp_path / "src"
+    assert run_cli("exponents", "--out", str(src), "--quiet") == 0
+    recorded = src / "exponents.json"
+    recorded.write_text(recorded.read_text() + "\n")
+    before = {f.name: f.read_bytes() for f in src.iterdir()}
+    out = src
+    if via == "symlink":
+        out = tmp_path / "link"
+        out.symlink_to(src, target_is_directory=True)
+    capsys.readouterr()
+    assert run_cli("replay", str(src), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "own directory" in err
+    assert {f.name: f.read_bytes() for f in src.iterdir()} == before
 
 
 def _valid_manifest():

@@ -5,11 +5,14 @@ comparison rules (bitwise first, numeric at relative 1e-12 as fallback).
 
 import json
 import math
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from blowlab import ConfigurationError, UsageError
+from blowlab import ConfigurationError, UsageError, experiments
+from blowlab.calculus import CSV_HEADER, CheckRow
 from blowlab.config import (
     KINDS,
     SCHEMAS,
@@ -19,6 +22,7 @@ from blowlab.config import (
     parse_config_text,
     resolve_config,
 )
+from blowlab.evolution import ConvergenceReport, DissipationReport, WindowRow
 from blowlab.manifest import (
     CSV_BLOCK_ROWS,
     REL_TOL,
@@ -35,6 +39,10 @@ from blowlab.manifest import (
     write_json,
     write_text_atomic,
 )
+from blowlab.profiles import Bracket
+from blowlab.spectral import ModeLabel, SignChangeReport, SpectrumReport, StabilityReport
+
+FORMATS = Path(__file__).resolve().parents[1] / "FORMATS.md"
 
 
 # ---------------------------------------------------------------------------
@@ -47,8 +55,13 @@ def test_defaults_per_kind():
     assert cfg["count"] == 33 and cfg["bisect_tol"] == 1e-8
     assert cfg["spacing"] == "linear"
     assert cfg["n"] == 1 and cfg["p"] == 2.0 and cfg["seed"] == 0
-    assert resolve_config("replay") == {}
+    with pytest.raises(ConfigurationError):
+        resolve_config("replay")
     assert resolve_config("theorem13")["K"] == 1.0
+
+
+def test_every_kind_has_a_runner():
+    assert tuple(experiments.RUNNERS) == KINDS
 
 
 def test_precedence_defaults_file_overrides():
@@ -395,9 +408,54 @@ def test_manifest_tamper_refused(tmp_path):
     assert "refusing to replay" in str(err.value)
 
 
-def test_verdict_to_dict():
+def test_verdict_to_dict(tmp_path):
+    # a manifest writes each verdict as its fields
     v = Verdict("x", False, "why")
-    assert v.to_dict() == {"name": "x", "passed": False, "detail": "why"}
+    manifest = build_manifest("exponents", resolve_config("exponents"), tmp_path,
+                              [], [v], started=0.0, finished=1.0)
+    assert manifest["verdicts"] == [{"name": "x", "passed": False, "detail": "why"}]
+
+
+# ---------------------------------------------------------------------------
+# records written whole: a record's fields are the keys or columns it
+# writes, so a new field reaches its artifact by itself and is pinned here
+
+
+def _names(record) -> tuple:
+    return tuple(f.name for f in fields(record))
+
+
+def _formats_columns(file_name) -> tuple:
+    """The columns FORMATS.md lists for a CSV table."""
+    for line in FORMATS.read_text().splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and cells[1] == f"`{file_name}`":
+            return tuple(cells[2].strip("`").split(","))
+    raise AssertionError(f"FORMATS.md lists no columns for {file_name}")
+
+
+def test_csv_records_are_their_tables_columns():
+    assert _names(Bracket) == _formats_columns("brackets.csv")
+    assert _names(WindowRow) == _formats_columns("window.csv")
+    # identities.csv calls the name column check_name
+    assert CSV_HEADER == _formats_columns("identities.csv")
+    assert _names(CheckRow) == ("name",) + CSV_HEADER[1:]
+
+
+def test_json_records_are_the_keys_they_write():
+    # listed in FORMATS.md: a manifest's verdicts, evolve.json's dissipation
+    assert _names(Verdict) == ("name", "passed", "detail")
+    assert _names(DissipationReport) == ("s_lo", "s_hi", "lhs", "rhs", "rel_err", "holds")
+    # report.json's convergence; spectrum.json's top-level report keys, its
+    # sign_change and its stability with one object per mode
+    assert _names(ConvergenceReport) == ("n", "p", "K", "conv_tol", "T_est", "a_est",
+                                         "rows", "decreasing", "final_sup", "passed")
+    assert _names(SpectrumReport) == ("n", "p", "basis_kind", "basis_size", "eigenvalues")
+    assert _names(SignChangeReport) == ("min_H", "max_H", "sign_change", "lambda1",
+                                        "consistent", "tau")
+    assert _names(StabilityReport) == ("modes", "stable", "note")
+    assert _names(ModeLabel) == ("eigenvalue", "label", "span_residual",
+                                 "by_eigenvalue_only")
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ dissipation accounting, blow-up time fitting, and the convergence pipeline.
 """
 
 import inspect
+import json
 import math
 import tracemalloc
 import warnings
@@ -44,6 +45,7 @@ from blowlab.evolution import (
     stable_mode_state,
 )
 from blowlab.experiments import _cumulative_trapezoid, _initial_data
+from blowlab.manifest import json_text
 from blowlab.quadrature import tensor_grid
 
 P2 = ProblemParams(n=1, p=2.0)
@@ -982,7 +984,7 @@ def test_convergence_pipeline_on_cosine_run(cosine_blowup_run):
     assert rep.final_sup < 0.05
     assert all(r.min_H > 0.0 for r in rep.rows)
     assert all(b.s > a.s for a, b in zip(rep.rows[:-1], rep.rows[1:]))
-    d = rep.to_dict()
+    d = json.loads(json_text(rep))
     assert d["passed"] is True and len(d["rows"]) == len(rep.rows)
 
 

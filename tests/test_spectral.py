@@ -126,7 +126,7 @@ def test_spectrum_closed_form_tensor(basis16):
         rep = spectrum(assemble(kappa_field(basis16, p), basis16, params), 4)
         assert np.abs(rep.eigenvalues - np.array([-1.0, -0.5, 0.0, 0.5])).max() < 1e-10
         assert rep.lambda1 == pytest.approx(-1.0, abs=1e-10)
-    d = rep.to_dict()
+    d = json.loads(json_text(rep))
     assert d["p"] == 5.0 and len(d["eigenvalues"]) == 4
 
 
