@@ -5,9 +5,10 @@ Ported from scipy 1.17.1 operation for operation, so every coefficient and
 value is bitwise scipy's, without importing scipy.interpolate (which brings
 in scipy.sparse, scipy.special, scipy.spatial and scipy.fft):
 
-- `not_a_knot(x, y)` is `CubicSpline(x, y).c`: the knot slopes come from one
+- `not_a_knot_slopes(x, y)` are CubicSpline(x, y)'s knot slopes, from one
   tridiagonal solve, as CubicSpline's general branch takes them;
-- `hermite(x, y, dydx)` is `CubicHermiteSpline(x, y, dydx).c`;
+- `hermite(x, y, dydx)` is `CubicHermiteSpline(x, y, dydx).c`; on knots
+  x[lo:hi] it is bitwise those columns of the whole table;
 - `derivative(c)` is `PPoly.derivative().c`, c[:-1] times (3, 2, 1);
 - `evaluate(c, x, xv, nu)` is `PPoly(c, x)(xv, nu)`, extrapolating.
 
@@ -67,12 +68,9 @@ _FLAPACK = "scipy.linalg._flapack"
 
 
 def _lone(name: str):
-    """The scipy module `name`, loaded once by itself: found in its
-    directory under scipy's install location (find_spec of the top-level
-    package runs no init), executed as a lone module and registered in
-    sys.modules under its own name. A later import of its package finds it
-    there and uses the same module. A scipy without that module raises
-    ImportError and registers nothing."""
+    """The scipy module `name`, loaded once by itself from its directory under
+    scipy's install location (find_spec of the top-level package runs no
+    init); a scipy without it raises ImportError and registers nothing."""
     module = sys.modules.get(name)
     if module is None:
         import importlib.machinery
@@ -91,10 +89,8 @@ def _lone(name: str):
 
 
 def _flapack():
-    """scipy.linalg._flapack, the f2py LAPACK module whose routines
-    scipy.linalg.lapack re-exports, loaded by `_lone` after `import scipy`,
-    whose distributor init locates the bundled OpenBLAS. A later
-    `import scipy.linalg` exports the same routines."""
+    """scipy.linalg._flapack, loaded by `_lone` after `import scipy`, whose
+    distributor init locates the bundled OpenBLAS."""
     if _FLAPACK not in sys.modules:
         import scipy  # noqa: F401
     return _lone(_FLAPACK)
@@ -147,8 +143,8 @@ def hermite(x: np.ndarray, y: np.ndarray, dydx: np.ndarray) -> np.ndarray:
     return np.stack((t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1]))
 
 
-def not_a_knot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The coefficients of the not-a-knot cubic spline through y at x."""
+def not_a_knot_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The knot slopes of the not-a-knot cubic spline through y at x."""
     dx = _steps(x, y)
     n = x.size
     slope = np.diff(y) / dx
@@ -167,7 +163,7 @@ def not_a_knot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     A[-1, -2] = x[-1] - x[-3]
     d = x[-1] - x[-3]
     b[-1] = (dx[-1]**2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-    return hermite(x, y, gtsv(A[2, :-1], A[1], A[0, 1:], b))
+    return gtsv(A[2, :-1], A[1], A[0, 1:], b)
 
 
 def derivative(c: np.ndarray) -> np.ndarray:

@@ -155,9 +155,10 @@ SCHEMAS: dict[str, dict[str, Field]] = {
     },
 }
 
-# the convergence pipeline drives a blow-up run, so it shares that schema
+# theorem13 drives a blow-up run (that schema) and its windows need blew-up
 SCHEMAS["theorem13"] = {
     **SCHEMAS["blowup"],
+    "expected_status": Field(("blew-up",), "blew-up"),
     "K": Field(float, 1.0, "window half-width in y", "(0, inf)"),
     "conv_tol": Field(float, 0.05, "final sup |w - kappa| bound", "(0, inf)"),
 }

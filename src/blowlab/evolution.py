@@ -37,8 +37,6 @@ The weighted energy with rho = (4 pi)^(-n/2) exp(-|y|^2/4) (unit mass),
     E(w) = int [ |grad w|^2 / 2 + w^2 / (2(p-1)) - |w|^(p+1)/(p+1) ] rho dy,
 
 decreases along the rescaled flow with dissipation rate int |w_s|^2 rho dy.
-`energy` takes one state (m,) or a stack of states (k, m); it reduces along
-the last axis, so each row of a stack gets bitwise its single-state energy.
 
 `RescaledFlow.run` takes its steps one at a time into a block of up to
 _BLOCK states and then does the per-state bookkeeping for the whole block
@@ -47,12 +45,10 @@ the stack, sup |w - kappa| and the dissipation rates, whose centred
 differences in s reach two states back into the previous block. Each step
 writes its right-hand side and solution into a row of one per-run state
 buffer, and the bookkeeping writes into one per-run `_MeshWork`, so a block
-allocates no mesh-sized array. The run stops where a per-step check would:
-at the first state that is non-finite, past the cap or of non-finite
-energy, which is dropped; the block's later steps are discarded. The run
-keeps its last state and four per-state series (s, energy, sup |w - kappa|,
-rate), filled in place, not its states: its memory is O(_BLOCK m) plus 32
-bytes a step, whatever s_end asks for.
+allocates no mesh-sized array. The run stops where a per-step check would
+(`RescaledFlow.run`). It keeps its last state and four per-state series
+(s, energy, sup |w - kappa|, rate), filled in place, not its states: its
+memory is O(_BLOCK m) plus 32 bytes a step, whatever s_end asks for.
 
 Both frames discretize the Laplacian with the same three-point stencil:
 d^2/dx^2 on the interval, d^2/dr^2 + (n-1)/r d/dr with the smooth origin row
@@ -212,20 +208,26 @@ def rescale_to_similarity(u: np.ndarray, x: np.ndarray, t: float, T: float,
                           params: ProblemParams
                           ) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
     """(w, w_y on y_out, s, validity mask) for w(y) = (T-t)^(1/(p-1)) u(a + sqrt(T-t) y),
-    from the not-a-knot cubic spline of u (bitwise scipy's CubicSpline).
-    Outside the sampled x-range w and w_y are nan."""
+    from the not-a-knot cubic spline of u (bitwise scipy's CubicSpline): its
+    slopes solved on the whole mesh, its coefficients on the points' knots
+    only (at least 4). u is only read, as a run's shared read-only final
+    state must be. Off x's range w, w_y are nan."""
     if not T > t:
         raise UsageError(f"need T > t, got T = {T}, t = {t}")
     lam = math.sqrt(T - t)
     scale = (T - t) ** (1.0 / (params.p - 1.0))
     xt = a + lam * np.asarray(y_out)
     mask = (xt >= x[0]) & (xt <= x[-1])
-    c = _cubic.not_a_knot(x, u)
-    w = np.full(xt.shape, np.nan)
-    w_y = np.full(xt.shape, np.nan)
+    dydx = _cubic.not_a_knot_slopes(x, u)
+    w, w_y = np.full((2,) + xt.shape, np.nan)
     xm = xt[mask]
-    w[mask] = scale * _cubic.evaluate(c, x, xm, 0)
-    w_y[mask] = (scale * lam) * _cubic.evaluate(c, x, xm, 1)
+    if xm.size:
+        i = np.clip(np.searchsorted(x, xm, "right") - 1, 0, x.size - 2)
+        lo = min(int(i.min()), x.size - 4)
+        knots = slice(lo, max(int(i.max()) + 2, lo + 4))
+        c = _cubic.hermite(x[knots], u[knots], dydx[knots])
+        w[mask] = scale * _cubic.evaluate(c, x[knots], xm, 0)
+        w_y[mask] = (scale * lam) * _cubic.evaluate(c, x[knots], xm, 1)
     return w, w_y, -math.log(T - t), mask
 
 
@@ -386,9 +388,8 @@ class RescaledFlow:
     # the caller; the run ends there as blew-up
     @np.errstate(over="ignore", invalid="ignore")
     def run(self, w0: np.ndarray, s_end: float) -> RescaledRun:
-        """Step from the state w0 on the mesh y to s_end, one step at a time.
-        The stop test, the energies, sup |w - kappa| and the dissipation rates
-        are evaluated per block of up to _BLOCK states. The run ends as
+        """Step from the state w0 on the mesh y to s_end, one step at a time,
+        with the bookkeeping per block (module docstring). The run ends as
         blew-up at the first state that is non-finite, past the cap or of
         non-finite energy, which is dropped with the block's later steps."""
         w = np.asarray(w0, dtype=float)
@@ -651,12 +652,12 @@ def _reaction_exact(u: np.ndarray, dt: float, p: float, big: float,
     to +-big so the cap check fires on the next inspection. Written into out,
     which must not overlap u.
 
-    Two passes run only where they can change a bit. The power |u|^(p-1)
-    is skipped when p - 1 is 1 (x**1.0 is x). The base z = 1 - c, c >= 0, is
-    clamped to 1e-300 only when some point is at or past the pole: for
-    c <= 1 the rounded 1 - c is 0 or at least 2^-53, so the clamp moves no
-    z > 0; it keeps the power off z <= 0 and nan, whose results are
-    replaced."""
+    Two passes run only where they can change a bit. When p - 1 is 1 the
+    power |u|^(p-1) is skipped (x**1.0 is x) and z^(-1) is np.reciprocal
+    (numpy's slower x**-1.0 is 1/x). The base z = 1 - c, c >= 0, is clamped
+    to 1e-300 only when some point is at or past the pole: for c <= 1 the
+    rounded 1 - c is 0 or at least 2^-53, so the clamp moves no z > 0; it
+    keeps the power off z <= 0 and nan, whose results are replaced."""
     np.abs(u, out=out)
     if p - 1.0 != 1.0:
         out **= p - 1.0
@@ -667,7 +668,10 @@ def _reaction_exact(u: np.ndarray, dt: float, p: float, big: float,
         past = ~(out > 0.0)
         fixed = np.sign(u[past]) * big
         np.maximum(out, 1e-300, out=out)
-    out **= -1.0 / (p - 1.0)
+    if p - 1.0 == 1.0:
+        np.reciprocal(out, out=out)
+    else:
+        out **= -1.0 / (p - 1.0)
     np.multiply(u, out, out=out)
     if past is not None:
         out[past] = fixed
@@ -822,7 +826,8 @@ def solve_physical(u0, params: ProblemParams, R: float = 2.0, m: int = 4001,
     """Run the physical problem until blow-up (max |u| >= u_cap), t_max, or a
     numeric failure, from the initial data u0(x) on the mesh x. theta <= 0.2
     keeps dt within the stability policy dt <= 0.2 (max|u|)^(1-p). Initial
-    data must be finite and below u_cap."""
+    data must be finite and below u_cap. The loop's last state, marked
+    read-only, is both u_final and, after a blow-up, the final snapshot."""
     if geometry not in ("interval", "ball"):
         raise UsageError(f"unknown geometry {geometry!r}")
     if not 0.0 < theta <= 0.2:
@@ -844,7 +849,6 @@ def solve_physical(u0, params: ProblemParams, R: float = 2.0, m: int = 4001,
                          f"finite), got {u_cap}")
 
     amax = float(np.abs(u).max())
-    # the snapshot ladder runs from above the data up to the cap
     if not amax < u_cap:
         raise UsageError(f"initial data must be finite with max|u0| < u_cap = "
                          f"{u_cap:g}, got max|u0| = {amax:g}")
@@ -909,17 +913,16 @@ def solve_physical(u0, params: ProblemParams, R: float = 2.0, m: int = 4001,
 
     times = np.array(times)
     sups = np.array(sups)
-    fit = {}
-    T_est = None
-    a_est = None
+    fit, T_est, a_est = {}, None, None
+    u.flags.writeable = False
     if status == "blew-up":
         fit = fit_blowup_time(times, sups, p)
         T_est = fit["T_est"]
         a_est = _parabola_argmax(x, np.abs(snapshots[-1].u))
-        snapshots.append(Snapshot(t=t, max_u=amax, u=u.copy()))
+        snapshots.append(Snapshot(t=t, max_u=amax, u=u))
     return BlowupRun(params=params, x=x, geometry=geometry, status=status,
                      t_end=float(t), times=times, sup_u=sups, min_u=min_u, max_u=max_u,
-                     u_final=u.copy(), snapshots=snapshots,
+                     u_final=u, snapshots=snapshots,
                      T_est=T_est, fit=fit, a_est=a_est,
                      meta={"theta": theta, "u_cap": u_cap, "t_max": t_max,
                            "diffusion": diffusion, "R": R, "m": m,

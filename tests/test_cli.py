@@ -324,6 +324,19 @@ def test_degenerate_settings_exit_2(tmp_path, capsys, kind, setting):
     assert setting.split("=")[0] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("status", ["global-existence", "any"])
+def test_theorem13_refuses_an_expected_status_other_than_blew_up(tmp_path, capsys, status):
+    # run_theorem13 never read the key, so these ran with no status verdict;
+    # the default config_text, which names blew-up, still resolves unchanged
+    out = tmp_path / "o"
+    assert run_cli("theorem13", "--out", str(out), "--set", f"expected_status={status}") == 2
+    assert "expected_status" in capsys.readouterr().err
+    assert not out.exists()
+    cfg = resolve_config("theorem13")
+    assert "expected_status = 'blew-up'" in config_text("theorem13", cfg)
+    assert resolve_config("theorem13", parse_config_text(config_text("theorem13", cfg))) == cfg
+
+
 @pytest.mark.parametrize("kind, amp", [
     ("blowup", "1e308"), ("theorem13", "1e308"), ("blowup", "1e8"), ("theorem13", "-1e9"),
 ], ids=["blowup-1e308", "theorem13-1e308", "blowup-at-cap", "theorem13-beyond-cap"])

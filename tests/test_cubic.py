@@ -1,7 +1,8 @@
 """blowlab._cubic against scipy.interpolate, its reference: the not-a-knot
-spline and the Hermite cubic, their coefficients, their values and first
-derivatives (PPoly's nu = 1 and PPoly.derivative) bitwise, sign bits
-included, on knots, at both ends, between knots and beyond them. Also the
+spline (the Hermite cubic on its slopes) and the Hermite cubic, their
+coefficients, their values and first derivatives (PPoly's nu = 1 and
+PPoly.derivative) bitwise, sign bits included, on knots, at both ends,
+between knots and beyond them. Also the
 input checks, and the LAPACK module that `_cubic._flapack` loads without
 scipy.linalg's package init: it is scipy.linalg.lapack's own, and its
 tridiagonal routines solve bitwise as scipy's and refuse a singular matrix.
@@ -53,7 +54,7 @@ def meshes(draw):
 def test_not_a_knot_spline_is_scipys(mesh):
     x, y, _, xv = mesh
     spl = CubicSpline(x, y)
-    c = _cubic.not_a_knot(x, y)
+    c = _cubic.hermite(x, y, _cubic.not_a_knot_slopes(x, y))
     assert same(c, spl.c)
     for nu in (0, 1):
         assert same(_cubic.evaluate(c, x, xv, nu), spl(xv, nu))
@@ -76,8 +77,8 @@ def test_hermite_cubic_and_its_derivative_are_scipys(mesh):
 
 
 def test_spline_of_a_constant_is_flat():
-    x = np.linspace(0.0, 1.0, 9)
-    c = _cubic.not_a_knot(x, np.full(9, 2.5))
+    x, y = np.linspace(0.0, 1.0, 9), np.full(9, 2.5)
+    c = _cubic.hermite(x, y, _cubic.not_a_knot_slopes(x, y))
     xv = np.linspace(-0.5, 1.5, 41)
     assert (_cubic.evaluate(c, x, xv, 0) == 2.5).all()
     assert (_cubic.evaluate(c, x, xv, 1) == 0.0).all()
@@ -100,7 +101,7 @@ def test_input_checks_are_scipys(x, y, error):
         with pytest.raises(ValueError):
             CubicSpline(x, y)
     with pytest.raises(error):
-        _cubic.not_a_knot(x, y)
+        _cubic.not_a_knot_slopes(x, y)
     with pytest.raises(error):
         _cubic.hermite(x, y, np.zeros_like(y))
 

@@ -11,9 +11,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid
+from scipy.interpolate import CubicSpline
 from scipy.linalg import eig, solve_banded
 from scipy.optimize import minimize_scalar
 from scipy.optimize._optimize import _minimize_scalar_bounded
@@ -114,6 +115,36 @@ def test_rescale_linear_snapshot():
     assert np.abs(w_y[mask] - 8.0).max() < 1e-10
     assert np.all(np.isnan(w[~mask])) and np.all(np.isnan(w_y[~mask]))
     assert s == pytest.approx(-math.log(4.0))
+
+
+# T - t = 1/4 and a = 0: lambda = 1/2 and the window's points are y/2
+# exactly, so y = 2 x[k] lands on the knot x[k]
+_X = np.linspace(-2.0, 2.0, 401)
+
+
+@pytest.mark.parametrize("y_out", [
+    np.concatenate(([2.0 * _X[0]], np.linspace(2.0 * _X[0] - 0.2, 2.0 * _X[0] + 0.4, 31))),
+    np.linspace(2.0 * _X[-1] - 0.4, 2.0 * _X[-1], 21),
+    2.0 * np.linspace(_X[200] + 1e-3, _X[200] + 9e-3, 5),
+    2.0 * np.linspace(_X[-2] + 1e-3, _X[-2] + 9e-3, 5),
+    np.linspace(5.0, 6.0, 11),
+], ids=["from-x0", "ends-at-x-end", "one-interval", "last-interval", "outside"])
+def test_rescale_window_is_scipys_spline(y_out):
+    # the coefficients are built on the window's knots only (at least 4):
+    # w and w_y must still be bitwise those of the whole-mesh CubicSpline,
+    # nan off the mesh; the snapshot is read-only, as a run's final state is
+    u = np.random.default_rng(5).standard_normal(_X.size)
+    u.flags.writeable = False
+    w, w_y, _, mask = rescale_to_similarity(u, _X, 0.75, 1.0, 0.0, y_out, P2)
+    spl = CubicSpline(_X, u)
+    xt = 0.5 * y_out
+    want = np.where(mask, 0.25 * spl(xt), np.nan)
+    want_y = np.where(mask, (0.25 * 0.5) * spl(xt, 1), np.nan)
+    assert np.array_equal(mask, (xt >= _X[0]) & (xt <= _X[-1]))
+    assert np.array_equal(w, want, equal_nan=True)
+    assert np.array_equal(w_y, want_y, equal_nan=True)
+    assert np.array_equal(np.signbit(w[mask]), np.signbit(want[mask]))
+    assert np.array_equal(np.signbit(w_y[mask]), np.signbit(want_y[mask]))
 
 
 def test_rescale_needs_future_time():
@@ -879,6 +910,33 @@ def test_step_builders_write_the_allocating_values(monkeypatch, geometry, n):
         assert np.abs(want[1:3]).tolist() == [1e9, 1e9]
         got = _reaction_exact(u, 0.05, p, 1e9, out=dirty(x.size))
         assert np.array_equal(got, want)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(u=st.lists(st.floats(), min_size=1, max_size=40), dt=st.floats(1e-9, 10.0))
+@example(u=[0.5, -0.0, math.nan, 40.0, -40.0, math.inf], dt=0.05)
+@example(u=[0.5, -0.0, 3.0], dt=0.05)
+def test_reaction_at_p2_is_the_power_form(u, dt):
+    # at p = 2 the reaction takes z^(-1) by np.reciprocal: bitwise the power
+    # form, at and past the pole (sent to +-big) and at nan too
+    u = np.array(u)
+    big = 1e9
+    with np.errstate(all="ignore"):
+        z = 1.0 - dt * np.abs(u)
+        past = ~(z > 0.0)
+        want = u * np.power(np.maximum(z, 1e-300), -1.0)
+        want[past] = np.sign(u[past]) * big
+        got = _reaction_exact(u, dt, 2.0, big, out=np.full(u.size, np.nan))
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_blown_up_run_shares_one_read_only_final_state(cosine_blowup_run):
+    run = cosine_blowup_run
+    assert run.status == "blew-up"
+    assert run.u_final is run.snapshots[-1].u
+    with pytest.raises(ValueError, match="read-only"):
+        run.u_final[0] = 0.0
 
 
 def _run_or_error(u0, params, **kwargs):
