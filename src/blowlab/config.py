@@ -17,12 +17,22 @@ config file.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigurationError
+
+# The one SHA-256 of config_hash and manifest.sha256_file. hashlib is heavy to
+# load (its _hashlib maps OpenSSL's libcrypto, ~3.5 MB), so take CPython's
+# builtin module first, as random.py does for sha512; the digests are the same
+try:
+    from _sha2 import sha256            # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256      # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 @dataclass(frozen=True)
@@ -248,4 +258,4 @@ def config_text(kind: str, cfg: dict) -> str:
 
 
 def config_hash(kind: str, cfg: dict) -> str:
-    return hashlib.sha256(config_text(kind, cfg).encode()).hexdigest()
+    return sha256(config_text(kind, cfg).encode()).hexdigest()

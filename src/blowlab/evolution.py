@@ -344,8 +344,9 @@ class RescaledFlow:
 
     def __init__(self, params: ProblemParams, L: float = 8.0, m: int = 801,
                  ds: float = 1e-2, geometry: str = "interval", cap: float = 1e6):
-        if not 8.0 <= L < math.inf:
-            raise UsageError(f"domain half-width must be finite and >= 8, got {L}")
+        # a finite L * L keeps y * y and the stencil's 1/h^2 (h <= L) finite
+        if not (8.0 <= L and math.isfinite(L * L)):
+            raise UsageError(f"domain half-width must be >= 8 with a finite square, got {L}")
         if geometry not in ("interval", "ball"):
             raise UsageError(f"unknown geometry {geometry!r}")
         if not (0.0 < ds < math.inf) or m < 9:
@@ -972,7 +973,8 @@ def convergence_pipeline(run: BlowupRun, K: float = 1.0,
     """Rescale stored snapshots around (T_est, a_est) and check that
     sup_{|y|<=K} |sign w - kappa| decreases over >= MIN_WINDOWS times and
     ends below conv_tol, where sign is that of u at a_est in the last
-    snapshot. H of sign w on the window is reported per row. The rows are
+    snapshot; on the ball, with a_est at the centre, the window is the radial
+    0 <= y <= K. H of sign w on the window is reported per row. The rows are
     the last MAX_WINDOWS snapshots that pass the window filters, oldest first;
     the snapshots are walked newest first, so no earlier one is rescaled."""
     if run.status != "blew-up":
@@ -984,7 +986,9 @@ def convergence_pipeline(run: BlowupRun, K: float = 1.0,
     sign = -1.0 if np.interp(a, run.x, run.snapshots[-1].u) < 0.0 else 1.0
     h = float(run.x[1] - run.x[0])
     sup_start = run.sup_u[0]
-    yg = np.linspace(-K, K, 201)
+    # at the ball's centre only the radial window's outer edge can leave the mesh
+    radial = run.geometry == "ball" and a == 0.0
+    yg = np.linspace(0.0, K, 101) if radial else np.linspace(-K, K, 201)
     rows = []
     for snap in reversed(run.snapshots):
         if len(rows) == MAX_WINDOWS:
@@ -997,7 +1001,8 @@ def convergence_pipeline(run: BlowupRun, K: float = 1.0,
         # when K < 1, or a window of a fraction of a cell passes vacuously
         if lam < 4.0 * h or K * lam < 4.0 * h:
             continue
-        if a - 1.05 * K * lam < run.x[0] or a + 1.05 * K * lam > run.x[-1]:
+        edge = 1.05 * K * lam
+        if (not radial and a - edge < run.x[0]) or a + edge > run.x[-1]:
             continue
         if snap.max_u < 100.0 * sup_start:     # not yet in the blow-up regime
             continue

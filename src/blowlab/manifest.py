@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import hashlib
 import io
 import json
 import math
@@ -20,7 +19,7 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from .config import config_hash, config_text, parse_config_text, resolve_config
+from .config import config_hash, config_text, parse_config_text, resolve_config, sha256
 from .errors import UsageError
 
 TOOL_NAME = "blowlab"
@@ -118,7 +117,7 @@ def write_csv(path, header, rows) -> Path:
 
 
 def sha256_file(path) -> str:
-    h = hashlib.sha256()
+    h = sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)

@@ -6,8 +6,11 @@ replay round trips including the tamper guard.
 import csv
 import json
 import math
+import os
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -557,6 +560,42 @@ def test_evolve_rescaled_refuses_a_nonpositive_cap(tmp_path, capsys, cap):
     assert "cap must be positive" in capsys.readouterr().err
     manifest = load_manifest(out)
     assert [v["name"] for v in manifest["verdicts"]] == ["refused"]
+
+
+@pytest.mark.parametrize("L", ["1e300", "1.35e154"])
+def test_evolve_rescaled_refuses_an_L_whose_square_overflows(tmp_path, L):
+    # L = 1e300 ran to exit 0 and leaked overflow RuntimeWarnings from
+    # y * y in the Gaussian and the initial state and from the stencil's
+    # 1/h^2; a finite L * L keeps all three finite, since h <= L
+    out = tmp_path / "evo"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "blowlab.cli", "evolve-rescaled",
+         "--set", f"L={L}", "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: domain half-width must be >= 8 with a finite square, " \
+                          f"got {float(L)}\n"
+    manifest = load_manifest(out)
+    assert [v["name"] for v in manifest["verdicts"]] == ["refused"]
+    assert manifest["outputs"] == []
+
+
+@pytest.mark.parametrize("n, code, final", [(2, 0, "0.03391"), (3, 1, "0.05367")])
+def test_theorem13_on_the_ball_windows_radially(tmp_path, capsys, n, code, final):
+    # the ball blows up at its centre, a = 0 = x[0]: a window |y| <= K about
+    # it refused every snapshot (0 windows); the radial window 0 <= y <= K
+    # needs only its outer edge on the mesh. n = 3 at m = 4001 misses
+    # conv_tol 0.05, a desk-scale resolution the tolerance is not loosened for
+    out = tmp_path / "thm"
+    assert run_cli("theorem13", "--out", str(out), "--set", "geometry=ball",
+                   "--set", f"n={n}", "--set", "amp=20") == code
+    captured = capsys.readouterr()
+    for name in ("blew-up", "window-count", "window-monotone"):
+        assert f"[PASS] {name}" in captured.out
+    assert f"final sup {final} vs tol 0.05" in captured.out + captured.err
+    assert len((out / "window.csv").read_text().splitlines()) == 1 + 4
+    assert json.loads((out / "report.json").read_text())["convergence"]["a_est"] == 0.0
 
 
 def test_scan_below_float_resolution_ends_with_verdicts(tmp_path, capsys):

@@ -246,3 +246,29 @@ def test_hermite_spectrum_loads_no_scipy_subpackage(tmp_path):
     assert got["codes"] == [0] * 2
     public = {m for m in got["scipy"] if m != "scipy" and not m.startswith("scipy._")}
     assert public == {"scipy.linalg._flapack", "scipy.version"}
+
+
+def test_runs_without_numpy_random_never_map_openssl(tmp_path):
+    # manifests hash with CPython's builtin SHA-256, so importing blowlab and
+    # these runs never load hashlib's _hashlib, which maps OpenSSL's libcrypto
+    # (~3.5 MB); runs that draw numpy random numbers load it through
+    # numpy.random -> secrets -> hmac
+    script = """
+import json, sys
+import blowlab
+import blowlab.cli as cli
+seen = ["_hashlib" in sys.modules]
+codes = []
+for i, argv in enumerate(json.loads(sys.argv[1])):
+    codes.append(cli.main(argv + ["--out", f"run{i}", "--quiet"]))
+    seen.append("_hashlib" in sys.modules)
+print(json.dumps({"codes": codes, "hashlib": seen}))
+"""
+    runs = [["shoot"], ["scan"], ["blowup"], ["theorem13", "--set", "m=1001"],
+            ["spectrum", "--set", "n=2", "--set", "N=32"]]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got == {"codes": [0] * len(runs), "hashlib": [False] * (len(runs) + 1)}

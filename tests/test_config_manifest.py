@@ -5,13 +5,16 @@ comparison rules (bitwise first, numeric at relative 1e-12 as fallback).
 
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from blowlab import ConfigurationError, UsageError, experiments
+from blowlab import ConfigurationError, UsageError, config, experiments
 from blowlab.calculus import CSV_HEADER, CheckRow
 from blowlab.config import (
     KINDS,
@@ -353,6 +356,61 @@ def test_sha256_file(tmp_path):
     path = tmp_path / "x.bin"
     path.write_bytes(b"abc")
     assert sha256_file(path) == hashlib.sha256(b"abc").hexdigest()
+
+
+# empty, one byte, one read chunk of sha256_file (1 << 16), a chunk and a
+# byte, and many chunks
+DIGEST_SIZES = [0, 1, 65536, 65537, 1_000_000]
+
+
+def _digest_input(size):
+    return bytes(range(256)) * (size // 256) + bytes(range(size % 256))
+
+
+@pytest.mark.parametrize("size", DIGEST_SIZES)
+def test_digests_equal_hashlib_sha256(tmp_path, size):
+    import hashlib
+    data = _digest_input(size)
+    path = tmp_path / "x.bin"
+    path.write_bytes(data)
+    want = hashlib.sha256(data).hexdigest()
+    assert sha256_file(path) == want
+    assert config.sha256(data).hexdigest() == want
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_config_hash_equals_hashlib_sha256_of_config_text(kind):
+    import hashlib
+    cfg = resolve_config(kind)
+    text = config_text(kind, cfg).encode()
+    assert config_hash(kind, cfg) == hashlib.sha256(text).hexdigest()
+
+
+def test_digests_through_the_hashlib_fallback(tmp_path):
+    # with CPython's builtin SHA-256 modules made unimportable, blowlab takes
+    # hashlib.sha256, and every digest is the same
+    import hashlib
+    script = """
+import json, sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+import hashlib
+from blowlab import config, manifest
+assert config.sha256 is hashlib.sha256
+paths, kinds = json.loads(sys.argv[1])
+print(json.dumps([[manifest.sha256_file(p) for p in paths],
+                  [config.config_hash(k, config.resolve_config(k)) for k in kinds]]))
+"""
+    paths = []
+    for size in DIGEST_SIZES:
+        paths.append(str(tmp_path / f"{size}.bin"))
+        Path(paths[-1]).write_bytes(_digest_input(size))
+    env = dict(os.environ, PYTHONPATH=str(Path(config.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps([paths, list(KINDS)])],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    files, configs = json.loads(proc.stdout)
+    assert files == [hashlib.sha256(_digest_input(s)).hexdigest() for s in DIGEST_SIZES]
+    assert configs == [config_hash(k, resolve_config(k)) for k in KINDS]
 
 
 def _small_run_dir(tmp_path, seed=0):
