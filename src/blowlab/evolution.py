@@ -358,6 +358,9 @@ class RescaledFlow:
         self.cap = cap
         self.ds = ds
         self.y = np.linspace(-L, L, m) if geometry == "interval" else np.linspace(0.0, L, m)
+        # at h = 2 the centre's neighbour keeps e^(-h^2/4) = 1/e of rho's weight
+        if self.y[1] - self.y[0] > 2.0:
+            raise UsageError(f"mesh step must be <= 2, got {self.y[1] - self.y[0]}")
         self._dens = gaussian_density(self.y, geometry, params.n)
         # the step matrix never changes: factor it once, solve every step
         self._solve = _tridiagonal_solver(*_rescaled_banded(self.y, params, ds, geometry))
@@ -966,6 +969,30 @@ class ConvergenceReport:
 # windows the convergence check needs, and the most it rescales
 MIN_WINDOWS = 3
 MAX_WINDOWS = 5
+# window_skip's reasons, in the order it checks them
+WINDOW_SKIPS = ("past-T", "under-resolved", "window-off-domain", "before-regime")
+
+
+def window_skip(run: BlowupRun, K: float, snap: Snapshot) -> str | None:
+    """The first rule that bars snap from a window |y| <= K about
+    (T_est, a_est), or None when it is usable: past-T (t >= T_est);
+    under-resolved (lam = sqrt(T - t) < 4h, or K lam < 4h when K < 1, since a
+    window of a fraction of a cell passes vacuously); window-off-domain
+    (a +- 1.05 K lam leaves the mesh; at the ball's centre only the outer
+    edge can); before-regime (max|u| < 100 max|u(., 0)|)."""
+    Tt = run.T_est - snap.t
+    if Tt <= 0.0:
+        return "past-T"
+    lam, h = math.sqrt(Tt), float(run.x[1] - run.x[0])
+    if lam < 4.0 * h or K * lam < 4.0 * h:
+        return "under-resolved"
+    a, edge = run.a_est, 1.05 * K * lam
+    radial = run.geometry == "ball" and a == 0.0
+    if (not radial and a - edge < run.x[0]) or a + edge > run.x[-1]:
+        return "window-off-domain"
+    if snap.max_u < 100.0 * run.sup_u[0]:
+        return "before-regime"
+    return None
 
 
 def convergence_pipeline(run: BlowupRun, K: float = 1.0,
@@ -975,8 +1002,7 @@ def convergence_pipeline(run: BlowupRun, K: float = 1.0,
     ends below conv_tol, where sign is that of u at a_est in the last
     snapshot; on the ball, with a_est at the centre, the window is the radial
     0 <= y <= K. H of sign w on the window is reported per row. The rows are
-    the last MAX_WINDOWS snapshots that pass the window filters, oldest first;
-    the snapshots are walked newest first, so no earlier one is rescaled."""
+    the last MAX_WINDOWS snapshots that window_skip passes, oldest first."""
     if run.status != "blew-up":
         raise UsageError("the convergence pipeline needs a run that blew up")
     T, a = run.T_est, run.a_est
@@ -984,36 +1010,18 @@ def convergence_pipeline(run: BlowupRun, K: float = 1.0,
     kap = kappa(p)
     # u -> -u maps solutions to solutions: negative data approach -kappa
     sign = -1.0 if np.interp(a, run.x, run.snapshots[-1].u) < 0.0 else 1.0
-    h = float(run.x[1] - run.x[0])
-    sup_start = run.sup_u[0]
-    # at the ball's centre only the radial window's outer edge can leave the mesh
     radial = run.geometry == "ball" and a == 0.0
     yg = np.linspace(0.0, K, 101) if radial else np.linspace(-K, K, 201)
+    usable = [snap for snap in run.snapshots if window_skip(run, K, snap) is None]
     rows = []
-    for snap in reversed(run.snapshots):
-        if len(rows) == MAX_WINDOWS:
-            break
-        Tt = T - snap.t
-        if Tt <= 0.0:
-            continue
-        lam = math.sqrt(Tt)
-        # the window |y| <= K must span mesh cells: lam >= 4h, and K lam >= 4h
-        # when K < 1, or a window of a fraction of a cell passes vacuously
-        if lam < 4.0 * h or K * lam < 4.0 * h:
-            continue
-        edge = 1.05 * K * lam
-        if (not radial and a - edge < run.x[0]) or a + edge > run.x[-1]:
-            continue
-        if snap.max_u < 100.0 * sup_start:     # not yet in the blow-up regime
-            continue
+    for snap in usable[-MAX_WINDOWS:]:
         w, w_y, s, _ = rescale_to_similarity(snap.u, run.x, snap.t, T, a, yg,
                                              run.params)
         w, w_y = sign * w, sign * w_y
         Hw = w / (p - 1.0) + 0.5 * yg * w_y
-        rows.append(WindowRow(t=snap.t, T_minus_t=float(Tt), s=s,
+        rows.append(WindowRow(t=snap.t, T_minus_t=float(T - snap.t), s=s,
                               sup_dev=float(np.abs(w - kap).max()),
                               min_H=float(Hw.min())))
-    rows.reverse()
     sups = [r.sup_dev for r in rows]
     decreasing = len(rows) >= MIN_WINDOWS and all(
         b < a for a, b in zip(sups[:-1], sups[1:]))

@@ -10,6 +10,7 @@ file.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import asdict, astuple, dataclass, replace
 from pathlib import Path
 
@@ -34,11 +35,13 @@ from .calculus import (
 from .errors import ConfigurationError, DomainError, UsageError
 from .evolution import (
     MIN_WINDOWS,
+    WINDOW_SKIPS,
     RescaledFlow,
     convergence_pipeline,
     dissipation_check,
     solve_physical,
     stable_mode_state,
+    window_skip,
 )
 from .exponents import (
     ProblemParams,
@@ -519,9 +522,12 @@ def run_theorem13(cfg: dict, out_dir: Path) -> RunOutcome:
                   [astuple(r) for r in report.rows])
         files.append("window.csv")
         summary["convergence"] = report
+        skips = Counter(window_skip(run, cfg["K"], snap) for snap in run.snapshots)
+        tally = ", ".join(f"{skips[r]} {r or 'usable'}"
+                          for r in (None,) + WINDOW_SKIPS if r is None or skips[r])
         verdicts += [
             Verdict("window-count", len(report.rows) >= MIN_WINDOWS,
-                    f"{len(report.rows)} usable windows"),
+                    f"{len(report.rows)} windows; {len(run.snapshots)} snapshots: {tally}"),
             Verdict("window-monotone", report.decreasing,
                     "sup |w - kappa| decreasing over the ladder"),
             Verdict("window-final", report.final_sup < cfg["conv_tol"],

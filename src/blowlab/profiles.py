@@ -582,10 +582,6 @@ class Bracket:
     def __post_init__(self):
         object.__setattr__(self, "width", self.alpha_hi - self.alpha_lo)
 
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.alpha_lo + self.alpha_hi)
-
 
 @dataclass
 class ScanResult:

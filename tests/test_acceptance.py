@@ -154,7 +154,7 @@ def collect_suite_profiles(perturbed_kappa_run, cosine_blowup_run):
                       SampledField.constant(grid, kappa(p)), f"constant p={p}"))
 
     scan = scan_profiles(P2, 0.5, 1.5, count=5, bisect_tol=1e-8, r_max=20.0)
-    for a in list(scan.alphas) + [b.midpoint for b in scan.brackets]:
+    for a in list(scan.alphas) + [0.5 * (b.alpha_lo + b.alpha_hi) for b in scan.brackets]:
         prof = shoot(float(a), P2, r_max=20.0)
         if accepts_bounded_positive(prof, r_max=20.0):
             found.append((P2, profile_field(prof, grid),

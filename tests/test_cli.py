@@ -581,6 +581,42 @@ def test_evolve_rescaled_refuses_an_L_whose_square_overflows(tmp_path, L):
     assert manifest["outputs"] == []
 
 
+@pytest.mark.parametrize("L, code", [("1e154", 2), ("1e3", 2), ("800", 0)])
+def test_evolve_rescaled_refuses_a_mesh_step_above_2(tmp_path, capsys, L, code):
+    # h = 2L / (m - 1) at the default m = 801. L = 1e154 ran to exit 0 on
+    # cells ~2.5e151 wide, and L = 1e3 (h = 2.5) FAILed dissipation-identity
+    # at 3.2%; at h = 2 the centre's neighbour keeps 1/e of rho's weight
+    out = tmp_path / "evo"
+    assert run_cli("evolve-rescaled", "--out", str(out), "--set", f"L={L}") == code
+    names = [v["name"] for v in load_manifest(out)["verdicts"]]
+    if code == 2:
+        assert "mesh step must be <= 2" in capsys.readouterr().err
+        assert names == ["refused"]
+    else:
+        assert "refused" not in names
+
+
+@pytest.mark.parametrize("sets, code, detail", [
+    ((), 0, "5 windows; 14 snapshots: 5 usable, 7 under-resolved, 2 before-regime"),
+    (("p=3",), 1, "0 windows; 14 snapshots: 0 usable, 12 under-resolved, 2 before-regime"),
+    (("K=0.5", "m=2001"), 0,
+     "3 windows; 14 snapshots: 3 usable, 9 under-resolved, 2 before-regime"),
+], ids=["default", "p3", "K05-m2001"])
+def test_theorem13_window_count_says_why_snapshots_were_skipped(tmp_path, capsys,
+                                                                 sets, code, detail):
+    # the counts reach stdout and the manifest only: report.json keeps its keys
+    out = tmp_path / "thm"
+    argv = ["theorem13", "--out", str(out)]
+    for pair in sets:
+        argv += ["--set", pair]
+    assert run_cli(*argv) == code
+    captured = capsys.readouterr()
+    assert f"window-count: {detail}\n" in captured.out + captured.err
+    verdicts = {v["name"]: v for v in load_manifest(out)["verdicts"]}
+    assert verdicts["window-count"]["detail"] == detail
+    assert "under-resolved" not in (out / "report.json").read_text()
+
+
 @pytest.mark.parametrize("n, code, final", [(2, 0, "0.03391"), (3, 1, "0.05367")])
 def test_theorem13_on_the_ball_windows_radially(tmp_path, capsys, n, code, final):
     # the ball blows up at its centre, a = 0 = x[0]: a window |y| <= K about

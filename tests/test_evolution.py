@@ -7,6 +7,7 @@ import inspect
 import json
 import math
 import tracemalloc
+from collections import Counter
 import warnings
 
 import numpy as np
@@ -36,6 +37,8 @@ from blowlab import (
     evolution,
 )
 from blowlab.evolution import (
+    MAX_WINDOWS,
+    WINDOW_SKIPS,
     BlowupRun,
     Snapshot,
     _crank_nicolson,
@@ -44,8 +47,10 @@ from blowlab.evolution import (
     _rescaled_banded,
     linearized_matrix,
     stable_mode_state,
+    window_skip,
 )
-from blowlab.experiments import _cumulative_trapezoid, _initial_data
+from blowlab.config import resolve_config
+from blowlab.experiments import _cumulative_trapezoid, _initial_data, _physical_run
 from blowlab.manifest import json_text
 from blowlab.quadrature import tensor_grid
 
@@ -1076,6 +1081,47 @@ def test_convergence_pipeline_interpolation_floor():
         assert row.sup_dev < 1e-6
         assert row.min_H == pytest.approx(1.0, abs=1e-6)
     assert rep.final_sup < 1e-6
+
+
+@pytest.mark.parametrize("sets, counts", [
+    ({}, {None: 5, "under-resolved": 7, "before-regime": 2}),
+    ({"p": "3"}, {"under-resolved": 12, "before-regime": 2}),
+    ({"geometry": "ball", "n": "3", "amp": "20"},
+     {None: 4, "under-resolved": 6, "before-regime": 4}),
+    ({"K": "4"}, {None: 5, "under-resolved": 7, "window-off-domain": 1,
+                  "before-regime": 1}),
+], ids=["default", "p3", "ball-n3", "K4"])
+def test_window_skip_gives_each_snapshot_one_reason(sets, counts):
+    # theorem13's runs at m = 4001: p = 3 gets no window because its late
+    # snapshots are under-resolved (lam < 4h), not because of the regime rule
+    cfg = resolve_config("theorem13", {}, sets)
+    assert cfg["m"] == 4001
+    _, run = _physical_run(cfg)
+    skips = Counter(window_skip(run, cfg["K"], snap) for snap in run.snapshots)
+    assert skips == counts
+    assert sum(skips.values()) == len(run.snapshots)
+    assert set(skips) <= {None, *WINDOW_SKIPS}
+    # the pipeline rescales the newest MAX_WINDOWS usable snapshots
+    usable = [snap.t for snap in run.snapshots if window_skip(run, cfg["K"], snap) is None]
+    assert [r.t for r in convergence_pipeline(run, K=cfg["K"]).rows] == usable[-MAX_WINDOWS:]
+
+
+def test_window_skip_refuses_snapshots_at_or_past_T():
+    # no solver run stores one (fit_blowup_time refuses T_est <= t_end), so
+    # the snapshots are built by hand: t = T and t > T have no similarity time
+    x = np.linspace(-2.0, 2.0, 4001)
+    T = 1.0
+    snaps = [Snapshot(t=0.0, max_u=1.0, u=np.ones_like(x))]
+    for Tt in (1e-2, 1e-3, 0.0, -1e-3):
+        snaps.append(Snapshot(t=T - Tt, max_u=1e4, u=np.full_like(x, 1e4)))
+    run = BlowupRun(params=P2, x=x, geometry="interval", status="blew-up",
+                    t_end=T + 1e-3, times=np.array([0.0, T + 1e-3]),
+                    sup_u=np.array([1.0, 1e4]), min_u=1.0, max_u=1e4,
+                    u_final=snaps[-1].u, snapshots=snaps,
+                    T_est=T, fit={}, a_est=0.0)
+    assert [window_skip(run, 1.0, snap) for snap in snaps] == [
+        "before-regime", None, None, "past-T", "past-T"]
+    assert [r.t for r in convergence_pipeline(run).rows] == [T - 1e-2, T - 1e-3]
 
 
 def test_convergence_pipeline_rejects_global_runs():

@@ -200,7 +200,7 @@ def test_scan_rediscovers_kappa():
     assert right.alpha_lo == 1.0 and right.outcome_lo == "reached-Rmax-bounded"
     for b in res.brackets:
         assert b.width <= 1.1e-8
-        assert abs(b.midpoint - kappa(2.0)) < 1e-8
+        assert abs(0.5 * (b.alpha_lo + b.alpha_hi) - kappa(2.0)) < 1e-8
     rows = res.rows()
     assert len(rows) == 5 and rows[2][1] == "reached-Rmax-bounded"
 
