@@ -44,7 +44,6 @@ from .profiles import (
     RadialProfile,
     accepts_bounded_positive,
     extended_profile,
-    profile_field,
     profile_residual,
     scan_profiles,
     shoot,
@@ -81,7 +80,7 @@ __all__ = [
     "fd_eigenvalues_1d", "first_eigenvalue_rayleigh", "fit_blowup_time",
     "gaussian_moment_1d", "gaussian_radial_moment", "kappa",
     "kappa_identity_residual", "linearized_apply", "m_condition", "ou_apply",
-    "profile_field", "profile_residual", "radial_grid", "rescale_to_similarity",
+    "profile_residual", "radial_grid", "rescale_to_similarity",
     "scan_profiles", "shoot", "sign_change_check", "solve_physical",
     "spectrum", "stability_classify", "tensor_grid",
     "verify_ibp", "verify_log_test_inequality", "verify_poincare",

@@ -49,8 +49,8 @@ passes:
 - dsbevd: `quadrature.roots_genlaguerre`, the banded eigensolve of
   scipy.special.roots_genlaguerre (ported).
 
-`check_info` turns a nonzero info code of the last three into NumericError,
-as `gtsv` does for a zero pivot.
+`check_info` turns every nonzero info code into NumericError; `gtsv` and
+`_tridiagonal_solver` name a zero pivot's row first.
 """
 
 from __future__ import annotations
@@ -108,13 +108,12 @@ def gtsv(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> np.nda
     """Solve the tridiagonal system (sub-, main and super-diagonal dl, d, du)
     for b by LAPACK dgtsv (partial pivoting), overwriting all four; returns
     the solution, b itself when b is a contiguous float array. An exactly
-    singular matrix raises NumericError."""
+    singular matrix, or any other nonzero info, raises NumericError."""
     *_, x, info = _flapack().dgtsv(dl, d, du, b, 1, 1, 1, 1)
     if info > 0:
         raise NumericError(f"tridiagonal solve hit a zero pivot in row {info}",
                            payload={"row": int(info)})
-    if info < 0:
-        raise UsageError(f"illegal value in argument {-info} of dgtsv")
+    check_info("dgtsv", info)
     return x
 
 

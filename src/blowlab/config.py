@@ -91,7 +91,7 @@ def _common():
         "n": Field(int, 1, "space dimension", "[1, inf)"),
         # ProblemParams refuses p = inf once the run starts
         "p": Field(float, 2.0, "nonlinearity exponent", "(1, inf]"),
-        "seed": Field(int, 0, "seed for randomized batteries"),
+        "seed": Field(int, 0, "seed for randomized batteries", "[0, inf)"),
     }
 
 
@@ -109,7 +109,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
     },
     "spectrum": {
         **_common(),
-        "N": Field(int, 32, "basis size"),
+        "N": Field(int, 32, "basis size", "[1, inf)"),
         "k": Field(int, 8, "eigenvalues to report", "[1, inf)"),
         "degree": Field(int, 0, "quadrature degree (0 = auto)"),
         "basis": Field(("auto", "hermite", "radial"), "auto"),
@@ -130,7 +130,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         **_common(),
         "alpha_lo": Field(float, 0.5, interval="(0, inf)"),
         "alpha_hi": Field(float, 1.5, interval="(0, inf)"),
-        "count": Field(int, 33),
+        "count": Field(int, 33, interval="[2, inf)"),
         "spacing": Field(("linear", "log"), "linear"),
         "bisect_tol": Field(float, 1e-8, interval="(0, inf)"),
         "r_max": Field(float, 20.0, interval="(0, inf)"),
@@ -138,7 +138,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
     "evolve-rescaled": {
         **_common(),
         "L": Field(float, 8.0, "domain half-width", "[8, inf)"),
-        "m": Field(int, 801, "mesh points"),
+        "m": Field(int, 801, "mesh points", "[9, inf)"),
         "ds": Field(float, 1e-3, interval="(0, inf)"),
         "s_end": Field(float, 2.0, interval="(0, inf)"),
         "geometry": Field(("interval", "ball"), "interval"),
@@ -152,7 +152,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
     "blowup": {
         **_common(),
         "R": Field(float, 2.0, "domain half-width / ball radius", "(0, inf)"),
-        "m": Field(int, 4001, "mesh points"),
+        "m": Field(int, 4001, "mesh points", "[9, inf)"),
         "geometry": Field(("interval", "ball"), "interval"),
         "theta": Field(float, 0.05, "dt = theta (max u)^(1-p)", "(0, 0.2]"),
         "u_cap": Field(float, 1e8, interval="(0, inf)"),
@@ -230,12 +230,14 @@ def _validate(kind: str, cfg: dict) -> None:
                                  "use geometry = ball for n > 1")
     if kind == "evolve-rescaled":
         steps = cfg["s_end"] / cfg["ds"]
-        # a run of no steps would pass its verdicts on the initial state alone
-        if not (math.isfinite(steps) and round(steps) >= 1
+        # a run of no steps would pass its verdicts on the initial state alone;
+        # the default dissipation window, snapped one step inward at each end,
+        # needs 10 (evolution.dissipation_check)
+        if not (math.isfinite(steps) and round(steps) >= 10
                 and (round(steps) + 1) * cfg["m"] <= WORK_BUDGET):
             raise ConfigurationError(
                 f"s_end/ds = {steps:.3g} steps on m = {cfg['m']} points: need at least "
-                f"1 step and (steps + 1) * m within the work budget of {WORK_BUDGET} "
+                f"10 steps and (steps + 1) * m within the work budget of {WORK_BUDGET} "
                 f"state values; change s_end, ds or m")
     if kind == "scan" and not cfg["alpha_lo"] < cfg["alpha_hi"]:
         raise ConfigurationError("need 0 < alpha_lo < alpha_hi")

@@ -88,23 +88,6 @@ from .exponents import ProblemParams, kappa
 from .quadrature import sphere_area
 
 
-@dataclass(frozen=True)
-class EnergyValue:
-    """Energy parts: floats for one state, (k,) arrays for a (k, m) stack."""
-
-    total: float | np.ndarray
-    dirichlet: float | np.ndarray
-    quadratic: float | np.ndarray
-    potential: float | np.ndarray
-
-
-def _energy_parts(values, grad_sq, weights, norm, p) -> EnergyValue:
-    d = 0.5 * float(np.dot(weights, grad_sq)) * norm
-    q = float(np.dot(weights, values**2)) / (2.0 * (p - 1.0)) * norm
-    pot = float(np.dot(weights, np.abs(values) ** (p + 1.0))) / (p + 1.0) * norm
-    return EnergyValue(total=d + q - pot, dirichlet=d, quadratic=q, potential=pot)
-
-
 def gaussian_density(y: np.ndarray, geometry: str, n: int) -> np.ndarray:
     """The unit-mass Gaussian rho on the mesh y, with the radial measure
     folded in on the ball, so trapezoid sums over y integrate against rho."""
@@ -141,12 +124,12 @@ class _MeshWork:
 
 
 def energy(w, params: ProblemParams, y: np.ndarray | None = None,
-           geometry: str = "interval", work: _MeshWork | None = None) -> EnergyValue:
+           geometry: str = "interval", work: _MeshWork | None = None) -> float | np.ndarray:
     """Weighted energy of a rescaled state.
 
     Accepts a SampledField (quadrature grid; exact for the polynomial part)
-    or mesh values with the mesh y: one state (m,), giving float parts, or a
-    stack of states (k, m), giving (k,) arrays whose rows are bitwise the
+    or mesh values with the mesh y: one state (m,), giving a float, or a
+    stack of states (k, m), giving a (k,) array whose entries are bitwise the
     energies of the single rows. Mesh integrals use the trapezoid rule
     against the normalized Gaussian; constants are then only as exact as
     the truncated tail, so checks at 1e-10 should use fields. A mesh energy
@@ -156,7 +139,10 @@ def energy(w, params: ProblemParams, y: np.ndarray | None = None,
     p = params.p
     if isinstance(w, SampledField):
         norm = (4.0 * math.pi) ** (-w.grid.n / 2.0)
-        return _energy_parts(w.values, w.grad_sq(), w.grid.weights, norm, p)
+        wts, v = w.grid.weights, w.values
+        d = 0.5 * float(np.dot(wts, w.grad_sq())) * norm
+        q = float(np.dot(wts, v**2)) / (2.0 * (p - 1.0)) * norm
+        return d + q - float(np.dot(wts, np.abs(v) ** (p + 1.0))) / (p + 1.0) * norm
     if y is None:
         raise UsageError("mesh energy needs the mesh")
     w = np.ascontiguousarray(w, dtype=float)
@@ -192,9 +178,8 @@ def energy(w, params: ProblemParams, y: np.ndarray | None = None,
     f /= p + 1.0
     f *= dens
     pot = work.trapezoid(f)
-    if w.ndim == 1:
-        d, q, pot = float(d[0]), float(q[0]), float(pot[0])
-    return EnergyValue(total=d + q - pot, dirichlet=d, quadratic=q, potential=pot)
+    e = d + q - pot
+    return float(e[0]) if w.ndim == 1 else e
 
 
 def exact_energy_kappa(params: ProblemParams) -> float:
@@ -206,8 +191,8 @@ def exact_energy_kappa(params: ProblemParams) -> float:
 def rescale_to_similarity(u: np.ndarray, x: np.ndarray, t: float, T: float,
                           a: float, y_out: np.ndarray,
                           params: ProblemParams
-                          ) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
-    """(w, w_y on y_out, s, validity mask) for w(y) = (T-t)^(1/(p-1)) u(a + sqrt(T-t) y),
+                          ) -> tuple[np.ndarray, np.ndarray, float]:
+    """(w, w_y on y_out, s) for w(y) = (T-t)^(1/(p-1)) u(a + sqrt(T-t) y),
     from the not-a-knot cubic spline of u (bitwise scipy's CubicSpline): its
     slopes solved on the whole mesh, its coefficients on the points' knots
     only (at least 4). u is only read, as a run's shared read-only final
@@ -228,7 +213,7 @@ def rescale_to_similarity(u: np.ndarray, x: np.ndarray, t: float, T: float,
         c = _cubic.hermite(x[knots], u[knots], dydx[knots])
         w[mask] = scale * _cubic.evaluate(c, x[knots], xm, 0)
         w_y[mask] = (scale * lam) * _cubic.evaluate(c, x[knots], xm, 1)
-    return w, w_y, -math.log(T - t), mask
+    return w, w_y, -math.log(T - t)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +394,7 @@ class RescaledFlow:
         work = _MeshWork(self.y, self._dens, _BLOCK)
         states = np.empty((_BLOCK + 2, w.size))
         states[1] = w
-        e0 = energy(w, self.params, self.y, self.geometry, work).total
+        e0 = energy(w, self.params, self.y, self.geometry, work)
         if not math.isfinite(e0):
             raise NumericError("initial state has non-finite energy",
                                payload={"energy": e0})
@@ -431,7 +416,7 @@ class RescaledFlow:
             amax = np.abs(block, out=work.vals[:k]).max(axis=1)
             ok = np.isfinite(amax) & (amax <= self.cap)
             good = k if ok.all() else int(ok.argmin())
-            e = energy(block[:good], self.params, self.y, self.geometry, work).total
+            e = energy(block[:good], self.params, self.y, self.geometry, work)
             if not np.isfinite(e).all():
                 good = int(np.isfinite(e).argmin())
             end = count + good
@@ -1015,8 +1000,7 @@ def convergence_pipeline(run: BlowupRun, K: float = 1.0,
     usable = [snap for snap in run.snapshots if window_skip(run, K, snap) is None]
     rows = []
     for snap in usable[-MAX_WINDOWS:]:
-        w, w_y, s, _ = rescale_to_similarity(snap.u, run.x, snap.t, T, a, yg,
-                                             run.params)
+        w, w_y, s = rescale_to_similarity(snap.u, run.x, snap.t, T, a, yg, run.params)
         w, w_y = sign * w, sign * w_y
         Hw = w / (p - 1.0) + 0.5 * yg * w_y
         rows.append(WindowRow(t=snap.t, T_minus_t=float(T - snap.t), s=s,

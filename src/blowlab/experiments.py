@@ -59,6 +59,7 @@ from .manifest import (
 from .profiles import (
     OUTCOMES,
     accepts_bounded_positive,
+    bracket_splits,
     extended_profile,
     in_snap_band,
     profile_residual,
@@ -333,8 +334,8 @@ def run_scan(cfg: dict, out_dir: Path) -> RunOutcome:
                  for b in result.brackets)
     covered = (enters and leaves) or any(b.alpha_lo <= kap <= b.alpha_hi
                                          for b in result.brackets)
-    refined = all(b.width <= cfg["bisect_tol"] * max(1.0, abs(b.alpha_hi)) * 1.0001
-                  for b in result.brackets)
+    refined = not any(bracket_splits(b.alpha_lo, b.alpha_hi, cfg["bisect_tol"])
+                      for b in result.brackets)
     counts: dict[str, int] = {}
     for o in result.outcomes:
         counts[o] = counts.get(o, 0) + 1

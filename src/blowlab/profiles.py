@@ -56,10 +56,8 @@ from itertools import repeat
 import numpy as np
 
 from . import _cubic
-from .calculus import SampledField, radial_field
 from .errors import DomainError, NumericError, UsageError
 from .exponents import ProblemParams, kappa
-from .quadrature import Grid
 
 OUTCOMES = (
     "converged-to-kappa-like-tail",
@@ -585,7 +583,6 @@ class Bracket:
 
 @dataclass
 class ScanResult:
-    params: ProblemParams
     alphas: np.ndarray
     outcomes: list
     r_ends: np.ndarray
@@ -596,12 +593,17 @@ class ScanResult:
                 zip(self.alphas, self.outcomes, self.r_ends)]
 
 
+def bracket_splits(lo: float, hi: float, tol: float) -> bool:
+    """Whether bisection splits the bracket [lo, hi] again: it is wider than
+    tol max(1, |hi|) and, as rounding allows, its midpoint lies strictly inside."""
+    return hi - lo > tol * max(1.0, abs(hi)) and lo < 0.5 * (lo + hi) < hi
+
+
 def scan_profiles(params: ProblemParams, alpha_lo: float, alpha_hi: float,
                   count: int = 33, spacing: str = "linear",
                   bisect_tol: float = 1e-8, **shoot_kw) -> ScanResult:
     """Classify count alphas, then bisect every consecutive outcome change
-    down to width bisect_tol * max(1, alpha), or until the midpoint no longer
-    lies strictly inside the bracket.
+    until bracket_splits(lo, hi, bisect_tol) closes it.
 
     The grid is one batch of lanes. Bisection is the sequential loop's, run
     BISECT_DEPTH levels per batch: each round classifies, for every open
@@ -637,14 +639,8 @@ def scan_profiles(params: ProblemParams, alpha_lo: float, alpha_hi: float,
             cache[alpha] = (prof.outcome, prof.r_end)
         return cache[alpha][0]
 
-    def splits(lo: float, hi: float) -> bool:
-        # the sequential loop's test, plus a stop once rounding leaves no
-        # midpoint strictly inside (lo, hi)
-        return (hi - lo > bisect_tol * max(1.0, abs(hi))
-                and lo < 0.5 * (lo + hi) < hi)
-
     def midpoints(lo: float, hi: float, depth: int) -> list[float]:
-        if depth == 0 or not splits(lo, hi):
+        if depth == 0 or not bracket_splits(lo, hi, bisect_tol):
             return []
         mid = 0.5 * (lo + hi)
         return [mid] + midpoints(lo, mid, depth - 1) + midpoints(mid, hi, depth - 1)
@@ -657,12 +653,12 @@ def scan_profiles(params: ProblemParams, alpha_lo: float, alpha_hi: float,
     # [lo, hi, outcome_lo, outcome_hi] per outcome change, in grid order
     brackets = [[lo, hi, olo, ohi] for lo, hi, olo, ohi in
                 zip(grid[:-1], grid[1:], outcomes[:-1], outcomes[1:]) if olo != ohi]
-    active = [b for b in brackets if splits(b[0], b[1])]
+    active = [b for b in brackets if bracket_splits(b[0], b[1], bisect_tol)]
     while active:
         classify([m for b in active for m in midpoints(b[0], b[1], BISECT_DEPTH)])
         for b in active:
             for _ in range(BISECT_DEPTH):
-                if not splits(b[0], b[1]):
+                if not bracket_splits(b[0], b[1], bisect_tol):
                     break
                 mid = 0.5 * (b[0] + b[1])
                 om = outcome(mid)
@@ -670,8 +666,8 @@ def scan_profiles(params: ProblemParams, alpha_lo: float, alpha_hi: float,
                     b[0] = mid
                 else:
                     b[1], b[3] = mid, om
-        active = [b for b in active if splits(b[0], b[1])]
-    return ScanResult(params=params, alphas=alphas, outcomes=outcomes,
+        active = [b for b in active if bracket_splits(b[0], b[1], bisect_tol)]
+    return ScanResult(alphas=alphas, outcomes=outcomes,
                       r_ends=r_ends, brackets=[Bracket(*b) for b in brackets])
 
 
@@ -713,9 +709,3 @@ def extended_profile(profile: RadialProfile):
         return w, w_r
 
     return w_at, r_cut
-
-
-def profile_field(profile: RadialProfile, grid: Grid) -> SampledField:
-    """Sample an (extended) profile on a quadrature grid with analytic
-    radial gradient, ready for the spectral checks."""
-    return radial_field(grid, extended_profile(profile)[0])

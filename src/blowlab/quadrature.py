@@ -99,7 +99,6 @@ class TensorGrid:
     points: np.ndarray = field(repr=False)     # (nq, n)
     weights: np.ndarray = field(repr=False)    # (nq,)
     nodes_1d: np.ndarray = field(repr=False)
-    weights_1d: np.ndarray = field(repr=False)
 
     kind = "tensor"
 
@@ -139,8 +138,7 @@ def tensor_grid(n: int, degree: int | None = None) -> TensorGrid:
     weights = np.ones(degree**n)
     for wm in wmesh:
         weights = weights * wm.reshape(-1)
-    return TensorGrid(n=n, degree=degree, points=points, weights=weights,
-                      nodes_1d=nodes, weights_1d=wts)
+    return TensorGrid(n=n, degree=degree, points=points, weights=weights, nodes_1d=nodes)
 
 
 def laguerre_norms(n: int, nfuncs: int) -> np.ndarray:

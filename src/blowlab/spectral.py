@@ -84,8 +84,6 @@ class WeightedBasis:
     size: int
     values: np.ndarray          # (nq, size)
     grads: np.ndarray           # (nq, size, ncomp)
-    ou_eigs: np.ndarray         # (size,)  L v_k = ou_eigs[k] v_k
-    labels: tuple               # multi-indices (tensor) or k (radial)
     kind: str
 
     def gram_residual(self) -> float:
@@ -123,9 +121,7 @@ def build_basis(n: int, N: int, degree: int | None = None,
         grid = radial_grid(n, deg)
         values, grads = laguerre_basis(grid, N)
         grads = grads.reshape(grid.npoints, N, 1)
-        ou = -np.arange(N, dtype=float)
-        return WeightedBasis(grid=grid, n=n, size=N, values=values, grads=grads,
-                             ou_eigs=ou, labels=tuple(range(N)), kind="radial")
+        return WeightedBasis(grid=grid, n=n, size=N, values=values, grads=grads, kind="radial")
     if kind != "hermite":
         raise UsageError(f"unknown basis kind {kind!r}")
     per_axis = 1
@@ -137,12 +133,11 @@ def build_basis(n: int, N: int, degree: int | None = None,
                           f"tensor grid in n = {n}")
     grid = tensor_grid(n, degree)
     require_basis_fits(grid, per_axis)
-    labels = _tensor_indices(n, per_axis, N)
     b = hermite_basis(grid.nodes_1d, per_axis)
     db = np.zeros_like(b)                    # d/dy b_k = sqrt(k/2) b_{k-1}
     db[:, 1:] = np.sqrt(np.arange(1, per_axis) / 2.0) * b[:, :-1]
     node = np.indices((grid.degree,) * n).reshape(n, -1)   # each point's node per axis
-    ks = np.array(labels).T
+    ks = np.array(_tensor_indices(n, per_axis, N)).T      # each function's degree per axis
     vals = [b[:, ks[ax]][node[ax]] for ax in range(n)]      # (nq, N) factors per axis
     grads = np.empty((grid.npoints, N, n))
     for ax in range(n):
@@ -154,9 +149,7 @@ def build_basis(n: int, N: int, degree: int | None = None,
     values = vals[0]                         # in place: the gradients are done with it
     for f in vals[1:]:
         values *= f
-    ou = np.array([-sum(lab) / 2.0 for lab in labels])
-    return WeightedBasis(grid=grid, n=n, size=N, values=values, grads=grads,
-                         ou_eigs=ou, labels=tuple(labels), kind="hermite")
+    return WeightedBasis(grid=grid, n=n, size=N, values=values, grads=grads, kind="hermite")
 
 
 @dataclass(frozen=True, eq=False)

@@ -26,7 +26,6 @@ from blowlab import (
     fd_eigenvalues_1d,
     kappa,
     linearized_apply,
-    profile_field,
     profile_residual,
     scan_profiles,
     shoot,
@@ -41,12 +40,13 @@ from blowlab import (
 from blowlab.calculus import (
     cutoff_field,
     make_log_test_eigenpair,
+    radial_field,
     random_bump_field,
     random_poly_field,
 )
 from blowlab.evolution import stable_mode_state
 from blowlab.exponents import admissible_m_interval
-from blowlab.profiles import accepts_bounded_positive, rk4_shoot, series_start
+from blowlab.profiles import accepts_bounded_positive, extended_profile, rk4_shoot, series_start
 from blowlab.quadrature import tensor_grid
 
 P2 = ProblemParams(n=1, p=2.0)
@@ -157,7 +157,7 @@ def collect_suite_profiles(perturbed_kappa_run, cosine_blowup_run):
     for a in list(scan.alphas) + [0.5 * (b.alpha_lo + b.alpha_hi) for b in scan.brackets]:
         prof = shoot(float(a), P2, r_max=20.0)
         if accepts_bounded_positive(prof, r_max=20.0):
-            found.append((P2, profile_field(prof, grid),
+            found.append((P2, radial_field(grid, extended_profile(prof)[0]),
                           f"scan candidate alpha={prof.alpha:.8f}"))
 
     run = perturbed_kappa_run
@@ -303,10 +303,10 @@ def test_criterion_9_convergence_to_constant(acceptance, cosine_blowup_run):
 
 def test_criterion_10_energy(acceptance, perturbed_kappa_run):
     grid = tensor_grid(1, 64)
-    worst = float(abs(energy(SampledField.constant(grid, 0.0), P2).total))
+    worst = float(abs(energy(SampledField.constant(grid, 0.0), P2)))
     for p in (2.0, 3.0, 5.0):
         params = ProblemParams(n=1, p=p)
-        got = energy(SampledField.constant(grid, kappa(p)), params).total
+        got = energy(SampledField.constant(grid, kappa(p)), params)
         want = (0.5 - 1.0 / (p + 1.0)) * kappa(p) ** (p + 1.0)
         assert exact_energy_kappa(params) == want
         worst = max(worst, abs(got - want) / want)

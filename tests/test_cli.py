@@ -19,6 +19,7 @@ import blowlab.cli as cli
 from blowlab import NumericError
 from blowlab.config import config_hash, config_text, parse_config_text, resolve_config
 from blowlab.manifest import load_manifest
+from blowlab.profiles import bracket_splits
 
 
 def run_cli(*argv):
@@ -384,6 +385,21 @@ def test_vacuous_batteries_exit_2(tmp_path, capsys, kind, setting):
     assert setting.split("=")[0] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, key, args", [
+    ("exponents", "seed", ("--seed", "-1")),
+    ("verify-identities", "seed", ("--seed", "-1")),
+    ("blowup", "m", ("--set", "m=5")), ("theorem13", "m", ("--set", "m=8")),
+    ("evolve-rescaled", "m", ("--set", "m=8")),
+    ("scan", "count", ("--set", "count=1")), ("spectrum", "N", ("--set", "N=0")),
+], ids=["exponents-seed", "verify-identities-seed", "blowup-m", "theorem13-m",
+        "evolve-rescaled-m", "scan-count", "spectrum-N"])
+def test_schema_refuses_what_the_run_crashed_on_or_refused(tmp_path, capsys, kind, key, args):
+    # a negative seed ended in numpy's ValueError traceback; the others were
+    # refused once the run started, blowup's m=5 by a message naming R
+    assert run_cli(kind, "--out", str(tmp_path / "o"), *args) == 2
+    assert f"{key} must be in [" in capsys.readouterr().err
+
+
 def test_smallest_exponents_battery_passes(tmp_path, capsys):
     out = tmp_path / "exp"
     assert run_cli("exponents", "--out", str(out), "--set", "n_scan_hi=11",
@@ -544,9 +560,12 @@ def test_scan_refuses_a_degenerate_bisect_tol(tmp_path, capsys, tol):
 
 @pytest.mark.parametrize("setting", ["s_end=nan", "s_end=inf", "s_end=-1", "s_end=0",
                                      "ds=nan", "ds=inf", "ds=0", "L=nan", "L=inf",
-                                     "ds=1e-300", "ds=1e-6", "ds=1e300", "s_end=1e-300"])
+                                     "ds=1e-300", "ds=1e-6", "ds=1e300", "s_end=1e-300",
+                                     "s_end=0.009"])
 def test_evolve_rescaled_refuses_degenerate_steps(tmp_path, capsys, setting):
-    # ds=1e300 and s_end=1e-300 took no steps and passed on the initial state
+    # ds=1e300 and s_end=1e-300 took no steps and passed on the initial state;
+    # s_end=0.009 took 9 and was refused only after the run, by the default
+    # dissipation window, which needs 10
     assert run_cli("evolve-rescaled", "--out", str(tmp_path / "evo"),
                    "--set", setting) == 2
     assert setting.split("=")[0] in capsys.readouterr().err
@@ -636,11 +655,12 @@ def test_theorem13_on_the_ball_windows_radially(tmp_path, capsys, n, code, final
 
 def test_scan_below_float_resolution_ends_with_verdicts(tmp_path, capsys):
     # no midpoint lies strictly inside a bracket one ulp wide: bisection stops
-    # there, and brackets-refined reports the width it reached
+    # there, and brackets-refined, which reads the same stop rule, passes and
+    # reports the width it reached
     out = tmp_path / "scan"
     assert run_cli("scan", "--out", str(out), "--set", "count=5",
-                   "--set", "bisect_tol=1e-20") == 1
-    assert "[FAIL] brackets-refined" in capsys.readouterr().err
+                   "--set", "bisect_tol=1e-20") == 0
+    assert "[PASS] brackets-refined" in capsys.readouterr().out
     summary = json.loads((out / "scan.json").read_text())
     assert len(summary["brackets"]) == 2
     for b in summary["brackets"]:
@@ -648,6 +668,18 @@ def test_scan_below_float_resolution_ends_with_verdicts(tmp_path, capsys):
         assert hi == math.nextafter(lo, math.inf)
     detail = {v["name"]: v for v in load_manifest(out)["verdicts"]}["brackets-refined"]
     assert detail["detail"].endswith(f"widest {max(b['width'] for b in summary['brackets']):.3g}")
+
+
+def test_brackets_refined_reads_the_bisection_stop_rule(tmp_path, capsys):
+    # bisect_tol = 1e-17 is below the float spacing at alpha ~ 1: the loop
+    # stops where no float lies between a bracket's ends, and the verdict,
+    # which once re-derived the width test alone, FAILed those brackets
+    out = tmp_path / "scan"
+    assert run_cli("scan", "--out", str(out), "--set", "bisect_tol=1e-17") == 0
+    assert "[PASS] brackets-refined" in capsys.readouterr().out
+    brackets = json.loads((out / "scan.json").read_text())["brackets"]
+    assert brackets and max(b["width"] for b in brackets) > 1e-17
+    assert not any(bracket_splits(b["alpha_lo"], b["alpha_hi"], 1e-17) for b in brackets)
 
 
 @pytest.mark.parametrize("tol", ["1e-12", "5e-13"])

@@ -123,16 +123,20 @@ def test_singular_tridiagonal_solve_raises_numeric_error():
 
 
 class _Lapack:
-    """A stand-in LAPACK module whose dgttrf and dgttrs return the given info."""
+    """A stand-in LAPACK module whose dgttrf, dgttrs and dgtsv return the
+    given info."""
 
-    def __init__(self, trf_info, trs_info):
-        self.trf_info, self.trs_info = trf_info, trs_info
+    def __init__(self, trf_info=0, trs_info=0, sv_info=0):
+        self.trf_info, self.trs_info, self.sv_info = trf_info, trs_info, sv_info
 
     def dgttrf(self, dl, d, du):
         return dl, d, du, np.zeros(d.size - 2), np.arange(1, d.size + 1), self.trf_info
 
     def dgttrs(self, dl, d, du, du2, ipiv, b, overwrite_b=0):
         return b, self.trs_info
+
+    def dgtsv(self, dl, d, du, b, *overwrite):
+        return dl, d, du, b, self.sv_info
 
 
 @pytest.mark.parametrize("trf_info, trs_info, routine",
@@ -142,6 +146,18 @@ def test_tridiagonal_solver_refuses_a_nonzero_info(monkeypatch, trf_info, trs_in
     dl, d, du, b = _tridiagonal("dominant")
     with pytest.raises(NumericError, match=f"LAPACK {routine} failed with info"):
         evolution._tridiagonal_solver(dl, d, du)(b)
+
+
+@pytest.mark.parametrize("info, message", [(-1, "LAPACK dgtsv failed with info -1"),
+                                           (-4, "LAPACK dgtsv failed with info -4"),
+                                           (2, "zero pivot in row 2")])
+def test_direct_tridiagonal_solve_refuses_a_nonzero_info(monkeypatch, info, message):
+    # an illegal argument (info < 0) was a UsageError (exit 2) here alone;
+    # every other LAPACK call raises it as NumericError (exit 3)
+    monkeypatch.setattr(_cubic, "_flapack", lambda: _Lapack(sv_info=info))
+    dl, d, du, b = _tridiagonal("dominant")
+    with pytest.raises(NumericError, match=message):
+        _cubic.gtsv(dl, d, du, b)
 
 
 def test_lone_loader_refuses_a_module_scipy_lacks():

@@ -31,7 +31,6 @@ from blowlab import (
     UsageError,
     extended_profile,
     kappa,
-    profile_field,
     profile_residual,
     scan_profiles,
     shoot,
@@ -48,7 +47,7 @@ from blowlab.profiles import (
     rk4_shoot,
     series_start,
 )
-from blowlab.calculus import cutoff_field
+from blowlab.calculus import cutoff_field, radial_field
 from blowlab.quadrature import cutoff_radial, radial_grid, tensor_grid
 
 P21 = ProblemParams(n=1, p=2.0)
@@ -311,7 +310,7 @@ def test_radial_field_matches_the_per_caller_lifts(grid):
     prof = shoot(0.9, ProblemParams(n=grid.n, p=2.0))
     w_at, _ = extended_profile(prof)
     for field, (vals, grad) in (
-            (profile_field(prof, grid), lifted(w_at)),
+            (radial_field(grid, w_at), lifted(w_at)),
             (cutoff_field(grid, 3.0), lifted(lambda r: cutoff_radial(r, 3.0)))):
         assert np.array_equal(field.values, vals)
         assert np.array_equal(field.grad, grad)
@@ -320,7 +319,7 @@ def test_radial_field_matches_the_per_caller_lifts(grid):
 def test_profile_field_on_radial_grid():
     prof = shoot(kappa(3.0), ProblemParams(n=3, p=3.0))
     grid = radial_grid(3, 32)
-    f = profile_field(prof, grid)
+    f = radial_field(grid, extended_profile(prof)[0])
     assert f.values.shape == (grid.npoints,)
     assert f.grad.shape == (grid.npoints, 1)
     inside = grid.r <= 20.0

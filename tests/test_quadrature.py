@@ -91,7 +91,7 @@ def test_radial_quadrature_moments_exact():
 def test_hermite_basis_orthonormal():
     g = tensor_grid(1, 64)
     B = hermite_basis(g.nodes_1d, 32)
-    gram = B.T @ (g.weights_1d[:, None] * B)
+    gram = B.T @ (g.weights[:, None] * B)
     assert np.abs(gram - np.eye(32)).max() < 1e-12
 
 
