@@ -5,9 +5,10 @@
     blowlab replay MANIFEST [--out DIR] [--quiet]
 
 Every run resolves its configuration (defaults <- file <- --set/--seed),
-writes its artifacts plus a manifest.json into the output directory, and
-prints one line per verdict. Exit codes: 0 all verdicts passed, 1 some
-verdict failed, 2 usage or configuration error, 3 numerical failure.
+writes its artifacts (none if it fails) and a manifest.json into the output
+directory, and prints one line per verdict. Exit codes: 0 all verdicts
+passed, 1 some verdict failed, 2 usage or configuration error, 3 numerical
+failure.
 
 Everything runs in-process on local files; there are no network services.
 """
@@ -120,11 +121,11 @@ def _run(args) -> int:
     try:
         outcome = run_kind(kind, cfg, out_dir)
     except (NumericError, UsageError) as exc:
-        # a failed run leaves a manifest too: no outputs, one failed verdict
+        # a failed run leaves only its manifest: no outputs, one failed verdict
         error = exc
         name = "numeric-failure" if isinstance(exc, NumericError) else "refused"
-        outcome = RunOutcome([], [Verdict(name, False, str(exc))])
-    manifest = build_manifest(kind, cfg, out_dir, outcome.files, outcome.verdicts,
+        outcome = RunOutcome({}, [Verdict(name, False, str(exc))])
+    manifest = build_manifest(kind, cfg, out_dir, outcome.outputs, outcome.verdicts,
                               started=started, finished=time.time(),
                               config_file=args.config, overrides=overrides)
     path = save_manifest(out_dir, manifest)

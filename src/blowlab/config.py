@@ -104,6 +104,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
     },
     "verify-identities": {
         **_common(),
+        "n": Field(int, 1, "space dimension; n <= 3 keeps tensor grids affordable", "[1, 3]"),
         "degree": Field(int, 0, "quadrature degree (0 = dimension default)"),
         "cases": Field(int, 50, "randomized cases per battery", "[1, inf)"),
     },
@@ -146,8 +147,8 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         # amplitudes may be zero or negative, not inf or nan
         "amp": Field(float, 0.1, "perturbation amplitude", "(-inf, inf)"),
         "cap": Field(float, 1e6),
-        "diss_lo": Field(float, 0.0, "dissipation window start"),
-        "diss_hi": Field(float, 0.0, "dissipation window end (0 = s_end)"),
+        "diss_lo": Field(float, 0.0, "dissipation window start", "[0, inf)"),
+        "diss_hi": Field(float, 0.0, "dissipation window end (0 = s_end)", "[0, inf)"),
     },
     "blowup": {
         **_common(),

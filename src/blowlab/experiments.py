@@ -1,8 +1,9 @@
 """Named experiment runners behind the CLI.
 
-Each runner takes a resolved config and an output directory, writes its
-CSV/JSON artifacts there, and returns the file names and a list of pass/fail
-verdicts. The CLI wraps the result in a manifest; replay re-runs a
+Each runner takes a resolved config and returns its artifacts by file name
+and a list of pass/fail verdicts; it writes nothing. run_kind is the one
+writer: it writes the artifacts of a runner that returned, so a run that
+raises leaves none. The CLI wraps the result in a manifest; replay re-runs a
 manifest's kind from its recorded config and compares the outputs file by
 file.
 """
@@ -32,7 +33,7 @@ from .calculus import (
     verify_poincare,
     verify_prop35_inequality,
 )
-from .errors import ConfigurationError, DomainError, UsageError
+from .errors import DomainError, UsageError
 from .evolution import (
     MIN_WINDOWS,
     WINDOW_SKIPS,
@@ -86,7 +87,10 @@ from .spectral import (
 
 @dataclass
 class RunOutcome:
-    files: list
+    """Artifacts by file name, and verdicts. An artifact is (header, rows) for
+    a .csv name (manifest.write_csv), else a JSON value (write_json): the
+    suffix rule by which replay parses them (manifest._parse_output)."""
+    outputs: dict
     verdicts: list
 
 
@@ -94,7 +98,7 @@ class RunOutcome:
 # exponents
 
 
-def run_exponents(cfg: dict, out_dir: Path) -> RunOutcome:
+def run_exponents(cfg: dict) -> RunOutcome:
     params = ProblemParams(n=cfg["n"], p=cfg["p"])
     rng = np.random.default_rng(cfg["seed"])
 
@@ -107,9 +111,6 @@ def run_exponents(cfg: dict, out_dir: Path) -> RunOutcome:
     ordering_ok = all(exps.ordering_holds() for exps in table if exps.n >= 11)
 
     here = critical_exponents(params.n)
-    write_csv(out_dir / "exponents_scan.csv",
-              ("n", "p_S", "p_JL", "p_L"),
-              [(e.n, e.p_S, e.p_JL, e.p_L) for e in table])
     summary = {
         "n": params.n, "p": params.p,
         "kappa": params.kappa,
@@ -118,14 +119,15 @@ def run_exponents(cfg: dict, out_dir: Path) -> RunOutcome:
         "exponents": {"p_S": here.p_S, "p_JL": here.p_JL, "p_L": here.p_L},
         "ordering_scan": {"n_lo": 11, "n_hi": n_hi, "all_hold": ordering_ok},
     }
-    write_json(out_dir / "exponents.json", summary)
     verdicts = [
         Verdict("kappa-identity", worst < 1e-12,
                 f"max residual {worst:.3e} over {draws.size} random p"),
         Verdict("exponent-ordering", ordering_ok,
                 f"p_S < p_JL < p_L for n = 11..{n_hi}"),
     ]
-    return RunOutcome(files=["exponents_scan.csv", "exponents.json"], verdicts=verdicts)
+    return RunOutcome({"exponents_scan.csv": (("n", "p_S", "p_JL", "p_L"),
+                                              [(e.n, e.p_S, e.p_JL, e.p_L) for e in table]),
+                       "exponents.json": summary}, verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -141,12 +143,8 @@ def _random_field_pair(grid, rng):
     return one(), one()
 
 
-def run_verify_identities(cfg: dict, out_dir: Path) -> RunOutcome:
+def run_verify_identities(cfg: dict) -> RunOutcome:
     n, p, cases = cfg["n"], cfg["p"], cfg["cases"]
-    if n > 3:
-        raise ConfigurationError(
-            "the identity battery runs on tensor grids; n <= 3 keeps the "
-            f"quadrature affordable (got n = {n})")
     params = ProblemParams(n=n, p=p)
     rng = np.random.default_rng(cfg["seed"])
     # the exact-identity rows need the random bumps resolved to ~1e-9, which
@@ -205,11 +203,10 @@ def run_verify_identities(cfg: dict, out_dir: Path) -> RunOutcome:
         "worst_residual": max(r.residual for r in rows),
         "all_hold": not failures,
     }
-    write_csv(out_dir / "identities.csv", CSV_HEADER, [astuple(r) for r in rows])
-    write_json(out_dir / "identities.json", summary)
     verdicts = [Verdict("all-identities-hold", not failures,
                         f"{len(rows)} checks, failures: {failures or 'none'}")]
-    return RunOutcome(files=["identities.csv", "identities.json"], verdicts=verdicts)
+    return RunOutcome({"identities.csv": (CSV_HEADER, [astuple(r) for r in rows]),
+                       "identities.json": summary}, verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +228,7 @@ def _spectrum_profile(cfg: dict, params: ProblemParams):
     return extended_profile(prof)[0]
 
 
-def run_spectrum(cfg: dict, out_dir: Path) -> RunOutcome:
+def run_spectrum(cfg: dict) -> RunOutcome:
     params = ProblemParams(n=cfg["n"], p=cfg["p"])
     basis = build_basis(cfg["n"], cfg["N"], degree=cfg["degree"] or None,
                         kind=cfg["basis"])
@@ -256,8 +253,6 @@ def run_spectrum(cfg: dict, out_dir: Path) -> RunOutcome:
     sign_rep = sign_change_check(op)
     stab_rep = stability_classify(op)
 
-    write_csv(out_dir / "eigenvalues.csv", ("index", "eigenvalue"),
-              [(i, float(v)) for i, v in enumerate(rep.eigenvalues)])
     summary = {
         **asdict(rep),
         "profile": cfg["profile"],
@@ -268,7 +263,6 @@ def run_spectrum(cfg: dict, out_dir: Path) -> RunOutcome:
         "sign_change": sign_rep,
         "stability": stab_rep,
     }
-    write_json(out_dir / "spectrum.json", summary)
     verdicts = [
         Verdict("rayleigh-consistent", ray_ok,
                 f"lambda1 {rep.lambda1:.9g} vs power iteration {lam1_r:.9g}"),
@@ -278,14 +272,16 @@ def run_spectrum(cfg: dict, out_dir: Path) -> RunOutcome:
     if fd_ok is not None:
         verdicts.insert(1, Verdict("fd-crosscheck", fd_ok,
                                    f"max |spectral - fd| = {fd_block['max_abs_err']:.3e}"))
-    return RunOutcome(files=["eigenvalues.csv", "spectrum.json"], verdicts=verdicts)
+    return RunOutcome({"eigenvalues.csv": (("index", "eigenvalue"),
+                                           [(i, float(v)) for i, v in enumerate(rep.eigenvalues)]),
+                       "spectrum.json": summary}, verdicts)
 
 
 # ---------------------------------------------------------------------------
 # shooting
 
 
-def run_shoot(cfg: dict, out_dir: Path) -> RunOutcome:
+def run_shoot(cfg: dict) -> RunOutcome:
     params = ProblemParams(n=cfg["n"], p=cfg["p"])
     alpha = cfg["alpha"] if cfg["alpha"] > 0.0 else params.kappa
     prof = shoot(alpha, params, r_max=cfg["r_max"], rtol=cfg["rtol"],
@@ -294,8 +290,6 @@ def run_shoot(cfg: dict, out_dir: Path) -> RunOutcome:
     H = prof.H_values()
     accepted = accepts_bounded_positive(prof, r_max=cfg["r_max"])
 
-    write_csv(out_dir / "profile.csv", ("r", "w", "w_r", "H"),
-              np.column_stack((prof.r, prof.w, prof.w_r, H)))
     summary = {
         "n": params.n, "p": params.p, "alpha": alpha,
         "outcome": prof.outcome, "r_end": prof.r_end,
@@ -305,25 +299,22 @@ def run_shoot(cfg: dict, out_dir: Path) -> RunOutcome:
         "events": prof.events, "series": {"r0": prof.meta["r0"],
                                           "c": prof.meta["c"], "d": prof.meta["d"]},
     }
-    write_json(out_dir / "shoot.json", summary)
     verdicts = [Verdict("outcome-classified", prof.outcome in OUTCOMES, prof.outcome)]
     if in_snap_band(alpha, params.kappa):
         verdicts.append(Verdict("constant-profile-residual", res < 1e-10,
                                 f"sup residual {res:.3e}"))
         verdicts.append(Verdict("H-positive", bool(H.min() > 0.0),
                                 f"min H = {H.min():.6g}"))
-    return RunOutcome(files=["profile.csv", "shoot.json"], verdicts=verdicts)
+    return RunOutcome({"profile.csv": (("r", "w", "w_r", "H"),
+                                       np.column_stack((prof.r, prof.w, prof.w_r, H))),
+                       "shoot.json": summary}, verdicts)
 
 
-def run_scan(cfg: dict, out_dir: Path) -> RunOutcome:
+def run_scan(cfg: dict) -> RunOutcome:
     params = ProblemParams(n=cfg["n"], p=cfg["p"])
     result = scan_profiles(params, cfg["alpha_lo"], cfg["alpha_hi"],
                            count=cfg["count"], spacing=cfg["spacing"],
                            bisect_tol=cfg["bisect_tol"], r_max=cfg["r_max"])
-    write_csv(out_dir / "scan.csv", ("alpha", "outcome", "r_end"), result.rows())
-    write_csv(out_dir / "brackets.csv",
-              ("alpha_lo", "alpha_hi", "outcome_lo", "outcome_hi", "width"),
-              [astuple(b) for b in result.brackets])
     kap = params.kappa
     # every shot in the snap band is the constant kappa, so bisection below
     # its width closes one bracket onto each edge of the band instead of
@@ -346,7 +337,6 @@ def run_scan(cfg: dict, out_dir: Path) -> RunOutcome:
         "brackets": result.brackets,
         "kappa_in_some_bracket": covered,
     }
-    write_json(out_dir / "scan.json", summary)
     widest = max((b.width for b in result.brackets), default=0.0)
     verdicts = [Verdict("brackets-refined", refined,
                         f"{len(result.brackets)} brackets at tol {cfg['bisect_tol']:g}, "
@@ -354,7 +344,11 @@ def run_scan(cfg: dict, out_dir: Path) -> RunOutcome:
     if cfg["alpha_lo"] < kap < cfg["alpha_hi"]:
         verdicts.append(Verdict("kappa-bracketed", covered,
                                 f"kappa = {kap:.9g}"))
-    return RunOutcome(files=["scan.csv", "brackets.csv", "scan.json"], verdicts=verdicts)
+    return RunOutcome({
+        "scan.csv": (("alpha", "outcome", "r_end"), result.rows()),
+        "brackets.csv": (("alpha_lo", "alpha_hi", "outcome_lo", "outcome_hi", "width"),
+                         [astuple(b) for b in result.brackets]),
+        "scan.json": summary}, verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -379,19 +373,12 @@ def _cumulative_trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(dx * (y[1:] + y[:-1]) / 2.0)))
 
 
-def run_evolve_rescaled(cfg: dict, out_dir: Path) -> RunOutcome:
+def run_evolve_rescaled(cfg: dict) -> RunOutcome:
     params = ProblemParams(n=cfg["n"], p=cfg["p"])
     flow = RescaledFlow(params, L=cfg["L"], m=cfg["m"], ds=cfg["ds"],
                         geometry=cfg["geometry"], cap=cfg["cap"])
     w0 = _rescaled_initial(cfg, params, flow.y)
     run = flow.run(w0, cfg["s_end"])
-
-    lhs_cum = _cumulative_trapezoid(run.rates, run.ds)
-    rhs_cum = run.energies[0] - run.energies
-    write_csv(out_dir / "timeseries.csv",
-              ("s", "sup_dev", "E", "dissipation_lhs", "dissipation_rhs"),
-              np.column_stack((run.s_values, run.sup_dev, run.energies,
-                               lhs_cum, rhs_cum)))
 
     jumps = np.diff(run.energies)
     max_jump = float(jumps.max()) if jumps.size else 0.0
@@ -416,7 +403,6 @@ def run_evolve_rescaled(cfg: dict, out_dir: Path) -> RunOutcome:
         "sup_dev_last": float(run.sup_dev[-1]),
         "dissipation": diss,
     }
-    write_json(out_dir / "evolve.json", summary)
     verdicts = [
         Verdict("completed", run.status == "completed",
                 f"status {run.status} at s = {summary['s_end']:.3g}"),
@@ -427,7 +413,13 @@ def run_evolve_rescaled(cfg: dict, out_dir: Path) -> RunOutcome:
         verdicts.append(Verdict("dissipation-identity", diss.holds,
                                 f"relative error {diss.rel_err:.3%} on "
                                 f"[{diss.s_lo:.3g}, {diss.s_hi:.3g}]"))
-    return RunOutcome(files=["timeseries.csv", "evolve.json"], verdicts=verdicts)
+    lhs_cum = _cumulative_trapezoid(run.rates, run.ds)
+    rhs_cum = run.energies[0] - run.energies
+    return RunOutcome({
+        "timeseries.csv": (("s", "sup_dev", "E", "dissipation_lhs", "dissipation_rhs"),
+                           np.column_stack((run.s_values, run.sup_dev, run.energies,
+                                            lhs_cum, rhs_cum))),
+        "evolve.json": summary}, verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -457,12 +449,9 @@ def _physical_run(cfg: dict):
     return params, run
 
 
-def _blowup_files(run, out_dir: Path) -> list:
-    write_csv(out_dir / "suphistory.csv", ("t", "max_u"),
-              np.column_stack((run.times, run.sup_u)))
-    write_csv(out_dir / "final_state.csv", ("x", "u"),
-              np.column_stack((run.x, run.u_final)))
-    return ["suphistory.csv", "final_state.csv"]
+def _blowup_files(run) -> dict:
+    return {"suphistory.csv": (("t", "max_u"), np.column_stack((run.times, run.sup_u))),
+            "final_state.csv": (("x", "u"), np.column_stack((run.x, run.u_final)))}
 
 
 def _blowup_summary(params, run) -> dict:
@@ -476,13 +465,8 @@ def _blowup_summary(params, run) -> dict:
     }
 
 
-def run_blowup(cfg: dict, out_dir: Path) -> RunOutcome:
+def run_blowup(cfg: dict) -> RunOutcome:
     params, run = _physical_run(cfg)
-    files = _blowup_files(run, out_dir)
-    summary = _blowup_summary(params, run)
-    write_json(out_dir / "blowup.json", summary)
-    files.append("blowup.json")
-
     verdicts = []
     if cfg["expected_status"] != "any":
         verdicts.append(Verdict("status-expected",
@@ -507,21 +491,20 @@ def run_blowup(cfg: dict, out_dir: Path) -> RunOutcome:
         verdicts.append(Verdict("oracle-exponent", e_err < 1e-3,
                                 f"fit {run.fit['exponent']:.6g} vs 1/(p-1) = "
                                 f"{1.0 / (p - 1.0):.6g}"))
-    return RunOutcome(files=files, verdicts=verdicts)
+    return RunOutcome({**_blowup_files(run), "blowup.json": _blowup_summary(params, run)},
+                      verdicts)
 
 
-def run_theorem13(cfg: dict, out_dir: Path) -> RunOutcome:
+def run_theorem13(cfg: dict) -> RunOutcome:
     params, run = _physical_run(cfg)
-    files = _blowup_files(run, out_dir)
+    windows = {}
     verdicts = [Verdict("blew-up", run.status == "blew-up",
                         f"status {run.status}")]
     summary = _blowup_summary(params, run)
     if run.status == "blew-up":
         report = convergence_pipeline(run, K=cfg["K"], conv_tol=cfg["conv_tol"])
-        write_csv(out_dir / "window.csv",
-                  ("t", "T_minus_t", "s", "sup_dev", "min_H"),
-                  [astuple(r) for r in report.rows])
-        files.append("window.csv")
+        windows["window.csv"] = (("t", "T_minus_t", "s", "sup_dev", "min_H"),
+                                 [astuple(r) for r in report.rows])
         summary["convergence"] = report
         skips = Counter(window_skip(run, cfg["K"], snap) for snap in run.snapshots)
         tally = ", ".join(f"{skips[r]} {r or 'usable'}"
@@ -534,9 +517,7 @@ def run_theorem13(cfg: dict, out_dir: Path) -> RunOutcome:
             Verdict("window-final", report.final_sup < cfg["conv_tol"],
                     f"final sup {report.final_sup:.4g} vs tol {cfg['conv_tol']:g}"),
         ]
-    write_json(out_dir / "report.json", summary)
-    files.append("report.json")
-    return RunOutcome(files=files, verdicts=verdicts)
+    return RunOutcome({**_blowup_files(run), **windows, "report.json": summary}, verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -558,13 +539,20 @@ RUNNERS = {
 def run_kind(kind: str, cfg: dict, out_dir) -> RunOutcome:
     if kind not in RUNNERS:
         raise UsageError(f"no runner for kind {kind!r}")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return RUNNERS[kind](cfg, out_dir)
+    outcome = RUNNERS[kind](cfg)
+    # only once the runner has returned: a run that raises writes nothing
+    for name, content in outcome.outputs.items():
+        if name.endswith(".csv"):
+            write_csv(Path(out_dir) / name, *content)
+        else:
+            write_json(Path(out_dir) / name, content)
+    return outcome
 
 
 def replay(manifest_path, out_dir) -> RunOutcome:
-    """Re-run a recorded manifest and compare outputs against the originals."""
+    """Re-run a recorded manifest and compare outputs against the originals;
+    the report goes to replay.json beside the re-run's outputs, and its
+    verdict after the run's."""
     manifest = load_manifest(manifest_path)
     kind, cfg = manifest_config(manifest)
     src_dir = Path(manifest_path)
@@ -590,5 +578,4 @@ def replay(manifest_path, out_dir) -> RunOutcome:
                         ", ".join(f"{r['name']}: "
                                   f"{'bitwise' if r['bitwise'] else 'numeric' if r['numeric_ok'] else 'DIFFERS'}"
                                   for r in reports))]
-    return RunOutcome(files=outcome.files + ["replay.json"],
-                      verdicts=outcome.verdicts + verdicts)
+    return RunOutcome(outcome.outputs, outcome.verdicts + verdicts)

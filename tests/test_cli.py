@@ -355,6 +355,46 @@ def test_data_at_or_beyond_the_cap_is_refused(tmp_path, capsys, kind, amp):
     assert [v["name"] for v in manifest["verdicts"]] == ["refused"]
 
 
+@pytest.mark.parametrize("settings", [("diss_lo=1.995",), ("diss_lo=1.5", "diss_hi=1.0")],
+                         ids=["narrow-window", "inverted-window"])
+def test_a_refused_run_writes_only_its_manifest(tmp_path, capsys, settings):
+    # refused after the run has stepped: timeseries.csv was left beside a
+    # manifest that listed no outputs
+    out = tmp_path / "o"
+    argv = ["evolve-rescaled", "--out", str(out)]
+    for one in settings:
+        argv += ["--set", one]
+    assert run_cli(*argv) == 2
+    assert [q.name for q in out.iterdir()] == ["manifest.json"]
+    manifest = load_manifest(out)
+    assert manifest["outputs"] == []
+    assert [v["name"] for v in manifest["verdicts"]] == ["refused"]
+
+
+_SMALL = {
+    "exponents": ("random_p_count=5", "n_scan_hi=12"),
+    "verify-identities": ("cases=2",),
+    "spectrum": ("N=8",),
+    "shoot": (),
+    "scan": ("count=5",),
+    "evolve-rescaled": ("m=201", "s_end=0.5"),
+    "blowup": ("m=401",),
+    "theorem13": ("m=401",),
+}
+
+
+@pytest.mark.parametrize("kind", _SMALL)
+def test_out_holds_exactly_the_manifest_outputs(tmp_path, capsys, kind):
+    assert set(_SMALL) == set(cli.RUNNERS)
+    out = tmp_path / "o"
+    argv = [kind, "--out", str(out), "--quiet"]
+    for one in _SMALL[kind]:
+        argv += ["--set", one]
+    assert run_cli(*argv) in (0, 1)
+    names = {e["name"] for e in load_manifest(out)["outputs"]}
+    assert names and {q.name for q in out.iterdir()} == names | {"manifest.json"}
+
+
 @pytest.mark.parametrize("setting", [
     "rtol=nan", "rtol=inf", "rtol=0", "rtol=1e-300", "atol=nan", "atol=inf", "atol=-1",
 ], ids=["rtol-nan", "rtol-inf", "rtol-zero", "rtol-below-floor", "atol-nan", "atol-inf",
@@ -391,11 +431,16 @@ def test_vacuous_batteries_exit_2(tmp_path, capsys, kind, setting):
     ("blowup", "m", ("--set", "m=5")), ("theorem13", "m", ("--set", "m=8")),
     ("evolve-rescaled", "m", ("--set", "m=8")),
     ("scan", "count", ("--set", "count=1")), ("spectrum", "N", ("--set", "N=0")),
+    ("evolve-rescaled", "diss_hi", ("--set", "diss_hi=-1")),
+    ("evolve-rescaled", "diss_lo", ("--set", "diss_lo=nan")),
+    ("verify-identities", "n", ("--set", "n=4")),
 ], ids=["exponents-seed", "verify-identities-seed", "blowup-m", "theorem13-m",
-        "evolve-rescaled-m", "scan-count", "spectrum-N"])
+        "evolve-rescaled-m", "scan-count", "spectrum-N", "evolve-rescaled-diss_hi",
+        "evolve-rescaled-diss_lo", "verify-identities-n"])
 def test_schema_refuses_what_the_run_crashed_on_or_refused(tmp_path, capsys, kind, key, args):
-    # a negative seed ended in numpy's ValueError traceback; the others were
-    # refused once the run started, blowup's m=5 by a message naming R
+    # a negative seed ended in numpy's ValueError traceback, and diss_hi=-1
+    # ran silently as s_end; the others were refused once the run started,
+    # blowup's m=5 by a message naming R and diss_lo=nan by one naming no key
     assert run_cli(kind, "--out", str(tmp_path / "o"), *args) == 2
     assert f"{key} must be in [" in capsys.readouterr().err
 

@@ -273,6 +273,14 @@ def test_write_text_atomic(tmp_path):
     assert target.read_text() == "two\n"
     assert list(target.parent.glob("*.tmp")) == []
 
+    # a writer that raises partway leaves neither its temp file nor the target
+    def rows():
+        yield (1.0,)
+        raise RuntimeError("rows ran out")
+    with pytest.raises(RuntimeError):
+        write_csv(target.parent / "partial.csv", ("x",), rows())
+    assert sorted(q.name for q in target.parent.iterdir()) == ["out.txt"]
+
 
 def test_json_text_canonical():
     text = json_text({"b": 1.5, "a": math.inf, "c": [math.nan, np.float64(0.25)],
@@ -548,6 +556,13 @@ def test_compare_outputs_numeric_fallback(tmp_path):
     rep = compare_outputs(a, b, ["t.csv"])[0]
     assert not rep["numeric_ok"]
 
+    # nan matches nan however it is spelled
+    (a / "t.csv").write_text("x,tag\nnan,ok\n")
+    (b / "t.csv").write_text("x,tag\nNaN,ok\n")
+    rep = compare_outputs(a, b, ["t.csv"])[0]
+    assert not rep["bitwise"] and rep["numeric_ok"]
+    assert rep["max_rel_diff"] == 0.0
+
 
 def test_compare_outputs_csv_shapes_and_cell_types(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
@@ -583,6 +598,14 @@ def test_compare_outputs_json_and_missing(tmp_path):
     write_json(b / "s.json", {"v": 0.1, "nested": [1.0, {"w": 3.0}]})
     rep = compare_outputs(a, b, ["s.json"])[0]
     assert not rep["numeric_ok"]
+
+    write_json(b / "s.json", {"v": 0.1, "nested": [1.0, {"w": 2.0}], "extra": 1})
+    rep = compare_outputs(a, b, ["s.json"])[0]
+    assert not rep["bitwise"] and not rep["numeric_ok"]
+
+    (b / "s.json").write_text("not json\n")
+    rep = compare_outputs(a, b, ["s.json"])[0]
+    assert not rep["bitwise"] and not rep["numeric_ok"]
 
     rep = compare_outputs(a, b, ["absent.csv"])[0]
     assert not rep["bitwise"] and not rep["numeric_ok"]
