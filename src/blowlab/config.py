@@ -125,7 +125,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         # the lanes raise a smaller rtol to this floor, 100 eps, anyway
         "rtol": Field(float, 1e-10, interval=f"[{100 * math.ulp(1.0)!r}, inf)"),
         "atol": Field(float, 1e-12, interval="[0, inf)"),
-        "cap": Field(float, 1e6, "blow-up cap for |w|"),
+        "cap": Field(float, 1e6, "blow-up cap for |w|", "(0, inf]"),
     },
     "scan": {
         **_common(),
@@ -146,7 +146,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "init": Field(("kappa", "zero", "perturbed-kappa", "stable-mode"), "perturbed-kappa"),
         # amplitudes may be zero or negative, not inf or nan
         "amp": Field(float, 0.1, "perturbation amplitude", "(-inf, inf)"),
-        "cap": Field(float, 1e6),
+        "cap": Field(float, 1e6, interval="(0, inf]"),
         "diss_lo": Field(float, 0.0, "dissipation window start", "[0, inf)"),
         "diss_hi": Field(float, 0.0, "dissipation window end (0 = s_end)", "[0, inf)"),
     },

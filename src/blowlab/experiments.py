@@ -327,13 +327,10 @@ def run_scan(cfg: dict) -> RunOutcome:
                                          for b in result.brackets)
     refined = not any(bracket_splits(b.alpha_lo, b.alpha_hi, cfg["bisect_tol"])
                       for b in result.brackets)
-    counts: dict[str, int] = {}
-    for o in result.outcomes:
-        counts[o] = counts.get(o, 0) + 1
     summary = {
         "n": params.n, "p": params.p, "kappa": kap,
         "alpha_lo": cfg["alpha_lo"], "alpha_hi": cfg["alpha_hi"],
-        "outcome_counts": counts,
+        "outcome_counts": Counter(result.outcomes),
         "brackets": result.brackets,
         "kappa_in_some_bracket": covered,
     }

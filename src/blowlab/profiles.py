@@ -27,7 +27,9 @@ and classify_lanes takes them for a whole list of alphas at once; a lane
 that no event ends (the snap band below, or a shot still bounded at r_max,
 whose tail test reads the mesh) gives None. shoot is one lane that keeps its
 steps and evaluates their dense output on its mesh as solve_ivp's
-OdeSolution does. scan_profiles classifies its grid in one batch, and
+OdeSolution does. Dense output is built once per batch of steps, on the
+lanes' right-hand side; _rhs is rk4_shoot's and the tests' scipy
+reference's. scan_profiles classifies its grid in one batch, and
 bisects every bracket BISECT_DEPTH levels per batch, tree-exact: the
 brackets are those of the sequential loop, and an alpha no event decides
 goes through shoot() only if the grid or the walk reads it, as in that loop.
@@ -152,6 +154,7 @@ def series_start(alpha: float, params: ProblemParams) -> tuple[float, float, flo
 
 
 def _rhs(params: ProblemParams, cap: float):
+    """rhs(r, (w, w_r)) = (w_r, w_r'): rk4_shoot's; shooting runs on _rhs_lanes."""
     p, n = params.p, params.n
     soft = 10.0 * cap  # keep powers finite on rejected trial steps past the cap
 
@@ -319,49 +322,51 @@ def _initial_step(drift, rhs, t, y, f, t_bound, rtol, atol):
     return np.minimum(np.minimum(100.0 * h0, h1), interval)
 
 
-def _dense(params, cap, t_old, t_new, y_old, y_new, K):
-    """scipy's DOP853 dense output F (7, 2) of one lane's accepted step. K
-    (16, 2) holds the step's 13 stages; the 3 extra stages go into its last
-    rows, evaluated as scipy's _dense_output_impl evaluates them."""
+def _dense(drift, rhs, t_old, t_new, y_old, y_new, K):
+    """scipy's DOP853 dense output F (steps, 7, 2) of a stack of accepted
+    steps. K (steps, 16, 2) holds each step's 13 stages; the 3 extra stages
+    go into its last rows, evaluated on the lanes' drift, rhs as scipy's
+    _dense_output_impl evaluates them."""
     tab = _tableau()
-    rhs = _rhs(params, cap)
-    h = t_new - t_old
+    h = (t_new - t_old)[:, None]
+    Kt = K.transpose(0, 2, 1)
     for s in range(tab.N_STAGES + 1, tab.N_STAGES_EXTENDED):
-        dy = np.dot(K[:s].T, tab.A[s, :s]) * h
-        K[s] = rhs(t_old + tab.C[s] * h, y_old + dy)
+        dy = np.matmul(Kt[:, :, :s], tab.A[s, :s])
+        dy *= h
+        dy += y_old
+        rhs(drift(t_old + tab.C[s] * h[:, 0]), dy, K[:, s])
     delta = y_new - y_old
-    F = np.empty((tab.INTERPOLATOR_POWER, 2))
-    F[0] = delta
-    F[1] = h * K[0] - delta
-    F[2] = 2 * delta - h * (K[tab.N_STAGES] + K[0])
-    F[3:] = h * np.dot(tab.D, K)
+    F = np.empty((t_old.size, tab.INTERPOLATOR_POWER, 2))
+    F[:, 0] = delta
+    F[:, 1] = h * K[:, 0] - delta
+    F[:, 2] = 2 * delta - h * (K[:, tab.N_STAGES] + K[:, 0])
+    F[:, 3:] = h[:, :, None] * np.matmul(tab.D, K)
     return F
 
 
-def _first_event(params, cap, t_old, t_new, y_old, y_new, K, zero, up):
+def _dense_sum(F, x):
+    """Dop853DenseOutput's alternating sum over the rows of F, last row
+    first, at x = (r - t_old) / h, before y_old is added: on Python floats
+    for an event's root search, or on arrays for a mesh."""
+    y = 0.0
+    for i, f in enumerate(reversed(F)):
+        y = (y + f) * (x if i % 2 == 0 else 1 - x)
+    return y
+
+
+def _first_event(F, t_old, t_new, w_old, cap, zero, up):
     """(outcome, radius) of the terminal event in one lane's accepted step,
-    located on the step's _dense interpolant by _brentq (xtol = rtol = 4 eps)
-    as solve_ivp locates it; the earlier root wins, hit-zero on a tie, as
+    located on the step's dense output F by _brentq (xtol = rtol = 4 eps) as
+    solve_ivp locates it; the earlier root wins, hit-zero on a tie, as
     solve_ivp's first terminal event does."""
-    coeffs = _dense(params, cap, t_old, t_new, y_old, y_new, K)[::-1, 0].tolist()
-    h = t_new - t_old
-    w_old = float(y_old[0])
+    coeffs, h = F[:, 0].tolist(), t_new - t_old
 
     def w_at(t):
-        x = (t - t_old) / h
-        w = 0.0
-        for i, c in enumerate(coeffs):
-            w += c
-            w *= x if i % 2 == 0 else 1 - x
-        return w + w_old
+        return _dense_sum(coeffs, (t - t_old) / h) + w_old
 
     tol = 4 * _EPS
-    roots = []
-    if zero:
-        roots.append((_brentq(w_at, t_old, t_new, tol, tol), "hit-zero"))
-    if up:
-        roots.append((_brentq(lambda t: abs(w_at(t)) - cap, t_old, t_new, tol, tol),
-                      "blew-up"))
+    tests = [(w_at, "hit-zero", zero), (lambda t: abs(w_at(t)) - cap, "blew-up", up)]
+    roots = [(_brentq(g, t_old, t_new, tol, tol), outcome) for g, outcome, on in tests if on]
     r, outcome = min(roots, key=lambda root: root[0])
     return outcome, float(r)
 
@@ -370,19 +375,13 @@ def _on_mesh(params, cap, steps, r_end, rr):
     """(w, w_r) at the ascending radii rr from one lane's steps, as solve_ivp's
     OdeSolution evaluates its dense output: point r takes segment
     searchsorted(ts, r, side="left") - 1 of ts = (step starts, r_end), held
-    in range, and each run of points on one segment Dop853DenseOutput's loop."""
-    ts = np.array([step[0] for step in steps] + [r_end])
-    seg = np.clip(np.searchsorted(ts, rr, side="left") - 1, 0, len(steps) - 1)
-    cuts = (np.flatnonzero(np.diff(seg)) + 1).tolist()
-    y = np.empty((rr.size, 2))
-    for lo, hi in zip([0] + cuts, cuts + [rr.size]):
-        t_old, t_new, y_old = steps[seg[lo]][:3]
-        x = ((rr[lo:hi] - t_old) / (t_new - t_old))[:, None]
-        y[lo:hi] = 0.0
-        for i, f in enumerate(_dense(params, cap, *steps[seg[lo]])[::-1]):
-            y[lo:hi] += f
-            y[lo:hi] *= x if i % 2 == 0 else 1 - x
-        y[lo:hi] += y_old
+    in range, and that segment's Dop853DenseOutput sum."""
+    t_old, t_new, y_old, y_new, K = (np.array(x) for x in zip(*steps))
+    seg = np.clip(np.searchsorted(np.append(t_old, r_end), rr, side="left") - 1,
+                  0, len(steps) - 1)
+    F = _dense(*_rhs_lanes(params, cap), t_old, t_new, y_old, y_new, K)
+    x = ((rr - t_old[seg]) / (t_new - t_old)[seg])[:, None]
+    y = _dense_sum(F[seg].transpose(1, 0, 2), x) + y_old[seg]
     return y[:, 0].copy(), y[:, 1].copy()
 
 
@@ -498,9 +497,11 @@ def _run_lanes(params, idx, t, y, t_bound, rtol, atol, cap, alphas, results, ste
         zero = ok & (g_zero >= 0.0) & (gz_new <= 0.0)
         up = ok & (g_cap <= 0.0) & (gc_new >= 0.0)
         fired = zero | up
-        for j in np.flatnonzero(fired):
-            results[idx[j]] = _first_event(params, cap, t[j], t_new[j], y[j], y_new[j],
-                                           K[j], bool(zero[j]), bool(up[j]))
+        if fired.any():
+            F = _dense(drift, rhs, t[fired], t_new[fired], y[fired], y_new[fired], K[fired])
+            for j, F_j in zip(np.flatnonzero(fired).tolist(), F):
+                results[idx[j]] = _first_event(F_j, float(t[j]), float(t_new[j]),
+                                               float(y[j, 0]), cap, zero[j], up[j])
         reached = ok & ~fired & (t_new >= t_bound)
 
         t = np.where(ok, t_new, t)

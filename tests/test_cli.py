@@ -17,7 +17,7 @@ import pytest
 
 import blowlab.cli as cli
 from blowlab import NumericError
-from blowlab.config import config_hash, config_text, parse_config_text, resolve_config
+from blowlab.config import SCHEMAS, config_hash, config_text, parse_config_text, resolve_config
 from blowlab.manifest import load_manifest
 from blowlab.profiles import bracket_splits
 
@@ -434,15 +434,20 @@ def test_vacuous_batteries_exit_2(tmp_path, capsys, kind, setting):
     ("evolve-rescaled", "diss_hi", ("--set", "diss_hi=-1")),
     ("evolve-rescaled", "diss_lo", ("--set", "diss_lo=nan")),
     ("verify-identities", "n", ("--set", "n=4")),
+    ("shoot", "cap", ("--set", "cap=0")), ("shoot", "cap", ("--set", "cap=-1")),
+    ("shoot", "cap", ("--set", "cap=nan")),
 ], ids=["exponents-seed", "verify-identities-seed", "blowup-m", "theorem13-m",
         "evolve-rescaled-m", "scan-count", "spectrum-N", "evolve-rescaled-diss_hi",
-        "evolve-rescaled-diss_lo", "verify-identities-n"])
+        "evolve-rescaled-diss_lo", "verify-identities-n", "shoot-cap0", "shoot-cap-negative",
+        "shoot-cap-nan"])
 def test_schema_refuses_what_the_run_crashed_on_or_refused(tmp_path, capsys, kind, key, args):
     # a negative seed ended in numpy's ValueError traceback, and diss_hi=-1
     # ran silently as s_end; the others were refused once the run started,
-    # blowup's m=5 by a message naming R and diss_lo=nan by one naming no key
+    # blowup's m=5 by a message naming R, diss_lo=nan by one naming no key
+    # and shoot's cap by "cap must be positive"
     assert run_cli(kind, "--out", str(tmp_path / "o"), *args) == 2
-    assert f"{key} must be in [" in capsys.readouterr().err
+    assert f"{key} must be in {SCHEMAS[kind][key].interval}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_smallest_exponents_battery_passes(tmp_path, capsys):
@@ -618,12 +623,12 @@ def test_evolve_rescaled_refuses_degenerate_steps(tmp_path, capsys, setting):
 
 @pytest.mark.parametrize("cap", ["0", "-1", "nan"])
 def test_evolve_rescaled_refuses_a_nonpositive_cap(tmp_path, capsys, cap):
-    # each ran and ended as blew-up at s = 0 (exit 1); shoot refuses them too
+    # each ran and ended as blew-up at s = 0 (exit 1), and then was refused
+    # at run time; the schema now refuses it before --out is made
     out = tmp_path / "evo"
     assert run_cli("evolve-rescaled", "--out", str(out), "--set", f"cap={cap}") == 2
-    assert "cap must be positive" in capsys.readouterr().err
-    manifest = load_manifest(out)
-    assert [v["name"] for v in manifest["verdicts"]] == ["refused"]
+    assert "cap must be in (0, inf]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("L", ["1e300", "1.35e154"])

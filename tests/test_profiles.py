@@ -637,8 +637,8 @@ def test_brentq_port_on_lane_events_is_scipys(monkeypatch, alphas, params, kw):
 
 
 def test_lane_rhs_is_bitwise_rhs():
-    # the lanes' right-hand side against _rhs, the one the dense output's
-    # extra stages and the scipy reference evaluate
+    # the lanes' right-hand side against _rhs, the one rk4_shoot and the
+    # scipy reference evaluate
     rng = np.random.default_rng(3)
     size = 2000
     rs = 10.0 ** rng.uniform(-4.0, 1.3, size)
@@ -652,6 +652,20 @@ def test_lane_rhs_is_bitwise_rhs():
         rhs(drift(rs), np.column_stack([ws, wrs]), got)
         want = np.array([scalar(r, (w, wr)) for r, w, wr in zip(rs, ws, wrs)])
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), (p, n)
+
+
+def test_production_shooting_never_calls_rhs(monkeypatch):
+    # _rhs is rk4_shoot's and the scipy reference's; shoot, the lanes and the
+    # scan, dense output included, run on _rhs_lanes alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("production shooting called _rhs")
+
+    monkeypatch.setattr(profiles, "_rhs", refuse)
+    assert shoot(0.7, P21).outcome == "hit-zero"
+    assert shoot(0.99, P21, r_max=3.0).outcome == "reached-Rmax-bounded"
+    assert shoot(0.5, P21, cap=1.0).outcome == "blew-up"
+    assert all(r is not None for r in classify_lanes([0.5, 0.7, 1.5], P21))
+    assert scan_profiles(P21, 0.5, 1.5, count=5).brackets
 
 
 def test_lane_classifier_argument_errors():
