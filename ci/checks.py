@@ -28,6 +28,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PY = sys.executable
 
+# the numpy and scipy releases that the workflow installs: the bitwise ports'
+# tests, the modules blowlab loads by themselves from scipy, and the drift
+# checks assume them. Another version is named on the environment line, and
+# tier1 may then fail for that reason alone
+PINS = {"numpy": "2.4.6", "scipy": "1.17.1"}
+
 # (workload, the prefix its "reference drift:" line must start with). The
 # three similarity-frame artifacts were moved on purpose after the reference
 # was recorded; a re-record of perfbench/reference/ makes it "0 of".
@@ -325,12 +331,16 @@ STEPS = {
 }
 
 
+def _installed(name):
+    version = importlib.metadata.version(name)
+    return f"{name} {version}" + ("" if version == PINS[name] else f" (pinned {PINS[name]})")
+
+
 def environment():
     head = run(["git", "rev-parse", "HEAD"]).stdout.strip() or "unknown"
     return (f"python {platform.python_version()}, "
-            f"numpy {importlib.metadata.version('numpy')}, "
-            f"scipy {importlib.metadata.version('scipy')}, "
-            f"nproc {len(os.sched_getaffinity(0))}, "
+            + "".join(f"{_installed(name)}, " for name in PINS)
+            + f"nproc {len(os.sched_getaffinity(0))}, "
             f"PYTHONDONTWRITEBYTECODE={os.environ.get('PYTHONDONTWRITEBYTECODE', '')}, "
             f"HEAD {head}")
 

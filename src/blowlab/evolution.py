@@ -61,17 +61,12 @@ each step rounds differently, and moved `theorem13 m=40001`'s T_est by
 The mesh density rho (`gaussian_density`) and the dissipation rate
 (`RescaledFlow._dissipation`) exist once each.
 
-Importing this module loads no scipy, and neither frame loads the
-scipy.linalg package: all of scipy they call is LAPACK dgtsv, dgttrf and
-dgttrs, taken from scipy's LAPACK extension module, which `_cubic._flapack`
-loads on its own. It comes in with the first banded solve (`solve_banded`),
-the first snapshot spline (whose slopes are one dgtsv solve) or the first
-tridiagonal factorisation (`_tridiagonal_solver`, once per RescaledFlow or
-stable-mode iteration, not per step). The snapshot rescaling's not-a-knot
-spline (blowlab._cubic) and the blow-up fit's bounded minimisation
-(`_fminbound`) are scipy.interpolate's CubicSpline and scipy.optimize's
-bounded Brent search, ported operation for operation, so every result is
-bitwise scipy's.
+Importing this module loads no scipy; all of scipy that either frame
+calls is LAPACK dgtsv, dgttrf and dgttrs, through `_scipy`. The snapshot
+rescaling's not-a-knot spline (`_scipy`) and the blow-up fit's bounded
+minimisation (`_fminbound`) are scipy.interpolate's CubicSpline and
+scipy.optimize's bounded Brent search, ported operation for operation, so
+every result is bitwise scipy's.
 """
 
 from __future__ import annotations
@@ -81,7 +76,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from . import _cubic
+from . import _scipy
 from .calculus import SampledField
 from .errors import DomainError, NumericError, UsageError
 from .exponents import ProblemParams, kappa
@@ -203,16 +198,16 @@ def rescale_to_similarity(u: np.ndarray, x: np.ndarray, t: float, T: float,
     scale = (T - t) ** (1.0 / (params.p - 1.0))
     xt = a + lam * np.asarray(y_out)
     mask = (xt >= x[0]) & (xt <= x[-1])
-    dydx = _cubic.not_a_knot_slopes(x, u)
+    dydx = _scipy.not_a_knot_slopes(x, u)
     w, w_y = np.full((2,) + xt.shape, np.nan)
     xm = xt[mask]
     if xm.size:
         i = np.clip(np.searchsorted(x, xm, "right") - 1, 0, x.size - 2)
         lo = min(int(i.min()), x.size - 4)
         knots = slice(lo, max(int(i.max()) + 2, lo + 4))
-        c = _cubic.hermite(x[knots], u[knots], dydx[knots])
-        w[mask] = scale * _cubic.evaluate(c, x[knots], xm, 0)
-        w_y[mask] = (scale * lam) * _cubic.evaluate(c, x[knots], xm, 1)
+        c = _scipy.hermite(x[knots], u[knots], dydx[knots])
+        w[mask] = scale * _scipy.evaluate(c, x[knots], xm, 0)
+        w_y[mask] = (scale * lam) * _scipy.evaluate(c, x[knots], xm, 1)
     return w, w_y, -math.log(T - t)
 
 
@@ -263,8 +258,8 @@ def solve_banded(l_and_u, ab, b):
     """scipy.linalg.solve_banded(l_and_u, ab, b, overwrite_ab=True,
     overwrite_b=True, check_finite=False) for l_and_u = (1, 1): LAPACK dgtsv
     on ab's three rows and b in place, as scipy's (1, 1) branch calls it,
-    without the wrapper's validation and without importing scipy.linalg
-    (`_cubic.gtsv`). A singular matrix raises NumericError.
+    without the wrapper's validation (`_scipy.gtsv`). A singular matrix
+    raises NumericError.
 
     A module-level name so that perfbench's tracer can wrap the physical
     frame's banded solves and read (l_and_u, ab, b) from their positional
@@ -272,31 +267,7 @@ def solve_banded(l_and_u, ab, b):
     item 8)."""
     if tuple(l_and_u) != (1, 1):
         raise UsageError(f"only tridiagonal bands (1, 1) are solved, got {l_and_u}")
-    return _cubic.gtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
-
-
-def _tridiagonal_solver(dl: np.ndarray, d: np.ndarray, du: np.ndarray):
-    """solve(b) for a tridiagonal matrix, from its LU factors by LAPACK
-    dgttrf (partial pivoting); an exactly singular matrix, or any other
-    nonzero info from either routine, raises NumericError. solve runs
-    dgttrs, which does the arithmetic of dgtsv (which solve_banded calls for
-    (1, 1) bands), so its result is bitwise that of solve_banded; b is
-    overwritten. Both routines come from `_cubic._flapack`, not from the
-    scipy.linalg package."""
-    lapack = _cubic._flapack()
-    dgttrs = lapack.dgttrs
-    *lu, info = lapack.dgttrf(dl, d, du)
-    if info > 0:
-        raise NumericError(f"tridiagonal factorisation hit a zero pivot in row {info}",
-                           payload={"row": int(info)})
-    _cubic.check_info("dgttrf", info)
-
-    def solve(b: np.ndarray) -> np.ndarray:
-        x, info = dgttrs(*lu, b, overwrite_b=1)
-        _cubic.check_info("dgttrs", info)
-        return x
-
-    return solve
+    return _scipy.gtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
 
 
 # states per bookkeeping block of RescaledFlow.run. A run allocates its
@@ -348,7 +319,7 @@ class RescaledFlow:
             raise UsageError(f"mesh step must be <= 2, got {self.y[1] - self.y[0]}")
         self._dens = gaussian_density(self.y, geometry, params.n)
         # the step matrix never changes: factor it once, solve every step
-        self._solve = _tridiagonal_solver(*_rescaled_banded(self.y, params, ds, geometry))
+        self._solve = _scipy.tridiagonal_solver(*_rescaled_banded(self.y, params, ds, geometry))
 
     def step(self, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The state one step after w, written into out (not w) when given:
@@ -495,7 +466,7 @@ def stable_mode_state(y: np.ndarray, params: ProblemParams, amp: float,
     """
     y = np.asarray(y, dtype=float)
     dl, d, du = _linearized_tridiagonal(y, params, geometry)
-    solve = _tridiagonal_solver(dl, d - STABLE_MODE_RATE, du)
+    solve = _scipy.tridiagonal_solver(dl, d - STABLE_MODE_RATE, du)
     norm = np.abs(dl).max() + np.abs(d).max() + np.abs(du).max()   # >= ||L||_inf
     v = np.random.default_rng(0).standard_normal(y.size)
     for _ in range(100):

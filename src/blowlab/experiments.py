@@ -342,7 +342,8 @@ def run_scan(cfg: dict) -> RunOutcome:
         verdicts.append(Verdict("kappa-bracketed", covered,
                                 f"kappa = {kap:.9g}"))
     return RunOutcome({
-        "scan.csv": (("alpha", "outcome", "r_end"), result.rows()),
+        "scan.csv": (("alpha", "outcome", "r_end"),
+                     list(zip(result.alphas.tolist(), result.outcomes, result.r_ends.tolist()))),
         "brackets.csv": (("alpha_lo", "alpha_hi", "outcome_lo", "outcome_hi", "width"),
                          [astuple(b) for b in result.brackets]),
         "scan.json": summary}, verdicts)

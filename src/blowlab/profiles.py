@@ -42,11 +42,9 @@ before r = 14. Within a machine-level band around kappa the branches cannot
 be distinguished in floats; shoot() therefore snaps alpha inside that band to
 the exact constant trajectory.
 
-Profiles import no scipy package: the DOP853 tableau is scipy's
-dop853_coefficients and _brentq is scipy's compiled brentq, each loaded as a
-lone module by _cubic._lone on first use, and extended_profile's Hermite
-spline is blowlab._cubic, scipy's CubicHermiteSpline and PPoly evaluation
-ported operation for operation.
+Profiles import no scipy: the DOP853 tableau, brentq and extended_profile's
+Hermite spline (scipy's CubicHermiteSpline and PPoly evaluation, ported)
+come from `_scipy`.
 """
 
 from __future__ import annotations
@@ -57,7 +55,7 @@ from itertools import repeat
 
 import numpy as np
 
-from . import _cubic
+from . import _scipy
 from .errors import DomainError, NumericError, UsageError
 from .exponents import ProblemParams, kappa
 
@@ -80,12 +78,10 @@ def in_snap_band(alpha: float, kap: float) -> bool:
 
 
 # scipy's DOP853 step-size control, for the lane classifier; the tableau
-# is _tableau()
+# is _scipy.tableau()
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERR_EXP = -1.0 / 8.0                       # -1 / (error estimator order + 1)
 _EPS = float(np.finfo(float).eps)
-# iterations of an event's root search: scipy brentq's default maxiter
-BRENTQ_MAXITER = 100
 
 # levels of the sequential bisection that one batch of lanes settles
 BISECT_DEPTH = 5
@@ -109,29 +105,6 @@ def solve_ivp(*args, **kwargs):
     counters (ROADMAP item 8)."""
     from scipy.integrate import solve_ivp as _solve_ivp
     return _solve_ivp(*args, **kwargs)
-
-
-def _tableau():
-    """scipy's DOP853 tableau module: C nodes, A stage matrix (13 stages
-    plus 3 for the interpolant), B weights, E3 and E5 error estimators, D
-    dense-output matrix and the stage counts."""
-    return _cubic._lone("scipy.integrate._ivp.dop853_coefficients")
-
-
-def _brentq(f, a, b, xtol, rtol):
-    """scipy.optimize.brentq(f, a, b, xtol=xtol, rtol=rtol): Brent's (1973)
-    root finder, scipy's compiled _zeros._brentq called as brentq calls it,
-    behind the same wrapper that turns a NaN function value into ValueError.
-    f(a), f(b) of equal sign raise ValueError, and no convergence within
-    BRENTQ_MAXITER iterations, scipy's default, raises RuntimeError."""
-    def call(x):
-        fx = f(x)
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
-
-    return _cubic._lone("scipy.optimize._zeros")._brentq(
-        call, a, b, xtol, rtol, BRENTQ_MAXITER, (), False, True)
 
 
 def series_start(alpha: float, params: ProblemParams) -> tuple[float, float, float, float, float]:
@@ -327,7 +300,7 @@ def _dense(drift, rhs, t_old, t_new, y_old, y_new, K):
     steps. K (steps, 16, 2) holds each step's 13 stages; the 3 extra stages
     go into its last rows, evaluated on the lanes' drift, rhs as scipy's
     _dense_output_impl evaluates them."""
-    tab = _tableau()
+    tab = _scipy.tableau()
     h = (t_new - t_old)[:, None]
     Kt = K.transpose(0, 2, 1)
     for s in range(tab.N_STAGES + 1, tab.N_STAGES_EXTENDED):
@@ -356,9 +329,9 @@ def _dense_sum(F, x):
 
 def _first_event(F, t_old, t_new, w_old, cap, zero, up):
     """(outcome, radius) of the terminal event in one lane's accepted step,
-    located on the step's dense output F by _brentq (xtol = rtol = 4 eps) as
-    solve_ivp locates it; the earlier root wins, hit-zero on a tie, as
-    solve_ivp's first terminal event does."""
+    located on the step's dense output F by _scipy.brentq (xtol = rtol =
+    4 eps) as solve_ivp locates it; the earlier root wins, hit-zero on a tie,
+    as solve_ivp's first terminal event does."""
     coeffs, h = F[:, 0].tolist(), t_new - t_old
 
     def w_at(t):
@@ -366,7 +339,8 @@ def _first_event(F, t_old, t_new, w_old, cap, zero, up):
 
     tol = 4 * _EPS
     tests = [(w_at, "hit-zero", zero), (lambda t: abs(w_at(t)) - cap, "blew-up", up)]
-    roots = [(_brentq(g, t_old, t_new, tol, tol), outcome) for g, outcome, on in tests if on]
+    roots = [(_scipy.brentq(g, t_old, t_new, tol, tol), outcome)
+             for g, outcome, on in tests if on]
     r, outcome = min(roots, key=lambda root: root[0])
     return outcome, float(r)
 
@@ -416,19 +390,19 @@ def classify_lanes(alphas, params: ProblemParams, r_max: float = 20.0,
 
 def _step(drift, rhs, t, y, f, h_abs, rejected, t_bound, rtol, atol):
     """One DOP853 step attempt per lane, one pass of scipy's
-    RungeKutta._step_impl loop, with the coefficients of _tableau(). h_abs is
-    the step size to try (already held at or above the minimum step) and
-    rejected flags the lanes whose last attempt failed. Returns (t_new,
-    y_new, K, ok, h_next): K holds the stages as (lane, stage, component),
-    ok the lanes whose attempt is accepted, h_next the step size each lane
-    tries next."""
+    RungeKutta._step_impl loop, with the coefficients of _scipy.tableau().
+    h_abs is the step size to try (already held at or above the minimum
+    step) and rejected flags the lanes whose last attempt failed. Returns
+    (t_new, y_new, K, ok, h_next): K holds the stages as (lane, stage,
+    component), ok the lanes whose attempt is accepted, h_next the step size
+    each lane tries next."""
     t_new = np.minimum(t + h_abs, t_bound)
     h = t_new - t
     h_abs = np.abs(h)
 
     # each lane's K is laid out as scipy's, so matmul runs scipy's np.dot
     # on it lane by lane
-    tab = _tableau()
+    tab = _scipy.tableau()
     ns = tab.N_STAGES
     K = np.empty((t.size, tab.N_STAGES_EXTENDED, 2))
     Kt = K.transpose(0, 2, 1)
@@ -468,7 +442,7 @@ def _run_lanes(params, idx, t, y, t_bound, rtol, atol, cap, alphas, results, ste
         raise UsageError("atol must not be negative")
     rtol = max(rtol, 100 * _EPS)                # solve_ivp's floor
     drift, rhs = _rhs_lanes(params, cap)
-    ns = _tableau().N_STAGES
+    ns = _scipy.tableau().N_STAGES
     f = np.empty_like(y)
     rhs(drift(t), y, f)
     h_abs = _initial_step(drift, rhs, t, y, f, t_bound, rtol, atol)
@@ -589,10 +563,6 @@ class ScanResult:
     r_ends: np.ndarray
     brackets: list
 
-    def rows(self):
-        return [(float(a), o, float(re)) for a, o, re in
-                zip(self.alphas, self.outcomes, self.r_ends)]
-
 
 def bracket_splits(lo: float, hi: float, tol: float) -> bool:
     """Whether bisection splits the bracket [lo, hi] again: it is wider than
@@ -689,9 +659,9 @@ def extended_profile(profile: RadialProfile):
         raise UsageError("profile has no usable positive range to extend")
     alpha, c, d = profile.alpha, profile.meta.get("c", 0.0), profile.meta.get("d", 0.0)
     knots = profile.r[mask]
-    spl = _cubic.hermite(knots, profile.w[mask], profile.w_r[mask])
-    dspl = _cubic.derivative(spl)
-    w_cut = float(_cubic.evaluate(spl, knots, min(r_cut, knots[-1]), 0))
+    spl = _scipy.hermite(knots, profile.w[mask], profile.w_r[mask])
+    dspl = _scipy.derivative(spl)
+    w_cut = float(_scipy.evaluate(spl, knots, min(r_cut, knots[-1]), 0))
     r_lo = float(profile.r[0])
     gamma = -2.0 / (p - 1.0)
 
@@ -703,8 +673,8 @@ def extended_profile(profile: RadialProfile):
         mid = ~(lo | hi)
         w[lo] = alpha + c * r[lo] ** 2 + d * r[lo] ** 4
         w_r[lo] = 2.0 * c * r[lo] + 4.0 * d * r[lo] ** 3
-        w[mid] = _cubic.evaluate(spl, knots, r[mid], 0)
-        w_r[mid] = _cubic.evaluate(dspl, knots, r[mid], 0)
+        w[mid] = _scipy.evaluate(spl, knots, r[mid], 0)
+        w_r[mid] = _scipy.evaluate(dspl, knots, r[mid], 0)
         w[hi] = w_cut * (r[hi] / r_cut) ** gamma
         w_r[hi] = w_cut * gamma / r_cut * (r[hi] / r_cut) ** (gamma - 1.0)
         return w, w_r

@@ -18,14 +18,11 @@ spectral.build_basis samples on them, with `hermite_basis` and
 
 with c_{n,k}^2 = sphere_area(n) 2^(n-1) Gamma(k + n/2) / k!.
 
-Importing this module loads no scipy, and no grid loads the scipy.special
-or scipy.linalg package. The radial family is built from ports that are
-bitwise scipy 1.17.1's: `laguerre_table` is the integer-order recurrence of
-scipy.special.eval_genlaguerre, and `roots_genlaguerre` is
-scipy.special.roots_genlaguerre, whose banded eigensolve calls LAPACK dsbevd
-from the extension module `_cubic._flapack` loads. The gamma, gammaln and
-binom they need are scipy's compiled ufuncs from
-scipy.special._special_ufuncs, loaded by itself with `_cubic._lone`.
+Importing this module loads no scipy. The radial family is built from ports
+that are bitwise scipy 1.17.1's: `laguerre_table` is the integer-order
+recurrence of scipy.special.eval_genlaguerre, and `roots_genlaguerre` is
+scipy.special.roots_genlaguerre, whose banded eigensolve calls LAPACK dsbevd.
+That, and the gamma, gammaln and binom they need, come from `_scipy`.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
-from . import _cubic
+from . import _scipy
 from .config import WORK_BUDGET
 from .errors import ConfigurationError, UsageError
 
@@ -48,10 +45,6 @@ TOTAL_MASS_1D = 2.0 * math.sqrt(math.pi)  # int exp(-y^2/4) dy
 # roots_genlaguerre from 364 on at n <= 10 (earlier at larger n: 357 at n = 100)
 MAX_HERMITE_DEGREE = 370
 MAX_LAGUERRE_DEGREE = 363
-
-# scipy's compiled gamma, gammaln and binom: the same ufuncs scipy.special
-# exports, without its package init
-_SPECIAL = "scipy.special._special_ufuncs"
 
 
 def sphere_area(n: int) -> float:
@@ -143,7 +136,7 @@ def tensor_grid(n: int, degree: int | None = None) -> TensorGrid:
 
 def laguerre_norms(n: int, nfuncs: int) -> np.ndarray:
     """Weighted L^2 norms of L_k^(n/2-1)(r^2/4) over R^n (radial measure)."""
-    gammaln = _cubic._lone(_SPECIAL).gammaln
+    gammaln = _scipy.special_ufuncs().gammaln
     alpha = n / 2.0 - 1.0
     ks = np.arange(nfuncs)
     log_n2 = (
@@ -173,7 +166,7 @@ def laguerre_table(kmax: int, alpha: float, x: np.ndarray) -> np.ndarray:
         p = d + p
         out[:, k + 1] = p
     ks = np.arange(2.0, kmax + 1)
-    out[:, 2:] *= _cubic._lone(_SPECIAL).binom(ks + alpha, ks)
+    out[:, 2:] *= _scipy.special_ufuncs().binom(ks + alpha, ks)
     return out
 
 
@@ -187,13 +180,12 @@ def roots_genlaguerre(degree: int, alpha: float) -> tuple[np.ndarray, np.ndarray
     step refines them, and the weights come from log-normalised values of
     L_(degree-1) and the derivative, scaled to sum to Gamma(alpha + 1).
     Overflow on the way is the caller's to test for."""
-    mu0 = _cubic._lone(_SPECIAL).gamma(alpha + 1)
+    mu0 = _scipy.special_ufuncs().gamma(alpha + 1)
     k = np.arange(degree, dtype="d")
     c = np.zeros((2, degree))
     c[0, 1:] = -np.sqrt(k[1:] * (k[1:] + alpha))
     c[1, :] = 2 * k + alpha + 1
-    x, _, info = _cubic._flapack().dsbevd(c, compute_v=0, lower=0, overwrite_ab=1)
-    _cubic.check_info("dsbevd", info)
+    x, _ = _scipy.lapack("dsbevd", c, compute_v=0, lower=0, overwrite_ab=1)
     rows = laguerre_table(degree, alpha, x)
     y = rows[:, degree]
     dy = (degree * y - (degree + alpha) * rows[:, degree - 1]) / x

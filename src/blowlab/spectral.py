@@ -24,12 +24,9 @@ derivatives read the very values the matrix was built on. It also holds its
 one eigendecomposition, so every spectrum report on it shares a single
 `eigh`.
 
-Importing this module loads no scipy, and no spectral run loads the
-scipy.linalg package: `eigh` and `fd_eigenvalues_1d` call LAPACK dsyevr and
-dstebz as scipy.linalg.eigh and eigh_tridiagonal do, bitwise, from the
-extension module `_cubic._flapack` loads on its own. A Hermite spectrum
-loads no other scipy; the radial basis adds scipy.special._special_ufuncs,
-loaded by itself, and never the scipy.special package.
+Importing this module loads no scipy: `eigh` and `fd_eigenvalues_1d` call
+LAPACK dsyevr and dstebz through `_scipy`, as scipy.linalg.eigh and
+eigh_tridiagonal call them, bitwise.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import _cubic
+from . import _scipy
 from .calculus import SampledField, compute_H
 from .errors import ConfigurationError, NumericError, UsageError
 from .exponents import ProblemParams
@@ -66,12 +63,9 @@ def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigendecompositions of a run."""
     if not np.isfinite(a).all():
         raise NumericError("the matrix to diagonalise is not finite")
-    lapack = _cubic._flapack()
-    lwork, liwork, info = lapack.dsyevr_lwork(a.shape[0], lower=1)
-    _cubic.check_info("dsyevr_lwork", info)
-    w, v, _, _, info = lapack.dsyevr(a, compute_v=1, lower=1, overwrite_a=0,
-                                     lwork=int(lwork), liwork=int(liwork))
-    _cubic.check_info("dsyevr", info)
+    lwork, liwork = _scipy.lapack("dsyevr_lwork", a.shape[0], lower=1)
+    w, v, _, _ = _scipy.lapack("dsyevr", a, compute_v=1, lower=1, overwrite_a=0,
+                               lwork=int(lwork), liwork=int(liwork))
     return w, v
 
 
@@ -274,9 +268,8 @@ def fd_eigenvalues_1d(w_at, params: ProblemParams, k: int = 6) -> np.ndarray:
         raise NumericError("the finite-difference operator is not finite")
     # eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
     # select_range=(y.size - k, y.size - 1)): bisection by index, in order
-    m, mu, _, _, info = _cubic._flapack().dstebz(diag, off, 2, 0.0, 1.0,
-                                                 y.size - k + 1, y.size, 0.0, "E")
-    _cubic.check_info("dstebz", info)
+    m, mu, _, _ = _scipy.lapack("dstebz", diag, off, 2, 0.0, 1.0,
+                                y.size - k + 1, y.size, 0.0, "E")
     return -mu[:m][::-1]
 
 

@@ -5,6 +5,7 @@ argv tables must parse and resolve as the CLI would parse and resolve them,
 so a renamed subcommand or config key fails here instead of in CI; and each
 workflow step after the install is one single-line call of one of the
 script's steps, in the script's order, so no check code lives in the YAML.
+The workflow installs the numpy and scipy releases of the script's PINS.
 """
 
 import importlib.util
@@ -49,3 +50,9 @@ def test_workflow_calls_each_step_once_in_order():
     after_install = steps[names.index("name: Install dependencies") + 1:]
     runs = [re.findall(r"^\s+run:(.*)$", step, flags=re.M) for step in after_install]
     assert runs == [[f" python3 ci/checks.py {name}"] for name in checks.STEPS]
+
+
+def test_workflow_installs_the_pinned_releases():
+    install = re.search(r"^\s+run: python -m pip install (.*)$", WORKFLOW.read_text(), flags=re.M)
+    pinned = re.findall(r'"(numpy|scipy)([=<>!~]=?[^"]*)?"', install.group(1))
+    assert pinned == [(name, f"=={version}") for name, version in checks.PINS.items()]

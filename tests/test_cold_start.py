@@ -109,15 +109,15 @@ def test_lapack_loader_then_scipy_linalg_in_a_fresh_process(tmp_path):
     # routines, which solve bitwise as the loader's did
     script = """
 import numpy as np
-from blowlab import _cubic
+from blowlab import _scipy
 dl, d, du = np.full(99, -1.0), np.full(100, 3.0), np.full(99, -0.5)
 b = np.linspace(-1.0, 1.0, 100)
-first = _cubic.gtsv(dl.copy(), d.copy(), du.copy(), b.copy())
+first = _scipy.gtsv(dl.copy(), d.copy(), du.copy(), b.copy())
 import sys
 assert "scipy.linalg" not in sys.modules
 import scipy.linalg
 from scipy.linalg import lapack
-module = _cubic._flapack()
+module = _scipy._flapack()
 assert all(getattr(module, f) is getattr(lapack, f) for f in ("dgtsv", "dgttrf", "dgttrs"))
 ab = np.array([np.r_[0.0, du], d, np.r_[dl, 0.0]])
 assert np.array_equal(first, scipy.linalg.solve_banded((1, 1), ab, b))
@@ -138,7 +138,7 @@ def test_lone_modules_then_their_packages_in_a_fresh_process(tmp_path):
     script = """
 import sys
 import blowlab.profiles as profiles
-from blowlab import ProblemParams, shoot
+from blowlab import ProblemParams, _scipy, shoot
 params = ProblemParams(n=2, p=2.0)
 shot = shoot(0.7, params)
 assert shot.outcome == "hit-zero"
@@ -150,7 +150,7 @@ import scipy.optimize
 from scipy.integrate._ivp import dop853_coefficients, rk
 from scipy.optimize import _zeros
 assert dop853_coefficients is tableau and rk.dop853_coefficients is tableau
-assert _zeros is zeros and profiles._tableau() is tableau
+assert _zeros is zeros and _scipy.tableau() is tableau
 r0, w0, w0r, _, _ = profiles.series_start(0.7, params)
 zero = lambda r, z: z[0]
 zero.terminal, zero.direction = True, -1
@@ -158,7 +158,7 @@ sol = scipy.integrate.solve_ivp(profiles._rhs(params, 1e6), (r0, 20.0), [w0, w0r
                                 method="DOP853", rtol=1e-10, atol=1e-12, events=zero)
 assert sol.status == 1 and sol.t_events[0][0] == shot.r_end
 f = lambda x: x ** 3 - 0.1
-assert scipy.optimize.brentq(f, 0.0, 1.0) == profiles._brentq(
+assert scipy.optimize.brentq(f, 0.0, 1.0) == _scipy.brentq(
     f, 0.0, 1.0, 2e-12, 4 * sys.float_info.epsilon)
 print("ok")
 """ % LONE

@@ -1,9 +1,9 @@
-"""blowlab._cubic against scipy.interpolate, its reference: the not-a-knot
-spline (the Hermite cubic on its slopes) and the Hermite cubic, their
-coefficients, their values and first derivatives (PPoly's nu = 1 and
+"""blowlab._scipy's cubics against scipy.interpolate, their reference: the
+not-a-knot spline (the Hermite cubic on its slopes) and the Hermite cubic,
+their coefficients, their values and first derivatives (PPoly's nu = 1 and
 PPoly.derivative) bitwise, sign bits included, on knots, at both ends,
 between knots and beyond them. Also the
-input checks, and the LAPACK module that `_cubic._flapack` loads without
+input checks, and the LAPACK module that `_scipy._flapack` loads without
 scipy.linalg's package init: it is scipy.linalg.lapack's own, and its
 tridiagonal routines solve bitwise as scipy's and refuse a singular matrix.
 """
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 from scipy.linalg import lapack
 
-from blowlab import NumericError, UsageError, _cubic, evolution
+from blowlab import NumericError, UsageError, _scipy, evolution
 
 
 def same(a, b):
@@ -54,10 +54,10 @@ def meshes(draw):
 def test_not_a_knot_spline_is_scipys(mesh):
     x, y, _, xv = mesh
     spl = CubicSpline(x, y)
-    c = _cubic.hermite(x, y, _cubic.not_a_knot_slopes(x, y))
+    c = _scipy.hermite(x, y, _scipy.not_a_knot_slopes(x, y))
     assert same(c, spl.c)
     for nu in (0, 1):
-        assert same(_cubic.evaluate(c, x, xv, nu), spl(xv, nu))
+        assert same(_scipy.evaluate(c, x, xv, nu), spl(xv, nu))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -66,22 +66,22 @@ def test_hermite_cubic_and_its_derivative_are_scipys(mesh):
     x, y, dydx, xv = mesh
     spl = CubicHermiteSpline(x, y, dydx)
     dspl = spl.derivative()
-    c = _cubic.hermite(x, y, dydx)
-    dc = _cubic.derivative(c)
+    c = _scipy.hermite(x, y, dydx)
+    dc = _scipy.derivative(c)
     assert same(c, spl.c) and same(dc, dspl.c)
-    assert same(_cubic.evaluate(c, x, xv, 0), spl(xv))
-    assert same(_cubic.evaluate(dc, x, xv, 0), dspl(xv))
+    assert same(_scipy.evaluate(c, x, xv, 0), spl(xv))
+    assert same(_scipy.evaluate(dc, x, xv, 0), dspl(xv))
     # a scalar point, as extended_profile evaluates the cut
     mid = 0.5 * (x[1] + x[2])
-    assert float(_cubic.evaluate(c, x, mid, 0)) == float(spl(mid))
+    assert float(_scipy.evaluate(c, x, mid, 0)) == float(spl(mid))
 
 
 def test_spline_of_a_constant_is_flat():
     x, y = np.linspace(0.0, 1.0, 9), np.full(9, 2.5)
-    c = _cubic.hermite(x, y, _cubic.not_a_knot_slopes(x, y))
+    c = _scipy.hermite(x, y, _scipy.not_a_knot_slopes(x, y))
     xv = np.linspace(-0.5, 1.5, 41)
-    assert (_cubic.evaluate(c, x, xv, 0) == 2.5).all()
-    assert (_cubic.evaluate(c, x, xv, 1) == 0.0).all()
+    assert (_scipy.evaluate(c, x, xv, 0) == 2.5).all()
+    assert (_scipy.evaluate(c, x, xv, 1) == 0.0).all()
 
 
 @pytest.mark.parametrize("x, y, error", [
@@ -101,9 +101,9 @@ def test_input_checks_are_scipys(x, y, error):
         with pytest.raises(ValueError):
             CubicSpline(x, y)
     with pytest.raises(error):
-        _cubic.not_a_knot_slopes(x, y)
+        _scipy.not_a_knot_slopes(x, y)
     with pytest.raises(error):
-        _cubic.hermite(x, y, np.zeros_like(y))
+        _scipy.hermite(x, y, np.zeros_like(y))
 
 
 def test_singular_tridiagonal_solve_raises_numeric_error():
@@ -116,60 +116,22 @@ def test_singular_tridiagonal_solve_raises_numeric_error():
     with pytest.raises(NumericError, match="zero pivot in row 1"):
         evolution.solve_banded((1, 1), ab.copy(), np.ones(4))
     with pytest.raises(NumericError, match="zero pivot in row 1"):
-        evolution._tridiagonal_solver(ab[2, :-1], ab[1], ab[0, 1:])
+        _scipy.tridiagonal_solver(ab[2, :-1], ab[1], ab[0, 1:])
     assert lapack.dgttrf(ab[2, :-1], ab[1], ab[0, 1:])[-1] == 1
     with pytest.raises(UsageError):
         evolution.solve_banded((1, 2), np.zeros((4, 4)), np.ones(4))
 
 
-class _Lapack:
-    """A stand-in LAPACK module whose dgttrf, dgttrs and dgtsv return the
-    given info."""
-
-    def __init__(self, trf_info=0, trs_info=0, sv_info=0):
-        self.trf_info, self.trs_info, self.sv_info = trf_info, trs_info, sv_info
-
-    def dgttrf(self, dl, d, du):
-        return dl, d, du, np.zeros(d.size - 2), np.arange(1, d.size + 1), self.trf_info
-
-    def dgttrs(self, dl, d, du, du2, ipiv, b, overwrite_b=0):
-        return b, self.trs_info
-
-    def dgtsv(self, dl, d, du, b, *overwrite):
-        return dl, d, du, b, self.sv_info
-
-
-@pytest.mark.parametrize("trf_info, trs_info, routine",
-                         [(-1, 0, "dgttrf"), (0, -1, "dgttrs"), (0, 2, "dgttrs")])
-def test_tridiagonal_solver_refuses_a_nonzero_info(monkeypatch, trf_info, trs_info, routine):
-    monkeypatch.setattr(_cubic, "_flapack", lambda: _Lapack(trf_info, trs_info))
-    dl, d, du, b = _tridiagonal("dominant")
-    with pytest.raises(NumericError, match=f"LAPACK {routine} failed with info"):
-        evolution._tridiagonal_solver(dl, d, du)(b)
-
-
-@pytest.mark.parametrize("info, message", [(-1, "LAPACK dgtsv failed with info -1"),
-                                           (-4, "LAPACK dgtsv failed with info -4"),
-                                           (2, "zero pivot in row 2")])
-def test_direct_tridiagonal_solve_refuses_a_nonzero_info(monkeypatch, info, message):
-    # an illegal argument (info < 0) was a UsageError (exit 2) here alone;
-    # every other LAPACK call raises it as NumericError (exit 3)
-    monkeypatch.setattr(_cubic, "_flapack", lambda: _Lapack(sv_info=info))
-    dl, d, du, b = _tridiagonal("dominant")
-    with pytest.raises(NumericError, match=message):
-        _cubic.gtsv(dl, d, du, b)
-
-
 def test_lone_loader_refuses_a_module_scipy_lacks():
     name = "scipy.integrate._ivp.no_such_module"
     with pytest.raises(ImportError, match=f"no module {name}.*scipy 1.17.1"):
-        _cubic._lone(name)
+        _scipy._lone(name)
     assert name not in sys.modules
 
 
 def test_lapack_loader_is_scipys_extension():
-    module = _cubic._flapack()
-    assert module is _cubic._flapack()
+    module = _scipy._flapack()
+    assert module is _scipy._flapack()
     assert module.__file__ == lapack._flapack.__file__
     for name in ("dgtsv", "dgttrf", "dgttrs", "dsyevr", "dsyevr_lwork", "dstebz", "dsbevd"):
         assert getattr(module, name) is getattr(lapack, name)
@@ -194,13 +156,13 @@ def _tridiagonal(kind):
 def test_tridiagonal_solves_are_scipys(kind):
     dl, d, du, b = _tridiagonal(kind)
     want = lapack.dgtsv(dl, d, du, b)[3]
-    got = _cubic.gtsv(dl.copy(), d.copy(), du.copy(), b.copy())
+    got = _scipy.gtsv(dl.copy(), d.copy(), du.copy(), b.copy())
     assert same(got, want)
     *lu, info = lapack.dgttrf(dl, d, du)
     assert info == 0
     pivots = lu[-1]
     assert (pivots != np.arange(1, d.size + 1)).any() == (kind == "interchanges")
-    solve = evolution._tridiagonal_solver(dl.copy(), d.copy(), du.copy())
+    solve = _scipy.tridiagonal_solver(dl.copy(), d.copy(), du.copy())
     assert same(solve(b.copy()), lapack.dgttrs(*lu, b)[0])
     # gttrs does gtsv's arithmetic, so the factored solve is the direct one
     assert same(solve(b.copy()), want)

@@ -2,11 +2,12 @@
 functions they stand in for: spectral.eigh against scipy.linalg.eigh,
 spectral.fd_eigenvalues_1d's dstebz against scipy.linalg.eigh_tridiagonal,
 and quadrature.roots_genlaguerre against scipy.special.roots_genlaguerre,
-all bitwise, sign bits included. A nonzero LAPACK info raises NumericError,
-and no module of blowlab imports the scipy.linalg or scipy.special package.
+all bitwise, sign bits included. Every nonzero LAPACK info raises
+NumericError by one rule, and only blowlab._scipy reaches scipy.
 """
 
 import ast
+import re
 import types
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import pytest
 import scipy.linalg
 import scipy.special
 
-from blowlab import NumericError, ProblemParams, _cubic, quadrature, spectral
+from blowlab import NumericError, ProblemParams, _scipy, quadrature, spectral
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "blowlab"
 
@@ -40,7 +41,7 @@ def test_eigh_is_scipys(N):
 @pytest.fixture
 def recorded_dstebz(monkeypatch):
     """The LAPACK module with dstebz recording the diagonals it is given."""
-    real = _cubic._flapack()
+    real = _scipy._flapack()
     calls = []
 
     def dstebz(d, e, *args):
@@ -48,7 +49,7 @@ def recorded_dstebz(monkeypatch):
         return real.dstebz(d, e, *args)
 
     fake = types.SimpleNamespace(dstebz=dstebz)
-    monkeypatch.setattr(_cubic, "_flapack", lambda: fake)
+    monkeypatch.setattr(_scipy, "_flapack", lambda: fake)
     return calls
 
 
@@ -73,28 +74,64 @@ def test_gauss_laguerre_rule_is_scipys(degree):
         assert same(got[0], want[0]) and same(got[1], want[1]), n
 
 
-@pytest.mark.parametrize("routine", ["dsyevr", "dstebz", "dsbevd"])
-def test_lapack_failure_raises_numeric_error(monkeypatch, routine):
-    # each routine's info comes back 1, as a failed convergence reports it
-    real = _cubic._flapack()
+class _Lapack:
+    """The LAPACK module, but routine returns info in place of its own."""
 
-    def failing(*args, **kwargs):
-        *out, info = getattr(real, routine)(*args, **kwargs)
-        return (*out, 1)
+    def __init__(self, routine, info):
+        self.real, self.routine, self.info = _scipy._flapack(), routine, info
 
-    fake = types.SimpleNamespace(
-        dsyevr_lwork=real.dsyevr_lwork,
-        **{name: failing if name == routine else getattr(real, name)
-           for name in ("dsyevr", "dstebz", "dsbevd")})
-    monkeypatch.setattr(_cubic, "_flapack", lambda: fake)
-    with pytest.raises(NumericError, match=f"LAPACK {routine} failed with info 1"):
-        if routine == "dsyevr":
-            spectral.eigh(np.eye(3))
-        elif routine == "dstebz":
-            spectral.fd_eigenvalues_1d(lambda y: np.zeros_like(y),
-                                       ProblemParams(n=1, p=2.0), 3)
-        else:
-            quadrature.roots_genlaguerre(8, 0.5)
+    def __getattr__(self, name):
+        real = getattr(self.real, name)
+        if name != self.routine:
+            return real
+        return lambda *args, **kwargs: (*real(*args, **kwargs)[:-1], self.info)
+
+
+def _tridiagonal_solve():
+    _scipy.tridiagonal_solver(np.ones(3), np.full(4, 4.0), np.ones(3))(np.ones(4))
+
+
+# a call of blowlab that reaches each LAPACK routine
+REACHES = {
+    "dgtsv": lambda: _scipy.gtsv(np.ones(3), np.full(4, 4.0), np.ones(3), np.ones(4)),
+    "dgttrf": _tridiagonal_solve,
+    "dgttrs": _tridiagonal_solve,
+    "dsyevr_lwork": lambda: spectral.eigh(np.eye(3)),
+    "dsyevr": lambda: spectral.eigh(np.eye(3)),
+    "dstebz": lambda: spectral.fd_eigenvalues_1d(np.zeros_like, ProblemParams(n=1, p=2.0), 3),
+    "dsbevd": lambda: quadrature.roots_genlaguerre(8, 0.5),
+}
+
+
+# info < 0 is an illegal argument; info > 0 a zero pivot (dgtsv, dgttrf) or
+# a failed convergence (dsyevr, dstebz, dsbevd). dgttrs and dsyevr_lwork
+# report none, and the rule refuses one all the same
+INFOS = [
+    ("dgtsv", -1, "failed with info -1"),
+    ("dgtsv", -4, "failed with info -4"),
+    ("dgtsv", 2, "hit a zero pivot in row 2"),
+    ("dgttrf", -1, "failed with info -1"),
+    ("dgttrf", 3, "hit a zero pivot in row 3"),
+    ("dgttrs", -1, "failed with info -1"),
+    ("dgttrs", 2, "failed with info 2"),
+    ("dsyevr_lwork", -1, "failed with info -1"),
+    ("dsyevr", -1, "failed with info -1"),
+    ("dsyevr", 1, "failed with info 1"),
+    ("dstebz", -1, "failed with info -1"),
+    ("dstebz", 1, "failed with info 1"),
+    ("dsbevd", -1, "failed with info -1"),
+    ("dsbevd", 1, "failed with info 1"),
+]
+
+
+@pytest.mark.parametrize("routine, info, message", INFOS,
+                         ids=[f"{routine}{info:+d}" for routine, info, _ in INFOS])
+def test_nonzero_info_raises_numeric_error(monkeypatch, routine, info, message):
+    stand_in = _Lapack(routine, info)
+    monkeypatch.setattr(_scipy, "_flapack", lambda: stand_in)
+    with pytest.raises(NumericError, match=f"^LAPACK {routine} {message}$") as raised:
+        REACHES[routine]()
+    assert raised.value.payload == {"routine": routine, "info": info}
 
 
 def test_nonfinite_matrix_raises_numeric_error():
@@ -130,3 +167,101 @@ def test_no_module_imports_scipy_special():
     # the radial rule's Laguerre values are ported, and its gamma, gammaln
     # and binom come from the lone-loaded scipy.special._special_ufuncs
     assert _imported("scipy.special") == set()
+
+
+# (module.function, reach): why it reaches scipy outside _scipy
+REACHES_SCIPY = {
+    ("profiles.solve_ivp", "import scipy.integrate"):
+        "the forwarder that perfbench's tracer wraps by name and nothing in "
+        "blowlab calls (ROADMAP items 1 and 8)",
+}
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _docstrings(tree):
+    return {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, *_DEFS)) and node.body
+            and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)}
+
+
+def _reach(node, docstrings):
+    """How node reaches scipy by itself, or None."""
+    if isinstance(node, ast.Import):
+        modules = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.level == 0:
+        modules = [node.module]
+    elif isinstance(node, ast.ImportFrom):
+        private = [a.name for a in node.names if node.module == "_scipy" and a.name[0] == "_"]
+        return f"_scipy.{private[0]}" if private else None
+    elif isinstance(node, ast.Attribute):
+        private = (isinstance(node.value, ast.Name) and node.value.id == "_scipy"
+                   and node.attr[0] == "_")
+        return f"_scipy.{node.attr}" if private else None
+    elif isinstance(node, ast.Constant):
+        named = (isinstance(node.value, str) and id(node) not in docstrings
+                 and re.search(r"\bscipy\b", node.value))
+        return repr(node.value) if named else None
+    else:
+        return None
+    return next((f"import {m}" for m in modules if m.split(".")[0] == "scipy"), None)
+
+
+def scipy_reaches(sources):
+    """(module.function, reach) for each way a module of sources, a {module:
+    source text} dict, reaches scipy other than through _scipy's public
+    names: an import of scipy, a string other than a docstring that names
+    scipy, or an underscore name of _scipy. module.function is the innermost
+    def or class around it, else the module; _scipy itself is skipped."""
+    found = set()
+
+    def visit(node, where, docstrings):
+        for child in ast.iter_child_nodes(node):
+            reach = _reach(child, docstrings)
+            if reach:
+                found.add((where, reach))
+            visit(child, f"{where}.{child.name}" if isinstance(child, _DEFS) else where,
+                  docstrings)
+
+    for module, text in sources.items():
+        if module != "_scipy":
+            tree = ast.parse(text)
+            visit(tree, module, _docstrings(tree))
+    return found
+
+
+def test_only_scipy_module_reaches_scipy():
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    assert scipy_reaches(sources) == set(REACHES_SCIPY)
+
+
+def test_the_boundary_rule_sees_imports_strings_and_private_names():
+    source = ('"""scipy.linalg, in a docstring."""\n'
+              "import numpy, scipy\n"
+              "from scipy.linalg import eigh\n"
+              "from ._scipy import _lone, lapack\n"
+              "from . import _scipy\n"
+              "def f():\n"
+              '    """scipy.special, in a docstring."""\n'
+              '    return _scipy._flapack(), _scipy.lapack, "scipy.special._special_ufuncs"\n'
+              "class C:\n"
+              "    def m(self):\n"
+              '        return f"{self} loads scipy", "scipyish"\n')
+    assert scipy_reaches({"mod": source, "_scipy": "import scipy\n_x = 'scipy'\n"}) == {
+        ("mod", "import scipy"), ("mod", "import scipy.linalg"), ("mod", "_scipy._lone"),
+        ("mod.f", "_scipy._flapack"), ("mod.f", "'scipy.special._special_ufuncs'"),
+        ("mod.C.m", "' loads scipy'")}
+
+
+def test_every_lapack_call_passes_its_info_to_the_one_rule():
+    # in _scipy, each function that takes a routine from _flapack() hands
+    # its info to _check
+    tree = ast.parse((SRC / "_scipy.py").read_text())
+    callers = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            if "_flapack" in names:
+                callers[node.name] = "_check" in names
+    assert callers == {"lapack": True, "gtsv": True, "tridiagonal_solver": True}

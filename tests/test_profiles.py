@@ -29,6 +29,7 @@ from blowlab import (
     ProblemParams,
     RadialProfile,
     UsageError,
+    _scipy,
     extended_profile,
     kappa,
     profile_residual,
@@ -200,8 +201,7 @@ def test_scan_rediscovers_kappa():
     for b in res.brackets:
         assert b.width <= 1.1e-8
         assert abs(0.5 * (b.alpha_lo + b.alpha_hi) - kappa(2.0)) < 1e-8
-    rows = res.rows()
-    assert len(rows) == 5 and rows[2][1] == "reached-Rmax-bounded"
+    assert len(res.alphas) == 5 and res.outcomes[2] == "reached-Rmax-bounded"
 
 
 def test_scan_without_candidates():
@@ -553,7 +553,7 @@ def test_one_lane_step_is_scipys_dop853_step(alpha, params, cap):
 
 def test_dop853_tableau_is_scipys():
     # the lanes read scipy's tableau module itself, through the lone loader
-    assert profiles._tableau() is dop853_coefficients
+    assert _scipy.tableau() is dop853_coefficients
 
 
 def brentq_outcome(find, f, a, b, xtol, rtol):
@@ -565,7 +565,7 @@ def brentq_outcome(find, f, a, b, xtol, rtol):
 
 
 def port(f, a, b, xtol, rtol):
-    return profiles._brentq(f, a, b, xtol, rtol)
+    return _scipy.brentq(f, a, b, xtol, rtol)
 
 
 EPS = float(np.finfo(float).eps)
@@ -588,7 +588,7 @@ def root_cases(draw):
 
 
 def test_brentq_cap_is_scipys_default():
-    assert inspect.signature(brentq).parameters["maxiter"].default == profiles.BRENTQ_MAXITER
+    assert inspect.signature(brentq).parameters["maxiter"].default == _scipy.BRENTQ_MAXITER
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -609,7 +609,7 @@ def test_brentq_port_is_scipys(case):
     (lambda x: x ** 3 - 0.1, 0.0, 1.0, 2, RuntimeError),          # maxiter runs out
 ], ids=["equal-signs", "underflow", "nan-at-a", "nan-at-b", "nan-inside", "maxiter"])
 def test_brentq_port_raises_as_scipy(monkeypatch, f, a, b, maxiter, error):
-    monkeypatch.setattr(profiles, "BRENTQ_MAXITER", maxiter)
+    monkeypatch.setattr(_scipy, "BRENTQ_MAXITER", maxiter)
     with pytest.raises(error):
         brentq(f, a, b, xtol=4 * EPS, rtol=4 * EPS, maxiter=maxiter)
     with pytest.raises(error):
@@ -623,7 +623,7 @@ def test_brentq_port_raises_as_scipy(monkeypatch, f, a, b, maxiter, error):
 ], ids=["hit-zero", "blew-up", "n3-p3-cap"])
 def test_brentq_port_on_lane_events_is_scipys(monkeypatch, alphas, params, kw):
     # every root the lanes locate, on their real event functions, is scipy's
-    calls, ported = [], profiles._brentq
+    calls, ported = [], _scipy.brentq
 
     def both(f, a, b, xtol, rtol):
         got = ported(f, a, b, xtol, rtol)
@@ -631,7 +631,7 @@ def test_brentq_port_on_lane_events_is_scipys(monkeypatch, alphas, params, kw):
         calls.append(got)
         return got
 
-    monkeypatch.setattr(profiles, "_brentq", both)
+    monkeypatch.setattr(_scipy, "brentq", both)
     results = classify_lanes(alphas, params, **kw)
     assert len(calls) >= sum(r is not None for r in results) > 0
 

@@ -217,9 +217,9 @@ def test_laguerre_table_is_scipys(n):
 
 
 def test_special_ufuncs_are_scipy_specials_own():
-    from blowlab import _cubic
+    from blowlab import _scipy
 
-    module = _cubic._lone("scipy.special._special_ufuncs")
+    module = _scipy.special_ufuncs()
     assert module.gamma is scipy.special.gamma
     assert module.gammaln is scipy.special.gammaln
     assert module.binom is scipy.special.binom
