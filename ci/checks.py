@@ -6,6 +6,9 @@ STEP is one of tier1, bench-tests, smoke, replay, memory, package. With no
 argument every step runs, in workflow order, past any that fails. Each step
 prints its own lines; the run starts with one environment line and ends with
 one PASS, FAIL or SKIPPED line per step, and exits 1 if any step FAILed.
+The environment line also gives two sizes of src/blowlab, for information:
+its `wc -l` total and its code lines (non-blank lines outside comments and
+docstrings).
 Every step writes into temporary directories, apart from what pytest and
 perfbench leave in the checkout: their caches, bytecode unless
 PYTHONDONTWRITEBYTECODE is set, and .perfbench_work/.
@@ -13,6 +16,7 @@ PYTHONDONTWRITEBYTECODE is set, and .perfbench_work/.
 
 from __future__ import annotations
 
+import ast
 import importlib.metadata
 import json
 import os
@@ -336,13 +340,33 @@ def _installed(name):
     return f"{name} {version}" + ("" if version == PINS[name] else f" (pinned {PINS[name]})")
 
 
+def code_lines(text):
+    """Non-blank lines of Python source text outside comments and docstrings."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.body and isinstance(node.body[0], ast.Expr)
+                and isinstance(node.body[0].value, ast.Constant)
+                and isinstance(node.body[0].value.value, str)):
+            docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    return sum(1 for i, line in enumerate(text.splitlines(), 1)
+               if i not in docstrings and line.strip() and not line.lstrip().startswith("#"))
+
+
+def source_size():
+    """(wc -l total, code lines) of src/blowlab's modules."""
+    texts = [path.read_text() for path in sorted((ROOT / "src" / "blowlab").glob("*.py"))]
+    return sum(t.count("\n") for t in texts), sum(code_lines(t) for t in texts)
+
+
 def environment():
     head = run(["git", "rev-parse", "HEAD"]).stdout.strip() or "unknown"
+    lines, code = source_size()
     return (f"python {platform.python_version()}, "
             + "".join(f"{_installed(name)}, " for name in PINS)
             + f"nproc {len(os.sched_getaffinity(0))}, "
             f"PYTHONDONTWRITEBYTECODE={os.environ.get('PYTHONDONTWRITEBYTECODE', '')}, "
-            f"HEAD {head}")
+            f"HEAD {head}, src/blowlab {lines} lines ({code} code)")
 
 
 def main(argv):

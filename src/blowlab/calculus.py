@@ -1,7 +1,7 @@
 """Weighted calculus for the rescaled equation: inner products, L = Lap - y/2 . grad,
 the linearization L_w = L - 1/(p-1) + p |w|^(p-1), the monotonicity quantity
-H = w/(p-1) + y . grad(w) / 2, and the integral identities and inequalities
-the analysis rests on:
+H of `exponents.H_of` on a sampled field, and the integral identities and
+inequalities the analysis rests on:
 
   integration by parts   [f L g]_W = -[grad f . grad g]_W
   log-test               [phi^2 (p|w|^(p-1) + |grad log f|^2)]_W
@@ -33,7 +33,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .errors import UsageError
-from .exponents import ProblemParams, admissible_m_interval, m_condition
+from .exponents import H_of, ProblemParams, admissible_m_interval, m_condition
 from .quadrature import (
     Grid,
     TensorGrid,
@@ -97,20 +97,9 @@ def linearized_apply(w: SampledField, v: SampledField, params: ProblemParams) ->
     return ou_apply(v) - v.values / (p - 1.0) + p * np.abs(w.values) ** (p - 1.0) * v.values
 
 
-@dataclass(frozen=True)
-class HQuantity:
-    """H = w/(p-1) + y . grad(w)/2. Positivity of H is equivalent to u_t > 0
-    in the original variables."""
-
-    values: np.ndarray
-    min: float
-    max: float
-
-
-def compute_H(w: SampledField, params: ProblemParams) -> HQuantity:
-    p = params.p
-    vals = w.values / (p - 1.0) + 0.5 * w.y_dot_grad()
-    return HQuantity(values=vals, min=float(vals.min()), max=float(vals.max()))
+def compute_H(w: SampledField, params: ProblemParams) -> np.ndarray:
+    """exponents.H_of at the field's points."""
+    return H_of(w.values, w.y_dot_grad(), params.p)
 
 
 @dataclass(frozen=True)
@@ -424,7 +413,7 @@ def make_log_test_eigenpair(grid: TensorGrid, rng: np.random.Generator,
                 - 2.0 * np.einsum("qij,qj->qi", hess, grad)
             wgrad = (wvals / ((p - 1.0) * pot))[:, None] * gpot
             w = SampledField(grid=grid, values=wvals, grad=wgrad)
-            if compute_H(w, params).min > 0.0:
+            if compute_H(w, params).min() > 0.0:
                 break
         terms = terms.scaled(0.5)
     else:

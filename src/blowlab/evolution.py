@@ -78,8 +78,8 @@ import numpy as np
 
 from . import _scipy
 from .calculus import SampledField
-from .errors import DomainError, NumericError, UsageError
-from .exponents import ProblemParams, kappa
+from .errors import NumericError, UsageError
+from .exponents import H_of, ProblemParams, kappa, reaction_blowup_time
 from .quadrature import sphere_area
 
 
@@ -749,7 +749,7 @@ def fit_blowup_time(times: np.ndarray, sups: np.ndarray, p: float) -> dict:
         mask[-8:] = True
     tt, uu = times[mask], sups[mask]
     t_end = times[-1]
-    tail = uu[-1] ** (1.0 - p) / (p - 1.0)   # pure-reaction remaining time
+    tail = reaction_blowup_time(uu[-1], p)   # pure-reaction remaining time
 
     def sse(T):
         X = np.log(T - tt)
@@ -902,7 +902,7 @@ class WindowRow:
     T_minus_t: float
     s: float
     sup_dev: float      # sup_{|y| <= K} |sign w - kappa|
-    min_H: float        # min of H(sign w) = (w/(p-1) + y w_y / 2) sign on the window
+    min_H: float        # min over the window of exponents.H_of for sign w
 
 
 @dataclass
@@ -973,10 +973,9 @@ def convergence_pipeline(run: BlowupRun, K: float = 1.0,
     for snap in usable[-MAX_WINDOWS:]:
         w, w_y, s = rescale_to_similarity(snap.u, run.x, snap.t, T, a, yg, run.params)
         w, w_y = sign * w, sign * w_y
-        Hw = w / (p - 1.0) + 0.5 * yg * w_y
         rows.append(WindowRow(t=snap.t, T_minus_t=float(T - snap.t), s=s,
                               sup_dev=float(np.abs(w - kap).max()),
-                              min_H=float(Hw.min())))
+                              min_H=float(H_of(w, yg * w_y, p).min())))
     sups = [r.sup_dev for r in rows]
     decreasing = len(rows) >= MIN_WINDOWS and all(
         b < a for a, b in zip(sups[:-1], sups[1:]))

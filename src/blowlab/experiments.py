@@ -45,9 +45,11 @@ from .evolution import (
     window_skip,
 )
 from .exponents import (
+    H_of,
     ProblemParams,
     critical_exponents,
     kappa_identity_residual,
+    reaction_blowup_time,
 )
 from .manifest import (
     Verdict,
@@ -62,7 +64,7 @@ from .profiles import (
     accepts_bounded_positive,
     bracket_splits,
     extended_profile,
-    in_snap_band,
+    kappa_covered,
     profile_residual,
     scan_profiles,
     shoot,
@@ -287,7 +289,7 @@ def run_shoot(cfg: dict) -> RunOutcome:
     prof = shoot(alpha, params, r_max=cfg["r_max"], rtol=cfg["rtol"],
                  atol=cfg["atol"], cap=cfg["cap"])
     res = profile_residual(prof)
-    H = prof.H_values()
+    H = H_of(prof.w, prof.r * prof.w_r, params.p)
     accepted = accepts_bounded_positive(prof, r_max=cfg["r_max"])
 
     summary = {
@@ -300,7 +302,7 @@ def run_shoot(cfg: dict) -> RunOutcome:
                                           "c": prof.meta["c"], "d": prof.meta["d"]},
     }
     verdicts = [Verdict("outcome-classified", prof.outcome in OUTCOMES, prof.outcome)]
-    if in_snap_band(alpha, params.kappa):
+    if prof.meta.get("snapped_to_constant", False):
         verdicts.append(Verdict("constant-profile-residual", res < 1e-10,
                                 f"sup residual {res:.3e}"))
         verdicts.append(Verdict("H-positive", bool(H.min() > 0.0),
@@ -316,15 +318,7 @@ def run_scan(cfg: dict) -> RunOutcome:
                            count=cfg["count"], spacing=cfg["spacing"],
                            bisect_tol=cfg["bisect_tol"], r_max=cfg["r_max"])
     kap = params.kappa
-    # every shot in the snap band is the constant kappa, so bisection below
-    # its width closes one bracket onto each edge of the band instead of
-    # onto kappa; the band between two such brackets covers kappa
-    enters = any(in_snap_band(b.alpha_hi, kap) and not in_snap_band(b.alpha_lo, kap)
-                 for b in result.brackets)
-    leaves = any(in_snap_band(b.alpha_lo, kap) and not in_snap_band(b.alpha_hi, kap)
-                 for b in result.brackets)
-    covered = (enters and leaves) or any(b.alpha_lo <= kap <= b.alpha_hi
-                                         for b in result.brackets)
+    covered = kappa_covered(result.brackets, kap)
     refined = not any(bracket_splits(b.alpha_lo, b.alpha_hi, cfg["bisect_tol"])
                       for b in result.brackets)
     summary = {
@@ -481,7 +475,7 @@ def run_blowup(cfg: dict) -> RunOutcome:
                                 f"max u = {run.max_u:.3e}"))
     if not cfg["diffusion"] and cfg["init"] == "constant" and run.status == "blew-up":
         p = params.p
-        T_exact = cfg["amp"] ** (1.0 - p) / (p - 1.0)
+        T_exact = reaction_blowup_time(cfg["amp"], p)
         t_err = abs(run.T_est - T_exact) / T_exact
         e_err = abs(run.fit["exponent"] - 1.0 / (p - 1.0))
         verdicts.append(Verdict("oracle-blowup-time", t_err < 1e-4,

@@ -56,6 +56,17 @@ def kappa(p: float) -> float:
         raise DomainError(f"kappa leaves float range at p = {p!r}") from None
 
 
+def H_of(w, y_dot_grad, p: float):
+    """H = w/(p-1) + y . grad(w)/2 from w and y . grad(w) (r w_r when radial).
+    H > 0 is u_t > 0 in the original variables: the paper's positive speed."""
+    return w / (p - 1.0) + 0.5 * y_dot_grad
+
+
+def reaction_blowup_time(u, p: float):
+    """u^(1-p)/(p-1): the space-free ODE u' = u^p's blow-up time from u > 0."""
+    return u ** (1.0 - p) / (p - 1.0)
+
+
 def kappa_identity_residual(p: float) -> float:
     """|(p-1) kappa^(p-1) - 1|, the defining identity's floating residual."""
     k = kappa(p)

@@ -77,6 +77,14 @@ def in_snap_band(alpha: float, kap: float) -> bool:
     return abs(alpha - kap) <= SNAP_BAND * max(1.0, kap)
 
 
+def kappa_covered(brackets, kap: float) -> bool:
+    """Whether brackets cover kap: one contains it, or one enters the snap band
+    and one leaves it, as bisection below SNAP_BAND closes them on its edges."""
+    edges = {(in_snap_band(b.alpha_lo, kap), in_snap_band(b.alpha_hi, kap)) for b in brackets}
+    return ({(False, True), (True, False)} <= edges
+            or any(b.alpha_lo <= kap <= b.alpha_hi for b in brackets))
+
+
 # scipy's DOP853 step-size control, for the lane classifier; the tableau
 # is _scipy.tableau()
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
@@ -159,18 +167,16 @@ class RadialProfile:
     def h(self) -> float:
         return float(self.r[1] - self.r[0])
 
-    def H_values(self) -> np.ndarray:
-        return self.w / (self.params.p - 1.0) + 0.5 * self.r * self.w_r
+    def untrusted(self) -> np.ndarray:
+        """Mask of the points outside 0 < w <= BAND_FACTOR max(kappa, alpha), nan too."""
+        band = BAND_FACTOR * max(kappa(self.params.p), self.alpha)
+        return ~((self.w > 0.0) & (self.w <= band))
 
     def trusted_radius(self) -> float:
-        """Largest r up to which w stays positive and below the acceptance band."""
-        band = BAND_FACTOR * max(kappa(self.params.p), self.alpha)
-        bad = np.nonzero((self.w <= 0.0) | (np.abs(self.w) > band))[0]
-        if bad.size == 0:
-            return float(self.r[-1])
-        if bad[0] == 0:
-            return float(self.r[0])
-        return float(self.r[bad[0] - 1])
+        """Largest r up to which w stays in the band; r[0] if w(r[0]) is out."""
+        bad = self.untrusted()
+        first = int(bad.argmax()) if bad.any() else bad.size
+        return float(self.r[max(first - 1, 0)])
 
 
 def _shot_start(alpha: float, params: ProblemParams, r_max: float, cap: float):
@@ -534,11 +540,10 @@ def profile_residual(profile: RadialProfile) -> float:
 
 
 def accepts_bounded_positive(profile: RadialProfile, r_max: float = 20.0) -> bool:
-    """w > 0 and |w| <= band on all of [0, r_max]."""
+    """w in the band (RadialProfile.untrusted) on all of [0, r_max]."""
     if profile.r[-1] < r_max - 1e-9:
         return False
-    band = BAND_FACTOR * max(kappa(profile.params.p), profile.alpha)
-    return bool(profile.w.min() > 0.0 and np.abs(profile.w).max() <= band)
+    return not profile.untrusted().any()
 
 
 @dataclass(frozen=True)

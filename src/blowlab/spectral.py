@@ -13,9 +13,9 @@ potential is identically 1 for every p and the matrix is exactly diagonal:
 lambda = k/2 - 1 on tensor bases (k total Hermite degree), lambda = k - 1 on
 radial bases.
 
-Two consistency anchors with the continuous theory: H = w/(p-1) + y.grad(w)/2
-always satisfies L_w H = H along exact profiles (lambda = -1), and a sign
-change of H forces lambda_1 < -1.
+Two consistency anchors with the continuous theory: the monotonicity
+quantity H (`exponents.H_of`) always satisfies L_w H = H along exact profiles
+(lambda = -1), and a sign change of H forces lambda_1 < -1.
 
 Each field's operator is assembled once: the Rayleigh, sign-change and
 stability checks take the SpectralOperator alone. The operator holds the
@@ -295,11 +295,12 @@ def sign_change_check(op: SpectralOperator) -> SignChangeReport:
     """H sign change must imply lambda_1 < -1 (checked as < -1 + LAMBDA1_TOL),
     for the field op was assembled on."""
     H = compute_H(op.field, op.params)
-    tau = SIGN_CHANGE_BAND * max(abs(H.min), abs(H.max))
-    sign_change = (H.min < -tau) and (H.max > tau)
+    h_min, h_max = float(H.min()), float(H.max())
+    tau = SIGN_CHANGE_BAND * max(abs(h_min), abs(h_max))
+    sign_change = (h_min < -tau) and (h_max > tau)
     lam1 = float(-op.eigenpairs[0][-1])
     consistent = (not sign_change) or (lam1 < -1.0 + LAMBDA1_TOL)
-    return SignChangeReport(min_H=H.min, max_H=H.max, sign_change=sign_change,
+    return SignChangeReport(min_H=h_min, max_H=h_max, sign_change=sign_change,
                             lambda1=lam1, consistent=consistent, tau=tau)
 
 
@@ -357,7 +358,7 @@ def stability_classify(op: SpectralOperator) -> StabilityReport:
     funcs = basis.values @ vecs[:, ::-1]        # eigenfunctions, lambda ascending
     wq = basis.grid.weights
 
-    span = [compute_H(w, op.params).values]
+    span = [compute_H(w, op.params)]
     if basis.kind != "radial":
         for i in range(basis.n):
             span.append(w.grad[:, i])

@@ -134,9 +134,9 @@ def test_criterion_4_constant_witnesses(acceptance):
         out = linearized_apply(w, SampledField.constant(grid, 1.0), params)
         worst_L = max(worst_L, float(np.max(np.abs(out - 1.0))))
         H = compute_H(w, params)
-        worst_H = max(worst_H, abs(H.min - kappa(p) / (p - 1.0)),
-                      abs(H.max - kappa(p) / (p - 1.0)))
-        assert H.min > 0.0
+        worst_H = max(worst_H, abs(float(H.min()) - kappa(p) / (p - 1.0)),
+                      abs(float(H.max()) - kappa(p) / (p - 1.0)))
+        assert H.min() > 0.0
     ok = worst_L < 1e-10 and worst_H < 1e-10
     acceptance(4, ok,
                f"constant eigenvalue deviation {worst_L:.2e}, "

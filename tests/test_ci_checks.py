@@ -56,3 +56,19 @@ def test_workflow_installs_the_pinned_releases():
     install = re.search(r"^\s+run: python -m pip install (.*)$", WORKFLOW.read_text(), flags=re.M)
     pinned = re.findall(r'"(numpy|scipy)([=<>!~]=?[^"]*)?"', install.group(1))
     assert pinned == [(name, f"=={version}") for name, version in checks.PINS.items()]
+
+
+def test_code_lines_skip_blanks_comments_and_docstrings():
+    # counted: the import, the def, the return and both lines of X, a string
+    # that is not a docstring
+    source = ('"""A module\n\ndocstring."""\n'
+              "\n"
+              "import os  # a trailing comment\n"
+              "# a comment\n"
+              "    # an indented comment\n"
+              'X = """not a\ndocstring"""\n'
+              "def f():\n"
+              '    """A function docstring."""\n'
+              "\n"
+              "    return os.sep\n")
+    assert checks.code_lines(source) == 5

@@ -141,34 +141,6 @@ def test_nonfinite_matrix_raises_numeric_error():
         spectral.eigh(a)
 
 
-def _imports(tree):
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            yield from (alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            yield node.module
-            yield from (f"{node.module}.{alias.name}" for alias in node.names)
-
-
-def _imported(package):
-    return {
-        (path.name, name)
-        for path in sorted(SRC.glob("*.py"))
-        for name in _imports(ast.parse(path.read_text()))
-        if name == package or name.startswith(package + ".")
-    }
-
-
-def test_no_module_imports_scipy_linalg():
-    assert _imported("scipy.linalg") == set()
-
-
-def test_no_module_imports_scipy_special():
-    # the radial rule's Laguerre values are ported, and its gamma, gammaln
-    # and binom come from the lone-loaded scipy.special._special_ufuncs
-    assert _imported("scipy.special") == set()
-
-
 # (module.function, reach): why it reaches scipy outside _scipy
 REACHES_SCIPY = {
     ("profiles.solve_ivp", "import scipy.integrate"):
@@ -234,6 +206,15 @@ def scipy_reaches(sources):
 def test_only_scipy_module_reaches_scipy():
     sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
     assert scipy_reaches(sources) == set(REACHES_SCIPY)
+    # _scipy imports the scipy package and no scipy module: it loads the
+    # LAPACK module and scipy.special._special_ufuncs by themselves
+    imported = {
+        alias.name if isinstance(node, ast.Import) else f"{node.module}.{alias.name}"
+        for node in ast.walk(ast.parse(sources["_scipy"]))
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.level == 0)
+        for alias in node.names
+    }
+    assert {name for name in imported if name.split(".")[0] == "scipy"} == {"scipy"}
 
 
 def test_the_boundary_rule_sees_imports_strings_and_private_names():

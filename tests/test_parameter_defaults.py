@@ -1,4 +1,4 @@
-"""Two rules that keep test-only code out of src/blowlab.
+"""Three rules that keep test-only and dead code out of src/blowlab.
 
 Every defaulted parameter of a function in src/blowlab is set by some call
 in src/blowlab, or is listed in ALLOWED with the reason it stays. A value
@@ -8,6 +8,10 @@ Every function or method defined in src/blowlab is referenced by name in
 src/blowlab outside __init__.py, or is listed in UNREFERENCED with the
 reason it stays. A function that only tests call is deleted, unless it is an
 oracle, a public primitive or a target of perfbench's tracer.
+
+Every name that a module of src/blowlab imports is read in that module, or
+is listed in UNREAD_IMPORTS with the reason it stays. __future__ imports and
+the re-exports of __init__.py are not checked.
 
 Calls are matched to definitions by name, as the AST shows them: f(...) and
 obj.f(...) both reach every def named f, and C(...) reaches C.__init__. A
@@ -59,6 +63,12 @@ UNREFERENCED = {
         "perfbench's tracer wraps it by name (ROADMAP items 1 and 8)",
     "profiles.solve_ivp":
         "perfbench's tracer wraps it by name (ROADMAP items 1 and 8)",
+}
+
+# module.imported name: why the module imports it without reading it
+UNREAD_IMPORTS = {
+    "_scipy.scipy":
+        "its distributor init locates the bundled OpenBLAS before _flapack loads",
 }
 
 
@@ -156,6 +166,28 @@ def unreferenced_functions(sources):
     }
 
 
+def unread_imports(sources):
+    """module.name for each name that a module of sources, a {module: source
+    text} dict, binds by an import and never reads; __future__ imports and
+    __init__ are skipped."""
+    found = set()
+    for module, text in sources.items():
+        if module == "__init__":
+            continue
+        tree = ast.parse(text)
+        bound = {
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__")
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        found |= {f"{module}.{name}" for name in bound - read}
+    return found
+
+
 def _library_sources():
     return {path.stem: path.read_text() for path in SRC.glob("*.py")}
 
@@ -166,6 +198,10 @@ def test_every_default_is_set_by_the_library_or_allowed():
 
 def test_every_function_is_referenced_by_the_library_or_listed():
     assert unreferenced_functions(_library_sources()) == set(UNREFERENCED)
+
+
+def test_every_import_is_read_by_its_module_or_listed():
+    assert unread_imports(_library_sources()) == set(UNREAD_IMPORTS)
 
 
 def test_the_checker_sees_positions_keywords_and_stars():
@@ -197,3 +233,20 @@ def test_the_checker_sees_names_attributes_and_skips_init():
         "__init__": "from .mod import f\nf()\n",
     }
     assert unreferenced_functions(sources) == {"mod.f", "mod.C.unused"}
+
+
+def test_the_import_checker_reads_names_and_skips_future_and_init():
+    # np and w are read, a through its attribute; os, y and the alias
+    # unused are not. The __future__ import and __init__'s re-export of v
+    # are not checked
+    sources = {
+        "mod": ("from __future__ import annotations\n"
+                "import os, numpy as np\n"
+                "import a.b\n"
+                "from .x import y, z as w\n"
+                "def f():\n"
+                "    import q as unused\n"
+                "    return np.zeros(1), a.b, w\n"),
+        "__init__": "from .mod import v\n",
+    }
+    assert unread_imports(sources) == {"mod.os", "mod.y", "mod.unused"}

@@ -45,10 +45,12 @@ from blowlab.profiles import (
     _shot_start,
     accepts_bounded_positive,
     classify_lanes,
+    kappa_covered,
     rk4_shoot,
     series_start,
 )
 from blowlab.calculus import cutoff_field, radial_field
+from blowlab.exponents import H_of
 from blowlab.quadrature import cutoff_radial, radial_grid, tensor_grid
 
 P21 = ProblemParams(n=1, p=2.0)
@@ -100,7 +102,7 @@ def test_shoot_at_kappa_is_constant():
         assert prof.events == {"zero_at": None, "cap_at": None}
         assert np.abs(prof.w - kappa(p)).max() < 1e-10
         assert profile_residual(prof) < 1e-10
-        mn = prof.H_values().min()
+        mn = H_of(prof.w, prof.r * prof.w_r, p).min()
         assert mn > 0.0 and mn == pytest.approx(kappa(p) / (p - 1.0), rel=1e-9)
 
 
@@ -188,6 +190,33 @@ def test_trusted_radius():
     prof = shoot(0.5, P21)
     assert prof.trusted_radius() < prof.r_end
     assert prof.w[prof.r <= prof.trusted_radius()].min() > 0.0
+
+
+def test_band_counts_nan_as_untrusted():
+    prof = shoot(kappa(2.0), P21)
+    prof.w[100] = np.nan
+    assert prof.untrusted().nonzero()[0].tolist() == [100]
+    assert prof.trusted_radius() == prof.r[99]
+    assert not accepts_bounded_positive(prof)
+
+
+def test_kappa_covered_by_a_bracket_or_both_band_edges():
+    kap = kappa(3.0)
+    half = profiles.SNAP_BAND * max(1.0, kap)
+    contains = Bracket(kap - 0.1, kap + 0.1, "hit-zero", "blew-up")
+    enters = Bracket(kap - 2.0 * half, kap - 0.5 * half, "hit-zero", "reached-Rmax-bounded")
+    leaves = Bracket(kap + 0.5 * half, kap + 2.0 * half, "reached-Rmax-bounded", "blew-up")
+    far = Bracket(0.2, 0.3, "hit-zero", "blew-up")
+    assert profiles.in_snap_band(enters.alpha_hi, kap)
+    assert not profiles.in_snap_band(enters.alpha_lo, kap)
+    assert profiles.in_snap_band(leaves.alpha_lo, kap)
+    assert not profiles.in_snap_band(leaves.alpha_hi, kap)
+    assert kappa_covered([far, contains], kap)
+    assert kappa_covered([enters, far, leaves], kap)
+    assert not kappa_covered([enters, far], kap)
+    assert not kappa_covered([far, leaves], kap)
+    assert not kappa_covered([far], kap)
+    assert not kappa_covered([], kap)
 
 
 def test_scan_rediscovers_kappa():
