@@ -80,6 +80,10 @@ PAIRS = [
     # stability modes, identities.csv from the check rows' pass rules
     ("spectrum-n2-N32", ["spectrum", "--set", "n=2", "--set", "N=32"]),
     ("verify-identities-n2", ["verify-identities", "--set", "n=2"]),
+    # three-axis tensor grids: the calculus batteries on their points, and a
+    # Hermite basis built through their node index
+    ("verify-identities-n3", ["verify-identities", "--set", "n=3", "--set", "cases=5"]),
+    ("spectrum-n3", ["spectrum", "--set", "n=3", "--set", "N=20"]),
 ]
 
 # the manifest's config_text of this pair, passed back as --config, is the

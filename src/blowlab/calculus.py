@@ -46,8 +46,9 @@ from .quadrature import (
 @dataclass(frozen=True, eq=False)
 class SampledField:
     """A function sampled on a grid together with its derivative data, given
-    by the caller. grad has shape (nq, n) on tensor grids and (nq, 1) on
-    radial grids (d/dr)."""
+    by the caller. grad has the shape of grid.points: (nq, n) on tensor
+    grids and (nq, 1) on radial grids, where it is d/dr. The methods read
+    both kinds through points alone."""
 
     grid: Grid
     values: np.ndarray
@@ -66,16 +67,13 @@ class SampledField:
     @classmethod
     def constant(cls, grid: Grid, c: float) -> "SampledField":
         nq = grid.npoints
-        ncomp = 1 if grid.kind == "radial" else grid.n
         return cls(grid=grid, values=np.full(nq, float(c)),
-                   grad=np.zeros((nq, ncomp)), lap=np.zeros(nq))
+                   grad=np.zeros(grid.points.shape), lap=np.zeros(nq))
 
     def grad_sq(self) -> np.ndarray:
         return (self.grad * self.grad).sum(axis=1)
 
     def y_dot_grad(self) -> np.ndarray:
-        if self.grid.kind == "radial":
-            return self.grid.r * self.grad[:, 0]
         return (self.grid.points * self.grad).sum(axis=1)
 
 
@@ -165,8 +163,7 @@ def verify_log_test_inequality(w: SampledField, f: SampledField, mu: float, phi:
 def verify_poincare(v: SampledField, name: str = "poincare") -> CheckRow:
     """[v^2 |y|^2]_W <= 16 [|grad v|^2]_W + 4 n [v^2]_W."""
     grid = v.grid
-    r2 = grid.r**2 if grid.kind == "radial" else (grid.points**2).sum(axis=1)
-    lhs = float(np.dot(grid.weights, v.values**2 * r2))
+    lhs = float(np.dot(grid.weights, v.values**2 * (grid.points**2).sum(axis=1)))
     rhs = 16.0 * float(np.dot(grid.weights, v.grad_sq())) \
         + 4.0 * grid.n * float(np.dot(grid.weights, v.values**2))
     return CheckRow.bound(name, lhs, rhs)
@@ -219,12 +216,9 @@ def verify_prop35_inequality(w: SampledField, m: float, eta: SampledField,
 def radial_field(grid: Grid, f) -> SampledField:
     """A radial function as a field, where f(r) returns (values, d/dr values).
 
-    On radial grids grad is d/dr; on tensor grids it is lifted to
-    slope * y/|y|, taken as 0 at the origin.
+    grad is slope * y/|y|, taken as 0 at the origin: on radial grids, whose
+    points are the column r, that is d/dr.
     """
-    if grid.kind == "radial":
-        vals, slope = f(grid.r)
-        return SampledField(grid=grid, values=vals, grad=slope.reshape(-1, 1))
     r = np.sqrt((grid.points**2).sum(axis=1))
     vals, slope = f(r)
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -202,11 +202,11 @@ def manifest_config(manifest: dict) -> tuple[str, dict]:
 
 
 def _rel_diff(a: float, b: float) -> float:
-    if a == b:
+    """|a - b| / max(|a|, |b|), or inf where numbers differ and that is not finite."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
         return 0.0
-    if math.isnan(a) and math.isnan(b):
-        return 0.0
-    return abs(a - b) / max(abs(a), abs(b), 1e-300)
+    d = abs(a - b) / max(abs(a), abs(b), 1e-300)
+    return d if math.isfinite(d) else math.inf
 
 
 def _compare_values(a, b, worst: list) -> bool:

@@ -22,17 +22,18 @@ bracket outcome changes and bisection re-discovers kappa.
 One DOP853 integrator shoots: each alpha is a lane of one vectorised
 integration that repeats scipy's solve_ivp arithmetic (tableau, step-size
 control, event location on the dense interpolant by brentq), ending at its
-first terminal event. A scan needs only each alpha's outcome and end radius,
-and classify_lanes takes them for a whole list of alphas at once; a lane
-that no event ends (the snap band below, or a shot still bounded at r_max,
-whose tail test reads the mesh) gives None. shoot is one lane that keeps its
-steps and evaluates their dense output on its mesh as solve_ivp's
-OdeSolution does. Dense output is built once per batch of steps, on the
-lanes' right-hand side; _rhs is rk4_shoot's and the tests' scipy
-reference's. scan_profiles classifies its grid in one batch, and
-bisects every bracket BISECT_DEPTH levels per batch, tree-exact: the
-brackets are those of the sequential loop, and an alpha no event decides
-goes through shoot() only if the grid or the walk reads it, as in that loop.
+first terminal event. _run_lanes returns each lane's event in input order.
+A scan needs only each alpha's outcome and end radius, and classify_lanes
+takes them for a whole list of alphas at once; a lane that no event ends
+(the snap band below, or a shot still bounded at r_max, whose tail test
+reads the mesh) gives None. shoot is one lane that keeps its steps and
+evaluates their dense output on its mesh as solve_ivp's OdeSolution does.
+Dense output is built once per batch of steps, on the lanes' right-hand
+side; _rhs is rk4_shoot's and the tests' scipy reference's. scan_profiles
+classifies its grid in one batch, and bisects every bracket BISECT_DEPTH
+levels per batch, tree-exact: the brackets are those of the sequential
+loop, and an alpha no event decides goes through shoot() only if the grid
+or the walk reads it, as in that loop.
 
 The constant branch is a separatrix: perturbations of the regular series
 solution grow only like r^2, but the second, singular solution of the
@@ -215,10 +216,10 @@ def shoot(alpha: float, params: ProblemParams, r_max: float = 20.0,
             meta=meta | {"c": 0.0, "d": 0.0, "snapped_to_constant": True},
         )
 
-    result, steps = [None], []
-    _run_lanes(params, np.zeros(1, dtype=int), np.array([r0]), np.array([[w0, w0r]]),
-               float(r_max), rtol, atol, cap, [alpha], result, steps)
-    outcome, r_end = result[0] or (None, float(r_max))
+    steps = []
+    (result,) = _run_lanes(params, [alpha], np.array([r0]), np.array([[w0, w0r]]),
+                           float(r_max), rtol, atol, cap, steps)
+    outcome, r_end = result or (None, float(r_max))
     rr = np.linspace(r0, r_end, MESH_POINTS)
     w, w_r = _on_mesh(params, cap, steps, r_end, rr)
     if outcome is None:
@@ -380,18 +381,14 @@ def classify_lanes(alphas, params: ProblemParams, r_max: float = 20.0,
     upward, located on that step's dense interpolant.
     """
     alphas = [float(a) for a in alphas]
-    results: list = [None] * len(alphas)
-    lanes, starts = [], []
-    for i, alpha in enumerate(alphas):
-        r0, w0, w0r, _, _, snapped = _shot_start(alpha, params, r_max, cap)
-        if not snapped:
-            lanes.append(i)
-            starts.append((r0, w0, w0r))
-    if lanes:
-        start = np.array(starts)
-        _run_lanes(params, np.array(lanes), start[:, 0], start[:, 1:], float(r_max),
-                   rtol, atol, cap, alphas, results)
-    return results
+    starts = [_shot_start(alpha, params, r_max, cap) for alpha in alphas]
+    free = [alpha for alpha, s in zip(alphas, starts) if not s[5]]
+    if not free:
+        return [None] * len(alphas)
+    start = np.array([s[:3] for s in starts if not s[5]])
+    ends = iter(_run_lanes(params, free, start[:, 0], start[:, 1:], float(r_max),
+                           rtol, atol, cap))
+    return [None if s[5] else next(ends) for s in starts]
 
 
 def _step(drift, rhs, t, y, f, h_abs, rejected, t_bound, rtol, atol):
@@ -439,11 +436,14 @@ def _step(drift, rhs, t, y, f, h_abs, rejected, t_bound, rtol, atol):
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _run_lanes(params, idx, t, y, t_bound, rtol, atol, cap, alphas, results, steps=None):
-    """Integrate lanes idx from radii t and states y (lanes, 2) to their first
-    terminal event, writing (outcome, r_end) into results; a lane that
-    reaches t_bound without one leaves its result alone. steps, for a single
-    lane, receives (t_old, t_new, y_old, y_new, K) for each accepted step."""
+def _run_lanes(params, alphas, t, y, t_bound, rtol, atol, cap, steps=None):
+    """Integrate one lane per alpha from radius t and state y (lanes, 2) to
+    its first terminal event, and return each lane's (outcome, r_end) in
+    input order, or None for a lane that reaches t_bound without one. The
+    events are solve_ivp's sign tests on each lane's own w before and after
+    an accepted step: w from >= 0 to <= 0, |w| - cap from <= 0 to >= 0.
+    steps, for a single lane, receives (t_old, t_new, y_old, y_new, K) for
+    each accepted step."""
     if atol < 0.0:
         raise UsageError("atol must not be negative")
     rtol = max(rtol, 100 * _EPS)                # solve_ivp's floor
@@ -452,7 +452,8 @@ def _run_lanes(params, idx, t, y, t_bound, rtol, atol, cap, alphas, results, ste
     f = np.empty_like(y)
     rhs(drift(t), y, f)
     h_abs = _initial_step(drift, rhs, t, y, f, t_bound, rtol, atol)
-    g_zero, g_cap = y[:, 0], np.abs(y[:, 0]) - cap
+    results = [None] * len(alphas)
+    idx = np.arange(len(alphas))                # each remaining lane's input position
     rejected = np.zeros(idx.size, dtype=bool)
     while idx.size:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
@@ -472,10 +473,9 @@ def _run_lanes(params, idx, t, y, t_bound, rtol, atol, cap, alphas, results, ste
             steps.append((t[0], t_new[0], y[0], y_new[0], K[0]))
 
         # terminal events on accepted steps, by solve_ivp's sign tests
-        gz_new = np.where(ok, y_new[:, 0], g_zero)
-        gc_new = np.where(ok, np.abs(y_new[:, 0]) - cap, g_cap)
-        zero = ok & (g_zero >= 0.0) & (gz_new <= 0.0)
-        up = ok & (g_cap <= 0.0) & (gc_new >= 0.0)
+        w, w_new = y[:, 0], y_new[:, 0]
+        zero = ok & (w >= 0.0) & (w_new <= 0.0)
+        up = ok & (np.abs(w) - cap <= 0.0) & (np.abs(w_new) - cap >= 0.0)
         fired = zero | up
         if fired.any():
             F = _dense(drift, rhs, t[fired], t_new[fired], y[fired], y_new[fired], K[fired])
@@ -487,11 +487,10 @@ def _run_lanes(params, idx, t, y, t_bound, rtol, atol, cap, alphas, results, ste
         t = np.where(ok, t_new, t)
         y = np.where(ok[:, None], y_new, y)
         f = np.where(ok[:, None], K[:, ns], f)
-        g_zero, g_cap = gz_new, gc_new
         keep = ~(fired | reached)
         if not keep.all():
-            idx, t, y, f, h_abs, rejected, g_zero, g_cap = (
-                x[keep] for x in (idx, t, y, f, h_abs, rejected, g_zero, g_cap))
+            idx, t, y, f, h_abs, rejected = (x[keep] for x in (idx, t, y, f, h_abs, rejected))
+    return results
 
 
 def rk4_shoot(alpha: float, params: ProblemParams, r_max: float = 10.0,

@@ -9,6 +9,10 @@ families:
   * radial Gauss-Laguerre (generalized, alpha = n/2 - 1): r = 2 sqrt(x),
     weights carry the sphere area, for radially symmetric integrands.
 
+Each grid owns its layout: `points` is (nq, n), or (nq, 1) holding r on a
+radial grid. A tensor grid gathers its points and weights, and build_basis
+its product basis, through `node`, each point's node per axis in C order.
+
 The grids are quadrature rules only. The orthonormal eigenbases that
 spectral.build_basis samples on them, with `hermite_basis` and
 `laguerre_basis`, are
@@ -35,7 +39,7 @@ from numpy.polynomial.hermite_e import hermegauss
 
 from . import _scipy
 from .config import WORK_BUDGET
-from .errors import ConfigurationError, UsageError
+from .errors import ConfigurationError, DomainError, UsageError
 
 SQRT2 = math.sqrt(2.0)
 TOTAL_MASS_1D = 2.0 * math.sqrt(math.pi)  # int exp(-y^2/4) dy
@@ -48,8 +52,11 @@ MAX_LAGUERRE_DEGREE = 363
 
 
 def sphere_area(n: int) -> float:
-    """Surface area of the unit sphere in R^n (2 for n = 1)."""
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    """Area of the unit sphere in R^n (2 for n = 1); DomainError past float range."""
+    try:
+        return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    except OverflowError:
+        raise DomainError(f"the unit sphere's area in n = {n} leaves float range") from None
 
 
 def gaussian_moment_1d(k: int) -> float:
@@ -89,9 +96,10 @@ class TensorGrid:
 
     n: int
     degree: int
-    points: np.ndarray = field(repr=False)     # (nq, n)
+    points: np.ndarray = field(repr=False)     # (nq, n): nodes_1d[node].T
     weights: np.ndarray = field(repr=False)    # (nq,)
     nodes_1d: np.ndarray = field(repr=False)
+    node: np.ndarray = field(repr=False)       # (n, nq): each point's node per axis
 
     kind = "tensor"
 
@@ -124,14 +132,11 @@ def tensor_grid(n: int, degree: int | None = None) -> TensorGrid:
     require_within_budget(degree**n * n, f"a degree-{degree} tensor grid in n = {n}")
     x, w = hermegauss(degree)
     nodes = SQRT2 * x
-    wts = SQRT2 * w
-    mesh = np.meshgrid(*([nodes] * n), indexing="ij")
-    points = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    wmesh = np.meshgrid(*([wts] * n), indexing="ij")
-    weights = np.ones(degree**n)
-    for wm in wmesh:
-        weights = weights * wm.reshape(-1)
-    return TensorGrid(n=n, degree=degree, points=points, weights=weights, nodes_1d=nodes)
+    node = np.indices((degree,) * n).reshape(n, -1)    # C order: the last axis runs fastest
+    points = np.ascontiguousarray(nodes[node].T)
+    weights = np.prod((SQRT2 * w)[node], axis=0)
+    return TensorGrid(n=n, degree=degree, points=points, weights=weights, nodes_1d=nodes,
+                      node=node)
 
 
 def laguerre_norms(n: int, nfuncs: int) -> np.ndarray:

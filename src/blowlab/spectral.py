@@ -130,7 +130,7 @@ def build_basis(n: int, N: int, degree: int | None = None,
     b = hermite_basis(grid.nodes_1d, per_axis)
     db = np.zeros_like(b)                    # d/dy b_k = sqrt(k/2) b_{k-1}
     db[:, 1:] = np.sqrt(np.arange(1, per_axis) / 2.0) * b[:, :-1]
-    node = np.indices((grid.degree,) * n).reshape(n, -1)   # each point's node per axis
+    node = grid.node                          # each point's node per axis
     ks = np.array(_tensor_indices(n, per_axis, N)).T      # each function's degree per axis
     vals = [b[:, ks[ax]][node[ax]] for ax in range(n)]      # (nq, N) factors per axis
     grads = np.empty((grid.npoints, N, n))

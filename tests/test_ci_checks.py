@@ -5,14 +5,17 @@ argv tables must parse and resolve as the CLI would parse and resolve them,
 so a renamed subcommand or config key fails here instead of in CI; and each
 workflow step after the install is one single-line call of one of the
 script's steps, in the script's order, so no check code lives in the YAML.
-The workflow installs the numpy and scipy releases of the script's PINS.
+The workflow installs the numpy and scipy releases of the script's PINS,
+and pyproject.toml's requirements admit them.
 """
 
 import importlib.util
 import re
+import tomllib
 from pathlib import Path
 
 import pytest
+from packaging.requirements import Requirement
 
 from blowlab import cli
 from blowlab.config import resolve_config
@@ -56,6 +59,19 @@ def test_workflow_installs_the_pinned_releases():
     install = re.search(r"^\s+run: python -m pip install (.*)$", WORKFLOW.read_text(), flags=re.M)
     pinned = re.findall(r'"(numpy|scipy)([=<>!~]=?[^"]*)?"', install.group(1))
     assert pinned == [(name, f"=={version}") for name, version in checks.PINS.items()]
+
+
+def test_pyproject_admits_the_pinned_releases():
+    # _scipy loads private scipy modules and calls private signatures as the
+    # pinned release has them, so the declared range must hold that release
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    requirements = {req.name: req for req in map(Requirement, project["dependencies"])}
+    for name, version in checks.PINS.items():
+        assert requirements[name].specifier.contains(version), (name, version)
+    # and no other scipy minor release, whose private modules may differ
+    major, minor = map(int, checks.PINS["scipy"].split(".")[:2])
+    for other in (f"{major}.{minor - 1}.0", f"{major}.{minor + 1}.0"):
+        assert not requirements["scipy"].specifier.contains(other), other
 
 
 def test_code_lines_skip_blanks_comments_and_docstrings():

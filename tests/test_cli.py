@@ -300,6 +300,17 @@ def test_kappa_out_of_float_range_is_refused(tmp_path, capsys, kind):
     assert [v["name"] for v in manifest["verdicts"]] == ["refused"]
 
 
+def test_a_sphere_area_out_of_float_range_is_refused(tmp_path, capsys):
+    # Gamma(n/2) overflows from n = 344 on: the ball's Gaussian density
+    # ended in an OverflowError traceback and exit 1, a failed verdict's code
+    out = tmp_path / "o"
+    argv = ["evolve-rescaled", "--out", str(out), "--set", "geometry=ball"]
+    assert run_cli(*argv, "--set", "n=344") == 2
+    assert "float range" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+    assert [v["name"] for v in load_manifest(out)["verdicts"]] == ["refused"]
+
+
 @pytest.mark.parametrize("kind, setting", [
     ("spectrum", "k=0"), ("blowup", "u_cap=0"), ("blowup", "u_cap=-1"),
     ("theorem13", "K=0"), ("theorem13", "conv_tol=nan"), ("theorem13", "conv_tol=0"),

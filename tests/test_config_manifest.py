@@ -581,6 +581,16 @@ def test_compare_outputs_csv_shapes_and_cell_types(tmp_path):
     assert not rep["numeric_ok"]
     assert rep["max_rel_diff"] == 0.0
 
+    # numbers that differ with no finite relative difference: the report
+    # says inf, not the 0.0 that max() kept when it dropped a nan
+    for cell_a, cell_b in (("1.0", "nan"), ("inf", "1.0"), ("inf", "-inf")):
+        (a / "t.csv").write_text(f"x,tag\n{cell_a},ok\n")
+        (b / "t.csv").write_text(f"x,tag\n{cell_b},ok\n")
+        rep = compare_outputs(a, b, ["t.csv"])[0]
+        assert not rep["numeric_ok"], (cell_a, cell_b)
+        assert rep["max_rel_diff"] == math.inf, (cell_a, cell_b)
+    (a / "t.csv").write_text("x,tag\n1.0,ok\n")
+
     # the printed forms differ, the numbers do not
     (b / "t.csv").write_text("x,tag\n1,ok\n")
     rep = compare_outputs(a, b, ["t.csv"])[0]

@@ -345,6 +345,19 @@ def test_radial_field_matches_the_per_caller_lifts(grid):
         assert np.array_equal(field.grad, grad)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+def test_radial_field_on_a_radial_grid_is_the_radial_pair(n):
+    # a radial grid's points are the column r, so the tensor lift's |y| is r
+    # and y/|y| is 1, bit for bit: the field is (f(r), slope[:, None])
+    grid = radial_grid(n, 48)
+    w_at, _ = extended_profile(shoot(0.9, ProblemParams(n=n, p=2.0)))
+    for f in (w_at, lambda r: cutoff_radial(r, 3.0)):
+        vals, slope = f(grid.r)
+        field = radial_field(grid, f)
+        assert field.values.tobytes() == vals.tobytes()
+        assert field.grad.tobytes() == slope[:, None].tobytes()
+
+
 def test_profile_field_on_radial_grid():
     prof = shoot(kappa(3.0), ProblemParams(n=3, p=3.0))
     grid = radial_grid(3, 32)
@@ -487,11 +500,11 @@ def test_dense_output_on_any_mesh_is_scipys(alpha, params, cap):
     # through every boundary and every step's midpoint as well, the lane's
     # steps give OdeSolution's values
     r0, w0, w0r, _, _ = series_start(alpha, params)
-    result, steps = [None], []
-    profiles._run_lanes(params, np.zeros(1, dtype=int), np.array([r0]),
-                        np.array([[w0, w0r]]), 5.0, 1e-10, 1e-12, cap, [alpha], result, steps)
+    steps = []
+    (result,) = profiles._run_lanes(params, [alpha], np.array([r0]), np.array([[w0, w0r]]),
+                                    5.0, 1e-10, 1e-12, cap, steps)
     sol = scipy_solution(params, r0, w0, w0r, 5.0, 1e-10, 1e-12, cap)
-    r_end = result[0][1] if result[0] else 5.0
+    r_end = result[1] if result else 5.0
     assert r_end == sol.t[-1] and len(steps) == sol.t.size - 1 > 5
     ts = np.array([step[0] for step in steps] + [r_end])
     rr = np.sort(np.concatenate([ts, 0.5 * (ts[:-1] + ts[1:]), np.linspace(r0, r_end, 101)]))
@@ -544,6 +557,25 @@ def test_lane_batch_matches_shoot(p, n, kw):
            1.5, 2.5, 10.0, 300.0]
     alphas = [kap * f for f in rel]
     assert_lanes_match_reference(alphas, ProblemParams(n=n, p=p), **kw)
+
+
+def test_run_lanes_returns_each_lanes_event_in_input_order():
+    # one entry per lane, in input order, each what the lane gives alone;
+    # None for a lane that reaches t_bound without an event. The lanes end
+    # in another order than they came in
+    alphas = [0.5, 0.99, 1.5, 0.2, 0.999]
+    start = np.array([series_start(alpha, P21)[:3] for alpha in alphas])
+    args = (3.0, 1e-10, 1e-12, 2.0)
+    got = profiles._run_lanes(P21, alphas, start[:, 0], start[:, 1:], *args)
+    alone = [profiles._run_lanes(P21, [alpha], row[:1], row[None, 1:], *args)[0]
+             for alpha, row in zip(alphas, start)]
+    assert got == alone
+    assert [res and res[0] for res in got] == ["blew-up", None, "hit-zero", "blew-up", None]
+    assert got[2][1] < got[0][1]
+    for alpha, res in zip(alphas, got):
+        prof = shoot(alpha, P21, r_max=3.0, cap=2.0)
+        assert (res or (None, 3.0))[1] == prof.r_end
+        assert res is None or res[0] == prof.outcome
 
 
 @pytest.mark.parametrize("alpha, params, cap", [
@@ -715,8 +747,8 @@ import numpy as np
 from blowlab import NumericError, ProblemParams
 from blowlab.profiles import _run_lanes
 try:
-    _run_lanes(ProblemParams(n=1, p=2.0), np.zeros(1, dtype=int), np.array([1e-3]),
-               np.array([[np.nan, 0.0]]), 20.0, 1e-10, 1e-12, 1e6, [np.nan], [None])
+    _run_lanes(ProblemParams(n=1, p=2.0), [np.nan], np.array([1e-3]),
+               np.array([[np.nan, 0.0]]), 20.0, 1e-10, 1e-12, 1e6)
 except NumericError as exc:
     print(exc)
 """

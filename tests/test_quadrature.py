@@ -6,9 +6,11 @@ import warnings
 import numpy as np
 import pytest
 import scipy.special
+from numpy.polynomial.hermite_e import hermegauss
 
 from blowlab import (
     ConfigurationError,
+    DomainError,
     UsageError,
     gaussian_moment_1d,
     gaussian_radial_moment,
@@ -16,6 +18,7 @@ from blowlab import (
     tensor_grid,
 )
 from blowlab.quadrature import (
+    SQRT2,
     TOTAL_MASS_1D,
     cutoff_radial,
     hermite_basis,
@@ -67,6 +70,10 @@ def test_radial_moment_consistency():
     assert sphere_area(1) == pytest.approx(2.0)
     assert sphere_area(2) == pytest.approx(2.0 * math.pi)
     assert sphere_area(3) == pytest.approx(4.0 * math.pi)
+    # Gamma(n/2) overflows from n = 344 on
+    assert 0.0 < sphere_area(343) < math.inf
+    with pytest.raises(DomainError, match="float range"):
+        sphere_area(344)
 
 
 def test_tensor_quadrature_moments_exact():
@@ -86,6 +93,50 @@ def test_radial_quadrature_moments_exact():
         for k in range(0, 22, 2):
             got = float(np.dot(g.weights, g.r**k))
             assert got == pytest.approx(gaussian_radial_moment(n, k), rel=1e-12)
+
+
+def meshgrid_tensor_grid(n, degree):
+    """(points, weights) of the tensor grid as meshgrid lays them out: the
+    reference for tensor_grid's gather through its node index."""
+    x, w = hermegauss(degree)
+    mesh = np.meshgrid(*([SQRT2 * x] * n), indexing="ij")
+    points = np.stack([m.reshape(-1) for m in mesh], axis=1)
+    weights = np.ones(degree**n)
+    for wm in np.meshgrid(*([SQRT2 * w] * n), indexing="ij"):
+        weights = weights * wm.reshape(-1)
+    return points, weights
+
+
+@pytest.mark.parametrize("degree", [2, 16, 34, 48, 64])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tensor_grid_is_the_meshgrid_layout(n, degree):
+    g = tensor_grid(n, degree)
+    points, weights = meshgrid_tensor_grid(n, degree)
+    assert g.points.flags.c_contiguous
+    assert g.points.tobytes() == points.tobytes()
+    assert g.weights.tobytes() == weights.tobytes()
+    assert g.node.shape == (n, g.npoints)
+    for ax in range(n):
+        assert g.points[:, ax].tobytes() == g.nodes_1d[g.node[ax]].tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_radial_points_are_the_column_r(n):
+    # calculus reads both grid kinds through points: on a radial grid,
+    # sqrt(sum points^2) is r, points / r is 1, and a one-column sum is its
+    # radial product, bit for bit (numpy's sum turns a -0.0 into +0.0, so
+    # the products here are drawn nonzero)
+    rng = np.random.default_rng(n)
+    for degree in (2, 3, 16, 32, 48, 64, 96, 200, 300, 363):
+        g = radial_grid(n, degree)
+        pts = g.points
+        assert pts.shape == (g.npoints, 1)
+        r2 = (pts**2).sum(axis=1)
+        assert r2.tobytes() == (g.r**2).tobytes()
+        assert np.sqrt(r2).tobytes() == g.r.tobytes()
+        assert (pts / g.r[:, None]).tobytes() == np.ones_like(pts).tobytes()
+        grad = rng.uniform(0.5, 2.0, pts.shape) * rng.choice([-1.0, 1.0], pts.shape)
+        assert (pts * grad).sum(axis=1).tobytes() == (g.r * grad[:, 0]).tobytes()
 
 
 def test_hermite_basis_orthonormal():
